@@ -123,14 +123,43 @@ def vee(u, v):
     return np.einsum("abc,a...,b...->c...", VEE, u, v)
 
 
-def wedge_cov(c, u):
-    """Wedge with a covector given by its 3 components (leading axis 3)."""
-    return np.einsum("jbc,j...,b...->c...", WEDGE_COV, c, u)
+def _cov_product(table, c, u, grades=None):
+    """Sum of sign * c[j] * u[b] into out[k] over the nonzero (j, b, k) of a
+    grade-1 sign table, whose entries are +-1.
+
+    The entries are read from the live table on every call (a dozen of
+    its 192), so a corrupted sign reaches the product.  With ``grades``
+    only the blades of u of those grades enter, as if u had been passed
+    through :func:`grade_select` first.
+    """
+    c = np.asarray(c)
+    u = np.asarray(u)
+    if grades is not None and np.isscalar(grades):
+        grades = (grades,)
+    shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
+    out = np.zeros((8,) + shape, dtype=np.result_type(table, c, u))
+    term = np.empty(shape, dtype=out.dtype)
+    for j, b, k in zip(*np.nonzero(table)):
+        if grades is not None and GRADES[b] not in grades:
+            continue
+        np.multiply(c[j], u[b], out=term)
+        if table[j, b, k] > 0:
+            out[k] += term
+        else:
+            out[k] -= term
+    return out
 
 
-def vee_cov(c, u):
-    """Contraction by a covector given by its 3 components."""
-    return np.einsum("jbc,j...,b...->c...", VEE_COV, c, u)
+def wedge_cov(c, u, grades=None):
+    """Wedge with a covector given by its 3 components (leading axis 3),
+    optionally restricted to the blades of u of the given grades."""
+    return _cov_product(WEDGE_COV, c, u, grades)
+
+
+def vee_cov(c, u, grades=None):
+    """Contraction by a covector given by its 3 components, optionally
+    restricted to the blades of u of the given grades."""
+    return _cov_product(VEE_COV, c, u, grades)
 
 
 def hodge(u):

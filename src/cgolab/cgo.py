@@ -17,15 +17,15 @@ import numpy as np
 
 from . import algebra
 from .algebra import GradedForm
-from .errors import DivergenceError, ResonantGridError, StudyError
+from .errors import CgolabError, DivergenceError, ResonantGridError, StudyError
 from .fields import (
     ClampReport,
     FormField,
     SpectralField,
     _clamped_abs_symbol,
+    _symbol_weight,
     assert_admissible,
     bourgain_norm,
-    bourgain_weight,
     coderiv,
     default_floor,
     fft_forward,
@@ -245,7 +245,7 @@ def solve_cgo(
     if clamp_threshold is None:
         clamp_threshold = default_clamp_threshold(grid)
 
-    p, _, mask = _clamped_abs_symbol(grid, zeta, floor)
+    p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
     clamp = ClampReport(
         total=grid.n**3, clamped=int(np.sum(mask)), floor=floor, threshold=clamp_threshold
     )
@@ -256,8 +256,8 @@ def solve_cgo(
             clamp_report=clamp,
         )
     divisor = np.where(mask, 1.0, p)
-    wm = bourgain_weight(grid, zeta, -0.5, floor)
-    wp = bourgain_weight(grid, zeta, 0.5, floor)
+    wm = _symbol_weight(absp, mask, -0.5)
+    wp = _symbol_weight(absp, mask, 0.5)
     vol = grid.volume
 
     def norm_minus(coeffs):
@@ -428,6 +428,8 @@ def decay_study(
     lambdas = list(lambdas)
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda values must be increasing")
+    if lambdas[0] < 1.0:
+        raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
     rho = np.asarray(rho, dtype=float)
     jobs = sample_plan(rho, lambdas, n_samples, seed)
 
@@ -456,7 +458,7 @@ def decay_study(
     else:
         outcomes = [_guarded(run)(job) for job in jobs]
     for job, outcome in zip(jobs, outcomes):
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, CgolabError):
             failures += 1
             samples.append(
                 DecaySample(
@@ -496,7 +498,7 @@ def _guarded(fn):
     def wrapped(job):
         try:
             return fn(job)
-        except Exception as exc:  # noqa: BLE001 - per-sample failures are data
+        except CgolabError as exc:  # the toolkit's own failures are data; bugs propagate
             return exc
 
     return wrapped

@@ -319,6 +319,11 @@ def bourgain_weight(grid: Grid, zeta, b: float, floor: float | None = None) -> n
     if floor is None:
         floor = default_floor(grid)
     _, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
+    return _symbol_weight(absp, mask, b)
+
+
+def _symbol_weight(absp: np.ndarray, mask: np.ndarray, b: float) -> np.ndarray:
+    """|p|^(2b) from the clamped |p|, zero on the clamped modes."""
     w = absp ** (2.0 * b)
     w[mask] = 0.0
     return w

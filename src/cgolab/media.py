@@ -17,10 +17,11 @@ cross-check the factorization route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import algebra
+from . import algebra, fields
 from .fields import (
     FormField,
     Grid,
@@ -155,7 +156,7 @@ class DerivedMedium:
     dc: FormField               # d of gamma^(1/2) mu^(1/2)
     delta_da: np.ndarray        # codifferential of da (= -laplacian of a)
     delta_db: np.ndarray
-    hess_a: np.ndarray          # full Hessian of a, shape (3, 3, n, n, n)
+    hess_a: np.ndarray          # Hessian of a, entries in algebra.SYM_PAIRS order, (6, n, n, n)
     hess_b: np.ndarray
     sqrt_gamma: np.ndarray
     inv_sqrt_gamma: np.ndarray
@@ -179,19 +180,38 @@ class DerivedMedium:
     def dc3(self) -> np.ndarray:
         return self.dc.values[1:4]
 
+    @cached_property
+    def grade_multipliers(self) -> np.ndarray:
+        """Pointwise multipliers of the grade 0..3 blocks of the potential,
+        shape (4, n, n, n), with base = -omega^2 (gamma mu - eps0 mu0):
+
+            base + <da,da> - delta da,   base + <db,db> + delta db,
+            base + <da,da> + delta da,   base + <db,db> - delta db.
+
+        The transposed potential multiplies grade l by entry l ^ 1.
+        Computed on first use, so deriving a medium does not pay for it.
+        """
+        base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
+        dada = algebra.inner(self.da.values, self.da.values)
+        dbdb = algebra.inner(self.db.values, self.db.values)
+        return np.stack([
+            base + dada - self.delta_da,
+            base + dbdb + self.delta_db,
+            base + dada + self.delta_da,
+            base + dbdb - self.delta_db,
+        ])
+
 
 def _hessian(grid: Grid, scalar: np.ndarray) -> np.ndarray:
-    """Spectral Hessian of a scalar field, shape (3, 3, n, n, n)."""
+    """Spectral Hessian of a scalar field: the entries j <= k in
+    ``algebra.SYM_PAIRS`` order, shape (6, n, n, n)."""
     from scipy import fft as sfft
 
-    shat = sfft.fftn(scalar)
+    shat = sfft.fftn(scalar, workers=fields._FFT_WORKERS)
     xi = grid.xi_op
-    out = np.empty((3, 3) + scalar.shape, dtype=complex)
-    for j in range(3):
-        for k in range(j, 3):
-            comp = sfft.ifftn(-xi[j] * xi[k] * shat)
-            out[j, k] = comp
-            out[k, j] = comp
+    out = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
+    for i, (j, k) in enumerate(algebra.SYM_PAIRS):
+        out[i] = sfft.ifftn(-xi[j] * xi[k] * shat, workers=fields._FFT_WORKERS)
     return out
 
 
@@ -269,12 +289,10 @@ def first_order(v: FormField, dm: DerivedMedium, zeta=None) -> FormField:
     """
     out = d_plus_delta(v.alternate(), zeta).values
     w = v.values
-    v1 = algebra.grade_select(w, 1)
-    out += algebra.wedge_cov(dm.da3, v1)
-    out += algebra.vee_cov(dm.da3, v1 + algebra.grade_select(w, 3))
-    v2 = algebra.grade_select(w, 2)
-    out += algebra.wedge_cov(dm.db3, algebra.grade_select(w, 0) + v2)
-    out -= algebra.vee_cov(dm.db3, v2)
+    out += algebra.wedge_cov(dm.da3, w, grades=1)
+    out += algebra.vee_cov(dm.da3, w, grades=(1, 3))
+    out += algebra.wedge_cov(dm.db3, w, grades=(0, 2))
+    out -= algebra.vee_cov(dm.db3, w, grades=2)
     out += dm.iwc * w
     return FormField(v.grid, out, check=False)
 
@@ -283,12 +301,10 @@ def first_order_t(w: FormField, dm: DerivedMedium, zeta=None) -> FormField:
     """Formal transpose: alternation sign flipped, roles of a and b swapped."""
     out = d_plus_delta(w.alternate(1), zeta).values
     u = w.values
-    u1 = algebra.grade_select(u, 1)
-    out += algebra.wedge_cov(dm.db3, u1)
-    out += algebra.vee_cov(dm.db3, u1 + algebra.grade_select(u, 3))
-    u2 = algebra.grade_select(u, 2)
-    out += algebra.wedge_cov(dm.da3, algebra.grade_select(u, 0) + u2)
-    out -= algebra.vee_cov(dm.da3, u2)
+    out += algebra.wedge_cov(dm.db3, u, grades=1)
+    out += algebra.vee_cov(dm.db3, u, grades=(1, 3))
+    out += algebra.wedge_cov(dm.da3, u, grades=(0, 2))
+    out -= algebra.vee_cov(dm.da3, u, grades=2)
     out += dm.iwc * u
     return FormField(w.grid, out, check=False)
 
@@ -304,51 +320,74 @@ def first_order_t(w: FormField, dm: DerivedMedium, zeta=None) -> FormField:
 # medium, which the identity checks quantify).
 # ---------------------------------------------------------------------------
 
-def _hess_apply(hess: np.ndarray, vec3: np.ndarray) -> np.ndarray:
-    return np.einsum("jk...,j...->k...", hess, vec3)
+# Hodge star between the grade-2 blades (4..6) and the grade-1 blades (1..3)
+# as signed index maps on 3-component slices:
+#   star(w)[1 + k] = _STAR2_SIGN[k] * w[4 + _STAR2_SRC[k]]
+#   star(w)[4 + k] = _STAR1_SIGN[k] * w[1 + _STAR1_SRC[k]]
+def _star_map(first: int):
+    src = np.argsort(algebra.HODGE_PERM[first:first + 3])
+    return src, algebra.HODGE_SIGN[first + src]
+
+
+_STAR2_SRC, _STAR2_SIGN = _star_map(4)
+_STAR1_SRC, _STAR1_SIGN = _star_map(1)
+_GRADE_BLADES = (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 8))
+#: position of the Hessian entry (j, k) in the packed SYM_PAIRS order
+_SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
+
+
+def _hess_apply(hess: np.ndarray, comps) -> np.ndarray:
+    """sum_j H[j, k] comps[j] for k = 0..2, with H packed as in
+    :func:`_hessian` and comps three scalar fields."""
+    out = np.empty((3,) + hess.shape[1:], dtype=complex)
+    term = np.empty_like(out[0])
+    for k in range(3):
+        np.multiply(hess[_SYM_INDEX[0][k]], comps[0], out=out[k])
+        for j in (1, 2):
+            np.multiply(hess[_SYM_INDEX[j][k]], comps[j], out=term)
+            out[k] += term
+    return out
+
+
+def _multiplier_part(wv: np.ndarray, dm: DerivedMedium, transpose: bool) -> np.ndarray:
+    """Grade multipliers plus the Hessian terms shared by both potentials:
+    2 H_b w^1 and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2
+    for the transpose."""
+    mult = dm.grade_multipliers
+    out = np.empty_like(wv)
+    for l, blades in enumerate(_GRADE_BLADES):
+        np.multiply(mult[l ^ 1 if transpose else l], wv[blades], out=out[blades])
+    hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
+    out[1:4] += _hess_apply(hess1, [scale * wv[1 + j] for j in range(3)])
+    h2 = _hess_apply(
+        hess2, [(scale * _STAR2_SIGN[j]) * wv[4 + _STAR2_SRC[j]] for j in range(3)]
+    )
+    for k in range(3):
+        out[4 + k] += _STAR1_SIGN[k] * h2[_STAR1_SRC[k]]
+    return out
 
 
 def potential(w: FormField, dm: DerivedMedium) -> FormField:
     """Zeroth-order potential as a pointwise multiplication."""
     wv = w.values
-    base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
-    dada = algebra.inner(dm.da.values, dm.da.values)
-    dbdb = algebra.inner(dm.db.values, dm.db.values)
-
-    out = np.zeros_like(wv)
-    out[0] = (base + dada - dm.delta_da) * wv[0]
-    out[1:4] = (base + dbdb + dm.delta_db) * wv[1:4] + 2.0 * _hess_apply(dm.hess_b, wv[1:4])
-    star2 = algebra.hodge(algebra.grade_select(wv, 2))[1:4]
-    h2 = np.zeros_like(wv)
-    h2[1:4] = 2.0 * _hess_apply(dm.hess_a, star2)
-    out[4:7] = (base + dada + dm.delta_da) * wv[4:7] + algebra.hodge(h2)[4:7]
-    out[7] = (base + dbdb - dm.delta_db) * wv[7]
-
-    two_iw = 2j * dm.omega
-    out += two_iw * algebra.vee_cov(dm.dc3, algebra.grade_select(wv, (1, 3)))
-    out += two_iw * algebra.wedge_cov(dm.dc3, algebra.grade_select(wv, (0, 2)))
+    out = _multiplier_part(wv, dm, transpose=False)
+    dc3 = (2j * dm.omega) * dm.dc3
+    v = algebra.vee_cov(dc3, wv, grades=(1, 3))
+    out[0] += v[0]
+    out[4:7] += v[4:7]
+    e = algebra.wedge_cov(dc3, wv, grades=(0, 2))
+    out[1:4] += e[1:4]
+    out[7] += e[7]
     return FormField(w.grid, out, check=False)
 
 
 def potential_t(w: FormField, dm: DerivedMedium) -> FormField:
     """Transposed potential as a pointwise multiplication."""
     wv = w.values
-    base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
-    dada = algebra.inner(dm.da.values, dm.da.values)
-    dbdb = algebra.inner(dm.db.values, dm.db.values)
-
-    out = np.zeros_like(wv)
-    out[0] = (base + dbdb + dm.delta_db) * wv[0]
-    out[1:4] = (base + dada - dm.delta_da) * wv[1:4] - 2.0 * _hess_apply(dm.hess_a, wv[1:4])
-    star2 = algebra.hodge(algebra.grade_select(wv, 2))[1:4]
-    h2 = np.zeros_like(wv)
-    h2[1:4] = -2.0 * _hess_apply(dm.hess_b, star2)
-    out[4:7] = (base + dbdb - dm.delta_db) * wv[4:7] + algebra.hodge(h2)[4:7]
-    out[7] = (base + dada + dm.delta_da) * wv[7]
-
-    two_iw = 2j * dm.omega
-    out -= two_iw * algebra.vee_cov(dm.dc3, algebra.grade_select(wv, 2))
-    out += two_iw * algebra.wedge_cov(dm.dc3, algebra.grade_select(wv, 1))
+    out = _multiplier_part(wv, dm, transpose=True)
+    dc3 = (2j * dm.omega) * dm.dc3
+    out[1:4] -= algebra.vee_cov(dc3, wv, grades=2)[1:4]
+    out[4:7] += algebra.wedge_cov(dc3, wv, grades=1)[4:7]
     return FormField(w.grid, out, check=False)
 
 
@@ -357,13 +396,6 @@ def potential_via_factorization(w: FormField, dm: DerivedMedium) -> FormField:
     transpose and subtracting the shifted Hodge-Helmholtz part.  Agrees
     with :func:`potential` up to the spectral tail of the medium."""
     out = first_order(first_order_t(w, dm), dm)
-    lap = conj_laplacian(w)
-    return FormField(w.grid, out.values - lap.values + dm.k**2 * w.values, check=False)
-
-
-def potential_t_via_factorization(w: FormField, dm: DerivedMedium) -> FormField:
-    """Transposed analogue of :func:`potential_via_factorization`."""
-    out = first_order_t(first_order(w, dm), dm)
     lap = conj_laplacian(w)
     return FormField(w.grid, out.values - lap.values + dm.k**2 * w.values, check=False)
 
@@ -383,12 +415,8 @@ def scalar_potential_multipliers(dm: DerivedMedium):
     Grade 0 is multiplied by -omega^2 (gamma mu - eps0 mu0) + <db,db> + delta db,
     grade 3 by the same with a in place of b.
     """
-    base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
-    delta_db = coderiv(dm.db).values[0]
-    delta_da = coderiv(dm.da).values[0]
-    m0 = base + algebra.inner(dm.db.values, dm.db.values) + delta_db
-    m3 = base + algebra.inner(dm.da.values, dm.da.values) + delta_da
-    return m0, m3
+    mult = dm.grade_multipliers
+    return mult[1], mult[2]
 
 
 # ---------------------------------------------------------------------------

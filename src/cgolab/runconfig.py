@@ -227,6 +227,8 @@ def _parse_geometry(doc) -> GeometryConfig:
         ]
         if any(b <= a for a, b in zip(cfg.lambda_list, cfg.lambda_list[1:])):
             raise ConfigError(f"{path}.lambda_list must be strictly increasing")
+        if cfg.lambda_list[0] < 1.0:
+            raise ConfigError(f"{path}.lambda_list values must be >= 1 (they bound s from below)")
     return cfg
 
 

@@ -26,7 +26,7 @@ from .fields import (
     FormField,
     Grid,
     _clamped_abs_symbol,
-    bourgain_weight,
+    _symbol_weight,
     default_floor,
     plane_wave_scalar,
     seeded_rng,
@@ -304,11 +304,11 @@ class _UcpOperator:
     with machinery for the weighted adjoint."""
 
     def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta, floor: float):
-        p, _, mask = _clamped_abs_symbol(grid, zeta, floor)
+        p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
         self.grid = grid
         self.mask = mask
         self.inv_p = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, p))
-        self.weight = bourgain_weight(grid, zeta, 0.5, floor)
+        self.weight = _symbol_weight(absp, mask, 0.5)
         active = ~mask
         self.inv_weight = np.where(active, 1.0 / np.where(active, self.weight, 1.0), 0.0)
         self.m00 = coeffs.V + coeffs.a

@@ -226,6 +226,58 @@ def test_adjunction_fails_under_sign_fault():
     assert abs(w.wedge(v).inner(u) - w.inner(v.vee(u))) < 1e-15
 
 
+# ---------------------------------------------------------------------------
+# covector kernels
+# ---------------------------------------------------------------------------
+
+def random_field(rng, comps, n=16):
+    shape = (comps, n, n, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def embed_covector(c3):
+    c = np.zeros((8,) + c3.shape[1:], dtype=c3.dtype)
+    c[1:4] = c3
+    return c
+
+
+@pytest.mark.parametrize(
+    "kernel, table, dense",
+    [
+        (algebra.wedge_cov, algebra.WEDGE_COV, algebra.wedge),
+        (algebra.vee_cov, algebra.VEE_COV, algebra.vee),
+    ],
+)
+def test_covector_kernels_match_einsum_and_dense_product(kernel, table, dense):
+    rng = np.random.default_rng(31)
+    c3 = random_field(rng, 3)
+    u = random_field(rng, 8)
+    got = kernel(c3, u)
+    scale = np.max(np.abs(got))
+    oracle = np.einsum("jbc,j...,b...->c...", table, c3, u)
+    assert np.max(np.abs(got - oracle)) < 1e-14 * scale
+    assert np.max(np.abs(got - dense(embed_covector(c3), u))) < 1e-14 * scale
+    for grades in (0, 1, 2, 3, (0, 2), (1, 3)):
+        restricted = kernel(c3, u, grades=grades)
+        selected = kernel(c3, algebra.grade_select(u, grades))
+        assert np.max(np.abs(restricted - selected)) < 1e-14 * scale
+    # single values and broadcasting of a constant covector over a field
+    c0 = c3[:, 0, 0, 0]
+    assert np.max(np.abs(kernel(c0, u[:, 0, 0, 0]) - got[:, 0, 0, 0])) < 1e-14 * scale
+    assert kernel(c0, u).shape == u.shape
+
+
+def test_wedge_cov_changes_under_sign_fault():
+    rng = np.random.default_rng(32)
+    c3 = random_field(rng, 3)
+    u = random_field(rng, 8)
+    clean = algebra.wedge_cov(c3, u)
+    with algebra.sign_fault_injected():
+        faulty = algebra.wedge_cov(c3, u)
+    assert np.max(np.abs(faulty - clean)) > 0.1
+    assert np.array_equal(algebra.wedge_cov(c3, u), clean)
+
+
 def test_commutator_identity():
     # u v (v ^ w) - v ^ (u v w) = (-1)^l <u, v> w for 1-forms u, v
     for _ in range(100):

@@ -248,6 +248,8 @@ def test_decay_study_validations(grid16, dm16):
         cgo.decay_study(dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=4, seed=1)
     with pytest.raises(ValueError):
         cgo.decay_study(dm16, RHO, cgo.Polarization.E, [4.0, 2.0], n_samples=8, seed=1)
+    with pytest.raises(ValueError, match=">= 1"):
+        cgo.decay_study(dm16, RHO, cgo.Polarization.E, [0.5, 2.0], n_samples=8, seed=1)
 
 
 def test_decay_study_threaded_matches_serial(grid16, dm16):
@@ -257,6 +259,36 @@ def test_decay_study_threaded_matches_serial(grid16, dm16):
     )
     for a, b in zip(serial.samples, threaded.samples):
         assert a.remainder_norm == b.remainder_norm
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_decay_study_propagates_programming_errors(grid16, dm16, monkeypatch, workers):
+    def broken(*args, **kwargs):
+        raise TypeError("kernel bug")
+
+    monkeypatch.setattr(cgo, "solve_cgo", broken)
+    with pytest.raises(TypeError, match="kernel bug"):
+        cgo.decay_study(
+            dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=1, workers=workers
+        )
+
+
+def test_decay_study_records_toolkit_errors_as_rows(grid16, monkeypatch):
+    dm0 = derive_background(grid16, omega=1.0)
+    solve = cgo.solve_cgo
+    calls = []
+
+    def first_call_diverges(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise DivergenceError("not contracting")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cgo, "solve_cgo", first_call_diverges)
+    study = cgo.decay_study(dm0, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=1)
+    assert [s.error for s in study.samples].count("DivergenceError") == 1
+    assert np.isnan(study.samples[0].remainder_norm)
+    assert study.summaries[0].n_samples == 7
 
 
 def test_q_norm_estimate_background_and_preconditions(grid16, dm16):

@@ -61,6 +61,14 @@ def test_config_errors_name_the_field():
                 "geometry": {"rho_index": [1, 0, 0], "s_list": [8.0, 4.0]},
             }
         )
+    with pytest.raises(ConfigError, match=r"lambda_list values must be >= 1"):
+        parse_config(
+            {
+                "grid": {"n": 16, "length": 1.0},
+                "medium": {"omega": 1.0},
+                "geometry": {"rho_index": [1, 0, 0], "lambda_list": [0.5, 2.0]},
+            }
+        )
 
 
 def test_reference_configs_parse_and_match_presets():

@@ -197,6 +197,79 @@ def test_potential_is_multiplication_operator(grid16, dm16):
     assert rel_err(lhs.values, rhs.values) < 1e-12
 
 
+# The potentials as first written: full 8-component products, kept here as
+# the oracle for the sliced implementation in the package.
+
+def _reference_hess_apply(packed, vec3):
+    hess = packed[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]  # full (3, 3) from SYM_PAIRS order
+    return np.einsum("jk...,j...->k...", hess, vec3)
+
+
+def reference_potential(w, dm):
+    wv = w.values
+    base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
+    dada = algebra.inner(dm.da.values, dm.da.values)
+    dbdb = algebra.inner(dm.db.values, dm.db.values)
+
+    out = np.zeros_like(wv)
+    out[0] = (base + dada - dm.delta_da) * wv[0]
+    out[1:4] = (base + dbdb + dm.delta_db) * wv[1:4] + 2.0 * _reference_hess_apply(dm.hess_b, wv[1:4])
+    star2 = algebra.hodge(algebra.grade_select(wv, 2))[1:4]
+    h2 = np.zeros_like(wv)
+    h2[1:4] = 2.0 * _reference_hess_apply(dm.hess_a, star2)
+    out[4:7] = (base + dada + dm.delta_da) * wv[4:7] + algebra.hodge(h2)[4:7]
+    out[7] = (base + dbdb - dm.delta_db) * wv[7]
+
+    two_iw = 2j * dm.omega
+    out += two_iw * algebra.vee_cov(dm.dc3, algebra.grade_select(wv, (1, 3)))
+    out += two_iw * algebra.wedge_cov(dm.dc3, algebra.grade_select(wv, (0, 2)))
+    return out
+
+
+def reference_potential_t(w, dm):
+    wv = w.values
+    base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
+    dada = algebra.inner(dm.da.values, dm.da.values)
+    dbdb = algebra.inner(dm.db.values, dm.db.values)
+
+    out = np.zeros_like(wv)
+    out[0] = (base + dbdb + dm.delta_db) * wv[0]
+    out[1:4] = (base + dada - dm.delta_da) * wv[1:4] - 2.0 * _reference_hess_apply(dm.hess_a, wv[1:4])
+    star2 = algebra.hodge(algebra.grade_select(wv, 2))[1:4]
+    h2 = np.zeros_like(wv)
+    h2[1:4] = -2.0 * _reference_hess_apply(dm.hess_b, star2)
+    out[4:7] = (base + dbdb - dm.delta_db) * wv[4:7] + algebra.hodge(h2)[4:7]
+    out[7] = (base + dada + dm.delta_da) * wv[7]
+
+    two_iw = 2j * dm.omega
+    out -= two_iw * algebra.vee_cov(dm.dc3, algebra.grade_select(wv, 2))
+    out += two_iw * algebra.wedge_cov(dm.dc3, algebra.grade_select(wv, 1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "fast, reference",
+    [(md.potential, reference_potential), (md.potential_t, reference_potential_t)],
+)
+def test_potentials_match_full_field_formulas(grid16, dm16, fast, reference):
+    rng = np.random.default_rng(13)
+    w = random_band_limited(grid16, rng, band=6)
+    assert rel_err(fast(w, dm16).values, reference(w, dm16)) < 1e-13
+
+
+@pytest.mark.parametrize("op", [md.potential, md.potential_t])
+def test_potentials_are_pointwise_symmetric(grid16, dm16, op):
+    # column i of the pointwise 8x8 matrix is the image of the constant blade e_i
+    columns = []
+    for i in range(8):
+        e = np.zeros(8, dtype=complex)
+        e[i] = 1.0
+        columns.append(op(FormField.constant(grid16, algebra.GradedForm(e)), dm16).values)
+    matrix = np.stack(columns, axis=1)  # (row j, column i, n, n, n)
+    asym = np.max(np.abs(matrix - matrix.transpose(1, 0, 2, 3, 4)))
+    assert asym < 1e-13 * np.max(np.abs(matrix))
+
+
 # ---------------------------------------------------------------------------
 # Maxwell maps
 # ---------------------------------------------------------------------------
