@@ -196,11 +196,6 @@ def form_abs(u):
     return np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
 
 
-def covector_components(u):
-    """Components (u_1, u_2, u_3) of the grade-1 part."""
-    return np.asarray(u)[1:4]
-
-
 def is_pure_grade(u, grade, tol=0.0):
     other = np.asarray(u)[GRADES != grade]
     bound = tol * max(np.max(np.abs(u)), 1.0)

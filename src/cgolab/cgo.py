@@ -3,8 +3,7 @@ amplitudes, the Neumann remainder solver, and the decay experiments.
 
 All solver algebra happens in conjugated periodic variables, where the
 exponential factors of the two-sided constructions cancel into lattice
-plane waves; the growing exponential itself is only ever applied when
-exporting pointwise physical samples.
+plane waves.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .fields import (
     SpectralField,
     _clamped_abs_symbol,
     _symbol_weight,
+    _weighted_sq_sum,
     assert_admissible,
     bourgain_norm,
     coderiv,
@@ -261,10 +261,10 @@ def solve_cgo(
     vol = grid.volume
 
     def norm_minus(coeffs):
-        return float(np.sqrt(vol * np.sum(wm * np.sum(np.abs(coeffs) ** 2, axis=0))))
+        return float(np.sqrt(vol * _weighted_sq_sum(wm, coeffs)))
 
     def norm_plus(coeffs):
-        return float(np.sqrt(vol * np.sum(wp * np.sum(np.abs(coeffs) ** 2, axis=0))))
+        return float(np.sqrt(vol * _weighted_sq_sum(wp, coeffs)))
 
     amp_field = FormField.constant(grid, amplitude)
     remainder = FormField.zero(grid)
@@ -317,7 +317,7 @@ def solve_cgo(
         amplitude=amplitude,
         remainder=remainder,
         zeta=zeta,
-        iterations=max(iterations, 1),
+        iterations=iterations,
         residual=residual,
         remainder_norm=norm_plus(rhat),
         forcing_norm=forcing_norm,
@@ -326,20 +326,6 @@ def solve_cgo(
         clamped_defect=zero_mode,
         converged=True,
     )
-
-
-def cgo_physical_samples(sol: CgoSolution, points: np.ndarray) -> np.ndarray:
-    """Evaluate e^(zeta.x) (A + R)(x) at physical points, shape (m, 3).
-
-    The exponential is not grid periodic; this pointwise utility exists
-    for exporting solution samples only.
-    """
-    grid = sol.remainder.grid
-    idx = np.rint(np.asarray(points) / grid.spacing).astype(int) % grid.n
-    vals = sol.remainder.values[:, idx[:, 0], idx[:, 1], idx[:, 2]]
-    vals = vals + sol.amplitude.data[:, None]
-    phase = np.exp(points @ sol.zeta)
-    return vals * phase[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +438,7 @@ def decay_study(
 
     samples: list[DecaySample] = []
     failures = 0
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_guarded(run), jobs))
-    else:
-        outcomes = [_guarded(run)(job) for job in jobs]
+    outcomes = _parallel_map(_guarded(run), jobs, workers)
     for job, outcome in zip(jobs, outcomes):
         if isinstance(outcome, CgolabError):
             failures += 1
@@ -492,6 +474,15 @@ def decay_study(
             )
         )
     return DecayStudy(samples=samples, summaries=summaries)
+
+
+def _parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of ``workers`` threads when
+    there is more than one; results keep the order of ``items``."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _guarded(fn):
@@ -555,43 +546,3 @@ def q_norm_estimate(
 def strictly_decreasing(values) -> bool:
     vals = list(values)
     return all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def jitter_nonresonant(
-    grid,
-    rho,
-    eta1,
-    eta2,
-    s: float,
-    k: float,
-    floor: float | None = None,
-    clamp_threshold: float | None = None,
-    max_tries: int = 8,
-) -> CgoGeometry:
-    """Geometry whose clamp fraction stays within the threshold.
-
-    Nudges s by lattice-incommensurate (golden-ratio scaled) steps when
-    an accidental near-resonance pushes too many lattice frequencies
-    inside the clamp floor.  The structural kernel of the symbol cannot
-    be jittered away; it is already budgeted by the default threshold.
-    """
-    if floor is None:
-        floor = default_floor(grid)
-    if clamp_threshold is None:
-        clamp_threshold = default_clamp_threshold(grid)
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    last = None
-    for i in range(max_tries):
-        trial = s * (1.0 + i * golden * 1e-3)
-        geom = make_geometry(rho, eta1, eta2, trial, k, grid=grid)
-        _, _, mask = _clamped_abs_symbol(grid, geom.zeta1, floor)
-        last = ClampReport(
-            total=grid.n**3, clamped=int(np.sum(mask)), floor=floor,
-            threshold=clamp_threshold,
-        )
-        if not last.exceeded:
-            return geom
-    raise ResonantGridError(
-        f"could not find a nonresonant conjugation size near s = {s}",
-        clamp_report=last,
-    )

@@ -385,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    fields.set_fft_workers(getattr(args, "threads", 1) or 1)
+    # A command with a worker pool gives --threads to the pool and keeps the
+    # FFT serial, so that N threads never become N^2.
+    pooled = args.func in (cmd_run_decay, cmd_run_uniqueness)
+    fields.set_fft_workers(1 if pooled else args.threads)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -9,6 +9,14 @@ class ConfigError(CgolabError):
     """A run configuration violates the schema; the message names the field."""
 
 
+class CoefficientError(ValueError):
+    """A sampled medium coefficient is out of range; ``name`` is eps, mu or sigma."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
 class DivergenceError(CgolabError):
     """Neumann iteration failed to contract (conjugation parameter too small)."""
 

@@ -18,7 +18,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,6 +113,11 @@ class Grid:
         X, Y, Z = np.meshgrid(t, t, t, indexing="ij")
         return np.stack([X, Y, Z])
 
+    @cached_property
+    def outside_subbox(self) -> np.ndarray:
+        """Points outside the central sub-box [L/4, 3L/4]^3, shape (n, n, n)."""
+        return np.any(np.abs(self.x - self.length / 2) > self.length / 4, axis=0)
+
     def on_lattice(self, covector, tol=1e-9) -> bool:
         """Whether a constant real covector sits on the frequency lattice."""
         idx = np.asarray(covector) * self.length / (2.0 * np.pi)
@@ -206,16 +210,23 @@ class SpectralField:
         self.coeffs = coeffs
 
 
+def _fftn(a: np.ndarray) -> np.ndarray:
+    """Unnormalized forward transform over the last three axes: the one
+    call into the FFT backend, honouring :func:`set_fft_workers`."""
+    return sfft.fftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
+def _ifftn(a: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_fftn` (the backend's 1/n^3 normalization)."""
+    return sfft.ifftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
 def fft_forward(f: FormField) -> SpectralField:
-    n3 = f.grid.n**3
-    coeffs = sfft.fftn(f.values, axes=(1, 2, 3), workers=_FFT_WORKERS) / n3
-    return SpectralField(f.grid, coeffs, check=False)
+    return SpectralField(f.grid, _fftn(f.values) / f.grid.n**3, check=False)
 
 
 def fft_inverse(F: SpectralField) -> FormField:
-    n3 = F.grid.n**3
-    values = sfft.ifftn(F.coeffs * n3, axes=(1, 2, 3), workers=_FFT_WORKERS)
-    return FormField(F.grid, values, check=False)
+    return FormField(F.grid, _ifftn(F.coeffs * F.grid.n**3), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +311,10 @@ class ClampReport:
         return self.fraction > self.threshold
 
 
-def _clamped_abs_symbol(grid: Grid, zeta, floor: float):
+def _clamped_abs_symbol(grid: Grid, zeta, floor: float | None):
+    """p, max(|p|, floor) and the clamp mask |p| < floor (default floor if None)."""
+    if floor is None:
+        floor = default_floor(grid)
     p = helmholtz_symbol(grid, zeta)
     absp = np.abs(p)
     mask = absp < floor
@@ -316,8 +330,6 @@ def bourgain_weight(grid: Grid, zeta, b: float, floor: float | None = None) -> n
     for the paired conjugation geometries also xi = -rho, where the
     symbol vanishes identically.
     """
-    if floor is None:
-        floor = default_floor(grid)
     _, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
     return _symbol_weight(absp, mask, b)
 
@@ -329,14 +341,19 @@ def _symbol_weight(absp: np.ndarray, mask: np.ndarray, b: float) -> np.ndarray:
     return w
 
 
+def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
+    """sum over modes of w |c|^2, with |c|^2 summed over the leading
+    (component) axis of coeffs: the square of every weighted norm."""
+    return np.sum(w * np.sum(np.abs(coeffs) ** 2, axis=0))
+
+
 def bourgain_norm(f, zeta, b: float, floor: float | None = None) -> float:
     """Weighted-l2 norm over the nonzero frequency lattice, all grades."""
     if b not in (0.5, -0.5):
         raise ValueError(f"b must be +1/2 or -1/2, got {b}")
     F = f if isinstance(f, SpectralField) else fft_forward(f)
     w = bourgain_weight(F.grid, zeta, b, floor)
-    total = np.sum(w * np.sum(np.abs(F.coeffs) ** 2, axis=0))
-    return float(np.sqrt(F.grid.volume * total))
+    return float(np.sqrt(F.grid.volume * _weighted_sq_sum(w, F.coeffs)))
 
 
 def resolvent(
@@ -374,8 +391,6 @@ def resolvent(
 def resolvent_operator_norm(grid: Grid, zeta, floor: float | None = None) -> float:
     """Diagonal operator norm of the resolvent between the +-1/2 spaces:
     weight^(1/2) |p|^(-1) weight^(1/2) maximized over the active modes."""
-    if floor is None:
-        floor = default_floor(grid)
     p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
     ratio = np.where(mask, 0.0, absp / np.where(mask, 1.0, np.abs(p)))
     return float(np.max(ratio))
@@ -449,13 +464,13 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> FormField:
     """
     if tensor.shape != (6, grid.n, grid.n, grid.n):
         raise ValueError("tensor field must have shape (6, n, n, n)")
-    that = sfft.fftn(tensor, axes=(1, 2, 3), workers=_FFT_WORKERS)
+    that = _fftn(tensor)
     full = np.empty((3, 3) + tensor.shape[1:], dtype=complex)
     for idx, (j, k) in enumerate(algebra.SYM_PAIRS):
         full[j, k] = that[idx]
         full[k, j] = that[idx]
     out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
-    out = sfft.ifftn(out_hat, axes=(1, 2, 3), workers=_FFT_WORKERS)
+    out = _ifftn(out_hat)
     values = np.zeros((8, grid.n, grid.n, grid.n), dtype=complex)
     values[1:4] = out
     return FormField(grid, values, check=False)
@@ -490,14 +505,6 @@ def random_band_limited(
     return fft_inverse(SpectralField(grid, coeffs, check=False))
 
 
-def lowpass_scalar(grid: Grid, samples: np.ndarray, fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Sharp low-pass of a scalar field at ``fraction`` of the Nyquist index."""
-    cutoff = fraction * (grid.n // 2)
-    keep = np.all(np.abs(grid.freq_index) <= cutoff, axis=0)
-    shat = sfft.fftn(np.asarray(samples, dtype=complex), workers=_FFT_WORKERS)
-    return sfft.ifftn(shat * keep, workers=_FFT_WORKERS)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -521,35 +528,3 @@ def load_field_bin(path) -> FormField:
             raise ValueError(f"unsupported snapshot layout (version {version}, {ncomp} comps)")
         data = np.frombuffer(fh.read(), dtype="<c16").reshape(8, n, n, n)
     return FormField(Grid(n, length), data.astype(complex))
-
-
-def field_to_json(f: FormField) -> dict:
-    if f.grid.n > 16:
-        raise ValueError("JSON snapshots are limited to grids with n <= 16")
-    return {
-        "n": f.grid.n,
-        "length": f.grid.length,
-        "blades": [
-            {"re": comp.real.ravel().tolist(), "im": comp.imag.ravel().tolist()}
-            for comp in f.values
-        ],
-    }
-
-
-def field_from_json(doc: dict) -> FormField:
-    n = int(doc["n"])
-    grid = Grid(n, float(doc["length"]))
-    values = np.zeros((8, n, n, n), dtype=complex)
-    for i, blade in enumerate(doc["blades"]):
-        values[i] = (np.asarray(blade["re"]) + 1j * np.asarray(blade["im"])).reshape(n, n, n)
-    return FormField(grid, values)
-
-
-def save_field_json(f: FormField, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_json(f), fh)
-
-
-def load_field_json(path) -> FormField:
-    with open(path) as fh:
-        return field_from_json(json.load(fh))

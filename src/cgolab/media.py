@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra, fields
+from .errors import CoefficientError
 from .fields import (
     FormField,
     Grid,
@@ -29,7 +30,6 @@ from .fields import (
     conj_laplacian,
     d_plus_delta,
     ext_deriv,
-    lowpass_scalar,
     quadrature_pairing,
     sym_coderiv,
     sym_product_field,
@@ -68,14 +68,6 @@ def sample_bumps(grid: Grid, bumps) -> np.ndarray:
     return total
 
 
-def _support_violation(grid: Grid, field: np.ndarray, background: float) -> float:
-    """Largest deviation from the background outside the central half-box."""
-    outside = np.any(np.abs(grid.x - grid.length / 2) > grid.length / 4, axis=0)
-    if not np.any(outside):
-        return 0.0
-    return float(np.max(np.abs(field[outside] - background)))
-
-
 class Medium:
     """Scalar coefficient samples eps, mu, sigma plus background constants."""
 
@@ -89,19 +81,20 @@ class Medium:
             if arr.shape != (grid.n,) * 3:
                 raise ValueError(f"{name} must be sampled on the grid")
         if np.min(eps) < eps0:
-            raise ValueError("eps must be >= eps0 everywhere")
+            raise CoefficientError("eps", "eps must be >= eps0 everywhere")
         if np.min(mu) < mu0:
-            raise ValueError("mu must be >= mu0 everywhere")
+            raise CoefficientError("mu", "mu must be >= mu0 everywhere")
         if np.min(sigma) < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise CoefficientError("sigma", "sigma must be nonnegative")
         if check_support:
             tol = 1e-12 * max(eps0, mu0, 1.0)
             for name, arr, bg in (("eps", eps, eps0), ("mu", mu, mu0), ("sigma", sigma, 0.0)):
-                dev = _support_violation(grid, arr, bg)
+                dev = float(np.max(np.abs(arr[grid.outside_subbox] - bg)))
                 if dev > tol:
-                    raise ValueError(
+                    raise CoefficientError(
+                        name,
                         f"{name} deviates from the background outside the central "
-                        f"sub-box by {dev:.3e}"
+                        f"sub-box by {dev:.3e}",
                     )
         self.grid = grid
         self.omega = float(omega)
@@ -127,14 +120,6 @@ class Medium:
             eps=eps0 + sample_bumps(grid, eps_bumps),
             mu=mu0 + sample_bumps(grid, mu_bumps),
             sigma=sample_bumps(grid, sigma_bumps),
-        )
-
-    @property
-    def is_background(self) -> bool:
-        return (
-            np.all(self.eps == self.eps0)
-            and np.all(self.mu == self.mu0)
-            and np.all(self.sigma == 0.0)
         )
 
 
@@ -205,41 +190,27 @@ class DerivedMedium:
 def _hessian(grid: Grid, scalar: np.ndarray) -> np.ndarray:
     """Spectral Hessian of a scalar field: the entries j <= k in
     ``algebra.SYM_PAIRS`` order, shape (6, n, n, n)."""
-    from scipy import fft as sfft
-
-    shat = sfft.fftn(scalar, workers=fields._FFT_WORKERS)
+    shat = fields._fftn(scalar)
     xi = grid.xi_op
     out = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
-        out[i] = sfft.ifftn(-xi[j] * xi[k] * shat, workers=fields._FFT_WORKERS)
+        out[i] = fields._ifftn(-xi[j] * xi[k] * shat)
     return out
 
 
-def derive(medium: Medium, dealias: bool = False) -> DerivedMedium:
+def derive(medium: Medium) -> DerivedMedium:
     """Compute the derived coefficient fields.
 
-    By default the raw samples are used directly: they keep the support
-    and positivity bounds exact, and the potentials are realized as
+    The raw samples are used directly: they keep the support and
+    positivity bounds exact, and the potentials are realized as
     pointwise multiplications so no aliasing enters the operator
-    algebra.  With ``dealias`` the samples are first low-passed at 2/3
-    of the Nyquist index (this introduces ringing of a few 1e-3 for
-    marginally resolved media, so it is opt-in).
+    algebra.
     """
     grid = medium.grid
-    if dealias:
-        eps = lowpass_scalar(grid, medium.eps).real
-        mu = lowpass_scalar(grid, medium.mu).real
-        sigma = lowpass_scalar(grid, medium.sigma).real
-        if np.min(eps) < medium.eps0 * (1 - 1e-2) or np.min(mu) < medium.mu0 * (1 - 1e-2):
-            raise ValueError("low-passed coefficients ring below the background constants")
-    else:
-        eps = medium.eps.astype(float)
-        mu = medium.mu.astype(float)
-        sigma = medium.sigma.astype(float)
-
-    gamma = eps + 1j * sigma / medium.omega
+    mu = medium.mu.astype(complex)
+    gamma = medium.eps + 1j * medium.sigma / medium.omega
     a = 0.5 * np.log(gamma)  # principal branch
-    b = 0.5 * np.log(mu.astype(complex))
+    b = 0.5 * np.log(mu)
     sqrt_gamma = np.exp(a)
     sqrt_mu = np.exp(b)
     c = sqrt_gamma * sqrt_mu
@@ -254,7 +225,7 @@ def derive(medium: Medium, dealias: bool = False) -> DerivedMedium:
         mu0=medium.mu0,
         k=float(k),
         gamma=gamma,
-        mu=mu.astype(complex),
+        mu=mu,
         log_half_gamma=a,
         log_half_mu=b,
         da=da,
@@ -273,7 +244,7 @@ def derive(medium: Medium, dealias: bool = False) -> DerivedMedium:
 
 
 def derive_background(grid: Grid, omega: float, eps0: float = 1.0, mu0: float = 1.0):
-    return derive(Medium.background(grid, omega, eps0, mu0), dealias=False)
+    return derive(Medium.background(grid, omega, eps0, mu0))
 
 
 # ---------------------------------------------------------------------------

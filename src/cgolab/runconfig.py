@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cgo import Polarization
-from .errors import ConfigError
+from .errors import CoefficientError, ConfigError
 from .fields import Grid, seeded_rng
 from .media import Bump, Medium
 
@@ -64,6 +64,7 @@ class MediumConfig:
     eps_bumps: list
     mu_bumps: list
     sigma_bumps: list
+    path: str  # "medium" or "media[i]", for error messages
 
     def build(self, grid: Grid) -> Medium:
         def bumps(specs):
@@ -81,15 +82,18 @@ class MediumConfig:
                 )
             return out
 
-        return Medium.from_bumps(
-            grid,
-            omega=self.omega,
-            eps0=self.eps0,
-            mu0=self.mu0,
-            eps_bumps=bumps(self.eps_bumps),
-            mu_bumps=bumps(self.mu_bumps),
-            sigma_bumps=bumps(self.sigma_bumps),
-        )
+        try:
+            return Medium.from_bumps(
+                grid,
+                omega=self.omega,
+                eps0=self.eps0,
+                mu0=self.mu0,
+                eps_bumps=bumps(self.eps_bumps),
+                mu_bumps=bumps(self.mu_bumps),
+                sigma_bumps=bumps(self.sigma_bumps),
+            )
+        except CoefficientError as exc:
+            raise ConfigError(f"{self.path}.{exc.name}_bumps: {exc}") from None
 
 
 @dataclass
@@ -185,6 +189,7 @@ def _parse_medium(doc, path: str) -> MediumConfig:
         eps_bumps=_parse_bumps(doc.get("eps_bumps", []), f"{path}.eps_bumps"),
         mu_bumps=_parse_bumps(doc.get("mu_bumps", []), f"{path}.mu_bumps"),
         sigma_bumps=_parse_bumps(doc.get("sigma_bumps", []), f"{path}.sigma_bumps"),
+        path=path,
     )
 
 
@@ -201,6 +206,8 @@ def _parse_geometry(doc) -> GeometryConfig:
         pol = Polarization(pol_name)
     except ValueError:
         raise ConfigError(f"{path}.polarization must be 'E' or 'H', got {pol_name!r}") from None
+    if pol == Polarization.H and not any(rho_index):
+        raise ConfigError(f"{path}.rho_index must be nonzero for H polarization")
 
     cfg = GeometryConfig(
         rho_index=rho_index,

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .cgo import (
     CgoGeometry,
     CgoSolution,
     Polarization,
+    _parallel_map,
     amplitude_a,
     amplitude_b,
     make_geometry,
@@ -26,8 +26,10 @@ from .fields import (
     FormField,
     Grid,
     _clamped_abs_symbol,
+    _fftn,
+    _ifftn,
     _symbol_weight,
-    default_floor,
+    _weighted_sq_sum,
     plane_wave_scalar,
     seeded_rng,
 )
@@ -61,19 +63,19 @@ class MediumPair:
         )
 
 
-def make_pair(m1: Medium, m2: Medium, dealias: bool = False) -> MediumPair:
+def make_pair(m1: Medium, m2: Medium) -> MediumPair:
     if m1.grid != m2.grid:
         raise ValueError("media must share one grid")
     for name in ("omega", "eps0", "mu0"):
         if getattr(m1, name) != getattr(m2, name):
             raise ValueError(f"media must share {name}")
-    outside = np.any(np.abs(m1.grid.x - m1.grid.length / 2) > m1.grid.length / 4, axis=0)
+    outside = m1.grid.outside_subbox
     tol = 1e-12 * max(m1.eps0, m1.mu0)
     for name, f1, f2 in (("eps", m1.eps, m2.eps), ("mu", m1.mu, m2.mu), ("sigma", m1.sigma, m2.sigma)):
         dev = float(np.max(np.abs(f1[outside] - f2[outside])))
         if dev > tol:
             raise ValueError(f"{name} fields disagree outside the sub-box by {dev:.3e}")
-    return MediumPair(dm1=derive(m1, dealias=dealias), dm2=derive(m2, dealias=dealias))
+    return MediumPair(dm1=derive(m1), dm2=derive(m2))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +201,7 @@ def convergence_experiment(
         res = pairing(mp, geom, pol, tol=tol, max_iter=max_iter, floor=floor)
         return ScatteringOutput(s=float(s), pairing=res.value, target=target)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, s_list))
-    else:
-        rows = [run(s) for s in s_list]
-    return ConvergenceResult(rows=rows, target=target)
+    return ConvergenceResult(rows=_parallel_map(run, s_list, workers), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +262,7 @@ def ucp_coefficients(mp: MediumPair, window: np.ndarray | None = None) -> UcpCoe
     mu1, mu2 = mp.dm1.mu, mp.dm2.mu
 
     def neg_lap_over(f):
-        fhat = sfft.fftn(f)
-        return -sfft.ifftn(-grid.xi_op_sq * fhat) / f
+        return -_ifftn(-grid.xi_op_sq * _fftn(f)) / f
 
     V = window * neg_lap_over(sg1 + sg2)
     W = window * neg_lap_over(sm1 + sm2)
@@ -303,7 +297,7 @@ class _UcpOperator:
     """resolvent o multiplication on the two coupled scalar components,
     with machinery for the weighted adjoint."""
 
-    def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta, floor: float):
+    def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta, floor: float | None):
         p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
         self.grid = grid
         self.mask = mask
@@ -317,15 +311,14 @@ class _UcpOperator:
         self.m33 = coeffs.W + coeffs.c
 
     def _mult(self, u, conj_transpose=False):
-        w0 = sfft.ifftn(u[0])
-        w3 = sfft.ifftn(u[1])
+        w0, w3 = _ifftn(u)
         if conj_transpose:
             o0 = np.conj(self.m00) * w0 + np.conj(self.m30) * w3
             o3 = np.conj(self.m03) * w0 + np.conj(self.m33) * w3
         else:
             o0 = self.m00 * w0 + self.m03 * w3
             o3 = self.m30 * w0 + self.m33 * w3
-        return np.stack([sfft.fftn(o0), sfft.fftn(o3)])
+        return _fftn(np.stack([o0, o3]))
 
     def apply(self, u):
         """T u = resolvent(M u), spectral in and out."""
@@ -337,7 +330,7 @@ class _UcpOperator:
         return self.inv_weight * self._mult(v, conj_transpose=True)
 
     def norm_sq(self, u):
-        return float(np.real(np.sum(self.weight * np.sum(np.abs(u) ** 2, axis=0))))
+        return float(_weighted_sq_sum(self.weight, u))
 
 
 def ucp_contraction_check(
@@ -367,13 +360,11 @@ def ucp_contraction_check(
     zeta = np.asarray(zeta, dtype=complex)
     if abs(np.dot(zeta, zeta)) > 1e-10 * max(1.0, float(np.sum(np.abs(zeta) ** 2))):
         raise ValueError("unique continuation check needs <zeta, zeta> = 0")
-    outside = np.any(np.abs(grid.x - grid.length / 2) > grid.length / 4, axis=0)
+    outside = grid.outside_subbox
     for name, f in zip("VWabcd", coeffs.as_tuple()):
         scale = max(float(np.max(np.abs(f))), 1e-300)
         if float(np.max(np.abs(f[outside]))) > support_tol * scale:
             raise ValueError(f"coefficient {name} is not supported in the sub-box")
-    if floor is None:
-        floor = default_floor(grid)
 
     op = _UcpOperator(grid, coeffs, zeta, floor)
     rng = seeded_rng(seed)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,25 @@ def write(tmp_path, cfg, name="cfg.json"):
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
+
+def invalid_physics_configs():
+    """Configs that parse as a schema but describe no admissible experiment,
+    with the field each one must be reported under."""
+    negative = small_config("cgo")
+    negative["medium"]["eps_bumps"][0]["amplitude"] = -0.4
+    wide = small_config("cgo")
+    wide["medium"]["eps_bumps"][0]["radius"] = 3.0
+    wide_second = small_config("uniqueness")
+    wide_second["media"][1]["eps_bumps"][0]["radius"] = 3.0
+    h_without_rho = small_config("cgo")
+    h_without_rho["geometry"].update(polarization="H", rho_index=[0, 0, 0])
+    return [
+        ("run-cgo", negative, "medium.eps_bumps"),
+        ("run-cgo", wide, "medium.eps_bumps"),
+        ("run-uniqueness", wide_second, r"media\[1\].eps_bumps"),
+        ("run-cgo", h_without_rho, "geometry.rho_index"),
+    ]
+
 
 def test_config_errors_name_the_field():
     with pytest.raises(ConfigError, match="grid.n"):
@@ -69,6 +89,11 @@ def test_config_errors_name_the_field():
                 "geometry": {"rho_index": [1, 0, 0], "lambda_list": [0.5, 2.0]},
             }
         )
+    for _, doc, field in invalid_physics_configs():
+        with pytest.raises(ConfigError, match=field):
+            cfg = parse_config(doc)
+            for i in range(len(cfg.media)):
+                cfg.medium(i).build(cfg.grid.build())
 
 
 def test_reference_configs_parse_and_match_presets():
@@ -80,11 +105,17 @@ def test_reference_configs_parse_and_match_presets():
     assert shipped == presets.reference_run_config("uniqueness")
 
 
-def test_bad_config_exit_code(tmp_path):
+def test_bad_config_exit_code(tmp_path, capsys):
     cfg = small_config()
     cfg["solver"] = {"tol": -1.0}
     assert main(["run-cgo", "--config", write(tmp_path, cfg)]) == 2
     assert main(["run-cgo", "--config", str(tmp_path / "missing.json")]) == 2
+    for command, doc, field in invalid_physics_configs():
+        capsys.readouterr()
+        assert main([command, "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(field, err)
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +185,21 @@ def test_run_decay_deterministic(tmp_path):
     assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
     manifest = json.loads((tmp_path / "a/manifest.json").read_text())
     assert manifest["acceptance"]["remainder_decreasing"] is True
+
+
+def test_threads_go_to_the_pool_or_to_the_fft(tmp_path, monkeypatch):
+    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
+    cfg = small_config("decay")
+    cfg["geometry"]["lambda_list"] = [2.0, 4.0]
+    cfg["sampling"] = {"n_samples": 8, "seed": 77}
+    path = write(tmp_path, cfg)
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        assert main(["run-decay", "--config", path, "--out", out, "--threads", threads]) == 0
+        assert fields._FFT_WORKERS == 1
+    assert (tmp_path / "1/results.csv").read_bytes() == (tmp_path / "2/results.csv").read_bytes()
+    assert main(["check-algebra", "--threads", "2"]) == 0
+    assert fields._FFT_WORKERS == 2
 
 
 def test_run_uniqueness_identical_media(tmp_path):

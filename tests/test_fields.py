@@ -346,6 +346,13 @@ def test_symmetric_tensor_identity():
         assert rel_err(lhs.values, rhs.values) < 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_outside_subbox_is_the_inline_mask(n):
+    grid = Grid(n, 2.0 * np.pi)
+    inline = np.any(np.abs(grid.x - grid.length / 2) > grid.length / 4, axis=0)
+    assert np.array_equal(grid.outside_subbox, inline)
+
+
 def test_serialization_round_trips(tmp_path):
     rng = np.random.default_rng(16)
     f = random_band_limited(GRID, rng, band=5)
@@ -354,12 +361,3 @@ def test_serialization_round_trips(tmp_path):
     g = fields.load_field_bin(binpath)
     assert g.grid == f.grid
     assert np.array_equal(g.values, f.values)
-
-    jsonpath = tmp_path / "field.json"
-    fields.save_field_json(f, jsonpath)
-    h = fields.load_field_json(jsonpath)
-    assert np.array_equal(h.values, f.values)
-
-    big = FormField.zero(Grid(32, 1.0))
-    with pytest.raises(ValueError):
-        fields.field_to_json(big)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
-from cgolab import cgo, presets
+from cgolab import cgo, fields, presets
 from cgolab import media as md
 from cgolab import uniqueness as uq
 from cgolab.fields import FormField, default_floor, plane_wave_scalar
@@ -184,3 +187,60 @@ def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
     u[:, op.mask] = 0.0
     u /= np.sqrt(op.norm_sq(u))
     assert np.sqrt(op.norm_sq(op.apply(u))) <= rep.norm_estimate * (1 + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# FFT worker setting
+# ---------------------------------------------------------------------------
+
+def _set_fft_workers(monkeypatch, n):
+    """set_fft_workers for one test; the previous setting comes back afterwards."""
+    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)
+    fields.set_fft_workers(n)
+
+
+def test_ucp_transforms_honour_the_fft_workers(grid16, pair16, monkeypatch):
+    seen = []
+
+    class Spy:
+        def __getattr__(self, name):
+            fn = getattr(sfft, name)
+
+            def call(*args, **kwargs):
+                seen.append(kwargs.get("workers"))
+                return fn(*args, **kwargs)
+
+            return call
+
+    monkeypatch.setattr(fields, "sfft", Spy())
+    _set_fft_workers(monkeypatch, 2)
+    coeffs = uq.ucp_coefficients(pair16)
+    uq.ucp_contraction_check(
+        grid16, coeffs, uq.null_covector(32.0), trials=1, seed=3,
+        power_iterations=3, fixed_point_starts=1,
+    )
+    assert seen
+    assert all(w == 2 for w in seen)
+
+
+def test_results_do_not_depend_on_fft_workers(grid16, monkeypatch):
+    def run():
+        mp = uq.make_pair(presets.reference_medium(grid16), presets.perturbed_medium(grid16))
+        coeffs = uq.ucp_coefficients(mp)
+        rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(32.0), trials=2, seed=3)
+        return mp, coeffs, rep
+
+    def raw(value):
+        value = value.values if isinstance(value, FormField) else value
+        return np.asarray(value).tobytes() if isinstance(value, np.ndarray) else value
+
+    _set_fft_workers(monkeypatch, 1)
+    mp1, coeffs1, rep1 = run()
+    _set_fft_workers(monkeypatch, 2)
+    mp2, coeffs2, rep2 = run()
+    for dm1, dm2 in ((mp1.dm1, mp2.dm1), (mp1.dm2, mp2.dm2)):
+        for f in dataclasses.fields(dm1):
+            assert raw(getattr(dm1, f.name)) == raw(getattr(dm2, f.name)), f.name
+    for a, b in zip(coeffs1.as_tuple(), coeffs2.as_tuple()):
+        assert raw(a) == raw(b)
+    assert rep1 == rep2
