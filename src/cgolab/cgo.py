@@ -18,16 +18,12 @@ from . import algebra
 from .algebra import GradedForm
 from .errors import CgolabError, DivergenceError, ResonantGridError, StudyError
 from .fields import (
+    ClampedSymbol,
     ClampReport,
     FormField,
     SpectralField,
-    _clamped_abs_symbol,
-    _symbol_weight,
-    _weighted_sq_sum,
     assert_admissible,
-    bourgain_norm,
     coderiv,
-    default_floor,
     fft_forward,
     fft_inverse,
     l2_norm,
@@ -38,6 +34,13 @@ from .fields import (
 from .media import DerivedMedium, first_order_t, potential
 
 GOLDEN_ANGLE = 2.0 * np.pi * (1.0 - 1.0 / ((1.0 + np.sqrt(5.0)) / 2.0))
+
+# The Neumann iteration is declared divergent once this many successive
+# step ratios reach the limit.
+DIVERGENCE_LIMIT = 0.95
+DIVERGENCE_PATIENCE = 3
+MIN_SAMPLES = 8  # per lambda in a decay study
+MAX_FAILURE_FRACTION = 0.2  # of a decay study's samples before it aborts
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +215,6 @@ class CgoSolution:
     converged: bool
 
 
-def default_clamp_threshold(grid) -> float:
-    """Acceptable clamp fraction: the structural kernel of the symbol
-    (origin, paired-construction zero, Nyquist-row combinations) stays
-    O(10) modes, so the default scales with the lattice size."""
-    return max(1e-3, 32.0 / grid.n**3)
-
-
 def solve_cgo(
     dm: DerivedMedium,
     zeta,
@@ -227,8 +223,6 @@ def solve_cgo(
     max_iter: int = 60,
     floor: float | None = None,
     clamp_threshold: float | None = None,
-    divergence_limit: float = 0.95,
-    divergence_patience: int = 3,
 ) -> CgoSolution:
     """Solve the remainder equation by fixed-point iteration.
 
@@ -240,40 +234,22 @@ def solve_cgo(
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
     assert_admissible(zeta, dm.k)
-    if floor is None:
-        floor = default_floor(grid)
-    if clamp_threshold is None:
-        clamp_threshold = default_clamp_threshold(grid)
-
-    p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
-    clamp = ClampReport(
-        total=grid.n**3, clamped=int(np.sum(mask)), floor=floor, threshold=clamp_threshold
-    )
+    sym = ClampedSymbol(grid, zeta, floor)
+    clamp = sym.report(clamp_threshold)
     if clamp.exceeded:
         raise ResonantGridError(
             f"{clamp.clamped} of {clamp.total} lattice frequencies are inside the "
             f"clamp floor; jitter s or refine the grid",
             clamp_report=clamp,
         )
-    divisor = np.where(mask, 1.0, p)
-    wm = _symbol_weight(absp, mask, -0.5)
-    wp = _symbol_weight(absp, mask, 0.5)
-    vol = grid.volume
-
-    def norm_minus(coeffs):
-        return float(np.sqrt(vol * _weighted_sq_sum(wm, coeffs)))
-
-    def norm_plus(coeffs):
-        return float(np.sqrt(vol * _weighted_sq_sum(wp, coeffs)))
-
     amp_field = FormField.constant(grid, amplitude)
     remainder = FormField.zero(grid)
     f = potential(amp_field, dm)
     fhat = fft_forward(f).coeffs
-    forcing_norm = norm_minus(fhat)
+    forcing_norm = sym.norm(fhat, -0.5)
 
     rhat = np.zeros_like(fhat)
-    residual = norm_minus(fhat)  # residual of R = 0
+    residual = forcing_norm  # residual of R = 0
     contraction = 0.0
     deltas: list[float] = []
     ratios: list[float] = []
@@ -282,19 +258,18 @@ def solve_cgo(
 
     while not converged and iterations < max_iter:
         iterations += 1
-        rhat_new = -fhat / divisor
-        rhat_new[:, mask] = 0.0
-        delta = norm_plus(rhat_new - rhat)
+        rhat_new = sym.inverse(-fhat)
+        delta = sym.norm(rhat_new - rhat, 0.5)
         deltas.append(delta)
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
             contraction = max(ratios[-min(3, len(ratios)):])
-            if len(ratios) >= divergence_patience and all(
-                r >= divergence_limit for r in ratios[-divergence_patience:]
+            if len(ratios) >= DIVERGENCE_PATIENCE and all(
+                r >= DIVERGENCE_LIMIT for r in ratios[-DIVERGENCE_PATIENCE:]
             ):
                 raise DivergenceError(
                     f"Neumann iteration is not contracting (ratio {contraction:.3f} "
-                    f"over the last {divergence_patience} iterations); "
+                    f"over the last {DIVERGENCE_PATIENCE} iterations); "
                     "the conjugation parameter is too small for this medium",
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
@@ -302,7 +277,7 @@ def solve_cgo(
         remainder = fft_inverse(SpectralField(grid, rhat, check=False))
         f = potential(amp_field + remainder, dm)
         fhat_new = fft_forward(f).coeffs
-        residual = norm_minus(fhat_new - fhat)
+        residual = sym.norm(fhat_new - fhat, -0.5)
         fhat = fhat_new
         converged = residual < tol * (forcing_norm + 1.0)
 
@@ -312,14 +287,14 @@ def solve_cgo(
             f"(residual {residual:.3e}, contraction {contraction:.3f})",
             diagnostics={"contraction": contraction, "iterations": iterations},
         )
-    zero_mode = float(np.sqrt(vol * np.sum(np.abs(fhat[:, mask]) ** 2)))
+    zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(fhat[:, sym.mask]) ** 2)))
     return CgoSolution(
         amplitude=amplitude,
         remainder=remainder,
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=norm_plus(rhat),
+        remainder_norm=sym.norm(rhat, 0.5),
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,
@@ -405,12 +380,11 @@ def decay_study(
     max_iter: int = 80,
     floor: float | None = None,
     workers: int = 1,
-    max_failure_fraction: float = 0.2,
 ) -> DecayStudy:
     """Quasi-Monte-Carlo average of the squared remainder norm over
     (s, eta1) in [lam, 2 lam] x S^1, one row per sample."""
-    if n_samples < 8:
-        raise ValueError("need at least 8 samples per lambda")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per lambda")
     lambdas = list(lambdas)
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda values must be increasing")
@@ -451,7 +425,7 @@ def decay_study(
             )
         else:
             samples.append(outcome)
-    if failures > max_failure_fraction * len(jobs):
+    if failures > MAX_FAILURE_FRACTION * len(jobs):
         raise StudyError(
             f"{failures} of {len(jobs)} samples failed; study aborted"
         )
@@ -522,13 +496,14 @@ def q_norm_estimate(
         raise ValueError("need at least 16 trials")
     zeta = np.asarray(zeta, dtype=complex)
     grid = dm.grid
+    sym = ClampedSymbol(grid, zeta, floor)
     rng = seeded_rng(seed)
     best = 0.0
     for _ in range(trials):
         u = random_band_limited(grid, rng, band=grid.n // 2 - 1, zero_mean=True)
-        denom = bourgain_norm(u, zeta, 0.5, floor)
+        denom = sym.norm(fft_forward(u).coeffs, 0.5)
         qu = potential(u, dm)
-        best = max(best, bourgain_norm(qu, zeta, -0.5, floor) / denom)
+        best = max(best, sym.norm(fft_forward(qu).coeffs, -0.5) / denom)
 
     mag = float(np.sqrt(np.sum(np.abs(zeta) ** 2)))
     h = mag ** (-0.5) if mag > 0 else 1.0

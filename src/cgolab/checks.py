@@ -223,23 +223,19 @@ def calculus_checks(grid: Grid, seed: int = 0, tol: float = 1e-10):
     return results
 
 
-def factorization_checks(
-    dm: DerivedMedium,
-    seed: int = 0,
-    n_pairs: int = 20,
-    identity_tol: float | None = None,
-    weak_strong_tol: float = 1e-6,
-    transpose_tol: float = 1e-8,
-):
+WEAK_STRONG_TOL = 1e-6
+TRANSPOSE_TOL = 1e-8
+
+
+def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
     """First-order factorization identities against the weak potentials.
 
     The identity residual floor is the spectral tail of the medium, so
-    its default tolerance is the 32^3 contract (1e-6) only from that
-    resolution up; coarser grids get a correspondingly looser bound.
+    its tolerance is the 32^3 contract (1e-6) only from that resolution
+    up; coarser grids get a correspondingly looser bound.
     """
     grid = dm.grid
-    if identity_tol is None:
-        identity_tol = 1e-6 if grid.n >= 32 else 1e-4
+    identity_tol = 1e-6 if grid.n >= 32 else 1e-4
     rng = seeded_rng(seed)
     band = max(2, grid.n // 8)
     results = []
@@ -275,9 +271,9 @@ def factorization_checks(
 
     results.append(CheckResult("factorization identity (potential)", err_fac, identity_tol))
     results.append(CheckResult("factorization identity (transposed)", err_fac_t, identity_tol))
-    results.append(CheckResult("weak/strong potential match", err_weak, weak_strong_tol))
-    results.append(CheckResult("weak/strong transposed match", err_weak_t, weak_strong_tol))
-    results.append(CheckResult("first-order transpose pairing", err_transpose, transpose_tol))
+    results.append(CheckResult("weak/strong potential match", err_weak, WEAK_STRONG_TOL))
+    results.append(CheckResult("weak/strong transposed match", err_weak_t, WEAK_STRONG_TOL))
+    results.append(CheckResult("first-order transpose pairing", err_transpose, TRANSPOSE_TOL))
 
     w03 = random_band_limited(grid, rng, band=band, grades=(0, 3))
     qt = potential_t(w03, dm)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, algebra, checks, fields
 from .cgo import (
+    MIN_SAMPLES,
     amplitude_a,
     decay_study,
     make_geometry,
@@ -206,6 +207,8 @@ def cmd_run_decay(args) -> int:
     geo, rho, _, _ = _geometry_pieces(cfg, grid)
     if not geo.lambda_list:
         raise ConfigError("geometry.lambda_list is required for run-decay")
+    if cfg.sampling.n_samples < MIN_SAMPLES:
+        raise ConfigError(f"sampling.n_samples must be >= {MIN_SAMPLES} for run-decay")
     dm = derive(cfg.medium(0).build(grid))
     study = decay_study(
         dm,

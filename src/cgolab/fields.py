@@ -293,6 +293,13 @@ def default_floor(grid: Grid) -> float:
     return 1e-8 * (2.0 * np.pi / grid.length) ** 2
 
 
+def default_clamp_threshold(grid: Grid) -> float:
+    """Acceptable clamp fraction: the structural kernel of the symbol
+    (origin, paired-construction zero, Nyquist-row combinations) stays
+    O(10) modes, so the default scales with the lattice size."""
+    return max(1e-3, 32.0 / grid.n**3)
+
+
 @dataclass(frozen=True)
 class ClampReport:
     """Bookkeeping for frequencies where |p| fell below the clamp floor."""
@@ -311,34 +318,58 @@ class ClampReport:
         return self.fraction > self.threshold
 
 
-def _clamped_abs_symbol(grid: Grid, zeta, floor: float | None):
-    """p, max(|p|, floor) and the clamp mask |p| < floor (default floor if None)."""
-    if floor is None:
-        floor = default_floor(grid)
-    p = helmholtz_symbol(grid, zeta)
-    absp = np.abs(p)
-    mask = absp < floor
-    return p, np.maximum(absp, floor), mask
+class ClampedSymbol:
+    """The symbol p for one conjugation covector, with its clamp policy.
+
+    Modes with |p| < floor (default :func:`default_floor`) are clamped:
+    the inverse annihilates them and both weights vanish on them, so
+    norms, resolvent and solver all live on the same sublattice.  The
+    clamp set always contains xi = 0, and for the paired conjugation
+    geometries also xi = -rho, where the symbol vanishes identically.
+    """
+
+    def __init__(self, grid: Grid, zeta, floor: float | None = None):
+        if floor is None:
+            floor = default_floor(grid)
+        p = helmholtz_symbol(grid, zeta)
+        absp = np.abs(p)
+        self.grid = grid
+        self.floor = floor
+        self.mask = absp < floor
+        self.divisor = np.where(self.mask, 1.0, p)
+        self._absp = np.maximum(absp, floor)
+        self._weights: dict[float, np.ndarray] = {}
+
+    def weight(self, b: float) -> np.ndarray:
+        """Norm weight |p|^(2b) for b = +-1/2, zero on the clamped modes."""
+        if b not in (0.5, -0.5):
+            raise ValueError(f"b must be +1/2 or -1/2, got {b}")
+        if b not in self._weights:
+            w = self._absp ** (2.0 * b)
+            w[self.mask] = 0.0
+            self._weights[b] = w
+        return self._weights[b]
+
+    def norm(self, coeffs: np.ndarray, b: float) -> float:
+        """Weighted-l2 norm of spectral coefficients, all components."""
+        return float(np.sqrt(self.grid.volume * _weighted_sq_sum(self.weight(b), coeffs)))
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """coeffs / p over the trailing frequency axes, 0 on the clamped modes."""
+        out = coeffs / self.divisor
+        out[..., self.mask] = 0.0
+        return out
+
+    def report(self, threshold: float | None = None) -> ClampReport:
+        """Clamp count against ``threshold`` (default :func:`default_clamp_threshold`)."""
+        if threshold is None:
+            threshold = default_clamp_threshold(self.grid)
+        return ClampReport(self.grid.n**3, int(np.sum(self.mask)), self.floor, threshold)
 
 
 def bourgain_weight(grid: Grid, zeta, b: float, floor: float | None = None) -> np.ndarray:
-    """Norm weight |p|^(2b) on the unclamped sublattice.
-
-    Modes with |p| < floor carry weight zero: they are exactly the modes
-    the resolvent annihilates, so norms, resolvent and solver all live
-    on the same sublattice.  The clamp set always contains xi = 0, and
-    for the paired conjugation geometries also xi = -rho, where the
-    symbol vanishes identically.
-    """
-    _, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
-    return _symbol_weight(absp, mask, b)
-
-
-def _symbol_weight(absp: np.ndarray, mask: np.ndarray, b: float) -> np.ndarray:
-    """|p|^(2b) from the clamped |p|, zero on the clamped modes."""
-    w = absp ** (2.0 * b)
-    w[mask] = 0.0
-    return w
+    """Norm weight |p|^(2b) on the unclamped sublattice (see :class:`ClampedSymbol`)."""
+    return ClampedSymbol(grid, zeta, floor).weight(b)
 
 
 def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
@@ -349,21 +380,11 @@ def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
 
 def bourgain_norm(f, zeta, b: float, floor: float | None = None) -> float:
     """Weighted-l2 norm over the nonzero frequency lattice, all grades."""
-    if b not in (0.5, -0.5):
-        raise ValueError(f"b must be +1/2 or -1/2, got {b}")
     F = f if isinstance(f, SpectralField) else fft_forward(f)
-    w = bourgain_weight(F.grid, zeta, b, floor)
-    return float(np.sqrt(F.grid.volume * _weighted_sq_sum(w, F.coeffs)))
+    return ClampedSymbol(F.grid, zeta, floor).norm(F.coeffs, b)
 
 
-def resolvent(
-    f,
-    zeta,
-    k: float,
-    floor: float | None = None,
-    clamp_threshold: float = 1e-3,
-    spectral_out: bool = False,
-):
+def resolvent(f, zeta, k: float, floor: float | None = None):
     """Invert the shifted conjugated Laplacian by dividing by the symbol p.
 
     Requires <zeta, zeta> = -k^2, which makes p the symbol of the
@@ -374,26 +395,17 @@ def resolvent(
     is an exact two-sided inverse.
     """
     assert_admissible(zeta, k)
-    grid = f.grid
-    if floor is None:
-        floor = default_floor(grid)
     F = f if isinstance(f, SpectralField) else fft_forward(f)
-    p, _, mask = _clamped_abs_symbol(grid, zeta, floor)
-    out = F.coeffs / np.where(mask, 1.0, p)
-    out[:, mask] = 0.0
-    report = ClampReport(
-        total=grid.n**3, clamped=int(np.sum(mask)), floor=floor, threshold=clamp_threshold
-    )
-    result = SpectralField(grid, out, check=False)
-    return (result if spectral_out else fft_inverse(result)), report
+    sym = ClampedSymbol(F.grid, zeta, floor)
+    out = SpectralField(F.grid, sym.inverse(F.coeffs), check=False)
+    return fft_inverse(out), sym.report()
 
 
 def resolvent_operator_norm(grid: Grid, zeta, floor: float | None = None) -> float:
     """Diagonal operator norm of the resolvent between the +-1/2 spaces:
     weight^(1/2) |p|^(-1) weight^(1/2) maximized over the active modes."""
-    p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
-    ratio = np.where(mask, 0.0, absp / np.where(mask, 1.0, np.abs(p)))
-    return float(np.max(ratio))
+    sym = ClampedSymbol(grid, zeta, floor)
+    return float(np.max(sym.weight(0.5) / np.abs(sym.divisor)))
 
 
 def assert_admissible(zeta, k: float, tol: float = 1e-10) -> None:

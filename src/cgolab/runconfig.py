@@ -41,6 +41,11 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
+def _optional_positive(doc: dict, key: str, path: str):
+    value = doc.get(key)
+    return None if value is None else _number(value, f"{path}.{key}", positive=True)
+
+
 def _vector3(value, path: str):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{path} must be a list of 3 numbers")
@@ -156,7 +161,7 @@ class RunConfig:
         return self.geometry
 
 
-def _parse_bumps(specs, path: str) -> list:
+def _parse_bumps(specs, path: str, length: float) -> list:
     if not isinstance(specs, list):
         raise ConfigError(f"{path} must be a list")
     out = []
@@ -170,7 +175,10 @@ def _parse_bumps(specs, path: str) -> list:
             ),
         }
         if "center_offset" in spec:
-            entry["center_offset"] = _vector3(spec["center_offset"], f"{path}[{i}].center_offset")
+            offset = _vector3(spec["center_offset"], f"{path}[{i}].center_offset")
+            if max(abs(c) for c in offset) >= length / 4.0:
+                raise ConfigError(f"{path}[{i}].center_offset must lie inside the central sub-box")
+            entry["center_offset"] = offset
         if "sharpness" in spec:
             entry["sharpness"] = _number(
                 spec["sharpness"], f"{path}[{i}].sharpness", positive=True
@@ -179,16 +187,16 @@ def _parse_bumps(specs, path: str) -> list:
     return out
 
 
-def _parse_medium(doc, path: str) -> MediumConfig:
+def _parse_medium(doc, path: str, length: float) -> MediumConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object")
     return MediumConfig(
         omega=_number(_require(doc, "omega", path), f"{path}.omega", positive=True),
         eps0=_number(doc.get("eps0", 1.0), f"{path}.eps0", positive=True),
         mu0=_number(doc.get("mu0", 1.0), f"{path}.mu0", positive=True),
-        eps_bumps=_parse_bumps(doc.get("eps_bumps", []), f"{path}.eps_bumps"),
-        mu_bumps=_parse_bumps(doc.get("mu_bumps", []), f"{path}.mu_bumps"),
-        sigma_bumps=_parse_bumps(doc.get("sigma_bumps", []), f"{path}.sigma_bumps"),
+        eps_bumps=_parse_bumps(doc.get("eps_bumps", []), f"{path}.eps_bumps", length),
+        mu_bumps=_parse_bumps(doc.get("mu_bumps", []), f"{path}.mu_bumps", length),
+        sigma_bumps=_parse_bumps(doc.get("sigma_bumps", []), f"{path}.sigma_bumps", length),
         path=path,
     )
 
@@ -244,6 +252,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     grid_doc = _require(doc, "grid", "config")
+    if not isinstance(grid_doc, dict):
+        raise ConfigError("grid must be an object")
     n = _integer(_require(grid_doc, "n", "grid"), "grid.n", minimum=8)
     if n & (n - 1):
         raise ConfigError("grid.n must be a power of two")
@@ -253,9 +263,12 @@ def parse_config(doc: dict) -> RunConfig:
     if "media" in doc:
         if not isinstance(doc["media"], list) or len(doc["media"]) != 2:
             raise ConfigError("media must be a list of exactly 2 medium objects")
-        media = [_parse_medium(m, f"media[{i}]") for i, m in enumerate(doc["media"])]
+        media = [_parse_medium(m, f"media[{i}]", grid.length) for i, m in enumerate(doc["media"])]
+        for name in ("omega", "eps0", "mu0"):
+            if getattr(media[1], name) != getattr(media[0], name):
+                raise ConfigError(f"media[1].{name} must equal media[0].{name}")
     elif "medium" in doc:
-        media = [_parse_medium(doc["medium"], "medium")]
+        media = [_parse_medium(doc["medium"], "medium", grid.length)]
     else:
         raise ConfigError("config.medium (or config.media) is required")
 
@@ -267,16 +280,8 @@ def parse_config(doc: dict) -> RunConfig:
     solver = SolverConfig(
         tol=_number(solver_doc.get("tol", 1e-9), "solver.tol", positive=True),
         max_iter=_integer(solver_doc.get("max_iter", 80), "solver.max_iter", minimum=1),
-        clamp_floor=(
-            _number(solver_doc["clamp_floor"], "solver.clamp_floor", positive=True)
-            if "clamp_floor" in solver_doc and solver_doc["clamp_floor"] is not None
-            else None
-        ),
-        clamp_threshold=(
-            _number(solver_doc["clamp_threshold"], "solver.clamp_threshold", positive=True)
-            if "clamp_threshold" in solver_doc and solver_doc["clamp_threshold"] is not None
-            else None
-        ),
+        clamp_floor=_optional_positive(solver_doc, "clamp_floor", "solver"),
+        clamp_threshold=_optional_positive(solver_doc, "clamp_threshold", "solver"),
     )
 
     sampling_doc = doc.get("sampling", {})

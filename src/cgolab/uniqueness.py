@@ -23,17 +23,23 @@ from .cgo import (
     solve_cgo,
 )
 from .fields import (
+    ClampedSymbol,
     FormField,
     Grid,
-    _clamped_abs_symbol,
     _fftn,
     _ifftn,
-    _symbol_weight,
     _weighted_sq_sum,
     plane_wave_scalar,
     seeded_rng,
 )
 from .media import Medium, DerivedMedium, derive, potential
+
+# The coefficient window rises from 0 to 1 between these fractions of
+# the sub-box half-width (see subbox_window).
+WINDOW_START = 0.8
+WINDOW_STOP = 0.98
+SUPPORT_TOL = 1e-8  # relative size a coefficient may keep outside the sub-box
+FIXED_POINT_MAX_ITER = 400
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +122,11 @@ def pairing(
     return PairingResult(value=value, sol1=sol1, sol2=sol2)
 
 
-def _scatter_target(dm1, dm2, s1, s2, ds1, ds2, rho, omega, grid) -> complex:
+def _scatter_target(dm1, dm2, ds1, ds2, rho, omega, grid) -> complex:
     """Common form of the two scattering relations in the pairing-limit
     orientation: int <d(s1-s2), d e> + int <d(s1+s2), d(s2-s1)> e
-    + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho)."""
+    + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho); ds1, ds2 are
+    the gradients d s1, d s2 of the two half-log fields."""
     wave = plane_wave_scalar(grid, rho)
     irho = 1j * np.asarray(rho, dtype=float)
     diff3 = ds1.values[1:4] - ds2.values[1:4]
@@ -135,7 +142,6 @@ def target_a(mp: MediumPair, rho) -> complex:
     in the electric half-log contrast."""
     return _scatter_target(
         mp.dm1, mp.dm2,
-        mp.dm1.log_half_gamma, mp.dm2.log_half_gamma,
         mp.dm1.da, mp.dm2.da,
         np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
     )
@@ -146,7 +152,6 @@ def target_b(mp: MediumPair, rho) -> complex:
     in the magnetic half-log contrast."""
     return _scatter_target(
         mp.dm1, mp.dm2,
-        mp.dm1.log_half_mu, mp.dm2.log_half_mu,
         mp.dm1.db, mp.dm2.db,
         np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
     )
@@ -237,15 +242,15 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def subbox_window(grid: Grid, start: float = 0.8, stop: float = 0.98) -> np.ndarray:
+def subbox_window(grid: Grid) -> np.ndarray:
     """Smooth plateau equal to 1 deep inside the central sub-box and 0
-    outside it; start/stop are fractions of the sub-box half-width."""
+    outside it."""
     half = grid.length / 4.0
     r = np.max(np.abs(grid.x - grid.length / 2.0), axis=0) / half
-    return _smooth_step((r - start) / (stop - start))
+    return _smooth_step((r - WINDOW_START) / (WINDOW_STOP - WINDOW_START))
 
 
-def ucp_coefficients(mp: MediumPair, window: np.ndarray | None = None) -> UcpCoefficients:
+def ucp_coefficients(mp: MediumPair) -> UcpCoefficients:
     """Coefficients of the coupled system for the square-root contrasts.
 
     V and W divide the Laplacian of the square-root sums by themselves;
@@ -253,8 +258,7 @@ def ucp_coefficients(mp: MediumPair, window: np.ndarray | None = None) -> UcpCoe
     plays the role of the domain indicator).
     """
     grid = mp.grid
-    if window is None:
-        window = subbox_window(grid)
+    window = subbox_window(grid)
     omega2 = mp.dm1.omega**2
     sg1, sg2 = mp.dm1.sqrt_gamma, mp.dm2.sqrt_gamma
     sm1, sm2 = mp.dm1.sqrt_mu, mp.dm2.sqrt_mu
@@ -298,13 +302,12 @@ class _UcpOperator:
     with machinery for the weighted adjoint."""
 
     def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta, floor: float | None):
-        p, absp, mask = _clamped_abs_symbol(grid, zeta, floor)
+        sym = ClampedSymbol(grid, zeta, floor)
         self.grid = grid
-        self.mask = mask
-        self.inv_p = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, p))
-        self.weight = _symbol_weight(absp, mask, 0.5)
-        active = ~mask
-        self.inv_weight = np.where(active, 1.0 / np.where(active, self.weight, 1.0), 0.0)
+        self.mask = sym.mask
+        self.inv_p = sym.inverse(np.ones(sym.mask.shape, complex))
+        self.weight = sym.weight(0.5)
+        self.inv_weight = sym.weight(-0.5)
         self.m00 = coeffs.V + coeffs.a
         self.m03 = coeffs.b
         self.m30 = coeffs.d
@@ -343,8 +346,6 @@ def ucp_contraction_check(
     power_iterations: int = 30,
     fixed_point_starts: int = 10,
     fixed_point_tol: float = 1e-8,
-    fixed_point_max_iter: int = 400,
-    support_tol: float = 1e-8,
 ) -> UcpReport:
     """Estimate the weighted operator norm of resolvent o multiplication
     and certify the contraction.
@@ -363,7 +364,7 @@ def ucp_contraction_check(
     outside = grid.outside_subbox
     for name, f in zip("VWabcd", coeffs.as_tuple()):
         scale = max(float(np.max(np.abs(f))), 1e-300)
-        if float(np.max(np.abs(f[outside]))) > support_tol * scale:
+        if float(np.max(np.abs(f[outside]))) > SUPPORT_TOL * scale:
             raise ValueError(f"coefficient {name} is not supported in the sub-box")
 
     op = _UcpOperator(grid, coeffs, zeta, floor)
@@ -398,7 +399,7 @@ def ucp_contraction_check(
             w /= np.sqrt(op.norm_sq(w))
             it = 0
             norm = 1.0
-            while norm > fixed_point_tol and it < fixed_point_max_iter:
+            while norm > fixed_point_tol and it < FIXED_POINT_MAX_ITER:
                 w = -op.apply(w)
                 norm = np.sqrt(op.norm_sq(w))
                 it += 1

@@ -5,7 +5,15 @@ from cgolab import algebra, cgo
 from cgolab import media as md
 from cgolab.algebra import GradedForm
 from cgolab.errors import DivergenceError, ResonantGridError
-from cgolab.fields import FormField, l2_norm
+from cgolab.fields import (
+    FormField,
+    SpectralField,
+    default_floor,
+    fft_forward,
+    fft_inverse,
+    helmholtz_symbol,
+    l2_norm,
+)
 from cgolab.media import derive_background
 
 
@@ -154,6 +162,43 @@ def test_solve_reference_medium(grid16, dm16):
     new_r, _ = resolvent(f, g.zeta1, dm16.k)
     delta = FormField(grid16, -new_r.values - sol.remainder.values)
     assert bourgain_norm(delta, g.zeta1, 0.5) < 10 * tol * (sol.forcing_norm + 1.0)
+
+
+def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
+    # the solver loop as it read before ClampedSymbol, without the
+    # divergence guard, which this contracting solve never trips
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    amp = cgo.amplitude_a(g, cgo.Polarization.E)
+    tol = 1e-9
+    p = helmholtz_symbol(grid16, g.zeta1)
+    absp = np.abs(p)
+    mask = absp < default_floor(grid16)
+    absp = np.maximum(absp, default_floor(grid16))
+    divisor = np.where(mask, 1.0, p)
+    wm, wp = absp**-1.0, absp**1.0
+    wm[mask] = 0.0
+    wp[mask] = 0.0
+
+    def norm(w, c):
+        return float(np.sqrt(grid16.volume * np.sum(w * np.sum(np.abs(c) ** 2, axis=0))))
+
+    amp_field = FormField.constant(grid16, amp)
+    fhat = fft_forward(md.potential(amp_field, dm16)).coeffs
+    forcing = norm(wm, fhat)
+    rhat, residual, iterations = np.zeros_like(fhat), forcing, 0
+    while not residual < tol * (forcing + 1.0):
+        iterations += 1
+        rhat = -fhat / divisor
+        rhat[:, mask] = 0.0
+        remainder = fft_inverse(SpectralField(grid16, rhat, check=False))
+        fhat_new = fft_forward(md.potential(amp_field + remainder, dm16)).coeffs
+        residual = norm(wm, fhat_new - fhat)
+        fhat = fhat_new
+
+    sol = cgo.solve_cgo(dm16, g.zeta1, amp, tol=tol)
+    assert np.array_equal(sol.remainder.values, remainder.values)
+    assert (sol.iterations, sol.residual) == (iterations, residual)
+    assert (sol.forcing_norm, sol.remainder_norm) == (forcing, norm(wp, rhat))
 
 
 def test_remainder_scales_linearly_with_amplitude(grid16, dm16):

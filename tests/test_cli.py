@@ -1,8 +1,12 @@
+import copy
 import json
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgolab import fields, presets
 from cgolab.cli import main
@@ -38,11 +42,30 @@ def invalid_physics_configs():
     wide_second["media"][1]["eps_bumps"][0]["radius"] = 3.0
     h_without_rho = small_config("cgo")
     h_without_rho["geometry"].update(polarization="H", rho_index=[0, 0, 0])
-    return [
+    few_samples = small_config("decay")
+    few_samples["sampling"]["n_samples"] = 4
+    other_omega = small_config("uniqueness")
+    other_omega["media"][1]["omega"] = 2.0
+    other_mu0 = small_config("uniqueness")
+    other_mu0["media"][1]["mu0"] = 1.5
+    off_box = small_config("cgo")
+    off_box["medium"]["eps_bumps"][0]["center_offset"] = [5.0, 0.0, 0.0]
+    grid_not_object = [
+        (command, small_config(kind, grid=value), "grid must be an object")
+        for command, kind, value in (
+            ("run-cgo", "cgo", 16), ("run-decay", "decay", "16"),
+            ("run-uniqueness", "uniqueness", [16]), ("estimate-qnorm", "qnorm", None),
+        )
+    ]
+    return grid_not_object + [
         ("run-cgo", negative, "medium.eps_bumps"),
         ("run-cgo", wide, "medium.eps_bumps"),
         ("run-uniqueness", wide_second, r"media\[1\].eps_bumps"),
         ("run-cgo", h_without_rho, "geometry.rho_index"),
+        ("run-decay", few_samples, "sampling.n_samples"),
+        ("run-uniqueness", other_omega, r"media\[1\].omega"),
+        ("run-uniqueness", other_mu0, r"media\[1\].mu0"),
+        ("run-cgo", off_box, r"medium.eps_bumps\[0\].center_offset"),
     ]
 
 
@@ -90,6 +113,8 @@ def test_config_errors_name_the_field():
             }
         )
     for _, doc, field in invalid_physics_configs():
+        if field == "sampling.n_samples":
+            continue  # a run-decay requirement: the command checks it, not the parser
         with pytest.raises(ConfigError, match=field):
             cfg = parse_config(doc)
             for i in range(len(cfg.media)):
@@ -116,6 +141,50 @@ def test_bad_config_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.search(field, err)
         assert "Traceback" not in err
+
+
+RUN_COMMANDS = {
+    "cgo": "run-cgo", "decay": "run-decay", "uniqueness": "run-uniqueness", "qnorm": "estimate-qnorm",
+}
+MUTANTS = ["delete", 0, -1, "x", True, None, []]
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path into a JSON document, inner nodes included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_run_configs(draw):
+    """A reference run config at 8^3 with one or two nodes deleted or replaced."""
+    kind = draw(st.sampled_from(sorted(RUN_COMMANDS)))
+    doc = presets.reference_run_config(kind)
+    doc["grid"]["n"] = 8
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        mutant = draw(st.sampled_from(MUTANTS))
+        if mutant == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(mutant)
+    return RUN_COMMANDS[kind], doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_run_configs())
+def test_exit_code_map_is_total(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main([command, "--config", path, "--out", f"{tmp}/out"]) in {0, 2, 3, 4, 5}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgolab import algebra, fields
+from cgolab import algebra, cgo, fields, media
 from cgolab.algebra import GradedForm
 from cgolab.fields import (
     FormField,
@@ -195,6 +195,50 @@ def test_resolvent_operator_norm_is_one():
 def test_resolvent_requires_admissible_zeta():
     with pytest.raises(ValueError):
         resolvent(FormField.zero(GRID), np.array([1.0, 0.0, 0.0]), 1.0)
+
+
+def _pre_change_symbol(grid, zeta):
+    """The clamp as each caller spelled it before ClampedSymbol: p, the
+    floored |p| and the mask |p| < floor."""
+    floor = fields.default_floor(grid)
+    p = fields.helmholtz_symbol(grid, zeta)
+    absp = np.abs(p)
+    mask = absp < floor
+    return p, np.maximum(absp, floor), mask
+
+
+def test_clamped_symbol_is_bit_equal_to_the_pre_change_expressions():
+    rng = np.random.default_rng(12)
+    k = 1.0
+    zeta = admissible_zeta(2.9, k)
+    f = random_band_limited(GRID, rng, band=GRID.n // 2 - 1)
+    F = fft_forward(f)
+    p, absp, mask = _pre_change_symbol(GRID, zeta)
+
+    out = F.coeffs / np.where(mask, 1.0, p)
+    out[:, mask] = 0.0
+    got, report = resolvent(f, zeta, k)
+    assert np.array_equal(got.values, fft_inverse(SpectralField(GRID, out)).values)
+    assert report.clamped == int(np.sum(mask))
+
+    for b in (0.5, -0.5):
+        w = absp ** (2.0 * b)
+        w[mask] = 0.0
+        want = float(np.sqrt(GRID.volume * np.sum(w * np.sum(np.abs(F.coeffs) ** 2, axis=0))))
+        assert bourgain_norm(f, zeta, b) == want
+        assert np.array_equal(fields.bourgain_weight(GRID, zeta, b), w)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_resolvent_reports_against_the_solver_threshold(n):
+    grid = Grid(n, 2.0 * np.pi)
+    dm0 = media.derive_background(grid, omega=1.0)
+    rho = np.array([1.0, 0.0, 0.0])
+    g = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, 0.7), 8.0, dm0.k, grid=grid)
+    sol = cgo.solve_cgo(dm0, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
+    _, report = resolvent(FormField.zero(grid), g.zeta1, dm0.k)
+    assert report.threshold == sol.clamp.threshold
+    assert report.clamped == sol.clamp.clamped
 
 
 def test_bourgain_norm_zero_field_and_preconditions():

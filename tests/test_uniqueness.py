@@ -189,6 +189,24 @@ def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
     assert np.sqrt(op.norm_sq(op.apply(u))) <= rep.norm_estimate * (1 + 1e-6)
 
 
+def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16):
+    zeta = uq.null_covector(16.0)
+    floor = default_floor(grid16)
+    p = fields.helmholtz_symbol(grid16, zeta)
+    absp = np.abs(p)
+    mask = absp < floor
+    weight = np.maximum(absp, floor) ** 1.0
+    weight[mask] = 0.0
+    inv_p = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, p))
+    inv_weight = np.where(~mask, 1.0 / np.where(~mask, weight, 1.0), 0.0)
+
+    op = uq._UcpOperator(grid16, uq.ucp_coefficients(pair16), zeta, floor)
+    assert np.array_equal(op.mask, mask)
+    assert np.array_equal(op.inv_p, inv_p)
+    assert np.array_equal(op.weight, weight)
+    assert np.array_equal(op.inv_weight, inv_weight)
+
+
 # ---------------------------------------------------------------------------
 # FFT worker setting
 # ---------------------------------------------------------------------------
