@@ -21,17 +21,17 @@ from .fields import (
     ClampedSymbol,
     ClampReport,
     FormField,
-    SpectralField,
+    _fftn,
+    _ifftn,
     assert_admissible,
     coderiv,
     fft_forward,
-    fft_inverse,
     l2_norm,
     mollify,
     random_band_limited,
     seeded_rng,
 )
-from .media import DerivedMedium, first_order_t, potential
+from .media import DerivedMedium, first_order_t, grade_block, potential
 
 GOLDEN_ANGLE = 2.0 * np.pi * (1.0 - 1.0 / ((1.0 + np.sqrt(5.0)) / 2.0))
 
@@ -213,6 +213,8 @@ class CgoSolution:
     clamp: ClampReport
     clamped_defect: float
     converged: bool
+    deltas: list[float]  # per iteration: +1/2-norm of the remainder update
+    residuals: list[float]  # per iteration: -1/2-norm of the forcing update
 
 
 def solve_cgo(
@@ -230,6 +232,11 @@ def solve_cgo(
     periodic variables.  The reported residual is the -1/2-weighted norm
     of the equation applied to the converged remainder, measured over
     the unclamped frequencies and normalized by (||Q A|| + 1).
+
+    Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
+    the resolvent acts blade by blade, so the iteration runs on the
+    blades of the block that holds the amplitude (both blocks when the
+    amplitude has parts in each).
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -242,16 +249,21 @@ def solve_cgo(
             f"clamp floor; jitter s or refine the grid",
             clamp_report=clamp,
         )
-    amp_field = FormField.constant(grid, amplitude)
-    remainder = FormField.zero(grid)
-    f = potential(amp_field, dm)
-    fhat = fft_forward(f).coeffs
+    low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
+    grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
+    blk = grade_block(grades)
+    scale = grid.n**3
+    total = FormField.constant(grid, amplitude)  # A + R, updated on the block
+    amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
+    fhat = _fftn(potential(total, dm, grades).values[blk]) / scale
     forcing_norm = sym.norm(fhat, -0.5)
 
     rhat = np.zeros_like(fhat)
+    rem = 0.0  # R on the block, in physical space
     residual = forcing_norm  # residual of R = 0
     contraction = 0.0
     deltas: list[float] = []
+    residuals: list[float] = []
     ratios: list[float] = []
     iterations = 0
     converged = residual < tol * (forcing_norm + 1.0)
@@ -274,10 +286,11 @@ def solve_cgo(
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
         rhat = rhat_new
-        remainder = fft_inverse(SpectralField(grid, rhat, check=False))
-        f = potential(amp_field + remainder, dm)
-        fhat_new = fft_forward(f).coeffs
+        rem = _ifftn(rhat * scale)
+        np.add(amp_blk, rem, out=total.values[blk])
+        fhat_new = _fftn(potential(total, dm, grades).values[blk]) / scale
         residual = sym.norm(fhat_new - fhat, -0.5)
+        residuals.append(residual)
         fhat = fhat_new
         converged = residual < tol * (forcing_norm + 1.0)
 
@@ -287,7 +300,13 @@ def solve_cgo(
             f"(residual {residual:.3e}, contraction {contraction:.3f})",
             diagnostics={"contraction": contraction, "iterations": iterations},
         )
-    zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(fhat[:, sym.mask]) ** 2)))
+    remainder = FormField.zero(grid)
+    remainder.values[blk] = rem
+    # the clamped modes of all 8 blades, laid out as fhat[:, mask] of a full
+    # 8-blade fhat is (blade axis fastest), so the sum adds in the same order
+    clamped = np.zeros((int(np.sum(sym.mask)), 8), dtype=complex).T
+    clamped[blk] = fhat[:, sym.mask]
+    zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(clamped) ** 2)))
     return CgoSolution(
         amplitude=amplitude,
         remainder=remainder,
@@ -300,6 +319,8 @@ def solve_cgo(
         clamp=clamp,
         clamped_defect=zero_mode,
         converged=True,
+        deltas=deltas,
+        residuals=residuals,
     )
 
 
@@ -380,6 +401,7 @@ def decay_study(
     max_iter: int = 80,
     floor: float | None = None,
     workers: int = 1,
+    clamp_threshold: float | None = None,
 ) -> DecayStudy:
     """Quasi-Monte-Carlo average of the squared remainder norm over
     (s, eta1) in [lam, 2 lam] x S^1, one row per sample."""
@@ -398,7 +420,7 @@ def decay_study(
         eta1, eta2 = orthonormal_frame(rho, angle)
         geom = make_geometry(rho, eta1, eta2, s, dm.k, grid=dm.grid)
         amp = amplitude_a(geom, pol)
-        sol = solve_cgo(dm, geom.zeta1, amp, tol=tol, max_iter=max_iter, floor=floor)
+        sol = solve_cgo(dm, geom.zeta1, amp, tol, max_iter, floor, clamp_threshold)
         return DecaySample(
             lam=lam,
             s=s,

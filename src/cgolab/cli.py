@@ -188,6 +188,8 @@ def cmd_run_cgo(args) -> int:
         "contraction": sol.contraction,
         "clamped_modes": sol.clamp.clamped,
         "clamped_defect": sol.clamped_defect,
+        "deltas": sol.deltas,
+        "residuals": sol.residuals,
         "k": dm.k,
         "omega": dm.omega,
     }
@@ -221,6 +223,7 @@ def cmd_run_decay(args) -> int:
         max_iter=cfg.solver.max_iter,
         floor=cfg.solver.clamp_floor,
         workers=args.threads,
+        clamp_threshold=cfg.solver.clamp_threshold,
     )
     out = _outdir(args, cfg)
     header = [
@@ -272,6 +275,7 @@ def cmd_run_uniqueness(args) -> int:
         max_iter=cfg.solver.max_iter,
         floor=cfg.solver.clamp_floor,
         workers=args.threads,
+        clamp_threshold=cfg.solver.clamp_threshold,
     )
     out = _outdir(args, cfg)
     header = ["s", "pairing_re", "pairing_im", "target_re", "target_im", "abs_error"]

@@ -538,5 +538,8 @@ def load_field_bin(path) -> FormField:
         version, n, length, ncomp = struct.unpack("<IIdI", fh.read(20))
         if version != _BIN_VERSION or ncomp != 8:
             raise ValueError(f"unsupported snapshot layout (version {version}, {ncomp} comps)")
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(8, n, n, n)
+        payload = fh.read()
+    if len(payload) != 8 * n**3 * 16:
+        raise ValueError(f"snapshot payload is {len(payload)} bytes, expected {8 * n**3 * 16}")
+    data = np.frombuffer(payload, dtype="<c16").reshape(8, n, n, n)
     return FormField(Grid(n, length), data.astype(complex))

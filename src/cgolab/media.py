@@ -320,35 +320,61 @@ def _hess_apply(hess: np.ndarray, comps) -> np.ndarray:
     return out
 
 
-def _multiplier_part(wv: np.ndarray, dm: DerivedMedium, transpose: bool) -> np.ndarray:
+def _multiplier_part(wv, dm: DerivedMedium, transpose: bool, grades=(0, 1, 2, 3)) -> np.ndarray:
     """Grade multipliers plus the Hessian terms shared by both potentials:
     2 H_b w^1 and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2
-    for the transpose."""
+    for the transpose.  Only the given grades are read; the others are zero."""
     mult = dm.grade_multipliers
     out = np.empty_like(wv)
     for l, blades in enumerate(_GRADE_BLADES):
-        np.multiply(mult[l ^ 1 if transpose else l], wv[blades], out=out[blades])
+        if l in grades:
+            np.multiply(mult[l ^ 1 if transpose else l], wv[blades], out=out[blades])
+        else:
+            out[blades] = 0.0
     hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
-    out[1:4] += _hess_apply(hess1, [scale * wv[1 + j] for j in range(3)])
-    h2 = _hess_apply(
-        hess2, [(scale * _STAR2_SIGN[j]) * wv[4 + _STAR2_SRC[j]] for j in range(3)]
-    )
-    for k in range(3):
-        out[4 + k] += _STAR1_SIGN[k] * h2[_STAR1_SRC[k]]
+    if 1 in grades:
+        out[1:4] += _hess_apply(hess1, [scale * wv[1 + j] for j in range(3)])
+    if 2 in grades:
+        h2 = _hess_apply(
+            hess2, [(scale * _STAR2_SIGN[j]) * wv[4 + _STAR2_SRC[j]] for j in range(3)]
+        )
+        for k in range(3):
+            out[4 + k] += _STAR1_SIGN[k] * h2[_STAR1_SRC[k]]
     return out
 
 
-def potential(w: FormField, dm: DerivedMedium) -> FormField:
-    """Zeroth-order potential as a pointwise multiplication."""
+#: blades of the closed grade blocks of the potential and of their union
+_CLOSED_BLOCKS = {(0, 1): slice(0, 4), (2, 3): slice(4, 8), (0, 1, 2, 3): slice(0, 8)}
+
+
+def grade_block(grades) -> slice:
+    """Blades of ``grades``, which must be a union of the potential's closed
+    blocks: (0, 1), (2, 3) or all four.  Any other set raises ValueError."""
+    key = tuple(sorted({grades} if np.isscalar(grades) else set(grades)))
+    if key not in _CLOSED_BLOCKS:
+        raise ValueError(f"grades must be (0, 1), (2, 3) or (0, 1, 2, 3), got {grades!r}")
+    return _CLOSED_BLOCKS[key]
+
+
+def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3)) -> FormField:
+    """Zeroth-order potential as a pointwise multiplication.
+
+    The potential maps grades (0, 1) and grades (2, 3) each into
+    themselves.  With ``grades`` a union of these blocks (see
+    :func:`grade_block`) only their blades are read and written, and the
+    other blades of the result are zero.
+    """
+    grade_block(grades)
     wv = w.values
-    out = _multiplier_part(wv, dm, transpose=False)
+    out = _multiplier_part(wv, dm, False, grades)
     dc3 = (2j * dm.omega) * dm.dc3
-    v = algebra.vee_cov(dc3, wv, grades=(1, 3))
-    out[0] += v[0]
-    out[4:7] += v[4:7]
-    e = algebra.wedge_cov(dc3, wv, grades=(0, 2))
-    out[1:4] += e[1:4]
-    out[7] += e[7]
+    lows = [l for l in (0, 2) if l in grades]  # each block's even grade
+    v = algebra.vee_cov(dc3, wv, grades=[l + 1 for l in lows])
+    e = algebra.wedge_cov(dc3, wv, grades=lows)
+    for l in lows:
+        lo, hi = _GRADE_BLADES[l], _GRADE_BLADES[l + 1]
+        out[lo] += v[lo]
+        out[hi] += e[hi]
     return FormField(w.grid, out, check=False)
 
 

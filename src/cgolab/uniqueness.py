@@ -102,6 +102,7 @@ def pairing(
     tol: float = 1e-9,
     max_iter: int = 80,
     floor: float | None = None,
+    clamp_threshold: float | None = None,
 ) -> PairingResult:
     """Quadrature of e_(i rho) <(Q2 - Q1)(A + R), B + S>.
 
@@ -112,8 +113,9 @@ def pairing(
     grid = mp.grid
     a_amp = amplitude_a(geom, pol)
     b_amp = amplitude_b(geom, pol)
-    sol1 = solve_cgo(mp.dm1, geom.zeta1, a_amp, tol=tol, max_iter=max_iter, floor=floor)
-    sol2 = solve_cgo(mp.dm2, geom.zeta2, b_amp, tol=tol, max_iter=max_iter, floor=floor)
+    opts = dict(tol=tol, max_iter=max_iter, floor=floor, clamp_threshold=clamp_threshold)
+    sol1 = solve_cgo(mp.dm1, geom.zeta1, a_amp, **opts)
+    sol2 = solve_cgo(mp.dm2, geom.zeta2, b_amp, **opts)
     w = FormField.constant(grid, a_amp) + sol1.remainder
     v = FormField.constant(grid, b_amp) + sol2.remainder
     dq = potential(w, mp.dm2) - potential(w, mp.dm1)
@@ -189,6 +191,7 @@ def convergence_experiment(
     max_iter: int = 80,
     floor: float | None = None,
     workers: int = 1,
+    clamp_threshold: float | None = None,
 ) -> ConvergenceResult:
     """Pairing against its scattering target along increasing s.
 
@@ -203,7 +206,7 @@ def convergence_experiment(
 
     def run(s):
         geom = make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid)
-        res = pairing(mp, geom, pol, tol=tol, max_iter=max_iter, floor=floor)
+        res = pairing(mp, geom, pol, tol, max_iter, floor, clamp_threshold)
         return ScatteringOutput(s=float(s), pairing=res.value, target=target)
 
     return ConvergenceResult(rows=_parallel_map(run, s_list, workers), target=target)

@@ -155,6 +155,8 @@ def test_solve_reference_medium(grid16, dm16):
     assert sol.contraction < 0.5
     assert sol.residual < tol * (sol.forcing_norm + 1.0)
     assert sol.remainder_norm <= sol.forcing_norm / (1.0 - max(sol.contraction, 0.1))
+    assert len(sol.deltas) == len(sol.residuals) == sol.iterations
+    assert sol.residuals[-1] == sol.residual
     # re-applying one iteration moves the converged remainder below tol
     from cgolab.fields import bourgain_norm, resolvent
 
@@ -164,41 +166,57 @@ def test_solve_reference_medium(grid16, dm16):
     assert bourgain_norm(delta, g.zeta1, 0.5) < 10 * tol * (sol.forcing_norm + 1.0)
 
 
-def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
-    # the solver loop as it read before ClampedSymbol, without the
-    # divergence guard, which this contracting solve never trips
-    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
-    amp = cgo.amplitude_a(g, cgo.Polarization.E)
-    tol = 1e-9
-    p = helmholtz_symbol(grid16, g.zeta1)
+def pre_change_solve(grid, dm, zeta, amp, tol):
+    """The solver loop as it read before ClampedSymbol and before the solve
+    on the amplitude's grade block: all 8 blades, without the divergence
+    guard, which the contracting solves below never trip."""
+    p = helmholtz_symbol(grid, zeta)
     absp = np.abs(p)
-    mask = absp < default_floor(grid16)
-    absp = np.maximum(absp, default_floor(grid16))
+    mask = absp < default_floor(grid)
+    absp = np.maximum(absp, default_floor(grid))
     divisor = np.where(mask, 1.0, p)
     wm, wp = absp**-1.0, absp**1.0
     wm[mask] = 0.0
     wp[mask] = 0.0
 
     def norm(w, c):
-        return float(np.sqrt(grid16.volume * np.sum(w * np.sum(np.abs(c) ** 2, axis=0))))
+        return float(np.sqrt(grid.volume * np.sum(w * np.sum(np.abs(c) ** 2, axis=0))))
 
-    amp_field = FormField.constant(grid16, amp)
-    fhat = fft_forward(md.potential(amp_field, dm16)).coeffs
+    amp_field = FormField.constant(grid, amp)
+    fhat = fft_forward(md.potential(amp_field, dm)).coeffs
     forcing = norm(wm, fhat)
     rhat, residual, iterations = np.zeros_like(fhat), forcing, 0
+    deltas, residuals = [], []
     while not residual < tol * (forcing + 1.0):
         iterations += 1
-        rhat = -fhat / divisor
-        rhat[:, mask] = 0.0
-        remainder = fft_inverse(SpectralField(grid16, rhat, check=False))
-        fhat_new = fft_forward(md.potential(amp_field + remainder, dm16)).coeffs
+        rhat_new = -fhat / divisor
+        rhat_new[:, mask] = 0.0
+        deltas.append(norm(wp, rhat_new - rhat))
+        rhat = rhat_new
+        remainder = fft_inverse(SpectralField(grid, rhat, check=False))
+        fhat_new = fft_forward(md.potential(amp_field + remainder, dm)).coeffs
         residual = norm(wm, fhat_new - fhat)
+        residuals.append(residual)
         fhat = fhat_new
+    defect = float(np.sqrt(grid.volume * np.sum(np.abs(fhat[:, mask]) ** 2)))
+    return dict(
+        remainder=remainder.values, iterations=iterations, residual=residual,
+        forcing_norm=forcing, remainder_norm=norm(wp, rhat), clamped_defect=defect,
+        deltas=deltas, residuals=residuals,
+    )
 
-    sol = cgo.solve_cgo(dm16, g.zeta1, amp, tol=tol)
-    assert np.array_equal(sol.remainder.values, remainder.values)
-    assert (sol.iterations, sol.residual) == (iterations, residual)
-    assert (sol.forcing_norm, sol.remainder_norm) == (forcing, norm(wp, rhat))
+
+def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
+    # E and H, each with the single-block first amplitude A and the mixed
+    # paired amplitude B
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    for pol in cgo.Polarization:
+        for amp, zeta in ((cgo.amplitude_a(g, pol), g.zeta1), (cgo.amplitude_b(g, pol), g.zeta2)):
+            expected = pre_change_solve(grid16, dm16, zeta, amp, tol=1e-9)
+            sol = cgo.solve_cgo(dm16, zeta, amp, tol=1e-9)
+            assert expected["iterations"] > 1
+            assert np.array_equal(sol.remainder.values, expected.pop("remainder"))
+            assert {key: getattr(sol, key) for key in expected} == expected
 
 
 def test_remainder_scales_linearly_with_amplitude(grid16, dm16):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgolab import fields, presets
-from cgolab.cli import main
+from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, main
 from cgolab.errors import ConfigError
 from cgolab.runconfig import parse_config
 
@@ -230,6 +230,25 @@ def test_run_cgo_outputs(tmp_path):
     assert {"version", "seed", "config", "wall_clock_s", "diagnostics"} <= set(manifest)
     snapshot = fields.load_field_bin(out / "fields.bin")
     assert snapshot.grid.n == 16
+    diagnostics = manifest["diagnostics"]
+    assert len(diagnostics["deltas"]) == len(diagnostics["residuals"]) == diagnostics["iterations"]
+    assert diagnostics["residuals"][-1] == diagnostics["residual"]
+
+
+@pytest.mark.parametrize(
+    "command, kind, code",
+    [
+        ("run-cgo", "cgo", EXIT_RESONANT),
+        # every sample is resonant, so the study aborts
+        ("run-decay", "decay", EXIT_DIVERGENCE),
+        ("run-uniqueness", "uniqueness", EXIT_RESONANT),
+    ],
+)
+def test_every_solving_command_honours_the_clamp_threshold(tmp_path, command, kind, code):
+    cfg = small_config(kind, grid={"n": 8, "length": 2.0 * np.pi})
+    cfg["solver"]["clamp_threshold"] = 1e-9
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write(tmp_path, cfg), "--out", out]) == code
 
 
 def test_run_cgo_divergence_exit_and_manifest(tmp_path):

@@ -405,3 +405,29 @@ def test_serialization_round_trips(tmp_path):
     g = fields.load_field_bin(binpath)
     assert g.grid == f.grid
     assert np.array_equal(g.values, f.values)
+
+
+def test_snapshot_payload_length_is_checked(tmp_path):
+    binpath = tmp_path / "field.bin"
+    fields.save_field_bin(FormField.zero(GRID), binpath)
+    data = binpath.read_bytes()
+    expected = 8 * 16**3 * 16
+    for payload, actual in ((data[:-16], expected - 16), (data + bytes(16), expected + 16)):
+        binpath.write_bytes(payload)
+        with pytest.raises(ValueError, match=f"{actual} bytes, expected {expected}"):
+            fields.load_field_bin(binpath)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n, workers, monkeypatch):
+    # the solver transforms only the blades of its amplitude's grade block
+    # and relies on getting the same bits as the 8-blade transform
+    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
+    fields.set_fft_workers(workers)
+    grid = Grid(n, 2.0 * np.pi)
+    values = random_band_limited(grid, np.random.default_rng(n), band=n // 2 - 1).values
+    forward, inverse = fields._fftn(values), fields._ifftn(values)
+    for blk in (slice(0, 4), slice(4, 8)):
+        assert np.array_equal(fields._fftn(values[blk]), forward[blk])
+        assert np.array_equal(fields._ifftn(values[blk]), inverse[blk])

@@ -197,6 +197,28 @@ def test_potential_is_multiplication_operator(grid16, dm16):
     assert rel_err(lhs.values, rhs.values) < 1e-12
 
 
+@pytest.mark.parametrize("grades", [(0, 1), (2, 3)])
+def test_potential_maps_each_closed_grade_block_into_itself(grid16, dm16, grades):
+    rng = np.random.default_rng(14)
+    w = random_band_limited(grid16, rng, band=6, grades=grades)
+    full = md.potential(w, dm16)
+    assert np.all(full.values[~np.isin(algebra.GRADES, grades)] == 0.0)
+    assert np.array_equal(md.potential(w, dm16, grades=grades).values, full.values)
+    # the blades outside the block are not read
+    other = tuple(sorted({0, 1, 2, 3} - set(grades)))
+    noisy = w + random_band_limited(grid16, rng, band=6, grades=other)
+    assert np.array_equal(md.potential(noisy, dm16, grades=grades).values, full.values)
+
+
+def test_potential_grades_must_be_closed_blocks(grid16, dm16):
+    w = random_band_limited(grid16, np.random.default_rng(15), band=4)
+    assert np.array_equal(md.potential(w, dm16, grades=(3, 2, 1, 0)).values,
+                          md.potential(w, dm16).values)
+    for grades in [(0, 2), (1, 2), (0,), 3, (0, 1, 2), ()]:
+        with pytest.raises(ValueError, match="grades must be"):
+            md.potential(w, dm16, grades=grades)
+
+
 # The potentials as first written: full 8-component products, kept here as
 # the oracle for the sliced implementation in the package.
 
