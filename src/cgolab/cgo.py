@@ -209,7 +209,7 @@ class CgoSolution:
     residual: float
     remainder_norm: float
     forcing_norm: float
-    contraction: float
+    contraction: float | None  # max of the last 3 step ratios; None if none was measured
     clamp: ClampReport
     clamped_defect: float
     converged: bool
@@ -261,7 +261,7 @@ def solve_cgo(
     rhat = np.zeros_like(fhat)
     rem = 0.0  # R on the block, in physical space
     residual = forcing_norm  # residual of R = 0
-    contraction = 0.0
+    contraction = None  # fewer than two steps have no step ratio
     deltas: list[float] = []
     residuals: list[float] = []
     ratios: list[float] = []
@@ -295,9 +295,10 @@ def solve_cgo(
         converged = residual < tol * (forcing_norm + 1.0)
 
     if not converged:
+        ratio = "not measured" if contraction is None else f"{contraction:.3f}"
         raise DivergenceError(
             f"no convergence within {max_iter} iterations "
-            f"(residual {residual:.3e}, contraction {contraction:.3f})",
+            f"(residual {residual:.3e}, contraction {ratio})",
             diagnostics={"contraction": contraction, "iterations": iterations},
         )
     remainder = FormField.zero(grid)
@@ -371,8 +372,7 @@ class DecayStudy:
 
     @property
     def remainder_decreasing(self) -> bool:
-        vals = [s.mean_remainder_sq for s in self.summaries]
-        return all(b < a for a, b in zip(vals, vals[1:]))
+        return strictly_decreasing(s.mean_remainder_sq for s in self.summaries)
 
 
 def sample_plan(rho, lambdas, n_samples: int, seed: int):
@@ -408,7 +408,7 @@ def decay_study(
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per lambda")
     lambdas = list(lambdas)
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+    if not strictly_decreasing(reversed(lambdas)):
         raise ValueError("lambda values must be increasing")
     if lambdas[0] < 1.0:
         raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
@@ -454,12 +454,9 @@ def decay_study(
 
     summaries = []
     for lam in lambdas:
-        vals = np.array(
-            [s.remainder_norm**2 for s in samples if s.lam == lam and not s.error]
-        )
-        forcing = np.array(
-            [s.forcing_norm**2 for s in samples if s.lam == lam and not s.error]
-        )
+        ok = [s for s in samples if s.lam == lam and not s.error]
+        vals = np.array([s.remainder_norm**2 for s in ok])
+        forcing = np.array([s.forcing_norm**2 for s in ok])
         summaries.append(
             DecaySummary(
                 lam=lam,

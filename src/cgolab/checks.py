@@ -238,42 +238,39 @@ def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
     identity_tol = 1e-6 if grid.n >= 32 else 1e-4
     rng = seeded_rng(seed)
     band = max(2, grid.n // 8)
-    results = []
-
-    err_fac = 0.0
-    err_fac_t = 0.0
-    err_weak = 0.0
-    err_weak_t = 0.0
-    err_transpose = 0.0
+    identities = [
+        ("factorization identity (potential)", identity_tol),
+        ("factorization identity (transposed)", identity_tol),
+        ("weak/strong potential match", WEAK_STRONG_TOL),
+        ("weak/strong transposed match", WEAK_STRONG_TOL),
+        ("first-order transpose pairing", TRANSPOSE_TOL),
+    ]
+    worst = [0.0] * len(identities)
     for _ in range(n_pairs):
         w = random_band_limited(grid, rng, band=band)
         phi = random_band_limited(grid, rng, band=band)
 
-        lhs = quadrature_pairing(first_order_t(w, dm), first_order_t(phi, dm))
-        rhs = dirichlet_pairing(w, phi, dm.k) + weak_potential_pairing(w, phi, dm)
-        err_fac = max(err_fac, abs(lhs - rhs) / abs(lhs))
-
-        lhs = quadrature_pairing(first_order(w, dm), first_order(phi, dm))
-        rhs = dirichlet_pairing(w, phi, dm.k) + weak_potential_t_pairing(w, phi, dm)
-        err_fac_t = max(err_fac_t, abs(lhs - rhs) / abs(lhs))
-
-        strong = quadrature_pairing(potential(w, dm), phi)
+        # each oracle once per pair, shared by the five identities; the weak
+        # pairings run first, while no first-order image is held
+        dirichlet = dirichlet_pairing(w, phi, dm.k)
         weak = weak_potential_pairing(w, phi, dm)
-        err_weak = max(err_weak, abs(strong - weak) / max(abs(weak), 1e-300))
+        weak_t = weak_potential_t_pairing(w, phi, dm)
+        lw, lphi = first_order(w, dm), first_order(phi, dm)
+        tw, tphi = first_order_t(w, dm), first_order_t(phi, dm)
 
-        strong = quadrature_pairing(potential_t(w, dm), phi)
-        weak = weak_potential_t_pairing(w, phi, dm)
-        err_weak_t = max(err_weak_t, abs(strong - weak) / max(abs(weak), 1e-300))
-
-        lhs = quadrature_pairing(first_order(w, dm), phi)
-        rhs = quadrature_pairing(w, first_order_t(phi, dm))
-        err_transpose = max(err_transpose, abs(lhs - rhs) / abs(lhs))
-
-    results.append(CheckResult("factorization identity (potential)", err_fac, identity_tol))
-    results.append(CheckResult("factorization identity (transposed)", err_fac_t, identity_tol))
-    results.append(CheckResult("weak/strong potential match", err_weak, WEAK_STRONG_TOL))
-    results.append(CheckResult("weak/strong transposed match", err_weak_t, WEAK_STRONG_TOL))
-    results.append(CheckResult("first-order transpose pairing", err_transpose, TRANSPOSE_TOL))
+        # (reference, compared) per identity, in the order of ``identities``
+        sides = [
+            (quadrature_pairing(tw, tphi), dirichlet + weak),
+            (quadrature_pairing(lw, lphi), dirichlet + weak_t),
+            (weak, quadrature_pairing(potential(w, dm), phi)),
+            (weak_t, quadrature_pairing(potential_t(w, dm), phi)),
+            (quadrature_pairing(lw, phi), quadrature_pairing(w, tphi)),
+        ]
+        worst = [
+            max(err, abs(ref - other) / max(abs(ref), 1e-300))
+            for err, (ref, other) in zip(worst, sides)
+        ]
+    results = [CheckResult(name, err, tol) for (name, tol), err in zip(identities, worst)]
 
     w03 = random_band_limited(grid, rng, band=band, grades=(0, 3))
     qt = potential_t(w03, dm)

@@ -47,6 +47,8 @@ EXIT_TREND = 5
 
 
 def _fmt(value) -> str:
+    if value is None:  # not measured: an empty cell
+        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, np.integer):

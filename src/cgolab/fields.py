@@ -156,18 +156,13 @@ class FormField:
         values[0] = samples
         return cls(grid, values)
 
-    def grade(self, l: int) -> "FormField":
-        return FormField(self.grid, algebra.grade_select(self.values, l), check=False)
-
     def select(self, grades) -> "FormField":
         return FormField(self.grid, algebra.grade_select(self.values, grades), check=False)
 
+    grade = select  # one grade or several: grade_select takes either
+
     def alternate(self, offset: int = 0) -> "FormField":
         return FormField(self.grid, algebra.alternate(self.values, offset), check=False)
-
-    def scaled(self, factor) -> "FormField":
-        """Multiply by a complex scalar or a pointwise scalar field."""
-        return FormField(self.grid, self.values * factor, check=False)
 
     def wedge(self, other: "FormField") -> "FormField":
         return FormField(self.grid, algebra.wedge(self.values, other.values), check=False)
@@ -229,6 +224,17 @@ def fft_inverse(F: SpectralField) -> FormField:
     return FormField(F.grid, _ifftn(F.coeffs * F.grid.n**3), check=False)
 
 
+def _spectral(f) -> SpectralField:
+    """f when it is already spectral, else its forward transform."""
+    return f if isinstance(f, SpectralField) else fft_forward(f)
+
+
+def _spectral_map(f: FormField, fn) -> FormField:
+    """Apply ``fn`` to the Fourier coefficients of f, in one transform pair."""
+    F = fft_forward(f)
+    return fft_inverse(SpectralField(f.grid, fn(F.coeffs), check=False))
+
+
 # ---------------------------------------------------------------------------
 # exterior calculus as Fourier multipliers
 # ---------------------------------------------------------------------------
@@ -244,25 +250,21 @@ def _spectral_covector(grid: Grid, zeta) -> np.ndarray:
 def ext_deriv(f: FormField, zeta=None) -> FormField:
     """Exterior derivative; with zeta the conjugated version d + zeta^."""
     c = _spectral_covector(f.grid, zeta)
-    F = fft_forward(f)
-    out = algebra.wedge_cov(c, F.coeffs)
-    return fft_inverse(SpectralField(f.grid, out, check=False))
+    return _spectral_map(f, lambda F: algebra.wedge_cov(c, F))
 
 
 def coderiv(f: FormField, zeta=None) -> FormField:
     """Codifferential; with zeta the conjugated version with (-1)^l zeta v."""
     c = _spectral_covector(f.grid, zeta)
-    F = fft_forward(f)
-    out = algebra.vee_cov(c, algebra.alternate(F.coeffs))
-    return fft_inverse(SpectralField(f.grid, out, check=False))
+    return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
 
 
 def d_plus_delta(f: FormField, zeta=None) -> FormField:
     """(d + delta) in one transform pair; conjugated when zeta is given."""
     c = _spectral_covector(f.grid, zeta)
-    F = fft_forward(f)
-    out = algebra.wedge_cov(c, F.coeffs) + algebra.vee_cov(c, algebra.alternate(F.coeffs))
-    return fft_inverse(SpectralField(f.grid, out, check=False))
+    return _spectral_map(
+        f, lambda F: algebra.wedge_cov(c, F) + algebra.vee_cov(c, algebra.alternate(F))
+    )
 
 
 def laplacian_symbol(grid: Grid, zeta=None) -> np.ndarray:
@@ -270,15 +272,13 @@ def laplacian_symbol(grid: Grid, zeta=None) -> np.ndarray:
     if zeta is None:
         return grid.xi_op_sq.astype(complex)
     z = np.asarray(zeta, dtype=complex)
-    zdot = np.einsum("j,j...->...", z, grid.xi_op)
-    return grid.xi_op_sq - 2j * zdot - np.dot(z, z)
+    return helmholtz_symbol(grid, z) - np.dot(z, z)
 
 
 def conj_laplacian(f: FormField, zeta=None) -> FormField:
     """Apply the (conjugated) Hodge Laplacian spectrally to every blade."""
     m = laplacian_symbol(f.grid, zeta)
-    F = fft_forward(f)
-    return fft_inverse(SpectralField(f.grid, F.coeffs * m, check=False))
+    return _spectral_map(f, lambda F: F * m)
 
 
 def helmholtz_symbol(grid: Grid, zeta) -> np.ndarray:
@@ -380,7 +380,7 @@ def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
 
 def bourgain_norm(f, zeta, b: float, floor: float | None = None) -> float:
     """Weighted-l2 norm over the nonzero frequency lattice, all grades."""
-    F = f if isinstance(f, SpectralField) else fft_forward(f)
+    F = _spectral(f)
     return ClampedSymbol(F.grid, zeta, floor).norm(F.coeffs, b)
 
 
@@ -395,7 +395,7 @@ def resolvent(f, zeta, k: float, floor: float | None = None):
     is an exact two-sided inverse.
     """
     assert_admissible(zeta, k)
-    F = f if isinstance(f, SpectralField) else fft_forward(f)
+    F = _spectral(f)
     sym = ClampedSymbol(F.grid, zeta, floor)
     out = SpectralField(F.grid, sym.inverse(F.coeffs), check=False)
     return fft_inverse(out), sym.report()
@@ -432,13 +432,13 @@ def hermitian_pairing(f: FormField, g: FormField) -> complex:
 
 def spectral_pairing(f, g) -> complex:
     """Frequency-side sesquilinear pairing L^3 sum_xi <f_hat, conj g_hat>."""
-    F = f if isinstance(f, SpectralField) else fft_forward(f)
-    G = g if isinstance(g, SpectralField) else fft_forward(g)
+    F = _spectral(f)
+    G = _spectral(g)
     return complex(F.grid.volume * np.sum(F.coeffs * np.conj(G.coeffs)))
 
 
 def l2_norm(f) -> float:
-    F = f if isinstance(f, SpectralField) else fft_forward(f)
+    F = _spectral(f)
     return float(np.sqrt(F.grid.volume * np.sum(np.abs(F.coeffs) ** 2)))
 
 
@@ -455,9 +455,8 @@ def mollify(f: FormField, h: float) -> FormField:
     """Low-pass by the Gaussian multiplier exp(-(h |xi|)^2 / 2)."""
     if not h > 0:
         raise ValueError(f"mollification scale must be positive, got {h}")
-    F = fft_forward(f)
     m = np.exp(-0.5 * (h**2) * f.grid.xi_sq)
-    return fft_inverse(SpectralField(f.grid, F.coeffs * m, check=False))
+    return _spectral_map(f, lambda F: F * m)
 
 
 # ---------------------------------------------------------------------------

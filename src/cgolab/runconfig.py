@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgo import Polarization
+from .cgo import Polarization, strictly_decreasing
 from .errors import CoefficientError, ConfigError
 from .fields import Grid, seeded_rng
 from .media import Bump, Medium
@@ -41,15 +41,30 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    return value
+
+
 def _optional_positive(doc: dict, key: str, path: str):
     value = doc.get(key)
     return None if value is None else _number(value, f"{path}.{key}", positive=True)
 
 
-def _vector3(value, path: str):
+def _increasing_list(values, path: str) -> list:
+    if not isinstance(values, list) or len(values) < 2:
+        raise ConfigError(f"{path} must be a list with at least 2 values")
+    out = [_number(v, f"{path}[{i}]", positive=True) for i, v in enumerate(values)]
+    if not strictly_decreasing(reversed(out)):
+        raise ConfigError(f"{path} must be strictly increasing")
+    return out
+
+
+def _vector3(value, path: str, entry=_number, kind: str = "numbers"):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{path} must be a list of 3 numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{path} must be a list of 3 {kind}")
+    return [entry(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 @dataclass
@@ -166,8 +181,7 @@ def _parse_bumps(specs, path: str, length: float) -> list:
         raise ConfigError(f"{path} must be a list")
     out = []
     for i, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}[{i}] must be an object")
+        _object(spec, f"{path}[{i}]")
         entry = {
             "amplitude": _number(_require(spec, "amplitude", f"{path}[{i}]"), f"{path}[{i}].amplitude"),
             "radius": _number(
@@ -188,8 +202,7 @@ def _parse_bumps(specs, path: str, length: float) -> list:
 
 
 def _parse_medium(doc, path: str, length: float) -> MediumConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
+    _object(doc, path)
     return MediumConfig(
         omega=_number(_require(doc, "omega", path), f"{path}.omega", positive=True),
         eps0=_number(doc.get("eps0", 1.0), f"{path}.eps0", positive=True),
@@ -203,12 +216,9 @@ def _parse_medium(doc, path: str, length: float) -> MediumConfig:
 
 def _parse_geometry(doc) -> GeometryConfig:
     path = "geometry"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
+    _object(doc, path)
     rho_index = _require(doc, "rho_index", path)
-    if not isinstance(rho_index, (list, tuple)) or len(rho_index) != 3:
-        raise ConfigError(f"{path}.rho_index must be a list of 3 integers")
-    rho_index = tuple(_integer(v, f"{path}.rho_index[{i}]") for i, v in enumerate(rho_index))
+    rho_index = tuple(_vector3(rho_index, f"{path}.rho_index", _integer, "integers"))
     pol_name = doc.get("polarization", "E")
     try:
         pol = Polarization(pol_name)
@@ -227,21 +237,9 @@ def _parse_geometry(doc) -> GeometryConfig:
         if cfg.s < 1.0:
             raise ConfigError(f"{path}.s must be >= 1")
     if "s_list" in doc:
-        values = doc["s_list"]
-        if not isinstance(values, list) or len(values) < 2:
-            raise ConfigError(f"{path}.s_list must be a list with at least 2 values")
-        cfg.s_list = [_number(v, f"{path}.s_list[{i}]", positive=True) for i, v in enumerate(values)]
-        if any(b <= a for a, b in zip(cfg.s_list, cfg.s_list[1:])):
-            raise ConfigError(f"{path}.s_list must be strictly increasing")
+        cfg.s_list = _increasing_list(doc["s_list"], f"{path}.s_list")
     if "lambda_list" in doc:
-        values = doc["lambda_list"]
-        if not isinstance(values, list) or len(values) < 2:
-            raise ConfigError(f"{path}.lambda_list must be a list with at least 2 values")
-        cfg.lambda_list = [
-            _number(v, f"{path}.lambda_list[{i}]", positive=True) for i, v in enumerate(values)
-        ]
-        if any(b <= a for a, b in zip(cfg.lambda_list, cfg.lambda_list[1:])):
-            raise ConfigError(f"{path}.lambda_list must be strictly increasing")
+        cfg.lambda_list = _increasing_list(doc["lambda_list"], f"{path}.lambda_list")
         if cfg.lambda_list[0] < 1.0:
             raise ConfigError(f"{path}.lambda_list values must be >= 1 (they bound s from below)")
     return cfg
@@ -251,9 +249,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    grid_doc = _require(doc, "grid", "config")
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("grid must be an object")
+    grid_doc = _object(_require(doc, "grid", "config"), "grid")
     n = _integer(_require(grid_doc, "n", "grid"), "grid.n", minimum=8)
     if n & (n - 1):
         raise ConfigError("grid.n must be a power of two")
@@ -274,9 +270,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else None
 
-    solver_doc = doc.get("solver", {})
-    if not isinstance(solver_doc, dict):
-        raise ConfigError("solver must be an object")
+    solver_doc = _object(doc.get("solver", {}), "solver")
     solver = SolverConfig(
         tol=_number(solver_doc.get("tol", 1e-9), "solver.tol", positive=True),
         max_iter=_integer(solver_doc.get("max_iter", 80), "solver.max_iter", minimum=1),
@@ -284,17 +278,13 @@ def parse_config(doc: dict) -> RunConfig:
         clamp_threshold=_optional_positive(solver_doc, "clamp_threshold", "solver"),
     )
 
-    sampling_doc = doc.get("sampling", {})
-    if not isinstance(sampling_doc, dict):
-        raise ConfigError("sampling must be an object")
+    sampling_doc = _object(doc.get("sampling", {}), "sampling")
     sampling = SamplingConfig(
         n_samples=_integer(sampling_doc.get("n_samples", 16), "sampling.n_samples", minimum=1),
         seed=_integer(sampling_doc.get("seed", 2024), "sampling.seed", minimum=0),
     )
 
-    output_doc = doc.get("output", {})
-    if not isinstance(output_doc, dict):
-        raise ConfigError("output must be an object")
+    output_doc = _object(doc.get("output", {}), "output")
     directory = output_doc.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory must be a nonempty string")

@@ -21,6 +21,7 @@ from .cgo import (
     amplitude_b,
     make_geometry,
     solve_cgo,
+    strictly_decreasing,
 )
 from .fields import (
     ClampedSymbol,
@@ -199,7 +200,7 @@ def convergence_experiment(
     threads; rows are reduced in s order either way.
     """
     s_list = list(s_list)
-    if any(b <= a for a, b in zip(s_list, s_list[1:])):
+    if not strictly_decreasing(reversed(s_list)):
         raise ValueError("s values must be increasing")
     rho = np.asarray(rho, dtype=float)
     target = target_a(mp, rho) if pol == Polarization.E else target_b(mp, rho)

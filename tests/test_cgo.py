@@ -144,6 +144,7 @@ def test_solve_background_is_trivial(grid16):
     assert sol.iterations == 0
     assert sol.remainder_norm == 0.0
     assert sol.residual == 0.0
+    assert sol.contraction is None  # no step ratio was measured
 
 
 def test_solve_reference_medium(grid16, dm16):
@@ -226,6 +227,13 @@ def test_remainder_scales_linearly_with_amplitude(grid16, dm16):
     sol2 = cgo.solve_cgo(dm16, g.zeta1, 2.5 * amp)
     diff = np.max(np.abs(sol2.remainder.values - 2.5 * sol1.remainder.values))
     assert diff < 1e-7 * np.max(np.abs(sol1.remainder.values))
+
+
+def test_one_iteration_measures_no_contraction(grid16, dm16):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    with pytest.raises(DivergenceError, match="contraction not measured") as err:
+        cgo.solve_cgo(dm16, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E), max_iter=1)
+    assert err.value.diagnostics == {"contraction": None, "iterations": 1}
 
 
 def test_solver_divergence_and_resonance(grid16):

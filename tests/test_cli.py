@@ -235,6 +235,26 @@ def test_run_cgo_outputs(tmp_path):
     assert diagnostics["residuals"][-1] == diagnostics["residual"]
 
 
+def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):
+    # without bumps the medium is the background: the solve takes 0 iterations
+    cfg = small_config("cgo")
+    cfg["medium"].update(eps_bumps=[], mu_bumps=[], sigma_bumps=[])
+    cfg["output"] = {"directory": str(tmp_path / "o")}
+    assert main(["run-cgo", "--config", write(tmp_path, cfg)]) == 0
+    header, row = (tmp_path / "o" / "results.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["contraction"] == ""
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["contraction"] is None
+    # one iteration measures no step ratio either
+    cfg = small_config("cgo", solver={"tol": 1e-9, "max_iter": 1})
+    cfg["geometry"]["s"] = 8.0
+    cfg["output"] = {"directory": str(tmp_path / "d")}
+    assert main(["run-cgo", "--config", write(tmp_path, cfg, "d.json")]) == EXIT_DIVERGENCE
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["contraction"] is None
+    assert "contraction not measured" in manifest["diagnostics"]["error"]
+
+
 @pytest.mark.parametrize(
     "command, kind, code",
     [

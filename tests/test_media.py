@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgolab import algebra
+from cgolab import algebra, checks
 from cgolab import media as md
 from cgolab.fields import (
     FormField,
@@ -132,10 +132,10 @@ def test_weak_form_matches_strong_potential(grid16, dm16):
         phi = random_band_limited(grid16, rng, band=5)
         strong = quadrature_pairing(md.potential(w, dm16), phi)
         weak = md.weak_potential_pairing(w, phi, dm16)
-        assert abs(strong - weak) / abs(weak) < 1e-6
+        assert abs(strong - weak) / abs(weak) < 1e-12
         strong_t = quadrature_pairing(md.potential_t(w, dm16), phi)
         weak_t = md.weak_potential_t_pairing(w, phi, dm16)
-        assert abs(strong_t - weak_t) / abs(weak_t) < 1e-6
+        assert abs(strong_t - weak_t) / abs(weak_t) < 1e-12
 
 
 def test_factorization_identities(grid16, dm16):
@@ -157,6 +157,29 @@ def test_factorization_identities(grid16, dm16):
     assert abs(fact - mult) / abs(mult) < 1e-2
 
 
+def test_factorization_checks_evaluate_each_oracle_once_per_pair(dm16, monkeypatch):
+    calls = {}
+
+    def counted(name):
+        fn = getattr(checks, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    oracles = ("first_order", "first_order_t", "dirichlet_pairing",
+               "weak_potential_pairing", "weak_potential_t_pairing")
+    for name in oracles:
+        monkeypatch.setattr(checks, name, counted(name))
+    checks.factorization_checks(dm16, n_pairs=2)
+    assert calls == {
+        "first_order": 4, "first_order_t": 4, "dirichlet_pairing": 2,
+        "weak_potential_pairing": 2, "weak_potential_t_pairing": 2,
+    }
+
+
 def test_transposed_potential_decouples(grid16, dm16):
     rng = np.random.default_rng(9)
     w03 = random_band_limited(grid16, rng, band=5, grades=(0, 3))
@@ -168,8 +191,8 @@ def test_transposed_potential_decouples(grid16, dm16):
 def test_grade03_potential_matches_multipliers_and_weak_form(grid16, dm16):
     rng = np.random.default_rng(10)
     w03 = random_band_limited(grid16, rng, band=5, grades=(0, 3))
-    q03 = md.potential_grade03(w03, dm16)
-    m0, m3 = md.scalar_potential_multipliers(dm16)
+    q03 = md.potential_t(w03, dm16).select((0, 3))
+    m0, m3 = dm16.grade_multipliers[1], dm16.grade_multipliers[2]
     oracle = np.zeros_like(q03.values)
     oracle[0] = m0 * w03.values[0]
     oracle[7] = m3 * w03.values[7]
@@ -181,20 +204,13 @@ def test_grade03_potential_matches_multipliers_and_weak_form(grid16, dm16):
     assert abs(weak - strong) / abs(weak) < 1e-10
 
 
-def test_grade03_potential_rejects_mixed_input(grid16, dm16):
-    rng = np.random.default_rng(11)
-    w = random_band_limited(grid16, rng, band=4)
-    with pytest.raises(ValueError):
-        md.potential_grade03(w, dm16)
-
-
 def test_potential_is_multiplication_operator(grid16, dm16):
     rng = np.random.default_rng(12)
     w = random_band_limited(grid16, rng, band=4)
     f = np.exp(1j * grid16.x[0]) + 0.3
-    lhs = md.potential(w.scaled(f), dm16)
-    rhs = md.potential(w, dm16).scaled(f)
-    assert rel_err(lhs.values, rhs.values) < 1e-12
+    lhs = md.potential(FormField(grid16, w.values * f), dm16)
+    rhs = md.potential(w, dm16).values * f
+    assert rel_err(lhs.values, rhs) < 1e-12
 
 
 @pytest.mark.parametrize("grades", [(0, 1), (2, 3)])
