@@ -9,6 +9,7 @@ plane waves.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import GradedForm
-from .errors import CgolabError, DivergenceError, ResonantGridError, StudyError
+from .errors import CgolabError, DivergenceError, StudyError
 from .fields import (
     ClampedSymbol,
     ClampReport,
@@ -242,13 +243,7 @@ def solve_cgo(
     zeta = np.asarray(zeta, dtype=complex)
     assert_admissible(zeta, dm.k)
     sym = ClampedSymbol(grid, zeta, floor)
-    clamp = sym.report(clamp_threshold)
-    if clamp.exceeded:
-        raise ResonantGridError(
-            f"{clamp.clamped} of {clamp.total} lattice frequencies are inside the "
-            f"clamp floor; jitter s or refine the grid",
-            clamp_report=clamp,
-        )
+    clamp = sym.report(clamp_threshold).raise_if_exceeded()
     low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
@@ -449,7 +444,9 @@ def decay_study(
             samples.append(outcome)
     if failures > MAX_FAILURE_FRACTION * len(jobs):
         raise StudyError(
-            f"{failures} of {len(jobs)} samples failed; study aborted"
+            f"{failures} of {len(jobs)} samples failed; study aborted",
+            diagnostics={"failed": failures, "samples": len(jobs),
+                         "errors": dict(Counter(s.error for s in samples if s.error))},
         )
 
     summaries = []
@@ -509,18 +506,27 @@ def q_norm_estimate(
     trials: int = 16,
     seed: int = 0,
     floor: float | None = None,
+    clamp_threshold: float | None = None,
 ) -> QNormEstimate:
-    """Max of ||Q u||_(-1/2) over seeded random unit-(+1/2)-norm fields."""
+    """Max of ||Q u||_(-1/2) over seeded random unit-(+1/2)-norm fields.
+
+    Raises ResonantGridError, as :func:`solve_cgo` does, when the clamp
+    fraction exceeds ``clamp_threshold``.  A trial field with no mass
+    off the clamped modes has no +1/2-norm to normalize by and is skipped.
+    """
     if trials < 16:
         raise ValueError("need at least 16 trials")
     zeta = np.asarray(zeta, dtype=complex)
     grid = dm.grid
     sym = ClampedSymbol(grid, zeta, floor)
+    sym.report(clamp_threshold).raise_if_exceeded()
     rng = seeded_rng(seed)
     best = 0.0
     for _ in range(trials):
         u = random_band_limited(grid, rng, band=grid.n // 2 - 1, zero_mean=True)
         denom = sym.norm(fft_forward(u).coeffs, 0.5)
+        if denom == 0.0:
+            continue
         qu = potential(u, dm)
         best = max(best, sym.norm(fft_forward(qu).coeffs, -0.5) / denom)
 

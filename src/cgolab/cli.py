@@ -15,12 +15,17 @@ exit-code map:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, algebra, checks, fields
 from .cgo import (
@@ -34,8 +39,8 @@ from .cgo import (
     strictly_decreasing,
 )
 from .errors import ConfigError, DivergenceError, ResonantGridError, StudyError
-from .media import derive
-from .runconfig import RunConfig, parse_config
+from .media import DerivedMedium, derive
+from .runconfig import parse_config
 from .uniqueness import convergence_experiment, make_pair
 
 EXIT_OK = 0
@@ -44,6 +49,14 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_RESONANT = 4
 EXIT_TREND = 5
+
+#: toolkit error -> (exit code, stderr label); any other exception is a bug
+FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DivergenceError: (EXIT_DIVERGENCE, "solver divergence"),
+    ResonantGridError: (EXIT_RESONANT, "resonant grid"),
+    StudyError: (EXIT_DIVERGENCE, "study aborted"),
+}
 
 
 def _fmt(value) -> str:
@@ -56,27 +69,86 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+class Run:
+    """One command invocation: its parsed config, grid, seed and solver
+    settings, the stage timings, and the one writer of results.csv and
+    manifest.json.
+
+    A command calls :meth:`load` first.  Commands that write results name
+    the geometry field they need; :meth:`load` then also fixes the frame
+    and creates the output directory, and from there on a manifest is
+    written whether the command succeeds or stops on a toolkit error.
+    """
+
+    def __init__(self, args, fft_workers: int):
+        self.args = args
+        self.fft_workers = fft_workers
+        self.started = time.time()
+        self.out: Path | None = None
+        self.timings: dict[str, float] = {}
+        self.diagnostics: dict = {}
+        self.acceptance: dict = {}  # a command sets its flags False before computing them
+
+    def load(self, needs: str | None = None):
+        self.cfg = cfg = _load_config(self.args)
+        self.grid = cfg.grid
+        self.seed = self.args.seed if self.args.seed is not None else cfg.sampling.seed
+        self.solver = asdict(cfg.solver)  # keyword arguments of every solve
+        if needs is None:
+            return None
+        geo = cfg.need_geometry()
+        if getattr(geo, needs) is None:
+            raise ConfigError(f"geometry.{needs} is required for {self.args.command}")
+        self.rho = geo.rho(self.grid)
+        self.eta1, self.eta2 = orthonormal_frame(self.rho, geo.frame_angle())
+        out = Path(self.args.out or cfg.output.directory)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {str(out)!r}: {exc.strerror}") from None
+        self.out = out
+        return geo
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Add the wall time of the block to ``timings[name]``, in seconds."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+
+    def derived(self) -> DerivedMedium:
+        with self.stage("derive"):
+            return derive(self.cfg.medium(0).build(self.grid))
+
+    def write_csv(self, header, rows) -> None:
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        (self.out / "results.csv").write_text("\n".join(lines) + "\n")
+
+    def write_manifest(self) -> None:
+        doc = {
+            "command": self.args.command,
+            "version": __version__,
+            "seed": self.seed,
+            "config": self.cfg.raw,
+            "wall_clock_s": time.time() - self.started,
+            "timings": self.timings,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "cpu_count": os.cpu_count(),
+                "fft_workers": self.fft_workers,
+                "threads": self.args.threads,
+            },
+            "diagnostics": self.diagnostics,
+            "acceptance": self.acceptance,
+        }
+        (self.out / "manifest.json").write_text(json.dumps(doc, indent=2, default=str) + "\n")
 
 
-def _write_manifest(path: Path, command: str, cfg: RunConfig, seed, started, diagnostics, acceptance):
-    doc = {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "config": cfg.raw,
-        "wall_clock_s": time.time() - started,
-        "diagnostics": diagnostics,
-        "acceptance": acceptance,
-    }
-    path.write_text(json.dumps(doc, indent=2, default=str) + "\n")
-
-
-def _load_config(args) -> RunConfig:
+def _load_config(args):
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
     try:
@@ -87,12 +159,6 @@ def _load_config(args) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
-
-
-def _outdir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out) if getattr(args, "out", None) else Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _print_checks(results, as_json: bool) -> int:
@@ -110,231 +176,126 @@ def _print_checks(results, as_json: bool) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_check_algebra(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.inject_sign_fault:
-        with algebra.sign_fault_injected():
-            results = checks.algebra_checks(seed=seed)
-    else:
-        results = checks.algebra_checks(seed=seed)
+def cmd_check_algebra(run: Run) -> int:
+    args = run.args
+    fault = algebra.sign_fault_injected() if args.inject_sign_fault else contextlib.nullcontext()
+    with fault:
+        results = checks.algebra_checks(seed=args.seed if args.seed is not None else 0)
     return _print_checks(results, args.json)
 
 
-def cmd_check_calculus(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.grid.build()
-    seed = args.seed if args.seed is not None else cfg.sampling.seed
-    return _print_checks(checks.calculus_checks(grid, seed=seed), args.json)
+def cmd_check_calculus(run: Run) -> int:
+    run.load()
+    return _print_checks(checks.calculus_checks(run.grid, seed=run.seed), run.args.json)
 
 
-def cmd_check_factorization(args) -> int:
-    cfg = _load_config(args)
-    grid = cfg.grid.build()
-    seed = args.seed if args.seed is not None else cfg.sampling.seed
-    dm = derive(cfg.medium(0).build(grid))
-    return _print_checks(checks.factorization_checks(dm, seed=seed), args.json)
+def cmd_check_factorization(run: Run) -> int:
+    run.load()
+    return _print_checks(checks.factorization_checks(run.derived(), seed=run.seed), run.args.json)
 
 
-def _geometry_pieces(cfg: RunConfig, grid):
-    geo = cfg.need_geometry()
-    rho = geo.rho(grid)
-    eta1, eta2 = orthonormal_frame(rho, geo.frame_angle())
-    return geo, rho, eta1, eta2
-
-
-def cmd_run_cgo(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    grid = cfg.grid.build()
-    seed = args.seed if args.seed is not None else cfg.sampling.seed
-    geo, rho, eta1, eta2 = _geometry_pieces(cfg, grid)
-    if geo.s is None:
-        raise ConfigError("geometry.s is required for run-cgo")
-    dm = derive(cfg.medium(0).build(grid))
-    geom = make_geometry(rho, eta1, eta2, geo.s, dm.k, grid=grid)
-    amp = amplitude_a(geom, geo.polarization)
-    out = _outdir(args, cfg)
-    try:
-        sol = solve_cgo(
-            dm,
-            geom.zeta1,
-            amp,
-            tol=cfg.solver.tol,
-            max_iter=cfg.solver.max_iter,
-            floor=cfg.solver.clamp_floor,
-            clamp_threshold=cfg.solver.clamp_threshold,
-        )
-    except DivergenceError as exc:
-        diagnostics = dict(exc.diagnostics or {})
-        diagnostics["error"] = str(exc)
-        _write_manifest(
-            out / "manifest.json", "run-cgo", cfg, seed, started,
-            diagnostics, {"converged": False},
-        )
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    header = [
-        "s", "eta_angle", "iterations", "residual", "remainder_norm",
-        "forcing_norm", "contraction", "clamped_fraction",
-    ]
-    rows = [[
+def cmd_run_cgo(run: Run) -> int:
+    geo = run.load("s")
+    run.acceptance["converged"] = False
+    dm = run.derived()
+    geom = make_geometry(run.rho, run.eta1, run.eta2, geo.s, dm.k, grid=run.grid)
+    with run.stage("solve"):
+        sol = solve_cgo(dm, geom.zeta1, amplitude_a(geom, geo.polarization), **run.solver)
+    header = ["s", "eta_angle", "iterations", "residual", "remainder_norm",
+              "forcing_norm", "contraction", "clamped_fraction"]
+    run.write_csv(header, [[
         geo.s, geo.frame_angle(), sol.iterations, sol.residual, sol.remainder_norm,
         sol.forcing_norm, sol.contraction, sol.clamp.fraction,
-    ]]
-    _write_csv(out / "results.csv", header, rows)
-    if cfg.output.save_fields:
-        fields.save_field_bin(sol.remainder, out / "fields.bin")
-    diagnostics = {
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-        "contraction": sol.contraction,
-        "clamped_modes": sol.clamp.clamped,
-        "clamped_defect": sol.clamped_defect,
-        "deltas": sol.deltas,
-        "residuals": sol.residuals,
-        "k": dm.k,
-        "omega": dm.omega,
+    ]])
+    if run.cfg.output.save_fields:
+        fields.save_field_bin(sol.remainder, run.out / "fields.bin")
+    run.diagnostics = {
+        "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
+        "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect,
+        "deltas": sol.deltas, "residuals": sol.residuals, "k": dm.k, "omega": dm.omega,
     }
-    acceptance = {
+    run.acceptance = {
         "converged": sol.converged,
         "remainder_bounded": sol.remainder_norm <= 2.0 * sol.forcing_norm,
     }
-    _write_manifest(out / "manifest.json", "run-cgo", cfg, seed, started, diagnostics, acceptance)
-    return EXIT_OK if acceptance["converged"] else EXIT_DIVERGENCE
+    return EXIT_OK if sol.converged else EXIT_DIVERGENCE
 
 
-def cmd_run_decay(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    grid = cfg.grid.build()
-    seed = args.seed if args.seed is not None else cfg.sampling.seed
-    geo, rho, _, _ = _geometry_pieces(cfg, grid)
-    if not geo.lambda_list:
-        raise ConfigError("geometry.lambda_list is required for run-decay")
-    if cfg.sampling.n_samples < MIN_SAMPLES:
+def cmd_run_decay(run: Run) -> int:
+    geo = run.load("lambda_list")
+    run.acceptance["remainder_decreasing"] = False
+    n_samples = run.cfg.sampling.n_samples
+    if n_samples < MIN_SAMPLES:
         raise ConfigError(f"sampling.n_samples must be >= {MIN_SAMPLES} for run-decay")
-    dm = derive(cfg.medium(0).build(grid))
-    study = decay_study(
-        dm,
-        rho,
-        geo.polarization,
-        geo.lambda_list,
-        n_samples=cfg.sampling.n_samples,
-        seed=seed,
-        tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter,
-        floor=cfg.solver.clamp_floor,
-        workers=args.threads,
-        clamp_threshold=cfg.solver.clamp_threshold,
-    )
-    out = _outdir(args, cfg)
-    header = [
-        "lambda", "s", "eta_angle", "iterations", "residual",
-        "remainder_norm", "forcing_norm", "clamped_fraction",
-    ]
-    rows = [
+    dm = run.derived()
+    with run.stage("solve"):
+        study = decay_study(
+            dm, run.rho, geo.polarization, geo.lambda_list, n_samples=n_samples,
+            seed=run.seed, workers=run.args.threads, **run.solver,
+        )
+    header = ["lambda", "s", "eta_angle", "iterations", "residual",
+              "remainder_norm", "forcing_norm", "clamped_fraction"]
+    run.write_csv(header, [
         [r.lam, r.s, r.angle, r.iterations, r.residual, r.remainder_norm,
          r.forcing_norm, r.clamp_fraction]
         for r in study.samples
-    ]
-    _write_csv(out / "results.csv", header, rows)
-    diagnostics = {
-        "summaries": [
-            {
-                "lambda": s.lam,
-                "n_samples": s.n_samples,
-                "mean_remainder_sq": s.mean_remainder_sq,
-                "stderr_remainder_sq": s.stderr_remainder_sq,
-                "mean_forcing_sq": s.mean_forcing_sq,
-            }
-            for s in study.summaries
-        ]
-    }
-    acceptance = {"remainder_decreasing": study.remainder_decreasing}
-    _write_manifest(out / "manifest.json", "run-decay", cfg, seed, started, diagnostics, acceptance)
+    ])
+    run.diagnostics = {"summaries": [
+        {"lambda": s.lam, "n_samples": s.n_samples, "mean_remainder_sq": s.mean_remainder_sq,
+         "stderr_remainder_sq": s.stderr_remainder_sq, "mean_forcing_sq": s.mean_forcing_sq}
+        for s in study.summaries
+    ]}
+    run.acceptance["remainder_decreasing"] = study.remainder_decreasing
     return EXIT_OK if study.remainder_decreasing else EXIT_TREND
 
 
-def cmd_run_uniqueness(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    grid = cfg.grid.build()
-    seed = args.seed if args.seed is not None else cfg.sampling.seed
-    geo, rho, eta1, eta2 = _geometry_pieces(cfg, grid)
-    if not geo.s_list:
-        raise ConfigError("geometry.s_list is required for run-uniqueness")
-    m1 = cfg.medium(0).build(grid)
-    m2 = cfg.medium(1).build(grid)
-    mp = make_pair(m1, m2)
-    result = convergence_experiment(
-        mp,
-        rho,
-        geo.polarization,
-        geo.s_list,
-        eta1,
-        eta2,
-        tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter,
-        floor=cfg.solver.clamp_floor,
-        workers=args.threads,
-        clamp_threshold=cfg.solver.clamp_threshold,
+def cmd_run_uniqueness(run: Run) -> int:
+    geo = run.load("s_list")
+    with run.stage("derive"):
+        mp = make_pair(*(run.cfg.medium(i).build(run.grid) for i in (0, 1)))
+    verdict = "pairing_at_floor" if mp.identical else "error_shrinks"
+    run.acceptance[verdict] = False
+    with run.stage("solve"):
+        result = convergence_experiment(
+            mp, run.rho, geo.polarization, geo.s_list, run.eta1, run.eta2,
+            workers=run.args.threads, **run.solver,
+        )
+    run.write_csv(
+        ["s", "pairing_re", "pairing_im", "target_re", "target_im", "abs_error"],
+        [[r.s, r.pairing.real, r.pairing.imag, r.target.real, r.target.imag, r.abs_error]
+         for r in result.rows],
     )
-    out = _outdir(args, cfg)
-    header = ["s", "pairing_re", "pairing_im", "target_re", "target_im", "abs_error"]
-    rows = [
-        [r.s, r.pairing.real, r.pairing.imag, r.target.real, r.target.imag, r.abs_error]
-        for r in result.rows
-    ]
-    _write_csv(out / "results.csv", header, rows)
     floor_level = 1e-9
-    if mp.identical:
-        ok = all(abs(r.pairing) <= floor_level for r in result.rows)
-        acceptance = {"pairing_at_floor": ok}
-    else:
-        ok = result.error_shrinks
-        acceptance = {"error_shrinks": ok}
-    diagnostics = {
+    ok = all(abs(r.pairing) <= floor_level for r in result.rows) if mp.identical else result.error_shrinks
+    run.diagnostics = {
         "target_re": result.target.real,
         "target_im": result.target.imag,
         "identical_media": mp.identical,
         "k": mp.k,
     }
-    _write_manifest(
-        out / "manifest.json", "run-uniqueness", cfg, seed, started, diagnostics, acceptance
-    )
+    run.acceptance[verdict] = ok
     return EXIT_OK if ok else EXIT_TREND
 
 
-def cmd_estimate_qnorm(args) -> int:
-    started = time.time()
-    cfg = _load_config(args)
-    grid = cfg.grid.build()
-    seed = args.seed if args.seed is not None else cfg.sampling.seed
-    geo, rho, eta1, eta2 = _geometry_pieces(cfg, grid)
-    if not geo.s_list:
-        raise ConfigError("geometry.s_list is required for estimate-qnorm")
-    dm = derive(cfg.medium(0).build(grid))
+def cmd_estimate_qnorm(run: Run) -> int:
+    geo = run.load("s_list")
+    run.acceptance["estimate_decreasing"] = False
+    dm = run.derived()
     rows = []
     estimates = []
-    for s in geo.s_list:
-        geom = make_geometry(rho, eta1, eta2, s, dm.k, grid=grid)
-        est = q_norm_estimate(
-            dm, geom.zeta1, trials=max(16, cfg.sampling.n_samples), seed=seed,
-            floor=cfg.solver.clamp_floor,
-        )
-        estimates.append(est.estimate)
-        rows.append([s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term])
-    out = _outdir(args, cfg)
-    _write_csv(
-        out / "results.csv",
-        ["s", "zeta_mag", "estimate", "h", "smooth_term", "rough_term"],
-        rows,
-    )
+    with run.stage("solve"):
+        for s in geo.s_list:
+            geom = make_geometry(run.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
+            est = q_norm_estimate(
+                dm, geom.zeta1, trials=max(16, run.cfg.sampling.n_samples), seed=run.seed,
+                floor=run.cfg.solver.floor, clamp_threshold=run.cfg.solver.clamp_threshold,
+            )
+            estimates.append(est.estimate)
+            rows.append([s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term])
+    run.write_csv(["s", "zeta_mag", "estimate", "h", "smooth_term", "rough_term"], rows)
     decreasing = strictly_decreasing(estimates)
-    _write_manifest(
-        out / "manifest.json", "estimate-qnorm", cfg, seed, started,
-        {"estimates": estimates}, {"estimate_decreasing": decreasing},
-    )
+    run.diagnostics = {"estimates": estimates}
+    run.acceptance["estimate_decreasing"] = decreasing
     return EXIT_OK if decreasing else EXIT_TREND
 
 
@@ -342,76 +303,54 @@ def cmd_estimate_qnorm(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+#: name -> (command, help, pooled); a pooled command gives --threads to its
+#: sample pool and keeps the FFT serial, so that N threads never become N^2
+COMMANDS = {
+    "check-algebra": (cmd_check_algebra, "pointwise algebra identity suite", False),
+    "check-calculus": (cmd_check_calculus, "spectral calculus identity suite", False),
+    "check-factorization": (cmd_check_factorization, "first-order factorization suite", False),
+    "run-cgo": (cmd_run_cgo, "single remainder solve", False),
+    "run-decay": (cmd_run_decay, "averaged remainder-decay study", True),
+    "run-uniqueness": (cmd_run_uniqueness, "pairing vs scattering targets", True),
+    "estimate-qnorm": (cmd_estimate_qnorm, "potential operator-norm trend", False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cgolab",
         description="Spectral experiments for the time-harmonic Maxwell CGO machinery",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_config=True):
-        if needs_config:
+    for name, (_, help_text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "check-algebra":
+            p.add_argument(
+                "--inject-sign-fault", action="store_true",
+                help="corrupt one sign-table entry (self-test of the checks)",
+            )
+        else:
             p.add_argument("--config", required=False, help="path to the JSON run config")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
-
-    p = sub.add_parser("check-algebra", help="pointwise algebra identity suite")
-    common(p, needs_config=False)
-    p.add_argument(
-        "--inject-sign-fault", action="store_true",
-        help="corrupt one sign-table entry (self-test of the checks)",
-    )
-    p.set_defaults(func=cmd_check_algebra)
-
-    p = sub.add_parser("check-calculus", help="spectral calculus identity suite")
-    common(p)
-    p.set_defaults(func=cmd_check_calculus)
-
-    p = sub.add_parser("check-factorization", help="first-order factorization suite")
-    common(p)
-    p.set_defaults(func=cmd_check_factorization)
-
-    p = sub.add_parser("run-cgo", help="single remainder solve")
-    common(p)
-    p.set_defaults(func=cmd_run_cgo)
-
-    p = sub.add_parser("run-decay", help="averaged remainder-decay study")
-    common(p)
-    p.set_defaults(func=cmd_run_decay)
-
-    p = sub.add_parser("run-uniqueness", help="pairing vs scattering targets")
-    common(p)
-    p.set_defaults(func=cmd_run_uniqueness)
-
-    p = sub.add_parser("estimate-qnorm", help="potential operator-norm trend")
-    common(p)
-    p.set_defaults(func=cmd_estimate_qnorm)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # A command with a worker pool gives --threads to the pool and keeps the
-    # FFT serial, so that N threads never become N^2.
-    pooled = args.func in (cmd_run_decay, cmd_run_uniqueness)
-    fields.set_fft_workers(1 if pooled else args.threads)
+    command, _, pooled = COMMANDS[args.command]
+    run = Run(args, fields.set_fft_workers(1 if pooled else args.threads))
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except ResonantGridError as exc:
-        print(f"resonant grid: {exc}", file=sys.stderr)
-        return EXIT_RESONANT
-    except StudyError as exc:
-        print(f"study aborted: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        code = command(run)
+    except tuple(FAILURES) as exc:
+        code, label = FAILURES[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        run.diagnostics = {**(exc.diagnostics or {}), "error": str(exc)}
+    if run.out is not None:
+        run.write_manifest()
+    return code
 
 
 if __name__ == "__main__":

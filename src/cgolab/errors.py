@@ -2,7 +2,12 @@
 
 
 class CgolabError(Exception):
-    """Base class for toolkit errors."""
+    """Base class for toolkit errors; ``diagnostics`` is a JSON-ready dict
+    that explains the failure, or None."""
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class ConfigError(CgolabError):
@@ -20,17 +25,9 @@ class CoefficientError(ValueError):
 class DivergenceError(CgolabError):
     """Neumann iteration failed to contract (conjugation parameter too small)."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
 
 class ResonantGridError(CgolabError):
     """Too many lattice frequencies fell inside the symbol clamp region."""
-
-    def __init__(self, message, clamp_report=None):
-        super().__init__(message)
-        self.clamp_report = clamp_report
 
 
 class StudyError(CgolabError):

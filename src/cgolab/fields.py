@@ -19,7 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +27,7 @@ from scipy import fft as sfft
 
 from . import algebra
 from .algebra import GradedForm
+from .errors import ResonantGridError
 
 _FFT_WORKERS = 1
 
@@ -34,10 +35,12 @@ _BIN_MAGIC = b"CGOF"
 _BIN_VERSION = 1
 
 
-def set_fft_workers(n: int) -> None:
-    """Number of threads handed to the FFT backend (process-wide)."""
+def set_fft_workers(n: int) -> int:
+    """Number of threads handed to the FFT backend (process-wide); returns
+    the count in effect, at least 1."""
     global _FFT_WORKERS
     _FFT_WORKERS = max(1, int(n))
+    return _FFT_WORKERS
 
 
 def seeded_rng(*key) -> np.random.Generator:
@@ -316,6 +319,17 @@ class ClampReport:
     @property
     def exceeded(self) -> bool:
         return self.fraction > self.threshold
+
+    def raise_if_exceeded(self) -> ClampReport:
+        """Raise ResonantGridError when the clamp fraction exceeds the
+        threshold; otherwise return the report."""
+        if self.exceeded:
+            raise ResonantGridError(
+                f"{self.clamped} of {self.total} lattice frequencies are inside the "
+                f"clamp floor; jitter s or refine the grid",
+                diagnostics={**asdict(self), "fraction": self.fraction},
+            )
+        return self
 
 
 class ClampedSymbol:

@@ -358,6 +358,26 @@ def grade_block(grades) -> slice:
     return _CLOSED_BLOCKS[key]
 
 
+def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades) -> FormField:
+    """The potential or, with ``transpose``, its transpose: the multiplier part
+    plus 2 i omega dc contracted with w^(l+1) into grade l and wedged with w^l
+    into grade l + 1, for the even grade l of each block of ``grades``, or
+    for l = 1 with the contraction negated in the transpose."""
+    grade_block(grades)
+    wv = w.values
+    out = _multiplier_part(wv, dm, transpose, grades)
+    dc3 = (2j * dm.omega) * dm.dc3
+    lows = [1] if transpose else [l for l in (0, 2) if l in grades]
+    v = algebra.vee_cov(dc3, wv, grades=[l + 1 for l in lows])
+    e = algebra.wedge_cov(dc3, wv, grades=lows)
+    add_contraction = np.subtract if transpose else np.add
+    for l in lows:
+        lo, hi = _GRADE_BLADES[l], _GRADE_BLADES[l + 1]
+        add_contraction(out[lo], v[lo], out=out[lo])
+        out[hi] += e[hi]
+    return FormField(w.grid, out, check=False)
+
+
 def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3)) -> FormField:
     """Zeroth-order potential as a pointwise multiplication.
 
@@ -366,28 +386,12 @@ def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3)) -> FormField
     :func:`grade_block`) only their blades are read and written, and the
     other blades of the result are zero.
     """
-    grade_block(grades)
-    wv = w.values
-    out = _multiplier_part(wv, dm, False, grades)
-    dc3 = (2j * dm.omega) * dm.dc3
-    lows = [l for l in (0, 2) if l in grades]  # each block's even grade
-    v = algebra.vee_cov(dc3, wv, grades=[l + 1 for l in lows])
-    e = algebra.wedge_cov(dc3, wv, grades=lows)
-    for l in lows:
-        lo, hi = _GRADE_BLADES[l], _GRADE_BLADES[l + 1]
-        out[lo] += v[lo]
-        out[hi] += e[hi]
-    return FormField(w.grid, out, check=False)
+    return _potential(w, dm, False, grades)
 
 
 def potential_t(w: FormField, dm: DerivedMedium) -> FormField:
     """Transposed potential as a pointwise multiplication."""
-    wv = w.values
-    out = _multiplier_part(wv, dm, transpose=True)
-    dc3 = (2j * dm.omega) * dm.dc3
-    out[1:4] -= algebra.vee_cov(dc3, wv, grades=2)[1:4]
-    out[4:7] += algebra.wedge_cov(dc3, wv, grades=1)[4:7]
-    return FormField(w.grid, out, check=False)
+    return _potential(w, dm, True, (0, 1, 2, 3))
 
 
 def potential_via_factorization(w: FormField, dm: DerivedMedium) -> FormField:

@@ -11,144 +11,91 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Grid
-from .media import Bump, Medium
+from .media import Medium
+from .runconfig import parse_medium
 
 REFERENCE_N = 32
 REFERENCE_LENGTH = 2.0 * np.pi
 REFERENCE_OMEGA = 1.0
+REFERENCE_SHARPNESS = 2.0
+
+#: (amplitude, radius, center offset from the box center) of each bump
+_BUMPS = {
+    "reference": {
+        "eps": [(0.4, 1.45, (-0.1, 0.0, 0.0))],
+        "mu": [(0.3, 1.35, (0.15, -0.1, 0.0))],
+        "sigma": [(0.2, 1.25, (0.0, 0.0, 0.0))],
+    },
+    "perturbed": {
+        "eps": [(0.25, 1.35, (0.2, 0.1, 0.0))],
+        "mu": [(0.35, 1.35, (0.0, 0.0, -0.15))],
+        "sigma": [(0.1, 1.25, (-0.1, 0.0, 0.1))],
+    },
+    "background": {"eps": [], "mu": [], "sigma": []},
+}
 
 
 def reference_grid(n: int = REFERENCE_N) -> Grid:
     return Grid(n, REFERENCE_LENGTH)
 
 
-def _center(grid: Grid, dx=0.0, dy=0.0, dz=0.0):
-    c = grid.length / 2.0
-    return (c + dx, c + dy, c + dz)
+def medium_spec(medium: str = "reference") -> dict:
+    """JSON-ready medium description for the run configs: the one
+    description of each reference medium, a new document on every call."""
+    spec = {"omega": REFERENCE_OMEGA, "eps0": 1.0, "mu0": 1.0}
+    for name, bumps in _BUMPS[medium].items():
+        spec[f"{name}_bumps"] = [
+            {
+                "amplitude": amplitude,
+                "radius": radius,
+                "center_offset": list(offset),
+                "sharpness": REFERENCE_SHARPNESS,
+            }
+            for amplitude, radius, offset in bumps
+        ]
+    return spec
 
 
-REFERENCE_SHARPNESS = 2.0
+def _medium(name: str, grid: Grid | None) -> Medium:
+    grid = grid or reference_grid()
+    return parse_medium(medium_spec(name), name, grid.length).build(grid)
 
 
 def reference_medium(grid: Grid | None = None) -> Medium:
     """Two-bump medium (plus a conductivity bump) used across the suite."""
-    grid = grid or reference_grid()
-    scale = grid.length / (2.0 * np.pi)
-    s = REFERENCE_SHARPNESS
-    return Medium.from_bumps(
-        grid,
-        omega=REFERENCE_OMEGA,
-        eps_bumps=[Bump(0.4, 1.45 * scale, center=_center(grid, dx=-0.1 * scale), sharpness=s)],
-        mu_bumps=[
-            Bump(0.3, 1.35 * scale, center=_center(grid, dx=0.15 * scale, dy=-0.1 * scale), sharpness=s)
-        ],
-        sigma_bumps=[Bump(0.2, 1.25 * scale, sharpness=s)],
-    )
+    return _medium("reference", grid)
 
 
 def perturbed_medium(grid: Grid | None = None) -> Medium:
     """Companion medium for pair experiments; same background, different bumps."""
-    grid = grid or reference_grid()
-    scale = grid.length / (2.0 * np.pi)
-    s = REFERENCE_SHARPNESS
-    return Medium.from_bumps(
-        grid,
-        omega=REFERENCE_OMEGA,
-        eps_bumps=[
-            Bump(0.25, 1.35 * scale, center=_center(grid, dx=0.2 * scale, dy=0.1 * scale), sharpness=s)
-        ],
-        mu_bumps=[Bump(0.35, 1.35 * scale, center=_center(grid, dz=-0.15 * scale), sharpness=s)],
-        sigma_bumps=[
-            Bump(0.1, 1.25 * scale, center=_center(grid, dx=-0.1 * scale, dz=0.1 * scale), sharpness=s)
-        ],
-    )
-
-
-def medium_spec(medium: str = "reference") -> dict:
-    """JSON-ready medium description for the run configs."""
-    s = REFERENCE_SHARPNESS
-    specs = {
-        "reference": {
-            "omega": REFERENCE_OMEGA,
-            "eps0": 1.0,
-            "mu0": 1.0,
-            "eps_bumps": [
-                {"amplitude": 0.4, "radius": 1.45, "center_offset": [-0.1, 0.0, 0.0], "sharpness": s}
-            ],
-            "mu_bumps": [
-                {"amplitude": 0.3, "radius": 1.35, "center_offset": [0.15, -0.1, 0.0], "sharpness": s}
-            ],
-            "sigma_bumps": [
-                {"amplitude": 0.2, "radius": 1.25, "center_offset": [0.0, 0.0, 0.0], "sharpness": s}
-            ],
-        },
-        "perturbed": {
-            "omega": REFERENCE_OMEGA,
-            "eps0": 1.0,
-            "mu0": 1.0,
-            "eps_bumps": [
-                {"amplitude": 0.25, "radius": 1.35, "center_offset": [0.2, 0.1, 0.0], "sharpness": s}
-            ],
-            "mu_bumps": [
-                {"amplitude": 0.35, "radius": 1.35, "center_offset": [0.0, 0.0, -0.15], "sharpness": s}
-            ],
-            "sigma_bumps": [
-                {"amplitude": 0.1, "radius": 1.25, "center_offset": [-0.1, 0.0, 0.1], "sharpness": s}
-            ],
-        },
-        "background": {
-            "omega": REFERENCE_OMEGA,
-            "eps0": 1.0,
-            "mu0": 1.0,
-            "eps_bumps": [],
-            "mu_bumps": [],
-            "sigma_bumps": [],
-        },
-    }
-    return specs[medium]
+    return _medium("perturbed", grid)
 
 
 def reference_run_config(kind: str = "cgo") -> dict:
-    """Complete run configuration documents for the CLI commands."""
-    base = {
+    """Complete run configuration documents for the CLI commands, a new
+    document on every call."""
+    runs = {  # kind -> (rho_index, conjugation sizes)
+        "cgo": ([1, 0, 0], {"s": 32.0}),
+        "decay": ([1, 0, 0], {"lambda_list": [4.0, 8.0, 16.0]}),
+        # |rho| = 2 lattice units: the modes along the rho axis keep an
+        # order-one symbol for every admissible frame, and their
+        # persistent response scales like 1/|rho|^2
+        "uniqueness": ([2, 0, 0], {"s_list": [8.0, 16.0, 32.0]}),
+        "qnorm": ([1, 0, 0], {"s_list": [8.0, 16.0, 32.0]}),
+        "check": ([1, 0, 0], {"s": 8.0}),
+    }
+    if kind not in runs:
+        raise ValueError(f"unknown config kind {kind!r}")
+    rho_index, sizes = runs[kind]
+    doc = {
         "grid": {"n": REFERENCE_N, "length": REFERENCE_LENGTH},
         "solver": {"tol": 1e-9, "max_iter": 80},
         "sampling": {"n_samples": 16, "seed": 2024},
         "output": {"directory": "out"},
     }
-    if kind == "cgo":
-        base["medium"] = medium_spec("reference")
-        base["geometry"] = {"rho_index": [1, 0, 0], "frame_seed": 7, "polarization": "E", "s": 32.0}
-    elif kind == "decay":
-        base["medium"] = medium_spec("reference")
-        base["geometry"] = {
-            "rho_index": [1, 0, 0],
-            "frame_seed": 7,
-            "polarization": "E",
-            "lambda_list": [4.0, 8.0, 16.0],
-        }
-    elif kind == "uniqueness":
-        base["media"] = [medium_spec("reference"), medium_spec("perturbed")]
-        base["geometry"] = {
-            # |rho| = 2 lattice units: the modes along the rho axis keep an
-            # order-one symbol for every admissible frame, and their
-            # persistent response scales like 1/|rho|^2
-            "rho_index": [2, 0, 0],
-            "frame_seed": 7,
-            "polarization": "E",
-            "s_list": [8.0, 16.0, 32.0],
-        }
-    elif kind == "qnorm":
-        base["medium"] = medium_spec("reference")
-        base["geometry"] = {
-            "rho_index": [1, 0, 0],
-            "frame_seed": 7,
-            "polarization": "E",
-            "s_list": [8.0, 16.0, 32.0],
-        }
-    elif kind == "check":
-        base["medium"] = medium_spec("reference")
-        base["geometry"] = {"rho_index": [1, 0, 0], "frame_seed": 7, "polarization": "E", "s": 8.0}
+    if kind == "uniqueness":
+        doc["media"] = [medium_spec("reference"), medium_spec("perturbed")]
     else:
-        raise ValueError(f"unknown config kind {kind!r}")
-    return base
+        doc["medium"] = medium_spec("reference")
+    doc["geometry"] = {"rho_index": rho_index, "frame_seed": 7, "polarization": "E", **sizes}
+    return doc

@@ -6,6 +6,7 @@ ConfigError messages that name the offending field path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,12 @@ def _require(doc: dict, key: str, path: str):
 def _number(value, path: str, positive=False, nonnegative=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{path} must be a finite number")
     if positive and not out > 0:
         raise ConfigError(f"{path} must be positive")
     if nonnegative and out < 0:
@@ -68,50 +74,19 @@ def _vector3(value, path: str, entry=_number, kind: str = "numbers"):
 
 
 @dataclass
-class GridConfig:
-    n: int
-    length: float
-
-    def build(self) -> Grid:
-        return Grid(self.n, self.length)
-
-
-@dataclass
 class MediumConfig:
     omega: float
     eps0: float
     mu0: float
-    eps_bumps: list
+    eps_bumps: list  # of media.Bump, centred on the grid of the parse
     mu_bumps: list
     sigma_bumps: list
     path: str  # "medium" or "media[i]", for error messages
 
     def build(self, grid: Grid) -> Medium:
-        def bumps(specs):
-            out = []
-            center0 = np.full(3, grid.length / 2.0)
-            for spec in specs:
-                center = center0 + np.asarray(spec.get("center_offset", [0.0, 0.0, 0.0]))
-                out.append(
-                    Bump(
-                        amplitude=spec["amplitude"],
-                        radius=spec["radius"],
-                        center=tuple(center),
-                        sharpness=spec.get("sharpness", 1.0),
-                    )
-                )
-            return out
-
         try:
-            return Medium.from_bumps(
-                grid,
-                omega=self.omega,
-                eps0=self.eps0,
-                mu0=self.mu0,
-                eps_bumps=bumps(self.eps_bumps),
-                mu_bumps=bumps(self.mu_bumps),
-                sigma_bumps=bumps(self.sigma_bumps),
-            )
+            return Medium.from_bumps(grid, self.omega, self.eps0, self.mu0,
+                                     self.eps_bumps, self.mu_bumps, self.sigma_bumps)
         except CoefficientError as exc:
             raise ConfigError(f"{self.path}.{exc.name}_bumps: {exc}") from None
 
@@ -135,9 +110,11 @@ class GeometryConfig:
 
 @dataclass
 class SolverConfig:
+    """The solver settings, named as the keyword arguments of cgo.solve_cgo."""
+
     tol: float = 1e-9
     max_iter: int = 80
-    clamp_floor: float | None = None
+    floor: float | None = None  # config field solver.clamp_floor
     clamp_threshold: float | None = None
 
 
@@ -155,7 +132,7 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    grid: GridConfig
+    grid: Grid
     media: list
     geometry: GeometryConfig | None
     solver: SolverConfig
@@ -165,9 +142,7 @@ class RunConfig:
 
     def medium(self, index: int = 0) -> MediumConfig:
         if index >= len(self.media):
-            raise ConfigError(
-                "config needs a 'media' list with two entries for pair experiments"
-            )
+            raise ConfigError("config needs a 'media' list with two entries for pair experiments")
         return self.media[index]
 
     def need_geometry(self) -> GeometryConfig:
@@ -179,29 +154,26 @@ class RunConfig:
 def _parse_bumps(specs, path: str, length: float) -> list:
     if not isinstance(specs, list):
         raise ConfigError(f"{path} must be a list")
+    center = length / 2.0  # of the periodic box
     out = []
     for i, spec in enumerate(specs):
-        _object(spec, f"{path}[{i}]")
-        entry = {
-            "amplitude": _number(_require(spec, "amplitude", f"{path}[{i}]"), f"{path}[{i}].amplitude"),
-            "radius": _number(
-                _require(spec, "radius", f"{path}[{i}]"), f"{path}[{i}].radius", positive=True
-            ),
-        }
+        at = f"{path}[{i}]"
+        _object(spec, at)
+        amplitude = _number(_require(spec, "amplitude", at), f"{at}.amplitude")
+        radius = _number(_require(spec, "radius", at), f"{at}.radius", positive=True)
+        offset = [0.0, 0.0, 0.0]
         if "center_offset" in spec:
-            offset = _vector3(spec["center_offset"], f"{path}[{i}].center_offset")
+            offset = _vector3(spec["center_offset"], f"{at}.center_offset")
             if max(abs(c) for c in offset) >= length / 4.0:
-                raise ConfigError(f"{path}[{i}].center_offset must lie inside the central sub-box")
-            entry["center_offset"] = offset
-        if "sharpness" in spec:
-            entry["sharpness"] = _number(
-                spec["sharpness"], f"{path}[{i}].sharpness", positive=True
-            )
-        out.append(entry)
+                raise ConfigError(f"{at}.center_offset must lie inside the central sub-box")
+        sharpness = _number(spec.get("sharpness", 1.0), f"{at}.sharpness", positive=True)
+        out.append(Bump(amplitude, radius, tuple(center + c for c in offset), sharpness))
     return out
 
 
-def _parse_medium(doc, path: str, length: float) -> MediumConfig:
+def parse_medium(doc, path: str, length: float) -> MediumConfig:
+    """One medium object of a config, for a box of side ``length``; ``path``
+    ("medium" or "media[i]") prefixes every error message."""
     _object(doc, path)
     return MediumConfig(
         omega=_number(_require(doc, "omega", path), f"{path}.omega", positive=True),
@@ -253,18 +225,18 @@ def parse_config(doc: dict) -> RunConfig:
     n = _integer(_require(grid_doc, "n", "grid"), "grid.n", minimum=8)
     if n & (n - 1):
         raise ConfigError("grid.n must be a power of two")
-    grid = GridConfig(n=n, length=_number(_require(grid_doc, "length", "grid"), "grid.length", positive=True))
+    grid = Grid(n, _number(_require(grid_doc, "length", "grid"), "grid.length", positive=True))
 
     media = []
     if "media" in doc:
         if not isinstance(doc["media"], list) or len(doc["media"]) != 2:
             raise ConfigError("media must be a list of exactly 2 medium objects")
-        media = [_parse_medium(m, f"media[{i}]", grid.length) for i, m in enumerate(doc["media"])]
+        media = [parse_medium(m, f"media[{i}]", grid.length) for i, m in enumerate(doc["media"])]
         for name in ("omega", "eps0", "mu0"):
             if getattr(media[1], name) != getattr(media[0], name):
                 raise ConfigError(f"media[1].{name} must equal media[0].{name}")
     elif "medium" in doc:
-        media = [_parse_medium(doc["medium"], "medium", grid.length)]
+        media = [parse_medium(doc["medium"], "medium", grid.length)]
     else:
         raise ConfigError("config.medium (or config.media) is required")
 
@@ -274,7 +246,7 @@ def parse_config(doc: dict) -> RunConfig:
     solver = SolverConfig(
         tol=_number(solver_doc.get("tol", 1e-9), "solver.tol", positive=True),
         max_iter=_integer(solver_doc.get("max_iter", 80), "solver.max_iter", minimum=1),
-        clamp_floor=_optional_positive(solver_doc, "clamp_floor", "solver"),
+        floor=_optional_positive(solver_doc, "clamp_floor", "solver"),
         clamp_threshold=_optional_positive(solver_doc, "clamp_threshold", "solver"),
     )
 

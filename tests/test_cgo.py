@@ -358,4 +358,8 @@ def test_q_norm_estimate_background_and_preconditions(grid16, dm16):
     assert est.estimate == 0.0
     with pytest.raises(ValueError):
         cgo.q_norm_estimate(dm16, g.zeta1, trials=8, seed=9)
+    with pytest.raises(ResonantGridError):
+        cgo.q_norm_estimate(dm16, g.zeta1, clamp_threshold=1e-9)
+    # every mode clamped: no trial field has a +1/2-norm, so none counts
+    assert cgo.q_norm_estimate(dm16, g.zeta1, floor=1e3, clamp_threshold=1.0).estimate == 0.0
 

@@ -104,6 +104,15 @@ def test_config_errors_name_the_field():
                 "geometry": {"rho_index": [1, 0, 0], "s_list": [8.0, 4.0]},
             }
         )
+    with pytest.raises(ConfigError, match=r"medium.eps_bumps\[0\].amplitude must be a finite"):
+        parse_config(
+            {
+                "grid": {"n": 16, "length": 1.0},
+                "medium": {"omega": 1.0, "eps_bumps": [{"amplitude": float("nan"), "radius": 0.1}]},
+            }
+        )
+    with pytest.raises(ConfigError, match="solver.tol must be a finite"):  # beyond the float range
+        parse_config({"grid": {"n": 16, "length": 1.0}, "medium": {"omega": 1.0}, "solver": {"tol": 10**400}})
     with pytest.raises(ConfigError, match=r"lambda_list values must be >= 1"):
         parse_config(
             {
@@ -118,7 +127,7 @@ def test_config_errors_name_the_field():
         with pytest.raises(ConfigError, match=field):
             cfg = parse_config(doc)
             for i in range(len(cfg.media)):
-                cfg.medium(i).build(cfg.grid.build())
+                cfg.medium(i).build(cfg.grid)
 
 
 def test_reference_configs_parse_and_match_presets():
@@ -126,8 +135,10 @@ def test_reference_configs_parse_and_match_presets():
         doc = presets.reference_run_config(kind)
         cfg = parse_config(doc)
         assert cfg.grid.n == presets.REFERENCE_N
-    shipped = json.load(open("configs/reference_uniqueness.json"))
-    assert shipped == presets.reference_run_config("uniqueness")
+        doc["geometry"]["rho_index"].append(0)  # each call builds a new document
+        doc["media" if kind == "uniqueness" else "medium"].clear()
+        with open(f"configs/reference_{kind}.json") as fh:
+            assert json.load(fh) == presets.reference_run_config(kind)
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -135,6 +146,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     cfg["solver"] = {"tol": -1.0}
     assert main(["run-cgo", "--config", write(tmp_path, cfg)]) == 2
     assert main(["run-cgo", "--config", str(tmp_path / "missing.json")]) == 2
+    nan_amplitude = small_config()
+    nan_amplitude["medium"]["eps_bumps"][0]["amplitude"] = float("nan")
+    cases = [
+        (write(tmp_path, nan_amplitude, "nan.json"), "o", r"medium.eps_bumps\[0\].amplitude"),
+        (write(tmp_path, small_config(solver={"tol": float("inf")}), "inf.json"), "o", "solver.tol"),
+        # an output directory that names an existing file
+        (write(tmp_path, small_config(), "ok.json"), "nan.json", re.escape(str(tmp_path / "nan.json"))),
+    ]
+    for path, out, field in cases:
+        capsys.readouterr()
+        assert main(["run-cgo", "--config", path, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(field, err)
+        assert "Traceback" not in err
     for command, doc, field in invalid_physics_configs():
         capsys.readouterr()
         assert main([command, "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
@@ -146,7 +171,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
 RUN_COMMANDS = {
     "cgo": "run-cgo", "decay": "run-decay", "uniqueness": "run-uniqueness", "qnorm": "estimate-qnorm",
 }
-MUTANTS = ["delete", 0, -1, "x", True, None, []]
+MUTANTS = ["delete", 0, -1, "x", True, None, [], float("nan"), float("inf")]
 
 
 def _paths(doc, prefix=()):
@@ -228,6 +253,9 @@ def test_run_cgo_outputs(tmp_path):
     assert manifest["command"] == "run-cgo"
     assert manifest["acceptance"]["converged"] is True
     assert {"version", "seed", "config", "wall_clock_s", "diagnostics"} <= set(manifest)
+    assert set(manifest["timings"]) == {"derive", "solve"}
+    assert manifest["environment"]["fft_workers"] == manifest["environment"]["threads"] == 1
+    assert {"python", "numpy", "scipy", "cpu_count"} <= set(manifest["environment"])
     snapshot = fields.load_field_bin(out / "fields.bin")
     assert snapshot.grid.n == 16
     diagnostics = manifest["diagnostics"]
@@ -262,13 +290,25 @@ def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):
         # every sample is resonant, so the study aborts
         ("run-decay", "decay", EXIT_DIVERGENCE),
         ("run-uniqueness", "uniqueness", EXIT_RESONANT),
+        ("estimate-qnorm", "qnorm", EXIT_RESONANT),
     ],
 )
 def test_every_solving_command_honours_the_clamp_threshold(tmp_path, command, kind, code):
     cfg = small_config(kind, grid={"n": 8, "length": 2.0 * np.pi})
     cfg["solver"]["clamp_threshold"] = 1e-9
-    out = str(tmp_path / "o")
-    assert main([command, "--config", write(tmp_path, cfg), "--out", out]) == code
+    out = tmp_path / "o"
+    assert main([command, "--config", write(tmp_path, cfg), "--out", str(out)]) == code
+    # the failure manifest: the error, its diagnostics, and no acceptance flag met
+    manifest = json.loads((out / "manifest.json").read_text())
+    diagnostics = manifest["diagnostics"]
+    assert diagnostics["error"]
+    assert manifest["acceptance"] and not any(manifest["acceptance"].values())
+    if code == EXIT_RESONANT:
+        assert diagnostics["fraction"] > diagnostics["threshold"] == 1e-9
+    else:
+        assert diagnostics["failed"] == diagnostics["samples"]
+        assert diagnostics["errors"] == {"ResonantGridError": diagnostics["samples"]}
+    assert not (out / "results.csv").exists()
 
 
 def test_run_cgo_divergence_exit_and_manifest(tmp_path):
