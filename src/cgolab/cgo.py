@@ -348,7 +348,17 @@ class DecaySample:
     remainder_norm: float
     forcing_norm: float
     clamp_fraction: float
-    error: str = ""
+    error: str = ""  # class name of the toolkit error that failed the sample
+    message: str = ""  # and its message
+
+
+def sample_failures(samples) -> list[dict]:
+    """One JSON-ready entry per failed sample: where it was, and why."""
+    return [
+        {"lambda": s.lam, "s": s.s, "angle": s.angle, "error": s.error, "message": s.message}
+        for s in samples
+        if s.error
+    ]
 
 
 @dataclass
@@ -437,7 +447,7 @@ def decay_study(
                 DecaySample(
                     lam=job[0], s=job[1], angle=job[2], iterations=0, residual=np.nan,
                     remainder_norm=np.nan, forcing_norm=np.nan, clamp_fraction=np.nan,
-                    error=type(outcome).__name__,
+                    error=type(outcome).__name__, message=str(outcome),
                 )
             )
         else:
@@ -446,7 +456,8 @@ def decay_study(
         raise StudyError(
             f"{failures} of {len(jobs)} samples failed; study aborted",
             diagnostics={"failed": failures, "samples": len(jobs),
-                         "errors": dict(Counter(s.error for s in samples if s.error))},
+                         "errors": dict(Counter(s.error for s in samples if s.error)),
+                         "failures": sample_failures(samples)},
         )
 
     summaries = []

@@ -35,6 +35,7 @@ from .cgo import (
     make_geometry,
     orthonormal_frame,
     q_norm_estimate,
+    sample_failures,
     solve_cgo,
     strictly_decreasing,
 )
@@ -90,7 +91,8 @@ class Run:
         self.acceptance: dict = {}  # a command sets its flags False before computing them
 
     def load(self, needs: str | None = None):
-        self.cfg = cfg = _load_config(self.args)
+        with self.stage("parse"):
+            self.cfg = cfg = _load_config(self.args)
         self.grid = cfg.grid
         self.seed = self.args.seed if self.args.seed is not None else cfg.sampling.seed
         self.solver = asdict(cfg.solver)  # keyword arguments of every solve
@@ -123,8 +125,9 @@ class Run:
             return derive(self.cfg.medium(0).build(self.grid))
 
     def write_csv(self, header, rows) -> None:
-        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-        (self.out / "results.csv").write_text("\n".join(lines) + "\n")
+        with self.stage("write"):
+            lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+            (self.out / "results.csv").write_text("\n".join(lines) + "\n")
 
     def write_manifest(self) -> None:
         doc = {
@@ -208,7 +211,8 @@ def cmd_run_cgo(run: Run) -> int:
         sol.forcing_norm, sol.contraction, sol.clamp.fraction,
     ]])
     if run.cfg.output.save_fields:
-        fields.save_field_bin(sol.remainder, run.out / "fields.bin")
+        with run.stage("write"):
+            fields.save_field_bin(sol.remainder, run.out / "fields.bin")
     run.diagnostics = {
         "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
         "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect,
@@ -240,11 +244,14 @@ def cmd_run_decay(run: Run) -> int:
          r.forcing_norm, r.clamp_fraction]
         for r in study.samples
     ])
-    run.diagnostics = {"summaries": [
-        {"lambda": s.lam, "n_samples": s.n_samples, "mean_remainder_sq": s.mean_remainder_sq,
-         "stderr_remainder_sq": s.stderr_remainder_sq, "mean_forcing_sq": s.mean_forcing_sq}
-        for s in study.summaries
-    ]}
+    run.diagnostics = {
+        "summaries": [
+            {"lambda": s.lam, "n_samples": s.n_samples, "mean_remainder_sq": s.mean_remainder_sq,
+             "stderr_remainder_sq": s.stderr_remainder_sq, "mean_forcing_sq": s.mean_forcing_sq}
+            for s in study.summaries
+        ],
+        "failures": sample_failures(study.samples),
+    }
     run.acceptance["remainder_decreasing"] = study.remainder_decreasing
     return EXIT_OK if study.remainder_decreasing else EXIT_TREND
 
@@ -331,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("--config", required=False, help="path to the JSON run config")
-        p.add_argument("--out", help="output directory (overrides config)")
+        if not name.startswith("check-"):  # the check commands write no directory
+            p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--threads", type=int, default=1, help="worker threads")

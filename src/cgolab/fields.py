@@ -219,12 +219,37 @@ def _ifftn(a: np.ndarray) -> np.ndarray:
     return sfft.ifftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
 
 
+def _live_blades(a: np.ndarray) -> list[int]:
+    """Blades of a (leading axis) whose bits are not all those of +0.0.
+
+    A blade with a nonzero origin sample is live at once; only the others
+    are scanned.  A -0.0 counts as live: its transform need not be +0.0.
+    """
+    bits = np.ascontiguousarray(a).view(np.uint64)  # two words per complex
+    origin = bits[:, 0, 0, :2].any(axis=1)
+    return [i for i in range(len(a)) if origin[i] or bits[i].any()]
+
+
+def _live_transform(transform, a: np.ndarray) -> np.ndarray:
+    """transform(a), computed on the live blades only: the transform of an
+    all +0.0 blade is all +0.0, so the result is bit for bit the same."""
+    live = _live_blades(a)
+    if len(live) == len(a):
+        return transform(a)
+    out = np.zeros(a.shape, dtype=complex)
+    if live:
+        out[live] = transform(a[live])
+    return out
+
+
 def fft_forward(f: FormField) -> SpectralField:
-    return SpectralField(f.grid, _fftn(f.values) / f.grid.n**3, check=False)
+    n3 = f.grid.n**3
+    return SpectralField(f.grid, _live_transform(lambda a: _fftn(a) / n3, f.values), check=False)
 
 
 def fft_inverse(F: SpectralField) -> FormField:
-    return FormField(F.grid, _ifftn(F.coeffs * F.grid.n**3), check=False)
+    n3 = F.grid.n**3
+    return FormField(F.grid, _live_transform(lambda a: _ifftn(a * n3), F.coeffs), check=False)
 
 
 def _spectral(f) -> SpectralField:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgolab import fields, presets
+from cgolab import cgo, fields, presets
 from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, main
-from cgolab.errors import ConfigError
+from cgolab.errors import ConfigError, DivergenceError
 from cgolab.runconfig import parse_config
 
 
@@ -238,6 +238,20 @@ def test_check_calculus_and_factorization(tmp_path, capsys):
     assert all(entry["passed"] for entry in doc)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-algebra"],
+    ["check-calculus", "--config", "configs/reference_check.json"],
+    ["check-factorization", "--config", "configs/reference_check.json"],
+])
+def test_check_commands_reject_out(tmp_path, capsys, argv):
+    # the check commands write no directory, so an --out is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # experiment commands
 # ---------------------------------------------------------------------------
@@ -253,7 +267,7 @@ def test_run_cgo_outputs(tmp_path):
     assert manifest["command"] == "run-cgo"
     assert manifest["acceptance"]["converged"] is True
     assert {"version", "seed", "config", "wall_clock_s", "diagnostics"} <= set(manifest)
-    assert set(manifest["timings"]) == {"derive", "solve"}
+    assert set(manifest["timings"]) == {"parse", "derive", "solve", "write"}
     assert manifest["environment"]["fft_workers"] == manifest["environment"]["threads"] == 1
     assert {"python", "numpy", "scipy", "cpu_count"} <= set(manifest["environment"])
     snapshot = fields.load_field_bin(out / "fields.bin")
@@ -308,6 +322,9 @@ def test_every_solving_command_honours_the_clamp_threshold(tmp_path, command, ki
     else:
         assert diagnostics["failed"] == diagnostics["samples"]
         assert diagnostics["errors"] == {"ResonantGridError": diagnostics["samples"]}
+        assert len(diagnostics["failures"]) == diagnostics["samples"]
+        assert {f["error"] for f in diagnostics["failures"]} == {"ResonantGridError"}
+        assert all("clamp floor" in f["message"] for f in diagnostics["failures"])
     assert not (out / "results.csv").exists()
 
 
@@ -333,6 +350,38 @@ def test_run_decay_deterministic(tmp_path):
     assert (tmp_path / "a/results.csv").read_bytes() == (tmp_path / "b/results.csv").read_bytes()
     manifest = json.loads((tmp_path / "a/manifest.json").read_text())
     assert manifest["acceptance"]["remainder_decreasing"] is True
+    assert manifest["diagnostics"]["failures"] == []
+    assert set(manifest["timings"]) == {"parse", "derive", "solve", "write"}
+
+
+def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
+    cfg = small_config("decay")
+    cfg["geometry"]["lambda_list"] = [2.0, 4.0]
+    cfg["sampling"] = {"n_samples": 8, "seed": 77}
+    path = write(tmp_path, cfg)
+    assert main(["run-decay", "--config", path, "--out", str(tmp_path / "ok")]) == 0
+    solve = cgo.solve_cgo
+    calls = []
+
+    def second_solve_diverges(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise DivergenceError("forced divergence", diagnostics={"contraction": 1.5})
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cgo, "solve_cgo", second_solve_diverges)
+    assert main(["run-decay", "--config", path, "--out", str(tmp_path / "one")]) == 0
+    manifest = json.loads((tmp_path / "one/manifest.json").read_text())
+    rows = (tmp_path / "one/results.csv").read_text().splitlines()
+    lam, s, angle = (float(v) for v in rows[2].split(",")[:3])
+    assert manifest["diagnostics"]["failures"] == [
+        {"lambda": lam, "s": s, "angle": angle, "error": "DivergenceError",
+         "message": "forced divergence"},
+    ]
+    assert rows[2].split(",")[3:] == ["0", "nan", "nan", "nan", "nan"]
+    # every other row is the one of the run without a failure
+    ok_rows = (tmp_path / "ok/results.csv").read_text().splitlines()
+    assert rows[:2] + rows[3:] == ok_rows[:2] + ok_rows[3:]
 
 
 def test_threads_go_to_the_pool_or_to_the_fft(tmp_path, monkeypatch):
