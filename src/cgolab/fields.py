@@ -219,6 +219,36 @@ def _ifftn(a: np.ndarray) -> np.ndarray:
     return sfft.ifftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
 
 
+def _ifftn_box(a: np.ndarray, box: tuple[slice, slice, slice]) -> np.ndarray:
+    """``_ifftn(a)[..., box]``, transforming only the lines that reach the
+    box: axis -3 on every line, axis -2 on the box's planes, axis -1 on
+    its rows.  Bit for bit the full transform: the backend runs the axes
+    in this order and scales the first one by its 1/n^3 (computed in long
+    double), which is applied here to the kept planes."""
+    scale = np.float64(1 / np.longdouble(a.shape[-3] * a.shape[-2] * a.shape[-1]))
+    t = sfft.ifft(a, axis=-3, norm="forward", workers=_FFT_WORKERS)[..., box[0], :, :]
+    t = (t.view(np.float64) * scale).view(complex)
+    t = sfft.ifft(t, axis=-2, norm="forward", workers=_FFT_WORKERS)[..., box[1], :]
+    return sfft.ifft(t, axis=-1, norm="forward", workers=_FFT_WORKERS)[..., box[2]]
+
+
+def _fftn_box(z: np.ndarray, box: tuple[slice, slice, slice], n: int) -> np.ndarray:
+    """``_fftn`` of the (..., n, n, n) field equal to z on the box and 0
+    elsewhere: axis -3 on the box's lines, axis -2 on the planes they
+    fill, axis -1 on every line.  Lines of zeros transform to zeros, so
+    the result equals the full transform."""
+    lead = z.shape[:-3]
+    t = np.zeros(lead + (n,) + z.shape[-2:], dtype=complex)
+    t[..., box[0], :, :] = z
+    t = sfft.fft(t, axis=-3, workers=_FFT_WORKERS, overwrite_x=True)
+    u = np.zeros(lead + (n, n, z.shape[-1]), dtype=complex)
+    u[..., box[1], :] = t
+    u = sfft.fft(u, axis=-2, workers=_FFT_WORKERS, overwrite_x=True)
+    v = np.zeros(lead + (n, n, n), dtype=complex)
+    v[..., box[2]] = u
+    return sfft.fft(v, axis=-1, workers=_FFT_WORKERS, overwrite_x=True)
+
+
 def _live_blades(a: np.ndarray) -> list[int]:
     """Blades of a (leading axis) whose bits are not all those of +0.0.
 
@@ -275,16 +305,25 @@ def _spectral_covector(grid: Grid, zeta) -> np.ndarray:
     return c
 
 
+def _live_grades(a: np.ndarray) -> tuple[int, ...]:
+    """Grades of the live blades of a (see :func:`_live_blades`).  A dead
+    blade adds only zeros to a covector product, and a sum that starts at
+    +0.0 never becomes -0.0, so leaving its grade out keeps every bit."""
+    return tuple(sorted({int(algebra.GRADES[b]) for b in _live_blades(a)}))
+
+
 def ext_deriv(f: FormField, zeta=None) -> FormField:
     """Exterior derivative; with zeta the conjugated version d + zeta^."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(f, lambda F: algebra.wedge_cov(c, F))
+    return _spectral_map(f, lambda F: algebra.wedge_cov(c, F, grades=_live_grades(F)))
 
 
 def coderiv(f: FormField, zeta=None) -> FormField:
     """Codifferential; with zeta the conjugated version with (-1)^l zeta v."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
+    return _spectral_map(
+        f, lambda F: algebra.vee_cov(c, algebra.alternate(F), grades=_live_grades(F))
+    )
 
 
 def d_plus_delta(f: FormField, zeta=None) -> FormField:

@@ -28,7 +28,9 @@ from .fields import (
     FormField,
     Grid,
     _fftn,
+    _fftn_box,
     _ifftn,
+    _ifftn_box,
     _weighted_sq_sum,
     plane_wave_scalar,
     seeded_rng,
@@ -301,9 +303,27 @@ class UcpReport:
     clamped_modes: int
 
 
+def _support_box(fields) -> tuple[slice, slice, slice]:
+    """Bounding box of the points where any of the fields is nonzero;
+    empty when every field is zero."""
+    nonzero = np.zeros(fields[0].shape, dtype=bool)
+    for f in fields:
+        nonzero |= f != 0
+    box = []
+    for axis in range(3):
+        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0))
+    return tuple(box)
+
+
 class _UcpOperator:
     """resolvent o multiplication on the two coupled scalar components,
-    with machinery for the weighted adjoint."""
+    with machinery for the weighted adjoint.
+
+    The multiplication runs on the support box of the coefficients: the
+    inverse transform yields only the box, and the forward transform
+    starts from a field that is zero outside it.
+    """
 
     def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta, floor: float | None):
         sym = ClampedSymbol(grid, zeta, floor)
@@ -312,20 +332,20 @@ class _UcpOperator:
         self.inv_p = sym.inverse(np.ones(sym.mask.shape, complex))
         self.weight = sym.weight(0.5)
         self.inv_weight = sym.weight(-0.5)
-        self.m00 = coeffs.V + coeffs.a
-        self.m03 = coeffs.b
-        self.m30 = coeffs.d
-        self.m33 = coeffs.W + coeffs.c
+        self.adjoint_in = np.conj(self.inv_p) * self.weight
+        m = (coeffs.V + coeffs.a, coeffs.b, coeffs.d, coeffs.W + coeffs.c)
+        self.box = _support_box(m)
+        self.m00, self.m03, self.m30, self.m33 = (f[self.box].copy() for f in m)
 
     def _mult(self, u, conj_transpose=False):
-        w0, w3 = _ifftn(u)
+        w0, w3 = _ifftn_box(u, self.box)
         if conj_transpose:
             o0 = np.conj(self.m00) * w0 + np.conj(self.m30) * w3
             o3 = np.conj(self.m03) * w0 + np.conj(self.m33) * w3
         else:
             o0 = self.m00 * w0 + self.m03 * w3
             o3 = self.m30 * w0 + self.m33 * w3
-        return _fftn(np.stack([o0, o3]))
+        return _fftn_box(np.stack([o0, o3]), self.box, self.grid.n)
 
     def apply(self, u):
         """T u = resolvent(M u), spectral in and out."""
@@ -333,8 +353,7 @@ class _UcpOperator:
 
     def apply_adjoint(self, u):
         """Adjoint of T in the +1/2-weighted inner product."""
-        v = np.conj(self.inv_p) * self.weight * u
-        return self.inv_weight * self._mult(v, conj_transpose=True)
+        return self.inv_weight * self._mult(self.adjoint_in * u, conj_transpose=True)
 
     def norm_sq(self, u):
         return float(_weighted_sq_sum(self.weight, u))
@@ -367,6 +386,8 @@ def ucp_contraction_check(
         raise ValueError("unique continuation check needs <zeta, zeta> = 0")
     outside = grid.outside_subbox
     for name, f in zip("VWabcd", coeffs.as_tuple()):
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"coefficient {name} is not finite")
         scale = max(float(np.max(np.abs(f))), 1e-300)
         if float(np.max(np.abs(f[outside]))) > SUPPORT_TOL * scale:
             raise ValueError(f"coefficient {name} is not supported in the sub-box")
@@ -413,6 +434,7 @@ def ucp_contraction_check(
     else:
         converged_all = False
 
+    best = float(best)
     return UcpReport(
         norm_estimate=best,
         conclusive=not (0.9 <= best <= 1.1),

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -488,6 +491,7 @@ def test_derive_is_bit_equal_to_a_derive_on_8_blade_transforms(monkeypatch):
     fast = media.derive(medium)
     monkeypatch.setattr(fields, "fft_forward", _oracle_forward)
     monkeypatch.setattr(fields, "fft_inverse", _oracle_inverse)
+    monkeypatch.setattr(fields, "_live_grades", lambda a: (0, 1, 2, 3))  # products over every grade
     slow = media.derive(medium)
     for name, value in vars(slow).items():
         if isinstance(value, FormField):
@@ -498,3 +502,73 @@ def test_derive_is_bit_equal_to_a_derive_on_8_blade_transforms(monkeypatch):
             continue
         assert value.tobytes() == other.tobytes(), name
     assert slow.grade_multipliers.tobytes() == fast.grade_multipliers.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("zeta", [None, np.array([1.0, 2.0j, 0.5])])
+def test_derivatives_skip_only_the_grades_of_dead_blades(n, zeta):
+    # a dead blade only adds zeros, and a sum that starts at +0.0 keeps its bits
+    grid = Grid(n, 2.0 * np.pi)
+    c = fields._spectral_covector(grid, zeta)
+    for name, values in _blade_cases(grid).items():
+        f = FormField(grid, values, check=False)
+        d_all = fields._spectral_map(f, lambda F: algebra.wedge_cov(c, F))
+        delta_all = fields._spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
+        assert ext_deriv(f, zeta).values.tobytes() == d_all.values.tobytes(), name
+        assert coderiv(f, zeta).values.tobytes() == delta_all.values.tobytes(), name
+    cases = _blade_cases(grid)
+    assert fields._live_grades(cases["zero"]) == ()
+    assert fields._live_grades(cases["scalar"]) == (0,)
+    assert fields._live_grades(cases["neg_zero"]) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# transforms pruned to a box
+# ---------------------------------------------------------------------------
+
+def _boxes(n):
+    return {
+        "interior": (slice(3, n - 4), slice(5, n - 2), slice(2, 7)),
+        "both ends": (slice(0, 3), slice(n - 2, n), slice(0, n // 2)),
+        "full axis": (slice(0, n), slice(4, 9), slice(1, n - 1)),
+        "full box": (slice(0, n),) * 3,
+        "point": (slice(5, 6), slice(n - 1, n), slice(0, 1)),
+        "empty": (slice(0, 0),) * 3,
+    }
+
+
+@pytest.mark.parametrize("n", [12, 16, 32])  # 12: 1/n^3 is inexact, so its place shows
+@pytest.mark.parametrize("workers", [1, 2])
+def test_box_transforms_are_byte_equal_to_the_full_transforms(n, workers, monkeypatch):
+    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
+    fields.set_fft_workers(workers)
+    rng = np.random.default_rng(n)
+    shape = (2, n, n, n)
+    for name, box in _boxes(n).items():
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = fields._ifftn(a)[(Ellipsis,) + box]
+        got = fields._ifftn_box(a, box)
+        assert got.shape == full.shape, name
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(full).tobytes(), name
+        z = rng.standard_normal(full.shape) + 1j * rng.standard_normal(full.shape)
+        embedded = np.zeros(shape, dtype=complex)
+        embedded[(Ellipsis,) + box] = z
+        assert fields._fftn_box(z, box, n).tobytes() == fields._fftn(embedded).tobytes(), name
+
+
+def test_only_fields_imports_the_fft_backend():
+    # fields._fftn/_ifftn and the box transforms are the one FFT entry point
+    offenders = []
+    for path in sorted((Path(fields.__file__).parent).glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -205,6 +206,114 @@ def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16)
     assert np.array_equal(op.inv_p, inv_p)
     assert np.array_equal(op.weight, weight)
     assert np.array_equal(op.inv_weight, inv_weight)
+
+
+class _FullTransformOperator(uq._UcpOperator):
+    """Oracle: the operator with full n^3 transforms and a multiply on every
+    point, as it was written before the support-box transforms."""
+
+    def __init__(self, grid, coeffs, zeta, floor):
+        super().__init__(grid, coeffs, zeta, floor)
+        self.full = (coeffs.V + coeffs.a, coeffs.b, coeffs.d, coeffs.W + coeffs.c)
+
+    def _mult(self, u, conj_transpose=False):
+        m00, m03, m30, m33 = self.full
+        w0, w3 = fields._ifftn(u)
+        if conj_transpose:
+            o0 = np.conj(m00) * w0 + np.conj(m30) * w3
+            o3 = np.conj(m03) * w0 + np.conj(m33) * w3
+        else:
+            o0 = m00 * w0 + m03 * w3
+            o3 = m30 * w0 + m33 * w3
+        return fields._fftn(np.stack([o0, o3]))
+
+    def apply(self, u):
+        return self._mult(u) * self.inv_p
+
+    def apply_adjoint(self, u):
+        v = np.conj(self.inv_p) * self.weight * u
+        return self.inv_weight * self._mult(v, conj_transpose=True)
+
+
+def _with_tail(grid, coeffs):
+    """The coefficients with a small value at one point outside the sub-box,
+    below the support tolerance, so the support box grows past the sub-box."""
+    V = coeffs.V.copy()
+    V[1, grid.n - 2, 3] = 1e-3 * uq.SUPPORT_TOL * np.max(np.abs(V))
+    return dataclasses.replace(coeffs, V=V)
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_ucp_operator_matches_the_full_transform_oracle(grid16, pair16, tail):
+    coeffs = uq.ucp_coefficients(pair16)
+    if tail:
+        coeffs = _with_tail(grid16, coeffs)
+    rng = np.random.default_rng(4)
+    shape = (2,) + (grid16.n,) * 3
+    for mag in (8.0, 32.0):
+        zeta = uq.null_covector(mag)
+        op = uq._UcpOperator(grid16, coeffs, zeta, None)
+        oracle = _FullTransformOperator(grid16, coeffs, zeta, None)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(op.apply(u), oracle.apply(u))
+        assert np.array_equal(op.apply_adjoint(u), oracle.apply_adjoint(u))
+
+
+def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
+    coeffs = uq.ucp_coefficients(pair16)
+    zeta = uq.null_covector(8.0)
+    box = uq._UcpOperator(grid16, coeffs, zeta, None).box
+    nonzero = np.zeros((grid16.n,) * 3, dtype=bool)
+    for f in coeffs.as_tuple():
+        nonzero |= f != 0
+    inside = np.zeros_like(nonzero)
+    inside[box] = True
+    assert nonzero[box].any() and not (nonzero & ~inside).any()
+    assert all(0 < s.stop - s.start < grid16.n for s in box)
+    tail_box = uq._UcpOperator(grid16, _with_tail(grid16, coeffs), zeta, None).box
+    assert tail_box[0].start == 1 and tail_box[1].stop == grid16.n - 1
+    assert tail_box[2] == slice(3, box[2].stop)
+    z = np.zeros((grid16.n,) * 3)
+    empty = uq._UcpOperator(grid16, uq.UcpCoefficients(z, z, z, z, z, z), zeta, None)
+    assert empty.box == (slice(0, 0),) * 3
+    u = np.ones((2,) + (grid16.n,) * 3, dtype=complex)
+    assert not np.any(empty.apply(u)) and not np.any(empty.apply_adjoint(u))
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_ucp_report_equals_the_full_transform_oracle(grid16, pair16, tail, monkeypatch):
+    coeffs = uq.ucp_coefficients(pair16)
+    if tail:
+        coeffs = _with_tail(grid16, coeffs)
+
+    def reports():
+        return [
+            uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(mag), trials=2, seed=3)
+            for mag in (8.0, 16.0, 32.0)
+        ]
+
+    fast = reports()
+    monkeypatch.setattr(uq, "_UcpOperator", _FullTransformOperator)
+    assert fast == reports()
+
+
+@pytest.mark.parametrize("name", ["V", "c"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_ucp_rejects_non_finite_coefficients(grid16, pair16, name, value):
+    coeffs = uq.ucp_coefficients(pair16)
+    field = getattr(coeffs, name).copy()
+    field[8, 8, 8] = value
+    bad = dataclasses.replace(coeffs, **{name: field})
+    with pytest.raises(ValueError, match=f"coefficient {name} is not finite"):
+        uq.ucp_contraction_check(grid16, bad, uq.null_covector(8.0), trials=1)
+
+
+def test_ucp_report_round_trips_through_json(grid16, pair16):
+    coeffs = uq.ucp_coefficients(pair16)
+    rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(32.0), trials=1, seed=3)
+    for f in dataclasses.fields(rep):
+        assert type(getattr(rep, f.name)).__name__ == f.type, f.name  # plain, not numpy
+    assert uq.UcpReport(**json.loads(json.dumps(dataclasses.asdict(rep)))) == rep
 
 
 # ---------------------------------------------------------------------------
