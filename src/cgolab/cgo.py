@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,9 @@ from .fields import (
     ClampedSymbol,
     ClampReport,
     FormField,
-    _fftn,
-    _ifftn,
+    _forward,
+    _inverse,
+    _parallel_map,
     assert_admissible,
     coderiv,
     fft_forward,
@@ -247,10 +247,9 @@ def solve_cgo(
     low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
-    scale = grid.n**3
     total = FormField.constant(grid, amplitude)  # A + R, updated on the block
     amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
-    fhat = _fftn(potential(total, dm, grades).values[blk]) / scale
+    fhat = _forward(potential(total, dm, grades).values[blk])
     forcing_norm = sym.norm(fhat, -0.5)
 
     rhat = np.zeros_like(fhat)
@@ -281,9 +280,9 @@ def solve_cgo(
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
         rhat = rhat_new
-        rem = _ifftn(rhat * scale)
+        rem = _inverse(rhat)
         np.add(amp_blk, rem, out=total.values[blk])
-        fhat_new = _fftn(potential(total, dm, grades).values[blk]) / scale
+        fhat_new = _forward(potential(total, dm, grades).values[blk])
         residual = sym.norm(fhat_new - fhat, -0.5)
         residuals.append(residual)
         fhat = fhat_new
@@ -475,15 +474,6 @@ def decay_study(
             )
         )
     return DecayStudy(samples=samples, summaries=summaries)
-
-
-def _parallel_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], on a pool of ``workers`` threads when
-    there is more than one; results keep the order of ``items``."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _guarded(fn):

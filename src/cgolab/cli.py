@@ -25,7 +25,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, algebra, checks, fields
 from .cgo import (
@@ -140,7 +139,7 @@ class Run:
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "fft": "numpy.fft",
                 "cpu_count": os.cpu_count(),
                 "fft_workers": self.fft_workers,
                 "threads": self.args.threads,

@@ -5,6 +5,8 @@ Conventions used throughout:
 * The box is [0, L)^3 sampled on an n^3 lattice, n a power of two.
 * Spectral coefficients are Fourier-series coefficients: ``coeffs =
   fftn(values) / n^3``, so a constant field has its value at xi = 0.
+  The one transform pair, :func:`_forward` and :func:`_inverse`, runs
+  ``numpy.fft`` axis by axis and folds the 1/n^3 into the forward axes.
 * Discrete integrals carry the quadrature weight (L/n)^3; with the
   convention above the discrete Parseval identity
   ``(L/n)^3 sum_x <f, conj g> = L^3 sum_xi <f_hat, conj g_hat>``
@@ -19,11 +21,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import algebra
 from .algebra import GradedForm
@@ -36,8 +38,8 @@ _BIN_VERSION = 1
 
 
 def set_fft_workers(n: int) -> int:
-    """Number of threads handed to the FFT backend (process-wide); returns
-    the count in effect, at least 1."""
+    """Number of threads that share the lines of each FFT axis
+    (process-wide); returns the count in effect, at least 1."""
     global _FFT_WORKERS
     _FFT_WORKERS = max(1, int(n))
     return _FFT_WORKERS
@@ -208,45 +210,60 @@ class SpectralField:
         self.coeffs = coeffs
 
 
-def _fftn(a: np.ndarray) -> np.ndarray:
-    """Unnormalized forward transform over the last three axes: the one
-    call into the FFT backend, honouring :func:`set_fft_workers`."""
-    return sfft.fftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+def _parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of ``workers`` threads when
+    there is more than one; results keep the order of ``items``."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
-def _ifftn(a: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_fftn` (the backend's 1/n^3 normalization)."""
-    return sfft.ifftn(a, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+def _lines(a: np.ndarray, axis: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Transform a along one of its last three axes into out (new when
+    None, or a itself): forward scaled by 1/n, inverse unscaled.  The FFT
+    workers split the lines along another axis; each line is transformed
+    on its own, so the split changes no bit."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    if _FFT_WORKERS == 1:
+        return transform(a, axis=axis, norm="forward", out=out)
+    out = np.empty(a.shape, dtype=complex) if out is None else out
+    cut = a.ndim - 2 if axis == -1 else a.ndim - 1  # the axis the workers split
+    m, w = a.shape[cut], _FFT_WORKERS
+    parts = [(slice(None),) * cut + (slice(i * m // w, (i + 1) * m // w),) for i in range(w)]
+    _parallel_map(lambda p: transform(a[p], axis=axis, norm="forward", out=out[p]), parts, w)
+    return out
 
 
-def _ifftn_box(a: np.ndarray, box: tuple[slice, slice, slice]) -> np.ndarray:
-    """``_ifftn(a)[..., box]``, transforming only the lines that reach the
-    box: axis -3 on every line, axis -2 on the box's planes, axis -1 on
-    its rows.  Bit for bit the full transform: the backend runs the axes
-    in this order and scales the first one by its 1/n^3 (computed in long
-    double), which is applied here to the kept planes."""
-    scale = np.float64(1 / np.longdouble(a.shape[-3] * a.shape[-2] * a.shape[-1]))
-    t = sfft.ifft(a, axis=-3, norm="forward", workers=_FFT_WORKERS)[..., box[0], :, :]
-    t = (t.view(np.float64) * scale).view(complex)
-    t = sfft.ifft(t, axis=-2, norm="forward", workers=_FFT_WORKERS)[..., box[1], :]
-    return sfft.ifft(t, axis=-1, norm="forward", workers=_FFT_WORKERS)[..., box[2]]
+_WHOLE = (slice(None),) * 3
 
 
-def _fftn_box(z: np.ndarray, box: tuple[slice, slice, slice], n: int) -> np.ndarray:
-    """``_fftn`` of the (..., n, n, n) field equal to z on the box and 0
+def _transform(a: np.ndarray, out=None, inverse: bool = False, box=_WHOLE) -> np.ndarray:
+    """The pair over the last three axes, in the order -3, -2, -1: forward,
+    ``fftn(a) / n^3`` (each axis's 1/n is exact, n being a power of two),
+    or the unscaled inverse; out may be a.  With ``box`` each axis is cut to
+    the box, so later axes transform only the lines that reach it."""
+    for axis, keep in zip((-3, -2, -1), box):
+        a = out = _lines(a, axis, inverse, out)[(..., keep) + (slice(None),) * (-1 - axis)]
+    return out
+
+
+_forward = partial(_transform, inverse=False)
+_inverse = partial(_transform, inverse=True)
+
+
+def _forward_box(z: np.ndarray, box: tuple[slice, slice, slice], n: int) -> np.ndarray:
+    """``_forward`` of the (..., n, n, n) field equal to z on the box and 0
     elsewhere: axis -3 on the box's lines, axis -2 on the planes they
     fill, axis -1 on every line.  Lines of zeros transform to zeros, so
     the result equals the full transform."""
-    lead = z.shape[:-3]
-    t = np.zeros(lead + (n,) + z.shape[-2:], dtype=complex)
-    t[..., box[0], :, :] = z
-    t = sfft.fft(t, axis=-3, workers=_FFT_WORKERS, overwrite_x=True)
-    u = np.zeros(lead + (n, n, z.shape[-1]), dtype=complex)
-    u[..., box[1], :] = t
-    u = sfft.fft(u, axis=-2, workers=_FFT_WORKERS, overwrite_x=True)
-    v = np.zeros(lead + (n, n, n), dtype=complex)
-    v[..., box[2]] = u
-    return sfft.fft(v, axis=-1, workers=_FFT_WORKERS, overwrite_x=True)
+    for axis, keep in zip((-3, -2, -1), box):
+        # the transformed axis last in memory, so that its lines merge into few loops
+        t = np.zeros(z.shape[:axis] + z.shape[axis:][1:][::-1] + (n,), dtype=complex)
+        t = t.swapaxes(-1, axis)
+        t[(..., keep) + (slice(None),) * (-1 - axis)] = z
+        z = _lines(t, axis, False, t)
+    return z
 
 
 def _live_blades(a: np.ndarray) -> list[int]:
@@ -261,25 +278,24 @@ def _live_blades(a: np.ndarray) -> list[int]:
 
 
 def _live_transform(transform, a: np.ndarray) -> np.ndarray:
-    """transform(a), computed on the live blades only: the transform of an
-    all +0.0 blade is all +0.0, so the result is bit for bit the same."""
+    """transform(a), computed on the span of the live blades only: the transform
+    of an all +0.0 blade is all +0.0, so the result is bit for bit the same."""
     live = _live_blades(a)
     if len(live) == len(a):
         return transform(a)
     out = np.zeros(a.shape, dtype=complex)
     if live:
-        out[live] = transform(a[live])
+        span = slice(live[0], live[-1] + 1)
+        transform(a[span], out[span])
     return out
 
 
 def fft_forward(f: FormField) -> SpectralField:
-    n3 = f.grid.n**3
-    return SpectralField(f.grid, _live_transform(lambda a: _fftn(a) / n3, f.values), check=False)
+    return SpectralField(f.grid, _live_transform(_forward, f.values), check=False)
 
 
 def fft_inverse(F: SpectralField) -> FormField:
-    n3 = F.grid.n**3
-    return FormField(F.grid, _live_transform(lambda a: _ifftn(a * n3), F.coeffs), check=False)
+    return FormField(F.grid, _live_transform(_inverse, F.coeffs), check=False)
 
 
 def _spectral(f) -> SpectralField:
@@ -287,9 +303,10 @@ def _spectral(f) -> SpectralField:
     return f if isinstance(f, SpectralField) else fft_forward(f)
 
 
-def _spectral_map(f: FormField, fn) -> FormField:
-    """Apply ``fn`` to the Fourier coefficients of f, in one transform pair."""
-    F = fft_forward(f)
+def _spectral_map(f, fn) -> FormField:
+    """Apply ``fn`` to the Fourier coefficients of f (a field, transformed
+    here, or its spectrum) and transform back."""
+    F = _spectral(f)
     return fft_inverse(SpectralField(f.grid, fn(F.coeffs), check=False))
 
 
@@ -312,8 +329,9 @@ def _live_grades(a: np.ndarray) -> tuple[int, ...]:
     return tuple(sorted({int(algebra.GRADES[b]) for b in _live_blades(a)}))
 
 
-def ext_deriv(f: FormField, zeta=None) -> FormField:
-    """Exterior derivative; with zeta the conjugated version d + zeta^."""
+def ext_deriv(f, zeta=None) -> FormField:
+    """Exterior derivative of a field or of its spectrum; with zeta the
+    conjugated version d + zeta^."""
     c = _spectral_covector(f.grid, zeta)
     return _spectral_map(f, lambda F: algebra.wedge_cov(c, F, grades=_live_grades(F)))
 
@@ -553,15 +571,14 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> FormField:
     """
     if tensor.shape != (6, grid.n, grid.n, grid.n):
         raise ValueError("tensor field must have shape (6, n, n, n)")
-    that = _fftn(tensor)
+    that = _forward(tensor)
     full = np.empty((3, 3) + tensor.shape[1:], dtype=complex)
     for idx, (j, k) in enumerate(algebra.SYM_PAIRS):
         full[j, k] = that[idx]
         full[k, j] = that[idx]
     out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
-    out = _ifftn(out_hat)
     values = np.zeros((8, grid.n, grid.n, grid.n), dtype=complex)
-    values[1:4] = out
+    values[1:4] = _inverse(out_hat, out_hat)
     return FormField(grid, values, check=False)
 
 

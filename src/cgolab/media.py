@@ -30,6 +30,7 @@ from .fields import (
     conj_laplacian,
     d_plus_delta,
     ext_deriv,
+    fft_forward,
     quadrature_pairing,
     sym_coderiv,
     sym_product_field,
@@ -187,15 +188,16 @@ class DerivedMedium:
         ])
 
 
-def _hessian(grid: Grid, scalar: np.ndarray) -> np.ndarray:
-    """Spectral Hessian of a scalar field: the entries j <= k in
-    ``algebra.SYM_PAIRS`` order, shape (6, n, n, n)."""
-    shat = fields._fftn(scalar)
+def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[FormField, np.ndarray]:
+    """Gradient and Hessian (entries j <= k in ``algebra.SYM_PAIRS`` order,
+    shape (6, n, n, n)) of a scalar field, from one forward transform."""
+    shat = fft_forward(FormField.from_scalar(grid, scalar))
     xi = grid.xi_op
     out = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
-        out[i] = fields._ifftn(-xi[j] * xi[k] * shat)
-    return out
+        np.multiply(-xi[j] * xi[k], shat.coeffs[0], out=out[i])
+        fields._inverse(out[i], out[i])
+    return ext_deriv(shat), out
 
 
 def derive(medium: Medium) -> DerivedMedium:
@@ -214,8 +216,8 @@ def derive(medium: Medium) -> DerivedMedium:
     sqrt_gamma = np.exp(a)
     sqrt_mu = np.exp(b)
     c = sqrt_gamma * sqrt_mu
-    da = ext_deriv(FormField.from_scalar(grid, a))
-    db = ext_deriv(FormField.from_scalar(grid, b))
+    da, hess_a = _derivatives(grid, a)
+    db, hess_b = _derivatives(grid, b)
     dc = ext_deriv(FormField.from_scalar(grid, c))
     k = medium.omega * np.sqrt(medium.eps0 * medium.mu0)
     return DerivedMedium(
@@ -233,8 +235,8 @@ def derive(medium: Medium) -> DerivedMedium:
         dc=dc,
         delta_da=coderiv(da).values[0],
         delta_db=coderiv(db).values[0],
-        hess_a=_hessian(grid, a),
-        hess_b=_hessian(grid, b),
+        hess_a=hess_a,
+        hess_b=hess_b,
         sqrt_gamma=sqrt_gamma,
         inv_sqrt_gamma=np.exp(-a),
         sqrt_mu=sqrt_mu,
@@ -311,7 +313,7 @@ _SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)
 
 def _hess_apply(hess: np.ndarray, comps) -> np.ndarray:
     """sum_j H[j, k] comps[j] for k = 0..2, with H packed as in
-    :func:`_hessian` and comps three scalar fields."""
+    :func:`_derivatives` and comps three scalar fields."""
     out = np.empty((3,) + hess.shape[1:], dtype=complex)
     term = np.empty_like(out[0])
     for k in range(3):

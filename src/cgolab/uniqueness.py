@@ -16,7 +16,6 @@ from .cgo import (
     CgoGeometry,
     CgoSolution,
     Polarization,
-    _parallel_map,
     amplitude_a,
     amplitude_b,
     make_geometry,
@@ -27,10 +26,10 @@ from .fields import (
     ClampedSymbol,
     FormField,
     Grid,
-    _fftn,
-    _fftn_box,
-    _ifftn,
-    _ifftn_box,
+    _forward,
+    _forward_box,
+    _inverse,
+    _parallel_map,
     _weighted_sq_sum,
     plane_wave_scalar,
     seeded_rng,
@@ -127,39 +126,32 @@ def pairing(
     return PairingResult(value=value, sol1=sol1, sol2=sol2)
 
 
-def _scatter_target(dm1, dm2, ds1, ds2, rho, omega, grid) -> complex:
+def _scatter_target(mp: MediumPair, ds1: FormField, ds2: FormField, rho) -> complex:
     """Common form of the two scattering relations in the pairing-limit
     orientation: int <d(s1-s2), d e> + int <d(s1+s2), d(s2-s1)> e
     + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho); ds1, ds2 are
     the gradients d s1, d s2 of the two half-log fields."""
+    dm1, dm2, grid = mp.dm1, mp.dm2, mp.grid
     wave = plane_wave_scalar(grid, rho)
     irho = 1j * np.asarray(rho, dtype=float)
     diff3 = ds1.values[1:4] - ds2.values[1:4]
     total = np.sum(np.einsum("j...,j->...", diff3, irho) * wave)
     sum3 = ds1.values[1:4] + ds2.values[1:4]
     total += np.sum(np.einsum("j...,j...->...", sum3, -diff3) * wave)
-    total += omega**2 * np.sum((dm1.gamma_mu - dm2.gamma_mu) * wave)
+    total += dm1.omega**2 * np.sum((dm1.gamma_mu - dm2.gamma_mu) * wave)
     return complex(grid.cell_volume * total)
 
 
 def target_a(mp: MediumPair, rho) -> complex:
     """Large-s limit of the E-polarized pairing: the scattering relation
     in the electric half-log contrast."""
-    return _scatter_target(
-        mp.dm1, mp.dm2,
-        mp.dm1.da, mp.dm2.da,
-        np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
-    )
+    return _scatter_target(mp, mp.dm1.da, mp.dm2.da, rho)
 
 
 def target_b(mp: MediumPair, rho) -> complex:
     """Large-s limit of the H-polarized pairing: the scattering relation
     in the magnetic half-log contrast."""
-    return _scatter_target(
-        mp.dm1, mp.dm2,
-        mp.dm1.db, mp.dm2.db,
-        np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
-    )
+    return _scatter_target(mp, mp.dm1.db, mp.dm2.db, rho)
 
 
 @dataclass
@@ -272,7 +264,7 @@ def ucp_coefficients(mp: MediumPair) -> UcpCoefficients:
     mu1, mu2 = mp.dm1.mu, mp.dm2.mu
 
     def neg_lap_over(f):
-        return -_ifftn(-grid.xi_op_sq * _fftn(f)) / f
+        return -_inverse(-grid.xi_op_sq * _forward(f)) / f
 
     V = window * neg_lap_over(sg1 + sg2)
     W = window * neg_lap_over(sm1 + sm2)
@@ -338,14 +330,14 @@ class _UcpOperator:
         self.m00, self.m03, self.m30, self.m33 = (f[self.box].copy() for f in m)
 
     def _mult(self, u, conj_transpose=False):
-        w0, w3 = _ifftn_box(u, self.box)
+        w0, w3 = _inverse(u, box=self.box)
         if conj_transpose:
             o0 = np.conj(self.m00) * w0 + np.conj(self.m30) * w3
             o3 = np.conj(self.m03) * w0 + np.conj(self.m33) * w3
         else:
             o0 = self.m00 * w0 + self.m03 * w3
             o3 = self.m30 * w0 + self.m33 * w3
-        return _fftn_box(np.stack([o0, o3]), self.box, self.grid.n)
+        return _forward_box(np.stack([o0, o3]), self.box, self.grid.n)
 
     def apply(self, u):
         """T u = resolvent(M u), spectral in and out."""

@@ -269,7 +269,8 @@ def test_run_cgo_outputs(tmp_path):
     assert {"version", "seed", "config", "wall_clock_s", "diagnostics"} <= set(manifest)
     assert set(manifest["timings"]) == {"parse", "derive", "solve", "write"}
     assert manifest["environment"]["fft_workers"] == manifest["environment"]["threads"] == 1
-    assert {"python", "numpy", "scipy", "cpu_count"} <= set(manifest["environment"])
+    assert {"python", "numpy", "fft", "cpu_count"} <= set(manifest["environment"])
+    assert manifest["environment"]["fft"] == "numpy.fft"
     snapshot = fields.load_field_bin(out / "fields.bin")
     assert snapshot.grid.n == 16
     diagnostics = manifest["diagnostics"]

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -430,19 +433,19 @@ def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n, workers, monkeypatch):
     fields.set_fft_workers(workers)
     grid = Grid(n, 2.0 * np.pi)
     values = random_band_limited(grid, np.random.default_rng(n), band=n // 2 - 1).values
-    forward, inverse = fields._fftn(values), fields._ifftn(values)
+    forward, inverse = fields._forward(values), fields._inverse(values)
     for blk in (slice(0, 4), slice(4, 8)):
-        assert np.array_equal(fields._fftn(values[blk]), forward[blk])
-        assert np.array_equal(fields._ifftn(values[blk]), inverse[blk])
+        assert np.array_equal(fields._forward(values[blk]), forward[blk])
+        assert np.array_equal(fields._inverse(values[blk]), inverse[blk])
 
 
 def _oracle_forward(f):
     """fft_forward as one 8-blade transform, with no live-blade skip."""
-    return SpectralField(f.grid, fields._fftn(f.values) / f.grid.n**3, check=False)
+    return SpectralField(f.grid, fields._forward(f.values), check=False)
 
 
 def _oracle_inverse(F):
-    return FormField(F.grid, fields._ifftn(F.coeffs * F.grid.n**3), check=False)
+    return FormField(F.grid, fields._inverse(F.coeffs), check=False)
 
 
 def _blade_cases(grid):
@@ -537,7 +540,7 @@ def _boxes(n):
     }
 
 
-@pytest.mark.parametrize("n", [12, 16, 32])  # 12: 1/n^3 is inexact, so its place shows
+@pytest.mark.parametrize("n", [12, 16, 32])  # 12: 1/n is inexact, so where it is applied shows
 @pytest.mark.parametrize("workers", [1, 2])
 def test_box_transforms_are_byte_equal_to_the_full_transforms(n, workers, monkeypatch):
     monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
@@ -546,29 +549,87 @@ def test_box_transforms_are_byte_equal_to_the_full_transforms(n, workers, monkey
     shape = (2, n, n, n)
     for name, box in _boxes(n).items():
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        full = fields._ifftn(a)[(Ellipsis,) + box]
-        got = fields._ifftn_box(a, box)
+        full = fields._inverse(a)[(Ellipsis,) + box]
+        got = fields._inverse(a, box=box)
         assert got.shape == full.shape, name
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(full).tobytes(), name
         z = rng.standard_normal(full.shape) + 1j * rng.standard_normal(full.shape)
         embedded = np.zeros(shape, dtype=complex)
         embedded[(Ellipsis,) + box] = z
-        assert fields._fftn_box(z, box, n).tobytes() == fields._fftn(embedded).tobytes(), name
+        assert fields._forward_box(z, box, n).tobytes() == fields._forward(embedded).tobytes(), name
 
 
 def test_only_fields_imports_the_fft_backend():
-    # fields._fftn/_ifftn and the box transforms are the one FFT entry point
+    # no module imports scipy, and fields.py alone calls numpy.fft: its
+    # _forward/_inverse and the box transforms are the one FFT entry point
     offenders = []
     for path in sorted((Path(fields.__file__).parent).glob("*.py")):
-        if path.name == "fields.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "fft":
+                names = ["numpy.fft"]
             else:
                 continue
-            if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+            scipy = any(name == "scipy" or name.startswith("scipy.") for name in names)
+            fft = any(name == "numpy.fft" or name.startswith("numpy.fft.") for name in names)
+            if scipy or (fft and path.name != "fields.py"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_importing_the_library_loads_no_scipy():
+    code = (
+        "import sys; import cgolab, cgolab.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(fields.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the transform pair against scipy.fft as an oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_cases(n):
+    """Dense random blades, and the same with blades of -0.0 (all, real
+    part only), a blade of +0.0 and a blade with one -0.0 sample."""
+    rng = np.random.default_rng(n)
+    shape = (8, n, n, n)
+    dense = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    signed = dense.copy()
+    signed[2] = complex(-0.0, -0.0)
+    signed[3].real = -0.0
+    signed[4] = 0.0
+    signed[5, 0, 1, 2] = complex(-0.0, 0.0)
+    return dense, signed
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fft_pair_is_bit_equal_to_scipy(n, workers, monkeypatch):
+    sfft = pytest.importorskip("scipy.fft")
+    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
+    fields.set_fft_workers(workers)
+    axes, n3 = (-3, -2, -1), n**3
+    dense, signed = _oracle_cases(n)
+    for lead in (dense, dense[0], dense[2:4]):  # leading blade axes: 8, none, 2
+        assert fields._forward(lead).tobytes() == (sfft.fftn(lead, axes=axes) / n3).tobytes()
+        assert fields._inverse(lead).tobytes() == sfft.ifftn(lead * n3, axes=axes).tobytes()
+    # Dividing by n^3 is a complex division, which may flip the sign of a
+    # zero part; scipy's own 1/n^3 scales each part by a real factor and
+    # keeps it, as each axis of the pair does with its 1/n.
+    assert (
+        fields._forward(signed).tobytes()
+        == sfft.fftn(signed, axes=axes, norm="forward").tobytes()
+    )
+    assert (
+        fields._inverse(signed).tobytes()
+        == sfft.ifftn(signed, axes=axes, norm="forward").tobytes()
+    )

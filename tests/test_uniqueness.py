@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy import fft as sfft
 
 from cgolab import cgo, fields, presets
 from cgolab import media as md
@@ -218,14 +217,14 @@ class _FullTransformOperator(uq._UcpOperator):
 
     def _mult(self, u, conj_transpose=False):
         m00, m03, m30, m33 = self.full
-        w0, w3 = fields._ifftn(u)
+        w0, w3 = fields._inverse(u)
         if conj_transpose:
             o0 = np.conj(m00) * w0 + np.conj(m30) * w3
             o3 = np.conj(m03) * w0 + np.conj(m33) * w3
         else:
             o0 = m00 * w0 + m03 * w3
             o3 = m30 * w0 + m33 * w3
-        return fields._fftn(np.stack([o0, o3]))
+        return fields._forward(np.stack([o0, o3]))
 
     def apply(self, u):
         return self._mult(u) * self.inv_p
@@ -327,27 +326,29 @@ def _set_fft_workers(monkeypatch, n):
 
 
 def test_ucp_transforms_honour_the_fft_workers(grid16, pair16, monkeypatch):
-    seen = []
-
-    class Spy:
-        def __getattr__(self, name):
-            fn = getattr(sfft, name)
-
-            def call(*args, **kwargs):
-                seen.append(kwargs.get("workers"))
-                return fn(*args, **kwargs)
-
-            return call
-
-    monkeypatch.setattr(fields, "sfft", Spy())
-    _set_fft_workers(monkeypatch, 2)
     coeffs = uq.ucp_coefficients(pair16)
-    uq.ucp_contraction_check(
-        grid16, coeffs, uq.null_covector(32.0), trials=1, seed=3,
-        power_iterations=3, fixed_point_starts=1,
-    )
-    assert seen
-    assert all(w == 2 for w in seen)
+
+    def report():
+        return uq.ucp_contraction_check(
+            grid16, coeffs, uq.null_covector(32.0), trials=1, seed=3,
+            power_iterations=3, fixed_point_starts=1,
+        )
+
+    _set_fft_workers(monkeypatch, 1)
+    serial = report()
+    splits = []
+    parallel_map = fields._parallel_map
+
+    def spy(fn, items, workers):
+        splits.append((len(items), workers))
+        return parallel_map(fn, items, workers)
+
+    monkeypatch.setattr(fields, "_parallel_map", spy)
+    _set_fft_workers(monkeypatch, 2)
+    threaded = report()
+    assert splits
+    assert all(split == (2, 2) for split in splits)  # every axis, lines split over 2 threads
+    assert repr(threaded) == repr(serial)  # repr tells -0.0 from 0.0
 
 
 def test_results_do_not_depend_on_fft_workers(grid16, monkeypatch):
