@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -219,26 +219,27 @@ def _parallel_map(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
+@cache
+def _fft_pool(workers: int) -> ThreadPoolExecutor:
+    """The threads that share each split axis pass, kept: a pass can take < 1 ms."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _lines(a: np.ndarray, axis: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """Transform a along one of its last three axes into out (new when
-    None, or a itself): forward scaled by 1/n, inverse unscaled.  The FFT
-    workers split the lines along another axis; each line is transformed
-    on its own, so the split changes no bit."""
-    transform = np.fft.ifft if inverse else np.fft.fft
+    """Transform a along one of its last three axes into out (new when None,
+    or a itself): forward scaled by 1/n, inverse unscaled.  The FFT workers split
+    the lines along an outer axis; each line is its own, so no bit changes."""
+    transform = partial(np.fft.ifft if inverse else np.fft.fft, axis=axis, norm="forward")
     if _FFT_WORKERS == 1:
-        return transform(a, axis=axis, norm="forward", out=out)
+        return transform(a, out=out)
     out = np.empty(a.shape, dtype=complex) if out is None else out
-    cut = a.ndim - 2 if axis == -1 else a.ndim - 1  # the axis the workers split
-    m, w = a.shape[cut], _FFT_WORKERS
-    parts = [(slice(None),) * cut + (slice(i * m // w, (i + 1) * m // w),) for i in range(w)]
-    _parallel_map(lambda p: transform(a[p], axis=axis, norm="forward", out=out[p]), parts, w)
+    cut = a.ndim - (2 if axis == -3 else 3)  # the outer axis the workers split
+    parts = [np.array_split(x, _FFT_WORKERS, axis=cut) for x in (a, out)]
+    list(_fft_pool(_FFT_WORKERS).map(lambda x, y: transform(x, out=y), *parts))
     return out
 
 
-_WHOLE = (slice(None),) * 3
-
-
-def _transform(a: np.ndarray, out=None, inverse: bool = False, box=_WHOLE) -> np.ndarray:
+def _transform(a: np.ndarray, out=None, inverse=False, box=(slice(None),) * 3) -> np.ndarray:
     """The pair over the last three axes, in the order -3, -2, -1: forward,
     ``fftn(a) / n^3`` (each axis's 1/n is exact, n being a power of two),
     or the unscaled inverse; out may be a.  With ``box`` each axis is cut to
@@ -254,13 +255,11 @@ _inverse = partial(_transform, inverse=True)
 
 def _forward_box(z: np.ndarray, box: tuple[slice, slice, slice], n: int) -> np.ndarray:
     """``_forward`` of the (..., n, n, n) field equal to z on the box and 0
-    elsewhere: axis -3 on the box's lines, axis -2 on the planes they
-    fill, axis -1 on every line.  Lines of zeros transform to zeros, so
-    the result equals the full transform."""
+    elsewhere: axis -3 on the box's lines, axis -2 on the planes they fill,
+    axis -1 on every line, each stored last in memory so that its lines run in
+    few loops.  Lines of zeros transform to zeros: the result is the full one."""
     for axis, keep in zip((-3, -2, -1), box):
-        # the transformed axis last in memory, so that its lines merge into few loops
-        t = np.zeros(z.shape[:axis] + z.shape[axis:][1:][::-1] + (n,), dtype=complex)
-        t = t.swapaxes(-1, axis)
+        t = np.zeros(z.shape[:axis] + z.shape[axis:][1:][::-1] + (n,), complex).swapaxes(-1, axis)
         t[(..., keep) + (slice(None),) * (-1 - axis)] = z
         z = _lines(t, axis, False, t)
     return z
@@ -281,8 +280,6 @@ def _live_transform(transform, a: np.ndarray) -> np.ndarray:
     """transform(a), computed on the span of the live blades only: the transform
     of an all +0.0 blade is all +0.0, so the result is bit for bit the same."""
     live = _live_blades(a)
-    if len(live) == len(a):
-        return transform(a)
     out = np.zeros(a.shape, dtype=complex)
     if live:
         span = slice(live[0], live[-1] + 1)
@@ -304,8 +301,7 @@ def _spectral(f) -> SpectralField:
 
 
 def _spectral_map(f, fn) -> FormField:
-    """Apply ``fn`` to the Fourier coefficients of f (a field, transformed
-    here, or its spectrum) and transform back."""
+    """Apply ``fn`` to the Fourier coefficients of f (a field or its spectrum)."""
     F = _spectral(f)
     return fft_inverse(SpectralField(f.grid, fn(F.coeffs), check=False))
 
@@ -330,8 +326,7 @@ def _live_grades(a: np.ndarray) -> tuple[int, ...]:
 
 
 def ext_deriv(f, zeta=None) -> FormField:
-    """Exterior derivative of a field or of its spectrum; with zeta the
-    conjugated version d + zeta^."""
+    """Exterior derivative of a field or its spectrum; with zeta, d + zeta^."""
     c = _spectral_covector(f.grid, zeta)
     return _spectral_map(f, lambda F: algebra.wedge_cov(c, F, grades=_live_grades(F)))
 
@@ -574,8 +569,7 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> FormField:
     that = _forward(tensor)
     full = np.empty((3, 3) + tensor.shape[1:], dtype=complex)
     for idx, (j, k) in enumerate(algebra.SYM_PAIRS):
-        full[j, k] = that[idx]
-        full[k, j] = that[idx]
+        full[j, k] = full[k, j] = that[idx]
     out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
     values = np.zeros((8, grid.n, grid.n, grid.n), dtype=complex)
     values[1:4] = _inverse(out_hat, out_hat)

@@ -195,8 +195,7 @@ def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[FormField, np.ndarray]
     xi = grid.xi_op
     out = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
-        np.multiply(-xi[j] * xi[k], shat.coeffs[0], out=out[i])
-        fields._inverse(out[i], out[i])
+        fields._inverse(np.multiply(-xi[j] * xi[k], shat.coeffs[0], out=out[i]), out[i])
     return ext_deriv(shat), out
 
 

@@ -126,32 +126,39 @@ def pairing(
     return PairingResult(value=value, sol1=sol1, sol2=sol2)
 
 
-def _scatter_target(mp: MediumPair, ds1: FormField, ds2: FormField, rho) -> complex:
+def _scatter_target(dm1, dm2, ds1, ds2, rho, omega, grid) -> complex:
     """Common form of the two scattering relations in the pairing-limit
     orientation: int <d(s1-s2), d e> + int <d(s1+s2), d(s2-s1)> e
     + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho); ds1, ds2 are
     the gradients d s1, d s2 of the two half-log fields."""
-    dm1, dm2, grid = mp.dm1, mp.dm2, mp.grid
     wave = plane_wave_scalar(grid, rho)
     irho = 1j * np.asarray(rho, dtype=float)
     diff3 = ds1.values[1:4] - ds2.values[1:4]
     total = np.sum(np.einsum("j...,j->...", diff3, irho) * wave)
     sum3 = ds1.values[1:4] + ds2.values[1:4]
     total += np.sum(np.einsum("j...,j...->...", sum3, -diff3) * wave)
-    total += dm1.omega**2 * np.sum((dm1.gamma_mu - dm2.gamma_mu) * wave)
+    total += omega**2 * np.sum((dm1.gamma_mu - dm2.gamma_mu) * wave)
     return complex(grid.cell_volume * total)
 
 
 def target_a(mp: MediumPair, rho) -> complex:
     """Large-s limit of the E-polarized pairing: the scattering relation
     in the electric half-log contrast."""
-    return _scatter_target(mp, mp.dm1.da, mp.dm2.da, rho)
+    return _scatter_target(
+        mp.dm1, mp.dm2,
+        mp.dm1.da, mp.dm2.da,
+        np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
+    )
 
 
 def target_b(mp: MediumPair, rho) -> complex:
     """Large-s limit of the H-polarized pairing: the scattering relation
     in the magnetic half-log contrast."""
-    return _scatter_target(mp, mp.dm1.db, mp.dm2.db, rho)
+    return _scatter_target(
+        mp.dm1, mp.dm2,
+        mp.dm1.db, mp.dm2.db,
+        np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
+    )
 
 
 @dataclass

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +610,27 @@ def _oracle_cases(n):
     signed[4] = 0.0
     signed[5, 0, 1, 2] = complex(-0.0, 0.0)
     return dense, signed
+
+
+def test_split_transforms_called_from_many_threads_keep_their_bits(monkeypatch):
+    # callers on several threads share the kept FFT pool, and each split
+    # pass writes its own lines of its own output
+    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
+    dense, _ = _oracle_cases(16)
+
+    def forward(i):
+        return fields._forward(dense[i:i + 2]).tobytes()
+
+    serial = [forward(i) for i in range(6)]
+    fields.set_fft_workers(min(os.cpu_count() or 1, 7) + 1)  # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(forward, range(6), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])

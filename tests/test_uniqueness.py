@@ -334,20 +334,34 @@ def test_ucp_transforms_honour_the_fft_workers(grid16, pair16, monkeypatch):
             power_iterations=3, fixed_point_starts=1,
         )
 
+    passes = []
+    lines = fields._lines
+
+    def count_passes(*args, **kwargs):
+        passes.append(1)
+        return lines(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_lines", count_passes)
     _set_fft_workers(monkeypatch, 1)
     serial = report()
+    serial_passes, passes[:] = len(passes), []
+
     splits = []
-    parallel_map = fields._parallel_map
+    pool = fields._fft_pool
 
-    def spy(fn, items, workers):
-        splits.append((len(items), workers))
-        return parallel_map(fn, items, workers)
+    class CountingPool:
+        def __init__(self, workers):
+            self.pool = pool(workers)
 
-    monkeypatch.setattr(fields, "_parallel_map", spy)
+        def map(self, fn, *parts):
+            splits.append(len(parts[0]))
+            return self.pool.map(fn, *parts)
+
+    monkeypatch.setattr(fields, "_fft_pool", CountingPool)
     _set_fft_workers(monkeypatch, 2)
     threaded = report()
-    assert splits
-    assert all(split == (2, 2) for split in splits)  # every axis, lines split over 2 threads
+    assert serial_passes > 0 and len(passes) == serial_passes
+    assert splits == [2] * serial_passes  # every axis pass splits its lines over 2 threads
     assert repr(threaded) == repr(serial)  # repr tells -0.0 from 0.0
 
 
