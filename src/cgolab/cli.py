@@ -39,6 +39,7 @@ from .cgo import (
     strictly_decreasing,
 )
 from .errors import ConfigError, DivergenceError, ResonantGridError, StudyError
+from .fields import _parallel_map
 from .media import DerivedMedium, derive
 from .runconfig import parse_config
 from .uniqueness import convergence_experiment, make_pair
@@ -80,9 +81,8 @@ class Run:
     written whether the command succeeds or stops on a toolkit error.
     """
 
-    def __init__(self, args, fft_workers: int):
+    def __init__(self, args):
         self.args = args
-        self.fft_workers = fft_workers
         self.started = time.time()
         self.out: Path | None = None
         self.timings: dict[str, float] = {}
@@ -141,7 +141,7 @@ class Run:
                 "numpy": np.__version__,
                 "fft": "numpy.fft",
                 "cpu_count": os.cpu_count(),
-                "fft_workers": self.fft_workers,
+                "fft_workers": 1,
                 "threads": self.args.threads,
             },
             "diagnostics": self.diagnostics,
@@ -287,17 +287,18 @@ def cmd_estimate_qnorm(run: Run) -> int:
     geo = run.load("s_list")
     run.acceptance["estimate_decreasing"] = False
     dm = run.derived()
-    rows = []
-    estimates = []
+
+    def row(s):
+        geom = make_geometry(run.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
+        est = q_norm_estimate(
+            dm, geom.zeta1, trials=max(16, run.cfg.sampling.n_samples), seed=run.seed,
+            floor=run.cfg.solver.floor, clamp_threshold=run.cfg.solver.clamp_threshold,
+        )
+        return [s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term]
+
     with run.stage("solve"):
-        for s in geo.s_list:
-            geom = make_geometry(run.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
-            est = q_norm_estimate(
-                dm, geom.zeta1, trials=max(16, run.cfg.sampling.n_samples), seed=run.seed,
-                floor=run.cfg.solver.floor, clamp_threshold=run.cfg.solver.clamp_threshold,
-            )
-            estimates.append(est.estimate)
-            rows.append([s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term])
+        rows = _parallel_map(row, geo.s_list, run.args.threads)
+    estimates = [r[2] for r in rows]
     run.write_csv(["s", "zeta_mag", "estimate", "h", "smooth_term", "rough_term"], rows)
     decreasing = strictly_decreasing(estimates)
     run.diagnostics = {"estimates": estimates}
@@ -309,17 +310,25 @@ def cmd_estimate_qnorm(run: Run) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-#: name -> (command, help, pooled); a pooled command gives --threads to its
-#: sample pool and keeps the FFT serial, so that N threads never become N^2
 COMMANDS = {
-    "check-algebra": (cmd_check_algebra, "pointwise algebra identity suite", False),
-    "check-calculus": (cmd_check_calculus, "spectral calculus identity suite", False),
-    "check-factorization": (cmd_check_factorization, "first-order factorization suite", False),
-    "run-cgo": (cmd_run_cgo, "single remainder solve", False),
-    "run-decay": (cmd_run_decay, "averaged remainder-decay study", True),
-    "run-uniqueness": (cmd_run_uniqueness, "pairing vs scattering targets", True),
-    "estimate-qnorm": (cmd_estimate_qnorm, "potential operator-norm trend", False),
+    "check-algebra": (cmd_check_algebra, "pointwise algebra identity suite"),
+    "check-calculus": (cmd_check_calculus, "spectral calculus identity suite"),
+    "check-factorization": (cmd_check_factorization, "first-order factorization suite"),
+    "run-cgo": (cmd_run_cgo, "single remainder solve"),
+    "run-decay": (cmd_run_decay, "averaged remainder-decay study"),
+    "run-uniqueness": (cmd_run_uniqueness, "pairing vs scattering targets"),
+    "estimate-qnorm": (cmd_estimate_qnorm, "potential operator-norm trend"),
 }
+
+
+def _integer(minimum: int):
+    """argparse type of an integer flag; a bad value exits 2 naming the flag."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral experiments for the time-harmonic Maxwell CGO machinery",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in COMMANDS.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "check-algebra":
             p.add_argument(
@@ -340,15 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
         if not name.startswith("check-"):  # the check commands write no directory
             p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--seed", type=_integer(0), default=None, help="seed override")
+        p.add_argument(
+            "--threads", type=_integer(1), default=1,
+            help="sample-pool threads (run-decay, run-uniqueness, estimate-qnorm)",
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, _, pooled = COMMANDS[args.command]
-    run = Run(args, fields.set_fft_workers(1 if pooled else args.threads))
+    command, _ = COMMANDS[args.command]
+    run = Run(args)
     try:
         code = command(run)
     except tuple(FAILURES) as exc:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,18 +31,13 @@ from . import algebra
 from .algebra import GradedForm
 from .errors import ResonantGridError
 
-_FFT_WORKERS = 1
-
 _BIN_MAGIC = b"CGOF"
 _BIN_VERSION = 1
 
 
 def set_fft_workers(n: int) -> int:
-    """Number of threads that share the lines of each FFT axis
-    (process-wide); returns the count in effect, at least 1."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
-    return _FFT_WORKERS
+    """Kept only for ``perfbench/run.py``, which still calls it: the FFT is serial."""
+    return 1
 
 
 def seeded_rng(*key) -> np.random.Generator:
@@ -219,24 +214,10 @@ def _parallel_map(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-@cache
-def _fft_pool(workers: int) -> ThreadPoolExecutor:
-    """The threads that share each split axis pass, kept: a pass can take < 1 ms."""
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def _lines(a: np.ndarray, axis: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Transform a along one of its last three axes into out (new when None,
-    or a itself): forward scaled by 1/n, inverse unscaled.  The FFT workers split
-    the lines along an outer axis; each line is its own, so no bit changes."""
-    transform = partial(np.fft.ifft if inverse else np.fft.fft, axis=axis, norm="forward")
-    if _FFT_WORKERS == 1:
-        return transform(a, out=out)
-    out = np.empty(a.shape, dtype=complex) if out is None else out
-    cut = a.ndim - (2 if axis == -3 else 3)  # the outer axis the workers split
-    parts = [np.array_split(x, _FFT_WORKERS, axis=cut) for x in (a, out)]
-    list(_fft_pool(_FFT_WORKERS).map(lambda x, y: transform(x, out=y), *parts))
-    return out
+    or a itself): forward scaled by 1/n, inverse unscaled."""
+    return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axis, norm="forward", out=out)
 
 
 def _transform(a: np.ndarray, out=None, inverse=False, box=(slice(None),) * 3) -> np.ndarray:

@@ -385,19 +385,37 @@ def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
     assert rows[:2] + rows[3:] == ok_rows[:2] + ok_rows[3:]
 
 
-def test_threads_go_to_the_pool_or_to_the_fft(tmp_path, monkeypatch):
-    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
-    cfg = small_config("decay")
-    cfg["geometry"]["lambda_list"] = [2.0, 4.0]
-    cfg["sampling"] = {"n_samples": 8, "seed": 77}
+@pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))
+def test_thread_count_changes_no_result(tmp_path, kind):
+    cfg = small_config(kind)
+    if kind == "decay":
+        cfg["geometry"]["lambda_list"] = [2.0, 4.0]
+        cfg["sampling"] = {"n_samples": 8, "seed": 77}
     path = write(tmp_path, cfg)
+    codes, manifests = [], []
     for threads in ("1", "2"):
-        out = str(tmp_path / threads)
-        assert main(["run-decay", "--config", path, "--out", out, "--threads", threads]) == 0
-        assert fields._FFT_WORKERS == 1
+        out = tmp_path / threads
+        codes.append(main([RUN_COMMANDS[kind], "--config", path, "--out", str(out), "--threads", threads]))
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert codes[0] == codes[1]
     assert (tmp_path / "1/results.csv").read_bytes() == (tmp_path / "2/results.csv").read_bytes()
-    assert main(["check-algebra", "--threads", "2"]) == 0
-    assert fields._FFT_WORKERS == 2
+    for key in ("acceptance", "diagnostics"):  # as JSON text, so that NaN equals NaN
+        assert json.dumps(manifests[0][key]) == json.dumps(manifests[1][key]), key
+    assert [m["environment"]["threads"] for m in manifests] == [1, 2]
+    assert all(m["environment"]["fft_workers"] == 1 for m in manifests)
+
+
+def test_seed_and_threads_out_of_range_exit_2_naming_the_flag(tmp_path, capsys):
+    path = write(tmp_path, small_config("decay"))
+    for command in (["check-algebra"], ["run-decay", "--config", path, "--out", str(tmp_path / "o")]):
+        for flag, value in (("--seed", "-1"), ("--threads", "0"), ("--threads", "-2"), ("--threads", "x")):
+            with pytest.raises(SystemExit) as exc:
+                main(command + [flag, value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}:" in err and value in err
+            assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_uniqueness_identical_media(tmp_path):

@@ -2,7 +2,6 @@ import ast
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -426,12 +425,9 @@ def test_snapshot_payload_length_is_checked(tmp_path):
 
 
 @pytest.mark.parametrize("n", [16, 32])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n, workers, monkeypatch):
+def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n):
     # the solver transforms only the blades of its amplitude's grade block
     # and relies on getting the same bits as the 8-blade transform
-    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
-    fields.set_fft_workers(workers)
     grid = Grid(n, 2.0 * np.pi)
     values = random_band_limited(grid, np.random.default_rng(n), band=n // 2 - 1).values
     forward, inverse = fields._forward(values), fields._inverse(values)
@@ -542,10 +538,7 @@ def _boxes(n):
 
 
 @pytest.mark.parametrize("n", [12, 16, 32])  # 12: 1/n is inexact, so where it is applied shows
-@pytest.mark.parametrize("workers", [1, 2])
-def test_box_transforms_are_byte_equal_to_the_full_transforms(n, workers, monkeypatch):
-    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
-    fields.set_fft_workers(workers)
+def test_box_transforms_are_byte_equal_to_the_full_transforms(n):
     rng = np.random.default_rng(n)
     shape = (2, n, n, n)
     for name, box in _boxes(n).items():
@@ -612,33 +605,9 @@ def _oracle_cases(n):
     return dense, signed
 
 
-def test_split_transforms_called_from_many_threads_keep_their_bits(monkeypatch):
-    # callers on several threads share the kept FFT pool, and each split
-    # pass writes its own lines of its own output
-    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
-    dense, _ = _oracle_cases(16)
-
-    def forward(i):
-        return fields._forward(dense[i:i + 2]).tobytes()
-
-    serial = [forward(i) for i in range(6)]
-    fields.set_fft_workers(min(os.cpu_count() or 1, 7) + 1)  # more threads than cores
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(forward, range(6), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
-
-
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_fft_pair_is_bit_equal_to_scipy(n, workers, monkeypatch):
+def test_fft_pair_is_bit_equal_to_scipy(n):
     sfft = pytest.importorskip("scipy.fft")
-    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)  # restored afterwards
-    fields.set_fft_workers(workers)
     axes, n3 = (-3, -2, -1), n**3
     dense, signed = _oracle_cases(n)
     for lead in (dense, dense[0], dense[2:4]):  # leading blade axes: 8, none, 2

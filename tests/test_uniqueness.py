@@ -313,76 +313,3 @@ def test_ucp_report_round_trips_through_json(grid16, pair16):
     for f in dataclasses.fields(rep):
         assert type(getattr(rep, f.name)).__name__ == f.type, f.name  # plain, not numpy
     assert uq.UcpReport(**json.loads(json.dumps(dataclasses.asdict(rep)))) == rep
-
-
-# ---------------------------------------------------------------------------
-# FFT worker setting
-# ---------------------------------------------------------------------------
-
-def _set_fft_workers(monkeypatch, n):
-    """set_fft_workers for one test; the previous setting comes back afterwards."""
-    monkeypatch.setattr(fields, "_FFT_WORKERS", fields._FFT_WORKERS)
-    fields.set_fft_workers(n)
-
-
-def test_ucp_transforms_honour_the_fft_workers(grid16, pair16, monkeypatch):
-    coeffs = uq.ucp_coefficients(pair16)
-
-    def report():
-        return uq.ucp_contraction_check(
-            grid16, coeffs, uq.null_covector(32.0), trials=1, seed=3,
-            power_iterations=3, fixed_point_starts=1,
-        )
-
-    passes = []
-    lines = fields._lines
-
-    def count_passes(*args, **kwargs):
-        passes.append(1)
-        return lines(*args, **kwargs)
-
-    monkeypatch.setattr(fields, "_lines", count_passes)
-    _set_fft_workers(monkeypatch, 1)
-    serial = report()
-    serial_passes, passes[:] = len(passes), []
-
-    splits = []
-    pool = fields._fft_pool
-
-    class CountingPool:
-        def __init__(self, workers):
-            self.pool = pool(workers)
-
-        def map(self, fn, *parts):
-            splits.append(len(parts[0]))
-            return self.pool.map(fn, *parts)
-
-    monkeypatch.setattr(fields, "_fft_pool", CountingPool)
-    _set_fft_workers(monkeypatch, 2)
-    threaded = report()
-    assert serial_passes > 0 and len(passes) == serial_passes
-    assert splits == [2] * serial_passes  # every axis pass splits its lines over 2 threads
-    assert repr(threaded) == repr(serial)  # repr tells -0.0 from 0.0
-
-
-def test_results_do_not_depend_on_fft_workers(grid16, monkeypatch):
-    def run():
-        mp = uq.make_pair(presets.reference_medium(grid16), presets.perturbed_medium(grid16))
-        coeffs = uq.ucp_coefficients(mp)
-        rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(32.0), trials=2, seed=3)
-        return mp, coeffs, rep
-
-    def raw(value):
-        value = value.values if isinstance(value, FormField) else value
-        return np.asarray(value).tobytes() if isinstance(value, np.ndarray) else value
-
-    _set_fft_workers(monkeypatch, 1)
-    mp1, coeffs1, rep1 = run()
-    _set_fft_workers(monkeypatch, 2)
-    mp2, coeffs2, rep2 = run()
-    for dm1, dm2 in ((mp1.dm1, mp2.dm1), (mp1.dm2, mp2.dm2)):
-        for f in dataclasses.fields(dm1):
-            assert raw(getattr(dm1, f.name)) == raw(getattr(dm2, f.name)), f.name
-    for a, b in zip(coeffs1.as_tuple(), coeffs2.as_tuple()):
-        assert raw(a) == raw(b)
-    assert rep1 == rep2
