@@ -123,7 +123,7 @@ def vee(u, v):
     return np.einsum("abc,a...,b...->c...", VEE, u, v)
 
 
-def _cov_product(table, c, u, grades=None):
+def _cov_product(table, c, u, grades=None, out=None, term=None):
     """Sum of sign * c[j] * u[b] into out[k] over the nonzero (j, b, k) of a
     grade-1 sign table, whose entries are +-1.
 
@@ -131,17 +131,27 @@ def _cov_product(table, c, u, grades=None):
     its 192), so a corrupted sign reaches the product.  With ``grades``
     only the blades of u of those grades enter, as if u had been passed
     through :func:`grade_select` first.
+
+    ``out`` (8 blades: an array with leading axis 8, or a list of 8 blade
+    arrays) and ``term`` (the shape of one blade), given together, form the
+    product in place of new arrays.  Then only the blades of out that the
+    product reaches are written, each summed from +0.0 as in a new array,
+    and the others may be None; ``term`` holds each c[j] * u[b].
     """
     c = np.asarray(c)
     u = np.asarray(u)
     if grades is not None and np.isscalar(grades):
         grades = (grades,)
-    shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
-    out = np.zeros((8,) + shape, dtype=np.result_type(table, c, u))
-    term = np.empty(shape, dtype=out.dtype)
-    for j, b, k in zip(*np.nonzero(table)):
-        if grades is not None and GRADES[b] not in grades:
-            continue
+    entries = [(j, b, k) for j, b, k in zip(*np.nonzero(table))
+               if grades is None or GRADES[b] in grades]
+    if out is None:
+        shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
+        out = np.zeros((8,) + shape, dtype=np.result_type(table, c, u))
+        term = np.empty(shape, dtype=out.dtype)
+    else:
+        for k in {k for _, _, k in entries}:
+            out[k][...] = 0.0
+    for j, b, k in entries:
         np.multiply(c[j], u[b], out=term)
         if table[j, b, k] > 0:
             out[k] += term
@@ -150,16 +160,18 @@ def _cov_product(table, c, u, grades=None):
     return out
 
 
-def wedge_cov(c, u, grades=None):
+def wedge_cov(c, u, grades=None, out=None, term=None):
     """Wedge with a covector given by its 3 components (leading axis 3),
-    optionally restricted to the blades of u of the given grades."""
-    return _cov_product(WEDGE_COV, c, u, grades)
+    optionally restricted to the blades of u of the given grades; ``out``
+    and ``term`` as in :func:`_cov_product`."""
+    return _cov_product(WEDGE_COV, c, u, grades, out, term)
 
 
-def vee_cov(c, u, grades=None):
+def vee_cov(c, u, grades=None, out=None, term=None):
     """Contraction by a covector given by its 3 components, optionally
-    restricted to the blades of u of the given grades."""
-    return _cov_product(VEE_COV, c, u, grades)
+    restricted to the blades of u of the given grades; ``out`` and ``term``
+    as in :func:`_cov_product`."""
+    return _cov_product(VEE_COV, c, u, grades, out, term)
 
 
 def hodge(u):

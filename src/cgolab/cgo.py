@@ -9,6 +9,7 @@ plane waves.
 from __future__ import annotations
 
 import enum
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -218,6 +219,35 @@ class CgoSolution:
     residuals: list[float]  # per iteration: -1/2-norm of the forcing update
 
 
+class SolveBuffers:
+    """The buffers of :func:`solve_cgo` on a grid, kept from one solve to the next.
+
+    The block buffers have as many blades as the largest grade block solved
+    so far, and a solve on a smaller block uses their first blades, so one
+    set serves every block.  Each solve writes every value it reads before
+    reading it.  Solves that share a set run one after another.
+    """
+
+    def __init__(self, grid):
+        shape = (grid.n,) * 3
+        self.total = np.empty((8,) + shape, dtype=complex)  # A + R, written on the block only
+        self.modes = np.empty(shape)  # the weighted mode sums of a norm
+        self.blades = 0
+
+    def block(self, nb: int):
+        """For a block of nb blades: the four buffers the iteration rotates
+        through, the scratch of a weighted norm (|c|^2 and its mode sums)
+        and the scratch of media.potential."""
+        if nb > self.blades:
+            shape = (nb,) + self.modes.shape
+            self._rotating = [np.empty(shape, dtype=complex) for _ in range(4)]
+            self._sq = np.empty(shape)
+            self._scratch = np.empty((nb + 1,) + self.modes.shape, dtype=complex)
+            self.blades = nb
+        rotating = [buf[:nb] for buf in self._rotating]
+        return rotating, (self._sq[:nb], self.modes), self._scratch[: nb + 1]
+
+
 def solve_cgo(
     dm: DerivedMedium,
     zeta,
@@ -226,6 +256,7 @@ def solve_cgo(
     max_iter: int = 60,
     floor: float | None = None,
     clamp_threshold: float | None = None,
+    work: SolveBuffers | None = None,
 ) -> CgoSolution:
     """Solve the remainder equation by fixed-point iteration.
 
@@ -237,7 +268,8 @@ def solve_cgo(
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
     the resolvent acts blade by blade, so the iteration runs on the
     blades of the block that holds the amplitude (both blocks when the
-    amplitude has parts in each).
+    amplitude has parts in each).  It runs in the buffers of ``work``
+    (a new set when None) and allocates no array of the grid's size.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -247,13 +279,23 @@ def solve_cgo(
     low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
-    total = FormField.constant(grid, amplitude)  # A + R, updated on the block
+    if work is None:
+        work = SolveBuffers(grid)
+    elif work.modes.shape != (grid.n,) * 3:
+        raise ValueError(f"the buffers are for n = {len(work.modes)}, the grid has n = {grid.n}")
+    (fhat, rhat, rem, dead), sq, scratch = work.block(blk.stop - blk.start)
+    total = FormField(grid, work.total, check=False)
     amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
-    fhat = _forward(potential(total, dm, grades).values[blk])
-    forcing_norm = sym.norm(fhat, -0.5)
+    total.values[blk] = amp_blk
 
-    rhat = np.zeros_like(fhat)
-    rem = 0.0  # R on the block, in physical space
+    def forward_potential(out):  # the transform of Q (A + R) on the block, into out
+        return _forward(potential(total, dm, grades, out, scratch), out)
+
+    fhat = forward_potential(fhat)
+    forcing_norm = sym.norm(fhat, -0.5, sq)
+
+    rhat[...] = 0.0
+    rem[...] = 0.0  # R on the block, in physical space
     residual = forcing_norm  # residual of R = 0
     contraction = None  # fewer than two steps have no step ratio
     deltas: list[float] = []
@@ -264,8 +306,10 @@ def solve_cgo(
 
     while not converged and iterations < max_iter:
         iterations += 1
-        rhat_new = sym.inverse(-fhat)
-        delta = sym.norm(rhat_new - rhat, 0.5)
+        rhat_new = sym.inverse(np.negative(fhat, out=dead), out=dead)
+        # each difference goes into a buffer that holds nothing live: the
+        # remainder is already in A + R, and the old fhat is read only here
+        delta = sym.norm(np.subtract(rhat_new, rhat, out=rem), 0.5, sq)
         deltas.append(delta)
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
@@ -279,13 +323,12 @@ def solve_cgo(
                     "the conjugation parameter is too small for this medium",
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
-        rhat = rhat_new
-        rem = _inverse(rhat)
+        rhat, rem, dead = rhat_new, _inverse(rhat_new, rhat), rem
         np.add(amp_blk, rem, out=total.values[blk])
-        fhat_new = _forward(potential(total, dm, grades).values[blk])
-        residual = sym.norm(fhat_new - fhat, -0.5)
+        fhat_new = forward_potential(dead)
+        residual = sym.norm(np.subtract(fhat_new, fhat, out=fhat), -0.5, sq)
         residuals.append(residual)
-        fhat = fhat_new
+        fhat, dead = fhat_new, fhat
         converged = residual < tol * (forcing_norm + 1.0)
 
     if not converged:
@@ -308,7 +351,7 @@ def solve_cgo(
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=sym.norm(rhat, 0.5),
+        remainder_norm=sym.norm(rhat, 0.5, sq),
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,
@@ -418,13 +461,18 @@ def decay_study(
         raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
     rho = np.asarray(rho, dtype=float)
     jobs = sample_plan(rho, lambdas, n_samples, seed)
+    local = threading.local()  # one SolveBuffers per pool thread, for this study only
 
     def run(job):
         lam, s, angle = job
         eta1, eta2 = orthonormal_frame(rho, angle)
         geom = make_geometry(rho, eta1, eta2, s, dm.k, grid=dm.grid)
         amp = amplitude_a(geom, pol)
-        sol = solve_cgo(dm, geom.zeta1, amp, tol, max_iter, floor, clamp_threshold)
+        if not hasattr(local, "work"):
+            local.work = SolveBuffers(dm.grid)
+        sol = solve_cgo(
+            dm, geom.zeta1, amp, tol, max_iter, floor, clamp_threshold, work=local.work
+        )
         return DecaySample(
             lam=lam,
             s=s,

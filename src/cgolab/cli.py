@@ -19,6 +19,7 @@ import contextlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -129,6 +130,7 @@ class Run:
             (self.out / "results.csv").write_text("\n".join(lines) + "\n")
 
     def write_manifest(self) -> None:
+        usage = resource.getrusage(resource.RUSAGE_SELF)  # the process so far; maxrss in KiB
         doc = {
             "command": self.args.command,
             "version": __version__,
@@ -143,6 +145,10 @@ class Run:
                 "cpu_count": os.cpu_count(),
                 "fft_workers": 1,
                 "threads": self.args.threads,
+            },
+            "resources": {
+                "peak_rss_mb": usage.ru_maxrss / 1024, "minor_faults": usage.ru_minflt,
+                "user_cpu_s": usage.ru_utime, "system_cpu_s": usage.ru_stime,
             },
             "diagnostics": self.diagnostics,
             "acceptance": self.acceptance,

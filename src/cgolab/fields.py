@@ -422,13 +422,15 @@ class ClampedSymbol:
             self._weights[b] = w
         return self._weights[b]
 
-    def norm(self, coeffs: np.ndarray, b: float) -> float:
-        """Weighted-l2 norm of spectral coefficients, all components."""
-        return float(np.sqrt(self.grid.volume * _weighted_sq_sum(self.weight(b), coeffs)))
+    def norm(self, coeffs: np.ndarray, b: float, scratch=None) -> float:
+        """Weighted-l2 norm of spectral coefficients, all components;
+        ``scratch`` as in :func:`_weighted_sq_sum`."""
+        return float(np.sqrt(self.grid.volume * _weighted_sq_sum(self.weight(b), coeffs, scratch)))
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """coeffs / p over the trailing frequency axes, 0 on the clamped modes."""
-        out = coeffs / self.divisor
+    def inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """coeffs / p over the trailing frequency axes, 0 on the clamped modes,
+        into ``out`` when given (which may be coeffs)."""
+        out = np.divide(coeffs, self.divisor, out=out)
         out[..., self.mask] = 0.0
         return out
 
@@ -444,10 +446,17 @@ def bourgain_weight(grid: Grid, zeta, b: float, floor: float | None = None) -> n
     return ClampedSymbol(grid, zeta, floor).weight(b)
 
 
-def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
+def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
     """sum over modes of w |c|^2, with |c|^2 summed over the leading
-    (component) axis of coeffs: the square of every weighted norm."""
-    return np.sum(w * np.sum(np.abs(coeffs) ** 2, axis=0))
+    (component) axis of coeffs: the square of every weighted norm.
+
+    ``scratch``, a pair of real arrays shaped as coeffs and as one of its
+    components, holds |c|^2 and the weighted mode sums; new when None.
+    """
+    sq, modes = (None, None) if scratch is None else scratch
+    sq = np.abs(coeffs, out=sq)
+    np.square(sq, out=sq)
+    return np.sum(np.multiply(w, np.sum(sq, axis=0, out=modes), out=modes))
 
 
 def bourgain_norm(f, zeta, b: float, floor: float | None = None) -> float:

@@ -187,6 +187,12 @@ class DerivedMedium:
             base + dbdb - self.delta_db,
         ])
 
+    @cached_property
+    def contraction_covector(self) -> np.ndarray:
+        """2 i omega dc, shape (3, n, n, n): the covector both potentials
+        contract with and wedge onto a field.  Computed on first use."""
+        return (2j * self.omega) * self.dc3
+
 
 def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[FormField, np.ndarray]:
     """Gradient and Hessian (entries j <= k in ``algebra.SYM_PAIRS`` order,
@@ -310,40 +316,14 @@ _GRADE_BLADES = (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 8))
 _SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
 
 
-def _hess_apply(hess: np.ndarray, comps) -> np.ndarray:
-    """sum_j H[j, k] comps[j] for k = 0..2, with H packed as in
-    :func:`_derivatives` and comps three scalar fields."""
-    out = np.empty((3,) + hess.shape[1:], dtype=complex)
-    term = np.empty_like(out[0])
-    for k in range(3):
-        np.multiply(hess[_SYM_INDEX[0][k]], comps[0], out=out[k])
-        for j in (1, 2):
-            np.multiply(hess[_SYM_INDEX[j][k]], comps[j], out=term)
-            out[k] += term
-    return out
-
-
-def _multiplier_part(wv, dm: DerivedMedium, transpose: bool, grades=(0, 1, 2, 3)) -> np.ndarray:
-    """Grade multipliers plus the Hessian terms shared by both potentials:
-    2 H_b w^1 and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2
-    for the transpose.  Only the given grades are read; the others are zero."""
-    mult = dm.grade_multipliers
-    out = np.empty_like(wv)
-    for l, blades in enumerate(_GRADE_BLADES):
-        if l in grades:
-            np.multiply(mult[l ^ 1 if transpose else l], wv[blades], out=out[blades])
-        else:
-            out[blades] = 0.0
-    hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
-    if 1 in grades:
-        out[1:4] += _hess_apply(hess1, [scale * wv[1 + j] for j in range(3)])
-    if 2 in grades:
-        h2 = _hess_apply(
-            hess2, [(scale * _STAR2_SIGN[j]) * wv[4 + _STAR2_SRC[j]] for j in range(3)]
-        )
-        for k in range(3):
-            out[4 + k] += _STAR1_SIGN[k] * h2[_STAR1_SRC[k]]
-    return out
+def _hess_row(hess: np.ndarray, comps, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """h = sum_j H[j, k] comps[j], summed in the order j = 0, 1, 2, with H packed
+    as in :func:`_derivatives`; term holds each product after the first."""
+    np.multiply(hess[_SYM_INDEX[0][k]], comps[0], out=h)
+    for j in (1, 2):
+        np.multiply(hess[_SYM_INDEX[j][k]], comps[j], out=term)
+        h += term
+    return h
 
 
 #: blades of the closed grade blocks of the potential and of their union
@@ -359,35 +339,77 @@ def grade_block(grades) -> slice:
     return _CLOSED_BLOCKS[key]
 
 
-def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades) -> FormField:
-    """The potential or, with ``transpose``, its transpose: the multiplier part
-    plus 2 i omega dc contracted with w^(l+1) into grade l and wedged with w^l
-    into grade l + 1, for the even grade l of each block of ``grades``, or
-    for l = 1 with the contraction negated in the transpose."""
-    grade_block(grades)
+def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=None, scratch=None):
+    """The potential or, with ``transpose``, its transpose, on the blades of
+    the block of ``grades``: the grade multipliers; the Hessian terms 2 H_b w^1
+    and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2 for the
+    transpose; and 2 i omega dc contracted with w^(l+1) into grade l and
+    wedged with w^l into grade l + 1, for the even grade l of the block, or
+    for l = 1 with the contraction negated in the transpose.
+
+    ``out`` and ``scratch`` are those of :func:`potential`.
+    """
+    blk = grade_block(grades)
     wv = w.values
-    out = _multiplier_part(wv, dm, transpose, grades)
-    dc3 = (2j * dm.omega) * dm.dc3
-    lows = [1] if transpose else [l for l in (0, 2) if l in grades]
-    v = algebra.vee_cov(dc3, wv, grades=[l + 1 for l in lows])
-    e = algebra.wedge_cov(dc3, wv, grades=lows)
+    shape = wv.shape[1:]
+    field = None
+    if out is None:
+        field = np.zeros_like(wv)
+        out = field[blk]
+    elif out.shape != (blk.stop - blk.start,) + shape:
+        raise ValueError(f"out must have shape {(blk.stop - blk.start,) + shape}, got {out.shape}")
+    if scratch is None:
+        scratch = np.empty((len(out) + 1,) + shape, dtype=complex)
+    res, sums = [None] * 8, [None] * 8  # blade b of the result and of the contraction
+    res[blk], sums[blk], term = out, scratch[:-1], scratch[-1]
+    block = [l for l, blades in enumerate(_GRADE_BLADES) if blk.start <= blades.start < blk.stop]
+    mult = dm.grade_multipliers
+    for l in block:
+        for r, x in zip(res[_GRADE_BLADES[l]], wv[_GRADE_BLADES[l]]):
+            np.multiply(mult[l ^ 1 if transpose else l], x, out=r)
+
+    comps, h = scratch[:3], scratch[3]  # free until the contraction sums fill them
+    hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
+    if 1 in block:
+        for j in range(3):
+            np.multiply(scale, wv[1 + j], out=comps[j])
+        for k in range(3):
+            res[1 + k] += _hess_row(hess1, comps, k, h, term)
+    if 2 in block:
+        for j in range(3):
+            np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=comps[j])
+        for k in range(3):
+            _hess_row(hess2, comps, _STAR1_SRC[k], h, term)
+            res[4 + k] += np.multiply(_STAR1_SIGN[k], h, out=h)
+
+    # vee lowers each grade and wedge raises it, so their blades do not meet
+    lows = [1] if transpose else [l for l in (0, 2) if l in block]
+    dc3 = dm.contraction_covector
+    algebra.vee_cov(dc3, wv, grades=[l + 1 for l in lows], out=sums, term=term)
+    algebra.wedge_cov(dc3, wv, grades=lows, out=sums, term=term)
     add_contraction = np.subtract if transpose else np.add
     for l in lows:
-        lo, hi = _GRADE_BLADES[l], _GRADE_BLADES[l + 1]
-        add_contraction(out[lo], v[lo], out=out[lo])
-        out[hi] += e[hi]
-    return FormField(w.grid, out, check=False)
+        for r, v in zip(res[_GRADE_BLADES[l]], sums[_GRADE_BLADES[l]]):
+            add_contraction(r, v, out=r)
+        for r, e in zip(res[_GRADE_BLADES[l + 1]], sums[_GRADE_BLADES[l + 1]]):
+            r += e
+    return out if field is None else FormField(w.grid, field, check=False)
 
 
-def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3)) -> FormField:
+def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, scratch=None):
     """Zeroth-order potential as a pointwise multiplication.
 
     The potential maps grades (0, 1) and grades (2, 3) each into
     themselves.  With ``grades`` a union of these blocks (see
     :func:`grade_block`) only their blades are read and written, and the
     other blades of the result are zero.
+
+    With ``out``, an array of the block's blades (shape (blades, n, n, n);
+    any other shape raises ValueError), the block is written there and
+    ``out`` is returned instead of a field.  ``scratch``, complex of shape
+    (blades + 1, n, n, n), holds the sums on the way; new when None.
     """
-    return _potential(w, dm, False, grades)
+    return _potential(w, dm, False, grades, out, scratch)
 
 
 def potential_t(w: FormField, dm: DerivedMedium) -> FormField:

@@ -267,6 +267,26 @@ def test_covector_kernels_match_einsum_and_dense_product(kernel, table, dense):
     assert kernel(c0, u).shape == u.shape
 
 
+@pytest.mark.parametrize("kernel", [algebra.wedge_cov, algebra.vee_cov])
+def test_covector_kernels_into_given_buffers_are_bit_equal(kernel):
+    rng = np.random.default_rng(33)
+    c3 = random_field(rng, 3, n=8)
+    u = random_field(rng, 8, n=8)
+    for grades in (None, 1, (0, 2), (1, 3)):
+        expected = kernel(c3, u, grades=grades)
+        reached = [k for k in range(8) if np.any(expected[k] != 0)]
+        out = np.full(u.shape, np.nan, dtype=complex)
+        term = np.empty(u.shape[1:], dtype=complex)
+        assert kernel(c3, u, grades=grades, out=out, term=term) is out
+        assert out[reached].tobytes() == expected[reached].tobytes()
+        # the blades the product does not reach are left as they were
+        assert np.all(np.isnan(np.delete(out, reached, axis=0)))
+        # a list of blade arrays serves as out, None where nothing lands
+        blades = [b if k in reached else None for k, b in enumerate(np.empty_like(u))]
+        kernel(c3, u, grades=grades, out=blades, term=term)
+        assert np.array([blades[k] for k in reached]).tobytes() == expected[reached].tobytes()
+
+
 def test_wedge_cov_changes_under_sign_fault():
     rng = np.random.default_rng(32)
     c3 = random_field(rng, 3)

@@ -353,6 +353,9 @@ def test_run_decay_deterministic(tmp_path):
     assert manifest["acceptance"]["remainder_decreasing"] is True
     assert manifest["diagnostics"]["failures"] == []
     assert set(manifest["timings"]) == {"parse", "derive", "solve", "write"}
+    resources = manifest["resources"]
+    assert set(resources) == {"peak_rss_mb", "minor_faults", "user_cpu_s", "system_cpu_s"}
+    assert all(value >= 0 for value in resources.values())
 
 
 def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):

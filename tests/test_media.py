@@ -226,6 +226,22 @@ def test_potential_maps_each_closed_grade_block_into_itself(grid16, dm16, grades
     assert np.array_equal(md.potential(noisy, dm16, grades=grades).values, full.values)
 
 
+@pytest.mark.parametrize("grades", [(0, 1), (2, 3), (0, 1, 2, 3)])
+def test_potential_into_a_block_buffer_is_bit_equal(grid16, dm16, grades):
+    w = random_band_limited(grid16, np.random.default_rng(16), band=6)
+    blk = md.grade_block(grades)
+    nb = blk.stop - blk.start
+    # stale contents of the buffers must not reach the result
+    out = np.full((nb,) + (grid16.n,) * 3, np.nan, dtype=complex)
+    scratch = np.full((nb + 1,) + (grid16.n,) * 3, np.nan, dtype=complex)
+    assert md.potential(w, dm16, grades, out=out, scratch=scratch) is out
+    assert out.tobytes() == md.potential(w, dm16, grades).values[blk].tobytes()
+    assert md.potential(w, dm16, grades, out=np.empty_like(out)).tobytes() == out.tobytes()
+    for shape in [(nb + 1,) + out.shape[1:], (8, 8, 8, 8), out.shape[1:]]:
+        with pytest.raises(ValueError, match="out must have shape"):
+            md.potential(w, dm16, grades, out=np.empty(shape, dtype=complex))
+
+
 def test_potential_grades_must_be_closed_blocks(grid16, dm16):
     w = random_band_limited(grid16, np.random.default_rng(15), band=4)
     assert np.array_equal(md.potential(w, dm16, grades=(3, 2, 1, 0)).values,
