@@ -222,30 +222,26 @@ class CgoSolution:
 class SolveBuffers:
     """The buffers of :func:`solve_cgo` on a grid, kept from one solve to the next.
 
-    The block buffers have as many blades as the largest grade block solved
-    so far, and a solve on a smaller block uses their first blades, so one
-    set serves every block.  Each solve writes every value it reads before
-    reading it.  Solves that share a set run one after another.
+    The three buffers the iteration rotates through have as many blades as
+    the largest grade block solved so far, and a solve on a smaller block
+    uses their first blades, so one set serves every block.  Each solve
+    writes every value it reads before reading it.  Solves that share a set
+    run one after another.
     """
 
     def __init__(self, grid):
         shape = (grid.n,) * 3
         self.total = np.empty((8,) + shape, dtype=complex)  # A + R, written on the block only
-        self.modes = np.empty(shape)  # the weighted mode sums of a norm
+        self.potential = np.empty((6,) + shape, dtype=complex)  # media.potential's scratch
+        self.norm = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
         self.blades = 0
 
-    def block(self, nb: int):
-        """For a block of nb blades: the four buffers the iteration rotates
-        through, the scratch of a weighted norm (|c|^2 and its mode sums)
-        and the scratch of media.potential."""
+    def rotating(self, nb: int) -> list[np.ndarray]:
+        """The three buffers the iteration rotates through, on nb blades."""
         if nb > self.blades:
-            shape = (nb,) + self.modes.shape
-            self._rotating = [np.empty(shape, dtype=complex) for _ in range(4)]
-            self._sq = np.empty(shape)
-            self._scratch = np.empty((nb + 1,) + self.modes.shape, dtype=complex)
+            self._rotating = [np.empty((nb,) + self.total.shape[1:], dtype=complex) for _ in range(3)]
             self.blades = nb
-        rotating = [buf[:nb] for buf in self._rotating]
-        return rotating, (self._sq[:nb], self.modes), self._scratch[: nb + 1]
+        return [buf[:nb] for buf in self._rotating]
 
 
 def solve_cgo(
@@ -281,9 +277,10 @@ def solve_cgo(
     blk = grade_block(grades)
     if work is None:
         work = SolveBuffers(grid)
-    elif work.modes.shape != (grid.n,) * 3:
-        raise ValueError(f"the buffers are for n = {len(work.modes)}, the grid has n = {grid.n}")
-    (fhat, rhat, rem, dead), sq, scratch = work.block(blk.stop - blk.start)
+    elif work.total.shape[1:] != (grid.n,) * 3:
+        raise ValueError(f"the buffers are for n = {work.total.shape[1]}, the grid has n = {grid.n}")
+    fhat, rhat, dead = work.rotating(blk.stop - blk.start)
+    norm_work, scratch = work.norm, work.potential
     total = FormField(grid, work.total, check=False)
     amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
     total.values[blk] = amp_blk
@@ -292,10 +289,9 @@ def solve_cgo(
         return _forward(potential(total, dm, grades, out, scratch), out)
 
     fhat = forward_potential(fhat)
-    forcing_norm = sym.norm(fhat, -0.5, sq)
+    forcing_norm = sym.norm(fhat, -0.5, norm_work)
 
     rhat[...] = 0.0
-    rem[...] = 0.0  # R on the block, in physical space
     residual = forcing_norm  # residual of R = 0
     contraction = None  # fewer than two steps have no step ratio
     deltas: list[float] = []
@@ -307,9 +303,8 @@ def solve_cgo(
     while not converged and iterations < max_iter:
         iterations += 1
         rhat_new = sym.inverse(np.negative(fhat, out=dead), out=dead)
-        # each difference goes into a buffer that holds nothing live: the
-        # remainder is already in A + R, and the old fhat is read only here
-        delta = sym.norm(np.subtract(rhat_new, rhat, out=rem), 0.5, sq)
+        # each difference overwrites its older operand, which nothing reads after it
+        delta = sym.norm(np.subtract(rhat_new, rhat, out=rhat), 0.5, norm_work)
         deltas.append(delta)
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
@@ -323,10 +318,11 @@ def solve_cgo(
                     "the conjugation parameter is too small for this medium",
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
-        rhat, rem, dead = rhat_new, _inverse(rhat_new, rhat), rem
-        np.add(amp_blk, rem, out=total.values[blk])
+        rhat, dead = rhat_new, rhat
+        # R goes straight into A + R; R + A has the bits of A + R
+        np.add(_inverse(rhat, total.values[blk]), amp_blk, out=total.values[blk])
         fhat_new = forward_potential(dead)
-        residual = sym.norm(np.subtract(fhat_new, fhat, out=fhat), -0.5, sq)
+        residual = sym.norm(np.subtract(fhat_new, fhat, out=fhat), -0.5, norm_work)
         residuals.append(residual)
         fhat, dead = fhat_new, fhat
         converged = residual < tol * (forcing_norm + 1.0)
@@ -339,7 +335,7 @@ def solve_cgo(
             diagnostics={"contraction": contraction, "iterations": iterations},
         )
     remainder = FormField.zero(grid)
-    remainder.values[blk] = rem
+    _inverse(rhat, remainder.values[blk])  # the R of the last step, formed again
     # the clamped modes of all 8 blades, laid out as fhat[:, mask] of a full
     # 8-blade fhat is (blade axis fastest), so the sum adds in the same order
     clamped = np.zeros((int(np.sum(sym.mask)), 8), dtype=complex).T
@@ -351,7 +347,7 @@ def solve_cgo(
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=sym.norm(rhat, 0.5, sq),
+        remainder_norm=sym.norm(rhat, 0.5, norm_work),
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,

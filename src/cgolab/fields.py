@@ -450,13 +450,15 @@ def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
     """sum over modes of w |c|^2, with |c|^2 summed over the leading
     (component) axis of coeffs: the square of every weighted norm.
 
-    ``scratch``, a pair of real arrays shaped as coeffs and as one of its
-    components, holds |c|^2 and the weighted mode sums; new when None.
+    The components are added one by one in order, as ``np.sum(..., axis=0)``
+    adds them.  ``scratch``, two real arrays of one component's shape, holds
+    |c|^2 of a component and the mode sums; new ones when None.
     """
-    sq, modes = (None, None) if scratch is None else scratch
-    sq = np.abs(coeffs, out=sq)
-    np.square(sq, out=sq)
-    return np.sum(np.multiply(w, np.sum(sq, axis=0, out=modes), out=modes))
+    sq, modes = (np.empty(w.shape), np.empty(w.shape)) if scratch is None else scratch
+    np.square(np.abs(coeffs[0], out=modes), out=modes)
+    for c in coeffs[1:]:
+        modes += np.square(np.abs(c, out=sq), out=sq)
+    return np.sum(np.multiply(w, modes, out=modes))
 
 
 def bourgain_norm(f, zeta, b: float, floor: float | None = None) -> float:

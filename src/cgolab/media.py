@@ -312,6 +312,7 @@ def _star_map(first: int):
 _STAR2_SRC, _STAR2_SIGN = _star_map(4)
 _STAR1_SRC, _STAR1_SIGN = _star_map(1)
 _GRADE_BLADES = (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 8))
+_BLADES_OF = [range(g.start, g.stop) for g in _GRADE_BLADES]
 #: position of the Hessian entry (j, k) in the packed SYM_PAIRS order
 _SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
 
@@ -359,40 +360,42 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     elif out.shape != (blk.stop - blk.start,) + shape:
         raise ValueError(f"out must have shape {(blk.stop - blk.start,) + shape}, got {out.shape}")
     if scratch is None:
-        scratch = np.empty((len(out) + 1,) + shape, dtype=complex)
-    res, sums = [None] * 8, [None] * 8  # blade b of the result and of the contraction
-    res[blk], sums[blk], term = out, scratch[:-1], scratch[-1]
+        scratch = np.empty((6,) + shape, dtype=complex)
+    comps, h, p, term = scratch[:3], scratch[3], scratch[4], scratch[5]
+    res = [None] * 8  # res[b]: blade b of the result
+    res[blk] = out
     block = [l for l, blades in enumerate(_GRADE_BLADES) if blk.start <= blades.start < blk.stop]
+
+    # The contraction goes straight into the result, each blade summed from
+    # +0.0; vee lowers each grade and wedge raises it, so their blades do not
+    # meet.  The rest of each blade is then formed in p and added as p + it.
+    lows = [1] if transpose else [l for l in (0, 2) if l in block]
+    algebra.vee_cov(dm.contraction_covector, wv, grades=[l + 1 for l in lows], out=res, term=term)
+    algebra.wedge_cov(dm.contraction_covector, wv, grades=lows, out=res, term=term)
+    add = {}  # blade -> how its contraction enters
+    for l in lows:
+        add.update(dict.fromkeys(_BLADES_OF[l], np.subtract if transpose else np.add))
+        add.update(dict.fromkeys(_BLADES_OF[l + 1], np.add))
+
+    hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
     mult = dm.grade_multipliers
     for l in block:
-        for r, x in zip(res[_GRADE_BLADES[l]], wv[_GRADE_BLADES[l]]):
-            np.multiply(mult[l ^ 1 if transpose else l], x, out=r)
-
-    comps, h = scratch[:3], scratch[3]  # free until the contraction sums fill them
-    hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
-    if 1 in block:
-        for j in range(3):
-            np.multiply(scale, wv[1 + j], out=comps[j])
-        for k in range(3):
-            res[1 + k] += _hess_row(hess1, comps, k, h, term)
-    if 2 in block:
-        for j in range(3):
-            np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=comps[j])
-        for k in range(3):
-            _hess_row(hess2, comps, _STAR1_SRC[k], h, term)
-            res[4 + k] += np.multiply(_STAR1_SIGN[k], h, out=h)
-
-    # vee lowers each grade and wedge raises it, so their blades do not meet
-    lows = [1] if transpose else [l for l in (0, 2) if l in block]
-    dc3 = dm.contraction_covector
-    algebra.vee_cov(dc3, wv, grades=[l + 1 for l in lows], out=sums, term=term)
-    algebra.wedge_cov(dc3, wv, grades=lows, out=sums, term=term)
-    add_contraction = np.subtract if transpose else np.add
-    for l in lows:
-        for r, v in zip(res[_GRADE_BLADES[l]], sums[_GRADE_BLADES[l]]):
-            add_contraction(r, v, out=r)
-        for r, e in zip(res[_GRADE_BLADES[l + 1]], sums[_GRADE_BLADES[l + 1]]):
-            r += e
+        if l == 1:
+            for j in range(3):
+                np.multiply(scale, wv[1 + j], out=comps[j])
+        elif l == 2:  # the star of w^2, on blades 1..3
+            for j in range(3):
+                np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=comps[j])
+        for k, b in enumerate(_BLADES_OF[l]):
+            np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=p)
+            if l == 1:
+                p += _hess_row(hess1, comps, k, h, term)
+            elif l == 2:  # the star of the Hessian image, back on blades 4..6
+                p += np.multiply(_STAR1_SIGN[k], _hess_row(hess2, comps, _STAR1_SRC[k], h, term), out=h)
+            if b in add:
+                add[b](p, res[b], out=res[b])
+            else:
+                np.copyto(res[b], p)
     return out if field is None else FormField(w.grid, field, check=False)
 
 
@@ -407,7 +410,7 @@ def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, sc
     With ``out``, an array of the block's blades (shape (blades, n, n, n);
     any other shape raises ValueError), the block is written there and
     ``out`` is returned instead of a field.  ``scratch``, complex of shape
-    (blades + 1, n, n, n), holds the sums on the way; new when None.
+    (6, n, n, n), holds the products and sums on the way; new when None.
     """
     return _potential(w, dm, False, grades, out, scratch)
 
