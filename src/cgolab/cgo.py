@@ -232,7 +232,7 @@ class SolveBuffers:
     def __init__(self, grid):
         shape = (grid.n,) * 3
         self.total = np.empty((8,) + shape, dtype=complex)  # A + R, written on the block only
-        self.potential = np.empty((6,) + shape, dtype=complex)  # media.potential's scratch
+        self.potential = np.empty((3,) + shape, dtype=complex)  # media.potential's scratch
         self.norm = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
         self.blades = 0
 

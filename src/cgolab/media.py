@@ -166,7 +166,7 @@ class DerivedMedium:
     def dc3(self) -> np.ndarray:
         return self.dc.values[1:4]
 
-    @cached_property
+    @property
     def grade_multipliers(self) -> np.ndarray:
         """Pointwise multipliers of the grade 0..3 blocks of the potential,
         shape (4, n, n, n), with base = -omega^2 (gamma mu - eps0 mu0):
@@ -175,23 +175,31 @@ class DerivedMedium:
             base + <da,da> + delta da,   base + <db,db> - delta db.
 
         The transposed potential multiplies grade l by entry l ^ 1.
-        Computed on first use, so deriving a medium does not pay for it.
         """
+        return self._potential_coefficients[:4]
+
+    @property
+    def contraction_covector(self) -> np.ndarray:
+        """2 i omega dc, shape (3, n, n, n): the covector both potentials
+        contract with and wedge onto a field."""
+        return self._potential_coefficients[4:]
+
+    @cached_property
+    def _potential_coefficients(self) -> np.ndarray:
+        """The grade multipliers and the contraction covector, computed on
+        first use, so deriving a medium does not pay for them.  They share
+        one array: a second long-lived array, made at another time, left the
+        process heap 2 MB larger after a 32^3 factorization check."""
         base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
         dada = algebra.inner(self.da.values, self.da.values)
         dbdb = algebra.inner(self.db.values, self.db.values)
-        return np.stack([
-            base + dada - self.delta_da,
-            base + dbdb + self.delta_db,
-            base + dada + self.delta_da,
-            base + dbdb - self.delta_db,
-        ])
-
-    @cached_property
-    def contraction_covector(self) -> np.ndarray:
-        """2 i omega dc, shape (3, n, n, n): the covector both potentials
-        contract with and wedge onto a field.  Computed on first use."""
-        return (2j * self.omega) * self.dc3
+        out = np.empty((7,) + base.shape, dtype=complex)
+        out[0] = base + dada - self.delta_da
+        out[1] = base + dbdb + self.delta_db
+        out[2] = base + dada + self.delta_da
+        out[3] = base + dbdb - self.delta_db
+        np.multiply(2j * self.omega, self.dc3, out=out[4:])
+        return out
 
 
 def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[FormField, np.ndarray]:
@@ -317,12 +325,12 @@ _BLADES_OF = [range(g.start, g.stop) for g in _GRADE_BLADES]
 _SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
 
 
-def _hess_row(hess: np.ndarray, comps, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """h = sum_j H[j, k] comps[j], summed in the order j = 0, 1, 2, with H packed
-    as in :func:`_derivatives`; term holds each product after the first."""
-    np.multiply(hess[_SYM_INDEX[0][k]], comps[0], out=h)
+def _hess_row(hess: np.ndarray, comp, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """h = sum_j H[j, k] comp(j, term), summed in the order j = 0, 1, 2, with H
+    packed as in :func:`_derivatives`; comp(j, out) writes component j into out."""
+    np.multiply(hess[_SYM_INDEX[0][k]], comp(0, h), out=h)
     for j in (1, 2):
-        np.multiply(hess[_SYM_INDEX[j][k]], comps[j], out=term)
+        np.multiply(hess[_SYM_INDEX[j][k]], comp(j, term), out=term)
         h += term
     return h
 
@@ -360,8 +368,8 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     elif out.shape != (blk.stop - blk.start,) + shape:
         raise ValueError(f"out must have shape {(blk.stop - blk.start,) + shape}, got {out.shape}")
     if scratch is None:
-        scratch = np.empty((6,) + shape, dtype=complex)
-    comps, h, p, term = scratch[:3], scratch[3], scratch[4], scratch[5]
+        scratch = np.empty((3,) + shape, dtype=complex)
+    h, p, term = scratch
     res = [None] * 8  # res[b]: blade b of the result
     res[blk] = out
     block = [l for l, blades in enumerate(_GRADE_BLADES) if blk.start <= blades.start < blk.stop]
@@ -378,20 +386,23 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
         add.update(dict.fromkeys(_BLADES_OF[l + 1], np.add))
 
     hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
+
+    # the Hessians' arguments, one component at a time: scale w^1, and
+    # scale star w^2 on blades 1..3
+    def w1(j, into):
+        return np.multiply(scale, wv[1 + j], out=into)
+
+    def star_w2(j, into):
+        return np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
+
     mult = dm.grade_multipliers
     for l in block:
-        if l == 1:
-            for j in range(3):
-                np.multiply(scale, wv[1 + j], out=comps[j])
-        elif l == 2:  # the star of w^2, on blades 1..3
-            for j in range(3):
-                np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=comps[j])
         for k, b in enumerate(_BLADES_OF[l]):
             np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=p)
             if l == 1:
-                p += _hess_row(hess1, comps, k, h, term)
+                p += _hess_row(hess1, w1, k, h, term)
             elif l == 2:  # the star of the Hessian image, back on blades 4..6
-                p += np.multiply(_STAR1_SIGN[k], _hess_row(hess2, comps, _STAR1_SRC[k], h, term), out=h)
+                p += np.multiply(_STAR1_SIGN[k], _hess_row(hess2, star_w2, _STAR1_SRC[k], h, term), out=h)
             if b in add:
                 add[b](p, res[b], out=res[b])
             else:
@@ -410,7 +421,7 @@ def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, sc
     With ``out``, an array of the block's blades (shape (blades, n, n, n);
     any other shape raises ValueError), the block is written there and
     ``out`` is returned instead of a field.  ``scratch``, complex of shape
-    (6, n, n, n), holds the products and sums on the way; new when None.
+    (3, n, n, n), holds the products and sums on the way; new when None.
     """
     return _potential(w, dm, False, grades, out, scratch)
 

@@ -233,7 +233,7 @@ def test_potential_into_a_block_buffer_is_bit_equal(grid16, dm16, grades):
     nb = blk.stop - blk.start
     # stale contents of the buffers must not reach the result
     out = np.full((nb,) + (grid16.n,) * 3, np.nan, dtype=complex)
-    scratch = np.full((6,) + (grid16.n,) * 3, np.nan, dtype=complex)
+    scratch = np.full((3,) + (grid16.n,) * 3, np.nan, dtype=complex)
     assert md.potential(w, dm16, grades, out=out, scratch=scratch) is out
     assert out.tobytes() == md.potential(w, dm16, grades).values[blk].tobytes()
     assert md.potential(w, dm16, grades, out=np.empty_like(out)).tobytes() == out.tobytes()
