@@ -208,10 +208,8 @@ def form_abs(u):
     return np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
 
 
-def is_pure_grade(u, grade, tol=0.0):
-    other = np.asarray(u)[GRADES != grade]
-    bound = tol * max(np.max(np.abs(u)), 1.0)
-    return bool(np.all(np.abs(other) <= bound))
+def is_pure_grade(u, grade):
+    return not np.any(np.asarray(u)[GRADES != grade])
 
 
 def sym_product_components(u3, v3):
@@ -293,9 +291,6 @@ class GradedForm:
     def __sub__(self, other):
         return GradedForm(self.data - other.data)
 
-    def __neg__(self):
-        return GradedForm(-self.data)
-
     def __mul__(self, c):
         return GradedForm(self.data * c)
 
@@ -320,11 +315,3 @@ class SymTensor2:
         """Entry for 1-based coordinates (j, k) in either order."""
         pair = (min(j, k) - 1, max(j, k) - 1)
         return complex(self.data[SYM_PAIRS.index(pair)])
-
-    def __add__(self, other):
-        return SymTensor2(self.data + other.data)
-
-    def __mul__(self, c):
-        return SymTensor2(self.data * c)
-
-    __rmul__ = __mul__

@@ -84,7 +84,7 @@ class CgoGeometry:
         return float(np.sqrt(np.sum(np.abs(self.zeta2) ** 2)))
 
 
-def make_geometry(rho, eta1, eta2, s, k, grid=None, tol=1e-12) -> CgoGeometry:
+def make_geometry(rho, eta1, eta2, s, k, grid=None) -> CgoGeometry:
     """Validated geometry; rejects non-orthonormal frames and, when a grid
     is supplied, rho off the frequency lattice."""
     rho = np.asarray(rho, dtype=float)
@@ -95,11 +95,11 @@ def make_geometry(rho, eta1, eta2, s, k, grid=None, tol=1e-12) -> CgoGeometry:
     if k < 0:
         raise ValueError("k must be nonnegative")
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
-        if abs(np.dot(eta, eta) - 1.0) > tol:
+        if abs(np.dot(eta, eta) - 1.0) > 1e-12:
             raise ValueError(f"{name} must be a unit covector")
-        if abs(np.dot(eta, rho)) > tol * max(1.0, np.linalg.norm(rho)):
+        if abs(np.dot(eta, rho)) > 1e-12 * max(1.0, np.linalg.norm(rho)):
             raise ValueError(f"{name} must be orthogonal to rho")
-    if abs(np.dot(eta1, eta2)) > tol:
+    if abs(np.dot(eta1, eta2)) > 1e-12:
         raise ValueError("eta1 and eta2 must be orthogonal")
     if grid is not None and not grid.on_lattice(rho):
         raise ValueError("rho must lie on the grid frequency lattice")
@@ -214,7 +214,6 @@ class CgoSolution:
     contraction: float | None  # max of the last 3 step ratios; None if none was measured
     clamp: ClampReport
     clamped_defect: float
-    converged: bool
     deltas: list[float]  # per iteration: +1/2-norm of the remainder update
     residuals: list[float]  # per iteration: -1/2-norm of the forcing update
 
@@ -352,7 +351,6 @@ def solve_cgo(
         contraction=contraction,
         clamp=clamp,
         clamped_defect=zero_mode,
-        converged=True,
         deltas=deltas,
         residuals=residuals,
     )
@@ -481,11 +479,9 @@ def decay_study(
         )
 
     samples: list[DecaySample] = []
-    failures = 0
     outcomes = _parallel_map(_guarded(run), jobs, workers)
     for job, outcome in zip(jobs, outcomes):
         if isinstance(outcome, CgolabError):
-            failures += 1
             samples.append(
                 DecaySample(
                     lam=job[0], s=job[1], angle=job[2], iterations=0, residual=np.nan,
@@ -495,17 +491,21 @@ def decay_study(
             )
         else:
             samples.append(outcome)
+    errors = Counter(s.error for s in samples if s.error)
+    failures = sum(errors.values())
+    diagnostics = {"failed": failures, "samples": len(jobs), "errors": dict(errors),
+                   "failures": sample_failures(samples)}
     if failures > MAX_FAILURE_FRACTION * len(jobs):
-        raise StudyError(
-            f"{failures} of {len(jobs)} samples failed; study aborted",
-            diagnostics={"failed": failures, "samples": len(jobs),
-                         "errors": dict(Counter(s.error for s in samples if s.error)),
-                         "failures": sample_failures(samples)},
-        )
+        raise StudyError(f"{failures} of {len(jobs)} samples failed; study aborted", diagnostics)
 
     summaries = []
     for lam in lambdas:
         ok = [s for s in samples if s.lam == lam and not s.error]
+        if len(ok) < 2:  # the standard error of a mean needs two samples
+            raise StudyError(
+                f"{len(ok)} of {n_samples} samples at lambda = {lam} succeeded, fewer than 2; "
+                "study aborted", {**diagnostics, "lambda": lam},
+            )
         vals = np.array([s.remainder_norm**2 for s in ok])
         forcing = np.array([s.forcing_norm**2 for s in ok])
         summaries.append(

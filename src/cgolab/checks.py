@@ -40,6 +40,10 @@ from .media import (
     weak_potential_t_pairing,
 )
 
+ALGEBRA_SAMPLES = 1000  # seeded random forms per algebra identity (fewer for the slow ones)
+ALGEBRA_TOL = 1e-12
+CALCULUS_TOL = 1e-10
+
 
 @dataclass
 class CheckResult:
@@ -68,7 +72,7 @@ def _random_one(rng) -> GradedForm:
     return GradedForm.covector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
 
 
-def algebra_checks(seed: int = 0, n_random: int = 1000, tol: float = 1e-12):
+def algebra_checks(seed: int = 0):
     """The full identity battery of the pointwise algebra, on every basis
     blade and on seeded random forms."""
     rng = seeded_rng(seed)
@@ -83,23 +87,23 @@ def algebra_checks(seed: int = 0, n_random: int = 1000, tol: float = 1e-12):
             v[ib] = 1.0
             sign = (-1.0) ** (len(a) * len(b))
             err = max(err, float(np.max(np.abs(algebra.wedge(u, v) - sign * algebra.wedge(v, u)))))
-    for _ in range(n_random):
+    for _ in range(ALGEBRA_SAMPLES):
         gu, gv = rng.integers(0, 4, size=2)
         u = algebra.grade_select(rng.standard_normal(8) + 1j * rng.standard_normal(8), gu)
         v = algebra.grade_select(rng.standard_normal(8) + 1j * rng.standard_normal(8), gv)
         diff = algebra.wedge(u, v) - (-1.0) ** (gu * gv) * algebra.wedge(v, u)
         err = max(err, float(np.max(np.abs(diff))))
-    results.append(CheckResult("wedge anti-commutation", err, tol))
+    results.append(CheckResult("wedge anti-commutation", err, ALGEBRA_TOL))
 
     err = 0.0
     for ia in range(8):
         u = np.zeros(8)
         u[ia] = 1.0
         err = max(err, float(np.max(np.abs(algebra.hodge(algebra.hodge(u)) - u))))
-    results.append(CheckResult("double hodge identity", err, tol))
+    results.append(CheckResult("double hodge identity", err, ALGEBRA_TOL))
 
     err = 0.0
-    for _ in range(n_random):
+    for _ in range(ALGEBRA_SAMPLES):
         u = _random_graded(rng)
         v = _random_graded(rng)
         total = 0.0 + 0.0j
@@ -109,18 +113,18 @@ def algebra_checks(seed: int = 0, n_random: int = 1000, tol: float = 1e-12):
             )
         err = max(err, abs(u.inner(v) - total))
         err = max(err, abs(u.inner(v) - u.hodge().inner(v.hodge())))
-    results.append(CheckResult("inner product via star-wedge / star invariance", err, tol))
+    results.append(CheckResult("inner product via star-wedge / star invariance", err, ALGEBRA_TOL))
 
     err = 0.0
-    for _ in range(n_random):
+    for _ in range(ALGEBRA_SAMPLES):
         w = _random_graded(rng)
         v = _random_graded(rng)
         u = _random_graded(rng)
         err = max(err, abs(w.wedge(v).inner(u) - w.inner(v.vee(u))))
-    results.append(CheckResult("vee-wedge adjunction", err, tol))
+    results.append(CheckResult("vee-wedge adjunction", err, ALGEBRA_TOL))
 
     err = 0.0
-    for _ in range(n_random // 4):
+    for _ in range(ALGEBRA_SAMPLES // 4):
         u = _random_one(rng)
         v = _random_one(rng)
         for l in range(4):
@@ -128,10 +132,10 @@ def algebra_checks(seed: int = 0, n_random: int = 1000, tol: float = 1e-12):
             lhs = u.vee(v.wedge(w)) - v.wedge(u.vee(w))
             rhs = ((-1.0) ** l) * u.inner(v) * w
             err = max(err, float(np.max(np.abs(lhs.data - rhs.data))))
-    results.append(CheckResult("one-form commutator identity", err, tol))
+    results.append(CheckResult("one-form commutator identity", err, ALGEBRA_TOL))
 
     err = 0.0
-    for _ in range(n_random // 4):
+    for _ in range(ALGEBRA_SAMPLES // 4):
         u1 = _random_one(rng)
         v1 = _random_one(rng)
         for l in range(4):
@@ -139,14 +143,14 @@ def algebra_checks(seed: int = 0, n_random: int = 1000, tol: float = 1e-12):
             vl = _random_graded(rng).grade(l)
             lhs = u1.vee(ul).inner(v1.vee(vl)) + v1.wedge(ul).inner(u1.wedge(vl))
             err = max(err, abs(lhs - u1.inner(v1) * ul.inner(vl)))
-    results.append(CheckResult("contraction product identity", err, tol))
+    results.append(CheckResult("contraction product identity", err, ALGEBRA_TOL))
 
     err = 0.0
-    for _ in range(n_random // 10):
+    for _ in range(ALGEBRA_SAMPLES // 10):
         u = _random_one(rng)
         v = _random_one(rng)
         err = max(err, float(np.max(np.abs(u.sym_product(v).data - v.sym_product(u).data))))
-    results.append(CheckResult("symmetric product commutativity", err, tol))
+    results.append(CheckResult("symmetric product commutativity", err, ALGEBRA_TOL))
 
     # delta = (-1)^(n(l+1)+1) * d * on a small grid
     grid = Grid(8, 2.0 * np.pi)
@@ -155,15 +159,15 @@ def algebra_checks(seed: int = 0, n_random: int = 1000, tol: float = 1e-12):
     total = np.zeros_like(f.values)
     for l in range(4):
         sign = (-1.0) ** (3 * (l + 1) + 1)
-        total += sign * ext_deriv(f.grade(l).hodge()).hodge().values
+        total += sign * ext_deriv(f.select(l).hodge()).hodge().values
     scale = max(float(np.max(np.abs(lhs.values))), 1.0)
     err = float(np.max(np.abs(lhs.values - total))) / scale
-    results.append(CheckResult("codifferential via star-d-star", err, tol))
+    results.append(CheckResult("codifferential via star-d-star", err, ALGEBRA_TOL))
 
     return results
 
 
-def calculus_checks(grid: Grid, seed: int = 0, tol: float = 1e-10):
+def calculus_checks(grid: Grid, seed: int = 0):
     """Spectral-calculus identities on band-limited random fields."""
     rng = seeded_rng(seed)
     band = max(2, grid.n // 8)
@@ -174,19 +178,19 @@ def calculus_checks(grid: Grid, seed: int = 0, tol: float = 1e-10):
     scale = f.max_abs()
 
     results.append(
-        CheckResult("d o d = 0", ext_deriv(ext_deriv(f)).max_abs() / scale, tol)
+        CheckResult("d o d = 0", ext_deriv(ext_deriv(f)).max_abs() / scale, CALCULUS_TOL)
     )
     results.append(
-        CheckResult("delta o delta = 0", coderiv(coderiv(f)).max_abs() / scale, tol)
+        CheckResult("delta o delta = 0", coderiv(coderiv(f)).max_abs() / scale, CALCULUS_TOL)
     )
 
     lhs = quadrature_pairing(ext_deriv(f), g)
     rhs = quadrature_pairing(f, coderiv(g))
-    results.append(CheckResult("d/delta adjointness", abs(lhs - rhs) / abs(lhs), tol))
+    results.append(CheckResult("d/delta adjointness", abs(lhs - rhs) / abs(lhs), CALCULUS_TOL))
 
     lhs = hermitian_pairing(f, g)
     rhs = spectral_pairing(f, g)
-    results.append(CheckResult("discrete Parseval", abs(lhs - rhs) / abs(lhs), tol))
+    results.append(CheckResult("discrete Parseval", abs(lhs - rhs) / abs(lhs), CALCULUS_TOL))
 
     err = 0.0
     for _ in range(5):
@@ -194,7 +198,7 @@ def calculus_checks(grid: Grid, seed: int = 0, tol: float = 1e-10):
         l2, hm1 = sobolev_norms(phi)
         _, hm1_d = sobolev_norms(d_plus_delta(phi.alternate()))
         err = max(err, abs(l2**2 - hm1**2 - hm1_d**2) / l2**2)
-    results.append(CheckResult("local regularity norm identity", err, tol))
+    results.append(CheckResult("local regularity norm identity", err, CALCULUS_TOL))
 
     zeta = np.array([2.5, 1j * np.sqrt(2.5**2 + 1.0), 0.0], dtype=complex)
     comp = coderiv(ext_deriv(f, zeta), zeta) + ext_deriv(coderiv(f, zeta), zeta)
@@ -203,7 +207,7 @@ def calculus_checks(grid: Grid, seed: int = 0, tol: float = 1e-10):
         CheckResult(
             "conjugated laplacian symbol",
             float(np.max(np.abs(comp.values - direct.values)) / np.max(np.abs(direct.values))),
-            tol,
+            CALCULUS_TOL,
         )
     )
 
@@ -218,7 +222,7 @@ def calculus_checks(grid: Grid, seed: int = 0, tol: float = 1e-10):
             grid, sym_product_field(u, v)
         )
         err = max(err, float(np.max(np.abs(lhs.values - rhs.values)) / np.max(np.abs(rhs.values))))
-    results.append(CheckResult("symmetric-tensor derivative identity", err, tol))
+    results.append(CheckResult("symmetric-tensor derivative identity", err, CALCULUS_TOL))
 
     return results
 

@@ -224,10 +224,10 @@ def cmd_run_cgo(run: Run) -> int:
         "deltas": sol.deltas, "residuals": sol.residuals, "k": dm.k, "omega": dm.omega,
     }
     run.acceptance = {
-        "converged": sol.converged,
+        "converged": True,  # solve_cgo raises DivergenceError on every other outcome
         "remainder_bounded": sol.remainder_norm <= 2.0 * sol.forcing_norm,
     }
-    return EXIT_OK if sol.converged else EXIT_DIVERGENCE
+    return EXIT_OK
 
 
 def cmd_run_decay(run: Run) -> int:

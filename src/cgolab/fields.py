@@ -118,10 +118,10 @@ class Grid:
         """Points outside the central sub-box [L/4, 3L/4]^3, shape (n, n, n)."""
         return np.any(np.abs(self.x - self.length / 2) > self.length / 4, axis=0)
 
-    def on_lattice(self, covector, tol=1e-9) -> bool:
+    def on_lattice(self, covector) -> bool:
         """Whether a constant real covector sits on the frequency lattice."""
         idx = np.asarray(covector) * self.length / (2.0 * np.pi)
-        return bool(np.all(np.abs(idx - np.rint(idx)) <= tol))
+        return bool(np.all(np.abs(idx - np.rint(idx)) <= 1e-9))
 
 
 class FormField:
@@ -159,13 +159,8 @@ class FormField:
     def select(self, grades) -> "FormField":
         return FormField(self.grid, algebra.grade_select(self.values, grades), check=False)
 
-    grade = select  # one grade or several: grade_select takes either
-
     def alternate(self, offset: int = 0) -> "FormField":
         return FormField(self.grid, algebra.alternate(self.values, offset), check=False)
-
-    def wedge(self, other: "FormField") -> "FormField":
-        return FormField(self.grid, algebra.wedge(self.values, other.values), check=False)
 
     def vee(self, other: "FormField") -> "FormField":
         return FormField(self.grid, algebra.vee(self.values, other.values), check=False)
@@ -184,9 +179,6 @@ class FormField:
 
     def __sub__(self, other):
         return FormField(self.grid, self.values - other.values, check=False)
-
-    def __neg__(self):
-        return FormField(self.grid, -self.values, check=False)
 
 
 class SpectralField:
@@ -491,11 +483,11 @@ def resolvent_operator_norm(grid: Grid, zeta, floor: float | None = None) -> flo
     return float(np.max(sym.weight(0.5) / np.abs(sym.divisor)))
 
 
-def assert_admissible(zeta, k: float, tol: float = 1e-10) -> None:
+def assert_admissible(zeta, k: float) -> None:
     z = np.asarray(zeta, dtype=complex)
     defect = abs(np.dot(z, z) + k**2)
     scale = max(k**2, float(np.sum(np.abs(z) ** 2)), 1.0)
-    if defect > tol * scale:
+    if defect > 1e-10 * scale:
         raise ValueError(f"<zeta,zeta> = {np.dot(z, z)} is not -k^2 = {-k**2}")
 
 

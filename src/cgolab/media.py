@@ -72,7 +72,7 @@ def sample_bumps(grid: Grid, bumps) -> np.ndarray:
 class Medium:
     """Scalar coefficient samples eps, mu, sigma plus background constants."""
 
-    def __init__(self, grid, omega, eps0, mu0, eps, mu, sigma, check_support=True):
+    def __init__(self, grid, omega, eps0, mu0, eps, mu, sigma):
         if omega <= 0 or eps0 <= 0 or mu0 <= 0:
             raise ValueError("omega, eps0 and mu0 must be positive")
         eps = np.asarray(eps, dtype=float)
@@ -87,16 +87,15 @@ class Medium:
             raise CoefficientError("mu", "mu must be >= mu0 everywhere")
         if np.min(sigma) < 0:
             raise CoefficientError("sigma", "sigma must be nonnegative")
-        if check_support:
-            tol = 1e-12 * max(eps0, mu0, 1.0)
-            for name, arr, bg in (("eps", eps, eps0), ("mu", mu, mu0), ("sigma", sigma, 0.0)):
-                dev = float(np.max(np.abs(arr[grid.outside_subbox] - bg)))
-                if dev > tol:
-                    raise CoefficientError(
-                        name,
-                        f"{name} deviates from the background outside the central "
-                        f"sub-box by {dev:.3e}",
-                    )
+        tol = 1e-12 * max(eps0, mu0, 1.0)
+        for name, arr, bg in (("eps", eps, eps0), ("mu", mu, mu0), ("sigma", sigma, 0.0)):
+            dev = float(np.max(np.abs(arr[grid.outside_subbox] - bg)))
+            if dev > tol:
+                raise CoefficientError(
+                    name,
+                    f"{name} deviates from the background outside the central "
+                    f"sub-box by {dev:.3e}",
+                )
         self.grid = grid
         self.omega = float(omega)
         self.eps0 = float(eps0)
@@ -135,11 +134,9 @@ class DerivedMedium:
     k: float
     gamma: np.ndarray          # eps + i sigma / omega, conditioned
     mu: np.ndarray
-    log_half_gamma: np.ndarray  # a
-    log_half_mu: np.ndarray     # b
     da: FormField
     db: FormField
-    dc: FormField               # d of gamma^(1/2) mu^(1/2)
+    dc3: np.ndarray             # d of gamma^(1/2) mu^(1/2), its 3 components
     delta_da: np.ndarray        # codifferential of da (= -laplacian of a)
     delta_db: np.ndarray
     hess_a: np.ndarray          # Hessian of a, entries in algebra.SYM_PAIRS order, (6, n, n, n)
@@ -161,10 +158,6 @@ class DerivedMedium:
     @property
     def db3(self) -> np.ndarray:
         return self.db.values[1:4]
-
-    @property
-    def dc3(self) -> np.ndarray:
-        return self.dc.values[1:4]
 
     @property
     def grade_multipliers(self) -> np.ndarray:
@@ -231,7 +224,7 @@ def derive(medium: Medium) -> DerivedMedium:
     c = sqrt_gamma * sqrt_mu
     da, hess_a = _derivatives(grid, a)
     db, hess_b = _derivatives(grid, b)
-    dc = ext_deriv(FormField.from_scalar(grid, c))
+    dc3 = ext_deriv(FormField.from_scalar(grid, c)).values[1:4].copy()  # its other blades are 0
     k = medium.omega * np.sqrt(medium.eps0 * medium.mu0)
     return DerivedMedium(
         grid=grid,
@@ -241,11 +234,9 @@ def derive(medium: Medium) -> DerivedMedium:
         k=float(k),
         gamma=gamma,
         mu=mu,
-        log_half_gamma=a,
-        log_half_mu=b,
         da=da,
         db=db,
-        dc=dc,
+        dc3=dc3,
         delta_da=coderiv(da).values[0],
         delta_db=coderiv(db).values[0],
         hess_a=hess_a,
@@ -517,8 +508,8 @@ def maxwell_residual(u: FormField, dm: DerivedMedium, zeta=None) -> FormField:
     With ``zeta`` the derivatives are conjugated, so the residual of a
     two-sided solution can be evaluated on its periodic part.
     """
-    u1 = u.grade(1)
-    u2 = u.grade(2)
+    u1 = u.select(1)
+    u2 = u.select(2)
     res = coderiv(u2, zeta).values - ext_deriv(u1, zeta).values
     res += 1j * dm.omega * dm.gamma * u1.values
     res += 1j * dm.omega * dm.mu * u2.values

@@ -23,7 +23,7 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(value, path: str, positive=False, nonnegative=False) -> float:
+def _number(value, path: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     try:
@@ -34,8 +34,6 @@ def _number(value, path: str, positive=False, nonnegative=False) -> float:
         raise ConfigError(f"{path} must be a finite number")
     if positive and not out > 0:
         raise ConfigError(f"{path} must be positive")
-    if nonnegative and out < 0:
-        raise ConfigError(f"{path} must be nonnegative")
     return out
 
 

@@ -41,6 +41,9 @@ from .media import Medium, DerivedMedium, derive, potential
 WINDOW_START = 0.8
 WINDOW_STOP = 0.98
 SUPPORT_TOL = 1e-8  # relative size a coefficient may keep outside the sub-box
+POWER_ITERATIONS = 30  # per random start of the norm estimate
+FIXED_POINT_STARTS = 10
+FIXED_POINT_TOL = 1e-8
 FIXED_POINT_MAX_ITER = 400
 
 
@@ -126,39 +129,21 @@ def pairing(
     return PairingResult(value=value, sol1=sol1, sol2=sol2)
 
 
-def _scatter_target(dm1, dm2, ds1, ds2, rho, omega, grid) -> complex:
-    """Common form of the two scattering relations in the pairing-limit
-    orientation: int <d(s1-s2), d e> + int <d(s1+s2), d(s2-s1)> e
-    + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho); ds1, ds2 are
-    the gradients d s1, d s2 of the two half-log fields."""
+def scattering_target(mp: MediumPair, rho, pol: Polarization) -> complex:
+    """Large-s limit of the pairing: the scattering relation in the electric
+    half-log contrast for E, the magnetic one for H.  In the pairing-limit
+    orientation it reads int <d(s1-s2), d e> + int <d(s1+s2), d(s2-s1)> e
+    + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho) and s1, s2 the
+    half-log fields a (E) or b (H) of the two media."""
+    dm1, dm2, grid = mp.dm1, mp.dm2, mp.grid
+    ds1, ds2 = (dm1.da3, dm2.da3) if pol == Polarization.E else (dm1.db3, dm2.db3)
+    rho = np.asarray(rho, dtype=float)
     wave = plane_wave_scalar(grid, rho)
-    irho = 1j * np.asarray(rho, dtype=float)
-    diff3 = ds1.values[1:4] - ds2.values[1:4]
-    total = np.sum(np.einsum("j...,j->...", diff3, irho) * wave)
-    sum3 = ds1.values[1:4] + ds2.values[1:4]
-    total += np.sum(np.einsum("j...,j...->...", sum3, -diff3) * wave)
-    total += omega**2 * np.sum((dm1.gamma_mu - dm2.gamma_mu) * wave)
+    diff3 = ds1 - ds2
+    total = np.sum(np.einsum("j...,j->...", diff3, 1j * rho) * wave)
+    total += np.sum(np.einsum("j...,j...->...", ds1 + ds2, -diff3) * wave)
+    total += dm1.omega**2 * np.sum((dm1.gamma_mu - dm2.gamma_mu) * wave)
     return complex(grid.cell_volume * total)
-
-
-def target_a(mp: MediumPair, rho) -> complex:
-    """Large-s limit of the E-polarized pairing: the scattering relation
-    in the electric half-log contrast."""
-    return _scatter_target(
-        mp.dm1, mp.dm2,
-        mp.dm1.da, mp.dm2.da,
-        np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
-    )
-
-
-def target_b(mp: MediumPair, rho) -> complex:
-    """Large-s limit of the H-polarized pairing: the scattering relation
-    in the magnetic half-log contrast."""
-    return _scatter_target(
-        mp.dm1, mp.dm2,
-        mp.dm1.db, mp.dm2.db,
-        np.asarray(rho, dtype=float), mp.dm1.omega, mp.grid,
-    )
 
 
 @dataclass
@@ -204,7 +189,7 @@ def convergence_experiment(
     if not strictly_decreasing(reversed(s_list)):
         raise ValueError("s values must be increasing")
     rho = np.asarray(rho, dtype=float)
-    target = target_a(mp, rho) if pol == Polarization.E else target_b(mp, rho)
+    target = scattering_target(mp, rho, pol)
 
     def run(s):
         geom = make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid)
@@ -282,12 +267,12 @@ def ucp_coefficients(mp: MediumPair) -> UcpCoefficients:
     return UcpCoefficients(V=V, W=W, a=a, b=b, c=c, d=d)
 
 
-def null_covector(magnitude: float, axis1: int = 0, axis2: int = 1) -> np.ndarray:
-    """Complex covector with <zeta, zeta> = 0 and the given magnitude."""
+def null_covector(magnitude: float) -> np.ndarray:
+    """Complex covector (t, i t, 0) with <zeta, zeta> = 0 and the given magnitude."""
     zeta = np.zeros(3, dtype=complex)
     t = magnitude / np.sqrt(2.0)
-    zeta[axis1] = t
-    zeta[axis2] = 1j * t
+    zeta[0] = t
+    zeta[1] = 1j * t
     return zeta
 
 
@@ -296,7 +281,6 @@ class UcpReport:
     norm_estimate: float
     conclusive: bool
     contraction_certified: bool
-    power_iterations: int
     fixed_point_converged: bool
     fixed_point_iterations: int
     clamped_modes: int
@@ -324,8 +308,8 @@ class _UcpOperator:
     starts from a field that is zero outside it.
     """
 
-    def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta, floor: float | None):
-        sym = ClampedSymbol(grid, zeta, floor)
+    def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta):
+        sym = ClampedSymbol(grid, zeta)
         self.grid = grid
         self.mask = sym.mask
         self.inv_p = sym.inverse(np.ones(sym.mask.shape, complex))
@@ -364,10 +348,6 @@ def ucp_contraction_check(
     zeta,
     trials: int = 4,
     seed: int = 0,
-    floor: float | None = None,
-    power_iterations: int = 30,
-    fixed_point_starts: int = 10,
-    fixed_point_tol: float = 1e-8,
 ) -> UcpReport:
     """Estimate the weighted operator norm of resolvent o multiplication
     and certify the contraction.
@@ -380,6 +360,8 @@ def ucp_contraction_check(
     below the tolerance.  Estimates inside [0.9, 1.1] are reported as
     inconclusive.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     zeta = np.asarray(zeta, dtype=complex)
     if abs(np.dot(zeta, zeta)) > 1e-10 * max(1.0, float(np.sum(np.abs(zeta) ** 2))):
         raise ValueError("unique continuation check needs <zeta, zeta> = 0")
@@ -391,12 +373,12 @@ def ucp_contraction_check(
         if float(np.max(np.abs(f[outside]))) > SUPPORT_TOL * scale:
             raise ValueError(f"coefficient {name} is not supported in the sub-box")
 
-    op = _UcpOperator(grid, coeffs, zeta, floor)
+    op = _UcpOperator(grid, coeffs, zeta)
     rng = seeded_rng(seed)
     shape = (2, grid.n, grid.n, grid.n)
 
     best = 0.0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         u[:, op.mask] = 0.0
         nu = np.sqrt(op.norm_sq(u))
@@ -404,7 +386,7 @@ def ucp_contraction_check(
             continue
         u /= nu
         est = 0.0
-        for _ in range(power_iterations):
+        for _ in range(POWER_ITERATIONS):
             tu = op.apply(u)
             est = np.sqrt(op.norm_sq(tu))  # Rayleigh quotient since ||u|| = 1
             g = op.apply_adjoint(tu)
@@ -417,18 +399,18 @@ def ucp_contraction_check(
     converged_all = True
     worst_iters = 0
     if best < 1.0:
-        for _ in range(fixed_point_starts):
+        for _ in range(FIXED_POINT_STARTS):
             w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             w[:, op.mask] = 0.0
             w /= np.sqrt(op.norm_sq(w))
             it = 0
             norm = 1.0
-            while norm > fixed_point_tol and it < FIXED_POINT_MAX_ITER:
+            while norm > FIXED_POINT_TOL and it < FIXED_POINT_MAX_ITER:
                 w = -op.apply(w)
                 norm = np.sqrt(op.norm_sq(w))
                 it += 1
             worst_iters = max(worst_iters, it)
-            if norm > fixed_point_tol:
+            if norm > FIXED_POINT_TOL:
                 converged_all = False
     else:
         converged_all = False
@@ -438,7 +420,6 @@ def ucp_contraction_check(
         norm_estimate=best,
         conclusive=not (0.9 <= best <= 1.1),
         contraction_certified=best < 1.0,
-        power_iterations=power_iterations,
         fixed_point_converged=converged_all,
         fixed_point_iterations=worst_iters,
         clamped_modes=int(np.sum(op.mask)),

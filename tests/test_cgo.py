@@ -7,7 +7,7 @@ import pytest
 from cgolab import algebra, cgo
 from cgolab import media as md
 from cgolab.algebra import GradedForm
-from cgolab.errors import DivergenceError, ResonantGridError
+from cgolab.errors import DivergenceError, ResonantGridError, StudyError
 from cgolab.fields import (
     FormField,
     Grid,
@@ -155,8 +155,7 @@ def test_solve_reference_medium(grid16, dm16):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
     tol = 1e-9
-    sol = cgo.solve_cgo(dm16, g.zeta1, amp, tol=tol)
-    assert sol.converged
+    sol = cgo.solve_cgo(dm16, g.zeta1, amp, tol=tol)  # raises unless it converges
     assert sol.contraction < 0.5
     assert sol.residual < tol * (sol.forcing_norm + 1.0)
     assert sol.remainder_norm <= sol.forcing_norm / (1.0 - max(sol.contraction, 0.1))
@@ -406,6 +405,29 @@ def test_decay_study_records_toolkit_errors_as_rows(grid16, monkeypatch):
     assert [s.error for s in study.samples].count("DivergenceError") == 1
     assert np.isnan(study.samples[0].remainder_norm)
     assert study.summaries[0].n_samples == 7
+
+
+@pytest.mark.parametrize("failed", [7, 8])
+def test_decay_study_rejects_a_lambda_with_fewer_than_two_samples(grid16, dm16, monkeypatch, failed):
+    # 7 or 8 of the 40 samples fail, within the study's failure fraction, but
+    # all at the first lambda: its mean and standard error cannot be formed
+    solve = cgo.solve_cgo
+    calls = []
+
+    def first_calls_diverge(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= failed:
+            raise DivergenceError("forced divergence")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cgo, "solve_cgo", first_calls_diverge)
+    lambdas = [1.0, 2.0, 4.0, 8.0, 16.0]
+    with pytest.raises(StudyError, match="at lambda = 1.0 succeeded, fewer than 2") as exc:
+        cgo.decay_study(dm16, RHO, cgo.Polarization.E, lambdas, n_samples=8, seed=3)
+    diagnostics = exc.value.diagnostics
+    assert diagnostics["lambda"] == 1.0
+    assert diagnostics["failed"] == failed and diagnostics["samples"] == 40
+    assert {f["lambda"] for f in diagnostics["failures"]} == {1.0}
 
 
 def test_q_norm_estimate_background_and_preconditions(grid16, dm16):

@@ -148,15 +148,31 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["run-cgo", "--config", str(tmp_path / "missing.json")]) == 2
     nan_amplitude = small_config()
     nan_amplitude["medium"]["eps_bumps"][0]["amplitude"] = float("nan")
+    one_medium = small_config("uniqueness")
+    one_medium["media"] = one_medium["media"][:1]
+    single = small_config("uniqueness")
+    single["medium"] = single.pop("media")[0]
+    small_s = small_config("cgo")
+    small_s["geometry"]["s"] = 0.5
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "broken.json").write_text("{")
     cases = [
-        (write(tmp_path, nan_amplitude, "nan.json"), "o", r"medium.eps_bumps\[0\].amplitude"),
-        (write(tmp_path, small_config(solver={"tol": float("inf")}), "inf.json"), "o", "solver.tol"),
+        ("run-cgo", write(tmp_path, nan_amplitude, "nan.json"), "o", r"medium.eps_bumps\[0\].amplitude"),
+        ("run-cgo", write(tmp_path, small_config(solver={"tol": float("inf")}), "inf.json"), "o", "solver.tol"),
         # an output directory that names an existing file
-        (write(tmp_path, small_config(), "ok.json"), "nan.json", re.escape(str(tmp_path / "nan.json"))),
+        ("run-cgo", write(tmp_path, small_config(), "ok.json"), "nan.json",
+         re.escape(str(tmp_path / "nan.json"))),
+        ("run-cgo", str(tmp_path / "list.json"), "o", "config must be a JSON object"),
+        ("run-cgo", str(tmp_path / "broken.json"), "o", "config is not valid JSON"),
+        ("run-uniqueness", write(tmp_path, one_medium, "one.json"), "o", "media must be a list of exactly 2"),
+        ("run-uniqueness", write(tmp_path, single, "single.json"), "o", "config needs a 'media' list"),
+        ("run-cgo", write(tmp_path, small_s, "s.json"), "o", "geometry.s must be >= 1"),
+        ("run-cgo", write(tmp_path, small_config(output={"save_fields": 1}), "save.json"), "o",
+         "output.save_fields"),
     ]
-    for path, out, field in cases:
+    for command, path, out, field in cases:
         capsys.readouterr()
-        assert main(["run-cgo", "--config", path, "--out", str(tmp_path / out)]) == 2
+        assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert re.search(field, err)
         assert "Traceback" not in err
@@ -386,6 +402,30 @@ def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
     # every other row is the one of the run without a failure
     ok_rows = (tmp_path / "ok/results.csv").read_text().splitlines()
     assert rows[:2] + rows[3:] == ok_rows[:2] + ok_rows[3:]
+
+
+def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):
+    # 8 of 40 samples fail, within the failure fraction, but all at lambda = 1
+    cfg = small_config("decay")
+    cfg["geometry"]["lambda_list"] = [1.0, 2.0, 4.0, 8.0, 16.0]
+    cfg["sampling"] = {"n_samples": 8, "seed": 3}
+    solve = cgo.solve_cgo
+    calls = []
+
+    def first_calls_diverge(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= 8:
+            raise DivergenceError("forced divergence")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cgo, "solve_cgo", first_calls_diverge)
+    out = tmp_path / "o"
+    assert main(["run-decay", "--config", write(tmp_path, cfg), "--out", str(out)]) == EXIT_DIVERGENCE
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["lambda"] == 1.0
+    assert "0 of 8 samples at lambda = 1.0" in manifest["diagnostics"]["error"]
+    assert manifest["acceptance"] == {"remainder_decreasing": False}
+    assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))

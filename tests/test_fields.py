@@ -115,7 +115,7 @@ def test_coderiv_matches_star_d_star():
     total = np.zeros_like(f.values)
     for l in range(4):
         sign = (-1.0) ** (3 * (l + 1) + 1)
-        piece = ext_deriv(f.grade(l).hodge()).hodge().values
+        piece = ext_deriv(f.select(l).hodge()).hodge().values
         total += sign * piece
     assert rel_err(lhs.values, total) < 1e-12
 
@@ -421,6 +421,18 @@ def test_snapshot_payload_length_is_checked(tmp_path):
     for payload, actual in ((data[:-16], expected - 16), (data + bytes(16), expected + 16)):
         binpath.write_bytes(payload)
         with pytest.raises(ValueError, match=f"{actual} bytes, expected {expected}"):
+            fields.load_field_bin(binpath)
+
+
+def test_snapshot_magic_and_version_are_checked(tmp_path):
+    binpath = tmp_path / "field.bin"
+    fields.save_field_bin(FormField.zero(GRID), binpath)
+    data = binpath.read_bytes()
+    version = (2).to_bytes(4, "little")  # the header's version word follows the magic
+    for payload, message in ((b"XXXX" + data[4:], "bad magic b'XXXX'"),
+                             (data[:4] + version + data[8:], r"unsupported snapshot layout \(version 2")):
+        binpath.write_bytes(payload)
+        with pytest.raises(ValueError, match=message):
             fields.load_field_bin(binpath)
 
 

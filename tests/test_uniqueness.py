@@ -29,6 +29,15 @@ def test_make_pair_rejections(grid16):
     bad2 = md.Medium.background(grid16, omega=1.0, eps0=2.0)
     with pytest.raises(ValueError):
         uq.make_pair(m1, bad2)  # different background
+    with pytest.raises(ValueError, match="media must share one grid"):
+        uq.make_pair(m1, presets.reference_medium(fields.Grid(8, grid16.length)))
+    # A background below 1 makes the pair's bound (1e-12 eps0) tighter than a
+    # medium's own (1e-12), so two valid media can still disagree outside.
+    shape = (grid16.n,) * 3
+    low = md.Medium(grid16, 1.0, 0.5, 0.5, np.full(shape, 0.5), np.full(shape, 0.5), np.zeros(shape))
+    off = md.Medium(grid16, 1.0, 0.5, 0.5, np.full(shape, 0.5 + 9e-13), low.mu, low.sigma)
+    with pytest.raises(ValueError, match="eps fields disagree outside the sub-box"):
+        uq.make_pair(low, off)
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +53,14 @@ def test_identical_media_pairing_vanishes(grid16, pair16):
 
 def test_targets_vanish_for_identical_media(pair16):
     same = uq.MediumPair(pair16.dm1, pair16.dm1)
-    assert abs(uq.target_a(same, RHO)) == 0.0
-    assert abs(uq.target_b(same, RHO)) == 0.0
+    assert abs(uq.scattering_target(same, RHO, cgo.Polarization.E)) == 0.0
+    assert abs(uq.scattering_target(same, RHO, cgo.Polarization.H)) == 0.0
 
 
 def test_target_zero_frequency_drops_gradient_term(grid16, pair16):
     # at rho = 0 the d e_(i rho) integral vanishes, leaving two terms
     rho0 = np.zeros(3)
-    got = uq.target_a(pair16, rho0)
+    got = uq.scattering_target(pair16, rho0, cgo.Polarization.E)
     dm1, dm2 = pair16.dm1, pair16.dm2
     diff3 = dm1.da.values[1:4] - dm2.da.values[1:4]
     sum3 = dm1.da.values[1:4] + dm2.da.values[1:4]
@@ -69,7 +78,8 @@ def test_target_b_closed_form_for_mu_only_contrast(grid16):
     bump = md.Bump(0.2, 1.2, sharpness=2.0)
     m2 = md.Medium.from_bumps(grid16, omega=1.0, mu_bumps=[bump])
     mp = uq.make_pair(m1, m2)
-    got = uq.target_a(mp, RHO)  # a-contrast is zero, only the product term remains
+    # the a-contrast is zero, so only the product term remains
+    got = uq.scattering_target(mp, RHO, cgo.Polarization.E)
     wave = plane_wave_scalar(grid16, RHO)
     delta_mu = mp.dm2.mu - mp.dm1.mu
     oracle = -grid16.cell_volume * np.sum(wave * mp.dm1.gamma * delta_mu)
@@ -77,7 +87,7 @@ def test_target_b_closed_form_for_mu_only_contrast(grid16):
 
 
 def test_target_at_negative_probe_matches_direct_quadrature(grid16, pair16):
-    got = uq.target_a(pair16, -RHO)
+    got = uq.scattering_target(pair16, -RHO, cgo.Polarization.E)
     wave = plane_wave_scalar(grid16, -RHO)
     dm1, dm2 = pair16.dm1, pair16.dm2
     diff3 = dm1.da.values[1:4] - dm2.da.values[1:4]
@@ -148,7 +158,7 @@ def test_ucp_zero_coefficients(grid16):
 def test_ucp_contraction_and_fixed_point(grid16, pair16):
     coeffs = uq.ucp_coefficients(pair16)
     rep = uq.ucp_contraction_check(
-        grid16, coeffs, uq.null_covector(32.0), trials=3, seed=3, fixed_point_starts=10
+        grid16, coeffs, uq.null_covector(32.0), trials=3, seed=3
     )
     assert rep.contraction_certified
     assert rep.conclusive
@@ -168,6 +178,9 @@ def test_ucp_inconclusive_band(grid16, pair16):
 
 def test_ucp_rejects_bad_inputs(grid16, pair16):
     coeffs = uq.ucp_coefficients(pair16)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(8.0), trials=trials)
     with pytest.raises(ValueError):
         uq.ucp_contraction_check(grid16, coeffs, np.array([1.0, 0.0, 0.0]), trials=1)
     ones = np.ones((grid16.n,) * 3)
@@ -181,7 +194,7 @@ def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
     coeffs = uq.ucp_coefficients(pair16)
     zeta = uq.null_covector(16.0)
     rep = uq.ucp_contraction_check(grid16, coeffs, zeta, trials=3, seed=11)
-    op = uq._UcpOperator(grid16, coeffs, zeta, default_floor(grid16))
+    op = uq._UcpOperator(grid16, coeffs, zeta)
     rng = np.random.default_rng(0)
     u = rng.standard_normal((2,) + (grid16.n,) * 3) + 1j * rng.standard_normal((2,) + (grid16.n,) * 3)
     u[:, op.mask] = 0.0
@@ -200,7 +213,7 @@ def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16)
     inv_p = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, p))
     inv_weight = np.where(~mask, 1.0 / np.where(~mask, weight, 1.0), 0.0)
 
-    op = uq._UcpOperator(grid16, uq.ucp_coefficients(pair16), zeta, floor)
+    op = uq._UcpOperator(grid16, uq.ucp_coefficients(pair16), zeta)
     assert np.array_equal(op.mask, mask)
     assert np.array_equal(op.inv_p, inv_p)
     assert np.array_equal(op.weight, weight)
@@ -211,8 +224,8 @@ class _FullTransformOperator(uq._UcpOperator):
     """Oracle: the operator with full n^3 transforms and a multiply on every
     point, as it was written before the support-box transforms."""
 
-    def __init__(self, grid, coeffs, zeta, floor):
-        super().__init__(grid, coeffs, zeta, floor)
+    def __init__(self, grid, coeffs, zeta):
+        super().__init__(grid, coeffs, zeta)
         self.full = (coeffs.V + coeffs.a, coeffs.b, coeffs.d, coeffs.W + coeffs.c)
 
     def _mult(self, u, conj_transpose=False):
@@ -251,8 +264,8 @@ def test_ucp_operator_matches_the_full_transform_oracle(grid16, pair16, tail):
     shape = (2,) + (grid16.n,) * 3
     for mag in (8.0, 32.0):
         zeta = uq.null_covector(mag)
-        op = uq._UcpOperator(grid16, coeffs, zeta, None)
-        oracle = _FullTransformOperator(grid16, coeffs, zeta, None)
+        op = uq._UcpOperator(grid16, coeffs, zeta)
+        oracle = _FullTransformOperator(grid16, coeffs, zeta)
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(op.apply(u), oracle.apply(u))
         assert np.array_equal(op.apply_adjoint(u), oracle.apply_adjoint(u))
@@ -261,7 +274,7 @@ def test_ucp_operator_matches_the_full_transform_oracle(grid16, pair16, tail):
 def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
     coeffs = uq.ucp_coefficients(pair16)
     zeta = uq.null_covector(8.0)
-    box = uq._UcpOperator(grid16, coeffs, zeta, None).box
+    box = uq._UcpOperator(grid16, coeffs, zeta).box
     nonzero = np.zeros((grid16.n,) * 3, dtype=bool)
     for f in coeffs.as_tuple():
         nonzero |= f != 0
@@ -269,11 +282,11 @@ def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
     inside[box] = True
     assert nonzero[box].any() and not (nonzero & ~inside).any()
     assert all(0 < s.stop - s.start < grid16.n for s in box)
-    tail_box = uq._UcpOperator(grid16, _with_tail(grid16, coeffs), zeta, None).box
+    tail_box = uq._UcpOperator(grid16, _with_tail(grid16, coeffs), zeta).box
     assert tail_box[0].start == 1 and tail_box[1].stop == grid16.n - 1
     assert tail_box[2] == slice(3, box[2].stop)
     z = np.zeros((grid16.n,) * 3)
-    empty = uq._UcpOperator(grid16, uq.UcpCoefficients(z, z, z, z, z, z), zeta, None)
+    empty = uq._UcpOperator(grid16, uq.UcpCoefficients(z, z, z, z, z, z), zeta)
     assert empty.box == (slice(0, 0),) * 3
     u = np.ones((2,) + (grid16.n,) * 3, dtype=complex)
     assert not np.any(empty.apply(u)) and not np.any(empty.apply_adjoint(u))
