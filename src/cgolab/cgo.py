@@ -263,8 +263,9 @@ def solve_cgo(
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
     the resolvent acts blade by blade, so the iteration runs on the
     blades of the block that holds the amplitude (both blocks when the
-    amplitude has parts in each).  It runs in the buffers of ``work``
-    (a new set when None) and allocates no array of the grid's size.
+    amplitude has parts in each).  It iterates in the buffers of ``work``
+    (a new set when None), allocating no array of the grid's size, and
+    allocates the 8-blade remainder only after it lets go of the set.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -301,9 +302,9 @@ def solve_cgo(
 
     while not converged and iterations < max_iter:
         iterations += 1
-        rhat_new = sym.inverse(np.negative(fhat, out=dead), out=dead)
+        rhat, dead = sym.inverse(np.negative(fhat, out=dead), out=dead), rhat
         # each difference overwrites its older operand, which nothing reads after it
-        delta = sym.norm(np.subtract(rhat_new, rhat, out=rhat), 0.5, norm_work)
+        delta = sym.norm(np.subtract(rhat, dead, out=dead), 0.5, norm_work)
         deltas.append(delta)
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
@@ -317,13 +318,11 @@ def solve_cgo(
                     "the conjugation parameter is too small for this medium",
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
-        rhat, dead = rhat_new, rhat
         # R goes straight into A + R; R + A has the bits of A + R
         np.add(_inverse(rhat, total.values[blk]), amp_blk, out=total.values[blk])
-        fhat_new = forward_potential(dead)
-        residual = sym.norm(np.subtract(fhat_new, fhat, out=fhat), -0.5, norm_work)
+        fhat, dead = forward_potential(dead), fhat
+        residual = sym.norm(np.subtract(fhat, dead, out=dead), -0.5, norm_work)
         residuals.append(residual)
-        fhat, dead = fhat_new, fhat
         converged = residual < tol * (forcing_norm + 1.0)
 
     if not converged:
@@ -333,20 +332,24 @@ def solve_cgo(
             f"(residual {residual:.3e}, contraction {ratio})",
             diagnostics={"contraction": contraction, "iterations": iterations},
         )
-    remainder = FormField.zero(grid)
-    _inverse(rhat, remainder.values[blk])  # the R of the last step, formed again
     # the clamped modes of all 8 blades, laid out as fhat[:, mask] of a full
     # 8-blade fhat is (blade axis fastest), so the sum adds in the same order
     clamped = np.zeros((int(np.sum(sym.mask)), 8), dtype=complex).T
     clamped[blk] = fhat[:, sym.mask]
     zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(clamped) ** 2)))
+    remainder_norm = sym.norm(rhat, 0.5, norm_work)
+    # only rhat is read from here on: the symbol and a set made here are freed
+    # before the remainder is allocated (a set passed as work= stays with its caller)
+    del fhat, dead, total, scratch, norm_work, work, sym
+    remainder = FormField.zero(grid)
+    _inverse(rhat, remainder.values[blk])  # the R of the last step, formed again
     return CgoSolution(
         amplitude=amplitude,
         remainder=remainder,
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=sym.norm(rhat, 0.5, norm_work),
+        remainder_norm=remainder_norm,
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,

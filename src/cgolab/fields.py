@@ -98,7 +98,7 @@ class Grid:
         norms use this covector so the operator identities hold exactly
         on arbitrary grid functions.
         """
-        out = self.xi.copy()
+        out = (2.0 * np.pi / self.length) * self.freq_index.astype(float)  # xi, not kept
         out[self.freq_index == -(self.n // 2)] = 0.0
         return out
 
@@ -401,7 +401,6 @@ class ClampedSymbol:
         self.floor = floor
         self.mask = absp < floor
         self.divisor = np.where(self.mask, 1.0, p)
-        self._absp = np.maximum(absp, floor)
         self._weights: dict[float, np.ndarray] = {}
 
     def weight(self, b: float) -> np.ndarray:
@@ -409,7 +408,8 @@ class ClampedSymbol:
         if b not in (0.5, -0.5):
             raise ValueError(f"b must be +1/2 or -1/2, got {b}")
         if b not in self._weights:
-            w = self._absp ** (2.0 * b)
+            # |divisor| is |p| >= floor off the mask, which is zeroed
+            w = np.abs(self.divisor) ** (2.0 * b)
             w[self.mask] = 0.0
             self._weights[b] = w
         return self._weights[b]

@@ -87,10 +87,11 @@ class Medium:
             raise CoefficientError("mu", "mu must be >= mu0 everywhere")
         if np.min(sigma) < 0:
             raise CoefficientError("sigma", "sigma must be nonnegative")
-        tol = 1e-12 * max(eps0, mu0, 1.0)
+        # how far a sample may lie from the background outside the sub-box
+        self.background_tol = 1e-12 * max(eps0, mu0, 1.0)
         for name, arr, bg in (("eps", eps, eps0), ("mu", mu, mu0), ("sigma", sigma, 0.0)):
             dev = float(np.max(np.abs(arr[grid.outside_subbox] - bg)))
-            if dev > tol:
+            if dev > self.background_tol:
                 raise CoefficientError(
                     name,
                     f"{name} deviates from the background outside the central "
@@ -141,11 +142,28 @@ class DerivedMedium:
     delta_db: np.ndarray
     hess_a: np.ndarray          # Hessian of a, entries in algebra.SYM_PAIRS order, (6, n, n, n)
     hess_b: np.ndarray
-    sqrt_gamma: np.ndarray
-    inv_sqrt_gamma: np.ndarray
-    sqrt_mu: np.ndarray
-    inv_sqrt_mu: np.ndarray
-    iwc: np.ndarray             # i omega gamma^(1/2) mu^(1/2)
+
+    # The half powers and iwc are formed on first use: the solver reads none.
+    @cached_property
+    def sqrt_gamma(self) -> np.ndarray:
+        return np.exp(0.5 * np.log(self.gamma))
+
+    @cached_property
+    def inv_sqrt_gamma(self) -> np.ndarray:
+        return np.exp(-(0.5 * np.log(self.gamma)))
+
+    @cached_property
+    def sqrt_mu(self) -> np.ndarray:
+        return np.exp(0.5 * np.log(self.mu))
+
+    @cached_property
+    def inv_sqrt_mu(self) -> np.ndarray:
+        return np.exp(-(0.5 * np.log(self.mu)))
+
+    @cached_property
+    def iwc(self) -> np.ndarray:
+        """i omega gamma^(1/2) mu^(1/2)."""
+        return 1j * self.omega * (self.sqrt_gamma * self.sqrt_mu)
 
     @property
     def gamma_mu(self) -> np.ndarray:
@@ -219,9 +237,7 @@ def derive(medium: Medium) -> DerivedMedium:
     gamma = medium.eps + 1j * medium.sigma / medium.omega
     a = 0.5 * np.log(gamma)  # principal branch
     b = 0.5 * np.log(mu)
-    sqrt_gamma = np.exp(a)
-    sqrt_mu = np.exp(b)
-    c = sqrt_gamma * sqrt_mu
+    c = np.exp(a) * np.exp(b)  # gamma^(1/2) mu^(1/2)
     da, hess_a = _derivatives(grid, a)
     db, hess_b = _derivatives(grid, b)
     dc3 = ext_deriv(FormField.from_scalar(grid, c)).values[1:4].copy()  # its other blades are 0
@@ -241,11 +257,6 @@ def derive(medium: Medium) -> DerivedMedium:
         delta_db=coderiv(db).values[0],
         hess_a=hess_a,
         hess_b=hess_b,
-        sqrt_gamma=sqrt_gamma,
-        inv_sqrt_gamma=np.exp(-a),
-        sqrt_mu=sqrt_mu,
-        inv_sqrt_mu=np.exp(-b),
-        iwc=1j * medium.omega * c,
     )
 
 

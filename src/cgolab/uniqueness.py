@@ -81,10 +81,9 @@ def make_pair(m1: Medium, m2: Medium) -> MediumPair:
         if getattr(m1, name) != getattr(m2, name):
             raise ValueError(f"media must share {name}")
     outside = m1.grid.outside_subbox
-    tol = 1e-12 * max(m1.eps0, m1.mu0)
     for name, f1, f2 in (("eps", m1.eps, m2.eps), ("mu", m1.mu, m2.mu), ("sigma", m1.sigma, m2.sigma)):
         dev = float(np.max(np.abs(f1[outside] - f2[outside])))
-        if dev > tol:
+        if dev > m1.background_tol:  # the bound each medium meets; m2's is the same
             raise ValueError(f"{name} fields disagree outside the sub-box by {dev:.3e}")
     return MediumPair(dm1=derive(m1), dm2=derive(m2))
 
@@ -385,15 +384,14 @@ def ucp_contraction_check(
         if nu == 0:
             continue
         u /= nu
-        est = 0.0
         for _ in range(POWER_ITERATIONS):
             tu = op.apply(u)
-            est = np.sqrt(op.norm_sq(tu))  # Rayleigh quotient since ||u|| = 1
             g = op.apply_adjoint(tu)
             ng = np.sqrt(op.norm_sq(g))
             if ng == 0:
                 break
             u = g / ng
+        est = np.sqrt(op.norm_sq(tu))  # ||T u|| for the last step's unit u
         best = max(best, est)
 
     converged_all = True

@@ -271,6 +271,21 @@ def test_iterations_allocate_nothing_with_a_given_buffer_set(grid16, dm16):
     assert peak(6) - peak(2) < block_bytes
 
 
+def test_a_fresh_solve_frees_its_buffers_before_the_remainder(grid16, dm16):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    amp = cgo.amplitude_a(g, cgo.Polarization.E)
+    cgo.solve_cgo(dm16, g.zeta1, amp)  # fills the medium's and the grid's caches
+    tracemalloc.start()
+    try:
+        cgo.solve_cgo(dm16, g.zeta1, amp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the buffer set holds 6 blocks and the 8-blade remainder 2: both at once reach 8
+    block_bytes = 4 * grid16.n**3 * np.dtype(complex).itemsize
+    assert peak < 8 * block_bytes
+
+
 def test_remainder_scales_linearly_with_amplitude(grid16, dm16):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cgolab import algebra, checks
+from cgolab import algebra, cgo, checks, presets
 from cgolab import media as md
 from cgolab.fields import (
     FormField,
@@ -11,6 +11,9 @@ from cgolab.fields import (
     quadrature_pairing,
     random_band_limited,
 )
+
+
+RHO = np.array([1.0, 0.0, 0.0])
 
 
 def rel_err(a, b):
@@ -51,6 +54,39 @@ def test_exp_recovers_gamma_on_random_media(grid16):
         dm = md.derive(m)
         assert rel_err(dm.sqrt_gamma**2, dm.gamma) < 1e-12
         assert rel_err(dm.sqrt_mu**2, dm.mu) < 1e-12
+
+
+HALF_POWER_FIELDS = ("sqrt_gamma", "inv_sqrt_gamma", "sqrt_mu", "inv_sqrt_mu", "iwc")
+
+
+def _half_power_fields(gamma, mu, omega):
+    """The five fields as derive formed them before they were formed on first use."""
+    a, b = 0.5 * np.log(gamma), 0.5 * np.log(mu)
+    c = np.exp(a) * np.exp(b)
+    return dict(sqrt_gamma=np.exp(a), inv_sqrt_gamma=np.exp(-a), sqrt_mu=np.exp(b),
+                inv_sqrt_mu=np.exp(-b), iwc=1j * omega * c)
+
+
+def test_half_power_fields_are_formed_on_first_read(grid16):
+    dm = md.derive(presets.reference_medium(grid16))
+    assert not set(HALF_POWER_FIELDS) & set(vars(dm))
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm.k, grid=grid16)
+    cgo.solve_cgo(dm, g.zeta1, cgo.amplitude_b(g, cgo.Polarization.E))
+    assert not set(HALF_POWER_FIELDS) & set(vars(dm))  # the solver reads none of them
+    want = _half_power_fields(dm.gamma, dm.mu, dm.omega)
+    for name in HALF_POWER_FIELDS:
+        assert np.array_equal(getattr(dm, name), want[name])
+
+
+def test_replaced_coefficients_give_their_own_half_power_fields(grid16):
+    dm = md.derive_background(grid16, omega=1.5)
+    assert dm.iwc[0, 0, 0] == 1.5j  # formed and kept for the background
+    n = grid16.n
+    gamma, mu = np.full((n,) * 3, 1.3 + 0.2j), np.full((n,) * 3, 1.1 + 0j)
+    new = dataclasses.replace(dm, gamma=gamma, mu=mu)
+    want = _half_power_fields(gamma, mu, 1.5)
+    for name in HALF_POWER_FIELDS:
+        assert np.array_equal(getattr(new, name), want[name])
 
 
 def test_medium_validation(grid16):

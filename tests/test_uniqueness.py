@@ -31,11 +31,14 @@ def test_make_pair_rejections(grid16):
         uq.make_pair(m1, bad2)  # different background
     with pytest.raises(ValueError, match="media must share one grid"):
         uq.make_pair(m1, presets.reference_medium(fields.Grid(8, grid16.length)))
-    # A background below 1 makes the pair's bound (1e-12 eps0) tighter than a
-    # medium's own (1e-12), so two valid media can still disagree outside.
+    # The pair is held to the bound each medium meets outside the sub-box,
+    # also on a background below 1, so two valid media make a pair ...
     shape = (grid16.n,) * 3
     low = md.Medium(grid16, 1.0, 0.5, 0.5, np.full(shape, 0.5), np.full(shape, 0.5), np.zeros(shape))
     off = md.Medium(grid16, 1.0, 0.5, 0.5, np.full(shape, 0.5 + 9e-13), low.mu, low.sigma)
+    uq.make_pair(low, off)
+    # ... and only samples changed after construction can break it
+    off.eps[0, 0, 0] = 0.5 + 2 * off.background_tol
     with pytest.raises(ValueError, match="eps fields disagree outside the sub-box"):
         uq.make_pair(low, off)
 
@@ -187,6 +190,17 @@ def test_ucp_rejects_bad_inputs(grid16, pair16):
     bad = uq.UcpCoefficients(ones, ones, ones, ones, ones, ones)
     with pytest.raises(ValueError):
         uq.ucp_contraction_check(grid16, bad, uq.null_covector(8.0), trials=1)
+
+
+def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monkeypatch):
+    calls = []
+    norm_sq = uq._UcpOperator.norm_sq
+    monkeypatch.setattr(uq._UcpOperator, "norm_sq", lambda op, u: calls.append(1) or norm_sq(op, u))
+    coeffs = uq.ucp_coefficients(pair16)
+    rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(8.0), trials=3, seed=3)
+    assert not rep.contraction_certified  # so no fixed-point start weighs a norm
+    # per start: the start's norm, one per step for the next start, one estimate
+    assert len(calls) == 3 * (uq.POWER_ITERATIONS + 2)
 
 
 def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
