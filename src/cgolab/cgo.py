@@ -9,7 +9,6 @@ plane waves.
 from __future__ import annotations
 
 import enum
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -218,31 +217,6 @@ class CgoSolution:
     residuals: list[float]  # per iteration: -1/2-norm of the forcing update
 
 
-class SolveBuffers:
-    """The buffers of :func:`solve_cgo` on a grid, kept from one solve to the next.
-
-    The three buffers the iteration rotates through have as many blades as
-    the largest grade block solved so far, and a solve on a smaller block
-    uses their first blades, so one set serves every block.  Each solve
-    writes every value it reads before reading it.  Solves that share a set
-    run one after another.
-    """
-
-    def __init__(self, grid):
-        shape = (grid.n,) * 3
-        self.total = np.empty((8,) + shape, dtype=complex)  # A + R, written on the block only
-        self.potential = np.empty((3,) + shape, dtype=complex)  # media.potential's scratch
-        self.norm = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
-        self.blades = 0
-
-    def rotating(self, nb: int) -> list[np.ndarray]:
-        """The three buffers the iteration rotates through, on nb blades."""
-        if nb > self.blades:
-            self._rotating = [np.empty((nb,) + self.total.shape[1:], dtype=complex) for _ in range(3)]
-            self.blades = nb
-        return [buf[:nb] for buf in self._rotating]
-
-
 def solve_cgo(
     dm: DerivedMedium,
     zeta,
@@ -251,7 +225,6 @@ def solve_cgo(
     max_iter: int = 60,
     floor: float | None = None,
     clamp_threshold: float | None = None,
-    work: SolveBuffers | None = None,
 ) -> CgoSolution:
     """Solve the remainder equation by fixed-point iteration.
 
@@ -263,9 +236,9 @@ def solve_cgo(
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
     the resolvent acts blade by blade, so the iteration runs on the
     blades of the block that holds the amplitude (both blocks when the
-    amplitude has parts in each).  It iterates in the buffers of ``work``
-    (a new set when None), allocating no array of the grid's size, and
-    allocates the 8-blade remainder only after it lets go of the set.
+    amplitude has parts in each).  Its buffers are allocated once, before
+    the first iteration, which allocates no array of the grid's size; they
+    are freed before the 8-blade remainder is allocated.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -275,13 +248,11 @@ def solve_cgo(
     low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
-    if work is None:
-        work = SolveBuffers(grid)
-    elif work.total.shape[1:] != (grid.n,) * 3:
-        raise ValueError(f"the buffers are for n = {work.total.shape[1]}, the grid has n = {grid.n}")
-    fhat, rhat, dead = work.rotating(blk.stop - blk.start)
-    norm_work, scratch = work.norm, work.potential
-    total = FormField(grid, work.total, check=False)
+    shape = (grid.n,) * 3
+    fhat, rhat, dead = (np.empty((blk.stop - blk.start,) + shape, complex) for _ in range(3))
+    total = FormField(grid, np.empty((8,) + shape, complex), check=False)  # A + R, on the block
+    norm_work = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
+    scratch = np.empty((3,) + shape, complex)  # media.potential's scratch
     amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
     total.values[blk] = amp_blk
 
@@ -338,9 +309,9 @@ def solve_cgo(
     clamped[blk] = fhat[:, sym.mask]
     zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(clamped) ** 2)))
     remainder_norm = sym.norm(rhat, 0.5, norm_work)
-    # only rhat is read from here on: the symbol and a set made here are freed
-    # before the remainder is allocated (a set passed as work= stays with its caller)
-    del fhat, dead, total, scratch, norm_work, work, sym
+    # only rhat is read from here on: the symbol and the other buffers are
+    # freed before the remainder is allocated
+    del fhat, dead, total, scratch, norm_work, sym
     remainder = FormField.zero(grid)
     _inverse(rhat, remainder.values[blk])  # the R of the last step, formed again
     return CgoSolution(
@@ -458,18 +429,13 @@ def decay_study(
         raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
     rho = np.asarray(rho, dtype=float)
     jobs = sample_plan(rho, lambdas, n_samples, seed)
-    local = threading.local()  # one SolveBuffers per pool thread, for this study only
 
     def run(job):
         lam, s, angle = job
         eta1, eta2 = orthonormal_frame(rho, angle)
         geom = make_geometry(rho, eta1, eta2, s, dm.k, grid=dm.grid)
         amp = amplitude_a(geom, pol)
-        if not hasattr(local, "work"):
-            local.work = SolveBuffers(dm.grid)
-        sol = solve_cgo(
-            dm, geom.zeta1, amp, tol, max_iter, floor, clamp_threshold, work=local.work
-        )
+        sol = solve_cgo(dm, geom.zeta1, amp, tol, max_iter, floor, clamp_threshold)
         return DecaySample(
             lam=lam,
             s=s,
@@ -582,7 +548,9 @@ def q_norm_estimate(
     h = mag ** (-0.5) if mag > 0 else 1.0
     smooth = 0.0
     rough = 0.0
-    for grad in (dm.da, dm.db):
+    for grad3 in (dm.da3, dm.db3):
+        grad = FormField.zero(grid)
+        grad.values[1:4] = grad3
         mol = mollify(grad, h)
         smooth += coderiv(mol).max_abs()
         rough += (grad - mol).max_abs()

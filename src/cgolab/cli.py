@@ -160,11 +160,11 @@ def _load_config(args):
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

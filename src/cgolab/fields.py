@@ -607,7 +607,10 @@ def load_field_bin(path) -> FormField:
         magic = fh.read(4)
         if magic != _BIN_MAGIC:
             raise ValueError(f"not a field snapshot: bad magic {magic!r}")
-        version, n, length, ncomp = struct.unpack("<IIdI", fh.read(20))
+        header = fh.read(20)
+        if len(header) < 20:
+            raise ValueError(f"snapshot is {4 + len(header)} bytes, shorter than its 24-byte header")
+        version, n, length, ncomp = struct.unpack("<IIdI", header)
         if version != _BIN_VERSION or ncomp != 8:
             raise ValueError(f"unsupported snapshot layout (version {version}, {ncomp} comps)")
         payload = fh.read()

@@ -135,8 +135,8 @@ class DerivedMedium:
     k: float
     gamma: np.ndarray          # eps + i sigma / omega, conditioned
     mu: np.ndarray
-    da: FormField
-    db: FormField
+    da3: np.ndarray             # da, the gradient of a: its 3 components
+    db3: np.ndarray
     dc3: np.ndarray             # d of gamma^(1/2) mu^(1/2), its 3 components
     delta_da: np.ndarray        # codifferential of da (= -laplacian of a)
     delta_db: np.ndarray
@@ -170,14 +170,6 @@ class DerivedMedium:
         return self.gamma * self.mu
 
     @property
-    def da3(self) -> np.ndarray:
-        return self.da.values[1:4]
-
-    @property
-    def db3(self) -> np.ndarray:
-        return self.db.values[1:4]
-
-    @property
     def grade_multipliers(self) -> np.ndarray:
         """Pointwise multipliers of the grade 0..3 blocks of the potential,
         shape (4, n, n, n), with base = -omega^2 (gamma mu - eps0 mu0):
@@ -202,8 +194,8 @@ class DerivedMedium:
         one array: a second long-lived array, made at another time, left the
         process heap 2 MB larger after a 32^3 factorization check."""
         base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
-        dada = algebra.inner(self.da.values, self.da.values)
-        dbdb = algebra.inner(self.db.values, self.db.values)
+        dada = algebra.inner(self.da3, self.da3)
+        dbdb = algebra.inner(self.db3, self.db3)
         out = np.empty((7,) + base.shape, dtype=complex)
         out[0] = base + dada - self.delta_da
         out[1] = base + dbdb + self.delta_db
@@ -213,15 +205,17 @@ class DerivedMedium:
         return out
 
 
-def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[FormField, np.ndarray]:
-    """Gradient and Hessian (entries j <= k in ``algebra.SYM_PAIRS`` order,
-    shape (6, n, n, n)) of a scalar field, from one forward transform."""
+def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient (3 components), its codifferential and the Hessian (entries
+    j <= k in ``algebra.SYM_PAIRS`` order, shape (6, n, n, n)) of a scalar
+    field, from one forward transform."""
     shat = fft_forward(FormField.from_scalar(grid, scalar))
     xi = grid.xi_op
     out = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
         fields._inverse(np.multiply(-xi[j] * xi[k], shat.coeffs[0], out=out[i]), out[i])
-    return ext_deriv(shat), out
+    grad = ext_deriv(shat)  # its blades other than 1..3 are 0
+    return grad.values[1:4].copy(), coderiv(grad).values[0].copy(), out
 
 
 def derive(medium: Medium) -> DerivedMedium:
@@ -238,8 +232,8 @@ def derive(medium: Medium) -> DerivedMedium:
     a = 0.5 * np.log(gamma)  # principal branch
     b = 0.5 * np.log(mu)
     c = np.exp(a) * np.exp(b)  # gamma^(1/2) mu^(1/2)
-    da, hess_a = _derivatives(grid, a)
-    db, hess_b = _derivatives(grid, b)
+    da3, delta_da, hess_a = _derivatives(grid, a)
+    db3, delta_db, hess_b = _derivatives(grid, b)
     dc3 = ext_deriv(FormField.from_scalar(grid, c)).values[1:4].copy()  # its other blades are 0
     k = medium.omega * np.sqrt(medium.eps0 * medium.mu0)
     return DerivedMedium(
@@ -250,11 +244,11 @@ def derive(medium: Medium) -> DerivedMedium:
         k=float(k),
         gamma=gamma,
         mu=mu,
-        da=da,
-        db=db,
+        da3=da3,
+        db3=db3,
         dc3=dc3,
-        delta_da=coderiv(da).values[0],
-        delta_db=coderiv(db).values[0],
+        delta_da=delta_da,
+        delta_db=delta_db,
         hess_a=hess_a,
         hess_b=hess_b,
     )

@@ -17,11 +17,6 @@ def dm16(grid16):
 
 
 @pytest.fixture(scope="session")
-def dm16_other(grid16):
-    return derive(presets.perturbed_medium(grid16))
-
-
-@pytest.fixture(scope="session")
 def grid32():
     return presets.reference_grid()
 

@@ -10,7 +10,6 @@ from cgolab.algebra import GradedForm
 from cgolab.errors import DivergenceError, ResonantGridError, StudyError
 from cgolab.fields import (
     FormField,
-    Grid,
     SpectralField,
     default_floor,
     fft_forward,
@@ -223,46 +222,16 @@ def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
             assert {key: getattr(sol, key) for key in expected} == expected
 
 
-SOLUTION_NUMBERS = ("iterations", "deltas", "residuals", "residual", "remainder_norm",
-                    "forcing_norm", "contraction", "clamped_defect")
-
-
-def test_one_buffer_set_serves_consecutive_solves_on_every_block(grid16, dm16, dm16_other):
-    def geometry(dm, s):
-        return cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), s, dm.k, grid=grid16)
-
-    g, g2 = geometry(dm16, 16.0), geometry(dm16_other, 12.0)
-    solves = [
-        (dm16, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E)),  # blades 0..3
-        (dm16, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.H)),  # blades 4..7
-        (dm16, g.zeta2, cgo.amplitude_b(g, cgo.Polarization.E)),  # all 8
-        (dm16_other, g2.zeta1, cgo.amplitude_a(g2, cgo.Polarization.E)),  # 0..3 again
-    ]
-    work = cgo.SolveBuffers(grid16)
-    for dm, zeta, amp in solves:
-        shared = cgo.solve_cgo(dm, zeta, amp, work=work)
-        fresh = cgo.solve_cgo(dm, zeta, amp)
-        assert shared.iterations > 1
-        assert shared.remainder.values.tobytes() == fresh.remainder.values.tobytes()
-        assert [getattr(shared, k) for k in SOLUTION_NUMBERS] == [
-            getattr(fresh, k) for k in SOLUTION_NUMBERS
-        ]
-    grid8 = Grid(8, grid16.length)
-    with pytest.raises(ValueError, match="buffers are for n = 16"):
-        cgo.solve_cgo(derive_background(grid8, omega=1.0), g.zeta1, solves[0][2], work=work)
-
-
-def test_iterations_allocate_nothing_with_a_given_buffer_set(grid16, dm16):
+def test_iterations_allocate_nothing(grid16, dm16):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
-    work = cgo.SolveBuffers(grid16)
-    cgo.solve_cgo(dm16, g.zeta1, amp, work=work)  # sizes the set and fills the medium's caches
+    cgo.solve_cgo(dm16, g.zeta1, amp)  # fills the medium's and the grid's caches
 
     def peak(iterations):
         tracemalloc.start()
         try:
             with pytest.raises(DivergenceError, match=f"within {iterations} iterations"):
-                cgo.solve_cgo(dm16, g.zeta1, amp, tol=0.0, max_iter=iterations, work=work)
+                cgo.solve_cgo(dm16, g.zeta1, amp, tol=0.0, max_iter=iterations)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,7 +250,7 @@ def test_a_fresh_solve_frees_its_buffers_before_the_remainder(grid16, dm16):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the buffer set holds 6 blocks and the 8-blade remainder 2: both at once reach 8
+    # the solve's buffers hold 6 blocks and the 8-blade remainder 2: both at once reach 8
     block_bytes = 4 * grid16.n**3 * np.dtype(complex).itemsize
     assert peak < 8 * block_bytes
 
@@ -380,7 +349,7 @@ def test_decay_study_validations(grid16, dm16):
 
 def test_decay_study_threaded_matches_serial(grid16, dm16):
     serial = cgo.decay_study(dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=7)
-    # more pool threads than cores, switching often: each keeps its own buffers
+    # more pool threads than cores, switching often: each solve owns its buffers
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -156,6 +156,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     small_s["geometry"]["s"] = 0.5
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
+    (tmp_path / "deep.json").write_text("[" * 200000)  # deeper than the recursion limit
     cases = [
         ("run-cgo", write(tmp_path, nan_amplitude, "nan.json"), "o", r"medium.eps_bumps\[0\].amplitude"),
         ("run-cgo", write(tmp_path, small_config(solver={"tol": float("inf")}), "inf.json"), "o", "solver.tol"),
@@ -164,6 +166,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
          re.escape(str(tmp_path / "nan.json"))),
         ("run-cgo", str(tmp_path / "list.json"), "o", "config must be a JSON object"),
         ("run-cgo", str(tmp_path / "broken.json"), "o", "config is not valid JSON"),
+        ("run-cgo", str(tmp_path / "utf16.json"), "o", "config is not valid JSON"),
+        ("run-cgo", str(tmp_path / "deep.json"), "o", "config is not valid JSON"),
         ("run-uniqueness", write(tmp_path, one_medium, "one.json"), "o", "media must be a list of exactly 2"),
         ("run-uniqueness", write(tmp_path, single, "single.json"), "o", "config needs a 'media' list"),
         ("run-cgo", write(tmp_path, small_s, "s.json"), "o", "geometry.s must be >= 1"),

@@ -433,7 +433,8 @@ def test_snapshot_magic_and_version_are_checked(tmp_path):
     data = binpath.read_bytes()
     version = (2).to_bytes(4, "little")  # the header's version word follows the magic
     for payload, message in ((b"XXXX" + data[4:], "bad magic b'XXXX'"),
-                             (data[:4] + version + data[8:], r"unsupported snapshot layout \(version 2")):
+                             (data[:4] + version + data[8:], r"unsupported snapshot layout \(version 2"),
+                             (data[:10], "snapshot is 10 bytes, shorter than its 24-byte header")):
         binpath.write_bytes(payload)
         with pytest.raises(ValueError, match=message):
             fields.load_field_bin(binpath)

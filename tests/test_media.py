@@ -28,7 +28,7 @@ def test_background_derivation(grid16):
     dm = md.derive_background(grid16, omega=2.0, eps0=4.0, mu0=0.25)
     assert np.allclose(dm.gamma, 4.0)
     assert np.allclose(dm.sqrt_gamma, 2.0)
-    assert dm.da.max_abs() < 1e-12
+    assert np.max(np.abs(dm.da3)) < 1e-12
     assert dm.k == pytest.approx(2.0 * np.sqrt(4.0 * 0.25))
 
 
@@ -76,6 +76,18 @@ def test_half_power_fields_are_formed_on_first_read(grid16):
     want = _half_power_fields(dm.gamma, dm.mu, dm.omega)
     for name in HALF_POWER_FIELDS:
         assert np.array_equal(getattr(dm, name), want[name])
+
+
+def test_derived_fields_hold_only_their_live_components(dm16):
+    # the gradients are their 3 covector components, not 8-blade fields,
+    # and no array is a view that keeps a larger one alive
+    for f in dataclasses.fields(md.DerivedMedium):
+        value = getattr(dm16, f.name)
+        assert not isinstance(value, FormField), f.name
+        assert not isinstance(value, np.ndarray) or value.base is None, f.name
+    for grad3, delta in ((dm16.da3, dm16.delta_da), (dm16.db3, dm16.delta_db)):
+        assert grad3.shape == (3,) + (dm16.grid.n,) * 3
+        assert delta.shape == (dm16.grid.n,) * 3
 
 
 def test_replaced_coefficients_give_their_own_half_power_fields(grid16):
@@ -300,8 +312,8 @@ def _reference_hess_apply(packed, vec3):
 def reference_potential(w, dm):
     wv = w.values
     base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
-    dada = algebra.inner(dm.da.values, dm.da.values)
-    dbdb = algebra.inner(dm.db.values, dm.db.values)
+    dada = algebra.inner(dm.da3, dm.da3)
+    dbdb = algebra.inner(dm.db3, dm.db3)
 
     out = np.zeros_like(wv)
     out[0] = (base + dada - dm.delta_da) * wv[0]
@@ -321,8 +333,8 @@ def reference_potential(w, dm):
 def reference_potential_t(w, dm):
     wv = w.values
     base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
-    dada = algebra.inner(dm.da.values, dm.da.values)
-    dbdb = algebra.inner(dm.db.values, dm.db.values)
+    dada = algebra.inner(dm.da3, dm.da3)
+    dbdb = algebra.inner(dm.db3, dm.db3)
 
     out = np.zeros_like(wv)
     out[0] = (base + dbdb + dm.delta_db) * wv[0]
