@@ -222,7 +222,7 @@ def solve_cgo(
     zeta,
     amplitude: GradedForm,
     tol: float = 1e-9,
-    max_iter: int = 60,
+    max_iter: int = 80,
     floor: float | None = None,
     clamp_threshold: float | None = None,
 ) -> CgoSolution:
@@ -250,7 +250,7 @@ def solve_cgo(
     blk = grade_block(grades)
     shape = (grid.n,) * 3
     fhat, rhat, dead = (np.empty((blk.stop - blk.start,) + shape, complex) for _ in range(3))
-    total = FormField(grid, np.empty((8,) + shape, complex), check=False)  # A + R, on the block
+    total = FormField(grid, np.empty((8,) + shape, complex))  # A + R, on the block
     norm_work = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
     scratch = np.empty((3,) + shape, complex)  # media.potential's scratch
     amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
@@ -412,14 +412,12 @@ def decay_study(
     lambdas,
     n_samples: int,
     seed: int,
-    tol: float = 1e-8,
-    max_iter: int = 80,
-    floor: float | None = None,
     workers: int = 1,
-    clamp_threshold: float | None = None,
+    **solver,
 ) -> DecayStudy:
     """Quasi-Monte-Carlo average of the squared remainder norm over
-    (s, eta1) in [lam, 2 lam] x S^1, one row per sample."""
+    (s, eta1) in [lam, 2 lam] x S^1, one row per sample; ``solver`` holds
+    the keyword arguments of every :func:`solve_cgo`."""
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per lambda")
     lambdas = list(lambdas)
@@ -435,7 +433,7 @@ def decay_study(
         eta1, eta2 = orthonormal_frame(rho, angle)
         geom = make_geometry(rho, eta1, eta2, s, dm.k, grid=dm.grid)
         amp = amplitude_a(geom, pol)
-        sol = solve_cgo(dm, geom.zeta1, amp, tol, max_iter, floor, clamp_threshold)
+        sol = solve_cgo(dm, geom.zeta1, amp, **solver)
         return DecaySample(
             lam=lam,
             s=s,

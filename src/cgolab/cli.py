@@ -352,9 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("--config", required=False, help="path to the JSON run config")
-        if not name.startswith("check-"):  # the check commands write no directory
+        if name.startswith("check-"):  # the check commands print a report and write no directory
+            p.add_argument("--json", action="store_true", help="machine-readable report")
+        else:
             p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=_integer(0), default=None, help="seed override")
         p.add_argument(
             "--threads", type=_integer(1), default=1,

@@ -129,26 +129,24 @@ class FormField:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values: np.ndarray, check: bool = True):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         expected = (8, grid.n, grid.n, grid.n)
         if values.shape != expected:
             raise ValueError(f"field values must have shape {expected}, got {values.shape}")
-        if check and not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
         self.grid = grid
         self.values = values
 
     @classmethod
     def zero(cls, grid: Grid) -> "FormField":
-        return cls(grid, np.zeros((8, grid.n, grid.n, grid.n), dtype=complex), check=False)
+        return cls(grid, np.zeros((8, grid.n, grid.n, grid.n), dtype=complex))
 
     @classmethod
     def constant(cls, grid: Grid, form: GradedForm) -> "FormField":
         values = np.broadcast_to(
             form.data.reshape(8, 1, 1, 1), (8, grid.n, grid.n, grid.n)
         ).copy()
-        return cls(grid, values, check=False)
+        return cls(grid, values)
 
     @classmethod
     def from_scalar(cls, grid: Grid, samples: np.ndarray) -> "FormField":
@@ -157,16 +155,16 @@ class FormField:
         return cls(grid, values)
 
     def select(self, grades) -> "FormField":
-        return FormField(self.grid, algebra.grade_select(self.values, grades), check=False)
+        return FormField(self.grid, algebra.grade_select(self.values, grades))
 
     def alternate(self, offset: int = 0) -> "FormField":
-        return FormField(self.grid, algebra.alternate(self.values, offset), check=False)
+        return FormField(self.grid, algebra.alternate(self.values, offset))
 
     def vee(self, other: "FormField") -> "FormField":
-        return FormField(self.grid, algebra.vee(self.values, other.values), check=False)
+        return FormField(self.grid, algebra.vee(self.values, other.values))
 
     def hodge(self) -> "FormField":
-        return FormField(self.grid, algebra.hodge(self.values), check=False)
+        return FormField(self.grid, algebra.hodge(self.values))
 
     def inner(self, other: "FormField") -> np.ndarray:
         return algebra.inner(self.values, other.values)
@@ -175,10 +173,10 @@ class FormField:
         return float(np.max(algebra.form_abs(self.values)))
 
     def __add__(self, other):
-        return FormField(self.grid, self.values + other.values, check=False)
+        return FormField(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        return FormField(self.grid, self.values - other.values, check=False)
+        return FormField(self.grid, self.values - other.values)
 
 
 class SpectralField:
@@ -186,13 +184,11 @@ class SpectralField:
 
     __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: Grid, coeffs: np.ndarray, check: bool = True):
+    def __init__(self, grid: Grid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
         expected = (8, grid.n, grid.n, grid.n)
         if coeffs.shape != expected:
             raise ValueError(f"coeffs must have shape {expected}, got {coeffs.shape}")
-        if check and not np.all(np.isfinite(coeffs)):
-            raise ValueError("spectral coefficients must be finite")
         self.grid = grid
         self.coeffs = coeffs
 
@@ -261,11 +257,11 @@ def _live_transform(transform, a: np.ndarray) -> np.ndarray:
 
 
 def fft_forward(f: FormField) -> SpectralField:
-    return SpectralField(f.grid, _live_transform(_forward, f.values), check=False)
+    return SpectralField(f.grid, _live_transform(_forward, f.values))
 
 
 def fft_inverse(F: SpectralField) -> FormField:
-    return FormField(F.grid, _live_transform(_inverse, F.coeffs), check=False)
+    return FormField(F.grid, _live_transform(_inverse, F.coeffs))
 
 
 def _spectral(f) -> SpectralField:
@@ -276,7 +272,7 @@ def _spectral(f) -> SpectralField:
 def _spectral_map(f, fn) -> FormField:
     """Apply ``fn`` to the Fourier coefficients of f (a field or its spectrum)."""
     F = _spectral(f)
-    return fft_inverse(SpectralField(f.grid, fn(F.coeffs), check=False))
+    return fft_inverse(SpectralField(f.grid, fn(F.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +468,7 @@ def resolvent(f, zeta, k: float, floor: float | None = None):
     assert_admissible(zeta, k)
     F = _spectral(f)
     sym = ClampedSymbol(F.grid, zeta, floor)
-    out = SpectralField(F.grid, sym.inverse(F.coeffs), check=False)
+    out = SpectralField(F.grid, sym.inverse(F.coeffs))
     return fft_inverse(out), sym.report()
 
 
@@ -557,7 +553,7 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> FormField:
     out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
     values = np.zeros((8, grid.n, grid.n, grid.n), dtype=complex)
     values[1:4] = _inverse(out_hat, out_hat)
-    return FormField(grid, values, check=False)
+    return FormField(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +582,7 @@ def random_band_limited(
         coeffs[blade][mask] = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)
     if zero_mean:
         coeffs[:, 0, 0, 0] = 0.0
-    return fft_inverse(SpectralField(grid, coeffs, check=False))
+    return fft_inverse(SpectralField(grid, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -617,4 +613,6 @@ def load_field_bin(path) -> FormField:
     if len(payload) != 8 * n**3 * 16:
         raise ValueError(f"snapshot payload is {len(payload)} bytes, expected {8 * n**3 * 16}")
     data = np.frombuffer(payload, dtype="<c16").reshape(8, n, n, n)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("snapshot values must be finite")
     return FormField(Grid(n, length), data.astype(complex))

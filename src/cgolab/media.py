@@ -78,9 +78,14 @@ class Medium:
         eps = np.asarray(eps, dtype=float)
         mu = np.asarray(mu, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
-        for name, arr in (("eps", eps), ("mu", mu), ("sigma", sigma)):
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            ratio = sigma / omega
+        for name, arr, value in (("eps", eps, eps), ("mu", mu, mu), ("sigma", sigma, ratio)):
             if arr.shape != (grid.n,) * 3:
                 raise ValueError(f"{name} must be sampled on the grid")
+            if not np.all(np.isfinite(value)):
+                label = "sigma / omega" if name == "sigma" else name
+                raise CoefficientError(name, f"{label} must be finite everywhere")
         if np.min(eps) < eps0:
             raise CoefficientError("eps", "eps must be >= eps0 everywhere")
         if np.min(mu) < mu0:
@@ -116,12 +121,11 @@ class Medium:
     @classmethod
     def from_bumps(cls, grid, omega, eps0=1.0, mu0=1.0,
                    eps_bumps=(), mu_bumps=(), sigma_bumps=()):
-        return cls(
-            grid, omega, eps0, mu0,
-            eps=eps0 + sample_bumps(grid, eps_bumps),
-            mu=mu0 + sample_bumps(grid, mu_bumps),
-            sigma=sample_bumps(grid, sigma_bumps),
-        )
+        with np.errstate(over="ignore"):  # an overflowed sample fails the finite check
+            eps = eps0 + sample_bumps(grid, eps_bumps)
+            mu = mu0 + sample_bumps(grid, mu_bumps)
+            sigma = sample_bumps(grid, sigma_bumps)
+        return cls(grid, omega, eps0, mu0, eps, mu, sigma)
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,7 @@ def _first_order(v: FormField, dm: DerivedMedium, zeta, transpose: bool) -> Form
     out += algebra.wedge_cov(dy3, w, grades=(0, 2))
     out -= algebra.vee_cov(dy3, w, grades=2)
     out += dm.iwc * w
-    return FormField(v.grid, out, check=False)
+    return FormField(v.grid, out)
 
 
 # Public one-line wrappers: the benchmark's layer tracer wraps only public
@@ -403,7 +407,7 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
                 add[b](p, res[b], out=res[b])
             else:
                 np.copyto(res[b], p)
-    return out if field is None else FormField(w.grid, field, check=False)
+    return out if field is None else FormField(w.grid, field)
 
 
 def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, scratch=None):
@@ -433,7 +437,7 @@ def potential_via_factorization(w: FormField, dm: DerivedMedium) -> FormField:
     with :func:`potential` up to the spectral tail of the medium."""
     out = first_order(first_order_t(w, dm), dm)
     lap = conj_laplacian(w)
-    return FormField(w.grid, out.values - lap.values + dm.k**2 * w.values, check=False)
+    return FormField(w.grid, out.values - lap.values + dm.k**2 * w.values)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +507,7 @@ def to_maxwell(v: FormField, dm: DerivedMedium) -> FormField:
     values = np.zeros_like(v.values)
     values[1:4] = v.values[1:4] * dm.inv_sqrt_gamma
     values[4:7] = v.values[4:7] * dm.inv_sqrt_mu
-    return FormField(v.grid, values, check=False)
+    return FormField(v.grid, values)
 
 
 def maxwell_residual(u: FormField, dm: DerivedMedium, zeta=None) -> FormField:
@@ -518,4 +522,4 @@ def maxwell_residual(u: FormField, dm: DerivedMedium, zeta=None) -> FormField:
     res = coderiv(u2, zeta).values - ext_deriv(u1, zeta).values
     res += 1j * dm.omega * dm.gamma * u1.values
     res += 1j * dm.omega * dm.mu * u2.values
-    return FormField(u.grid, res, check=False)
+    return FormField(u.grid, res)

@@ -1,4 +1,4 @@
-"""Reference configurations shared by the test suite and the CLI docs.
+"""Reference media shared by the test suite and the run configs.
 
 The reference medium is a smooth multi-bump profile confined to the
 central sub-box of a 32^3 periodic grid, weak enough for the Neumann
@@ -69,33 +69,3 @@ def reference_medium(grid: Grid | None = None) -> Medium:
 def perturbed_medium(grid: Grid | None = None) -> Medium:
     """Companion medium for pair experiments; same background, different bumps."""
     return _medium("perturbed", grid)
-
-
-def reference_run_config(kind: str = "cgo") -> dict:
-    """Complete run configuration documents for the CLI commands, a new
-    document on every call."""
-    runs = {  # kind -> (rho_index, conjugation sizes)
-        "cgo": ([1, 0, 0], {"s": 32.0}),
-        "decay": ([1, 0, 0], {"lambda_list": [4.0, 8.0, 16.0]}),
-        # |rho| = 2 lattice units: the modes along the rho axis keep an
-        # order-one symbol for every admissible frame, and their
-        # persistent response scales like 1/|rho|^2
-        "uniqueness": ([2, 0, 0], {"s_list": [8.0, 16.0, 32.0]}),
-        "qnorm": ([1, 0, 0], {"s_list": [8.0, 16.0, 32.0]}),
-        "check": ([1, 0, 0], {"s": 8.0}),
-    }
-    if kind not in runs:
-        raise ValueError(f"unknown config kind {kind!r}")
-    rho_index, sizes = runs[kind]
-    doc = {
-        "grid": {"n": REFERENCE_N, "length": REFERENCE_LENGTH},
-        "solver": {"tol": 1e-9, "max_iter": 80},
-        "sampling": {"n_samples": 16, "seed": 2024},
-        "output": {"directory": "out"},
-    }
-    if kind == "uniqueness":
-        doc["media"] = [medium_spec("reference"), medium_spec("perturbed")]
-    else:
-        doc["medium"] = medium_spec("reference")
-    doc["geometry"] = {"rho_index": rho_index, "frame_seed": 7, "polarization": "E", **sizes}
-    return doc

@@ -106,26 +106,28 @@ class GeometryConfig:
         return float(rng.uniform(0.0, 2.0 * np.pi))
 
 
+# The defaults of the next three sections live in parse_config alone.
+
 @dataclass
 class SolverConfig:
     """The solver settings, named as the keyword arguments of cgo.solve_cgo."""
 
-    tol: float = 1e-9
-    max_iter: int = 80
-    floor: float | None = None  # config field solver.clamp_floor
-    clamp_threshold: float | None = None
+    tol: float
+    max_iter: int
+    floor: float | None  # config field solver.clamp_floor
+    clamp_threshold: float | None
 
 
 @dataclass
 class SamplingConfig:
-    n_samples: int = 16
-    seed: int = 2024
+    n_samples: int
+    seed: int
 
 
 @dataclass
 class OutputConfig:
-    directory: str = "out"
-    save_fields: bool = False
+    directory: str
+    save_fields: bool
 
 
 @dataclass

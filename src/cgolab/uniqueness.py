@@ -103,23 +103,20 @@ def pairing(
     mp: MediumPair,
     geom: CgoGeometry,
     pol: Polarization,
-    tol: float = 1e-9,
-    max_iter: int = 80,
-    floor: float | None = None,
-    clamp_threshold: float | None = None,
+    **solver,
 ) -> PairingResult:
     """Quadrature of e_(i rho) <(Q2 - Q1)(A + R), B + S>.
 
     The first remainder solves against the first medium with the primary
     amplitude, the second against the second medium with the paired
     amplitude (same potential-form equation); all factors are periodic.
+    ``solver`` holds the keyword arguments of both solves.
     """
     grid = mp.grid
     a_amp = amplitude_a(geom, pol)
     b_amp = amplitude_b(geom, pol)
-    opts = dict(tol=tol, max_iter=max_iter, floor=floor, clamp_threshold=clamp_threshold)
-    sol1 = solve_cgo(mp.dm1, geom.zeta1, a_amp, **opts)
-    sol2 = solve_cgo(mp.dm2, geom.zeta2, b_amp, **opts)
+    sol1 = solve_cgo(mp.dm1, geom.zeta1, a_amp, **solver)
+    sol2 = solve_cgo(mp.dm2, geom.zeta2, b_amp, **solver)
     w = FormField.constant(grid, a_amp) + sol1.remainder
     v = FormField.constant(grid, b_amp) + sol2.remainder
     dq = potential(w, mp.dm2) - potential(w, mp.dm1)
@@ -173,16 +170,14 @@ def convergence_experiment(
     s_list,
     eta1,
     eta2,
-    tol: float = 1e-9,
-    max_iter: int = 80,
-    floor: float | None = None,
     workers: int = 1,
-    clamp_threshold: float | None = None,
+    **solver,
 ) -> ConvergenceResult:
     """Pairing against its scattering target along increasing s.
 
     Entries are independent (two solves each) and may run on worker
-    threads; rows are reduced in s order either way.
+    threads; rows are reduced in s order either way.  ``solver`` holds the
+    keyword arguments of every solve.
     """
     s_list = list(s_list)
     if not strictly_decreasing(reversed(s_list)):
@@ -192,7 +187,7 @@ def convergence_experiment(
 
     def run(s):
         geom = make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid)
-        res = pairing(mp, geom, pol, tol, max_iter, floor, clamp_threshold)
+        res = pairing(mp, geom, pol, **solver)
         return ScatteringOutput(s=float(s), pairing=res.value, target=target)
 
     return ConvergenceResult(rows=_parallel_map(run, s_list, workers), target=target)

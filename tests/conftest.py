@@ -1,9 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cgolab import presets
 from cgolab.fields import Grid
 from cgolab.media import derive
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_config(kind: str) -> dict:
+    """The run config ``configs/reference_{kind}.json``, a new document on
+    every call."""
+    return json.loads((CONFIGS / f"reference_{kind}.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from cgolab import uniqueness as uq
 from cgolab.cli import main
 from cgolab.fields import resolvent_operator_norm
 from cgolab.media import derive_background
+from conftest import reference_config
 
 RHO = np.array([1.0, 0.0, 0.0])
 RHO_PAIR = np.array([2.0, 0.0, 0.0])
@@ -143,7 +144,8 @@ def test_criterion_06_reference_solve(grid32, dm32):
 def test_criterion_07_decay_trends(grid32, dm32):
     started = time.monotonic()
     study = cgo.decay_study(
-        dm32, RHO, cgo.Polarization.E, [4.0, 8.0, 16.0], n_samples=16, seed=2024, workers=2
+        dm32, RHO, cgo.Polarization.E, [4.0, 8.0, 16.0], n_samples=16, seed=2024, workers=2,
+        tol=1e-8,
     )
     means = [s.mean_remainder_sq for s in study.summaries]
     estimates = []
@@ -265,23 +267,23 @@ def test_criterion_11_determinism(tmp_path):
     small_grid = {"n": 16, "length": 2.0 * np.pi}
     flags = {}
 
-    cfg = presets.reference_run_config("cgo")
+    cfg = reference_config("cgo")
     cfg["grid"] = small_grid
     cfg["geometry"]["s"] = 8.0
     flags["run-cgo"] = run_twice("run-cgo", cfg)
 
-    cfg = presets.reference_run_config("decay")
+    cfg = reference_config("decay")
     cfg["grid"] = small_grid
     cfg["geometry"]["lambda_list"] = [2.0, 4.0]
     cfg["sampling"] = {"n_samples": 8, "seed": 99}
     flags["run-decay"] = run_twice("run-decay", cfg)
 
-    cfg = presets.reference_run_config("uniqueness")
+    cfg = reference_config("uniqueness")
     cfg["grid"] = small_grid
     cfg["geometry"]["s_list"] = [4.0, 8.0]
     flags["run-uniqueness"] = run_twice("run-uniqueness", cfg)
 
-    cfg = presets.reference_run_config("qnorm")
+    cfg = reference_config("qnorm")
     cfg["grid"] = small_grid
     cfg["geometry"]["s_list"] = [4.0, 8.0]
     flags["estimate-qnorm"] = run_twice("estimate-qnorm", cfg)

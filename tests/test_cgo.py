@@ -196,7 +196,7 @@ def pre_change_solve(grid, dm, zeta, amp, tol):
         rhat_new[:, mask] = 0.0
         deltas.append(norm(wp, rhat_new - rhat))
         rhat = rhat_new
-        remainder = fft_inverse(SpectralField(grid, rhat, check=False))
+        remainder = fft_inverse(SpectralField(grid, rhat))
         fhat_new = fft_forward(md.potential(amp_field + remainder, dm)).coeffs
         residual = norm(wm, fhat_new - fhat)
         residuals.append(residual)

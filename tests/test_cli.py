@@ -1,7 +1,9 @@
 import copy
+import inspect
 import json
 import re
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from cgolab import cgo, fields, presets
 from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, main
 from cgolab.errors import ConfigError, DivergenceError
 from cgolab.runconfig import parse_config
+from conftest import reference_config
 
 
 def small_config(kind="cgo", **overrides):
-    cfg = presets.reference_run_config(kind)
+    cfg = reference_config(kind)
     cfg["grid"] = {"n": 16, "length": 2.0 * np.pi}
     cfg.update(overrides)
     return cfg
@@ -132,13 +135,20 @@ def test_config_errors_name_the_field():
 
 def test_reference_configs_parse_and_match_presets():
     for kind in ("cgo", "decay", "uniqueness", "qnorm", "check"):
-        doc = presets.reference_run_config(kind)
-        cfg = parse_config(doc)
-        assert cfg.grid.n == presets.REFERENCE_N
-        doc["geometry"]["rho_index"].append(0)  # each call builds a new document
-        doc["media" if kind == "uniqueness" else "medium"].clear()
-        with open(f"configs/reference_{kind}.json") as fh:
-            assert json.load(fh) == presets.reference_run_config(kind)
+        doc = reference_config(kind)
+        assert parse_config(doc).grid.n == presets.REFERENCE_N
+        if kind == "uniqueness":
+            assert doc["media"] == [presets.medium_spec("reference"), presets.medium_spec("perturbed")]
+        else:
+            assert doc["medium"] == presets.medium_spec("reference")
+
+
+def test_library_and_config_solver_defaults_agree():
+    doc = reference_config("cgo")
+    del doc["solver"]
+    params = inspect.signature(cgo.solve_cgo).parameters.values()
+    defaults = {p.name: p.default for p in params if p.default is not inspect.Parameter.empty}
+    assert asdict(parse_config(doc).solver) == defaults
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -154,6 +164,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
     single["medium"] = single.pop("media")[0]
     small_s = small_config("cgo")
     small_s["geometry"]["s"] = 0.5
+    eps_overflow = small_config("cgo")  # two overlapping bumps whose sum overflows
+    huge = dict(eps_overflow["medium"]["eps_bumps"][0], amplitude=1e308)
+    eps_overflow["medium"]["eps_bumps"] = [huge, huge]
+    sigma_overflow = small_config("cgo")  # sigma / omega beyond the float range
+    sigma_overflow["medium"]["omega"] = 1e-300
+    sigma_overflow["medium"]["sigma_bumps"][0]["amplitude"] = 1e10
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
@@ -171,6 +187,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("run-uniqueness", write(tmp_path, one_medium, "one.json"), "o", "media must be a list of exactly 2"),
         ("run-uniqueness", write(tmp_path, single, "single.json"), "o", "config needs a 'media' list"),
         ("run-cgo", write(tmp_path, small_s, "s.json"), "o", "geometry.s must be >= 1"),
+        ("run-cgo", write(tmp_path, eps_overflow, "eps.json"), "o", "medium.eps_bumps"),
+        ("run-cgo", write(tmp_path, sigma_overflow, "sigma.json"), "o", "medium.sigma_bumps"),
         ("run-cgo", write(tmp_path, small_config(output={"save_fields": 1}), "save.json"), "o",
          "output.save_fields"),
     ]
@@ -206,7 +224,7 @@ def _paths(doc, prefix=()):
 def mutated_run_configs(draw):
     """A reference run config at 8^3 with one or two nodes deleted or replaced."""
     kind = draw(st.sampled_from(sorted(RUN_COMMANDS)))
-    doc = presets.reference_run_config(kind)
+    doc = reference_config(kind)
     doc["grid"]["n"] = 8
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(_paths(doc))))
@@ -269,6 +287,16 @@ def test_check_commands_reject_out(tmp_path, capsys, argv):
         main(argv + ["--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_commands_reject_json(tmp_path, capsys):
+    # only the check commands print a report, so only they take --json
+    with pytest.raises(SystemExit) as exc:
+        main(["run-cgo", "--config", "configs/reference_cgo.json", "--out", str(tmp_path / "x"),
+              "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -440,6 +440,15 @@ def test_snapshot_magic_and_version_are_checked(tmp_path):
             fields.load_field_bin(binpath)
 
 
+
+def test_snapshot_values_must_be_finite(tmp_path):
+    f = FormField.zero(GRID)
+    f.values[3, 1, 2, 3] = complex(np.nan, 0.0)
+    binpath = tmp_path / "field.bin"
+    fields.save_field_bin(f, binpath)
+    with pytest.raises(ValueError, match="snapshot values must be finite"):
+        fields.load_field_bin(binpath)
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n):
     # the solver transforms only the blades of its amplitude's grade block
@@ -454,11 +463,11 @@ def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n):
 
 def _oracle_forward(f):
     """fft_forward as one 8-blade transform, with no live-blade skip."""
-    return SpectralField(f.grid, fields._forward(f.values), check=False)
+    return SpectralField(f.grid, fields._forward(f.values))
 
 
 def _oracle_inverse(F):
-    return FormField(F.grid, fields._inverse(F.coeffs), check=False)
+    return FormField(F.grid, fields._inverse(F.coeffs))
 
 
 def _blade_cases(grid):
@@ -487,8 +496,8 @@ def _blade_cases(grid):
 def test_fft_pair_skips_only_exactly_zero_blades(n):
     grid = Grid(n, 2.0 * np.pi)
     for name, values in _blade_cases(grid).items():
-        f = FormField(grid, values, check=False)
-        F = SpectralField(grid, values, check=False)
+        f = FormField(grid, values)
+        F = SpectralField(grid, values)
         # byte equality: a -0.0 written by repr would change a CSV byte
         assert fft_forward(f).coeffs.tobytes() == _oracle_forward(f).coeffs.tobytes(), name
         assert fft_inverse(F).values.tobytes() == _oracle_inverse(F).values.tobytes(), name
@@ -527,7 +536,7 @@ def test_derivatives_skip_only_the_grades_of_dead_blades(n, zeta):
     grid = Grid(n, 2.0 * np.pi)
     c = fields._spectral_covector(grid, zeta)
     for name, values in _blade_cases(grid).items():
-        f = FormField(grid, values, check=False)
+        f = FormField(grid, values)
         d_all = fields._spectral_map(f, lambda F: algebra.wedge_cov(c, F))
         delta_all = fields._spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
         assert ext_deriv(f, zeta).values.tobytes() == d_all.values.tobytes(), name
@@ -596,11 +605,10 @@ def test_importing_the_library_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     src = str(Path(fields.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+    out = subprocess.check_output(
+        [sys.executable, "-c", code], text=True, env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout.strip() == "[]"
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

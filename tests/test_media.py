@@ -5,6 +5,7 @@ import pytest
 
 from cgolab import algebra, cgo, checks, presets
 from cgolab import media as md
+from cgolab.errors import CoefficientError
 from cgolab.fields import (
     FormField,
     plane_wave_scalar,
@@ -113,6 +114,17 @@ def test_medium_validation(grid16):
         md.Medium.from_bumps(grid16, 1.0, eps_bumps=[md.Bump(0.2, 2.5)])
     with pytest.raises(ValueError):
         md.Medium(grid16, -1.0, 1.0, 1.0, ones, ones, 0.0 * ones)
+
+
+@pytest.mark.parametrize("name", ["eps", "mu", "sigma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_medium_rejects_non_finite_samples(grid16, name, bad):
+    samples = {"eps": np.ones((grid16.n,) * 3), "mu": np.ones((grid16.n,) * 3),
+               "sigma": np.zeros((grid16.n,) * 3)}
+    samples[name][8, 8, 8] = bad
+    with pytest.raises(CoefficientError, match=f"{name}.* must be finite") as exc:
+        md.Medium(grid16, 1.0, 1.0, 1.0, **samples)
+    assert exc.value.name == name
 
 
 # ---------------------------------------------------------------------------
