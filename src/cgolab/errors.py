@@ -15,7 +15,7 @@ class ConfigError(CgolabError):
 
 
 class CoefficientError(ValueError):
-    """A sampled medium coefficient is out of range; ``name`` is eps, mu or sigma."""
+    """A sampled medium coefficient is out of range; ``name`` is eps, mu, sigma or omega."""
 
     def __init__(self, name, message):
         super().__init__(message)

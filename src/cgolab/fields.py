@@ -71,7 +71,8 @@ class Grid:
     def volume(self) -> float:
         return self.length**3
 
-    @cached_property
+    # x and freq_index, read only in set-up, are formed where they are read
+    @property
     def freq_index(self) -> np.ndarray:
         """Integer frequency indices in FFT order, shape (3, n, n, n)."""
         k = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
@@ -98,15 +99,16 @@ class Grid:
         norms use this covector so the operator identities hold exactly
         on arbitrary grid functions.
         """
-        out = (2.0 * np.pi / self.length) * self.freq_index.astype(float)  # xi, not kept
-        out[self.freq_index == -(self.n // 2)] = 0.0
+        index = self.freq_index
+        out = (2.0 * np.pi / self.length) * index.astype(float)  # xi, not kept
+        out[index == -(self.n // 2)] = 0.0
         return out
 
     @cached_property
     def xi_op_sq(self) -> np.ndarray:
         return np.sum(self.xi_op**2, axis=0)
 
-    @cached_property
+    @property
     def x(self) -> np.ndarray:
         """Physical coordinates, shape (3, n, n, n)."""
         t = np.arange(self.n) * self.spacing

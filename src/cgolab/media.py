@@ -16,6 +16,7 @@ cross-check the factorization route.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,6 @@ from .fields import (
     conj_laplacian,
     d_plus_delta,
     ext_deriv,
-    fft_forward,
     quadrature_pairing,
     sym_coderiv,
     sym_product_field,
@@ -50,22 +50,18 @@ class Bump:
     center: tuple | None = None
     sharpness: float = 1.0
 
-    def sample(self, grid: Grid) -> np.ndarray:
-        center = np.asarray(self.center if self.center is not None else [grid.length / 2] * 3)
-        r2 = np.sum((grid.x - center.reshape(3, 1, 1, 1)) ** 2, axis=0) / self.radius**2
-        out = np.zeros((grid.n,) * 3)
-        inside = r2 < 1.0
-        with np.errstate(divide="ignore"):
-            out[inside] = self.amplitude * np.exp(
-                self.sharpness * (1.0 - 1.0 / (1.0 - r2[inside]))
-            )
-        return out
-
 
 def sample_bumps(grid: Grid, bumps) -> np.ndarray:
+    """Sum of the bumps sampled on the grid."""
+    x = grid.x  # formed once for all the bumps
     total = np.zeros((grid.n,) * 3)
     for bump in bumps:
-        total += bump.sample(grid)
+        center = np.asarray(bump.center if bump.center is not None else [grid.length / 2] * 3)
+        r2 = np.sum((x - center.reshape(3, 1, 1, 1)) ** 2, axis=0) / bump.radius**2
+        inside = r2 < 1.0
+        with np.errstate(divide="ignore"):
+            total[inside] += bump.amplitude * np.exp(
+                bump.sharpness * (1.0 - 1.0 / (1.0 - r2[inside])))
     return total
 
 
@@ -78,13 +74,18 @@ class Medium:
         eps = np.asarray(eps, dtype=float)
         mu = np.asarray(mu, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
-        with np.errstate(over="ignore"):  # an overflow is reported below
+        if {eps.shape, mu.shape, sigma.shape} != {(grid.n,) * 3}:
+            raise ValueError("eps, mu and sigma must be sampled on the grid")
+        w2 = float(omega) * float(omega)  # inf past the float range, where omega**2 raises
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             ratio = sigma / omega
-        for name, arr, value in (("eps", eps, eps), ("mu", mu, mu), ("sigma", sigma, ratio)):
-            if arr.shape != (grid.n,) * 3:
-                raise ValueError(f"{name} must be sampled on the grid")
+            # the potential scales gamma mu, and k^2 scales eps0 mu0, by omega^2
+            finite = (("eps", "eps", eps), ("mu", "mu", mu), ("sigma", "sigma / omega", ratio),
+                      ("omega", "omega^2 eps0 mu0", w2 * (eps0 * mu0)),
+                      ("eps", "omega^2 eps", w2 * eps), ("sigma", "omega sigma", w2 * ratio),
+                      ("mu", "omega^2 gamma mu", w2 * ((eps + 1j * ratio) * mu)))
+        for name, label, value in finite:
             if not np.all(np.isfinite(value)):
-                label = "sigma / omega" if name == "sigma" else name
                 raise CoefficientError(name, f"{label} must be finite everywhere")
         if np.min(eps) < eps0:
             raise CoefficientError("eps", "eps must be >= eps0 everywhere")
@@ -130,24 +131,45 @@ class Medium:
 
 @dataclass(frozen=True)
 class DerivedMedium:
-    """Medium with the derived coefficient fields the operators consume."""
+    """Medium with the assembled coefficient fields the operators consume.  The
+    rest is formed from gamma, mu and the constants, so ``replace`` derives afresh."""
 
     grid: Grid
     omega: float
     eps0: float
     mu0: float
-    k: float
     gamma: np.ndarray          # eps + i sigma / omega, conditioned
     mu: np.ndarray
-    da3: np.ndarray             # da, the gradient of a: its 3 components
-    db3: np.ndarray
-    dc3: np.ndarray             # d of gamma^(1/2) mu^(1/2), its 3 components
-    delta_da: np.ndarray        # codifferential of da (= -laplacian of a)
-    delta_db: np.ndarray
-    hess_a: np.ndarray          # Hessian of a, entries in algebra.SYM_PAIRS order, (6, n, n, n)
-    hess_b: np.ndarray
+    k: float = dataclasses.field(init=False)
+    da3: np.ndarray = dataclasses.field(init=False)  # da, the gradient of a: its 3 components
+    db3: np.ndarray = dataclasses.field(init=False)
+    hess_a: np.ndarray = dataclasses.field(init=False)  # (6, n, n, n), in algebra.SYM_PAIRS order
+    hess_b: np.ndarray = dataclasses.field(init=False)
+    coefficients: np.ndarray = dataclasses.field(init=False)  # 4 grade multipliers, 2 i omega dc
 
-    # The half powers and iwc are formed on first use: the solver reads none.
+    def __post_init__(self):
+        a = 0.5 * np.log(self.gamma)  # principal branch
+        b = 0.5 * np.log(self.mu)
+        ixi = fields._spectral_covector(self.grid, None)
+        da3, delta_da, hess_a = _derivatives(self.grid, a, ixi)
+        db3, delta_db, hess_b = _derivatives(self.grid, b, ixi)
+        dc3 = _gradient(_scalar_transform(fields._forward, np.exp(a) * np.exp(b)), ixi)
+        del a, b, ixi
+        base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
+        dada = algebra.inner(da3, da3)
+        dbdb = algebra.inner(db3, db3)
+        coefficients = np.empty((7,) + base.shape, dtype=complex)
+        coefficients[0] = base + dada - delta_da
+        coefficients[1] = base + dbdb + delta_db
+        coefficients[2] = base + dada + delta_da
+        coefficients[3] = base + dbdb - delta_db
+        np.multiply(2j * self.omega, dc3, out=coefficients[4:])
+        k = float(self.omega * np.sqrt(self.eps0 * self.mu0))
+        for name, value in dict(k=k, da3=da3, db3=db3, hess_a=hess_a, hess_b=hess_b,
+                                coefficients=coefficients).items():
+            object.__setattr__(self, name, value)
+
+    # The half powers, iwc and dc are formed on first use: the solver reads none.
     @cached_property
     def sqrt_gamma(self) -> np.ndarray:
         return np.exp(0.5 * np.log(self.gamma))
@@ -169,6 +191,13 @@ class DerivedMedium:
         """i omega gamma^(1/2) mu^(1/2)."""
         return 1j * self.omega * (self.sqrt_gamma * self.sqrt_mu)
 
+    @cached_property
+    def dc3(self) -> np.ndarray:
+        """d of gamma^(1/2) mu^(1/2), its 3 components; the weak pairings read it."""
+        c = np.exp(0.5 * np.log(self.gamma)) * np.exp(0.5 * np.log(self.mu))
+        ixi = fields._spectral_covector(self.grid, None)
+        return _gradient(_scalar_transform(fields._forward, c), ixi)
+
     @property
     def gamma_mu(self) -> np.ndarray:
         return self.gamma * self.mu
@@ -183,43 +212,49 @@ class DerivedMedium:
 
         The transposed potential multiplies grade l by entry l ^ 1.
         """
-        return self._potential_coefficients[:4]
+        return self.coefficients[:4]
 
     @property
     def contraction_covector(self) -> np.ndarray:
         """2 i omega dc, shape (3, n, n, n): the covector both potentials
         contract with and wedge onto a field."""
-        return self._potential_coefficients[4:]
-
-    @cached_property
-    def _potential_coefficients(self) -> np.ndarray:
-        """The grade multipliers and the contraction covector, computed on
-        first use, so deriving a medium does not pay for them.  They share
-        one array: a second long-lived array, made at another time, left the
-        process heap 2 MB larger after a 32^3 factorization check."""
-        base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
-        dada = algebra.inner(self.da3, self.da3)
-        dbdb = algebra.inner(self.db3, self.db3)
-        out = np.empty((7,) + base.shape, dtype=complex)
-        out[0] = base + dada - self.delta_da
-        out[1] = base + dbdb + self.delta_db
-        out[2] = base + dada + self.delta_da
-        out[3] = base + dbdb - self.delta_db
-        np.multiply(2j * self.omega, self.dc3, out=out[4:])
-        return out
+        return self.coefficients[4:]
 
 
-def _derivatives(grid: Grid, scalar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# The derivatives below follow ext_deriv and coderiv of FormField.from_scalar
+# bit for bit, on the blades those routes fill: each sum starts at +0.0, and
+# a blade that is all +0.0 is not transformed (see fields._live_transform).
+
+def _scalar_transform(transform, s: np.ndarray) -> np.ndarray:
+    return fields._live_transform(transform, s[None])[0]
+
+
+def _gradient(shat: np.ndarray, ixi: np.ndarray) -> np.ndarray:
+    """The 3 components of the gradient of the scalar field whose transform
+    is shat; ixi is i xi_op."""
+    ghat = np.empty(ixi.shape, dtype=complex)
+    for j in range(3):
+        np.multiply(ixi[j], shat, out=ghat[j])
+    ghat += 0.0
+    return fields._live_transform(fields._inverse, ghat)
+
+
+def _derivatives(grid: Grid, scalar: np.ndarray, ixi: np.ndarray):
     """Gradient (3 components), its codifferential and the Hessian (entries
     j <= k in ``algebra.SYM_PAIRS`` order, shape (6, n, n, n)) of a scalar
-    field, from one forward transform."""
-    shat = fft_forward(FormField.from_scalar(grid, scalar))
+    field, from one forward transform of it and one of the gradient; ixi is i xi_op."""
+    shat = _scalar_transform(fields._forward, scalar)
     xi = grid.xi_op
-    out = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
+    hess = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
-        fields._inverse(np.multiply(-xi[j] * xi[k], shat.coeffs[0], out=out[i]), out[i])
-    grad = ext_deriv(shat)  # its blades other than 1..3 are 0
-    return grad.values[1:4].copy(), coderiv(grad).values[0].copy(), out
+        fields._inverse(np.multiply(-xi[j] * xi[k], shat, out=hess[i]), hess[i])
+    grad = _gradient(shat, ixi)
+    ghat = fields._live_transform(fields._forward, grad)
+    ghat *= -1.0  # the grade-1 sign of algebra.alternate
+    delta, term = np.zeros(scalar.shape, dtype=complex), np.empty(scalar.shape, dtype=complex)
+    for j in range(3):
+        delta += np.multiply(ixi[j], ghat[j], out=term)
+    return grad, _scalar_transform(fields._inverse, delta), hess
 
 
 def derive(medium: Medium) -> DerivedMedium:
@@ -230,32 +265,9 @@ def derive(medium: Medium) -> DerivedMedium:
     pointwise multiplications so no aliasing enters the operator
     algebra.
     """
-    grid = medium.grid
-    mu = medium.mu.astype(complex)
-    gamma = medium.eps + 1j * medium.sigma / medium.omega
-    a = 0.5 * np.log(gamma)  # principal branch
-    b = 0.5 * np.log(mu)
-    c = np.exp(a) * np.exp(b)  # gamma^(1/2) mu^(1/2)
-    da3, delta_da, hess_a = _derivatives(grid, a)
-    db3, delta_db, hess_b = _derivatives(grid, b)
-    dc3 = ext_deriv(FormField.from_scalar(grid, c)).values[1:4].copy()  # its other blades are 0
-    k = medium.omega * np.sqrt(medium.eps0 * medium.mu0)
-    return DerivedMedium(
-        grid=grid,
-        omega=medium.omega,
-        eps0=medium.eps0,
-        mu0=medium.mu0,
-        k=float(k),
-        gamma=gamma,
-        mu=mu,
-        da3=da3,
-        db3=db3,
-        dc3=dc3,
-        delta_da=delta_da,
-        delta_db=delta_db,
-        hess_a=hess_a,
-        hess_b=hess_b,
-    )
+    m = medium
+    return DerivedMedium(m.grid, m.omega, m.eps0, m.mu0, gamma=m.eps + 1j * m.sigma / m.omega,
+                         mu=m.mu.astype(complex))
 
 
 def derive_background(grid: Grid, omega: float, eps0: float = 1.0, mu0: float = 1.0):

@@ -86,7 +86,8 @@ class MediumConfig:
             return Medium.from_bumps(grid, self.omega, self.eps0, self.mu0,
                                      self.eps_bumps, self.mu_bumps, self.sigma_bumps)
         except CoefficientError as exc:
-            raise ConfigError(f"{self.path}.{exc.name}_bumps: {exc}") from None
+            field = "omega" if exc.name == "omega" else f"{exc.name}_bumps"
+            raise ConfigError(f"{self.path}.{field}: {exc}") from None
 
 
 @dataclass

@@ -170,6 +170,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
     sigma_overflow = small_config("cgo")  # sigma / omega beyond the float range
     sigma_overflow["medium"]["omega"] = 1e-300
     sigma_overflow["medium"]["sigma_bumps"][0]["amplitude"] = 1e10
+    product_overflow = small_config("cgo")  # finite samples whose product gamma mu overflows
+    product_overflow["medium"]["eps_bumps"][0]["amplitude"] = 1e200
+    product_overflow["medium"]["mu_bumps"][0]["amplitude"] = 1e200
+    omega_overflow = small_config("cgo")  # omega^2 beyond the float range
+    omega_overflow["medium"]["omega"] = 1e160
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
@@ -189,6 +194,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("run-cgo", write(tmp_path, small_s, "s.json"), "o", "geometry.s must be >= 1"),
         ("run-cgo", write(tmp_path, eps_overflow, "eps.json"), "o", "medium.eps_bumps"),
         ("run-cgo", write(tmp_path, sigma_overflow, "sigma.json"), "o", "medium.sigma_bumps"),
+        ("run-cgo", write(tmp_path, product_overflow, "product.json"), "o", "medium.mu_bumps"),
+        ("run-cgo", write(tmp_path, omega_overflow, "omega.json"), "o", r"medium\.omega:"),
         ("run-cgo", write(tmp_path, small_config(output={"save_fields": 1}), "save.json"), "o",
          "output.save_fields"),
     ]
@@ -197,7 +204,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert re.search(field, err)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "Warning" not in err
     for command, doc, field in invalid_physics_configs():
         capsys.readouterr()
         assert main([command, "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2

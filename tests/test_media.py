@@ -1,13 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cgolab import algebra, cgo, checks, presets
+from cgolab import algebra, cgo, checks, fields, presets
 from cgolab import media as md
 from cgolab.errors import CoefficientError
 from cgolab.fields import (
     FormField,
+    coderiv,
+    ext_deriv,
+    fft_forward,
     plane_wave_scalar,
     quadrature_pairing,
     random_band_limited,
@@ -19,6 +23,38 @@ RHO = np.array([1.0, 0.0, 0.0])
 
 def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-30)
+
+
+def bit_equal(a, b):
+    """Equal bit for bit, signs of zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def oracle_fields(dm) -> dict:
+    """What derive forms from dm's gamma and mu, through the FormField route
+    (ext_deriv and coderiv of FormField.from_scalar) and the coefficient
+    expressions as first written; also the codifferentials delta da, delta db."""
+    grid, xi = dm.grid, dm.grid.xi_op
+    a, b = 0.5 * np.log(dm.gamma), 0.5 * np.log(dm.mu)
+    out = {}
+    for name, s in (("a", a), ("b", b)):
+        shat = fft_forward(FormField.from_scalar(grid, s)).coeffs[0]
+        hess = [-xi[j] * xi[k] * shat for j, k in algebra.SYM_PAIRS]
+        out[f"hess_{name}"] = np.stack([fields._inverse(h, h) for h in hess])
+        grad = ext_deriv(FormField.from_scalar(grid, s))
+        out[f"d{name}3"] = grad.values[1:4]
+        out[f"delta_d{name}"] = coderiv(grad).values[0]
+    out["dc3"] = ext_deriv(FormField.from_scalar(grid, np.exp(a) * np.exp(b))).values[1:4]
+    base = -dm.omega**2 * (dm.gamma * dm.mu - dm.eps0 * dm.mu0)
+    dada = algebra.inner(out["da3"], out["da3"])
+    dbdb = algebra.inner(out["db3"], out["db3"])
+    out["grade_multipliers"] = np.stack([
+        base + dada - out["delta_da"], base + dbdb + out["delta_db"],
+        base + dada + out["delta_da"], base + dbdb - out["delta_db"],
+    ])
+    out["contraction_covector"] = 2j * dm.omega * out["dc3"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +74,7 @@ def test_conductivity_enters_imaginary_part(grid16):
     bump = md.Bump(0.3, 1.2)
     m = md.Medium.from_bumps(grid16, omega=omega, sigma_bumps=[bump])
     dm = md.derive(m)
-    expected = bump.sample(grid16) / omega
+    expected = md.sample_bumps(grid16, [bump]) / omega
     assert np.max(np.abs(dm.gamma.imag - expected)) < 1e-12
 
 
@@ -79,16 +115,63 @@ def test_half_power_fields_are_formed_on_first_read(grid16):
         assert np.array_equal(getattr(dm, name), want[name])
 
 
-def test_derived_fields_hold_only_their_live_components(dm16):
+def test_derived_fields_hold_only_their_live_components(grid16):
     # the gradients are their 3 covector components, not 8-blade fields,
     # and no array is a view that keeps a larger one alive
+    dm = md.derive(presets.reference_medium(grid16))
     for f in dataclasses.fields(md.DerivedMedium):
-        value = getattr(dm16, f.name)
+        value = getattr(dm, f.name)
         assert not isinstance(value, FormField), f.name
         assert not isinstance(value, np.ndarray) or value.base is None, f.name
-    for grad3, delta in ((dm16.da3, dm16.delta_da), (dm16.db3, dm16.delta_db)):
-        assert grad3.shape == (3,) + (dm16.grid.n,) * 3
-        assert delta.shape == (dm16.grid.n,) * 3
+    for grad3 in (dm.da3, dm.db3):
+        assert grad3.shape == (3,) + (grid16.n,) * 3
+    assert dm.coefficients.shape == (7,) + (grid16.n,) * 3
+    # the codifferentials and dc enter only the coefficients: none is kept
+    assert not {"delta_da", "delta_db", "dc3"} & set(vars(dm))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("medium", ["reference", "perturbed"])
+def test_derive_is_bit_equal_to_the_form_field_route(n, medium):
+    m = getattr(presets, f"{medium}_medium")(presets.reference_grid(n))
+    dm = md.derive(m)
+    assert bit_equal(dm.gamma, m.eps + 1j * m.sigma / m.omega)
+    assert bit_equal(dm.mu, m.mu.astype(complex))
+    want = oracle_fields(dm)
+    for name in ("da3", "db3", "hess_a", "hess_b", "grade_multipliers",
+                 "contraction_covector", "dc3"):
+        assert bit_equal(getattr(dm, name), want[name]), name
+    assert bit_equal(dm.coefficients, np.concatenate(
+        [want["grade_multipliers"], want["contraction_covector"]]))
+
+
+def test_replace_derives_afresh(grid16):
+    dm = md.derive(presets.reference_medium(grid16))
+    fresh = md.derive(presets.perturbed_medium(grid16))
+    new = dataclasses.replace(dm, gamma=fresh.gamma, mu=fresh.mu)
+    for name in ("k", "da3", "db3", "hess_a", "hess_b", "grade_multipliers",
+                 "contraction_covector", "dc3"):
+        assert bit_equal(getattr(new, name), getattr(fresh, name)), name
+    assert not bit_equal(new.grade_multipliers, dm.grade_multipliers)
+
+
+def test_derive_holds_only_what_it_keeps():
+    grid = presets.reference_grid()
+    medium = presets.reference_medium(grid)
+    grid.xi_op  # the grid's own symbol cache, shared by every derivation
+    tracemalloc.start()
+    try:
+        dm = md.derive(medium)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # gamma, mu, da, db, both Hessians and the 7 coefficients: 27 scalar fields
+    field_bytes = grid.n**3 * np.dtype(complex).itemsize
+    kept = (dm.gamma, dm.mu, dm.da3, dm.db3, dm.hess_a, dm.hess_b, dm.coefficients)
+    assert sum(a.nbytes for a in kept) == 27 * field_bytes
+    assert held <= 27 * field_bytes + 65536
+    # the coordinate and frequency index stacks are formed where they are read
+    assert not {"x", "freq_index"} & set(vars(grid))
 
 
 def test_replaced_coefficients_give_their_own_half_power_fields(grid16):
@@ -124,6 +207,16 @@ def test_medium_rejects_non_finite_samples(grid16, name, bad):
     samples[name][8, 8, 8] = bad
     with pytest.raises(CoefficientError, match=f"{name}.* must be finite") as exc:
         md.Medium(grid16, 1.0, 1.0, 1.0, **samples)
+    assert exc.value.name == name
+
+
+@pytest.mark.parametrize("name, omega, peak", [("mu", 1.0, 1e200), ("omega", 1e160, 1.0)])
+def test_medium_rejects_overflowing_products(grid16, name, omega, peak):
+    # every sample is finite, but omega^2 gamma mu or omega^2 eps0 mu0 is not
+    eps, mu = np.ones((grid16.n,) * 3), np.ones((grid16.n,) * 3)
+    eps[8, 8, 8] = mu[8, 8, 8] = peak
+    with pytest.raises(CoefficientError, match="must be finite") as exc:
+        md.Medium(grid16, omega, 1.0, 1.0, eps, mu, np.zeros((grid16.n,) * 3))
     assert exc.value.name == name
 
 
@@ -174,8 +267,8 @@ def test_potential_vanishes_on_background(grid16):
 
 def test_potential_on_constant_contrast(grid16):
     # A Medium rejects constant non-background coefficients (they are not
-    # supported in the sub-box), so gamma and mu go into a derived background
-    # medium, whose derivative fields are zero, as those of a constant are.
+    # supported in the sub-box), so gamma and mu replace those of a derived
+    # background medium, which derives its fields afresh from them.
     n = grid16.n
     dm = dataclasses.replace(
         md.derive_background(grid16, omega=1.0),
@@ -323,18 +416,19 @@ def _reference_hess_apply(packed, vec3):
 
 def reference_potential(w, dm):
     wv = w.values
+    delta_da, delta_db = (oracle_fields(dm)[name] for name in ("delta_da", "delta_db"))
     base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
     dada = algebra.inner(dm.da3, dm.da3)
     dbdb = algebra.inner(dm.db3, dm.db3)
 
     out = np.zeros_like(wv)
-    out[0] = (base + dada - dm.delta_da) * wv[0]
-    out[1:4] = (base + dbdb + dm.delta_db) * wv[1:4] + 2.0 * _reference_hess_apply(dm.hess_b, wv[1:4])
+    out[0] = (base + dada - delta_da) * wv[0]
+    out[1:4] = (base + dbdb + delta_db) * wv[1:4] + 2.0 * _reference_hess_apply(dm.hess_b, wv[1:4])
     star2 = algebra.hodge(algebra.grade_select(wv, 2))[1:4]
     h2 = np.zeros_like(wv)
     h2[1:4] = 2.0 * _reference_hess_apply(dm.hess_a, star2)
-    out[4:7] = (base + dada + dm.delta_da) * wv[4:7] + algebra.hodge(h2)[4:7]
-    out[7] = (base + dbdb - dm.delta_db) * wv[7]
+    out[4:7] = (base + dada + delta_da) * wv[4:7] + algebra.hodge(h2)[4:7]
+    out[7] = (base + dbdb - delta_db) * wv[7]
 
     two_iw = 2j * dm.omega
     out += two_iw * algebra.vee_cov(dm.dc3, algebra.grade_select(wv, (1, 3)))
@@ -344,18 +438,19 @@ def reference_potential(w, dm):
 
 def reference_potential_t(w, dm):
     wv = w.values
+    delta_da, delta_db = (oracle_fields(dm)[name] for name in ("delta_da", "delta_db"))
     base = -dm.omega**2 * (dm.gamma_mu - dm.eps0 * dm.mu0)
     dada = algebra.inner(dm.da3, dm.da3)
     dbdb = algebra.inner(dm.db3, dm.db3)
 
     out = np.zeros_like(wv)
-    out[0] = (base + dbdb + dm.delta_db) * wv[0]
-    out[1:4] = (base + dada - dm.delta_da) * wv[1:4] - 2.0 * _reference_hess_apply(dm.hess_a, wv[1:4])
+    out[0] = (base + dbdb + delta_db) * wv[0]
+    out[1:4] = (base + dada - delta_da) * wv[1:4] - 2.0 * _reference_hess_apply(dm.hess_a, wv[1:4])
     star2 = algebra.hodge(algebra.grade_select(wv, 2))[1:4]
     h2 = np.zeros_like(wv)
     h2[1:4] = -2.0 * _reference_hess_apply(dm.hess_b, star2)
-    out[4:7] = (base + dbdb - dm.delta_db) * wv[4:7] + algebra.hodge(h2)[4:7]
-    out[7] = (base + dada + dm.delta_da) * wv[7]
+    out[4:7] = (base + dbdb - delta_db) * wv[4:7] + algebra.hodge(h2)[4:7]
+    out[7] = (base + dada + delta_da) * wv[7]
 
     two_iw = 2j * dm.omega
     out -= two_iw * algebra.vee_cov(dm.dc3, algebra.grade_select(wv, 2))
