@@ -41,6 +41,7 @@ GOLDEN_ANGLE = 2.0 * np.pi * (1.0 - 1.0 / ((1.0 + np.sqrt(5.0)) / 2.0))
 DIVERGENCE_LIMIT = 0.95
 DIVERGENCE_PATIENCE = 3
 MIN_SAMPLES = 8  # per lambda in a decay study
+MAX_S = float(np.sqrt(np.finfo(float).max)) / 2.0  # (2 s)^2 is finite, so |zeta|^2 ~ 2 s^2 is
 MAX_FAILURE_FRACTION = 0.2  # of a decay study's samples before it aborts
 
 
@@ -91,6 +92,8 @@ def make_geometry(rho, eta1, eta2, s, k, grid=None) -> CgoGeometry:
     eta2 = np.asarray(eta2, dtype=float)
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
+    if s > MAX_S:
+        raise ValueError(f"s = {s} puts |zeta|^2 beyond the float range")
     if k < 0:
         raise ValueError("k must be nonnegative")
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
@@ -223,7 +226,6 @@ def solve_cgo(
     amplitude: GradedForm,
     tol: float = 1e-9,
     max_iter: int = 80,
-    floor: float | None = None,
     clamp_threshold: float | None = None,
 ) -> CgoSolution:
     """Solve the remainder equation by fixed-point iteration.
@@ -243,7 +245,7 @@ def solve_cgo(
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
     assert_admissible(zeta, dm.k)
-    sym = ClampedSymbol(grid, zeta, floor)
+    sym = ClampedSymbol(grid, zeta)
     clamp = sym.report(clamp_threshold).raise_if_exceeded()
     low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
@@ -334,7 +336,7 @@ def solve_cgo(
 # grade-{0,3} annihilation check
 # ---------------------------------------------------------------------------
 
-def grade03_ratio(dm: DerivedMedium, geom: CgoGeometry, sol: CgoSolution) -> float:
+def grade03_ratio(dm: DerivedMedium, sol: CgoSolution) -> float:
     """Relative size of the grade-{0,3} part of the derived first-order
     image, computed in conjugated variables."""
     total = FormField.constant(dm.grid, sol.amplitude) + sol.remainder
@@ -390,7 +392,7 @@ class DecayStudy:
         return strictly_decreasing(s.mean_remainder_sq for s in self.summaries)
 
 
-def sample_plan(rho, lambdas, n_samples: int, seed: int):
+def sample_plan(lambdas, n_samples: int, seed: int):
     """Deterministic (lambda, s, angle) plan: stratified s in [lam, 2 lam],
     golden-angle sequence with a seeded offset for the frame angle."""
     jobs = []
@@ -426,7 +428,7 @@ def decay_study(
     if lambdas[0] < 1.0:
         raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
     rho = np.asarray(rho, dtype=float)
-    jobs = sample_plan(rho, lambdas, n_samples, seed)
+    jobs = sample_plan(lambdas, n_samples, seed)
 
     def run(job):
         lam, s, angle = job
@@ -517,28 +519,24 @@ def q_norm_estimate(
     zeta,
     trials: int = 16,
     seed: int = 0,
-    floor: float | None = None,
     clamp_threshold: float | None = None,
 ) -> QNormEstimate:
     """Max of ||Q u||_(-1/2) over seeded random unit-(+1/2)-norm fields.
 
     Raises ResonantGridError, as :func:`solve_cgo` does, when the clamp
-    fraction exceeds ``clamp_threshold``.  A trial field with no mass
-    off the clamped modes has no +1/2-norm to normalize by and is skipped.
+    fraction exceeds ``clamp_threshold``.
     """
     if trials < 16:
         raise ValueError("need at least 16 trials")
     zeta = np.asarray(zeta, dtype=complex)
     grid = dm.grid
-    sym = ClampedSymbol(grid, zeta, floor)
+    sym = ClampedSymbol(grid, zeta)
     sym.report(clamp_threshold).raise_if_exceeded()
     rng = seeded_rng(seed)
     best = 0.0
     for _ in range(trials):
         u = random_band_limited(grid, rng, band=grid.n // 2 - 1, zero_mean=True)
         denom = sym.norm(fft_forward(u).coeffs, 0.5)
-        if denom == 0.0:
-            continue
         qu = potential(u, dm)
         best = max(best, sym.norm(fft_forward(qu).coeffs, -0.5) / denom)
 

@@ -298,7 +298,7 @@ def cmd_estimate_qnorm(run: Run) -> int:
         geom = make_geometry(run.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
         est = q_norm_estimate(
             dm, geom.zeta1, trials=max(16, run.cfg.sampling.n_samples), seed=run.seed,
-            floor=run.cfg.solver.floor, clamp_threshold=run.cfg.solver.clamp_threshold,
+            clamp_threshold=run.cfg.solver.clamp_threshold,
         )
         return [s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term]
 

@@ -80,13 +80,10 @@ class Grid:
         return np.stack([kx, ky, kz])
 
     @cached_property
-    def xi(self) -> np.ndarray:
-        """Frequency covectors (2 pi / L) * integer lattice, shape (3, n, n, n)."""
-        return (2.0 * np.pi / self.length) * self.freq_index.astype(float)
-
-    @cached_property
     def xi_sq(self) -> np.ndarray:
-        return np.sum(self.xi**2, axis=0)
+        """|xi|^2 of the frequency covectors (2 pi / L) * integer lattice."""
+        xi = (2.0 * np.pi / self.length) * self.freq_index.astype(float)
+        return np.sum(xi**2, axis=0)
 
     @cached_property
     def xi_op(self) -> np.ndarray:
@@ -266,14 +263,9 @@ def fft_inverse(F: SpectralField) -> FormField:
     return FormField(F.grid, _live_transform(_inverse, F.coeffs))
 
 
-def _spectral(f) -> SpectralField:
-    """f when it is already spectral, else its forward transform."""
-    return f if isinstance(f, SpectralField) else fft_forward(f)
-
-
-def _spectral_map(f, fn) -> FormField:
-    """Apply ``fn`` to the Fourier coefficients of f (a field or its spectrum)."""
-    F = _spectral(f)
+def _spectral_map(f: FormField, fn) -> FormField:
+    """Apply ``fn`` to the Fourier coefficients of f."""
+    F = fft_forward(f)
     return fft_inverse(SpectralField(f.grid, fn(F.coeffs)))
 
 
@@ -296,8 +288,8 @@ def _live_grades(a: np.ndarray) -> tuple[int, ...]:
     return tuple(sorted({int(algebra.GRADES[b]) for b in _live_blades(a)}))
 
 
-def ext_deriv(f, zeta=None) -> FormField:
-    """Exterior derivative of a field or its spectrum; with zeta, d + zeta^."""
+def ext_deriv(f: FormField, zeta=None) -> FormField:
+    """Exterior derivative; with zeta, d + zeta^."""
     c = _spectral_covector(f.grid, zeta)
     return _spectral_map(f, lambda F: algebra.wedge_cov(c, F, grades=_live_grades(F)))
 
@@ -340,7 +332,7 @@ def helmholtz_symbol(grid: Grid, zeta) -> np.ndarray:
 
 
 def default_floor(grid: Grid) -> float:
-    """Default clamp floor for |p|: well below one lattice frequency square."""
+    """The clamp floor for |p|: well below one lattice frequency square."""
     return 1e-8 * (2.0 * np.pi / grid.length) ** 2
 
 
@@ -383,21 +375,18 @@ class ClampReport:
 class ClampedSymbol:
     """The symbol p for one conjugation covector, with its clamp policy.
 
-    Modes with |p| < floor (default :func:`default_floor`) are clamped:
-    the inverse annihilates them and both weights vanish on them, so
-    norms, resolvent and solver all live on the same sublattice.  The
-    clamp set always contains xi = 0, and for the paired conjugation
-    geometries also xi = -rho, where the symbol vanishes identically.
+    Modes with |p| below :func:`default_floor` are clamped: the inverse
+    annihilates them and both weights vanish on them, so norms, resolvent
+    and solver all live on the same sublattice.  The clamp set always
+    contains xi = 0, and for the paired conjugation geometries also
+    xi = -rho, where the symbol vanishes identically.
     """
 
-    def __init__(self, grid: Grid, zeta, floor: float | None = None):
-        if floor is None:
-            floor = default_floor(grid)
+    def __init__(self, grid: Grid, zeta):
         p = helmholtz_symbol(grid, zeta)
-        absp = np.abs(p)
         self.grid = grid
-        self.floor = floor
-        self.mask = absp < floor
+        self.floor = default_floor(grid)
+        self.mask = np.abs(p) < self.floor
         self.divisor = np.where(self.mask, 1.0, p)
         self._weights: dict[float, np.ndarray] = {}
 
@@ -431,9 +420,9 @@ class ClampedSymbol:
         return ClampReport(self.grid.n**3, int(np.sum(self.mask)), self.floor, threshold)
 
 
-def bourgain_weight(grid: Grid, zeta, b: float, floor: float | None = None) -> np.ndarray:
+def bourgain_weight(grid: Grid, zeta, b: float) -> np.ndarray:
     """Norm weight |p|^(2b) on the unclamped sublattice (see :class:`ClampedSymbol`)."""
-    return ClampedSymbol(grid, zeta, floor).weight(b)
+    return ClampedSymbol(grid, zeta).weight(b)
 
 
 def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
@@ -451,33 +440,31 @@ def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
     return np.sum(np.multiply(w, modes, out=modes))
 
 
-def bourgain_norm(f, zeta, b: float, floor: float | None = None) -> float:
+def bourgain_norm(f: FormField, zeta, b: float) -> float:
     """Weighted-l2 norm over the nonzero frequency lattice, all grades."""
-    F = _spectral(f)
-    return ClampedSymbol(F.grid, zeta, floor).norm(F.coeffs, b)
+    return ClampedSymbol(f.grid, zeta).norm(fft_forward(f).coeffs, b)
 
 
-def resolvent(f, zeta, k: float, floor: float | None = None):
+def resolvent(f: FormField, zeta, k: float):
     """Invert the shifted conjugated Laplacian by dividing by the symbol p.
 
     Requires <zeta, zeta> = -k^2, which makes p the symbol of the
-    operator being inverted.  Frequencies with |p| below ``floor`` are
+    operator being inverted.  Frequencies with |p| below the clamp floor are
     annihilated and counted in the report: the symbol vanishes exactly
     at xi = 0 (and at xi = -rho for the paired conjugation covectors),
     so the inverse is defined on the complementary sublattice, where it
     is an exact two-sided inverse.
     """
     assert_admissible(zeta, k)
-    F = _spectral(f)
-    sym = ClampedSymbol(F.grid, zeta, floor)
-    out = SpectralField(F.grid, sym.inverse(F.coeffs))
+    sym = ClampedSymbol(f.grid, zeta)
+    out = SpectralField(f.grid, sym.inverse(fft_forward(f).coeffs))
     return fft_inverse(out), sym.report()
 
 
-def resolvent_operator_norm(grid: Grid, zeta, floor: float | None = None) -> float:
+def resolvent_operator_norm(grid: Grid, zeta) -> float:
     """Diagonal operator norm of the resolvent between the +-1/2 spaces:
     weight^(1/2) |p|^(-1) weight^(1/2) maximized over the active modes."""
-    sym = ClampedSymbol(grid, zeta, floor)
+    sym = ClampedSymbol(grid, zeta)
     return float(np.max(sym.weight(0.5) / np.abs(sym.divisor)))
 
 
@@ -503,16 +490,15 @@ def hermitian_pairing(f: FormField, g: FormField) -> complex:
     return complex(f.grid.cell_volume * np.sum(f.values * np.conj(g.values)))
 
 
-def spectral_pairing(f, g) -> complex:
+def spectral_pairing(f: FormField, g: FormField) -> complex:
     """Frequency-side sesquilinear pairing L^3 sum_xi <f_hat, conj g_hat>."""
-    F = _spectral(f)
-    G = _spectral(g)
-    return complex(F.grid.volume * np.sum(F.coeffs * np.conj(G.coeffs)))
+    F, G = fft_forward(f), fft_forward(g)
+    return complex(f.grid.volume * np.sum(F.coeffs * np.conj(G.coeffs)))
 
 
-def l2_norm(f) -> float:
-    F = _spectral(f)
-    return float(np.sqrt(F.grid.volume * np.sum(np.abs(F.coeffs) ** 2)))
+def l2_norm(f: FormField) -> float:
+    F = fft_forward(f)
+    return float(np.sqrt(f.grid.volume * np.sum(np.abs(F.coeffs) ** 2)))
 
 
 def sobolev_norms(f: FormField) -> tuple[float, float]:

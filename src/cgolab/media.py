@@ -175,16 +175,8 @@ class DerivedMedium:
         return np.exp(0.5 * np.log(self.gamma))
 
     @cached_property
-    def inv_sqrt_gamma(self) -> np.ndarray:
-        return np.exp(-(0.5 * np.log(self.gamma)))
-
-    @cached_property
     def sqrt_mu(self) -> np.ndarray:
         return np.exp(0.5 * np.log(self.mu))
-
-    @cached_property
-    def inv_sqrt_mu(self) -> np.ndarray:
-        return np.exp(-(0.5 * np.log(self.mu)))
 
     @cached_property
     def iwc(self) -> np.ndarray:
@@ -517,8 +509,8 @@ def dirichlet_pairing(w: FormField, phi: FormField, k: float) -> complex:
 def to_maxwell(v: FormField, dm: DerivedMedium) -> FormField:
     """Undo the rescaling on grades 1 and 2; grades 0 and 3 are dropped."""
     values = np.zeros_like(v.values)
-    values[1:4] = v.values[1:4] * dm.inv_sqrt_gamma
-    values[4:7] = v.values[4:7] * dm.inv_sqrt_mu
+    values[1:4] = v.values[1:4] * np.exp(-(0.5 * np.log(dm.gamma)))
+    values[4:7] = v.values[4:7] * np.exp(-(0.5 * np.log(dm.mu)))
     return FormField(v.grid, values)
 
 

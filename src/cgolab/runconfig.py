@@ -7,11 +7,11 @@ ConfigError messages that name the offending field path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cgo import Polarization, strictly_decreasing
+from .cgo import MAX_S, Polarization, strictly_decreasing
 from .errors import CoefficientError, ConfigError
 from .fields import Grid, seeded_rng
 from .media import Bump, Medium
@@ -45,15 +45,20 @@ def _integer(value, path: str, minimum=None) -> int:
     return value
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, keys) -> dict:
+    """value, an object whose every key is one of ``keys``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key} is not a known field")
     return value
 
 
-def _optional_positive(doc: dict, key: str, path: str):
-    value = doc.get(key)
-    return None if value is None else _number(value, f"{path}.{key}", positive=True)
+def _bound_s(s: float, path: str) -> None:
+    """Reject a largest s whose |zeta|^2 may pass the float range (see cgo.MAX_S)."""
+    if s > MAX_S:
+        raise ConfigError(f"{path} is too large: s = {s:g} puts |zeta|^2 beyond the float range")
 
 
 def _increasing_list(values, path: str) -> list:
@@ -111,11 +116,10 @@ class GeometryConfig:
 
 @dataclass
 class SolverConfig:
-    """The solver settings, named as the keyword arguments of cgo.solve_cgo."""
+    """The solver settings, named as cgo.solve_cgo's keywords and a config's solver keys."""
 
     tol: float
     max_iter: int
-    floor: float | None  # config field solver.clamp_floor
     clamp_threshold: float | None
 
 
@@ -159,7 +163,7 @@ def _parse_bumps(specs, path: str, length: float) -> list:
     out = []
     for i, spec in enumerate(specs):
         at = f"{path}[{i}]"
-        _object(spec, at)
+        _object(spec, at, ("amplitude", "radius", "center_offset", "sharpness"))
         amplitude = _number(_require(spec, "amplitude", at), f"{at}.amplitude")
         radius = _number(_require(spec, "radius", at), f"{at}.radius", positive=True)
         offset = [0.0, 0.0, 0.0]
@@ -175,7 +179,7 @@ def _parse_bumps(specs, path: str, length: float) -> list:
 def parse_medium(doc, path: str, length: float) -> MediumConfig:
     """One medium object of a config, for a box of side ``length``; ``path``
     ("medium" or "media[i]") prefixes every error message."""
-    _object(doc, path)
+    _object(doc, path, ("omega", "eps0", "mu0", "eps_bumps", "mu_bumps", "sigma_bumps"))
     return MediumConfig(
         omega=_number(_require(doc, "omega", path), f"{path}.omega", positive=True),
         eps0=_number(doc.get("eps0", 1.0), f"{path}.eps0", positive=True),
@@ -189,7 +193,7 @@ def parse_medium(doc, path: str, length: float) -> MediumConfig:
 
 def _parse_geometry(doc) -> GeometryConfig:
     path = "geometry"
-    _object(doc, path)
+    _object(doc, path, ("rho_index", "frame_seed", "polarization", "s", "s_list", "lambda_list"))
     rho_index = _require(doc, "rho_index", path)
     rho_index = tuple(_vector3(rho_index, f"{path}.rho_index", _integer, "integers"))
     pol_name = doc.get("polarization", "E")
@@ -209,20 +213,24 @@ def _parse_geometry(doc) -> GeometryConfig:
         cfg.s = _number(doc["s"], f"{path}.s", positive=True)
         if cfg.s < 1.0:
             raise ConfigError(f"{path}.s must be >= 1")
+        _bound_s(cfg.s, f"{path}.s")
     if "s_list" in doc:
         cfg.s_list = _increasing_list(doc["s_list"], f"{path}.s_list")
+        _bound_s(cfg.s_list[-1], f"{path}.s_list")
     if "lambda_list" in doc:
         cfg.lambda_list = _increasing_list(doc["lambda_list"], f"{path}.lambda_list")
         if cfg.lambda_list[0] < 1.0:
             raise ConfigError(f"{path}.lambda_list values must be >= 1 (they bound s from below)")
+        _bound_s(2.0 * cfg.lambda_list[-1], f"{path}.lambda_list")  # samples reach s < 2 lambda
     return cfg
 
 
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    _object(doc, "config", ("grid", "medium", "media", "geometry", "solver", "sampling", "output"))
 
-    grid_doc = _object(_require(doc, "grid", "config"), "grid")
+    grid_doc = _object(_require(doc, "grid", "config"), "grid", ("n", "length"))
     n = _integer(_require(grid_doc, "n", "grid"), "grid.n", minimum=8)
     if n & (n - 1):
         raise ConfigError("grid.n must be a power of two")
@@ -243,21 +251,23 @@ def parse_config(doc: dict) -> RunConfig:
 
     geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else None
 
-    solver_doc = _object(doc.get("solver", {}), "solver")
+    solver_keys = [f.name for f in fields(SolverConfig)]
+    solver_doc = _object(doc.get("solver", {}), "solver", solver_keys)
+    threshold = solver_doc.get("clamp_threshold")
     solver = SolverConfig(
         tol=_number(solver_doc.get("tol", 1e-9), "solver.tol", positive=True),
         max_iter=_integer(solver_doc.get("max_iter", 80), "solver.max_iter", minimum=1),
-        floor=_optional_positive(solver_doc, "clamp_floor", "solver"),
-        clamp_threshold=_optional_positive(solver_doc, "clamp_threshold", "solver"),
+        clamp_threshold=None if threshold is None
+        else _number(threshold, "solver.clamp_threshold", positive=True),
     )
 
-    sampling_doc = _object(doc.get("sampling", {}), "sampling")
+    sampling_doc = _object(doc.get("sampling", {}), "sampling", ("n_samples", "seed"))
     sampling = SamplingConfig(
         n_samples=_integer(sampling_doc.get("n_samples", 16), "sampling.n_samples", minimum=1),
         seed=_integer(sampling_doc.get("seed", 2024), "sampling.seed", minimum=0),
     )
 
-    output_doc = _object(doc.get("output", {}), "output")
+    output_doc = _object(doc.get("output", {}), "output", ("directory", "save_fields"))
     directory = output_doc.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ConfigError("output.directory must be a nonempty string")

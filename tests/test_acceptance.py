@@ -173,16 +173,16 @@ def test_criterion_08_grade03_annihilation(grid32, dm32):
     for s in (8.0, 16.0, 32.0):
         g = cgo.make_geometry(RHO, *FRAME, s, dm32.k, grid=grid32)
         sol = cgo.solve_cgo(dm32, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
-        ratios.append(cgo.grade03_ratio(dm32, g, sol))
+        ratios.append(cgo.grade03_ratio(dm32, sol))
     dm0 = derive_background(grid32, omega=presets.REFERENCE_OMEGA)
     g8 = cgo.make_geometry(RHO, *FRAME, 8.0, dm0.k, grid=grid32)
     sol0 = cgo.solve_cgo(dm0, g8.zeta1, cgo.amplitude_a(g8, cgo.Polarization.E))
-    background = cgo.grade03_ratio(dm0, g8, sol0)
+    background = cgo.grade03_ratio(dm0, sol0)
     controls = []
     for s in (8.0, 16.0, 32.0):
         g = cgo.make_geometry(RHO, *FRAME, s, dm32.k, grid=grid32)
         sol_neg = cgo.solve_cgo(dm32, g.zeta1, algebra.GradedForm.scalar(1.0))
-        controls.append(cgo.grade03_ratio(dm32, g, sol_neg))
+        controls.append(cgo.grade03_ratio(dm32, sol_neg))
     ok = (
         cgo.strictly_decreasing(ratios)
         and background < 1e-10

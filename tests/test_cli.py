@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import inspect
 import json
 import re
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from cgolab import cgo, fields, presets
 from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, main
 from cgolab.errors import ConfigError, DivergenceError
-from cgolab.runconfig import parse_config
+from cgolab.runconfig import SolverConfig, parse_config
 from conftest import reference_config
 
 
@@ -131,6 +133,23 @@ def test_config_errors_name_the_field():
             cfg = parse_config(doc)
             for i in range(len(cfg.media)):
                 cfg.medium(i).build(cfg.grid)
+    # one key the parser does not read, in each kind of object
+    for kind, path, field in (
+        ("cgo", (), "config.medum"), ("cgo", ("grid",), "grid.N"),
+        ("cgo", ("medium",), "medium.sigma0"),
+        ("cgo", ("medium", "eps_bumps", 0), "medium.eps_bumps[0].amplitud"),
+        ("cgo", ("geometry",), "geometry.S"), ("cgo", ("solver",), "solver.tolerance"),
+        ("cgo", ("solver",), "solver.max_iters"), ("cgo", ("solver",), "solver.clamp_floor"),
+        ("cgo", ("sampling",), "sampling.samples"), ("cgo", ("output",), "output.dir"),
+        ("uniqueness", ("media", 1), "media[1].omega0"),
+        ("uniqueness", ("media", 0, "sigma_bumps", 0), "media[0].sigma_bumps[0].center"),
+    ):
+        node = doc = reference_config(kind)
+        for step in path:
+            node = node[step]
+        node[field.rsplit(".", 1)[1]] = 1.0
+        with pytest.raises(ConfigError, match=re.escape(field) + " is not a known field"):
+            parse_config(doc)
 
 
 def test_reference_configs_parse_and_match_presets():
@@ -149,6 +168,17 @@ def test_library_and_config_solver_defaults_agree():
     params = inspect.signature(cgo.solve_cgo).parameters.values()
     defaults = {p.name: p.default for p in params if p.default is not inspect.Parameter.empty}
     assert asdict(parse_config(doc).solver) == defaults
+    # the solver keys of a config are the keyword parameters of solve_cgo, and no others
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == list(defaults)
+    doc["solver"] = dict(defaults)
+    assert asdict(parse_config(doc).solver) == defaults
+
+
+def test_readme_config_sketch_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("### Config sketch", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(sketch))
+    assert cfg.geometry.s == 32.0 and len(cfg.media) == 1
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -175,6 +205,15 @@ def test_bad_config_exit_code(tmp_path, capsys):
     product_overflow["medium"]["mu_bumps"][0]["amplitude"] = 1e200
     omega_overflow = small_config("cgo")  # omega^2 beyond the float range
     omega_overflow["medium"]["omega"] = 1e160
+    huge_s = small_config("cgo")  # |zeta|^2, about 2 s^2, beyond the float range
+    huge_s["geometry"]["s"] = 1e160
+    huge_pair_s = small_config("uniqueness")
+    huge_pair_s["geometry"]["s_list"] = [8.0, 16.0, 1e160]
+    huge_qnorm_s = small_config("qnorm")
+    huge_qnorm_s["geometry"]["s_list"] = [8.0, 16.0, 1e160]
+    huge_lambda = small_config("decay")  # samples reach s < 2 lambda
+    huge_lambda["geometry"]["lambda_list"] = [4.0, 8.0, 1e160]
+    clamp_floor = small_config("cgo", solver={"tol": 1e-9, "clamp_floor": 1e-3})
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
@@ -198,6 +237,15 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("run-cgo", write(tmp_path, omega_overflow, "omega.json"), "o", r"medium\.omega:"),
         ("run-cgo", write(tmp_path, small_config(output={"save_fields": 1}), "save.json"), "o",
          "output.save_fields"),
+        ("run-cgo", write(tmp_path, huge_s, "huge_s.json"), "o", "geometry.s is too large"),
+        ("run-uniqueness", write(tmp_path, huge_pair_s, "huge_pair_s.json"), "o",
+         "geometry.s_list is too large"),
+        ("estimate-qnorm", write(tmp_path, huge_qnorm_s, "huge_qnorm_s.json"), "o",
+         "geometry.s_list is too large"),
+        ("run-decay", write(tmp_path, huge_lambda, "huge_lambda.json"), "o",
+         "geometry.lambda_list is too large"),
+        ("run-cgo", write(tmp_path, clamp_floor, "floor.json"), "o",
+         "solver.clamp_floor is not a known field"),
     ]
     for command, path, out, field in cases:
         capsys.readouterr()
