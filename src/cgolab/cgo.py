@@ -41,7 +41,6 @@ GOLDEN_ANGLE = 2.0 * np.pi * (1.0 - 1.0 / ((1.0 + np.sqrt(5.0)) / 2.0))
 DIVERGENCE_LIMIT = 0.95
 DIVERGENCE_PATIENCE = 3
 MIN_SAMPLES = 8  # per lambda in a decay study
-MAX_S = float(np.sqrt(np.finfo(float).max)) / 2.0  # (2 s)^2 is finite, so |zeta|^2 ~ 2 s^2 is
 MAX_FAILURE_FRACTION = 0.2  # of a decay study's samples before it aborts
 
 
@@ -84,6 +83,12 @@ class CgoGeometry:
         return float(np.sqrt(np.sum(np.abs(self.zeta2) ** 2)))
 
 
+def zeta_sq(s: float, k: float, rho) -> float:
+    """2 s^2 + k^2 + |rho|^2/2, which is |zeta_j|^2, in Python floats (inf past their range)."""
+    s, k = float(s), float(k)
+    return 2.0 * s * s + k * k + sum(float(r) * float(r) for r in rho) / 2.0
+
+
 def make_geometry(rho, eta1, eta2, s, k, grid=None) -> CgoGeometry:
     """Validated geometry; rejects non-orthonormal frames and, when a grid
     is supplied, rho off the frequency lattice."""
@@ -92,10 +97,10 @@ def make_geometry(rho, eta1, eta2, s, k, grid=None) -> CgoGeometry:
     eta2 = np.asarray(eta2, dtype=float)
     if s < 1.0:
         raise ValueError(f"s must be >= 1, got {s}")
-    if s > MAX_S:
-        raise ValueError(f"s = {s} puts |zeta|^2 beyond the float range")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not np.isfinite(zeta_sq(s, k, rho)):
+        raise ValueError(f"s = {s} puts |zeta|^2 beyond the float range")
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
         if abs(np.dot(eta, eta) - 1.0) > 1e-12:
             raise ValueError(f"{name} must be a unit covector")

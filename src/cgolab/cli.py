@@ -284,6 +284,8 @@ def cmd_run_uniqueness(run: Run) -> int:
         "target_im": result.target.imag,
         "identical_media": mp.identical,
         "k": mp.k,
+        "pairing_clamps": [{"s": r.s, "clamped": [c.clamped for c in r.clamps],
+                            "fraction": [c.fraction for c in r.clamps]} for r in result.rows],
     }
     run.acceptance[verdict] = ok
     return EXIT_OK if ok else EXIT_TREND

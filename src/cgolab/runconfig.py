@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cgo import MAX_S, Polarization, strictly_decreasing
+from .cgo import Polarization, strictly_decreasing, zeta_sq
 from .errors import CoefficientError, ConfigError
 from .fields import Grid, seeded_rng
 from .media import Bump, Medium
@@ -55,9 +55,9 @@ def _object(value, path: str, keys) -> dict:
     return value
 
 
-def _bound_s(s: float, path: str) -> None:
-    """Reject a largest s whose |zeta|^2 may pass the float range (see cgo.MAX_S)."""
-    if s > MAX_S:
+def _bound_s(s: float, path: str, k: float, rho) -> None:
+    """Reject a largest s whose |zeta|^2 overflows; an overflowing k^2 fails the medium's build."""
+    if math.isfinite(k * k) and not math.isfinite(zeta_sq(s, k, rho)):
         raise ConfigError(f"{path} is too large: s = {s:g} puts |zeta|^2 beyond the float range")
 
 
@@ -191,11 +191,13 @@ def parse_medium(doc, path: str, length: float) -> MediumConfig:
     )
 
 
-def _parse_geometry(doc) -> GeometryConfig:
+def _parse_geometry(doc, grid: Grid, medium: MediumConfig) -> GeometryConfig:
     path = "geometry"
     _object(doc, path, ("rho_index", "frame_seed", "polarization", "s", "s_list", "lambda_list"))
     rho_index = _require(doc, "rho_index", path)
     rho_index = tuple(_vector3(rho_index, f"{path}.rho_index", _integer, "integers"))
+    for i, index in enumerate(rho_index):  # an integer beyond the float range is not finite
+        _number(index, f"{path}.rho_index[{i}]")
     pol_name = doc.get("polarization", "E")
     try:
         pol = Polarization(pol_name)
@@ -209,19 +211,20 @@ def _parse_geometry(doc) -> GeometryConfig:
         frame_seed=_integer(doc.get("frame_seed", 0), f"{path}.frame_seed", minimum=0),
         polarization=pol,
     )
+    k, rho = medium.omega * math.sqrt(medium.eps0 * medium.mu0), cfg.rho(grid)
     if "s" in doc:
         cfg.s = _number(doc["s"], f"{path}.s", positive=True)
         if cfg.s < 1.0:
             raise ConfigError(f"{path}.s must be >= 1")
-        _bound_s(cfg.s, f"{path}.s")
+        _bound_s(cfg.s, f"{path}.s", k, rho)
     if "s_list" in doc:
         cfg.s_list = _increasing_list(doc["s_list"], f"{path}.s_list")
-        _bound_s(cfg.s_list[-1], f"{path}.s_list")
+        _bound_s(cfg.s_list[-1], f"{path}.s_list", k, rho)
     if "lambda_list" in doc:
         cfg.lambda_list = _increasing_list(doc["lambda_list"], f"{path}.lambda_list")
         if cfg.lambda_list[0] < 1.0:
             raise ConfigError(f"{path}.lambda_list values must be >= 1 (they bound s from below)")
-        _bound_s(2.0 * cfg.lambda_list[-1], f"{path}.lambda_list")  # samples reach s < 2 lambda
+        _bound_s(2.0 * cfg.lambda_list[-1], f"{path}.lambda_list", k, rho)  # s < 2 lambda
     return cfg
 
 
@@ -249,7 +252,7 @@ def parse_config(doc: dict) -> RunConfig:
     else:
         raise ConfigError("config.medium (or config.media) is required")
 
-    geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else None
+    geometry = _parse_geometry(doc["geometry"], grid, media[0]) if "geometry" in doc else None
 
     solver_keys = [f.name for f in fields(SolverConfig)]
     solver_doc = _object(doc.get("solver", {}), "solver", solver_keys)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .cgo import (
     CgoGeometry,
-    CgoSolution,
     Polarization,
     amplitude_a,
     amplitude_b,
@@ -24,6 +23,7 @@ from .cgo import (
 )
 from .fields import (
     ClampedSymbol,
+    ClampReport,
     FormField,
     Grid,
     _forward,
@@ -34,7 +34,7 @@ from .fields import (
     plane_wave_scalar,
     seeded_rng,
 )
-from .media import Medium, DerivedMedium, derive, potential
+from .media import Medium, DerivedMedium, derive, grade_block, potential
 
 # The coefficient window rises from 0 to 1 between these fractions of
 # the sub-box half-width (see subbox_window).
@@ -95,34 +95,34 @@ def make_pair(m1: Medium, m2: Medium) -> MediumPair:
 @dataclass
 class PairingResult:
     value: complex
-    sol1: CgoSolution
-    sol2: CgoSolution
+    clamps: tuple[ClampReport, ClampReport]  # of the first solve, then of the paired one
 
 
-def pairing(
-    mp: MediumPair,
-    geom: CgoGeometry,
-    pol: Polarization,
-    **solver,
-) -> PairingResult:
+def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> PairingResult:
     """Quadrature of e_(i rho) <(Q2 - Q1)(A + R), B + S>.
 
-    The first remainder solves against the first medium with the primary
-    amplitude, the second against the second medium with the paired
-    amplitude (same potential-form equation); all factors are periodic.
-    ``solver`` holds the keyword arguments of both solves.
+    R solves against the first medium with the primary amplitude A, S
+    against the second with the paired amplitude B (same potential-form
+    equation); all factors are periodic.  ``solver`` holds the keyword
+    arguments of both solves.  The paired solve, whose amplitude fills all
+    8 blades, runs first, alone: when both would fail, its error is raised.
     """
-    grid = mp.grid
-    a_amp = amplitude_a(geom, pol)
-    b_amp = amplitude_b(geom, pol)
-    sol1 = solve_cgo(mp.dm1, geom.zeta1, a_amp, **solver)
-    sol2 = solve_cgo(mp.dm2, geom.zeta2, b_amp, **solver)
-    w = FormField.constant(grid, a_amp) + sol1.remainder
-    v = FormField.constant(grid, b_amp) + sol2.remainder
-    dq = potential(w, mp.dm2) - potential(w, mp.dm1)
-    wave = plane_wave_scalar(grid, geom.rho)
-    value = complex(grid.cell_volume * np.sum(wave * dq.inner(v)))
-    return PairingResult(value=value, sol1=sol1, sol2=sol2)
+    def total(dm, zeta, amp):  # amp + remainder, in the remainder's array (same bits)
+        sol = solve_cgo(dm, zeta, amp, **solver)
+        sol.remainder.values += amp.data.reshape(8, 1, 1, 1)
+        return sol.remainder, sol.clamp
+
+    v, clamp2 = total(mp.dm2, geom.zeta2, amplitude_b(geom, pol))
+    w, clamp1 = total(mp.dm1, geom.zeta1, amplitude_a(geom, pol))
+    # Q2 w - Q1 w in one 8-blade field: Q1 w is formed one closed block at a time
+    dq = potential(w, mp.dm2)
+    part, scratch = np.empty_like(dq.values[:4]), np.empty_like(dq.values[:3])
+    for grades in ((0, 1), (2, 3)):
+        dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part, scratch)
+    del w, part, scratch
+    wave = plane_wave_scalar(mp.grid, geom.rho)
+    value = complex(mp.grid.cell_volume * np.sum(wave * dq.inner(v)))
+    return PairingResult(value=value, clamps=(clamp1, clamp2))
 
 
 def scattering_target(mp: MediumPair, rho, pol: Polarization) -> complex:
@@ -147,6 +147,7 @@ class ScatteringOutput:
     s: float
     pairing: complex
     target: complex
+    clamps: tuple[ClampReport, ClampReport]  # those of the row's PairingResult
 
     @property
     def abs_error(self) -> float:
@@ -188,7 +189,7 @@ def convergence_experiment(
     def run(s):
         geom = make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid)
         res = pairing(mp, geom, pol, **solver)
-        return ScatteringOutput(s=float(s), pairing=res.value, target=target)
+        return ScatteringOutput(s=float(s), pairing=res.value, target=target, clamps=res.clamps)
 
     return ConvergenceResult(rows=_parallel_map(run, s_list, workers), target=target)
 

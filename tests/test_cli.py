@@ -213,6 +213,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
     huge_qnorm_s["geometry"]["s_list"] = [8.0, 16.0, 1e160]
     huge_lambda = small_config("decay")  # samples reach s < 2 lambda
     huge_lambda["geometry"]["lambda_list"] = [4.0, 8.0, 1e160]
+    # |zeta|^2 = 2 s^2 + k^2 + |rho|^2/2 passes the float range through k^2 at an s
+    # whose (2 s)^2 is finite; with the same background medium, s = 8 runs
+    fast = {"omega": 1e154}  # omega^2 eps0 mu0 = 1e308 is finite
+    huge_k_s = small_config("cgo", medium=fast)
+    huge_k_s["geometry"]["s"] = 6.7e153
+    huge_k_pair_s = small_config("uniqueness", media=[fast, fast])
+    huge_k_pair_s["geometry"]["s_list"] = [8.0, 6.7e153]
+    huge_k_lambda = small_config("decay", medium=fast)  # samples reach s < 2 lambda = 6.6e153
+    huge_k_lambda["geometry"]["lambda_list"] = [4.0, 3.3e153]
+    huge_rho = small_config("cgo")  # an index beyond the float range
+    huge_rho["geometry"]["rho_index"] = [10**400, 0, 0]
     clamp_floor = small_config("cgo", solver={"tol": 1e-9, "clamp_floor": 1e-3})
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
@@ -246,6 +257,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
          "geometry.lambda_list is too large"),
         ("run-cgo", write(tmp_path, clamp_floor, "floor.json"), "o",
          "solver.clamp_floor is not a known field"),
+        ("run-cgo", write(tmp_path, huge_k_s, "huge_k_s.json"), "o", "geometry.s is too large"),
+        ("run-uniqueness", write(tmp_path, huge_k_pair_s, "huge_k_pair_s.json"), "o",
+         "geometry.s_list is too large"),
+        ("run-decay", write(tmp_path, huge_k_lambda, "huge_k_lambda.json"), "o",
+         "geometry.lambda_list is too large"),
+        ("run-cgo", write(tmp_path, huge_rho, "huge_rho.json"), "o",
+         r"geometry.rho_index\[0\] must be a finite number"),
     ]
     for command, path, out, field in cases:
         capsys.readouterr()
@@ -253,6 +271,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.search(field, err)
         assert "Traceback" not in err and "Warning" not in err
+    huge_k_s["geometry"]["s"] = 8.0
+    assert main(["run-cgo", "--config", write(tmp_path, huge_k_s, "k_s8.json"), "--out", str(tmp_path / "k")]) == 0
     for command, doc, field in invalid_physics_configs():
         capsys.readouterr()
         assert main([command, "--config", write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
@@ -556,6 +576,10 @@ def test_run_uniqueness_identical_media(tmp_path):
     assert main(["run-uniqueness", "--config", write(tmp_path, cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["acceptance"]["pairing_at_floor"] is True
+    clamps = manifest["diagnostics"]["pairing_clamps"]
+    assert [c["s"] for c in clamps] == [4.0, 8.0]
+    for c in clamps:  # the first solve's report, then the paired solve's
+        assert len(c["clamped"]) == 2 and c["fraction"] == [m / 16**3 for m in c["clamped"]]
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "s,pairing_re,pairing_im,target_re,target_im,abs_error"
     assert len(rows) == 3

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,40 @@ def test_pairing_is_linear_in_first_amplitude(grid16, pair16):
     v1 = assemble(1.0)
     v3 = assemble(3.0)
     assert v3 == pytest.approx(3.0 * v1, rel=1e-6)
+
+
+@pytest.mark.parametrize("pol", list(cgo.Polarization))
+def test_pairing_is_bit_equal_to_the_pre_change_expression(grid16, pair16, pol):
+    # both A + R sums, Q2 w - Q1 w and the quadrature as written before the
+    # pairing formed them in place, paired solve last
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, pair16.k, grid=grid16)
+    a_amp, b_amp = cgo.amplitude_a(g, pol), cgo.amplitude_b(g, pol)
+    sol1 = cgo.solve_cgo(pair16.dm1, g.zeta1, a_amp)
+    sol2 = cgo.solve_cgo(pair16.dm2, g.zeta2, b_amp)
+    w = FormField.constant(grid16, a_amp) + sol1.remainder
+    v = FormField.constant(grid16, b_amp) + sol2.remainder
+    dq = md.potential(w, pair16.dm2) - md.potential(w, pair16.dm1)
+    expected = complex(grid16.cell_volume * np.sum(plane_wave_scalar(grid16, RHO) * dq.inner(v)))
+    res = uq.pairing(pair16, g, pol)
+    assert res.value == expected
+    assert res.clamps == (sol1.clamp, sol2.clamp)
+
+
+def test_pairing_holds_only_what_it_reads(grid32):
+    pair = uq.make_pair(presets.reference_medium(grid32), presets.perturbed_medium(grid32))
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, pair.k, grid=grid32)
+    field_bytes = 8 * grid32.n**3 * np.dtype(complex).itemsize
+    for pol in cgo.Polarization:
+        uq.pairing(pair, g, pol)  # fills the media's and the grid's caches
+        tracemalloc.start()
+        try:
+            uq.pairing(pair, g, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the paired solve runs while nothing else is held; S + B, R + A,
+        # Q2 w - Q1 w and one block of Q1 w come to less than its working set
+        assert peak <= 5 * field_bytes + 65536, pol
 
 
 def test_convergence_experiment_structure(grid16, pair16):
