@@ -112,10 +112,15 @@ class Grid:
         X, Y, Z = np.meshgrid(t, t, t, indexing="ij")
         return np.stack([X, Y, Z])
 
+    @property
+    def subbox_distance(self) -> np.ndarray:
+        """Max-norm distance of each point from the center, shape (n, n, n)."""
+        return np.max(np.abs(self.x - self.length / 2), axis=0)
+
     @cached_property
     def outside_subbox(self) -> np.ndarray:
         """Points outside the central sub-box [L/4, 3L/4]^3, shape (n, n, n)."""
-        return np.any(np.abs(self.x - self.length / 2) > self.length / 4, axis=0)
+        return self.subbox_distance > self.length / 4
 
     def on_lattice(self, covector) -> bool:
         """Whether a constant real covector sits on the frequency lattice."""

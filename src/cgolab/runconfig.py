@@ -198,6 +198,8 @@ def _parse_geometry(doc, grid: Grid, medium: MediumConfig) -> GeometryConfig:
     rho_index = tuple(_vector3(rho_index, f"{path}.rho_index", _integer, "integers"))
     for i, index in enumerate(rho_index):  # an integer beyond the float range is not finite
         _number(index, f"{path}.rho_index[{i}]")
+        if abs(index) >= grid.n // 2:  # at or past the Nyquist index, rho aliases on the grid
+            raise ConfigError(f"{path}.rho_index[{i}] must lie within (-{grid.n // 2}, {grid.n // 2})")
     pol_name = doc.get("polarization", "E")
     try:
         pol = Polarization(pol_name)

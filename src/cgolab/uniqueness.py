@@ -198,22 +198,6 @@ def convergence_experiment(
 # unique continuation certificate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UcpCoefficients:
-    """Scalar coefficient fields of the coupled second-order system,
-    windowed into the central sub-box."""
-
-    V: np.ndarray
-    W: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def as_tuple(self):
-        return (self.V, self.W, self.a, self.b, self.c, self.d)
-
-
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 1 for t <= 0, 0 for t >= 1."""
     out = np.zeros_like(t)
@@ -230,13 +214,13 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 def subbox_window(grid: Grid) -> np.ndarray:
     """Smooth plateau equal to 1 deep inside the central sub-box and 0
     outside it."""
-    half = grid.length / 4.0
-    r = np.max(np.abs(grid.x - grid.length / 2.0), axis=0) / half
+    r = grid.subbox_distance / (grid.length / 4.0)
     return _smooth_step((r - WINDOW_START) / (WINDOW_STOP - WINDOW_START))
 
 
-def ucp_coefficients(mp: MediumPair) -> UcpCoefficients:
-    """Coefficients of the coupled system for the square-root contrasts.
+def ucp_coefficients(mp: MediumPair) -> np.ndarray:
+    """Pointwise multiplier M = [[V + a, b], [d, W + c]] of the coupled
+    system for the square-root contrasts, complex, shape (2, 2, n, n, n).
 
     V and W divide the Laplacian of the square-root sums by themselves;
     a, b, c, d are the windowed products of the coefficients (the window
@@ -253,13 +237,12 @@ def ucp_coefficients(mp: MediumPair) -> UcpCoefficients:
     def neg_lap_over(f):
         return -_inverse(-grid.xi_op_sq * _forward(f)) / f
 
-    V = window * neg_lap_over(sg1 + sg2)
-    W = window * neg_lap_over(sm1 + sm2)
-    a = window * omega2 * sg1 * sg2 * (mu1 + mu2)
-    b = -window * omega2 * sg1 * sg2 * (g1 + g2) * (sm1 + sm2) / (sg1 + sg2)
-    c = window * omega2 * sm1 * sm2 * (g1 + g2)
-    d = -window * omega2 * sm1 * sm2 * (mu1 + mu2) * (sg1 + sg2) / (sm1 + sm2)
-    return UcpCoefficients(V=V, W=W, a=a, b=b, c=c, d=d)
+    M = np.empty((2, 2) + window.shape, complex)
+    M[0, 0] = window * neg_lap_over(sg1 + sg2) + window * omega2 * sg1 * sg2 * (mu1 + mu2)
+    M[0, 1] = -window * omega2 * sg1 * sg2 * (g1 + g2) * (sm1 + sm2) / (sg1 + sg2)
+    M[1, 0] = -window * omega2 * sm1 * sm2 * (mu1 + mu2) * (sg1 + sg2) / (sm1 + sm2)
+    M[1, 1] = window * neg_lap_over(sm1 + sm2) + window * omega2 * sm1 * sm2 * (g1 + g2)
+    return M
 
 
 def null_covector(magnitude: float) -> np.ndarray:
@@ -281,12 +264,9 @@ class UcpReport:
     clamped_modes: int
 
 
-def _support_box(fields) -> tuple[slice, slice, slice]:
-    """Bounding box of the points where any of the fields is nonzero;
-    empty when every field is zero."""
-    nonzero = np.zeros(fields[0].shape, dtype=bool)
-    for f in fields:
-        nonzero |= f != 0
+def _support_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
+    """Bounding box of the true points of a boolean (n, n, n) array; empty
+    when there are none."""
     box = []
     for axis in range(3):
         hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
@@ -303,7 +283,7 @@ class _UcpOperator:
     starts from a field that is zero outside it.
     """
 
-    def __init__(self, grid: Grid, coeffs: UcpCoefficients, zeta):
+    def __init__(self, grid: Grid, M: np.ndarray, zeta):
         sym = ClampedSymbol(grid, zeta)
         self.grid = grid
         self.mask = sym.mask
@@ -311,41 +291,46 @@ class _UcpOperator:
         self.weight = sym.weight(0.5)
         self.inv_weight = sym.weight(-0.5)
         self.adjoint_in = np.conj(self.inv_p) * self.weight
-        m = (coeffs.V + coeffs.a, coeffs.b, coeffs.d, coeffs.W + coeffs.c)
-        self.box = _support_box(m)
-        self.m00, self.m03, self.m30, self.m33 = (f[self.box].copy() for f in m)
+        self.box = _support_box(np.any(M != 0, axis=(0, 1)))
+        self.m = M[(slice(None), slice(None)) + self.box].copy()
+        self.mh = np.conj(self.m.swapaxes(0, 1))
 
-    def _mult(self, u, conj_transpose=False):
+    def _mult(self, u, m):
+        """The multiplier m (M or its conjugate transpose) applied to u,
+        spectral in and out."""
         w0, w3 = _inverse(u, box=self.box)
-        if conj_transpose:
-            o0 = np.conj(self.m00) * w0 + np.conj(self.m30) * w3
-            o3 = np.conj(self.m03) * w0 + np.conj(self.m33) * w3
-        else:
-            o0 = self.m00 * w0 + self.m03 * w3
-            o3 = self.m30 * w0 + self.m33 * w3
-        return _forward_box(np.stack([o0, o3]), self.box, self.grid.n)
+        return _forward_box(m[:, 0] * w0 + m[:, 1] * w3, self.box, self.grid.n)
 
     def apply(self, u):
         """T u = resolvent(M u), spectral in and out."""
-        return self._mult(u) * self.inv_p
+        return self._mult(u, self.m) * self.inv_p
 
     def apply_adjoint(self, u):
         """Adjoint of T in the +1/2-weighted inner product."""
-        return self.inv_weight * self._mult(self.adjoint_in * u, conj_transpose=True)
+        return self.inv_weight * self._mult(self.adjoint_in * u, self.mh)
 
     def norm_sq(self, u):
         return float(_weighted_sq_sum(self.weight, u))
 
 
+def _random_start(rng: np.random.Generator, op: _UcpOperator) -> np.ndarray:
+    """Gaussian start off the clamped modes, of unit weighted norm."""
+    shape = (2,) + op.mask.shape
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u[:, op.mask] = 0.0
+    u /= np.sqrt(op.norm_sq(u))
+    return u
+
+
 def ucp_contraction_check(
     grid: Grid,
-    coeffs: UcpCoefficients,
+    M: np.ndarray,
     zeta,
     trials: int = 4,
     seed: int = 0,
 ) -> UcpReport:
     """Estimate the weighted operator norm of resolvent o multiplication
-    and certify the contraction.
+    and certify the contraction; M is the multiplier of ucp_coefficients.
 
     The norm of T restricted to the coupled grade-{0,3} components is
     estimated by power iteration on the adjoint composition T*T (the
@@ -360,26 +345,24 @@ def ucp_contraction_check(
     zeta = np.asarray(zeta, dtype=complex)
     if abs(np.dot(zeta, zeta)) > 1e-10 * max(1.0, float(np.sum(np.abs(zeta) ** 2))):
         raise ValueError("unique continuation check needs <zeta, zeta> = 0")
+    shape = (2, 2) + (grid.n,) * 3
+    if M.shape != shape:
+        raise ValueError(f"M has shape {M.shape}, but the grid needs {shape}")
     outside = grid.outside_subbox
-    for name, f in zip("VWabcd", coeffs.as_tuple()):
+    for i, j in np.ndindex(2, 2):
+        f = M[i, j]
         if not np.all(np.isfinite(f)):
-            raise ValueError(f"coefficient {name} is not finite")
+            raise ValueError(f"coefficient M[{i}, {j}] is not finite")
         scale = max(float(np.max(np.abs(f))), 1e-300)
         if float(np.max(np.abs(f[outside]))) > SUPPORT_TOL * scale:
-            raise ValueError(f"coefficient {name} is not supported in the sub-box")
+            raise ValueError(f"coefficient M[{i}, {j}] is not supported in the sub-box")
 
-    op = _UcpOperator(grid, coeffs, zeta)
+    op = _UcpOperator(grid, M, zeta)
     rng = seeded_rng(seed)
-    shape = (2, grid.n, grid.n, grid.n)
 
     best = 0.0
     for _ in range(trials):
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u[:, op.mask] = 0.0
-        nu = np.sqrt(op.norm_sq(u))
-        if nu == 0:
-            continue
-        u /= nu
+        u = _random_start(rng, op)
         for _ in range(POWER_ITERATIONS):
             tu = op.apply(u)
             g = op.apply_adjoint(tu)
@@ -387,16 +370,13 @@ def ucp_contraction_check(
             if ng == 0:
                 break
             u = g / ng
-        est = np.sqrt(op.norm_sq(tu))  # ||T u|| for the last step's unit u
-        best = max(best, est)
+        best = max(best, float(np.sqrt(op.norm_sq(tu))))  # ||T u|| for the last step's unit u
 
-    converged_all = True
+    converged_all = best < 1.0
     worst_iters = 0
-    if best < 1.0:
+    if converged_all:
         for _ in range(FIXED_POINT_STARTS):
-            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            w[:, op.mask] = 0.0
-            w /= np.sqrt(op.norm_sq(w))
+            w = _random_start(rng, op)
             it = 0
             norm = 1.0
             while norm > FIXED_POINT_TOL and it < FIXED_POINT_MAX_ITER:
@@ -406,10 +386,7 @@ def ucp_contraction_check(
             worst_iters = max(worst_iters, it)
             if norm > FIXED_POINT_TOL:
                 converged_all = False
-    else:
-        converged_all = False
 
-    best = float(best)
     return UcpReport(
         norm_estimate=best,
         conclusive=not (0.9 <= best <= 1.1),

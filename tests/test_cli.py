@@ -224,6 +224,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
     huge_k_lambda["geometry"]["lambda_list"] = [4.0, 3.3e153]
     huge_rho = small_config("cgo")  # an index beyond the float range
     huge_rho["geometry"]["rho_index"] = [10**400, 0, 0]
+    # finite indices at or past the grid's Nyquist index 8: rho aliases, and
+    # |rho|^2 of the first would overflow |zeta|^2 at geometry.s 32
+    far_rho = small_config("cgo")
+    far_rho["geometry"].update(rho_index=[10**300, 0, 0], s=32.0)
+    aliased_rho = small_config("cgo")
+    aliased_rho["geometry"]["rho_index"] = [9, 0, 0]
     clamp_floor = small_config("cgo", solver={"tol": 1e-9, "clamp_floor": 1e-3})
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
@@ -264,6 +270,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
          "geometry.lambda_list is too large"),
         ("run-cgo", write(tmp_path, huge_rho, "huge_rho.json"), "o",
          r"geometry.rho_index\[0\] must be a finite number"),
+        ("run-cgo", write(tmp_path, far_rho, "far_rho.json"), "o",
+         r"geometry.rho_index\[0\] must lie within \(-8, 8\)"),
+        ("run-cgo", write(tmp_path, aliased_rho, "aliased_rho.json"), "o",
+         r"geometry.rho_index\[0\] must lie within \(-8, 8\)"),
     ]
     for command, path, out, field in cases:
         capsys.readouterr()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -177,16 +178,47 @@ def test_convergence_experiment_structure(grid16, pair16):
 # ---------------------------------------------------------------------------
 
 def test_ucp_coefficients_supported_in_subbox(grid16, pair16):
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
+    assert M.shape == (2, 2) + (grid16.n,) * 3 and M.dtype == complex
     outside = np.any(np.abs(grid16.x - grid16.length / 2) > grid16.length / 4, axis=0)
-    for f in coeffs.as_tuple():
+    for f in M.reshape((4,) + M.shape[2:]):
         assert np.max(np.abs(f[outside])) <= 1e-8 * np.max(np.abs(f))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def test_ucp_coefficients_are_bit_equal_to_the_pre_change_expressions(grid32):
+    # the window and the six coefficient fields as they were formed before M, at
+    # 32^3, where the window has points strictly between 0 and 1
+    pair = uq.make_pair(presets.reference_medium(grid32), presets.perturbed_medium(grid32))
+    half = grid32.length / 4.0
+    r = np.max(np.abs(grid32.x - grid32.length / 2.0), axis=0) / half
+    window = uq._smooth_step((r - uq.WINDOW_START) / (uq.WINDOW_STOP - uq.WINDOW_START))
+    assert np.array_equal(_bits(uq.subbox_window(grid32)), _bits(window))
+    dm1, dm2 = pair.dm1, pair.dm2
+    omega2 = dm1.omega**2
+    sg1, sg2, sm1, sm2 = dm1.sqrt_gamma, dm2.sqrt_gamma, dm1.sqrt_mu, dm2.sqrt_mu
+    g1, g2, mu1, mu2 = dm1.gamma, dm2.gamma, dm1.mu, dm2.mu
+
+    def neg_lap_over(f):
+        return -fields._inverse(-grid32.xi_op_sq * fields._forward(f)) / f
+
+    V = window * neg_lap_over(sg1 + sg2)
+    W = window * neg_lap_over(sm1 + sm2)
+    a = window * omega2 * sg1 * sg2 * (mu1 + mu2)
+    b = -window * omega2 * sg1 * sg2 * (g1 + g2) * (sm1 + sm2) / (sg1 + sg2)
+    c = window * omega2 * sm1 * sm2 * (g1 + g2)
+    d = -window * omega2 * sm1 * sm2 * (mu1 + mu2) * (sg1 + sg2) / (sm1 + sm2)
+    M = uq.ucp_coefficients(pair)
+    for (i, j), entry in zip(np.ndindex(2, 2), (V + a, b, d, W + c)):
+        assert np.array_equal(_bits(M[i, j]), _bits(entry)), (i, j)
+
+
 def test_ucp_zero_coefficients(grid16):
-    z = np.zeros((grid16.n,) * 3)
-    coeffs = uq.UcpCoefficients(z, z, z, z, z, z)
-    rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(8.0), trials=2, seed=1)
+    M = np.zeros((2, 2) + (grid16.n,) * 3, dtype=complex)
+    rep = uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=2, seed=1)
     assert rep.norm_estimate == 0.0
     assert rep.contraction_certified
     assert rep.fixed_point_converged
@@ -194,9 +226,9 @@ def test_ucp_zero_coefficients(grid16):
 
 
 def test_ucp_contraction_and_fixed_point(grid16, pair16):
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
     rep = uq.ucp_contraction_check(
-        grid16, coeffs, uq.null_covector(32.0), trials=3, seed=3
+        grid16, M, uq.null_covector(32.0), trials=3, seed=3
     )
     assert rep.contraction_certified
     assert rep.conclusive
@@ -208,31 +240,35 @@ def test_ucp_inconclusive_band(grid16, pair16):
     base = uq.ucp_coefficients(pair16)
     rep = uq.ucp_contraction_check(grid16, base, uq.null_covector(32.0), trials=2, seed=3)
     scale = 1.0 / rep.norm_estimate  # rescale the potential to land near 1
-    coeffs = uq.UcpCoefficients(*(scale * f for f in base.as_tuple()))
-    near_one = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(32.0), trials=2, seed=3)
+    near_one = uq.ucp_contraction_check(grid16, scale * base, uq.null_covector(32.0), trials=2, seed=3)
     assert 0.9 <= near_one.norm_estimate <= 1.1
     assert not near_one.conclusive
 
 
 def test_ucp_rejects_bad_inputs(grid16, pair16):
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
     for trials in (0, -1):
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
-            uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(8.0), trials=trials)
+            uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=trials)
     with pytest.raises(ValueError):
-        uq.ucp_contraction_check(grid16, coeffs, np.array([1.0, 0.0, 0.0]), trials=1)
-    ones = np.ones((grid16.n,) * 3)
-    bad = uq.UcpCoefficients(ones, ones, ones, ones, ones, ones)
-    with pytest.raises(ValueError):
+        uq.ucp_contraction_check(grid16, M, np.array([1.0, 0.0, 0.0]), trials=1)
+    bad = np.ones((2, 2) + (grid16.n,) * 3, dtype=complex)
+    with pytest.raises(ValueError, match=r"coefficient M\[0, 0\] is not supported in the sub-box"):
         uq.ucp_contraction_check(grid16, bad, uq.null_covector(8.0), trials=1)
+    # a multiplier formed on another grid, or not 2 x 2
+    for n, other in ((8, M), (32, M), (16, M[0])):
+        grid = fields.Grid(n, grid16.length)
+        shapes = re.escape(f"M has shape {other.shape}, but the grid needs {(2, 2) + (n,) * 3}")
+        with pytest.raises(ValueError, match=shapes):
+            uq.ucp_contraction_check(grid, other, uq.null_covector(8.0), trials=1)
 
 
 def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monkeypatch):
     calls = []
     norm_sq = uq._UcpOperator.norm_sq
     monkeypatch.setattr(uq._UcpOperator, "norm_sq", lambda op, u: calls.append(1) or norm_sq(op, u))
-    coeffs = uq.ucp_coefficients(pair16)
-    rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(8.0), trials=3, seed=3)
+    M = uq.ucp_coefficients(pair16)
+    rep = uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=3, seed=3)
     assert not rep.contraction_certified  # so no fixed-point start weighs a norm
     # per start: the start's norm, one per step for the next start, one estimate
     assert len(calls) == 3 * (uq.POWER_ITERATIONS + 2)
@@ -240,10 +276,10 @@ def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monke
 
 def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
     # the power-iteration estimate dominates single random Rayleigh quotients
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
     zeta = uq.null_covector(16.0)
-    rep = uq.ucp_contraction_check(grid16, coeffs, zeta, trials=3, seed=11)
-    op = uq._UcpOperator(grid16, coeffs, zeta)
+    rep = uq.ucp_contraction_check(grid16, M, zeta, trials=3, seed=11)
+    op = uq._UcpOperator(grid16, M, zeta)
     rng = np.random.default_rng(0)
     u = rng.standard_normal((2,) + (grid16.n,) * 3) + 1j * rng.standard_normal((2,) + (grid16.n,) * 3)
     u[:, op.mask] = 0.0
@@ -273,12 +309,12 @@ class _FullTransformOperator(uq._UcpOperator):
     """Oracle: the operator with full n^3 transforms and a multiply on every
     point, as it was written before the support-box transforms."""
 
-    def __init__(self, grid, coeffs, zeta):
-        super().__init__(grid, coeffs, zeta)
-        self.full = (coeffs.V + coeffs.a, coeffs.b, coeffs.d, coeffs.W + coeffs.c)
+    def __init__(self, grid, M, zeta):
+        super().__init__(grid, M, zeta)
+        self.full = M
 
-    def _mult(self, u, conj_transpose=False):
-        m00, m03, m30, m33 = self.full
+    def _full_mult(self, u, conj_transpose=False):
+        (m00, m03), (m30, m33) = self.full
         w0, w3 = fields._inverse(u)
         if conj_transpose:
             o0 = np.conj(m00) * w0 + np.conj(m30) * w3
@@ -289,53 +325,52 @@ class _FullTransformOperator(uq._UcpOperator):
         return fields._forward(np.stack([o0, o3]))
 
     def apply(self, u):
-        return self._mult(u) * self.inv_p
+        return self._full_mult(u) * self.inv_p
 
     def apply_adjoint(self, u):
         v = np.conj(self.inv_p) * self.weight * u
-        return self.inv_weight * self._mult(v, conj_transpose=True)
+        return self.inv_weight * self._full_mult(v, conj_transpose=True)
 
 
-def _with_tail(grid, coeffs):
-    """The coefficients with a small value at one point outside the sub-box,
-    below the support tolerance, so the support box grows past the sub-box."""
-    V = coeffs.V.copy()
-    V[1, grid.n - 2, 3] = 1e-3 * uq.SUPPORT_TOL * np.max(np.abs(V))
-    return dataclasses.replace(coeffs, V=V)
+def _with_tail(grid, M):
+    """M with a small value at one point outside the sub-box, below the
+    support tolerance, so the support box grows past the sub-box."""
+    M = M.copy()
+    M[0, 0, 1, grid.n - 2, 3] = 1e-3 * uq.SUPPORT_TOL * np.max(np.abs(M[0, 0]))
+    return M
 
 
 @pytest.mark.parametrize("tail", [False, True])
 def test_ucp_operator_matches_the_full_transform_oracle(grid16, pair16, tail):
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
     if tail:
-        coeffs = _with_tail(grid16, coeffs)
+        M = _with_tail(grid16, M)
     rng = np.random.default_rng(4)
     shape = (2,) + (grid16.n,) * 3
     for mag in (8.0, 32.0):
         zeta = uq.null_covector(mag)
-        op = uq._UcpOperator(grid16, coeffs, zeta)
-        oracle = _FullTransformOperator(grid16, coeffs, zeta)
+        op = uq._UcpOperator(grid16, M, zeta)
+        oracle = _FullTransformOperator(grid16, M, zeta)
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(op.apply(u), oracle.apply(u))
         assert np.array_equal(op.apply_adjoint(u), oracle.apply_adjoint(u))
 
 
 def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
     zeta = uq.null_covector(8.0)
-    box = uq._UcpOperator(grid16, coeffs, zeta).box
+    box = uq._UcpOperator(grid16, M, zeta).box
     nonzero = np.zeros((grid16.n,) * 3, dtype=bool)
-    for f in coeffs.as_tuple():
+    for f in M.reshape((4,) + M.shape[2:]):
         nonzero |= f != 0
     inside = np.zeros_like(nonzero)
     inside[box] = True
     assert nonzero[box].any() and not (nonzero & ~inside).any()
     assert all(0 < s.stop - s.start < grid16.n for s in box)
-    tail_box = uq._UcpOperator(grid16, _with_tail(grid16, coeffs), zeta).box
+    tail_box = uq._UcpOperator(grid16, _with_tail(grid16, M), zeta).box
     assert tail_box[0].start == 1 and tail_box[1].stop == grid16.n - 1
     assert tail_box[2] == slice(3, box[2].stop)
-    z = np.zeros((grid16.n,) * 3)
-    empty = uq._UcpOperator(grid16, uq.UcpCoefficients(z, z, z, z, z, z), zeta)
+    empty = uq._UcpOperator(grid16, np.zeros_like(M), zeta)
     assert empty.box == (slice(0, 0),) * 3
     u = np.ones((2,) + (grid16.n,) * 3, dtype=complex)
     assert not np.any(empty.apply(u)) and not np.any(empty.apply_adjoint(u))
@@ -343,13 +378,13 @@ def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
 
 @pytest.mark.parametrize("tail", [False, True])
 def test_ucp_report_equals_the_full_transform_oracle(grid16, pair16, tail, monkeypatch):
-    coeffs = uq.ucp_coefficients(pair16)
+    M = uq.ucp_coefficients(pair16)
     if tail:
-        coeffs = _with_tail(grid16, coeffs)
+        M = _with_tail(grid16, M)
 
     def reports():
         return [
-            uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(mag), trials=2, seed=3)
+            uq.ucp_contraction_check(grid16, M, uq.null_covector(mag), trials=2, seed=3)
             for mag in (8.0, 16.0, 32.0)
         ]
 
@@ -358,20 +393,18 @@ def test_ucp_report_equals_the_full_transform_oracle(grid16, pair16, tail, monke
     assert fast == reports()
 
 
-@pytest.mark.parametrize("name", ["V", "c"])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["M00", "M01", "M10", "M11"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_ucp_rejects_non_finite_coefficients(grid16, pair16, name, value):
-    coeffs = uq.ucp_coefficients(pair16)
-    field = getattr(coeffs, name).copy()
-    field[8, 8, 8] = value
-    bad = dataclasses.replace(coeffs, **{name: field})
-    with pytest.raises(ValueError, match=f"coefficient {name} is not finite"):
+def test_ucp_rejects_non_finite_coefficients(grid16, pair16, i, j, value):
+    bad = uq.ucp_coefficients(pair16)
+    bad[i, j, 8, 8, 8] = value
+    with pytest.raises(ValueError, match=rf"coefficient M\[{i}, {j}\] is not finite"):
         uq.ucp_contraction_check(grid16, bad, uq.null_covector(8.0), trials=1)
 
 
 def test_ucp_report_round_trips_through_json(grid16, pair16):
-    coeffs = uq.ucp_coefficients(pair16)
-    rep = uq.ucp_contraction_check(grid16, coeffs, uq.null_covector(32.0), trials=1, seed=3)
+    M = uq.ucp_coefficients(pair16)
+    rep = uq.ucp_contraction_check(grid16, M, uq.null_covector(32.0), trials=1, seed=3)
     for f in dataclasses.fields(rep):
         assert type(getattr(rep, f.name)).__name__ == f.type, f.name  # plain, not numpy
     assert uq.UcpReport(**json.loads(json.dumps(dataclasses.asdict(rep)))) == rep
