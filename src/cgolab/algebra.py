@@ -239,15 +239,11 @@ class GradedForm:
 
     @classmethod
     def scalar(cls, c) -> "GradedForm":
-        data = np.zeros(8, dtype=complex)
-        data[0] = c
-        return cls(data)
+        return cls.blade((), c)
 
     @classmethod
     def volume(cls, c=1.0) -> "GradedForm":
-        data = np.zeros(8, dtype=complex)
-        data[7] = c
-        return cls(data)
+        return cls.blade((1, 2, 3), c)
 
     @classmethod
     def covector(cls, components) -> "GradedForm":

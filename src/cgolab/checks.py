@@ -7,7 +7,7 @@ suite can assert on the same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,12 +56,7 @@ class CheckResult:
         return self.error < self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "error": self.error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _random_graded(rng) -> GradedForm:
@@ -79,12 +74,8 @@ def algebra_checks(seed: int = 0):
     results = []
 
     err = 0.0
-    for ia, a in enumerate(BLADES):
-        for ib, b in enumerate(BLADES):
-            u = np.zeros(8)
-            v = np.zeros(8)
-            u[ia] = 1.0
-            v[ib] = 1.0
+    for u, a in zip(np.eye(8), BLADES):
+        for v, b in zip(np.eye(8), BLADES):
             sign = (-1.0) ** (len(a) * len(b))
             err = max(err, float(np.max(np.abs(algebra.wedge(u, v) - sign * algebra.wedge(v, u)))))
     for _ in range(ALGEBRA_SAMPLES):
@@ -96,9 +87,7 @@ def algebra_checks(seed: int = 0):
     results.append(CheckResult("wedge anti-commutation", err, ALGEBRA_TOL))
 
     err = 0.0
-    for ia in range(8):
-        u = np.zeros(8)
-        u[ia] = 1.0
+    for u in np.eye(8):
         err = max(err, float(np.max(np.abs(algebra.hodge(algebra.hodge(u)) - u))))
     results.append(CheckResult("double hodge identity", err, ALGEBRA_TOL))
 

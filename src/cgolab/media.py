@@ -3,9 +3,9 @@
 A medium carries permittivity, permeability and conductivity samples on
 the periodic grid, all constant (at their background values) outside the
 central sub-box.  Deriving a medium produces the combined coefficient
-``gamma = eps + i sigma / omega``, the half-log fields a = log(gamma)/2
-and b = log(mu)/2 with their spectral gradients, and the background
-wavenumber ``k = omega sqrt(eps0 mu0)``.
+``gamma = eps + i sigma / omega``, the potentials' coefficients and the
+wavenumber ``k = omega sqrt(eps0 mu0)``; the derivatives of the half-log
+fields a = log(gamma)/2 and b = log(mu)/2 are formed on first read.
 
 The first-order operator and its formal transpose act on graded fields;
 their compositions factor through the Hodge-Helmholtz operator, which
@@ -141,20 +141,14 @@ class DerivedMedium:
     gamma: np.ndarray          # eps + i sigma / omega, conditioned
     mu: np.ndarray
     k: float = dataclasses.field(init=False)
-    da3: np.ndarray = dataclasses.field(init=False)  # da, the gradient of a: its 3 components
-    db3: np.ndarray = dataclasses.field(init=False)
-    hess_a: np.ndarray = dataclasses.field(init=False)  # (6, n, n, n), in algebra.SYM_PAIRS order
-    hess_b: np.ndarray = dataclasses.field(init=False)
     coefficients: np.ndarray = dataclasses.field(init=False)  # 4 grade multipliers, 2 i omega dc
 
     def __post_init__(self):
         a = 0.5 * np.log(self.gamma)  # principal branch
         b = 0.5 * np.log(self.mu)
-        ixi = fields._spectral_covector(self.grid, None)
-        da3, delta_da, hess_a = _derivatives(self.grid, a, ixi)
-        db3, delta_db, hess_b = _derivatives(self.grid, b, ixi)
-        dc3 = _gradient(_scalar_transform(fields._forward, np.exp(a) * np.exp(b)), ixi)
-        del a, b, ixi
+        da3, db3, dc3 = (_gradient(self.grid, s) for s in (a, b, np.exp(a) * np.exp(b)))
+        del a, b
+        delta_da, delta_db = _codifferential(self.grid, da3), _codifferential(self.grid, db3)
         base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
         dada = algebra.inner(da3, da3)
         dbdb = algebra.inner(db3, db3)
@@ -164,10 +158,27 @@ class DerivedMedium:
         coefficients[2] = base + dada + delta_da
         coefficients[3] = base + dbdb - delta_db
         np.multiply(2j * self.omega, dc3, out=coefficients[4:])
-        k = float(self.omega * np.sqrt(self.eps0 * self.mu0))
-        for name, value in dict(k=k, da3=da3, db3=db3, hess_a=hess_a, hess_b=hess_b,
-                                coefficients=coefficients).items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "k", float(self.omega * np.sqrt(self.eps0 * self.mu0)))
+        object.__setattr__(self, "coefficients", coefficients)
+
+    # The gradients of a and b, their 3 components, and their Hessians, shape
+    # (6, n, n, n) in algebra.SYM_PAIRS order, are formed on first read: a
+    # solve of one grade block reads one Hessian and no gradient.
+    @cached_property
+    def da3(self) -> np.ndarray:
+        return _gradient(self.grid, 0.5 * np.log(self.gamma))
+
+    @cached_property
+    def db3(self) -> np.ndarray:
+        return _gradient(self.grid, 0.5 * np.log(self.mu))
+
+    @cached_property
+    def hess_a(self) -> np.ndarray:
+        return _hessian(self.grid, 0.5 * np.log(self.gamma))
+
+    @cached_property
+    def hess_b(self) -> np.ndarray:
+        return _hessian(self.grid, 0.5 * np.log(self.mu))
 
     # The half powers, iwc and dc are formed on first use: the solver reads none.
     @cached_property
@@ -186,9 +197,7 @@ class DerivedMedium:
     @cached_property
     def dc3(self) -> np.ndarray:
         """d of gamma^(1/2) mu^(1/2), its 3 components; the weak pairings read it."""
-        c = np.exp(0.5 * np.log(self.gamma)) * np.exp(0.5 * np.log(self.mu))
-        ixi = fields._spectral_covector(self.grid, None)
-        return _gradient(_scalar_transform(fields._forward, c), ixi)
+        return _gradient(self.grid, np.exp(0.5 * np.log(self.gamma)) * np.exp(0.5 * np.log(self.mu)))
 
     @property
     def gamma_mu(self) -> np.ndarray:
@@ -221,9 +230,10 @@ def _scalar_transform(transform, s: np.ndarray) -> np.ndarray:
     return fields._live_transform(transform, s[None])[0]
 
 
-def _gradient(shat: np.ndarray, ixi: np.ndarray) -> np.ndarray:
-    """The 3 components of the gradient of the scalar field whose transform
-    is shat; ixi is i xi_op."""
+def _gradient(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """The 3 components of the gradient of the scalar field s."""
+    shat = _scalar_transform(fields._forward, s)
+    ixi = fields._spectral_covector(grid, None)  # i xi_op
     ghat = np.empty(ixi.shape, dtype=complex)
     for j in range(3):
         np.multiply(ixi[j], shat, out=ghat[j])
@@ -231,22 +241,26 @@ def _gradient(shat: np.ndarray, ixi: np.ndarray) -> np.ndarray:
     return fields._live_transform(fields._inverse, ghat)
 
 
-def _derivatives(grid: Grid, scalar: np.ndarray, ixi: np.ndarray):
-    """Gradient (3 components), its codifferential and the Hessian (entries
-    j <= k in ``algebra.SYM_PAIRS`` order, shape (6, n, n, n)) of a scalar
-    field, from one forward transform of it and one of the gradient; ixi is i xi_op."""
-    shat = _scalar_transform(fields._forward, scalar)
-    xi = grid.xi_op
-    hess = np.empty((len(algebra.SYM_PAIRS),) + scalar.shape, dtype=complex)
-    for i, (j, k) in enumerate(algebra.SYM_PAIRS):
-        fields._inverse(np.multiply(-xi[j] * xi[k], shat, out=hess[i]), hess[i])
-    grad = _gradient(shat, ixi)
+def _codifferential(grid: Grid, grad: np.ndarray) -> np.ndarray:
+    """delta of the gradient whose 3 components are grad."""
+    ixi = fields._spectral_covector(grid, None)
     ghat = fields._live_transform(fields._forward, grad)
     ghat *= -1.0  # the grade-1 sign of algebra.alternate
-    delta, term = np.zeros(scalar.shape, dtype=complex), np.empty(scalar.shape, dtype=complex)
+    delta, term = np.zeros(grad.shape[1:], dtype=complex), np.empty(grad.shape[1:], dtype=complex)
     for j in range(3):
         delta += np.multiply(ixi[j], ghat[j], out=term)
-    return grad, _scalar_transform(fields._inverse, delta), hess
+    return _scalar_transform(fields._inverse, delta)
+
+
+def _hessian(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """The Hessian of the scalar field s: entries j <= k in ``algebra.SYM_PAIRS``
+    order, shape (6, n, n, n)."""
+    shat = _scalar_transform(fields._forward, s)
+    xi = grid.xi_op
+    hess = np.empty((len(algebra.SYM_PAIRS),) + s.shape, dtype=complex)
+    for i, (j, k) in enumerate(algebra.SYM_PAIRS):
+        fields._inverse(np.multiply(-xi[j] * xi[k], shat, out=hess[i]), hess[i])
+    return hess
 
 
 def derive(medium: Medium) -> DerivedMedium:
@@ -331,7 +345,7 @@ _SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)
 
 def _hess_row(hess: np.ndarray, comp, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
     """h = sum_j H[j, k] comp(j, term), summed in the order j = 0, 1, 2, with H
-    packed as in :func:`_derivatives`; comp(j, out) writes component j into out."""
+    packed as in :func:`_hessian`; comp(j, out) writes component j into out."""
     np.multiply(hess[_SYM_INDEX[0][k]], comp(0, h), out=h)
     for j in (1, 2):
         np.multiply(hess[_SYM_INDEX[j][k]], comp(j, term), out=term)
@@ -389,7 +403,8 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
         add.update(dict.fromkeys(_BLADES_OF[l], np.subtract if transpose else np.add))
         add.update(dict.fromkeys(_BLADES_OF[l + 1], np.add))
 
-    hess1, hess2, scale = (dm.hess_a, dm.hess_b, -2.0) if transpose else (dm.hess_b, dm.hess_a, 2.0)
+    # each Hessian is read only in the grade it enters: a one-block solve forms only its own
+    hess1, hess2, scale = ("hess_a", "hess_b", -2.0) if transpose else ("hess_b", "hess_a", 2.0)
 
     # the Hessians' arguments, one component at a time: scale w^1, and
     # scale star w^2 on blades 1..3
@@ -404,9 +419,9 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
         for k, b in enumerate(_BLADES_OF[l]):
             np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=p)
             if l == 1:
-                p += _hess_row(hess1, w1, k, h, term)
+                p += _hess_row(getattr(dm, hess1), w1, k, h, term)
             elif l == 2:  # the star of the Hessian image, back on blades 4..6
-                p += np.multiply(_STAR1_SIGN[k], _hess_row(hess2, star_w2, _STAR1_SRC[k], h, term), out=h)
+                p += np.multiply(_STAR1_SIGN[k], _hess_row(getattr(dm, hess2), star_w2, _STAR1_SRC[k], h, term), out=h)
             if b in add:
                 add[b](p, res[b], out=res[b])
             else:

@@ -7,6 +7,7 @@ ConfigError messages that name the offending field path.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -239,6 +240,8 @@ def parse_config(doc: dict) -> RunConfig:
     n = _integer(_require(grid_doc, "n", "grid"), "grid.n", minimum=8)
     if n & (n - 1):
         raise ConfigError("grid.n must be a power of two")
+    if 128 * n**3 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # 8 complex blades
+        raise ConfigError(f"grid.n is too large: an 8-blade field of n = {n} exceeds physical memory")
     grid = Grid(n, _number(_require(grid_doc, "length", "grid"), "grid.length", positive=True))
 
     media = []

@@ -68,10 +68,8 @@ class MediumPair:
 
     @property
     def identical(self) -> bool:
-        return (
-            np.array_equal(self.dm1.gamma, self.dm2.gamma)
-            and np.array_equal(self.dm1.mu, self.dm2.mu)
-        )
+        dm1, dm2 = self.dm1, self.dm2
+        return np.array_equal(dm1.gamma, dm2.gamma) and np.array_equal(dm1.mu, dm2.mu)
 
 
 def make_pair(m1: Medium, m2: Medium) -> MediumPair:
@@ -247,11 +245,8 @@ def ucp_coefficients(mp: MediumPair) -> np.ndarray:
 
 def null_covector(magnitude: float) -> np.ndarray:
     """Complex covector (t, i t, 0) with <zeta, zeta> = 0 and the given magnitude."""
-    zeta = np.zeros(3, dtype=complex)
     t = magnitude / np.sqrt(2.0)
-    zeta[0] = t
-    zeta[1] = 1j * t
-    return zeta
+    return np.array([t, 1j * t, 0.0], dtype=complex)
 
 
 @dataclass

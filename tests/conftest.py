@@ -17,6 +17,18 @@ def reference_config(kind: str) -> dict:
     return json.loads((CONFIGS / f"reference_{kind}.json").read_text())
 
 
+#: the fields a DerivedMedium forms on their first read
+LAZY_FIELDS = ("da3", "db3", "hess_a", "hess_b")
+
+
+def form_lazy_fields(*dms) -> None:
+    """Read every lazily formed field of the media, so that a memory trace
+    started next does not count the forming of one, whatever ran before."""
+    for dm in dms:
+        for name in LAZY_FIELDS:
+            getattr(dm, name)
+
+
 @pytest.fixture(scope="session")
 def grid16():
     return Grid(16, 2.0 * np.pi)

@@ -18,6 +18,7 @@ from cgolab.fields import (
     l2_norm,
 )
 from cgolab.media import derive_background
+from conftest import form_lazy_fields
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -228,6 +229,7 @@ def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
 def test_iterations_allocate_nothing(grid16, dm16):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
+    form_lazy_fields(dm16)
     cgo.solve_cgo(dm16, g.zeta1, amp)  # fills the medium's and the grid's caches
 
     def peak(iterations):
@@ -246,6 +248,7 @@ def test_iterations_allocate_nothing(grid16, dm16):
 def test_a_fresh_solve_frees_its_buffers_before_the_remainder(grid16, dm16):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
+    form_lazy_fields(dm16)
     cgo.solve_cgo(dm16, g.zeta1, amp)  # fills the medium's and the grid's caches
     tracemalloc.start()
     try:

@@ -4,6 +4,7 @@ import inspect
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -289,6 +290,25 @@ def test_bad_config_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.search(field, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [2**12, 2**20])
+def test_an_oversized_grid_exits_2_before_allocating(tmp_path, capsys, n):
+    # one 8-blade field at n = 2**12 takes 8 TiB; at 2**20, numpy cannot even shape it
+    cfg = reference_config("cgo")
+    cfg["grid"]["n"] = n
+    path = write(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        code = main(["run-cgo", "--config", path, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grid.n is too large" in err and "Traceback" not in err
+    assert peak < 2**20  # no array of the grid's size was allocated
+    assert not (tmp_path / "o").exists()
 
 
 RUN_COMMANDS = {

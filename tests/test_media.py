@@ -16,6 +16,7 @@ from cgolab.fields import (
     quadrature_pairing,
     random_band_limited,
 )
+from conftest import LAZY_FIELDS
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -164,13 +165,25 @@ def test_derive_holds_only_what_it_keeps():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # gamma, mu, da, db, both Hessians and the 7 coefficients: 27 scalar fields
+    # gamma, mu and the 7 coefficients: 9 scalar fields; the gradients and
+    # Hessians of the half-logs are formed on first read
+    assert set(vars(dm)) == {"grid", "omega", "eps0", "mu0", "gamma", "mu", "k", "coefficients"}
     field_bytes = grid.n**3 * np.dtype(complex).itemsize
-    kept = (dm.gamma, dm.mu, dm.da3, dm.db3, dm.hess_a, dm.hess_b, dm.coefficients)
-    assert sum(a.nbytes for a in kept) == 27 * field_bytes
-    assert held <= 27 * field_bytes + 65536
+    assert sum(a.nbytes for a in (dm.gamma, dm.mu, dm.coefficients)) == 9 * field_bytes
+    assert held <= 9 * field_bytes + 65536
     # the coordinate and frequency index stacks are formed where they are read
     assert not {"x", "freq_index"} & set(vars(grid))
+
+
+@pytest.mark.parametrize("pol, formed", [(cgo.Polarization.E, {"hess_b"}),
+                                         (cgo.Polarization.H, {"hess_a"})])
+def test_a_one_block_solve_forms_only_its_hessian(grid16, pol, formed):
+    # E's first amplitude lies in grades (0, 1), whose potential reads H_b;
+    # H's lies in grades (2, 3), whose potential reads H_a; neither reads a gradient
+    dm = md.derive(presets.reference_medium(grid16))
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm.k, grid=grid16)
+    cgo.solve_cgo(dm, g.zeta1, cgo.amplitude_a(g, pol))
+    assert set(LAZY_FIELDS) & set(vars(dm)) == formed
 
 
 def test_replaced_coefficients_give_their_own_half_power_fields(grid16):

@@ -10,6 +10,7 @@ from cgolab import cgo, fields, presets
 from cgolab import media as md
 from cgolab import uniqueness as uq
 from cgolab.fields import FormField, default_floor, plane_wave_scalar
+from conftest import form_lazy_fields
 
 RHO = np.array([1.0, 0.0, 0.0])
 
@@ -147,6 +148,7 @@ def test_pairing_holds_only_what_it_reads(grid32):
     pair = uq.make_pair(presets.reference_medium(grid32), presets.perturbed_medium(grid32))
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, pair.k, grid=grid32)
     field_bytes = 8 * grid32.n**3 * np.dtype(complex).itemsize
+    form_lazy_fields(pair.dm1, pair.dm2)
     for pol in cgo.Polarization:
         uq.pairing(pair, g, pol)  # fills the media's and the grid's caches
         tracemalloc.start()
@@ -187,6 +189,24 @@ def test_ucp_coefficients_supported_in_subbox(grid16, pair16):
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def test_smooth_step_falls_smoothly_from_one_to_zero():
+    t = np.linspace(0.0, 1.0, 1001)[1:-1]  # the open interval, where the step moves
+    f = uq._smooth_step(t)
+    assert np.all(np.diff(f) <= 0) and np.all((f >= 0) & (f <= 1))
+    # strictly, where the values stand apart from 0 and 1 in floating point
+    inner = f[(t >= 0.05) & (t <= 0.95)]
+    assert np.all(np.diff(inner) < 0) and np.all((inner > 0) & (inner < 1))
+    assert np.max(np.abs(f + uq._smooth_step(1.0 - t) - 1.0)) < 1e-15
+    ends = np.array([-2.0, -1e-300, 0.0, 1.0, 1.0 + 1e-15, 3.0])
+    assert np.array_equal(uq._smooth_step(ends), [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+
+def test_the_32_window_samples_its_transition(grid32):
+    # at 16^3 the window takes only the values 0 and 1
+    window = uq.subbox_window(grid32)
+    assert np.any((window > 0) & (window < 1))
 
 
 def test_ucp_coefficients_are_bit_equal_to_the_pre_change_expressions(grid32):
