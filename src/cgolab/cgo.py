@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra
 from .algebra import GradedForm
 from .errors import CgolabError, DivergenceError, StudyError
 from .fields import (
@@ -225,6 +224,7 @@ class CgoSolution:
     residuals: list[float]  # per iteration: -1/2-norm of the forcing update
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a norm, checked below
 def solve_cgo(
     dm: DerivedMedium,
     zeta,
@@ -245,7 +245,8 @@ def solve_cgo(
     blades of the block that holds the amplitude (both blocks when the
     amplitude has parts in each).  Its buffers are allocated once, before
     the first iteration, which allocates no array of the grid's size; they
-    are freed before the 8-blade remainder is allocated.
+    are freed before the 8-blade remainder is allocated.  A forcing norm,
+    step norm or residual that is not finite raises DivergenceError at once.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -266,23 +267,31 @@ def solve_cgo(
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
         return _forward(potential(total, dm, grades, out, scratch), out)
 
+    contraction = None  # fewer than two steps have no step ratio
+    iterations = 0
+
+    def norm(coeffs, b, name):  # a weighted norm of coeffs, which must be finite
+        value = sym.norm(coeffs, b, norm_work)
+        if not np.isfinite(value):
+            raise DivergenceError(f"the {name} is not finite after {iterations} iterations",
+                                  diagnostics={"contraction": contraction, "iterations": iterations})
+        return value
+
     fhat = forward_potential(fhat)
-    forcing_norm = sym.norm(fhat, -0.5, norm_work)
+    forcing_norm = norm(fhat, -0.5, "forcing norm")
 
     rhat[...] = 0.0
     residual = forcing_norm  # residual of R = 0
-    contraction = None  # fewer than two steps have no step ratio
     deltas: list[float] = []
     residuals: list[float] = []
     ratios: list[float] = []
-    iterations = 0
     converged = residual < tol * (forcing_norm + 1.0)
 
     while not converged and iterations < max_iter:
         iterations += 1
         rhat, dead = sym.inverse(np.negative(fhat, out=dead), out=dead), rhat
         # each difference overwrites its older operand, which nothing reads after it
-        delta = sym.norm(np.subtract(rhat, dead, out=dead), 0.5, norm_work)
+        delta = norm(np.subtract(rhat, dead, out=dead), 0.5, "step norm")
         deltas.append(delta)
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
@@ -299,7 +308,7 @@ def solve_cgo(
         # R goes straight into A + R; R + A has the bits of A + R
         np.add(_inverse(rhat, total.values[blk]), amp_blk, out=total.values[blk])
         fhat, dead = forward_potential(dead), fhat
-        residual = sym.norm(np.subtract(fhat, dead, out=dead), -0.5, norm_work)
+        residual = norm(np.subtract(fhat, dead, out=dead), -0.5, "residual")
         residuals.append(residual)
         converged = residual < tol * (forcing_norm + 1.0)
 

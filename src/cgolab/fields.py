@@ -6,7 +6,8 @@ Conventions used throughout:
 * Spectral coefficients are Fourier-series coefficients: ``coeffs =
   fftn(values) / n^3``, so a constant field has its value at xi = 0.
   The one transform pair, :func:`_forward` and :func:`_inverse`, runs
-  ``numpy.fft`` axis by axis and folds the 1/n^3 into the forward axes.
+  ``numpy.fft`` axis by axis and folds the 1/n^3 into the forward axes;
+  :func:`fft_forward` and :func:`fft_inverse` apply it to all 8 blades.
 * Discrete integrals carry the quadrature weight (L/n)^3; with the
   convention above the discrete Parseval identity
   ``(L/n)^3 sum_x <f, conj g> = L^3 sum_xi <f_hat, conj g_hat>``
@@ -238,34 +239,12 @@ def _forward_box(z: np.ndarray, box: tuple[slice, slice, slice], n: int) -> np.n
     return z
 
 
-def _live_blades(a: np.ndarray) -> list[int]:
-    """Blades of a (leading axis) whose bits are not all those of +0.0.
-
-    A blade with a nonzero origin sample is live at once; only the others
-    are scanned.  A -0.0 counts as live: its transform need not be +0.0.
-    """
-    bits = np.ascontiguousarray(a).view(np.uint64)  # two words per complex
-    origin = bits[:, 0, 0, :2].any(axis=1)
-    return [i for i in range(len(a)) if origin[i] or bits[i].any()]
-
-
-def _live_transform(transform, a: np.ndarray) -> np.ndarray:
-    """transform(a), computed on the span of the live blades only: the transform
-    of an all +0.0 blade is all +0.0, so the result is bit for bit the same."""
-    live = _live_blades(a)
-    out = np.zeros(a.shape, dtype=complex)
-    if live:
-        span = slice(live[0], live[-1] + 1)
-        transform(a[span], out[span])
-    return out
-
-
 def fft_forward(f: FormField) -> SpectralField:
-    return SpectralField(f.grid, _live_transform(_forward, f.values))
+    return SpectralField(f.grid, _forward(f.values))
 
 
 def fft_inverse(F: SpectralField) -> FormField:
-    return FormField(F.grid, _live_transform(_inverse, F.coeffs))
+    return FormField(F.grid, _inverse(F.coeffs))
 
 
 def _spectral_map(f: FormField, fn) -> FormField:
@@ -286,25 +265,16 @@ def _spectral_covector(grid: Grid, zeta) -> np.ndarray:
     return c
 
 
-def _live_grades(a: np.ndarray) -> tuple[int, ...]:
-    """Grades of the live blades of a (see :func:`_live_blades`).  A dead
-    blade adds only zeros to a covector product, and a sum that starts at
-    +0.0 never becomes -0.0, so leaving its grade out keeps every bit."""
-    return tuple(sorted({int(algebra.GRADES[b]) for b in _live_blades(a)}))
-
-
 def ext_deriv(f: FormField, zeta=None) -> FormField:
     """Exterior derivative; with zeta, d + zeta^."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(f, lambda F: algebra.wedge_cov(c, F, grades=_live_grades(F)))
+    return _spectral_map(f, lambda F: algebra.wedge_cov(c, F))
 
 
 def coderiv(f: FormField, zeta=None) -> FormField:
     """Codifferential; with zeta the conjugated version with (-1)^l zeta v."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(
-        f, lambda F: algebra.vee_cov(c, algebra.alternate(F), grades=_live_grades(F))
-    )
+    return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
 
 
 def d_plus_delta(f: FormField, zeta=None) -> FormField:

@@ -223,39 +223,31 @@ class DerivedMedium:
 
 
 # The derivatives below follow ext_deriv and coderiv of FormField.from_scalar
-# bit for bit, on the blades those routes fill: each sum starts at +0.0, and
-# a blade that is all +0.0 is not transformed (see fields._live_transform).
-
-def _scalar_transform(transform, s: np.ndarray) -> np.ndarray:
-    return fields._live_transform(transform, s[None])[0]
-
+# bit for bit on the blades those routes fill: each sum starts at +0.0.
 
 def _gradient(grid: Grid, s: np.ndarray) -> np.ndarray:
     """The 3 components of the gradient of the scalar field s."""
-    shat = _scalar_transform(fields._forward, s)
-    ixi = fields._spectral_covector(grid, None)  # i xi_op
-    ghat = np.empty(ixi.shape, dtype=complex)
-    for j in range(3):
-        np.multiply(ixi[j], shat, out=ghat[j])
+    shat = fields._forward(s)
+    ghat = fields._spectral_covector(grid, None) * shat  # i xi_op shat
     ghat += 0.0
-    return fields._live_transform(fields._inverse, ghat)
+    return fields._inverse(ghat, ghat)
 
 
 def _codifferential(grid: Grid, grad: np.ndarray) -> np.ndarray:
     """delta of the gradient whose 3 components are grad."""
     ixi = fields._spectral_covector(grid, None)
-    ghat = fields._live_transform(fields._forward, grad)
+    ghat = fields._forward(grad)
     ghat *= -1.0  # the grade-1 sign of algebra.alternate
     delta, term = np.zeros(grad.shape[1:], dtype=complex), np.empty(grad.shape[1:], dtype=complex)
     for j in range(3):
         delta += np.multiply(ixi[j], ghat[j], out=term)
-    return _scalar_transform(fields._inverse, delta)
+    return fields._inverse(delta, delta)
 
 
 def _hessian(grid: Grid, s: np.ndarray) -> np.ndarray:
     """The Hessian of the scalar field s: entries j <= k in ``algebra.SYM_PAIRS``
     order, shape (6, n, n, n)."""
-    shat = _scalar_transform(fields._forward, s)
+    shat = fields._forward(s)
     xi = grid.xi_op
     hess = np.empty((len(algebra.SYM_PAIRS),) + s.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
@@ -486,15 +478,15 @@ def _weak_pairing(w: FormField, phi: FormField, dm: DerivedMedium, transpose: bo
     dydy = algebra.inner(dy3, dy3)
     total += np.sum(dxdx * (ip[0] + ip[2]) + dydy * (ip[1] + ip[3]))
 
-    def by_parts(d3, form: FormField) -> complex:  # sign * int <d3, grade 1 of form>
-        return sign * np.sum(algebra.inner(d3, form.values[1:4]))
+    def by_parts(d3, g3) -> complex:  # sign * int <d3, g3>, g3 a covector field
+        return sign * np.sum(algebra.inner(d3, g3))
 
     for d3, s in ((dx3, ip[2] - ip[0]), (dy3, ip[1] - ip[3])):
-        total += by_parts(d3, ext_deriv(FormField.from_scalar(grid, s)))
-    total += by_parts(dy3, sym_coderiv(grid, sym_product_field(w, phi)))
+        total += by_parts(d3, _gradient(grid, s))
+    total += by_parts(dy3, sym_coderiv(grid, sym_product_field(w, phi)).values[1:4])
     # the Hodge star carries grade 2 onto blades 1..3, where the symmetric
     # product reads its factors
-    total += by_parts(dx3, sym_coderiv(grid, sym_product_field(w.hodge(), phi.hodge())))
+    total += by_parts(dx3, sym_coderiv(grid, sym_product_field(w.hodge(), phi.hodge())).values[1:4])
 
     return complex(grid.cell_volume * total)
 

@@ -24,7 +24,8 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _number(value, path: str, positive=False) -> float:
+def _number(value, path: str, positive=False, power=1) -> float:
+    """A finite float, positive if asked, whose power ``power`` (length**3, radius**2) is finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     try:
@@ -35,6 +36,10 @@ def _number(value, path: str, positive=False) -> float:
         raise ConfigError(f"{path} must be a finite number")
     if positive and not out > 0:
         raise ConfigError(f"{path} must be positive")
+    try:
+        out**power
+    except OverflowError:
+        raise ConfigError(f"{path} is too large: {path}**{power} overflows the float range") from None
     return out
 
 
@@ -166,7 +171,7 @@ def _parse_bumps(specs, path: str, length: float) -> list:
         at = f"{path}[{i}]"
         _object(spec, at, ("amplitude", "radius", "center_offset", "sharpness"))
         amplitude = _number(_require(spec, "amplitude", at), f"{at}.amplitude")
-        radius = _number(_require(spec, "radius", at), f"{at}.radius", positive=True)
+        radius = _number(_require(spec, "radius", at), f"{at}.radius", positive=True, power=2)
         offset = [0.0, 0.0, 0.0]
         if "center_offset" in spec:
             offset = _vector3(spec["center_offset"], f"{at}.center_offset")
@@ -242,7 +247,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("grid.n must be a power of two")
     if 128 * n**3 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # 8 complex blades
         raise ConfigError(f"grid.n is too large: an 8-blade field of n = {n} exceeds physical memory")
-    grid = Grid(n, _number(_require(grid_doc, "length", "grid"), "grid.length", positive=True))
+    grid = Grid(n, _number(_require(grid_doc, "length", "grid"), "grid.length", positive=True, power=3))
 
     media = []
     if "media" in doc:

@@ -232,6 +232,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
     aliased_rho = small_config("cgo")
     aliased_rho["geometry"]["rho_index"] = [9, 0, 0]
     clamp_floor = small_config("cgo", solver={"tol": 1e-9, "clamp_floor": 1e-3})
+    long_box = small_config("cgo", grid={"n": 16, "length": 1e300})  # Grid.volume overflows
+    wide_bump = small_config("cgo")  # radius**2 in sample_bumps overflows
+    wide_bump["medium"]["eps_bumps"][0]["radius"] = 1e300
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
@@ -275,6 +278,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
          r"geometry.rho_index\[0\] must lie within \(-8, 8\)"),
         ("run-cgo", write(tmp_path, aliased_rho, "aliased_rho.json"), "o",
          r"geometry.rho_index\[0\] must lie within \(-8, 8\)"),
+        ("run-cgo", write(tmp_path, long_box, "long_box.json"), "o", "grid.length is too large"),
+        ("run-cgo", write(tmp_path, wide_bump, "wide_bump.json"), "o",
+         r"medium.eps_bumps\[0\].radius is too large"),
     ]
     for command, path, out, field in cases:
         capsys.readouterr()
@@ -290,6 +296,25 @@ def test_bad_config_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert re.search(field, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", [("eps0",), ("eps_bumps", 0, "amplitude")], ids=["eps0", "amplitude"])
+def test_a_non_finite_solve_exits_3_at_once_with_a_strict_json_manifest(tmp_path, capsys, path):
+    # at 1e300 the forcing norm overflows before the first step
+    cfg = small_config("cgo")
+    node = cfg["medium"]
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = 1e300
+    assert main(["run-cgo", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "forcing norm is not finite" in err and "Traceback" not in err and "Warning" not in err
+
+    def reject(constant):
+        raise ValueError(f"manifest holds {constant}")
+
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(), parse_constant=reject)
+    assert manifest["diagnostics"]["iterations"] == 0
 
 
 @pytest.mark.parametrize("n", [2**12, 2**20])

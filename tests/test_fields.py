@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgolab import algebra, cgo, fields, media, presets
+from cgolab import cgo, fields, media
 from cgolab.algebra import GradedForm
 from cgolab.fields import (
     FormField,
@@ -457,92 +457,6 @@ def test_fft_of_a_grade_block_is_bit_equal_to_its_rows(n):
     for blk in (slice(0, 4), slice(4, 8)):
         assert np.array_equal(fields._forward(values[blk]), forward[blk])
         assert np.array_equal(fields._inverse(values[blk]), inverse[blk])
-
-
-def _oracle_forward(f):
-    """fft_forward as one 8-blade transform, with no live-blade skip."""
-    return SpectralField(f.grid, fields._forward(f.values))
-
-
-def _oracle_inverse(F):
-    return FormField(F.grid, fields._inverse(F.coeffs))
-
-
-def _blade_cases(grid):
-    """Fields with 0, 1, 3 and 8 live blades, one live blade that is zero at
-    the origin only, and fields with blades of -0.0 (bitwise not +0.0)."""
-    n = grid.n
-    dense = random_band_limited(grid, np.random.default_rng(3), band=n // 2 - 1).values
-    cases = {"zero": np.zeros_like(dense), "dense": dense}
-    for name, live in (("scalar", [0]), ("covector", [1, 2, 3])):
-        values = np.zeros_like(dense)
-        values[live] = dense[live]
-        cases[name] = values
-    hollow = np.zeros_like(dense)
-    hollow[5] = dense[5]
-    hollow[5, 0, 0, 0] = 0.0
-    cases["zero_at_origin"] = hollow
-    for name, z in (("neg_zero", complex(-0.0, -0.0)), ("neg_zero_real", complex(-0.0, 0.0))):
-        values = cases["covector"].copy()
-        values[6] = z
-        cases[name] = values
-    cases["negated_scalar"] = -cases["scalar"]  # a -0.0 in every other blade
-    return cases
-
-
-@pytest.mark.parametrize("n", [8, 16])
-def test_fft_pair_skips_only_exactly_zero_blades(n):
-    grid = Grid(n, 2.0 * np.pi)
-    for name, values in _blade_cases(grid).items():
-        f = FormField(grid, values)
-        F = SpectralField(grid, values)
-        # byte equality: a -0.0 written by repr would change a CSV byte
-        assert fft_forward(f).coeffs.tobytes() == _oracle_forward(f).coeffs.tobytes(), name
-        assert fft_inverse(F).values.tobytes() == _oracle_inverse(F).values.tobytes(), name
-    cases = _blade_cases(grid)
-    assert fields._live_blades(cases["zero"]) == []
-    assert fields._live_blades(cases["scalar"]) == [0]
-    assert fields._live_blades(cases["covector"]) == [1, 2, 3]
-    assert fields._live_blades(cases["dense"]) == list(range(8))
-    assert fields._live_blades(cases["zero_at_origin"]) == [5]
-    assert fields._live_blades(cases["neg_zero"]) == [1, 2, 3, 6]
-
-
-def test_derive_is_bit_equal_to_a_derive_on_8_blade_transforms(monkeypatch):
-    grid = Grid(16, 2.0 * np.pi)
-    medium = presets.perturbed_medium(grid)
-    fast = media.derive(medium)
-    monkeypatch.setattr(fields, "fft_forward", _oracle_forward)
-    monkeypatch.setattr(fields, "fft_inverse", _oracle_inverse)
-    monkeypatch.setattr(fields, "_live_grades", lambda a: (0, 1, 2, 3))  # products over every grade
-    slow = media.derive(medium)
-    for name, value in vars(slow).items():
-        if isinstance(value, FormField):
-            value, other = value.values, getattr(fast, name).values
-        elif isinstance(value, np.ndarray):
-            other = getattr(fast, name)
-        else:
-            continue
-        assert value.tobytes() == other.tobytes(), name
-    assert slow.grade_multipliers.tobytes() == fast.grade_multipliers.tobytes()
-
-
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("zeta", [None, np.array([1.0, 2.0j, 0.5])])
-def test_derivatives_skip_only_the_grades_of_dead_blades(n, zeta):
-    # a dead blade only adds zeros, and a sum that starts at +0.0 keeps its bits
-    grid = Grid(n, 2.0 * np.pi)
-    c = fields._spectral_covector(grid, zeta)
-    for name, values in _blade_cases(grid).items():
-        f = FormField(grid, values)
-        d_all = fields._spectral_map(f, lambda F: algebra.wedge_cov(c, F))
-        delta_all = fields._spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
-        assert ext_deriv(f, zeta).values.tobytes() == d_all.values.tobytes(), name
-        assert coderiv(f, zeta).values.tobytes() == delta_all.values.tobytes(), name
-    cases = _blade_cases(grid)
-    assert fields._live_grades(cases["zero"]) == ()
-    assert fields._live_grades(cases["scalar"]) == (0,)
-    assert fields._live_grades(cases["neg_zero"]) == (1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,21 @@ def test_derive_is_bit_equal_to_the_form_field_route(n, medium):
         [want["grade_multipliers"], want["contraction_covector"]]))
 
 
+def test_gradient_is_bit_equal_to_the_form_field_route(grid16):
+    # the weak pairings take the gradients of their by-parts terms through
+    # _gradient; it must give the bits of ext_deriv of the scalar field
+    rng = np.random.default_rng(11)
+    w, phi = (random_band_limited(grid16, rng, band=5).values for _ in range(2))
+    ip = [np.sum(w[b] * phi[b], axis=0) for b in md._GRADE_BLADES]  # <w^l, phi^l>
+    mixed = ip[2] - ip[0]
+    mixed[::2] = complex(-0.0, -0.0)
+    cases = {"even": ip[2] - ip[0], "odd": ip[1] - ip[3], "zero": np.zeros_like(mixed),
+             "neg_zero": np.full_like(mixed, complex(-0.0, -0.0)), "mixed": mixed}
+    for name, s in cases.items():
+        want = ext_deriv(FormField.from_scalar(grid16, s)).values[1:4]
+        assert bit_equal(md._gradient(grid16, s), want), name
+
+
 def test_replace_derives_afresh(grid16):
     dm = md.derive(presets.reference_medium(grid16))
     fresh = md.derive(presets.perturbed_medium(grid16))
