@@ -433,7 +433,9 @@ def decay_study(
 ) -> DecayStudy:
     """Quasi-Monte-Carlo average of the squared remainder norm over
     (s, eta1) in [lam, 2 lam] x S^1, one row per sample; ``solver`` holds
-    the keyword arguments of every :func:`solve_cgo`."""
+    the keyword arguments of every :func:`solve_cgo`.  A toolkit error
+    (CgolabError) becomes its sample's row, with NaN norms, the error's
+    class name and its message; any other error propagates."""
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per lambda")
     lambdas = list(lambdas)
@@ -446,34 +448,16 @@ def decay_study(
 
     def run(job):
         lam, s, angle = job
-        eta1, eta2 = orthonormal_frame(rho, angle)
-        geom = make_geometry(rho, eta1, eta2, s, dm.k, grid=dm.grid)
-        amp = amplitude_a(geom, pol)
-        sol = solve_cgo(dm, geom.zeta1, amp, **solver)
-        return DecaySample(
-            lam=lam,
-            s=s,
-            angle=angle,
-            iterations=sol.iterations,
-            residual=sol.residual,
-            remainder_norm=sol.remainder_norm,
-            forcing_norm=sol.forcing_norm,
-            clamp_fraction=sol.clamp.fraction,
-        )
+        try:
+            geom = make_geometry(rho, *orthonormal_frame(rho, angle), s, dm.k, grid=dm.grid)
+            sol = solve_cgo(dm, geom.zeta1, amplitude_a(geom, pol), **solver)
+        except CgolabError as exc:  # the toolkit's own failures are data; bugs propagate
+            return DecaySample(lam, s, angle, 0, np.nan, np.nan, np.nan, np.nan,
+                               error=type(exc).__name__, message=str(exc))
+        return DecaySample(lam, s, angle, sol.iterations, sol.residual, sol.remainder_norm,
+                           sol.forcing_norm, sol.clamp.fraction)
 
-    samples: list[DecaySample] = []
-    outcomes = _parallel_map(_guarded(run), jobs, workers)
-    for job, outcome in zip(jobs, outcomes):
-        if isinstance(outcome, CgolabError):
-            samples.append(
-                DecaySample(
-                    lam=job[0], s=job[1], angle=job[2], iterations=0, residual=np.nan,
-                    remainder_norm=np.nan, forcing_norm=np.nan, clamp_fraction=np.nan,
-                    error=type(outcome).__name__, message=str(outcome),
-                )
-            )
-        else:
-            samples.append(outcome)
+    samples = _parallel_map(run, jobs, workers)
     errors = Counter(s.error for s in samples if s.error)
     failures = sum(errors.values())
     diagnostics = {"failed": failures, "samples": len(jobs), "errors": dict(errors),
@@ -503,16 +487,6 @@ def decay_study(
     return DecayStudy(samples=samples, summaries=summaries)
 
 
-def _guarded(fn):
-    def wrapped(job):
-        try:
-            return fn(job)
-        except CgolabError as exc:  # the toolkit's own failures are data; bugs propagate
-            return exc
-
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
 # potential operator norm estimate
 # ---------------------------------------------------------------------------
@@ -528,6 +502,7 @@ class QNormEstimate:
     rough_term: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a norm, checked below
 def q_norm_estimate(
     dm: DerivedMedium,
     zeta,
@@ -538,7 +513,8 @@ def q_norm_estimate(
     """Max of ||Q u||_(-1/2) over seeded random unit-(+1/2)-norm fields.
 
     Raises ResonantGridError, as :func:`solve_cgo` does, when the clamp
-    fraction exceeds ``clamp_threshold``.
+    fraction exceeds ``clamp_threshold``, and DivergenceError at the first
+    norm that is not finite.
     """
     if trials < 16:
         raise ValueError("need at least 16 trials")
@@ -547,12 +523,18 @@ def q_norm_estimate(
     sym = ClampedSymbol(grid, zeta)
     sym.report(clamp_threshold).raise_if_exceeded()
     rng = seeded_rng(seed)
+
+    def finite(value, name):  # a norm, which must be finite
+        if not np.isfinite(value):
+            raise DivergenceError(f"the {name} is not finite in trial {trial + 1} of {trials}")
+        return value
+
     best = 0.0
-    for _ in range(trials):
+    for trial in range(trials):
         u = random_band_limited(grid, rng, band=grid.n // 2 - 1, zero_mean=True)
-        denom = sym.norm(fft_forward(u).coeffs, 0.5)
+        denom = finite(sym.norm(fft_forward(u).coeffs, 0.5), "+1/2 norm of u")
         qu = potential(u, dm)
-        best = max(best, sym.norm(fft_forward(qu).coeffs, -0.5) / denom)
+        best = max(best, finite(sym.norm(fft_forward(qu).coeffs, -0.5), "-1/2 norm of Q u") / denom)
 
     mag = float(np.sqrt(np.sum(np.abs(zeta) ** 2)))
     h = mag ** (-0.5) if mag > 0 else 1.0

@@ -236,6 +236,9 @@ def cmd_run_decay(run: Run) -> int:
     n_samples = run.cfg.sampling.n_samples
     if n_samples < MIN_SAMPLES:
         raise ConfigError(f"sampling.n_samples must be >= {MIN_SAMPLES} for run-decay")
+    rows = len(geo.lambda_list) * n_samples  # a plan row and its DecaySample take about 0.3 KiB
+    if 320 * rows > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"sampling.n_samples is too large: {rows} samples exceed physical memory")
     dm = run.derived()
     with run.stage("solve"):
         study = decay_study(

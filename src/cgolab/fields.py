@@ -502,10 +502,10 @@ def sym_product_field(u: FormField, v: FormField) -> np.ndarray:
     return algebra.sym_product_components(u.values[1:4], v.values[1:4])
 
 
-def sym_coderiv(grid: Grid, tensor: np.ndarray) -> FormField:
+def sym_coderiv(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """Formal adjoint symmetric derivative of a symmetric 2-tensor field.
 
-    Coordinate form: component k of the output is -sum_j d_j (t_jk + t_kj).
+    Coordinate form: component k of the (3, n, n, n) output is -sum_j d_j (t_jk + t_kj).
     """
     if tensor.shape != (6, grid.n, grid.n, grid.n):
         raise ValueError("tensor field must have shape (6, n, n, n)")
@@ -514,9 +514,7 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> FormField:
     for idx, (j, k) in enumerate(algebra.SYM_PAIRS):
         full[j, k] = full[k, j] = that[idx]
     out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
-    values = np.zeros((8, grid.n, grid.n, grid.n), dtype=complex)
-    values[1:4] = _inverse(out_hat, out_hat)
-    return FormField(grid, values)
+    return _inverse(out_hat, out_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -483,10 +483,10 @@ def _weak_pairing(w: FormField, phi: FormField, dm: DerivedMedium, transpose: bo
 
     for d3, s in ((dx3, ip[2] - ip[0]), (dy3, ip[1] - ip[3])):
         total += by_parts(d3, _gradient(grid, s))
-    total += by_parts(dy3, sym_coderiv(grid, sym_product_field(w, phi)).values[1:4])
+    total += by_parts(dy3, sym_coderiv(grid, sym_product_field(w, phi)))
     # the Hodge star carries grade 2 onto blades 1..3, where the symmetric
     # product reads its factors
-    total += by_parts(dx3, sym_coderiv(grid, sym_product_field(w.hodge(), phi.hodge())).values[1:4])
+    total += by_parts(dx3, sym_coderiv(grid, sym_product_field(w.hodge(), phi.hodge())))
 
     return complex(grid.cell_volume * total)
 

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -395,6 +396,38 @@ def test_decay_study_records_toolkit_errors_as_rows(grid16, monkeypatch):
     assert [s.error for s in study.samples].count("DivergenceError") == 1
     assert np.isnan(study.samples[0].remainder_norm)
     assert study.summaries[0].n_samples == 7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_sample_frees_its_solve(dm16, monkeypatch, workers):
+    # a failed sample keeps its row only: the error's traceback, which holds
+    # the failed solve's buffers, must not outlive the row
+    form_lazy_fields(dm16)
+
+    def traced_study():
+        tracemalloc.start()
+        try:
+            study = cgo.decay_study(
+                dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=1, workers=workers
+            )
+            return study, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_study()  # fills the medium's and the grid's caches
+    _, clean_peak = traced_study()
+    solve, calls = cgo.solve_cgo, itertools.count()
+
+    def first_calls_stop_early(*args, **kwargs):
+        if next(calls) < 2:  # a real solve, whose buffers exist when it raises
+            kwargs["max_iter"] = 2
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cgo, "solve_cgo", first_calls_stop_early)
+    study, failed_peak = traced_study()
+    errors = [s.error for s in study.samples if s.error]
+    assert errors == ["DivergenceError"] * 2
+    assert failed_peak <= clean_peak + 2**19
 
 
 @pytest.mark.parametrize("failed", [7, 8])

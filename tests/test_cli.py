@@ -235,6 +235,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     long_box = small_config("cgo", grid={"n": 16, "length": 1e300})  # Grid.volume overflows
     wide_bump = small_config("cgo")  # radius**2 in sample_bumps overflows
     wide_bump["medium"]["eps_bumps"][0]["radius"] = 1e300
+    huge_plan = small_config("decay")  # 3 * 10**13 plan rows take petabytes
+    huge_plan["sampling"]["n_samples"] = 10**13
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")  # not UTF-8
@@ -281,6 +283,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("run-cgo", write(tmp_path, long_box, "long_box.json"), "o", "grid.length is too large"),
         ("run-cgo", write(tmp_path, wide_bump, "wide_bump.json"), "o",
          r"medium.eps_bumps\[0\].radius is too large"),
+        ("run-decay", write(tmp_path, huge_plan, "huge_plan.json"), "o",
+         "sampling.n_samples is too large"),
     ]
     for command, path, out, field in cases:
         capsys.readouterr()
@@ -315,6 +319,21 @@ def test_a_non_finite_solve_exits_3_at_once_with_a_strict_json_manifest(tmp_path
 
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(), parse_constant=reject)
     assert manifest["diagnostics"]["iterations"] == 0
+
+
+def test_a_non_finite_q_norm_exits_3_with_a_strict_json_manifest(tmp_path, capsys):
+    # at eps0 = 1e300 the -1/2 norm of Q u overflows in the first trial
+    cfg = small_config("qnorm")
+    cfg["medium"]["eps0"] = 1e300
+    assert main(["estimate-qnorm", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "norm of Q u is not finite" in err and "Traceback" not in err and "Warning" not in err
+
+    def reject(constant):
+        raise ValueError(f"manifest holds {constant}")
+
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(), parse_constant=reject)
+    assert "not finite" in manifest["diagnostics"]["error"]
 
 
 @pytest.mark.parametrize("n", [2**12, 2**20])
