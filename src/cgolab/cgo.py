@@ -40,6 +40,7 @@ GOLDEN_ANGLE = 2.0 * np.pi * (1.0 - 1.0 / ((1.0 + np.sqrt(5.0)) / 2.0))
 DIVERGENCE_LIMIT = 0.95
 DIVERGENCE_PATIENCE = 3
 MIN_SAMPLES = 8  # per lambda in a decay study
+QNORM_TRIALS = 16  # random fields per q-norm estimate
 MAX_FAILURE_FRACTION = 0.2  # of a decay study's samples before it aborts
 
 
@@ -231,7 +232,6 @@ def solve_cgo(
     amplitude: GradedForm,
     tol: float = 1e-9,
     max_iter: int = 80,
-    clamp_threshold: float | None = None,
 ) -> CgoSolution:
     """Solve the remainder equation by fixed-point iteration.
 
@@ -252,7 +252,7 @@ def solve_cgo(
     zeta = np.asarray(zeta, dtype=complex)
     assert_admissible(zeta, dm.k)
     sym = ClampedSymbol(grid, zeta)
-    clamp = sym.report(clamp_threshold).raise_if_exceeded()
+    clamp = sym.report().raise_if_exceeded()
     low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
@@ -503,34 +503,26 @@ class QNormEstimate:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a norm, checked below
-def q_norm_estimate(
-    dm: DerivedMedium,
-    zeta,
-    trials: int = 16,
-    seed: int = 0,
-    clamp_threshold: float | None = None,
-) -> QNormEstimate:
-    """Max of ||Q u||_(-1/2) over seeded random unit-(+1/2)-norm fields.
+def q_norm_estimate(dm: DerivedMedium, zeta, seed: int = 0) -> QNormEstimate:
+    """Max of ||Q u||_(-1/2) over QNORM_TRIALS seeded random unit-(+1/2)-norm fields.
 
     Raises ResonantGridError, as :func:`solve_cgo` does, when the clamp
-    fraction exceeds ``clamp_threshold``, and DivergenceError at the first
+    fraction exceeds its threshold, and DivergenceError at the first
     norm that is not finite.
     """
-    if trials < 16:
-        raise ValueError("need at least 16 trials")
     zeta = np.asarray(zeta, dtype=complex)
     grid = dm.grid
     sym = ClampedSymbol(grid, zeta)
-    sym.report(clamp_threshold).raise_if_exceeded()
+    sym.report().raise_if_exceeded()
     rng = seeded_rng(seed)
 
     def finite(value, name):  # a norm, which must be finite
         if not np.isfinite(value):
-            raise DivergenceError(f"the {name} is not finite in trial {trial + 1} of {trials}")
+            raise DivergenceError(f"the {name} is not finite in trial {trial + 1} of {QNORM_TRIALS}")
         return value
 
     best = 0.0
-    for trial in range(trials):
+    for trial in range(QNORM_TRIALS):
         u = random_band_limited(grid, rng, band=grid.n // 2 - 1, zero_mean=True)
         denom = finite(sym.norm(fft_forward(u).coeffs, 0.5), "+1/2 norm of u")
         qu = potential(u, dm)

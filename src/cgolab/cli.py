@@ -301,10 +301,7 @@ def cmd_estimate_qnorm(run: Run) -> int:
 
     def row(s):
         geom = make_geometry(run.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
-        est = q_norm_estimate(
-            dm, geom.zeta1, trials=max(16, run.cfg.sampling.n_samples), seed=run.seed,
-            clamp_threshold=run.cfg.solver.clamp_threshold,
-        )
+        est = q_norm_estimate(dm, geom.zeta1, seed=run.seed)
         return [s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term]
 
     with run.stage("solve"):

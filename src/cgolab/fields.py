@@ -331,14 +331,10 @@ class ClampReport:
     def fraction(self) -> float:
         return self.clamped / self.total
 
-    @property
-    def exceeded(self) -> bool:
-        return self.fraction > self.threshold
-
     def raise_if_exceeded(self) -> ClampReport:
         """Raise ResonantGridError when the clamp fraction exceeds the
         threshold; otherwise return the report."""
-        if self.exceeded:
+        if self.fraction > self.threshold:
             raise ResonantGridError(
                 f"{self.clamped} of {self.total} lattice frequencies are inside the "
                 f"clamp floor; jitter s or refine the grid",
@@ -388,11 +384,10 @@ class ClampedSymbol:
         out[..., self.mask] = 0.0
         return out
 
-    def report(self, threshold: float | None = None) -> ClampReport:
-        """Clamp count against ``threshold`` (default :func:`default_clamp_threshold`)."""
-        if threshold is None:
-            threshold = default_clamp_threshold(self.grid)
-        return ClampReport(self.grid.n**3, int(np.sum(self.mask)), self.floor, threshold)
+    def report(self) -> ClampReport:
+        """Clamp count against :func:`default_clamp_threshold`."""
+        return ClampReport(self.grid.n**3, int(np.sum(self.mask)), self.floor,
+                           default_clamp_threshold(self.grid))
 
 
 def bourgain_weight(grid: Grid, zeta, b: float) -> np.ndarray:

@@ -57,11 +57,10 @@ def sample_bumps(grid: Grid, bumps) -> np.ndarray:
     total = np.zeros((grid.n,) * 3)
     for bump in bumps:
         center = np.asarray(bump.center if bump.center is not None else [grid.length / 2] * 3)
-        r2 = np.sum((x - center.reshape(3, 1, 1, 1)) ** 2, axis=0) / bump.radius**2
-        inside = r2 < 1.0
-        with np.errstate(divide="ignore"):
-            total[inside] += bump.amplitude * np.exp(
-                bump.sharpness * (1.0 - 1.0 / (1.0 - r2[inside])))
+        d2 = np.sum((x - center.reshape(3, 1, 1, 1)) ** 2, axis=0)
+        inside = d2 < bump.radius**2  # d2 / radius**2 < 1, tested without dividing outside
+        r2 = d2[inside] / bump.radius**2
+        total[inside] += bump.amplitude * np.exp(bump.sharpness * (1.0 - 1.0 / (1.0 - r2)))
     return total
 
 

@@ -25,7 +25,8 @@ def _require(doc: dict, key: str, path: str):
 
 
 def _number(value, path: str, positive=False, power=1) -> float:
-    """A finite float, positive if asked, whose power ``power`` (length**3, radius**2) is finite."""
+    """A finite float, positive if asked, whose power ``power`` (length**3, radius**2) is
+    finite, and nonzero when the float is."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     try:
@@ -37,9 +38,11 @@ def _number(value, path: str, positive=False, power=1) -> float:
     if positive and not out > 0:
         raise ConfigError(f"{path} must be positive")
     try:
-        out**power
+        underflows = out != 0 and out**power == 0
     except OverflowError:
         raise ConfigError(f"{path} is too large: {path}**{power} overflows the float range") from None
+    if underflows:
+        raise ConfigError(f"{path} is too small: {path}**{power} underflows to 0")
     return out
 
 
@@ -73,6 +76,8 @@ def _increasing_list(values, path: str) -> list:
     out = [_number(v, f"{path}[{i}]", positive=True) for i, v in enumerate(values)]
     if not strictly_decreasing(reversed(out)):
         raise ConfigError(f"{path} must be strictly increasing")
+    if out[0] < 1.0:  # s, and the lambda that bounds s from below
+        raise ConfigError(f"{path} values must be >= 1")
     return out
 
 
@@ -126,7 +131,6 @@ class SolverConfig:
 
     tol: float
     max_iter: int
-    clamp_threshold: float | None
 
 
 @dataclass
@@ -230,8 +234,6 @@ def _parse_geometry(doc, grid: Grid, medium: MediumConfig) -> GeometryConfig:
         _bound_s(cfg.s_list[-1], f"{path}.s_list", k, rho)
     if "lambda_list" in doc:
         cfg.lambda_list = _increasing_list(doc["lambda_list"], f"{path}.lambda_list")
-        if cfg.lambda_list[0] < 1.0:
-            raise ConfigError(f"{path}.lambda_list values must be >= 1 (they bound s from below)")
         _bound_s(2.0 * cfg.lambda_list[-1], f"{path}.lambda_list", k, rho)  # s < 2 lambda
     return cfg
 
@@ -266,12 +268,9 @@ def parse_config(doc: dict) -> RunConfig:
 
     solver_keys = [f.name for f in fields(SolverConfig)]
     solver_doc = _object(doc.get("solver", {}), "solver", solver_keys)
-    threshold = solver_doc.get("clamp_threshold")
     solver = SolverConfig(
         tol=_number(solver_doc.get("tol", 1e-9), "solver.tol", positive=True),
         max_iter=_integer(solver_doc.get("max_iter", 80), "solver.max_iter", minimum=1),
-        clamp_threshold=None if threshold is None
-        else _number(threshold, "solver.clamp_threshold", positive=True),
     )
 
     sampling_doc = _object(doc.get("sampling", {}), "sampling", ("n_samples", "seed"))

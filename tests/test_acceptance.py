@@ -151,7 +151,7 @@ def test_criterion_07_decay_trends(grid32, dm32):
     estimates = []
     for s in (8.0, 16.0, 32.0):
         g = cgo.make_geometry(RHO, *FRAME, s, dm32.k, grid=grid32)
-        estimates.append(cgo.q_norm_estimate(dm32, g.zeta1, trials=16, seed=5).estimate)
+        estimates.append(cgo.q_norm_estimate(dm32, g.zeta1, seed=5).estimate)
     elapsed = time.monotonic() - started
     ok = (
         cgo.strictly_decreasing(means)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cgolab import algebra, cgo
+from cgolab import algebra, cgo, fields
 from cgolab import media as md
 from cgolab.algebra import GradedForm
 from cgolab.errors import DivergenceError, ResonantGridError, StudyError
@@ -278,7 +278,7 @@ def test_one_iteration_measures_no_contraction(grid16, dm16):
     assert err.value.diagnostics == {"contraction": None, "iterations": 1}
 
 
-def test_solver_divergence_and_resonance(grid16):
+def test_solver_divergence_and_resonance(grid16, monkeypatch):
     steep = md.Medium.from_bumps(
         grid16, omega=1.0,
         eps_bumps=[md.Bump(6.0, 1.4, sharpness=2.0)],
@@ -290,10 +290,9 @@ def test_solver_divergence_and_resonance(grid16):
         cgo.solve_cgo(dm, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
     assert err.value.diagnostics["contraction"] >= 0.95
 
+    monkeypatch.setattr(fields, "default_clamp_threshold", lambda grid: 1e-9)
     with pytest.raises(ResonantGridError):
-        cgo.solve_cgo(
-            dm, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E), clamp_threshold=1e-9
-        )
+        cgo.solve_cgo(dm, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
 
 
 def test_maxwell_linkage(grid16, dm16):
@@ -453,13 +452,12 @@ def test_decay_study_rejects_a_lambda_with_fewer_than_two_samples(grid16, dm16, 
     assert {f["lambda"] for f in diagnostics["failures"]} == {1.0}
 
 
-def test_q_norm_estimate_background_and_preconditions(grid16, dm16):
+def test_q_norm_estimate_background_and_preconditions(grid16, dm16, monkeypatch):
     dm0 = derive_background(grid16, omega=1.0)
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, dm0.k, grid=grid16)
-    est = cgo.q_norm_estimate(dm0, g.zeta1, trials=16, seed=9)
+    est = cgo.q_norm_estimate(dm0, g.zeta1, seed=9)
     assert est.estimate == 0.0
-    with pytest.raises(ValueError):
-        cgo.q_norm_estimate(dm16, g.zeta1, trials=8, seed=9)
+    monkeypatch.setattr(fields, "default_clamp_threshold", lambda grid: 1e-9)
     with pytest.raises(ResonantGridError):
-        cgo.q_norm_estimate(dm16, g.zeta1, clamp_threshold=1e-9)
+        cgo.q_norm_estimate(dm16, g.zeta1)
 

@@ -141,6 +141,7 @@ def test_config_errors_name_the_field():
         ("cgo", ("medium", "eps_bumps", 0), "medium.eps_bumps[0].amplitud"),
         ("cgo", ("geometry",), "geometry.S"), ("cgo", ("solver",), "solver.tolerance"),
         ("cgo", ("solver",), "solver.max_iters"), ("cgo", ("solver",), "solver.clamp_floor"),
+        ("cgo", ("solver",), "solver.clamp_threshold"),
         ("cgo", ("sampling",), "sampling.samples"), ("cgo", ("output",), "output.dir"),
         ("uniqueness", ("media", 1), "media[1].omega0"),
         ("uniqueness", ("media", 0, "sigma_bumps", 0), "media[0].sigma_bumps[0].center"),
@@ -232,9 +233,22 @@ def test_bad_config_exit_code(tmp_path, capsys):
     aliased_rho = small_config("cgo")
     aliased_rho["geometry"]["rho_index"] = [9, 0, 0]
     clamp_floor = small_config("cgo", solver={"tol": 1e-9, "clamp_floor": 1e-3})
+    clamp_threshold = small_config("cgo", solver={"tol": 1e-9, "clamp_threshold": 1e-9})
+    small_pair_s = small_config("uniqueness")
+    small_pair_s["geometry"]["s_list"] = [0.5, 8.0]
+    small_qnorm_s = small_config("qnorm")
+    small_qnorm_s["geometry"]["s_list"] = [0.5, 8.0]
     long_box = small_config("cgo", grid={"n": 16, "length": 1e300})  # Grid.volume overflows
     wide_bump = small_config("cgo")  # radius**2 in sample_bumps overflows
     wide_bump["medium"]["eps_bumps"][0]["radius"] = 1e300
+    # length**3 underflows to 0; (2 pi / length)**2 in fields.default_floor would overflow
+    tiny_box = small_config("cgo", grid={"n": 16, "length": 1e-200})
+    tiny_box["geometry"]["rho_index"] = [0, 0, 0]
+    tiny_box["medium"].update(eps_bumps=[], mu_bumps=[], sigma_bumps=[])
+    tiny_bumps = []  # radius**2 underflows to 0, where sample_bumps would divide by zero
+    for radius in (1e-170, 1e-200):
+        tiny_bumps.append(small_config("cgo"))
+        tiny_bumps[-1]["medium"]["eps_bumps"][0]["radius"] = radius
     huge_plan = small_config("decay")  # 3 * 10**13 plan rows take petabytes
     huge_plan["sampling"]["n_samples"] = 10**13
     (tmp_path / "list.json").write_text("[1, 2]")
@@ -269,6 +283,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
          "geometry.lambda_list is too large"),
         ("run-cgo", write(tmp_path, clamp_floor, "floor.json"), "o",
          "solver.clamp_floor is not a known field"),
+        ("run-cgo", write(tmp_path, clamp_threshold, "threshold.json"), "o",
+         "solver.clamp_threshold is not a known field"),
+        ("run-uniqueness", write(tmp_path, small_pair_s, "small_pair_s.json"), "o",
+         "geometry.s_list values must be >= 1"),
+        ("estimate-qnorm", write(tmp_path, small_qnorm_s, "small_qnorm_s.json"), "o",
+         "geometry.s_list values must be >= 1"),
         ("run-cgo", write(tmp_path, huge_k_s, "huge_k_s.json"), "o", "geometry.s is too large"),
         ("run-uniqueness", write(tmp_path, huge_k_pair_s, "huge_k_pair_s.json"), "o",
          "geometry.s_list is too large"),
@@ -283,6 +303,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("run-cgo", write(tmp_path, long_box, "long_box.json"), "o", "grid.length is too large"),
         ("run-cgo", write(tmp_path, wide_bump, "wide_bump.json"), "o",
          r"medium.eps_bumps\[0\].radius is too large"),
+        ("run-cgo", write(tmp_path, tiny_box, "tiny_box.json"), "o", "grid.length is too small"),
+        *[("run-cgo", write(tmp_path, doc, f"tiny_bump{i}.json"), "o",
+           r"medium.eps_bumps\[0\].radius is too small") for i, doc in enumerate(tiny_bumps)],
         ("run-decay", write(tmp_path, huge_plan, "huge_plan.json"), "o",
          "sampling.n_samples is too large"),
     ]
@@ -358,7 +381,7 @@ def test_an_oversized_grid_exits_2_before_allocating(tmp_path, capsys, n):
 RUN_COMMANDS = {
     "cgo": "run-cgo", "decay": "run-decay", "uniqueness": "run-uniqueness", "qnorm": "estimate-qnorm",
 }
-MUTANTS = ["delete", 0, -1, "x", True, None, [], float("nan"), float("inf")]
+MUTANTS = ["delete", 0, -1, 0.5, 1e-200, "x", True, None, [], float("nan"), float("inf")]
 
 
 def _paths(doc, prefix=()):
@@ -505,9 +528,9 @@ def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):
         ("estimate-qnorm", "qnorm", EXIT_RESONANT),
     ],
 )
-def test_every_solving_command_honours_the_clamp_threshold(tmp_path, command, kind, code):
+def test_every_solving_command_honours_the_clamp_threshold(tmp_path, monkeypatch, command, kind, code):
     cfg = small_config(kind, grid={"n": 8, "length": 2.0 * np.pi})
-    cfg["solver"]["clamp_threshold"] = 1e-9
+    monkeypatch.setattr(fields, "default_clamp_threshold", lambda grid: 1e-9)
     out = tmp_path / "o"
     assert main([command, "--config", write(tmp_path, cfg), "--out", str(out)]) == code
     # the failure manifest: the error, its diagnostics, and no acceptance flag met

@@ -226,6 +226,14 @@ def test_medium_validation(grid16):
         md.Medium(grid16, -1.0, 1.0, 1.0, ones, ones, 0.0 * ones)
 
 
+def test_a_bump_whose_radius_squared_is_subnormal_keeps_its_centre(grid16):
+    # radius**2 = 1e-310: d2 / radius**2 overflows at every point but the centre,
+    # which is the only one inside
+    centre = tuple(grid16.x[:, 8, 8, 8])
+    total = md.sample_bumps(grid16, [md.Bump(0.4, 1e-155, centre)])
+    assert total[8, 8, 8] == 0.4 and np.count_nonzero(total) == 1
+
+
 @pytest.mark.parametrize("name", ["eps", "mu", "sigma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_medium_rejects_non_finite_samples(grid16, name, bad):
