@@ -209,10 +209,9 @@ def incidence_residual(zeta, k: float, amp: GradedForm) -> float:
 
 @dataclass
 class CgoSolution:
-    """Converged remainder plus solver diagnostics."""
+    """Converged A + R, the periodic factor of the CGO field, plus solver diagnostics."""
 
-    amplitude: GradedForm
-    remainder: FormField
+    total: FormField  # A + R, 8 blades; +0.0 on the blades of the block that was not solved
     zeta: np.ndarray
     iterations: int
     residual: float
@@ -244,9 +243,10 @@ def solve_cgo(
     the resolvent acts blade by blade, so the iteration runs on the
     blades of the block that holds the amplitude (both blocks when the
     amplitude has parts in each).  Its buffers are allocated once, before
-    the first iteration, which allocates no array of the grid's size; they
-    are freed before the 8-blade remainder is allocated.  A forcing norm,
-    step norm or residual that is not finite raises DivergenceError at once.
+    the first iteration, which allocates no array of the grid's size; the
+    returned A + R is the one into which each step's R was transformed.  A
+    forcing norm, step norm or residual that is not finite raises
+    DivergenceError at once.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -258,11 +258,11 @@ def solve_cgo(
     blk = grade_block(grades)
     shape = (grid.n,) * 3
     fhat, rhat, dead = (np.empty((blk.stop - blk.start,) + shape, complex) for _ in range(3))
-    total = FormField(grid, np.empty((8,) + shape, complex))  # A + R, on the block
+    total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
     norm_work = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
     scratch = np.empty((3,) + shape, complex)  # media.potential's scratch
     amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
-    total.values[blk] = amp_blk
+    total.values[blk] += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
         return _forward(potential(total, dm, grades, out, scratch), out)
@@ -324,19 +324,12 @@ def solve_cgo(
     clamped = np.zeros((int(np.sum(sym.mask)), 8), dtype=complex).T
     clamped[blk] = fhat[:, sym.mask]
     zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(clamped) ** 2)))
-    remainder_norm = sym.norm(rhat, 0.5, norm_work)
-    # only rhat is read from here on: the symbol and the other buffers are
-    # freed before the remainder is allocated
-    del fhat, dead, total, scratch, norm_work, sym
-    remainder = FormField.zero(grid)
-    _inverse(rhat, remainder.values[blk])  # the R of the last step, formed again
     return CgoSolution(
-        amplitude=amplitude,
-        remainder=remainder,
+        total=total,
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=remainder_norm,
+        remainder_norm=sym.norm(rhat, 0.5, norm_work),
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,
@@ -353,8 +346,7 @@ def solve_cgo(
 def grade03_ratio(dm: DerivedMedium, sol: CgoSolution) -> float:
     """Relative size of the grade-{0,3} part of the derived first-order
     image, computed in conjugated variables."""
-    total = FormField.constant(dm.grid, sol.amplitude) + sol.remainder
-    v = first_order_t(total, dm, zeta=sol.zeta)
+    v = first_order_t(sol.total, dm, zeta=sol.zeta)
     part = l2_norm(v.select((0, 3)))
     whole = l2_norm(v)
     return part / whole

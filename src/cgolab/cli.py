@@ -207,8 +207,9 @@ def cmd_run_cgo(run: Run) -> int:
     run.acceptance["converged"] = False
     dm = run.derived()
     geom = make_geometry(run.rho, run.eta1, run.eta2, geo.s, dm.k, grid=run.grid)
+    amp = amplitude_a(geom, geo.polarization)
     with run.stage("solve"):
-        sol = solve_cgo(dm, geom.zeta1, amplitude_a(geom, geo.polarization), **run.solver)
+        sol = solve_cgo(dm, geom.zeta1, amp, **run.solver)
     header = ["s", "eta_angle", "iterations", "residual", "remainder_norm",
               "forcing_norm", "contraction", "clamped_fraction"]
     run.write_csv(header, [[
@@ -217,7 +218,8 @@ def cmd_run_cgo(run: Run) -> int:
     ]])
     if run.cfg.output.save_fields:
         with run.stage("write"):
-            fields.save_field_bin(sol.remainder, run.out / "fields.bin")
+            remainder = sol.total.values - amp.data.reshape(8, 1, 1, 1)  # R = (A + R) - A
+            fields.save_field_bin(fields.FormField(run.grid, remainder), run.out / "fields.bin")
     run.diagnostics = {
         "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
         "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect,
@@ -329,12 +331,14 @@ COMMANDS = {
 }
 
 
-def _integer(minimum: int):
+def _integer(minimum: int, maximum: int | None = None):
     """argparse type of an integer flag; a bad value exits 2 naming the flag."""
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
     return integer
 
@@ -360,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=_integer(0), default=None, help="seed override")
         p.add_argument(
-            "--threads", type=_integer(1), default=1,
-            help="sample-pool threads (run-decay, run-uniqueness, estimate-qnorm)",
+            "--threads", type=_integer(1, os.cpu_count() or 1), default=1,
+            help="sample-pool threads, at most the CPU count (run-decay, run-uniqueness, estimate-qnorm)",
         )
     return parser
 

@@ -410,27 +410,6 @@ def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
     return np.sum(np.multiply(w, modes, out=modes))
 
 
-def bourgain_norm(f: FormField, zeta, b: float) -> float:
-    """Weighted-l2 norm over the nonzero frequency lattice, all grades."""
-    return ClampedSymbol(f.grid, zeta).norm(fft_forward(f).coeffs, b)
-
-
-def resolvent(f: FormField, zeta, k: float):
-    """Invert the shifted conjugated Laplacian by dividing by the symbol p.
-
-    Requires <zeta, zeta> = -k^2, which makes p the symbol of the
-    operator being inverted.  Frequencies with |p| below the clamp floor are
-    annihilated and counted in the report: the symbol vanishes exactly
-    at xi = 0 (and at xi = -rho for the paired conjugation covectors),
-    so the inverse is defined on the complementary sublattice, where it
-    is an exact two-sided inverse.
-    """
-    assert_admissible(zeta, k)
-    sym = ClampedSymbol(f.grid, zeta)
-    out = SpectralField(f.grid, sym.inverse(fft_forward(f).coeffs))
-    return fft_inverse(out), sym.report()
-
-
 def resolvent_operator_norm(grid: Grid, zeta) -> float:
     """Diagonal operator norm of the resolvent between the +-1/2 spaces:
     weight^(1/2) |p|^(-1) weight^(1/2) maximized over the active modes."""

@@ -52,13 +52,16 @@ class Bump:
 
 
 def sample_bumps(grid: Grid, bumps) -> np.ndarray:
-    """Sum of the bumps sampled on the grid."""
+    """Sum of the bumps sampled on the grid.  A bump whose ball holds no
+    grid point would vanish from the samples: it raises ValueError."""
     x = grid.x  # formed once for all the bumps
     total = np.zeros((grid.n,) * 3)
-    for bump in bumps:
+    for i, bump in enumerate(bumps):
         center = np.asarray(bump.center if bump.center is not None else [grid.length / 2] * 3)
         d2 = np.sum((x - center.reshape(3, 1, 1, 1)) ** 2, axis=0)
         inside = d2 < bump.radius**2  # d2 / radius**2 < 1, tested without dividing outside
+        if not inside.any():
+            raise ValueError(f"bump {i} holds no grid point within its radius {bump.radius!r}")
         r2 = d2[inside] / bump.radius**2
         total[inside] += bump.amplitude * np.exp(bump.sharpness * (1.0 - 1.0 / (1.0 - r2)))
     return total
@@ -121,11 +124,15 @@ class Medium:
     @classmethod
     def from_bumps(cls, grid, omega, eps0=1.0, mu0=1.0,
                    eps_bumps=(), mu_bumps=(), sigma_bumps=()):
+        samples = []
         with np.errstate(over="ignore"):  # an overflowed sample fails the finite check
-            eps = eps0 + sample_bumps(grid, eps_bumps)
-            mu = mu0 + sample_bumps(grid, mu_bumps)
-            sigma = sample_bumps(grid, sigma_bumps)
-        return cls(grid, omega, eps0, mu0, eps, mu, sigma)
+            for name, bumps in (("eps", eps_bumps), ("mu", mu_bumps), ("sigma", sigma_bumps)):
+                try:
+                    samples.append(sample_bumps(grid, bumps))
+                except ValueError as exc:  # the message names the bump
+                    raise CoefficientError(name, str(exc)) from None
+            eps, mu = eps0 + samples[0], mu0 + samples[1]
+        return cls(grid, omega, eps0, mu0, eps, mu, samples[2])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .cgo import (
 from .fields import (
     ClampedSymbol,
     ClampReport,
-    FormField,
     Grid,
     _forward,
     _forward_box,
@@ -105,22 +104,18 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     arguments of both solves.  The paired solve, whose amplitude fills all
     8 blades, runs first, alone: when both would fail, its error is raised.
     """
-    def total(dm, zeta, amp):  # amp + remainder, in the remainder's array (same bits)
-        sol = solve_cgo(dm, zeta, amp, **solver)
-        sol.remainder.values += amp.data.reshape(8, 1, 1, 1)
-        return sol.remainder, sol.clamp
-
-    v, clamp2 = total(mp.dm2, geom.zeta2, amplitude_b(geom, pol))
-    w, clamp1 = total(mp.dm1, geom.zeta1, amplitude_a(geom, pol))
+    paired = solve_cgo(mp.dm2, geom.zeta2, amplitude_b(geom, pol), **solver)
+    first = solve_cgo(mp.dm1, geom.zeta1, amplitude_a(geom, pol), **solver)
+    v, w, clamps = paired.total, first.total, (first.clamp, paired.clamp)
     # Q2 w - Q1 w in one 8-blade field: Q1 w is formed one closed block at a time
     dq = potential(w, mp.dm2)
     part, scratch = np.empty_like(dq.values[:4]), np.empty_like(dq.values[:3])
     for grades in ((0, 1), (2, 3)):
         dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part, scratch)
-    del w, part, scratch
+    del w, first, part, scratch
     wave = plane_wave_scalar(mp.grid, geom.rho)
     value = complex(mp.grid.cell_volume * np.sum(wave * dq.inner(v)))
-    return PairingResult(value=value, clamps=(clamp1, clamp2))
+    return PairingResult(value=value, clamps=clamps)
 
 
 def scattering_target(mp: MediumPair, rho, pol: Polarization) -> complex:

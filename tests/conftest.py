@@ -29,6 +29,11 @@ def form_lazy_fields(*dms) -> None:
             getattr(dm, name)
 
 
+def bits(a) -> np.ndarray:
+    """The uint64 bit patterns of a complex array, so that equality counts signed zeros."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
 @pytest.fixture(scope="session")
 def grid16():
     return Grid(16, 2.0 * np.pi)

@@ -19,7 +19,7 @@ from cgolab.fields import (
     l2_norm,
 )
 from cgolab.media import derive_background
-from conftest import form_lazy_fields
+from conftest import bits, form_lazy_fields
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -166,12 +166,10 @@ def test_solve_reference_medium(grid16, dm16):
     assert len(sol.deltas) == len(sol.residuals) == sol.iterations
     assert sol.residuals[-1] == sol.residual
     # re-applying one iteration moves the converged remainder below tol
-    from cgolab.fields import bourgain_norm, resolvent
-
-    f = md.potential(FormField.constant(grid16, amp) + sol.remainder, dm16)
-    new_r, _ = resolvent(f, g.zeta1, dm16.k)
-    delta = FormField(grid16, -new_r.values - sol.remainder.values)
-    assert bourgain_norm(delta, g.zeta1, 0.5) < 10 * tol * (sol.forcing_norm + 1.0)
+    sym = fields.ClampedSymbol(grid16, g.zeta1)
+    new_rhat = sym.inverse(fft_forward(md.potential(sol.total, dm16)).coeffs)
+    rhat = fft_forward(sol.total - FormField.constant(grid16, amp)).coeffs
+    assert sym.norm(-new_rhat - rhat, 0.5) < 10 * tol * (sol.forcing_norm + 1.0)
 
 
 def pre_change_solve(grid, dm, zeta, amp, tol):
@@ -216,14 +214,15 @@ def pre_change_solve(grid, dm, zeta, amp, tol):
 
 def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
     # E and H, each with the single-block first amplitude A and the mixed
-    # paired amplitude B
+    # paired amplitude B; A + R as uint64 bit patterns, so that signed zeros count
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     for pol in cgo.Polarization:
         for amp, zeta in ((cgo.amplitude_a(g, pol), g.zeta1), (cgo.amplitude_b(g, pol), g.zeta2)):
             expected = pre_change_solve(grid16, dm16, zeta, amp, tol=1e-9)
             sol = cgo.solve_cgo(dm16, zeta, amp, tol=1e-9)
             assert expected["iterations"] > 1
-            assert np.array_equal(sol.remainder.values, expected.pop("remainder"))
+            total = FormField.constant(grid16, amp).values + expected.pop("remainder")
+            assert np.array_equal(bits(sol.total.values), bits(total))
             assert {key: getattr(sol, key) for key in expected} == expected
 
 
@@ -246,7 +245,7 @@ def test_iterations_allocate_nothing(grid16, dm16):
     assert peak(6) - peak(2) < block_bytes
 
 
-def test_a_fresh_solve_frees_its_buffers_before_the_remainder(grid16, dm16):
+def test_a_fresh_solve_peaks_under_eight_blocks(grid16, dm16):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
     form_lazy_fields(dm16)
@@ -257,7 +256,7 @@ def test_a_fresh_solve_frees_its_buffers_before_the_remainder(grid16, dm16):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the solve's buffers hold 6 blocks and the 8-blade remainder 2: both at once reach 8
+    # the solve's buffers, the 8-blade A + R among them, hold 6 blocks
     block_bytes = 4 * grid16.n**3 * np.dtype(complex).itemsize
     assert peak < 8 * block_bytes
 
@@ -267,8 +266,10 @@ def test_remainder_scales_linearly_with_amplitude(grid16, dm16):
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
     sol1 = cgo.solve_cgo(dm16, g.zeta1, amp)
     sol2 = cgo.solve_cgo(dm16, g.zeta1, 2.5 * amp)
-    diff = np.max(np.abs(sol2.remainder.values - 2.5 * sol1.remainder.values))
-    assert diff < 1e-7 * np.max(np.abs(sol1.remainder.values))
+    r1, r2 = (sol.total.values - a.data.reshape(8, 1, 1, 1)
+              for sol, a in ((sol1, amp), (sol2, 2.5 * amp)))
+    diff = np.max(np.abs(r2 - 2.5 * r1))
+    assert diff < 1e-7 * np.max(np.abs(r1))
 
 
 def test_one_iteration_measures_no_contraction(grid16, dm16):
@@ -300,8 +301,7 @@ def test_maxwell_linkage(grid16, dm16):
     # conjugation magnitude times the grade-{0,3} defect of the image
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
     sol = cgo.solve_cgo(dm16, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
-    total = FormField.constant(grid16, sol.amplitude) + sol.remainder
-    v = md.first_order_t(total, dm16, zeta=g.zeta1)
+    v = md.first_order_t(sol.total, dm16, zeta=g.zeta1)
     u = md.to_maxwell(v, dm16)
     res = md.maxwell_residual(u, dm16, zeta=g.zeta1)
     defect = l2_norm(v.select((0, 3)))

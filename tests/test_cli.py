@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgolab import cgo, fields, presets
-from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, main
+from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, build_parser, main
 from cgolab.errors import ConfigError, DivergenceError
+from cgolab.media import derive
 from cgolab.runconfig import SolverConfig, parse_config
-from conftest import reference_config
+from conftest import bits, reference_config
 
 
 def small_config(kind="cgo", **overrides):
@@ -56,6 +58,8 @@ def invalid_physics_configs():
     other_mu0["media"][1]["mu0"] = 1.5
     off_box = small_config("cgo")
     off_box["medium"]["eps_bumps"][0]["center_offset"] = [5.0, 0.0, 0.0]
+    empty_ball = small_config("cgo")  # centred 0.1 off the grid point nearest it
+    empty_ball["medium"]["eps_bumps"][0]["radius"] = 1e-155
     grid_not_object = [
         (command, small_config(kind, grid=value), "grid must be an object")
         for command, kind, value in (
@@ -72,6 +76,7 @@ def invalid_physics_configs():
         ("run-uniqueness", other_omega, r"media\[1\].omega"),
         ("run-uniqueness", other_mu0, r"media\[1\].mu0"),
         ("run-cgo", off_box, r"medium.eps_bumps\[0\].center_offset"),
+        ("run-cgo", empty_ball, r"medium.eps_bumps: bump 0 holds no grid point"),
     ]
 
 
@@ -493,6 +498,15 @@ def test_run_cgo_outputs(tmp_path):
     assert manifest["environment"]["fft"] == "numpy.fft"
     snapshot = fields.load_field_bin(out / "fields.bin")
     assert snapshot.grid.n == 16
+    # the snapshot is R = (A + R) - A of the same solve
+    run = parse_config(cfg)
+    dm, geo, rho = derive(run.medium(0).build(run.grid)), run.geometry, run.geometry.rho(run.grid)
+    geom = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, geo.frame_angle()), geo.s, dm.k,
+                             grid=run.grid)
+    amp = cgo.amplitude_a(geom, geo.polarization)
+    sol = cgo.solve_cgo(dm, geom.zeta1, amp, **asdict(run.solver))
+    remainder = sol.total.values - amp.data.reshape(8, 1, 1, 1)
+    assert np.array_equal(bits(snapshot.values), bits(remainder))
     diagnostics = manifest["diagnostics"]
     assert len(diagnostics["deltas"]) == len(diagnostics["residuals"]) == diagnostics["iterations"]
     assert diagnostics["residuals"][-1] == diagnostics["residual"]
@@ -663,6 +677,19 @@ def test_seed_and_threads_out_of_range_exit_2_naming_the_flag(tmp_path, capsys):
             assert f"argument {flag}:" in err and value in err
             assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_threads_above_the_cpu_count_exit_2_naming_the_flag(capsys):
+    # parsed only: the pool that a command would size is never started
+    cpus = os.cpu_count() or 1
+    parser = build_parser()
+    assert parser.parse_args(["run-decay", "--threads", str(cpus)]).threads == cpus
+    for value in (str(cpus + 1), "100000"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["run-decay", "--threads", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --threads:" in err and f"must be <= {cpus}" in err and value in err
 
 
 def test_run_uniqueness_identical_media(tmp_path):

@@ -10,10 +10,10 @@ import pytest
 from cgolab import cgo, fields, media
 from cgolab.algebra import GradedForm
 from cgolab.fields import (
+    ClampedSymbol,
     FormField,
     Grid,
     SpectralField,
-    bourgain_norm,
     coderiv,
     conj_laplacian,
     d_plus_delta,
@@ -24,7 +24,6 @@ from cgolab.fields import (
     mollify,
     quadrature_pairing,
     random_band_limited,
-    resolvent,
     resolvent_operator_norm,
     sobolev_norms,
     spectral_pairing,
@@ -167,19 +166,25 @@ def test_conjugated_laplacian_examples():
     assert rel_err(out.values[1], symbol * wave) < 1e-12
 
 
+def resolve(sym, f):
+    """The clamped resolvent of f: its transform divided by the symbol, transformed back."""
+    return fft_inverse(SpectralField(f.grid, sym.inverse(fft_forward(f).coeffs)))
+
+
 def test_resolvent_inverts_off_clamp_set():
     rng = np.random.default_rng(10)
     k = 1.0
     zeta = admissible_zeta(3.3, k)
+    sym = ClampedSymbol(GRID, zeta)
     f = random_band_limited(GRID, rng, band=5, zero_mean=True)
     g = conj_laplacian(f, zeta) - FormField(GRID, k**2 * f.values)
-    back, report = resolvent(g, zeta, k)
+    back = resolve(sym, g)
     # kernel of the symbol: xi = 0 plus the 7 pure-Nyquist index
     # combinations where the symmetrized derivative symbol vanishes
-    assert report.clamped == 8
+    assert sym.report().clamped == 8
     assert rel_err(back.values, f.values) < 1e-10
     # two-sided: apply operator after resolvent
-    h, _ = resolvent(f, zeta, k)
+    h = resolve(sym, f)
     forward = conj_laplacian(h, zeta) - FormField(GRID, k**2 * h.values)
     assert rel_err(forward.values, f.values) < 1e-10
 
@@ -187,9 +192,9 @@ def test_resolvent_inverts_off_clamp_set():
 def test_resolvent_clamps_zero_mode():
     k = 1.0
     zeta = admissible_zeta(2.0, k)
-    c = FormField.constant(GRID, GradedForm.scalar(1.0))
-    out, report = resolvent(c, zeta, k)
-    assert report.clamped >= 1
+    sym = ClampedSymbol(GRID, zeta)
+    out = resolve(sym, FormField.constant(GRID, GradedForm.scalar(1.0)))
+    assert sym.report().clamped >= 1
     assert out.max_abs() < 1e-14
 
 
@@ -199,8 +204,9 @@ def test_resolvent_operator_norm_is_one():
 
 
 def test_resolvent_requires_admissible_zeta():
-    with pytest.raises(ValueError):
-        resolvent(FormField.zero(GRID), np.array([1.0, 0.0, 0.0]), 1.0)
+    dm0 = media.derive_background(GRID, omega=1.0)  # k = 1, and <zeta, zeta> = 1
+    with pytest.raises(ValueError, match=r"is not -k\^2"):
+        cgo.solve_cgo(dm0, np.array([1.0, 0.0, 0.0]), GradedForm.scalar(1.0))
 
 
 def _pre_change_symbol(grid, zeta):
@@ -223,16 +229,16 @@ def test_clamped_symbol_is_bit_equal_to_the_pre_change_expressions():
 
     out = F.coeffs / np.where(mask, 1.0, p)
     out[:, mask] = 0.0
-    got, report = resolvent(f, zeta, k)
-    assert np.array_equal(got.values, fft_inverse(SpectralField(GRID, out)).values)
-    assert report.clamped == int(np.sum(mask))
+    sym = ClampedSymbol(GRID, zeta)
+    assert np.array_equal(resolve(sym, f).values, fft_inverse(SpectralField(GRID, out)).values)
+    assert sym.report().clamped == int(np.sum(mask))
 
     for b in (0.5, -0.5):
         w = absp ** (2.0 * b)
         w[mask] = 0.0
         want = float(np.sqrt(GRID.volume * np.sum(w * np.sum(np.abs(F.coeffs) ** 2, axis=0))))
-        assert bourgain_norm(f, zeta, b) == want
-        assert np.array_equal(fields.ClampedSymbol(GRID, zeta).weight(b), w)
+        assert sym.norm(F.coeffs, b) == want
+        assert np.array_equal(sym.weight(b), w)
         assert np.array_equal(fields.bourgain_weight(GRID, zeta, b), w)
 
 
@@ -243,36 +249,38 @@ def test_resolvent_reports_against_the_solver_threshold(n):
     rho = np.array([1.0, 0.0, 0.0])
     g = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, 0.7), 8.0, dm0.k, grid=grid)
     sol = cgo.solve_cgo(dm0, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
-    _, report = resolvent(FormField.zero(grid), g.zeta1, dm0.k)
+    report = ClampedSymbol(grid, g.zeta1).report()
     assert report.threshold == sol.clamp.threshold
     assert report.clamped == sol.clamp.clamped
 
 
 def test_bourgain_norm_zero_field_and_preconditions():
-    zeta = admissible_zeta(2.0, 1.0)
-    assert bourgain_norm(FormField.zero(GRID), zeta, 0.5) == 0.0
+    sym = ClampedSymbol(GRID, admissible_zeta(2.0, 1.0))
+    zero = fft_forward(FormField.zero(GRID)).coeffs
+    assert sym.norm(zero, 0.5) == 0.0
     with pytest.raises(ValueError):
-        bourgain_norm(FormField.zero(GRID), zeta, 0.25)
+        sym.norm(zero, 0.25)
 
 
 def test_bourgain_duality_bound():
     rng = np.random.default_rng(11)
-    zeta = admissible_zeta(2.7, 1.0)
+    sym = ClampedSymbol(GRID, admissible_zeta(2.7, 1.0))
     for _ in range(10):
         f = random_band_limited(GRID, rng, band=6, zero_mean=True)
         g = random_band_limited(GRID, rng, band=6, zero_mean=True)
         lhs = abs(spectral_pairing(f, g))
-        rhs = bourgain_norm(f, zeta, 0.5) * bourgain_norm(g, zeta, -0.5)
+        rhs = sym.norm(fft_forward(f).coeffs, 0.5) * sym.norm(fft_forward(g).coeffs, -0.5)
         assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_bourgain_duality_equality_for_aligned_mode():
-    zeta = admissible_zeta(2.7, 1.0)
+    sym = ClampedSymbol(GRID, admissible_zeta(2.7, 1.0))
     coeffs = np.zeros((8, GRID.n, GRID.n, GRID.n), dtype=complex)
     coeffs[2, 3, 1, 0] = 1.5 - 0.5j
     f = fft_inverse(SpectralField(GRID, coeffs))
     lhs = abs(spectral_pairing(f, f))
-    rhs = bourgain_norm(f, zeta, 0.5) * bourgain_norm(f, zeta, -0.5)
+    F = fft_forward(f).coeffs
+    rhs = sym.norm(F, 0.5) * sym.norm(F, -0.5)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -285,7 +293,7 @@ def test_bourgain_norm_single_mode_against_direct_sum():
     coeffs[1][idx] = 2.0 + 1.0j
     f = fft_inverse(SpectralField(grid, coeffs))
     for b in (0.5, -0.5):
-        got = bourgain_norm(f, zeta, b)
+        got = ClampedSymbol(grid, zeta).norm(fft_forward(f).coeffs, b)
         # oracle: explicit lattice loop
         total = 0.0
         for i in range(8):

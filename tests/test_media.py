@@ -234,6 +234,15 @@ def test_a_bump_whose_radius_squared_is_subnormal_keeps_its_centre(grid16):
     assert total[8, 8, 8] == 0.4 and np.count_nonzero(total) == 1
 
 
+def test_a_bump_whose_ball_holds_no_grid_point_is_rejected(grid16):
+    # the same radius 0.1 off the grid point: no sample would see the bump
+    centre = tuple(grid16.x[:, 8, 8, 8] + np.array([-0.1, 0.0, 0.0]))
+    wide = md.Bump(0.3, 1.2)
+    with pytest.raises(CoefficientError, match=r"^bump 1 holds no grid point") as err:
+        md.Medium.from_bumps(grid16, 1.0, mu_bumps=[wide, md.Bump(0.4, 1e-155, centre)])
+    assert err.value.name == "mu"
+
+
 @pytest.mark.parametrize("name", ["eps", "mu", "sigma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_medium_rejects_non_finite_samples(grid16, name, bad):

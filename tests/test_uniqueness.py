@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import tracemalloc
@@ -9,8 +10,8 @@ import pytest
 from cgolab import cgo, fields, presets
 from cgolab import media as md
 from cgolab import uniqueness as uq
-from cgolab.fields import FormField, default_floor, plane_wave_scalar
-from conftest import form_lazy_fields
+from cgolab.fields import default_floor, plane_wave_scalar
+from conftest import bits, form_lazy_fields
 
 RHO = np.array([1.0, 0.0, 0.0])
 
@@ -106,19 +107,32 @@ def test_target_at_negative_probe_matches_direct_quadrature(grid16, pair16):
     assert abs(got - complex(manual)) < 1e-10 * abs(got)
 
 
+def test_targets_are_the_contrast_transforms_of_the_potentials(grid16, pair16):
+    # h^3 sum_x (q2 - q1) e^(i rho x), q the grade-0 multiplier for E and the
+    # grade-3 one for H, at every lattice rho with 0 < |rho|^2 <= 9
+    steps = range(-3, 4)
+    lattice = [np.array(v, float) for v in itertools.product(steps, steps, steps)
+               if 0 < np.dot(v, v) <= 9]
+    assert len(lattice) == 122
+    for pol, c in ((cgo.Polarization.E, 0), (cgo.Polarization.H, 3)):
+        contrast = pair16.dm2.coefficients[c] - pair16.dm1.coefficients[c]
+        for rho in lattice:
+            want = grid16.cell_volume * np.sum(contrast * plane_wave_scalar(grid16, rho))
+            got = uq.scattering_target(pair16, rho, pol)
+            assert abs(got - want) <= 1e-12 * abs(want), (pol, rho)
+
+
 def test_pairing_is_linear_in_first_amplitude(grid16, pair16):
     # scaling the first amplitude scales the pairing value linearly,
     # assembled here from the public solver pieces
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.5), 8.0, pair16.k, grid=grid16)
     amp_a = cgo.amplitude_a(g, cgo.Polarization.E)
     amp_b = cgo.amplitude_b(g, cgo.Polarization.E)
-    sol_b = cgo.solve_cgo(pair16.dm2, g.zeta2, amp_b)
-    v = FormField.constant(grid16, amp_b) + sol_b.remainder
+    v = cgo.solve_cgo(pair16.dm2, g.zeta2, amp_b).total
     wave = plane_wave_scalar(grid16, RHO)
 
     def assemble(scale):
-        sol_a = cgo.solve_cgo(pair16.dm1, g.zeta1, scale * amp_a)
-        w = FormField.constant(grid16, scale * amp_a) + sol_a.remainder
+        w = cgo.solve_cgo(pair16.dm1, g.zeta1, scale * amp_a).total
         dq = md.potential(w, pair16.dm2) - md.potential(w, pair16.dm1)
         return complex(grid16.cell_volume * np.sum(wave * dq.inner(v)))
 
@@ -129,14 +143,13 @@ def test_pairing_is_linear_in_first_amplitude(grid16, pair16):
 
 @pytest.mark.parametrize("pol", list(cgo.Polarization))
 def test_pairing_is_bit_equal_to_the_pre_change_expression(grid16, pair16, pol):
-    # both A + R sums, Q2 w - Q1 w and the quadrature as written before the
-    # pairing formed them in place, paired solve last
+    # Q2 w - Q1 w and the quadrature as written before the pairing formed
+    # them in place, on the solves' A + R and B + S, paired solve last
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, pair16.k, grid=grid16)
     a_amp, b_amp = cgo.amplitude_a(g, pol), cgo.amplitude_b(g, pol)
     sol1 = cgo.solve_cgo(pair16.dm1, g.zeta1, a_amp)
     sol2 = cgo.solve_cgo(pair16.dm2, g.zeta2, b_amp)
-    w = FormField.constant(grid16, a_amp) + sol1.remainder
-    v = FormField.constant(grid16, b_amp) + sol2.remainder
+    w, v = sol1.total, sol2.total
     dq = md.potential(w, pair16.dm2) - md.potential(w, pair16.dm1)
     expected = complex(grid16.cell_volume * np.sum(plane_wave_scalar(grid16, RHO) * dq.inner(v)))
     res = uq.pairing(pair16, g, pol)
@@ -187,10 +200,6 @@ def test_ucp_coefficients_supported_in_subbox(grid16, pair16):
         assert np.max(np.abs(f[outside])) <= 1e-8 * np.max(np.abs(f))
 
 
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
-
-
 def test_smooth_step_falls_smoothly_from_one_to_zero():
     t = np.linspace(0.0, 1.0, 1001)[1:-1]  # the open interval, where the step moves
     f = uq._smooth_step(t)
@@ -216,7 +225,7 @@ def test_ucp_coefficients_are_bit_equal_to_the_pre_change_expressions(grid32):
     half = grid32.length / 4.0
     r = np.max(np.abs(grid32.x - grid32.length / 2.0), axis=0) / half
     window = uq._smooth_step((r - uq.WINDOW_START) / (uq.WINDOW_STOP - uq.WINDOW_START))
-    assert np.array_equal(_bits(uq.subbox_window(grid32)), _bits(window))
+    assert np.array_equal(bits(uq.subbox_window(grid32)), bits(window))
     dm1, dm2 = pair.dm1, pair.dm2
     omega2 = dm1.omega**2
     sg1, sg2, sm1, sm2 = dm1.sqrt_gamma, dm2.sqrt_gamma, dm1.sqrt_mu, dm2.sqrt_mu
@@ -233,7 +242,7 @@ def test_ucp_coefficients_are_bit_equal_to_the_pre_change_expressions(grid32):
     d = -window * omega2 * sm1 * sm2 * (mu1 + mu2) * (sg1 + sg2) / (sm1 + sm2)
     M = uq.ucp_coefficients(pair)
     for (i, j), entry in zip(np.ndindex(2, 2), (V + a, b, d, W + c)):
-        assert np.array_equal(_bits(M[i, j]), _bits(entry)), (i, j)
+        assert np.array_equal(bits(M[i, j]), bits(entry)), (i, j)
 
 
 def test_ucp_zero_coefficients(grid16):
