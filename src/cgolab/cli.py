@@ -62,13 +62,7 @@ FAILURES = {
 
 
 def _fmt(value) -> str:
-    if value is None:  # not measured: an empty cell
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+    return "" if value is None else str(value)  # None: not measured, an empty cell
 
 
 class Run:

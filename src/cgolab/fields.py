@@ -285,17 +285,13 @@ def d_plus_delta(f: FormField, zeta=None) -> FormField:
     )
 
 
-def laplacian_symbol(grid: Grid, zeta=None) -> np.ndarray:
-    """Symbol of the conjugated Hodge Laplacian: |xi|^2 - 2i<z,xi> - <z,z>."""
-    if zeta is None:
-        return grid.xi_op_sq.astype(complex)
-    z = np.asarray(zeta, dtype=complex)
-    return helmholtz_symbol(grid, z) - np.dot(z, z)
-
-
 def conj_laplacian(f: FormField, zeta=None) -> FormField:
-    """Apply the (conjugated) Hodge Laplacian spectrally to every blade."""
-    m = laplacian_symbol(f.grid, zeta)
+    """Apply the (conjugated) Hodge Laplacian, symbol |xi|^2 - 2i<z,xi> - <z,z>, to every blade."""
+    if zeta is None:
+        m = f.grid.xi_op_sq.astype(complex)
+    else:
+        z = np.asarray(zeta, dtype=complex)
+        m = helmholtz_symbol(f.grid, z) - np.dot(z, z)
     return _spectral_map(f, lambda F: F * m)
 
 
@@ -359,17 +355,16 @@ class ClampedSymbol:
         self.floor = default_floor(grid)
         self.mask = np.abs(p) < self.floor
         self.divisor = np.where(self.mask, 1.0, p)
-        self._weights: dict[float, np.ndarray] = {}
+        # |divisor| is |p| >= floor off the mask and 1 on it, which is zeroed
+        absp = np.abs(self.divisor)
+        inv = np.reciprocal(absp)
+        absp[self.mask] = inv[self.mask] = 0.0
+        self._weights = {0.5: absp, -0.5: inv}
 
     def weight(self, b: float) -> np.ndarray:
         """Norm weight |p|^(2b) for b = +-1/2, zero on the clamped modes."""
-        if b not in (0.5, -0.5):
-            raise ValueError(f"b must be +1/2 or -1/2, got {b}")
         if b not in self._weights:
-            # |divisor| is |p| >= floor off the mask, which is zeroed
-            w = np.abs(self.divisor) ** (2.0 * b)
-            w[self.mask] = 0.0
-            self._weights[b] = w
+            raise ValueError(f"b must be +1/2 or -1/2, got {b}")
         return self._weights[b]
 
     def norm(self, coeffs: np.ndarray, b: float, scratch=None) -> float:

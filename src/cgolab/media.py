@@ -114,14 +114,6 @@ class Medium:
         self.sigma = sigma
 
     @classmethod
-    def background(cls, grid, omega, eps0=1.0, mu0=1.0):
-        shape = (grid.n,) * 3
-        return cls(
-            grid, omega, eps0, mu0,
-            eps=np.full(shape, eps0), mu=np.full(shape, mu0), sigma=np.zeros(shape),
-        )
-
-    @classmethod
     def from_bumps(cls, grid, omega, eps0=1.0, mu0=1.0,
                    eps_bumps=(), mu_bumps=(), sigma_bumps=()):
         samples = []
@@ -275,7 +267,7 @@ def derive(medium: Medium) -> DerivedMedium:
 
 
 def derive_background(grid: Grid, omega: float, eps0: float = 1.0, mu0: float = 1.0):
-    return derive(Medium.background(grid, omega, eps0, mu0))
+    return derive(Medium.from_bumps(grid, omega, eps0, mu0))
 
 
 # ---------------------------------------------------------------------------

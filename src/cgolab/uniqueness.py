@@ -30,6 +30,7 @@ from .fields import (
     _inverse,
     _parallel_map,
     _weighted_sq_sum,
+    assert_admissible,
     plane_wave_scalar,
     seeded_rng,
 )
@@ -332,9 +333,7 @@ def ucp_contraction_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    zeta = np.asarray(zeta, dtype=complex)
-    if abs(np.dot(zeta, zeta)) > 1e-10 * max(1.0, float(np.sum(np.abs(zeta) ** 2))):
-        raise ValueError("unique continuation check needs <zeta, zeta> = 0")
+    assert_admissible(zeta, 0.0)  # <zeta, zeta> = 0
     shape = (2, 2) + (grid.n,) * 3
     if M.shape != shape:
         raise ValueError(f"M has shape {M.shape}, but the grid needs {shape}")

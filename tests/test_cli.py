@@ -532,6 +532,22 @@ def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):
     assert "contraction not measured" in manifest["diagnostics"]["error"]
 
 
+def test_csv_cells_keep_the_float_and_integer_spellings():
+    # a results.csv cell is str(value): under numpy >= 2 it spells an
+    # np.float64 as repr(float) and an np.int64 as str(int), as the cells
+    # always have, and a value not measured is an empty cell
+    from cgolab.cli import _fmt
+
+    assert _fmt(None) == ""
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, -1e16, 1e-5,
+             0.1, 1 / 3, 2.0**53 + 2, np.finfo(float).max, np.finfo(float).tiny]
+    randoms = np.random.default_rng(27).integers(0, 2**64, 10_000, dtype=np.uint64).view(float)
+    for value in edges + list(randoms):
+        assert _fmt(float(value)) == _fmt(np.float64(value)) == repr(float(value))
+    for value in (0, 1, -1, 7, 10**15, np.iinfo(np.int64).max, np.iinfo(np.int64).min):
+        assert _fmt(int(value)) == _fmt(np.int64(value)) == str(int(value))
+
+
 @pytest.mark.parametrize(
     "command, kind, code",
     [
@@ -647,7 +663,9 @@ def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))
-def test_thread_count_changes_no_result(tmp_path, kind):
+def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
+    # two pool threads pass the --threads cap on a one-CPU host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = small_config(kind)
     if kind == "decay":
         cfg["geometry"]["lambda_list"] = [2.0, 4.0]

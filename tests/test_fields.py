@@ -260,6 +260,9 @@ def test_bourgain_norm_zero_field_and_preconditions():
     assert sym.norm(zero, 0.5) == 0.0
     with pytest.raises(ValueError):
         sym.norm(zero, 0.25)
+    for b in (0.25, 0.0, 1.0, -1.0):
+        with pytest.raises(ValueError, match=f"b must be \\+1/2 or -1/2, got {b}"):
+            sym.weight(b)
 
 
 def test_bourgain_duality_bound():

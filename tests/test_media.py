@@ -70,6 +70,14 @@ def test_background_derivation(grid16):
     assert dm.k == pytest.approx(2.0 * np.sqrt(4.0 * 0.25))
 
 
+def test_a_medium_without_bumps_is_the_constant_background(grid16):
+    m = md.Medium.from_bumps(grid16, omega=2.0, eps0=4.0, mu0=0.25)
+    shape = (grid16.n,) * 3
+    for got, want in ((m.eps, np.full(shape, 4.0)), (m.mu, np.full(shape, 0.25)),
+                      (m.sigma, np.zeros(shape))):
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_conductivity_enters_imaginary_part(grid16):
     omega = 2.0
     bump = md.Bump(0.3, 1.2)

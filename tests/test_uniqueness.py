@@ -27,10 +27,10 @@ def pair16(grid16):
 
 def test_make_pair_rejections(grid16):
     m1 = presets.reference_medium(grid16)
-    bad = md.Medium.background(grid16, omega=2.0)
+    bad = md.Medium.from_bumps(grid16, omega=2.0)
     with pytest.raises(ValueError):
         uq.make_pair(m1, bad)  # different omega
-    bad2 = md.Medium.background(grid16, omega=1.0, eps0=2.0)
+    bad2 = md.Medium.from_bumps(grid16, omega=1.0, eps0=2.0)
     with pytest.raises(ValueError):
         uq.make_pair(m1, bad2)  # different background
     with pytest.raises(ValueError, match="media must share one grid"):
@@ -81,7 +81,7 @@ def test_target_zero_frequency_drops_gradient_term(grid16, pair16):
 def test_target_b_closed_form_for_mu_only_contrast(grid16):
     # gamma identical, mu differs by one bump: the target reduces to the
     # Fourier coefficient of -omega^2 gamma (mu2 - mu1) at the probe
-    m1 = md.Medium.background(grid16, omega=1.0)
+    m1 = md.Medium.from_bumps(grid16, omega=1.0)
     bump = md.Bump(0.2, 1.2, sharpness=2.0)
     m2 = md.Medium.from_bumps(grid16, omega=1.0, mu_bumps=[bump])
     mp = uq.make_pair(m1, m2)
@@ -120,6 +120,25 @@ def test_targets_are_the_contrast_transforms_of_the_potentials(grid16, pair16):
             want = grid16.cell_volume * np.sum(contrast * plane_wave_scalar(grid16, rho))
             got = uq.scattering_target(pair16, rho, pol)
             assert abs(got - want) <= 1e-12 * abs(want), (pol, rho)
+
+
+def test_the_target_moves_far_less_from_32_to_64_than_from_16_to_32():
+    # the grid's share of the error, on the reference pair at rho index
+    # (2, 0, 0): the relative change of the target from 16^3 to 32^3 is about
+    # 50x its change from 32^3 to 64^3 (1.0e-2 against 1.9e-4 for E, 1.7e-2
+    # against 3.4e-4 for H), so a 2n twin, not an n/2 one, bounds an n row
+    rho = 2.0 * (2.0 * np.pi / presets.REFERENCE_LENGTH) * np.array([1.0, 0.0, 0.0])
+    pols = (cgo.Polarization.E, cgo.Polarization.H)
+    targets = []
+    for n in (16, 32, 64):
+        grid = presets.reference_grid(n)
+        pair = uq.make_pair(presets.reference_medium(grid), presets.perturbed_medium(grid))
+        targets.append(np.array([uq.scattering_target(pair, rho, pol) for pol in pols]))
+        del pair
+    t16, t32, t64 = targets
+    coarse = np.abs(t32 - t16) / np.abs(t32)
+    fine = np.abs(t64 - t32) / np.abs(t64)
+    assert np.all(coarse >= 10 * fine), (coarse, fine)
 
 
 def test_pairing_is_linear_in_first_amplitude(grid16, pair16):
@@ -279,7 +298,7 @@ def test_ucp_rejects_bad_inputs(grid16, pair16):
     for trials in (0, -1):
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
             uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=trials)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("<zeta,zeta> = (1+0j) is not -k^2 = -0.0")):
         uq.ucp_contraction_check(grid16, M, np.array([1.0, 0.0, 0.0]), trials=1)
     bad = np.ones((2, 2) + (grid16.n,) * 3, dtype=complex)
     with pytest.raises(ValueError, match=r"coefficient M\[0, 0\] is not supported in the sub-box"):
