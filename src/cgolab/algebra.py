@@ -188,28 +188,22 @@ def inner(u, v):
 
 
 def grade_select(u, grades):
-    """Keep the blades of the given grades, zero the rest."""
-    if np.isscalar(grades):
-        grades = (grades,)
+    """Keep the blades of the given grades (one grade or several), zero the rest."""
     mask = np.isin(GRADES, grades).astype(float)
     shape = (8,) + (1,) * (np.asarray(u).ndim - 1)
     return u * mask.reshape(shape)
 
 
-def alternate(u, offset=0):
-    """Scale each grade-l block by (-1)^(l+offset)."""
+def alternate(u, offset=0, out=None):
+    """Scale each grade-l block by (-1)^(l+offset), into ``out`` (may be u) when given."""
     sign = ALT_SIGN if offset % 2 == 0 else -ALT_SIGN
     shape = (8,) + (1,) * (np.asarray(u).ndim - 1)
-    return u * sign.reshape(shape)
+    return np.multiply(u, sign.reshape(shape), out=out)
 
 
 def form_abs(u):
     """Pointwise magnitude sqrt(sum_blades |coeff|^2)."""
     return np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
-
-
-def is_pure_grade(u, grade):
-    return not np.any(np.asarray(u)[GRADES != grade])
 
 
 def sym_product_components(u3, v3):
@@ -274,7 +268,7 @@ class GradedForm:
 
     def sym_product(self, other: "GradedForm") -> "SymTensor2":
         for form in (self, other):
-            if not is_pure_grade(form.data, 1):
+            if np.any(form.data[GRADES != 1]):
                 raise ValueError("symmetric product requires pure grade-1 forms")
         return SymTensor2(sym_product_components(self.data[1:4], other.data[1:4]))
 

@@ -224,7 +224,8 @@ def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
 
     The identity residual floor is the spectral tail of the medium, so
     its tolerance is the 32^3 contract (1e-6) only from that resolution
-    up; coarser grids get a correspondingly looser bound.
+    up; coarser grids get a correspondingly looser bound.  At its peak it holds
+    w, phi, one first-order image and the map forming the next (7.5 fields).
     """
     grid = dm.grid
     identity_tol = 1e-6 if grid.n >= 32 else 1e-4
@@ -242,22 +243,27 @@ def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
         w = random_band_limited(grid, rng, band=band)
         phi = random_band_limited(grid, rng, band=band)
 
-        # each oracle once per pair, shared by the five identities; the weak
-        # pairings run first, while no first-order image is held
+        # each oracle once per pair, shared by the five identities; each
+        # first-order image is paired as soon as it is formed, then dropped
         dirichlet = dirichlet_pairing(w, phi, dm.k)
         weak = weak_potential_pairing(w, phi, dm)
         weak_t = weak_potential_t_pairing(w, phi, dm)
-        lw, lphi = first_order(w, dm), first_order(phi, dm)
-        tw, tphi = first_order_t(w, dm), first_order_t(phi, dm)
+        tphi = first_order_t(phi, dm)
+        tw_tphi, w_tphi = quadrature_pairing(first_order_t(w, dm), tphi), quadrature_pairing(w, tphi)
+        del tphi
+        lw = first_order(w, dm)
+        lw_lphi, lw_phi = quadrature_pairing(lw, first_order(phi, dm)), quadrature_pairing(lw, phi)
+        del lw
 
         # (reference, compared) per identity, in the order of ``identities``
         sides = [
-            (quadrature_pairing(tw, tphi), dirichlet + weak),
-            (quadrature_pairing(lw, lphi), dirichlet + weak_t),
+            (tw_tphi, dirichlet + weak),
+            (lw_lphi, dirichlet + weak_t),
             (weak, quadrature_pairing(potential(w, dm), phi)),
             (weak_t, quadrature_pairing(potential_t(w, dm), phi)),
-            (quadrature_pairing(lw, phi), quadrature_pairing(w, tphi)),
+            (lw_phi, w_tphi),
         ]
+        del w, phi
         worst = [
             max(err, abs(ref - other) / max(abs(ref), 1e-300))
             for err, (ref, other) in zip(worst, sides)

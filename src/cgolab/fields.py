@@ -248,9 +248,9 @@ def fft_inverse(F: SpectralField) -> FormField:
 
 
 def _spectral_map(f: FormField, fn) -> FormField:
-    """Apply ``fn`` to the Fourier coefficients of f."""
-    F = fft_forward(f)
-    return fft_inverse(SpectralField(f.grid, fn(F.coeffs)))
+    """Apply ``fn`` to the Fourier coefficients of f, which are its own to
+    overwrite and are released before the inverse transform."""
+    return fft_inverse(SpectralField(f.grid, fn(fft_forward(f).coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +274,15 @@ def ext_deriv(f: FormField, zeta=None) -> FormField:
 def coderiv(f: FormField, zeta=None) -> FormField:
     """Codifferential; with zeta the conjugated version with (-1)^l zeta v."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F)))
+    return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F, out=F)))
 
 
 def d_plus_delta(f: FormField, zeta=None) -> FormField:
-    """(d + delta) in one transform pair; conjugated when zeta is given."""
+    """(d + delta) in one transform pair; conjugated when zeta is given.  The
+    vee image is added into the wedge image, formed before F is alternated."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(
-        f, lambda F: algebra.wedge_cov(c, F) + algebra.vee_cov(c, algebra.alternate(F))
-    )
+    return _spectral_map(f, lambda F: np.add(
+        d := algebra.wedge_cov(c, F), algebra.vee_cov(c, algebra.alternate(F, out=F)), out=d))
 
 
 def conj_laplacian(f: FormField, zeta=None) -> FormField:
@@ -292,7 +292,7 @@ def conj_laplacian(f: FormField, zeta=None) -> FormField:
     else:
         z = np.asarray(zeta, dtype=complex)
         m = helmholtz_symbol(f.grid, z) - np.dot(z, z)
-    return _spectral_map(f, lambda F: F * m)
+    return _spectral_map(f, lambda F: np.multiply(F, m, out=F))
 
 
 def helmholtz_symbol(grid: Grid, zeta) -> np.ndarray:
@@ -459,7 +459,7 @@ def mollify(f: FormField, h: float) -> FormField:
     if not h > 0:
         raise ValueError(f"mollification scale must be positive, got {h}")
     m = np.exp(-0.5 * (h**2) * f.grid.xi_sq)
-    return _spectral_map(f, lambda F: F * m)
+    return _spectral_map(f, lambda F: np.multiply(F, m, out=F))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class Bump:
 def sample_bumps(grid: Grid, bumps) -> np.ndarray:
     """Sum of the bumps sampled on the grid.  A bump whose ball holds no
     grid point would vanish from the samples: it raises ValueError."""
-    x = grid.x  # formed once for all the bumps
+    x = grid.x if bumps else None  # formed once for all the bumps, and only for bumps
     total = np.zeros((grid.n,) * 3)
     for i, bump in enumerate(bumps):
         center = np.asarray(bump.center if bump.center is not None else [grid.length / 2] * 3)

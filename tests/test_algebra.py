@@ -5,6 +5,7 @@ import pytest
 
 from cgolab import algebra
 from cgolab.algebra import BLADES, GradedForm
+from conftest import bits
 
 RNG = np.random.default_rng(2024)
 
@@ -285,6 +286,29 @@ def test_covector_kernels_into_given_buffers_are_bit_equal(kernel):
         blades = [b if k in reached else None for k, b in enumerate(np.empty_like(u))]
         kernel(c3, u, grades=grades, out=blades, term=term)
         assert np.array([blades[k] for k in reached]).tobytes() == expected[reached].tobytes()
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_alternate_into_out_is_bit_equal(offset):
+    rng = np.random.default_rng(35)
+    u = random_field(rng, 8, n=8)
+    u[2] = complex(-0.0, -0.0)
+    u[5, ::2] = complex(-0.0, 0.0)
+    sign = (algebra.ALT_SIGN if offset % 2 == 0 else -algebra.ALT_SIGN).reshape(8, 1, 1, 1)
+    want = u * sign  # the expression before alternate took out
+    assert np.array_equal(bits(algebra.alternate(u, offset)), bits(want))
+    out = np.full_like(u, np.nan)
+    assert algebra.alternate(u, offset, out=out) is out
+    assert np.array_equal(bits(out), bits(want))
+    assert algebra.alternate(u, offset, out=u) is u
+    assert np.array_equal(bits(u), bits(want))
+    # one form value, and grades given as one grade or several
+    v = random_form(rng).data
+    assert np.array_equal(bits(algebra.alternate(v, offset, out=v.copy())),
+                          bits(algebra.alternate(v, offset)))
+    for grade in range(4):
+        assert np.array_equal(bits(algebra.grade_select(u, grade)),
+                              bits(algebra.grade_select(u, (grade,))))
 
 
 def test_wedge_cov_changes_under_sign_fault():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgolab import cgo, fields, media
+from cgolab import algebra, cgo, fields, media
 from cgolab.algebra import GradedForm
 from cgolab.fields import (
     ClampedSymbol,
@@ -30,6 +30,7 @@ from cgolab.fields import (
     sym_coderiv,
     sym_product_field,
 )
+from conftest import bits
 
 GRID = Grid(16, 2.0 * np.pi)
 
@@ -164,6 +165,50 @@ def test_conjugated_laplacian_examples():
     symbol = np.dot(xi0, xi0) - 2j * np.dot(zeta, xi0) - np.dot(zeta, zeta)
     out = conj_laplacian(f, zeta)
     assert rel_err(out.values[1], symbol * wave) < 1e-12
+
+
+# the spectra of the maps as written before each map overwrote its forward
+# spectrum: new arrays for the alternation, the wedge and vee images and their sum
+PRE_CHANGE_SPECTRA = {
+    "ext_deriv": lambda c, F: algebra.wedge_cov(c, F),
+    "coderiv": lambda c, F: algebra.vee_cov(c, algebra.alternate(F)),
+    "d_plus_delta": lambda c, F: algebra.wedge_cov(c, F) + algebra.vee_cov(c, algebra.alternate(F)),
+}
+
+
+def signed_zero_fields(seed):
+    """A random field, and a copy with -0.0 in whole blades and in half the points of one."""
+    f = random_band_limited(GRID, np.random.default_rng(seed), band=GRID.n // 2 - 1)
+    signed = f.values.copy()
+    signed[1::2] = complex(-0.0, -0.0)
+    signed[0, ::2] = complex(-0.0, 0.0)
+    return f, FormField(GRID, signed)
+
+
+@pytest.mark.parametrize("zeta", [None, admissible_zeta(2.5, 1.0)], ids=["plain", "zeta"])
+@pytest.mark.parametrize("op", [ext_deriv, coderiv, d_plus_delta], ids=lambda op: op.__name__)
+def test_spectral_maps_are_bit_equal_to_the_pre_change_expressions(op, zeta):
+    c = fields._spectral_covector(GRID, zeta)
+    for f in signed_zero_fields(36):
+        before = f.values.copy()
+        F = fft_forward(f).coeffs
+        want = fft_inverse(SpectralField(GRID, PRE_CHANGE_SPECTRA[op.__name__](c, F)))
+        assert np.array_equal(bits(op(f, zeta).values), bits(want.values))
+        assert np.array_equal(bits(f.values), bits(before))  # only the spectrum is overwritten
+
+
+def test_multiplier_maps_are_bit_equal_to_the_pre_change_expressions():
+    zeta = admissible_zeta(2.5, 1.0)
+    z = np.asarray(zeta)
+    for f in signed_zero_fields(37):
+        F = fft_forward(f).coeffs
+        for got, m in [
+            (conj_laplacian(f), GRID.xi_op_sq.astype(complex)),
+            (conj_laplacian(f, zeta), fields.helmholtz_symbol(GRID, z) - np.dot(z, z)),
+            (mollify(f, 0.3), np.exp(-0.5 * (0.3**2) * GRID.xi_sq)),
+        ]:
+            want = fft_inverse(SpectralField(GRID, F * m))
+            assert np.array_equal(bits(got.values), bits(want.values))
 
 
 def resolve(sym, f):

@@ -16,7 +16,7 @@ from cgolab.fields import (
     quadrature_pairing,
     random_band_limited,
 )
-from conftest import LAZY_FIELDS
+from conftest import LAZY_FIELDS, bits, form_lazy_fields
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -24,12 +24,6 @@ RHO = np.array([1.0, 0.0, 0.0])
 
 def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-30)
-
-
-def bit_equal(a, b):
-    """Equal bit for bit, signs of zeros included."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def oracle_fields(dm) -> dict:
@@ -75,7 +69,7 @@ def test_a_medium_without_bumps_is_the_constant_background(grid16):
     shape = (grid16.n,) * 3
     for got, want in ((m.eps, np.full(shape, 4.0)), (m.mu, np.full(shape, 0.25)),
                       (m.sigma, np.zeros(shape))):
-        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got.dtype == want.dtype and np.array_equal(bits(got), bits(want))
 
 
 def test_conductivity_enters_imaginary_part(grid16):
@@ -143,14 +137,14 @@ def test_derived_fields_hold_only_their_live_components(grid16):
 def test_derive_is_bit_equal_to_the_form_field_route(n, medium):
     m = getattr(presets, f"{medium}_medium")(presets.reference_grid(n))
     dm = md.derive(m)
-    assert bit_equal(dm.gamma, m.eps + 1j * m.sigma / m.omega)
-    assert bit_equal(dm.mu, m.mu.astype(complex))
+    assert np.array_equal(bits(dm.gamma), bits(m.eps + 1j * m.sigma / m.omega))
+    assert np.array_equal(bits(dm.mu), bits(m.mu.astype(complex)))
     want = oracle_fields(dm)
     for name in ("da3", "db3", "hess_a", "hess_b", "grade_multipliers",
                  "contraction_covector", "dc3"):
-        assert bit_equal(getattr(dm, name), want[name]), name
-    assert bit_equal(dm.coefficients, np.concatenate(
-        [want["grade_multipliers"], want["contraction_covector"]]))
+        assert np.array_equal(bits(getattr(dm, name)), bits(want[name])), name
+    assert np.array_equal(bits(dm.coefficients), bits(np.concatenate(
+        [want["grade_multipliers"], want["contraction_covector"]])))
 
 
 def test_gradient_is_bit_equal_to_the_form_field_route(grid16):
@@ -165,7 +159,7 @@ def test_gradient_is_bit_equal_to_the_form_field_route(grid16):
              "neg_zero": np.full_like(mixed, complex(-0.0, -0.0)), "mixed": mixed}
     for name, s in cases.items():
         want = ext_deriv(FormField.from_scalar(grid16, s)).values[1:4]
-        assert bit_equal(md._gradient(grid16, s), want), name
+        assert np.array_equal(bits(md._gradient(grid16, s)), bits(want)), name
 
 
 def test_replace_derives_afresh(grid16):
@@ -174,8 +168,23 @@ def test_replace_derives_afresh(grid16):
     new = dataclasses.replace(dm, gamma=fresh.gamma, mu=fresh.mu)
     for name in ("k", "da3", "db3", "hess_a", "hess_b", "grade_multipliers",
                  "contraction_covector", "dc3"):
-        assert bit_equal(getattr(new, name), getattr(fresh, name)), name
-    assert not bit_equal(new.grade_multipliers, dm.grade_multipliers)
+        assert np.array_equal(bits(getattr(new, name)), bits(getattr(fresh, name))), name
+    assert not np.array_equal(bits(new.grade_multipliers), bits(dm.grade_multipliers))
+
+
+def test_sample_bumps_without_bumps_forms_only_the_zero_field():
+    grid = presets.reference_grid()
+    tracemalloc.start()
+    try:
+        total = md.sample_bumps(grid, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the three coordinate arrays of grid.x would add 3 more scalar fields, and
+    # forming them 2 more still
+    scalar_bytes = grid.n**3 * np.dtype(float).itemsize
+    assert peak <= scalar_bytes + 65536
+    assert np.array_equal(bits(total), bits(np.zeros((grid.n,) * 3)))
 
 
 def test_derive_holds_only_what_it_keeps():
@@ -385,6 +394,21 @@ def test_factorization_checks_evaluate_each_oracle_once_per_pair(dm16, monkeypat
         "first_order": 4, "first_order_t": 4, "dirichlet_pairing": 2,
         "weak_potential_pairing": 2, "weak_potential_t_pairing": 2,
     }
+
+
+def test_factorization_checks_pair_each_first_order_image_and_drop_it(dm16):
+    form_lazy_fields(dm16)
+    checks.factorization_checks(dm16, n_pairs=1)  # fills the medium's and the grid's caches
+    tracemalloc.start()
+    try:
+        checks.factorization_checks(dm16, n_pairs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # w, phi, one held image and the map forming the next one: about 7.5
+    # 8-blade fields; holding all four images while forming the last peaks at 10.5
+    field_bytes = 8 * dm16.grid.n**3 * np.dtype(complex).itemsize
+    assert peak < 8 * field_bytes
 
 
 def test_transposed_potential_decouples(grid16, dm16):
