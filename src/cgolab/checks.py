@@ -249,10 +249,12 @@ def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
         weak = weak_potential_pairing(w, phi, dm)
         weak_t = weak_potential_t_pairing(w, phi, dm)
         tphi = first_order_t(phi, dm)
-        tw_tphi, w_tphi = quadrature_pairing(first_order_t(w, dm), tphi), quadrature_pairing(w, tphi)
+        tw_tphi = quadrature_pairing(first_order_t(w, dm), tphi)
+        w_tphi = quadrature_pairing(w, tphi)
         del tphi
         lw = first_order(w, dm)
-        lw_lphi, lw_phi = quadrature_pairing(lw, first_order(phi, dm)), quadrature_pairing(lw, phi)
+        lw_lphi = quadrature_pairing(lw, first_order(phi, dm))
+        lw_phi = quadrature_pairing(lw, phi)
         del lw
 
         # (reference, compared) per identity, in the order of ``identities``

@@ -61,10 +61,6 @@ class Grid:
             raise ValueError(f"grid.length must be positive, got {self.length}")
 
     @property
-    def spacing(self) -> float:
-        return self.length / self.n
-
-    @property
     def cell_volume(self) -> float:
         return (self.length / self.n) ** 3
 
@@ -109,7 +105,7 @@ class Grid:
     @property
     def x(self) -> np.ndarray:
         """Physical coordinates, shape (3, n, n, n)."""
-        t = np.arange(self.n) * self.spacing
+        t = np.arange(self.n) * (self.length / self.n)
         X, Y, Z = np.meshgrid(t, t, t, indexing="ij")
         return np.stack([X, Y, Z])
 
@@ -248,8 +244,8 @@ def fft_inverse(F: SpectralField) -> FormField:
 
 
 def _spectral_map(f: FormField, fn) -> FormField:
-    """Apply ``fn`` to the Fourier coefficients of f, which are its own to
-    overwrite and are released before the inverse transform."""
+    """Apply ``fn`` to the Fourier coefficients of f.  ``fn`` may overwrite
+    them; no reference to them outlives ``fn`` but the array it returns."""
     return fft_inverse(SpectralField(f.grid, fn(fft_forward(f).coeffs)))
 
 
@@ -278,11 +274,13 @@ def coderiv(f: FormField, zeta=None) -> FormField:
 
 
 def d_plus_delta(f: FormField, zeta=None) -> FormField:
-    """(d + delta) in one transform pair; conjugated when zeta is given.  The
-    vee image is added into the wedge image, formed before F is alternated."""
+    """(d + delta) in one transform pair; conjugated when zeta is given."""
     c = _spectral_covector(f.grid, zeta)
-    return _spectral_map(f, lambda F: np.add(
-        d := algebra.wedge_cov(c, F), algebra.vee_cov(c, algebra.alternate(F, out=F)), out=d))
+    F = fft_forward(f).coeffs
+    d = algebra.wedge_cov(c, F)  # formed before F is alternated in place
+    d += algebra.vee_cov(c, algebra.alternate(F, out=F))
+    del F
+    return fft_inverse(SpectralField(f.grid, d))
 
 
 def conj_laplacian(f: FormField, zeta=None) -> FormField:

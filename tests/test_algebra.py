@@ -302,10 +302,14 @@ def test_alternate_into_out_is_bit_equal(offset):
     assert np.array_equal(bits(out), bits(want))
     assert algebra.alternate(u, offset, out=u) is u
     assert np.array_equal(bits(u), bits(want))
-    # one form value, and grades given as one grade or several
+    # one form value
     v = random_form(rng).data
     assert np.array_equal(bits(algebra.alternate(v, offset, out=v.copy())),
                           bits(algebra.alternate(v, offset)))
+
+
+def test_grade_select_takes_one_grade_as_a_1_tuple():
+    u = random_field(np.random.default_rng(36), 8, n=8)
     for grade in range(4):
         assert np.array_equal(bits(algebra.grade_select(u, grade)),
                               bits(algebra.grade_select(u, (grade,))))

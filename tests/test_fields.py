@@ -401,7 +401,7 @@ def test_mollify_limits():
 def fd_gradient_sup(f):
     """Finite-difference oracle for the sup norm of the gradient."""
     worst = 0.0
-    dx = f.grid.spacing
+    dx = f.grid.length / f.grid.n
     for axis in range(3):
         diff = (np.roll(f.values, -1, axis=1 + axis) - np.roll(f.values, 1, axis=1 + axis)) / (
             2 * dx
