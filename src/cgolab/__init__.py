@@ -6,8 +6,8 @@ experiments of the uniqueness lab."""
 
 __version__ = "0.1.0"
 
-from .algebra import GradedForm, SymTensor2
-from .fields import FormField, Grid, SpectralField
+from .algebra import GradedForm
+from .fields import FormField, Grid
 from .media import Bump, DerivedMedium, Medium, derive
 from .cgo import CgoGeometry, CgoSolution, Polarization, make_geometry, solve_cgo
 from .uniqueness import MediumPair, make_pair
@@ -15,10 +15,8 @@ from .uniqueness import MediumPair, make_pair
 __all__ = [
     "__version__",
     "GradedForm",
-    "SymTensor2",
     "FormField",
     "Grid",
-    "SpectralField",
     "Bump",
     "DerivedMedium",
     "Medium",

@@ -266,11 +266,15 @@ class GradedForm:
     def grade(self, l: int) -> "GradedForm":
         return GradedForm(grade_select(self.data, l))
 
-    def sym_product(self, other: "GradedForm") -> "SymTensor2":
+    def sym_product(self, other: "GradedForm") -> np.ndarray:
+        """The 6 entries of the symmetric product, in ``SYM_PAIRS`` order."""
         for form in (self, other):
             if np.any(form.data[GRADES != 1]):
                 raise ValueError("symmetric product requires pure grade-1 forms")
-        return SymTensor2(sym_product_components(self.data[1:4], other.data[1:4]))
+        entries = sym_product_components(self.data[1:4], other.data[1:4])
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("tensor entries must be finite")
+        return entries
 
     def norm(self) -> float:
         return float(form_abs(self.data))
@@ -285,23 +289,3 @@ class GradedForm:
         return GradedForm(self.data * c)
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric complex 2-tensor, entries stored once for j <= k."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.shape != (6,):
-            raise ValueError(f"symmetric 2-tensor needs 6 entries, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
-        object.__setattr__(self, "data", arr)
-
-    def entry(self, j: int, k: int) -> complex:
-        """Entry for 1-based coordinates (j, k) in either order."""
-        pair = (min(j, k) - 1, max(j, k) - 1)
-        return complex(self.data[SYM_PAIRS.index(pair)])

@@ -235,9 +235,10 @@ def solve_cgo(
     """Solve the remainder equation by fixed-point iteration.
 
     Iterates R <- -(shifted laplacian)^(-1) [Q (A + R)] in conjugated
-    periodic variables.  The reported residual is the -1/2-weighted norm
-    of the equation applied to the converged remainder, measured over
-    the unclamped frequencies and normalized by (||Q A|| + 1).
+    periodic variables.  The reported residual is the absolute
+    -1/2-weighted norm of the equation applied to the converged remainder,
+    over the unclamped frequencies; only the stopping test, residual <
+    tol (||Q A||_{-1/2} + 1), is relative.
 
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
     the resolvent acts blade by blade, so the iteration runs on the
@@ -516,9 +517,9 @@ def q_norm_estimate(dm: DerivedMedium, zeta, seed: int = 0) -> QNormEstimate:
     best = 0.0
     for trial in range(QNORM_TRIALS):
         u = random_band_limited(grid, rng, band=grid.n // 2 - 1, zero_mean=True)
-        denom = finite(sym.norm(fft_forward(u).coeffs, 0.5), "+1/2 norm of u")
+        denom = finite(sym.norm(fft_forward(u).values, 0.5), "+1/2 norm of u")
         qu = potential(u, dm)
-        best = max(best, finite(sym.norm(fft_forward(qu).coeffs, -0.5), "-1/2 norm of Q u") / denom)
+        best = max(best, finite(sym.norm(fft_forward(qu).values, -0.5), "-1/2 norm of Q u") / denom)
 
     mag = float(np.sqrt(np.sum(np.abs(zeta) ** 2)))
     h = mag ** (-0.5) if mag > 0 else 1.0

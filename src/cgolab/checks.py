@@ -138,7 +138,7 @@ def algebra_checks(seed: int = 0):
     for _ in range(ALGEBRA_SAMPLES // 10):
         u = _random_one(rng)
         v = _random_one(rng)
-        err = max(err, float(np.max(np.abs(u.sym_product(v).data - v.sym_product(u).data))))
+        err = max(err, float(np.max(np.abs(u.sym_product(v) - v.sym_product(u)))))
     results.append(CheckResult("symmetric product commutativity", err, ALGEBRA_TOL))
 
     # delta = (-1)^(n(l+1)+1) * d * on a small grid

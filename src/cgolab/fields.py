@@ -7,16 +7,17 @@ Conventions used throughout:
   fftn(values) / n^3``, so a constant field has its value at xi = 0.
   The one transform pair, :func:`_forward` and :func:`_inverse`, runs
   ``numpy.fft`` axis by axis and folds the 1/n^3 into the forward axes;
-  :func:`fft_forward` and :func:`fft_inverse` apply it to all 8 blades.
+  :func:`fft_forward` and :func:`fft_inverse` apply it to all 8 blades,
+  and a field and its coefficients are each a :class:`FormField`.
 * Discrete integrals carry the quadrature weight (L/n)^3; with the
   convention above the discrete Parseval identity
   ``(L/n)^3 sum_x <f, conj g> = L^3 sum_xi <f_hat, conj g_hat>``
   holds exactly, and all norms approximate their continuum versions.
 * Weighted norms built from the conjugated Helmholtz symbol
-  ``p(xi) = |xi|^2 - 2i <zeta, xi>`` clamp |p| from below by a floor and
-  exclude the xi = 0 mode: the homogeneous weight is singular there and
-  a periodic surrogate has no sensible analogue (the resolvent likewise
-  annihilates that mode and reports it as clamped).
+  ``p(xi) = |xi|^2 - 2i <zeta, xi>`` exclude every mode where |p| is
+  under a floor: the weights are zero there, and the resolvent annihilates
+  those modes and reports them clamped.  They always include xi = 0, where
+  the homogeneous weight is singular and a periodic surrogate has none.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class Grid:
 
 
 class FormField:
-    """Grid of graded forms: complex values of shape (8, n, n, n)."""
+    """Graded forms on a grid, or their Fourier coefficients: complex, shape (8, n, n, n)."""
 
     __slots__ = ("grid", "values")
 
@@ -180,20 +181,6 @@ class FormField:
         return FormField(self.grid, self.values - other.values)
 
 
-class SpectralField:
-    """Frequency-side twin of FormField; coeffs are Fourier-series coefficients."""
-
-    __slots__ = ("grid", "coeffs")
-
-    def __init__(self, grid: Grid, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        expected = (8, grid.n, grid.n, grid.n)
-        if coeffs.shape != expected:
-            raise ValueError(f"coeffs must have shape {expected}, got {coeffs.shape}")
-        self.grid = grid
-        self.coeffs = coeffs
-
-
 def _parallel_map(fn, items, workers: int) -> list:
     """[fn(item) for item in items], on a pool of ``workers`` threads when
     there is more than one; results keep the order of ``items``."""
@@ -235,18 +222,18 @@ def _forward_box(z: np.ndarray, box: tuple[slice, slice, slice], n: int) -> np.n
     return z
 
 
-def fft_forward(f: FormField) -> SpectralField:
-    return SpectralField(f.grid, _forward(f.values))
+def fft_forward(f: FormField) -> FormField:
+    return FormField(f.grid, _forward(f.values))
 
 
-def fft_inverse(F: SpectralField) -> FormField:
-    return FormField(F.grid, _inverse(F.coeffs))
+def fft_inverse(F: FormField) -> FormField:
+    return FormField(F.grid, _inverse(F.values))
 
 
 def _spectral_map(f: FormField, fn) -> FormField:
     """Apply ``fn`` to the Fourier coefficients of f.  ``fn`` may overwrite
     them; no reference to them outlives ``fn`` but the array it returns."""
-    return fft_inverse(SpectralField(f.grid, fn(fft_forward(f).coeffs)))
+    return fft_inverse(FormField(f.grid, fn(fft_forward(f).values)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +263,12 @@ def coderiv(f: FormField, zeta=None) -> FormField:
 def d_plus_delta(f: FormField, zeta=None) -> FormField:
     """(d + delta) in one transform pair; conjugated when zeta is given."""
     c = _spectral_covector(f.grid, zeta)
-    F = fft_forward(f).coeffs
-    d = algebra.wedge_cov(c, F)  # formed before F is alternated in place
-    d += algebra.vee_cov(c, algebra.alternate(F, out=F))
-    del F
-    return fft_inverse(SpectralField(f.grid, d))
+
+    def symbol(F):
+        d = algebra.wedge_cov(c, F)  # formed before F is alternated in place
+        d += algebra.vee_cov(c, algebra.alternate(F, out=F))
+        return d
+    return _spectral_map(f, symbol)
 
 
 def conj_laplacian(f: FormField, zeta=None) -> FormField:
@@ -404,10 +392,13 @@ def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
 
 
 def resolvent_operator_norm(grid: Grid, zeta) -> float:
-    """Diagonal operator norm of the resolvent between the +-1/2 spaces:
-    weight^(1/2) |p|^(-1) weight^(1/2) maximized over the active modes."""
+    """Diagonal operator norm of the resolvent the solver applies, from the
+    -1/2 to the +1/2 space: sqrt(weight(1/2) / weight(-1/2)) |inverse(1)|
+    maximized over the unclamped modes; 1 up to round-off."""
     sym = ClampedSymbol(grid, zeta)
-    return float(np.max(sym.weight(0.5) / np.abs(sym.divisor)))
+    live = ~sym.mask
+    gain = np.abs(sym.inverse(np.ones(live.shape, dtype=complex))[live])
+    return float(np.max(np.sqrt(sym.weight(0.5)[live] / sym.weight(-0.5)[live]) * gain))
 
 
 def assert_admissible(zeta, k: float) -> None:
@@ -434,21 +425,21 @@ def hermitian_pairing(f: FormField, g: FormField) -> complex:
 
 def spectral_pairing(f: FormField, g: FormField) -> complex:
     """Frequency-side sesquilinear pairing L^3 sum_xi <f_hat, conj g_hat>."""
-    F, G = fft_forward(f), fft_forward(g)
-    return complex(f.grid.volume * np.sum(F.coeffs * np.conj(G.coeffs)))
+    F, G = fft_forward(f).values, fft_forward(g).values
+    return complex(f.grid.volume * np.sum(F * np.conj(G)))
 
 
 def l2_norm(f: FormField) -> float:
-    F = fft_forward(f)
-    return float(np.sqrt(f.grid.volume * np.sum(np.abs(F.coeffs) ** 2)))
+    F = fft_forward(f).values
+    return float(np.sqrt(f.grid.volume * np.sum(np.abs(F) ** 2)))
 
 
 def sobolev_norms(f: FormField) -> tuple[float, float]:
     """(L^2 norm, H^-1 norm); the H^-1 weight is (1 + |xi|^2)^(-1)."""
-    F = fft_forward(f)
-    density = np.sum(np.abs(F.coeffs) ** 2, axis=0)
-    l2 = F.grid.volume * np.sum(density)
-    hm1 = F.grid.volume * np.sum(density / (1.0 + F.grid.xi_op_sq))
+    F = fft_forward(f).values
+    density = np.sum(np.abs(F) ** 2, axis=0)
+    l2 = f.grid.volume * np.sum(density)
+    hm1 = f.grid.volume * np.sum(density / (1.0 + f.grid.xi_op_sq))
     return float(np.sqrt(l2)), float(np.sqrt(hm1))
 
 
@@ -510,7 +501,7 @@ def random_band_limited(
         coeffs[blade][mask] = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)
     if zero_mean:
         coeffs[:, 0, 0, 0] = 0.0
-    return fft_inverse(SpectralField(grid, coeffs))
+    return fft_inverse(FormField(grid, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from cgolab import algebra, cgo, checks, presets
 from cgolab import uniqueness as uq
 from cgolab.cli import main
-from cgolab.fields import resolvent_operator_norm
+from cgolab.fields import ClampedSymbol, resolvent_operator_norm
 from cgolab.media import derive_background
 from conftest import reference_config
 
@@ -54,13 +54,16 @@ def test_criterion_02_calculus_suite(grid32):
 
 
 def test_criterion_03_resolvent_norm(grid32, grid16):
-    norms = []
+    norms, leaks = [], []
     for grid, s in ((grid32, 8.0), (grid32, 32.0), (grid16, 3.0)):
         zeta = np.array([s, 1j * np.sqrt(s**2 + 1.0), 0.0], dtype=complex)
         norms.append(resolvent_operator_norm(grid, zeta))
-    ok = all(v == 1.0 for v in norms)
-    report(3, ok, f"resolvent operator norms {norms} (exact equality with 1)")
-    assert all(v == 1.0 for v in norms)
+        sym = ClampedSymbol(grid, zeta)
+        leaks.append(float(np.max(np.abs(sym.inverse(np.ones(sym.mask.shape, complex))[sym.mask]))))
+    ok = all(abs(v - 1.0) <= 1e-14 for v in norms) and not any(leaks)
+    report(3, ok, f"resolvent operator norms {norms} (1 to within 1e-14), "
+                  f"largest |inverse(1)| on a clamped mode {max(leaks)}")
+    assert ok
 
 
 def test_criterion_04_factorization(dm32):

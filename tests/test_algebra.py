@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgolab import algebra
-from cgolab.algebra import BLADES, GradedForm
+from cgolab.algebra import BLADES, SYM_PAIRS, GradedForm
 from conftest import bits
 
 RNG = np.random.default_rng(2024)
@@ -358,19 +358,18 @@ def test_sym_product_examples():
     dx1 = GradedForm.blade((1,))
     dx2 = GradedForm.blade((2,))
     t11 = dx1.sym_product(dx1)
-    assert t11.entry(1, 1) == 1.0
-    assert t11.entry(1, 2) == 0.0
+    assert t11[SYM_PAIRS.index((0, 0))] == 1.0
+    assert t11[SYM_PAIRS.index((0, 1))] == 0.0
     t12 = dx1.sym_product(dx2)
-    assert t12.entry(1, 2) == 0.5
-    assert t12.entry(2, 1) == 0.5
-    assert t12.entry(1, 1) == 0.0
+    assert t12[SYM_PAIRS.index((0, 1))] == 0.5  # t_12 = t_21, packed once
+    assert t12[SYM_PAIRS.index((0, 0))] == 0.0
 
 
 def test_sym_product_commutes():
     for _ in range(50):
         u = random_one_form()
         v = random_one_form()
-        assert np.allclose(u.sym_product(v).data, v.sym_product(u).data)
+        assert np.allclose(u.sym_product(v), v.sym_product(u))
 
 
 def test_sym_product_rejects_mixed_grades():
@@ -378,6 +377,12 @@ def test_sym_product_rejects_mixed_grades():
     v = GradedForm.blade((2,))
     with pytest.raises(ValueError):
         u.sym_product(v)
+
+
+def test_sym_product_rejects_an_overflowing_entry():
+    big = GradedForm.covector([1e200, 2.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        big.sym_product(big)
 
 
 def test_graded_form_validation():

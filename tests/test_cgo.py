@@ -11,7 +11,6 @@ from cgolab.algebra import GradedForm
 from cgolab.errors import DivergenceError, ResonantGridError, StudyError
 from cgolab.fields import (
     FormField,
-    SpectralField,
     default_floor,
     fft_forward,
     fft_inverse,
@@ -167,8 +166,8 @@ def test_solve_reference_medium(grid16, dm16):
     assert sol.residuals[-1] == sol.residual
     # re-applying one iteration moves the converged remainder below tol
     sym = fields.ClampedSymbol(grid16, g.zeta1)
-    new_rhat = sym.inverse(fft_forward(md.potential(sol.total, dm16)).coeffs)
-    rhat = fft_forward(sol.total - FormField.constant(grid16, amp)).coeffs
+    new_rhat = sym.inverse(fft_forward(md.potential(sol.total, dm16)).values)
+    rhat = fft_forward(sol.total - FormField.constant(grid16, amp)).values
     assert sym.norm(-new_rhat - rhat, 0.5) < 10 * tol * (sol.forcing_norm + 1.0)
 
 
@@ -189,7 +188,7 @@ def pre_change_solve(grid, dm, zeta, amp, tol):
         return float(np.sqrt(grid.volume * np.sum(w * np.sum(np.abs(c) ** 2, axis=0))))
 
     amp_field = FormField.constant(grid, amp)
-    fhat = fft_forward(md.potential(amp_field, dm)).coeffs
+    fhat = fft_forward(md.potential(amp_field, dm)).values
     forcing = norm(wm, fhat)
     rhat, residual, iterations = np.zeros_like(fhat), forcing, 0
     deltas, residuals = [], []
@@ -199,8 +198,8 @@ def pre_change_solve(grid, dm, zeta, amp, tol):
         rhat_new[:, mask] = 0.0
         deltas.append(norm(wp, rhat_new - rhat))
         rhat = rhat_new
-        remainder = fft_inverse(SpectralField(grid, rhat))
-        fhat_new = fft_forward(md.potential(amp_field + remainder, dm)).coeffs
+        remainder = fft_inverse(FormField(grid, rhat))
+        fhat_new = fft_forward(md.potential(amp_field + remainder, dm)).values
         residual = norm(wm, fhat_new - fhat)
         residuals.append(residual)
         fhat = fhat_new

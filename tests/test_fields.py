@@ -13,7 +13,6 @@ from cgolab.fields import (
     ClampedSymbol,
     FormField,
     Grid,
-    SpectralField,
     coderiv,
     conj_laplacian,
     d_plus_delta,
@@ -61,8 +60,8 @@ def test_fft_round_trip_and_constant():
 
     c = FormField.constant(GRID, GradedForm.scalar(3.0 - 2.0j))
     C = fft_forward(c)
-    assert C.coeffs[0, 0, 0, 0] == pytest.approx(3.0 - 2.0j)
-    offzero = np.abs(C.coeffs).sum() - abs(C.coeffs[0, 0, 0, 0])
+    assert C.values[0, 0, 0, 0] == pytest.approx(3.0 - 2.0j)
+    offzero = np.abs(C.values).sum() - abs(C.values[0, 0, 0, 0])
     assert offzero < 1e-10
 
 
@@ -191,8 +190,8 @@ def test_spectral_maps_are_bit_equal_to_the_pre_change_expressions(op, zeta):
     c = fields._spectral_covector(GRID, zeta)
     for f in signed_zero_fields(36):
         before = f.values.copy()
-        F = fft_forward(f).coeffs
-        want = fft_inverse(SpectralField(GRID, PRE_CHANGE_SPECTRA[op.__name__](c, F)))
+        F = fft_forward(f).values
+        want = fft_inverse(FormField(GRID, PRE_CHANGE_SPECTRA[op.__name__](c, F)))
         assert np.array_equal(bits(op(f, zeta).values), bits(want.values))
         assert np.array_equal(bits(f.values), bits(before))  # only the spectrum is overwritten
 
@@ -201,19 +200,19 @@ def test_multiplier_maps_are_bit_equal_to_the_pre_change_expressions():
     zeta = admissible_zeta(2.5, 1.0)
     z = np.asarray(zeta)
     for f in signed_zero_fields(37):
-        F = fft_forward(f).coeffs
+        F = fft_forward(f).values
         for got, m in [
             (conj_laplacian(f), GRID.xi_op_sq.astype(complex)),
             (conj_laplacian(f, zeta), fields.helmholtz_symbol(GRID, z) - np.dot(z, z)),
             (mollify(f, 0.3), np.exp(-0.5 * (0.3**2) * GRID.xi_sq)),
         ]:
-            want = fft_inverse(SpectralField(GRID, F * m))
+            want = fft_inverse(FormField(GRID, F * m))
             assert np.array_equal(bits(got.values), bits(want.values))
 
 
 def resolve(sym, f):
     """The clamped resolvent of f: its transform divided by the symbol, transformed back."""
-    return fft_inverse(SpectralField(f.grid, sym.inverse(fft_forward(f).coeffs)))
+    return fft_inverse(FormField(f.grid, sym.inverse(fft_forward(f).values)))
 
 
 def test_resolvent_inverts_off_clamp_set():
@@ -243,9 +242,16 @@ def test_resolvent_clamps_zero_mode():
     assert out.max_abs() < 1e-14
 
 
-def test_resolvent_operator_norm_is_one():
+def test_resolvent_operator_norm_is_one(monkeypatch):
     zeta = admissible_zeta(3.0, 1.0)
-    assert resolvent_operator_norm(GRID, zeta) == 1.0
+    assert abs(resolvent_operator_norm(GRID, zeta) - 1.0) <= 1e-14
+
+    def over_p_squared(self, coeffs, out=None):  # a wrong resolvent: coeffs / |p|^2
+        out = np.divide(coeffs, np.abs(self.divisor) ** 2, out=out)
+        out[..., self.mask] = 0.0
+        return out
+    monkeypatch.setattr(ClampedSymbol, "inverse", over_p_squared)
+    assert abs(resolvent_operator_norm(GRID, zeta) - 1.0) > 1e-14
 
 
 def test_resolvent_requires_admissible_zeta():
@@ -272,17 +278,17 @@ def test_clamped_symbol_is_bit_equal_to_the_pre_change_expressions():
     F = fft_forward(f)
     p, absp, mask = _pre_change_symbol(GRID, zeta)
 
-    out = F.coeffs / np.where(mask, 1.0, p)
+    out = F.values / np.where(mask, 1.0, p)
     out[:, mask] = 0.0
     sym = ClampedSymbol(GRID, zeta)
-    assert np.array_equal(resolve(sym, f).values, fft_inverse(SpectralField(GRID, out)).values)
+    assert np.array_equal(resolve(sym, f).values, fft_inverse(FormField(GRID, out)).values)
     assert sym.report().clamped == int(np.sum(mask))
 
     for b in (0.5, -0.5):
         w = absp ** (2.0 * b)
         w[mask] = 0.0
-        want = float(np.sqrt(GRID.volume * np.sum(w * np.sum(np.abs(F.coeffs) ** 2, axis=0))))
-        assert sym.norm(F.coeffs, b) == want
+        want = float(np.sqrt(GRID.volume * np.sum(w * np.sum(np.abs(F.values) ** 2, axis=0))))
+        assert sym.norm(F.values, b) == want
         assert np.array_equal(sym.weight(b), w)
         assert np.array_equal(fields.bourgain_weight(GRID, zeta, b), w)
 
@@ -301,7 +307,7 @@ def test_resolvent_reports_against_the_solver_threshold(n):
 
 def test_bourgain_norm_zero_field_and_preconditions():
     sym = ClampedSymbol(GRID, admissible_zeta(2.0, 1.0))
-    zero = fft_forward(FormField.zero(GRID)).coeffs
+    zero = fft_forward(FormField.zero(GRID)).values
     assert sym.norm(zero, 0.5) == 0.0
     with pytest.raises(ValueError):
         sym.norm(zero, 0.25)
@@ -317,7 +323,7 @@ def test_bourgain_duality_bound():
         f = random_band_limited(GRID, rng, band=6, zero_mean=True)
         g = random_band_limited(GRID, rng, band=6, zero_mean=True)
         lhs = abs(spectral_pairing(f, g))
-        rhs = sym.norm(fft_forward(f).coeffs, 0.5) * sym.norm(fft_forward(g).coeffs, -0.5)
+        rhs = sym.norm(fft_forward(f).values, 0.5) * sym.norm(fft_forward(g).values, -0.5)
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -325,9 +331,9 @@ def test_bourgain_duality_equality_for_aligned_mode():
     sym = ClampedSymbol(GRID, admissible_zeta(2.7, 1.0))
     coeffs = np.zeros((8, GRID.n, GRID.n, GRID.n), dtype=complex)
     coeffs[2, 3, 1, 0] = 1.5 - 0.5j
-    f = fft_inverse(SpectralField(GRID, coeffs))
+    f = fft_inverse(FormField(GRID, coeffs))
     lhs = abs(spectral_pairing(f, f))
-    F = fft_forward(f).coeffs
+    F = fft_forward(f).values
     rhs = sym.norm(F, 0.5) * sym.norm(F, -0.5)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -339,9 +345,9 @@ def test_bourgain_norm_single_mode_against_direct_sum():
     idx = (3, 2, 1)
     coeffs = np.zeros((8, 8, 8, 8), dtype=complex)
     coeffs[1][idx] = 2.0 + 1.0j
-    f = fft_inverse(SpectralField(grid, coeffs))
+    f = fft_inverse(FormField(grid, coeffs))
     for b in (0.5, -0.5):
-        got = ClampedSymbol(grid, zeta).norm(fft_forward(f).coeffs, b)
+        got = ClampedSymbol(grid, zeta).norm(fft_forward(f).values, b)
         # oracle: explicit lattice loop
         total = 0.0
         for i in range(8):

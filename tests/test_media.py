@@ -40,7 +40,7 @@ def oracle_fields(dm) -> dict:
     a, b = 0.5 * np.log(dm.gamma), 0.5 * np.log(dm.mu)
     out = {}
     for name, s in (("a", a), ("b", b)):
-        shat = fft_forward(FormField.from_scalar(grid, s)).coeffs[0]
+        shat = fft_forward(FormField.from_scalar(grid, s)).values[0]
         hess = [-xi[j] * xi[k] * shat for j, k in algebra.SYM_PAIRS]
         out[f"hess_{name}"] = np.stack([fields._inverse(h, h) for h in hess])
         grad = ext_deriv(FormField.from_scalar(grid, s))
