@@ -8,6 +8,7 @@ continuation contraction for the coupled second-order system.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,13 +267,11 @@ def _support_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
 
 
 class _UcpOperator:
-    """resolvent o multiplication on the two coupled scalar components,
-    with machinery for the weighted adjoint.
-
-    The multiplication runs on the support box of the coefficients: the
-    inverse transform yields only the box, and the forward transform
-    starts from a field that is zero outside it.
-    """
+    """resolvent o multiplication, T, on the two coupled scalar components,
+    in support-box coordinates: a state is b = to_box(u), the components of
+    the spectral u on the support box of M, and ``from_box`` transforms a
+    field that is zero off that box.  Both keep the bits of the full-grid
+    transforms, and every call builds its own arrays."""
 
     def __init__(self, grid: Grid, M: np.ndarray, zeta):
         sym = ClampedSymbol(grid, zeta)
@@ -281,36 +280,51 @@ class _UcpOperator:
         self.inv_p = sym.inverse(np.ones(sym.mask.shape, complex))
         self.weight = sym.weight(0.5)
         self.inv_weight = sym.weight(-0.5)
-        self.adjoint_in = np.conj(self.inv_p) * self.weight
         self.box = _support_box(np.any(M != 0, axis=(0, 1)))
         self.m = M[(slice(None), slice(None)) + self.box].copy()
         self.mh = np.conj(self.m.swapaxes(0, 1))
 
-    def _mult(self, u, m):
-        """The multiplier m (M or its conjugate transpose) applied to u,
-        spectral in and out."""
-        w0, w3 = _inverse(u, box=self.box)
-        return _forward_box(m[:, 0] * w0 + m[:, 1] * w3, self.box, self.grid.n)
+    def to_box(self, u):
+        return _inverse(u, box=self.box)
 
-    def apply(self, u):
-        """T u = resolvent(M u), spectral in and out."""
-        return self._mult(u, self.m) * self.inv_p
+    def from_box(self, z):
+        return _forward_box(z, self.box, self.grid.n)
 
-    def apply_adjoint(self, u):
-        """Adjoint of T in the +1/2-weighted inner product."""
-        return self.inv_weight * self._mult(self.adjoint_in * u, self.mh)
+    def _mult(self, b, m):
+        """m (M or its conjugate transpose) times the box values b, spectral out."""
+        return self.from_box(m[:, 0] * b[0] + m[:, 1] * b[1])
+
+    def apply(self, b):
+        """T u = resolvent(M u) for the u with box values b, spectral out."""
+        return self._mult(b, self.m) * self.inv_p
 
     def norm_sq(self, u):
         return float(_weighted_sq_sum(self.weight, u))
 
+    def power_start(self, b):
+        """||T u|| at the unit u that POWER_ITERATIONS steps of T*T reach from
+        the unit start b.  On the live modes T*'s conj(1/p) |p| times T's 1/p
+        is 1/|p| = Wi, so a step is Wi F(M* B(Wi F(M b))), F = from_box and
+        B = to_box; as |p| Wi^2 = Wi, ||T u|| is the weighted norm of Wi F(M b)."""
+        for _ in range(POWER_ITERATIONS):
+            h = self.inv_weight * self._mult(b, self.m)
+            g = self.inv_weight * self._mult(self.to_box(h), self.mh)
+            ng = np.sqrt(self.norm_sq(g))
+            if ng == 0:
+                break
+            b = self.to_box(g) / ng
+        return float(np.sqrt(self.norm_sq(h)))
 
-def _random_start(rng: np.random.Generator, op: _UcpOperator) -> np.ndarray:
-    """Gaussian start off the clamped modes, of unit weighted norm."""
-    shape = (2,) + op.mask.shape
-    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    u[:, op.mask] = 0.0
-    u /= np.sqrt(op.norm_sq(u))
-    return u
+    def fixed_point_start(self, b):
+        """(steps, weighted norm) of w <- -T w from the unit start b, run as
+        w <- T w: negation commutes exactly with each step, so the norms agree."""
+        it, norm = 0, 1.0
+        while norm > FIXED_POINT_TOL and it < FIXED_POINT_MAX_ITER:
+            w = self.apply(b)
+            norm = np.sqrt(self.norm_sq(w))
+            b = self.to_box(w)
+            it += 1
+        return it, norm
 
 
 def ucp_contraction_check(
@@ -329,7 +343,11 @@ def ucp_contraction_check(
     seeded random starts.  The fixed-point side then iterates
     w <- -T w from random starts and reports whether every start decays
     below the tolerance.  Estimates inside [0.9, 1.1] are reported as
-    inconclusive.
+    inconclusive.  Each phase draws its starts here, in order, cuts each
+    to the support box at once, runs them on min(starts, CPU count)
+    threads and reduces them with max and all: the report's bits do not
+    depend on the thread count.  No command calls the certificate, so
+    ``--threads`` sizes only the sample pools.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -337,50 +355,32 @@ def ucp_contraction_check(
     shape = (2, 2) + (grid.n,) * 3
     if M.shape != shape:
         raise ValueError(f"M has shape {M.shape}, but the grid needs {shape}")
-    outside = grid.outside_subbox
     for i, j in np.ndindex(2, 2):
         f = M[i, j]
         if not np.all(np.isfinite(f)):
             raise ValueError(f"coefficient M[{i}, {j}] is not finite")
         scale = max(float(np.max(np.abs(f))), 1e-300)
-        if float(np.max(np.abs(f[outside]))) > SUPPORT_TOL * scale:
+        if float(np.max(np.abs(f[grid.outside_subbox]))) > SUPPORT_TOL * scale:
             raise ValueError(f"coefficient M[{i}, {j}] is not supported in the sub-box")
 
     op = _UcpOperator(grid, M, zeta)
     rng = seeded_rng(seed)
 
-    best = 0.0
-    for _ in range(trials):
-        u = _random_start(rng, op)
-        for _ in range(POWER_ITERATIONS):
-            tu = op.apply(u)
-            g = op.apply_adjoint(tu)
-            ng = np.sqrt(op.norm_sq(g))
-            if ng == 0:
-                break
-            u = g / ng
-        best = max(best, float(np.sqrt(op.norm_sq(tu))))  # ||T u|| for the last step's unit u
+    def run_starts(run, count):
+        starts = []
+        for _ in range(count):  # Gaussian, off the clamped modes, of unit weighted norm
+            u = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
+            u[:, op.mask] = 0.0
+            starts.append(op.to_box(u / np.sqrt(op.norm_sq(u))))
+        return _parallel_map(run, starts, min(count, os.cpu_count() or 1))
 
-    converged_all = best < 1.0
-    worst_iters = 0
-    if converged_all:
-        for _ in range(FIXED_POINT_STARTS):
-            w = _random_start(rng, op)
-            it = 0
-            norm = 1.0
-            while norm > FIXED_POINT_TOL and it < FIXED_POINT_MAX_ITER:
-                w = -op.apply(w)
-                norm = np.sqrt(op.norm_sq(w))
-                it += 1
-            worst_iters = max(worst_iters, it)
-            if norm > FIXED_POINT_TOL:
-                converged_all = False
-
+    best = max(run_starts(op.power_start, trials))
+    ends = run_starts(op.fixed_point_start, FIXED_POINT_STARTS) if best < 1.0 else []
     return UcpReport(
         norm_estimate=best,
         conclusive=not (0.9 <= best <= 1.1),
         contraction_certified=best < 1.0,
-        fixed_point_converged=converged_all,
-        fixed_point_iterations=worst_iters,
+        fixed_point_converged=bool(ends) and all(norm <= FIXED_POINT_TOL for _, norm in ends),
+        fixed_point_iterations=max((it for it, _ in ends), default=0),
         clamped_modes=int(np.sum(op.mask)),
     )

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,11 @@ RHO = np.array([1.0, 0.0, 0.0])
 @pytest.fixture(scope="module")
 def pair16(grid16):
     return uq.make_pair(presets.reference_medium(grid16), presets.perturbed_medium(grid16))
+
+
+@pytest.fixture(scope="module")
+def pair32(grid32):
+    return uq.make_pair(presets.reference_medium(grid32), presets.perturbed_medium(grid32))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +326,7 @@ def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monke
     rep = uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=3, seed=3)
     assert not rep.contraction_certified  # so no fixed-point start weighs a norm
     # per start: the start's norm, one per step for the next start, one estimate
-    assert len(calls) == 3 * (uq.POWER_ITERATIONS + 2)
+    assert len(calls) == 3 * (uq.POWER_ITERATIONS + 2) == 3 * 32
 
 
 def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
@@ -332,7 +339,7 @@ def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
     u = rng.standard_normal((2,) + (grid16.n,) * 3) + 1j * rng.standard_normal((2,) + (grid16.n,) * 3)
     u[:, op.mask] = 0.0
     u /= np.sqrt(op.norm_sq(u))
-    assert np.sqrt(op.norm_sq(op.apply(u))) <= rep.norm_estimate * (1 + 1e-6)
+    assert np.sqrt(op.norm_sq(op.apply(op.to_box(u)))) <= rep.norm_estimate * (1 + 1e-6)
 
 
 def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16):
@@ -354,30 +361,156 @@ def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16)
 
 
 class _FullTransformOperator(uq._UcpOperator):
-    """Oracle: the operator with full n^3 transforms and a multiply on every
-    point, as it was written before the support-box transforms."""
+    """Oracle: the operator with full n^3 transforms, cropped to the support
+    box or embedded from it, as the certificate ran before the support-box
+    transforms."""
 
-    def __init__(self, grid, M, zeta):
-        super().__init__(grid, M, zeta)
-        self.full = M
+    def to_box(self, u):
+        return fields._inverse(u)[(slice(None),) + self.box]
 
-    def _full_mult(self, u, conj_transpose=False):
-        (m00, m03), (m30, m33) = self.full
-        w0, w3 = fields._inverse(u)
-        if conj_transpose:
-            o0 = np.conj(m00) * w0 + np.conj(m30) * w3
-            o3 = np.conj(m03) * w0 + np.conj(m33) * w3
-        else:
-            o0 = m00 * w0 + m03 * w3
-            o3 = m30 * w0 + m33 * w3
-        return fields._forward(np.stack([o0, o3]))
+    def from_box(self, z):
+        full = np.zeros(z.shape[:1] + (self.grid.n,) * 3, complex)
+        full[(slice(None),) + self.box] = z
+        return fields._forward(full)
 
-    def apply(self, u):
-        return self._full_mult(u) * self.inv_p
 
-    def apply_adjoint(self, u):
-        v = np.conj(self.inv_p) * self.weight * u
-        return self.inv_weight * self._full_mult(v, conj_transpose=True)
+def _apply(op, u):
+    """T u, spectral in and out."""
+    return op.apply(op.to_box(u))
+
+
+def _apply_adjoint(op, u):
+    """Adjoint of T in the +1/2-weighted inner product, spectral in and out."""
+    adjoint_in = np.conj(op.inv_p) * op.weight
+    return op.inv_weight * op._mult(op.to_box(adjoint_in * u), op.mh)
+
+
+def _serial_spectral_check(grid, M, zeta, trials, seed):
+    """Oracle: the certificate as one serial loop over whole 2 x n^3 spectra,
+    with T*T as T followed by its weighted adjoint, and w <- -T w."""
+    op = uq._UcpOperator(grid, M, zeta)
+    rng = fields.seeded_rng(seed)
+
+    def random_start():
+        shape = (2,) + op.mask.shape
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u[:, op.mask] = 0.0
+        u /= np.sqrt(op.norm_sq(u))
+        return u
+
+    best = 0.0
+    for _ in range(trials):
+        u = random_start()
+        for _ in range(uq.POWER_ITERATIONS):
+            tu = _apply(op, u)
+            g = _apply_adjoint(op, tu)
+            ng = np.sqrt(op.norm_sq(g))
+            if ng == 0:
+                break
+            u = g / ng
+        best = max(best, float(np.sqrt(op.norm_sq(tu))))  # ||T u|| for the last step's unit u
+    converged_all = best < 1.0
+    worst_iters = 0
+    if converged_all:
+        for _ in range(uq.FIXED_POINT_STARTS):
+            w = random_start()
+            it = 0
+            norm = 1.0
+            while norm > uq.FIXED_POINT_TOL and it < uq.FIXED_POINT_MAX_ITER:
+                w = -_apply(op, w)
+                norm = np.sqrt(op.norm_sq(w))
+                it += 1
+            worst_iters = max(worst_iters, it)
+            if norm > uq.FIXED_POINT_TOL:
+                converged_all = False
+    return uq.UcpReport(
+        norm_estimate=best,
+        conclusive=not (0.9 <= best <= 1.1),
+        contraction_certified=best < 1.0,
+        fixed_point_converged=converged_all,
+        fixed_point_iterations=worst_iters,
+        clamped_modes=int(np.sum(op.mask)),
+    )
+
+
+def _assert_agrees_with_the_serial_loop(rep, oracle):
+    assert abs(rep.norm_estimate - oracle.norm_estimate) <= 1e-12 * oracle.norm_estimate
+    for name in ("fixed_point_iterations", "fixed_point_converged", "contraction_certified",
+                 "conclusive", "clamped_modes"):
+        assert getattr(rep, name) == getattr(oracle, name), name
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_ucp_report_agrees_with_the_serial_spectral_loop(grid16, pair16, seed):
+    M = uq.ucp_coefficients(pair16)
+    for mag in (8.0, 16.0, 32.0):
+        zeta = uq.null_covector(mag)
+        _assert_agrees_with_the_serial_loop(
+            uq.ucp_contraction_check(grid16, M, zeta, trials=2, seed=seed),
+            _serial_spectral_check(grid16, M, zeta, trials=2, seed=seed),
+        )
+
+
+def test_ucp_report_agrees_with_the_serial_spectral_loop_on_criterion_10(grid32, pair32):
+    # criterion 10's inputs at |zeta| = 32, where the fixed-point phase runs
+    M = uq.ucp_coefficients(pair32)
+    zeta = uq.null_covector(32.0)
+    rep = uq.ucp_contraction_check(grid32, M, zeta, trials=3, seed=3)
+    assert rep.fixed_point_iterations > 0
+    _assert_agrees_with_the_serial_loop(rep, _serial_spectral_check(grid32, M, zeta, trials=3, seed=3))
+
+
+@pytest.mark.parametrize("mag", [8.0, 16.0, 32.0])
+def test_ucp_weighted_adjoint_composition_is_the_inverse_weight(grid32, mag):
+    # conj(1/p) |p| (1/p) = 1/|p|: what lets a T*T step run on the box
+    sym = fields.ClampedSymbol(grid32, uq.null_covector(mag))
+    inv_p = sym.inverse(np.ones(sym.mask.shape, complex))
+    composed = np.conj(inv_p) * sym.weight(0.5) * inv_p
+    live, inv_weight = ~sym.mask, sym.weight(-0.5)
+    assert np.sum(sym.mask) == 8
+    assert np.all(composed[sym.mask] == 0) and np.all(inv_weight[sym.mask] == 0)
+    assert np.all(np.abs(composed[live] - inv_weight[live]) <= 8 * np.spacing(inv_weight[live]))
+
+
+def test_ucp_report_does_not_depend_on_the_thread_count(grid16, pair16, monkeypatch):
+    M = uq.ucp_coefficients(pair16)
+    parallel_map = uq._parallel_map
+    calls = []  # (workers, the results of one phase's starts, in start order)
+
+    def recorded(fn, items, workers):
+        out = parallel_map(fn, items, workers)
+        calls.append((workers, out))
+        return out
+
+    def backwards(fn, items, workers):
+        out = [fn(item) for item in reversed(items)][::-1]
+        calls.append((workers, out))
+        return out
+
+    def run():
+        calls.clear()
+        reports = [uq.ucp_contraction_check(grid16, M, uq.null_covector(mag), seed=5)
+                   for mag in (8.0, 32.0)]
+        return reports, [out for _, out in calls], [workers for workers, _ in calls]
+
+    monkeypatch.setattr(uq, "_parallel_map", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one = run()
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # more threads than the host's cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        four = run()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(uq, "_parallel_map", backwards)
+    reverse = run()
+    assert not one[0][0].contraction_certified and one[0][1].fixed_point_iterations > 0
+    # |zeta| = 8: 4 power starts; |zeta| = 32: 4 power starts, then 10 fixed-point starts
+    assert one[2] == [1, 1, 1] and four[2] == [4, 4, 4]
+    for reports, starts, _ in (four, reverse):
+        assert reports == one[0] and repr(reports) == repr(one[0])
+        assert starts == one[1]  # every start's own result, not only the reduction
 
 
 def _with_tail(grid, M):
@@ -400,8 +533,11 @@ def test_ucp_operator_matches_the_full_transform_oracle(grid16, pair16, tail):
         op = uq._UcpOperator(grid16, M, zeta)
         oracle = _FullTransformOperator(grid16, M, zeta)
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(op.apply(u), oracle.apply(u))
-        assert np.array_equal(op.apply_adjoint(u), oracle.apply_adjoint(u))
+        b = op.to_box(u)
+        assert np.array_equal(bits(b), bits(oracle.to_box(u)))
+        assert np.array_equal(bits(op.from_box(b)), bits(oracle.from_box(b)))
+        assert np.array_equal(bits(_apply(op, u)), bits(_apply(oracle, u)))
+        assert np.array_equal(bits(_apply_adjoint(op, u)), bits(_apply_adjoint(oracle, u)))
 
 
 def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
@@ -421,7 +557,7 @@ def test_ucp_support_box_is_that_of_the_exact_nonzeros(grid16, pair16):
     empty = uq._UcpOperator(grid16, np.zeros_like(M), zeta)
     assert empty.box == (slice(0, 0),) * 3
     u = np.ones((2,) + (grid16.n,) * 3, dtype=complex)
-    assert not np.any(empty.apply(u)) and not np.any(empty.apply_adjoint(u))
+    assert not np.any(_apply(empty, u)) and not np.any(_apply_adjoint(empty, u))
 
 
 @pytest.mark.parametrize("tail", [False, True])
