@@ -40,7 +40,7 @@ from .cgo import (
     strictly_decreasing,
 )
 from .errors import ConfigError, DivergenceError, ResonantGridError, StudyError
-from .fields import _parallel_map
+from .fields import _parallel_map, _usable_cpus
 from .media import DerivedMedium, derive
 from .runconfig import parse_config
 from .uniqueness import convergence_experiment, make_pair
@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=_integer(0), default=None, help="seed override")
         p.add_argument(
-            "--threads", type=_integer(1, os.cpu_count() or 1), default=1,
-            help="sample-pool threads, at most the CPU count (run-decay, run-uniqueness, estimate-qnorm)",
+            "--threads", type=_integer(1, _usable_cpus()), default=1,
+            help="sample-pool threads, at most the usable CPUs (run-decay, run-uniqueness, estimate-qnorm)",
         )
     return parser
 

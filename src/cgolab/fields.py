@@ -22,6 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -188,6 +189,11 @@ def _parallel_map(fn, items, workers: int) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _lines(a: np.ndarray, axis: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:

@@ -8,7 +8,6 @@ continuation contraction for the coupled second-order system.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .fields import (
     _forward_box,
     _inverse,
     _parallel_map,
+    _usable_cpus,
     _weighted_sq_sum,
     assert_admissible,
     plane_wave_scalar,
@@ -160,14 +160,7 @@ class ConvergenceResult:
 
 
 def convergence_experiment(
-    mp: MediumPair,
-    rho,
-    pol: Polarization,
-    s_list,
-    eta1,
-    eta2,
-    workers: int = 1,
-    **solver,
+    mp: MediumPair, rho, pol: Polarization, s_list, eta1, eta2, workers: int = 1, **solver
 ) -> ConvergenceResult:
     """Pairing against its scattering target along increasing s.
 
@@ -328,11 +321,7 @@ class _UcpOperator:
 
 
 def ucp_contraction_check(
-    grid: Grid,
-    M: np.ndarray,
-    zeta,
-    trials: int = 4,
-    seed: int = 0,
+    grid: Grid, M: np.ndarray, zeta, trials: int = 4, seed: int = 0
 ) -> UcpReport:
     """Estimate the weighted operator norm of resolvent o multiplication
     and certify the contraction; M is the multiplier of ucp_coefficients.
@@ -344,7 +333,7 @@ def ucp_contraction_check(
     w <- -T w from random starts and reports whether every start decays
     below the tolerance.  Estimates inside [0.9, 1.1] are reported as
     inconclusive.  Each phase draws its starts here, in order, cuts each
-    to the support box at once, runs them on min(starts, CPU count)
+    to the support box at once, runs them on min(starts, usable CPUs)
     threads and reduces them with max and all: the report's bits do not
     depend on the thread count.  No command calls the certificate, so
     ``--threads`` sizes only the sample pools.
@@ -372,7 +361,7 @@ def ucp_contraction_check(
             u = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
             u[:, op.mask] = 0.0
             starts.append(op.to_box(u / np.sqrt(op.norm_sq(u))))
-        return _parallel_map(run, starts, min(count, os.cpu_count() or 1))
+        return _parallel_map(run, starts, min(count, _usable_cpus()))
 
     best = max(run_starts(op.power_start, trials))
     ends = run_starts(op.fixed_point_start, FIXED_POINT_STARTS) if best < 1.0 else []

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import inspect
 import json
-import os
 import re
 import tempfile
 import tracemalloc
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgolab import cgo, fields, presets
+from cgolab import cgo, cli, fields, presets
 from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, build_parser, main
 from cgolab.errors import ConfigError, DivergenceError
 from cgolab.media import derive
@@ -665,7 +664,7 @@ def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))
 def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
     # two pool threads pass the --threads cap on a one-CPU host too
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     cfg = small_config(kind)
     if kind == "decay":
         cfg["geometry"]["lambda_list"] = [2.0, 4.0]
@@ -699,7 +698,7 @@ def test_seed_and_threads_out_of_range_exit_2_naming_the_flag(tmp_path, capsys):
 
 def test_threads_above_the_cpu_count_exit_2_naming_the_flag(capsys):
     # parsed only: the pool that a command would size is never started
-    cpus = os.cpu_count() or 1
+    cpus = fields._usable_cpus()
     parser = build_parser()
     assert parser.parse_args(["run-decay", "--threads", str(cpus)]).threads == cpus
     for value in (str(cpus + 1), "100000"):

@@ -624,3 +624,14 @@ def test_fft_pair_is_bit_equal_to_scipy(n):
         fields._inverse(signed).tobytes()
         == sfft.ifftn(signed, axes=axes, norm="forward").tobytes()
     )
+
+
+def test_usable_cpus_counts_the_affinity_set_not_the_host(monkeypatch):
+    # a process pinned to 3 of the host's 64 CPUs sizes its pools for 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert fields._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # an OS without affinity sets
+    assert fields._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fields._usable_cpus() == 1

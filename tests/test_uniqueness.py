@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import os
 import re
 import sys
 import tracemalloc
@@ -361,17 +360,37 @@ def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16)
 
 
 class _FullTransformOperator(uq._UcpOperator):
-    """Oracle: the operator with full n^3 transforms, cropped to the support
-    box or embedded from it, as the certificate ran before the support-box
-    transforms."""
+    """Oracle: the operator on the full n^3 grid.  A box state is cropped
+    from the full inverse transform, or embedded in a zero field before the
+    full forward one, and the multiply runs on every point with the whole,
+    uncropped M, its conjugate transpose written out entry by entry."""
+
+    def __init__(self, grid, M, zeta):
+        super().__init__(grid, M, zeta)
+        self.full = M
+
+    def _embed(self, z):
+        full = np.zeros(z.shape[:1] + (self.grid.n,) * 3, complex)
+        full[(slice(None),) + self.box] = z
+        return full
 
     def to_box(self, u):
         return fields._inverse(u)[(slice(None),) + self.box]
 
     def from_box(self, z):
-        full = np.zeros(z.shape[:1] + (self.grid.n,) * 3, complex)
-        full[(slice(None),) + self.box] = z
-        return fields._forward(full)
+        return fields._forward(self._embed(z))
+
+    def _mult(self, b, m):
+        (m00, m03), (m30, m33) = self.full
+        w0, w3 = self._embed(b)
+        if m is self.mh:
+            o0 = np.conj(m00) * w0 + np.conj(m30) * w3
+            o3 = np.conj(m03) * w0 + np.conj(m33) * w3
+        else:
+            assert m is self.m
+            o0 = m00 * w0 + m03 * w3
+            o3 = m30 * w0 + m33 * w3
+        return fields._forward(np.stack([o0, o3]))
 
 
 def _apply(op, u):
@@ -387,8 +406,9 @@ def _apply_adjoint(op, u):
 
 def _serial_spectral_check(grid, M, zeta, trials, seed):
     """Oracle: the certificate as one serial loop over whole 2 x n^3 spectra,
-    with T*T as T followed by its weighted adjoint, and w <- -T w."""
-    op = uq._UcpOperator(grid, M, zeta)
+    with T*T as T followed by its weighted adjoint, and w <- -T w, on the
+    full-transform operator."""
+    op = _FullTransformOperator(grid, M, zeta)
     rng = fields.seeded_rng(seed)
 
     def random_start():
@@ -494,9 +514,9 @@ def test_ucp_report_does_not_depend_on_the_thread_count(grid16, pair16, monkeypa
         return reports, [out for _, out in calls], [workers for workers, _ in calls]
 
     monkeypatch.setattr(uq, "_parallel_map", recorded)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(uq, "_usable_cpus", lambda: 1)
     one = run()
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # more threads than the host's cores
+    monkeypatch.setattr(uq, "_usable_cpus", lambda: 4)  # more threads than the host's cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
