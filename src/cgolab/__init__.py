@@ -6,7 +6,6 @@ experiments of the uniqueness lab."""
 
 __version__ = "0.1.0"
 
-from .algebra import GradedForm
 from .fields import FormField, Grid
 from .media import Bump, DerivedMedium, Medium, derive
 from .cgo import CgoGeometry, CgoSolution, Polarization, make_geometry, solve_cgo
@@ -14,7 +13,6 @@ from .uniqueness import MediumPair, make_pair
 
 __all__ = [
     "__version__",
-    "GradedForm",
     "FormField",
     "Grid",
     "Bump",

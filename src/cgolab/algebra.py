@@ -17,7 +17,6 @@ whole grids of forms (shape ``(8, n, n, n)``).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,6 +110,13 @@ def sign_fault_injected():
         yield
     finally:
         WEDGE[ia, ib, ic] = -WEDGE[ia, ib, ic]
+
+
+def one_form(components):
+    """The graded form (8,) whose grade-1 blades hold the 3 given components."""
+    out = np.zeros(8, dtype=complex)
+    out[1:4] = components
+    return out
 
 
 def wedge(u, v):
@@ -211,81 +217,3 @@ def sym_product_components(u3, v3):
     u3 = np.asarray(u3)
     v3 = np.asarray(v3)
     return np.stack([0.5 * (u3[j] * v3[k] + u3[k] * v3[j]) for j, k in SYM_PAIRS])
-
-
-@dataclass(frozen=True)
-class GradedForm:
-    """One graded form value: 8 complex blade coefficients."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex)
-        if arr.shape != (8,):
-            raise ValueError(f"graded form needs 8 coefficients, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("graded form coefficients must be finite")
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def zero(cls) -> "GradedForm":
-        return cls(np.zeros(8, dtype=complex))
-
-    @classmethod
-    def scalar(cls, c) -> "GradedForm":
-        return cls.blade((), c)
-
-    @classmethod
-    def volume(cls, c=1.0) -> "GradedForm":
-        return cls.blade((1, 2, 3), c)
-
-    @classmethod
-    def covector(cls, components) -> "GradedForm":
-        data = np.zeros(8, dtype=complex)
-        data[1:4] = np.asarray(components, dtype=complex)
-        return cls(data)
-
-    @classmethod
-    def blade(cls, indices, c=1.0) -> "GradedForm":
-        data = np.zeros(8, dtype=complex)
-        data[BLADE_INDEX[tuple(indices)]] = c
-        return cls(data)
-
-    def wedge(self, other: "GradedForm") -> "GradedForm":
-        return GradedForm(wedge(self.data, other.data))
-
-    def vee(self, other: "GradedForm") -> "GradedForm":
-        return GradedForm(vee(self.data, other.data))
-
-    def hodge(self) -> "GradedForm":
-        return GradedForm(hodge(self.data))
-
-    def inner(self, other: "GradedForm") -> complex:
-        return complex(inner(self.data, other.data))
-
-    def grade(self, l: int) -> "GradedForm":
-        return GradedForm(grade_select(self.data, l))
-
-    def sym_product(self, other: "GradedForm") -> np.ndarray:
-        """The 6 entries of the symmetric product, in ``SYM_PAIRS`` order."""
-        for form in (self, other):
-            if np.any(form.data[GRADES != 1]):
-                raise ValueError("symmetric product requires pure grade-1 forms")
-        entries = sym_product_components(self.data[1:4], other.data[1:4])
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("tensor entries must be finite")
-        return entries
-
-    def norm(self) -> float:
-        return float(form_abs(self.data))
-
-    def __add__(self, other):
-        return GradedForm(self.data + other.data)
-
-    def __sub__(self, other):
-        return GradedForm(self.data - other.data)
-
-    def __mul__(self, c):
-        return GradedForm(self.data * c)
-
-    __rmul__ = __mul__

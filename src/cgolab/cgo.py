@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GradedForm
+from .algebra import form_abs, grade_select, one_form, vee, wedge
 from .errors import CgolabError, DivergenceError, StudyError
 from .fields import (
     ClampedSymbol,
@@ -148,59 +148,61 @@ def polarization_forms(pol: Polarization, geom: CgoGeometry):
     """(alpha, beta): grade-1 alpha = eta1 for E, grade-2 beta built from
     eta2 and rho for H (H requires rho != 0)."""
     if pol == Polarization.E:
-        return GradedForm.covector(geom.eta1), GradedForm.zero()
+        return one_form(geom.eta1), np.zeros(8, dtype=complex)
     norm = np.linalg.norm(geom.rho)
     if norm == 0:
         raise ValueError("H polarization needs a nonzero rho")
-    eta2 = GradedForm.covector(geom.eta2)
-    rho_form = GradedForm.covector(geom.rho / norm)
-    return GradedForm.zero(), eta2.wedge(rho_form)
+    return np.zeros(8, dtype=complex), wedge(one_form(geom.eta2), one_form(geom.rho / norm))
 
 
-def amplitude_a(geom: CgoGeometry, pol: Polarization) -> GradedForm:
-    """Constant amplitude of the first construction; satisfies the
+# A scalar product keeps the form on the left (form * c), and a sign flip is
+# form * -1.0: numpy's c * form and -form can differ from these in the last
+# bit or in the sign of a zero, and the reference outputs hold these bits.
+
+def amplitude_a(geom: CgoGeometry, pol: Polarization) -> np.ndarray:
+    """Constant amplitude (8,) of the first construction; satisfies the
     incidence condition by design."""
     alpha, beta = polarization_forms(pol, geom)
     ik = 1j * geom.k
-    z1 = GradedForm.covector(geom.zeta1)
-    out = z1.vee(alpha) + ik * alpha + ik * beta + z1.wedge(beta)
-    return (np.sqrt(2.0) / geom.zeta1_mag) * out
+    z1 = one_form(geom.zeta1)
+    out = vee(z1, alpha) + alpha * ik + beta * ik + wedge(z1, beta)
+    return out * (np.sqrt(2.0) / geom.zeta1_mag)
 
 
-def amplitude_b(geom: CgoGeometry, pol: Polarization) -> GradedForm:
-    """Constant amplitude of the paired construction."""
+def amplitude_b(geom: CgoGeometry, pol: Polarization) -> np.ndarray:
+    """Constant amplitude (8,) of the paired construction."""
     alpha, beta = polarization_forms(pol, geom)
     ik = 1j * geom.k
-    z2 = GradedForm.covector(geom.zeta2)
-    out = z2.vee(alpha + beta) + z2.wedge(-1.0 * alpha + beta) + ik * (alpha + beta)
-    return (-np.sqrt(2.0) / geom.zeta2_mag) * out
+    z2 = one_form(geom.zeta2)
+    out = vee(z2, alpha + beta) + wedge(z2, alpha * -1.0 + beta) + (alpha + beta) * ik
+    return out * (-np.sqrt(2.0) / geom.zeta2_mag)
 
 
-def limit_amplitude_a(geom: CgoGeometry, pol: Polarization) -> GradedForm:
+def limit_amplitude_a(geom: CgoGeometry, pol: Polarization) -> np.ndarray:
     """Large-s limit of the first amplitude."""
     alpha, beta = polarization_forms(pol, geom)
-    m = GradedForm.covector(geom.eta1 + 1j * geom.eta2)
-    return -1.0 * (m.vee(alpha) + m.wedge(beta))
+    m = one_form(geom.eta1 + 1j * geom.eta2)
+    return (vee(m, alpha) + wedge(m, beta)) * -1.0
 
 
-def limit_amplitude_b(geom: CgoGeometry, pol: Polarization) -> GradedForm:
+def limit_amplitude_b(geom: CgoGeometry, pol: Polarization) -> np.ndarray:
     """Large-s limit of the paired amplitude."""
     alpha, beta = polarization_forms(pol, geom)
-    m = GradedForm.covector(geom.eta1 + 1j * geom.eta2)
-    return -1.0 * (m.vee(alpha + beta) + m.wedge(-1.0 * alpha + beta))
+    m = one_form(geom.eta1 + 1j * geom.eta2)
+    return (vee(m, alpha + beta) + wedge(m, alpha * -1.0 + beta)) * -1.0
 
 
-def incidence_residual(zeta, k: float, amp: GradedForm) -> float:
+def incidence_residual(zeta, k: float, amp: np.ndarray) -> float:
     """Magnitude of -zeta v A^1 + ik A^0 - zeta ^ A^2 + ik A^3."""
-    z = GradedForm.covector(np.asarray(zeta, dtype=complex))
+    z = one_form(zeta)
     ik = 1j * k
     combo = (
-        -1.0 * z.vee(amp.grade(1))
-        + ik * amp.grade(0)
-        - 1.0 * z.wedge(amp.grade(2))
-        + ik * amp.grade(3)
+        vee(z, grade_select(amp, 1)) * -1.0
+        + grade_select(amp, 0) * ik
+        - wedge(z, grade_select(amp, 2))
+        + grade_select(amp, 3) * ik
     )
-    return combo.norm()
+    return float(form_abs(combo))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ class CgoSolution:
 def solve_cgo(
     dm: DerivedMedium,
     zeta,
-    amplitude: GradedForm,
+    amplitude: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 80,
 ) -> CgoSolution:
@@ -254,7 +256,7 @@ def solve_cgo(
     assert_admissible(zeta, dm.k)
     sym = ClampedSymbol(grid, zeta)
     clamp = sym.report().raise_if_exceeded()
-    low, high = np.any(amplitude.data[:4] != 0), np.any(amplitude.data[4:] != 0)
+    low, high = np.any(amplitude[:4] != 0), np.any(amplitude[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
     shape = (grid.n,) * 3
@@ -262,7 +264,7 @@ def solve_cgo(
     total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
     norm_work = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
     scratch = np.empty((3,) + shape, complex)  # media.potential's scratch
-    amp_blk = amplitude.data[blk].reshape(-1, 1, 1, 1)
+    amp_blk = amplitude[blk].reshape(-1, 1, 1, 1)
     total.values[blk] += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out

@@ -11,8 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import algebra
-from .algebra import BLADES, GradedForm
+from .algebra import BLADES, grade_select, hodge, inner, one_form, sym_product_components, vee, wedge
 from .fields import (
     FormField,
     Grid,
@@ -59,12 +58,16 @@ class CheckResult:
         return {**asdict(self), "passed": self.passed}
 
 
-def _random_graded(rng) -> GradedForm:
-    return GradedForm(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+def _random_graded(rng) -> np.ndarray:
+    return rng.standard_normal(8) + 1j * rng.standard_normal(8)
 
 
-def _random_one(rng) -> GradedForm:
-    return GradedForm.covector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+def _random_one(rng) -> np.ndarray:
+    return one_form(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+
+def _inner(u, v) -> complex:
+    return complex(inner(u, v))  # the report's errors are formed in Python complex arithmetic
 
 
 def algebra_checks(seed: int = 0):
@@ -77,18 +80,18 @@ def algebra_checks(seed: int = 0):
     for u, a in zip(np.eye(8), BLADES):
         for v, b in zip(np.eye(8), BLADES):
             sign = (-1.0) ** (len(a) * len(b))
-            err = max(err, float(np.max(np.abs(algebra.wedge(u, v) - sign * algebra.wedge(v, u)))))
+            err = max(err, float(np.max(np.abs(wedge(u, v) - sign * wedge(v, u)))))
     for _ in range(ALGEBRA_SAMPLES):
         gu, gv = rng.integers(0, 4, size=2)
-        u = algebra.grade_select(rng.standard_normal(8) + 1j * rng.standard_normal(8), gu)
-        v = algebra.grade_select(rng.standard_normal(8) + 1j * rng.standard_normal(8), gv)
-        diff = algebra.wedge(u, v) - (-1.0) ** (gu * gv) * algebra.wedge(v, u)
+        u = grade_select(rng.standard_normal(8) + 1j * rng.standard_normal(8), gu)
+        v = grade_select(rng.standard_normal(8) + 1j * rng.standard_normal(8), gv)
+        diff = wedge(u, v) - (-1.0) ** (gu * gv) * wedge(v, u)
         err = max(err, float(np.max(np.abs(diff))))
     results.append(CheckResult("wedge anti-commutation", err, ALGEBRA_TOL))
 
     err = 0.0
     for u in np.eye(8):
-        err = max(err, float(np.max(np.abs(algebra.hodge(algebra.hodge(u)) - u))))
+        err = max(err, float(np.max(np.abs(hodge(hodge(u)) - u))))
     results.append(CheckResult("double hodge identity", err, ALGEBRA_TOL))
 
     err = 0.0
@@ -97,11 +100,9 @@ def algebra_checks(seed: int = 0):
         v = _random_graded(rng)
         total = 0.0 + 0.0j
         for l in range(4):
-            total += complex(
-                algebra.hodge(algebra.wedge(u.grade(l).data, algebra.hodge(v.grade(l).data)))[0]
-            )
-        err = max(err, abs(u.inner(v) - total))
-        err = max(err, abs(u.inner(v) - u.hodge().inner(v.hodge())))
+            total += complex(hodge(wedge(grade_select(u, l), hodge(grade_select(v, l))))[0])
+        err = max(err, abs(_inner(u, v) - total))
+        err = max(err, abs(_inner(u, v) - _inner(hodge(u), hodge(v))))
     results.append(CheckResult("inner product via star-wedge / star invariance", err, ALGEBRA_TOL))
 
     err = 0.0
@@ -109,7 +110,7 @@ def algebra_checks(seed: int = 0):
         w = _random_graded(rng)
         v = _random_graded(rng)
         u = _random_graded(rng)
-        err = max(err, abs(w.wedge(v).inner(u) - w.inner(v.vee(u))))
+        err = max(err, abs(_inner(wedge(w, v), u) - _inner(w, vee(v, u))))
     results.append(CheckResult("vee-wedge adjunction", err, ALGEBRA_TOL))
 
     err = 0.0
@@ -117,10 +118,10 @@ def algebra_checks(seed: int = 0):
         u = _random_one(rng)
         v = _random_one(rng)
         for l in range(4):
-            w = _random_graded(rng).grade(l)
-            lhs = u.vee(v.wedge(w)) - v.wedge(u.vee(w))
-            rhs = ((-1.0) ** l) * u.inner(v) * w
-            err = max(err, float(np.max(np.abs(lhs.data - rhs.data))))
+            w = grade_select(_random_graded(rng), l)
+            lhs = vee(u, wedge(v, w)) - wedge(v, vee(u, w))
+            rhs = w * (((-1.0) ** l) * _inner(u, v))
+            err = max(err, float(np.max(np.abs(lhs - rhs))))
     results.append(CheckResult("one-form commutator identity", err, ALGEBRA_TOL))
 
     err = 0.0
@@ -128,17 +129,18 @@ def algebra_checks(seed: int = 0):
         u1 = _random_one(rng)
         v1 = _random_one(rng)
         for l in range(4):
-            ul = _random_graded(rng).grade(l)
-            vl = _random_graded(rng).grade(l)
-            lhs = u1.vee(ul).inner(v1.vee(vl)) + v1.wedge(ul).inner(u1.wedge(vl))
-            err = max(err, abs(lhs - u1.inner(v1) * ul.inner(vl)))
+            ul = grade_select(_random_graded(rng), l)
+            vl = grade_select(_random_graded(rng), l)
+            lhs = _inner(vee(u1, ul), vee(v1, vl)) + _inner(wedge(v1, ul), wedge(u1, vl))
+            err = max(err, abs(lhs - _inner(u1, v1) * _inner(ul, vl)))
     results.append(CheckResult("contraction product identity", err, ALGEBRA_TOL))
 
     err = 0.0
     for _ in range(ALGEBRA_SAMPLES // 10):
-        u = _random_one(rng)
-        v = _random_one(rng)
-        err = max(err, float(np.max(np.abs(u.sym_product(v) - v.sym_product(u)))))
+        u = _random_one(rng)[1:4]
+        v = _random_one(rng)[1:4]
+        diff = sym_product_components(u, v) - sym_product_components(v, u)
+        err = max(err, float(np.max(np.abs(diff))))
     results.append(CheckResult("symmetric product commutativity", err, ALGEBRA_TOL))
 
     # delta = (-1)^(n(l+1)+1) * d * on a small grid
@@ -274,7 +276,7 @@ def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
 
     w03 = random_band_limited(grid, rng, band=band, grades=(0, 3))
     qt = potential_t(w03, dm)
-    stray = float(np.max(np.abs(algebra.grade_select(qt.values, (1, 2)))))
+    stray = float(np.max(np.abs(grade_select(qt.values, (1, 2)))))
     whole = max(float(np.max(np.abs(qt.values))), 1e-300)
     results.append(CheckResult("grade-{0,3} decoupling", stray / whole, 1e-8))
 

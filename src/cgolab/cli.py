@@ -65,6 +65,14 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)  # None: not measured, an empty cell
 
 
+def _write(path: Path, write) -> None:
+    """write(path) for one output path; an OSError there is a ConfigError naming the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+
+
 class Run:
     """One command invocation: its parsed config, grid, seed and solver
     settings, the stage timings, and the one writer of results.csv and
@@ -98,10 +106,7 @@ class Run:
         self.rho = geo.rho(self.grid)
         self.eta1, self.eta2 = orthonormal_frame(self.rho, geo.frame_angle())
         out = Path(self.args.out or cfg.output.directory)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot use output directory {str(out)!r}: {exc.strerror}") from None
+        _write(out, lambda path: path.mkdir(parents=True, exist_ok=True))
         self.out = out
         return geo
 
@@ -121,9 +126,11 @@ class Run:
     def write_csv(self, header, rows) -> None:
         with self.stage("write"):
             lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-            (self.out / "results.csv").write_text("\n".join(lines) + "\n")
+            _write(self.out / "results.csv", lambda path: path.write_text("\n".join(lines) + "\n"))
 
     def write_manifest(self) -> None:
+        if self.out is None:  # the check commands write no directory
+            return
         usage = resource.getrusage(resource.RUSAGE_SELF)  # the process so far; maxrss in KiB
         doc = {
             "command": self.args.command,
@@ -136,7 +143,7 @@ class Run:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "fft": "numpy.fft",
-                "cpu_count": os.cpu_count(),
+                "cpu_count": _usable_cpus(),  # the CPUs this process may run on
                 "fft_workers": 1,
                 "threads": self.args.threads,
             },
@@ -147,7 +154,8 @@ class Run:
             "diagnostics": self.diagnostics,
             "acceptance": self.acceptance,
         }
-        (self.out / "manifest.json").write_text(json.dumps(doc, indent=2, default=str) + "\n")
+        text = json.dumps(doc, indent=2, default=str) + "\n"
+        _write(self.out / "manifest.json", lambda path: path.write_text(text))
 
 
 def _load_config(args):
@@ -212,8 +220,8 @@ def cmd_run_cgo(run: Run) -> int:
     ]])
     if run.cfg.output.save_fields:
         with run.stage("write"):
-            remainder = sol.total.values - amp.data.reshape(8, 1, 1, 1)  # R = (A + R) - A
-            fields.save_field_bin(fields.FormField(run.grid, remainder), run.out / "fields.bin")
+            remainder = fields.FormField(run.grid, sol.total.values - amp.reshape(8, 1, 1, 1))  # R = (A + R) - A
+            _write(run.out / "fields.bin", lambda path: fields.save_field_bin(remainder, path))
     run.diagnostics = {
         "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
         "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect,
@@ -368,14 +376,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command, _ = COMMANDS[args.command]
     run = Run(args)
-    try:
-        code = command(run)
-    except tuple(FAILURES) as exc:
-        code, label = FAILURES[type(exc)]
-        print(f"{label}: {exc}", file=sys.stderr)
-        run.diagnostics = {**(exc.diagnostics or {}), "error": str(exc)}
-    if run.out is not None:
-        run.write_manifest()
+    code = EXIT_OK
+    for step in (command, Run.write_manifest):  # the manifest records a failed command too
+        try:
+            code = step(run) or code  # write_manifest returns None
+        except tuple(FAILURES) as exc:
+            code, label = FAILURES[type(exc)]
+            print(f"{label}: {exc}", file=sys.stderr)
+            run.diagnostics = {**(exc.diagnostics or {}), "error": str(exc)}
     return code
 
 

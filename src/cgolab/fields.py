@@ -31,7 +31,6 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import algebra
-from .algebra import GradedForm
 from .errors import ResonantGridError
 
 _BIN_MAGIC = b"CGOF"
@@ -145,10 +144,10 @@ class FormField:
         return cls(grid, np.zeros((8, grid.n, grid.n, grid.n), dtype=complex))
 
     @classmethod
-    def constant(cls, grid: Grid, form: GradedForm) -> "FormField":
-        values = np.broadcast_to(
-            form.data.reshape(8, 1, 1, 1), (8, grid.n, grid.n, grid.n)
-        ).copy()
+    def constant(cls, grid: Grid, form) -> "FormField":
+        """The field that holds the form (8,) at every point."""
+        values = np.empty((8, grid.n, grid.n, grid.n), dtype=complex)
+        values[...] = np.reshape(form, (8, 1, 1, 1))
         return cls(grid, values)
 
     @classmethod

@@ -266,10 +266,6 @@ def derive(medium: Medium) -> DerivedMedium:
                          mu=m.mu.astype(complex))
 
 
-def derive_background(grid: Grid, omega: float, eps0: float = 1.0, mu0: float = 1.0):
-    return derive(Medium.from_bumps(grid, omega, eps0, mu0))
-
-
 # ---------------------------------------------------------------------------
 # first-order operators
 # ---------------------------------------------------------------------------

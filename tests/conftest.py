@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cgolab import presets
+from cgolab.algebra import BLADE_INDEX
 from cgolab.fields import Grid
-from cgolab.media import derive
+from cgolab.media import Medium, derive
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -32,6 +33,18 @@ def form_lazy_fields(*dms) -> None:
 def bits(a) -> np.ndarray:
     """The uint64 bit patterns of a complex array, so that equality counts signed zeros."""
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+def blade(indices, c=1.0) -> np.ndarray:
+    """The graded form (8,) that holds c on the blade of the given indices and 0 elsewhere."""
+    out = np.zeros(8, dtype=complex)
+    out[BLADE_INDEX[tuple(indices)]] = c
+    return out
+
+
+def derive_background(grid, omega, eps0=1.0, mu0=1.0):
+    """The derived homogeneous medium with permittivity eps0 and permeability mu0."""
+    return derive(Medium.from_bumps(grid, omega, eps0, mu0))
 
 
 @pytest.fixture(scope="session")

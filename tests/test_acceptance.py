@@ -8,12 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from cgolab import algebra, cgo, checks, presets
+from cgolab import cgo, checks, presets
 from cgolab import uniqueness as uq
 from cgolab.cli import main
 from cgolab.fields import ClampedSymbol, resolvent_operator_norm
-from cgolab.media import derive_background
-from conftest import reference_config
+from conftest import blade, derive_background, reference_config
 
 RHO = np.array([1.0, 0.0, 0.0])
 RHO_PAIR = np.array([2.0, 0.0, 0.0])
@@ -184,7 +183,7 @@ def test_criterion_08_grade03_annihilation(grid32, dm32):
     controls = []
     for s in (8.0, 16.0, 32.0):
         g = cgo.make_geometry(RHO, *FRAME, s, dm32.k, grid=grid32)
-        sol_neg = cgo.solve_cgo(dm32, g.zeta1, algebra.GradedForm.scalar(1.0))
+        sol_neg = cgo.solve_cgo(dm32, g.zeta1, blade(()))
         controls.append(cgo.grade03_ratio(dm32, sol_neg))
     ok = (
         cgo.strictly_decreasing(ratios)

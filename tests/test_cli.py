@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -480,7 +481,9 @@ def test_run_commands_reject_json(tmp_path, capsys):
 # experiment commands
 # ---------------------------------------------------------------------------
 
-def test_run_cgo_outputs(tmp_path):
+def test_run_cgo_outputs(tmp_path, monkeypatch):
+    cpus = (os.cpu_count() or 1) + 7  # not the host's count, which an affinity set can only lower
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     cfg = small_config("cgo")
     cfg["geometry"]["s"] = 8.0
     cfg["output"] = {"directory": str(tmp_path / "o"), "save_fields": True}
@@ -493,8 +496,9 @@ def test_run_cgo_outputs(tmp_path):
     assert {"version", "seed", "config", "wall_clock_s", "diagnostics"} <= set(manifest)
     assert set(manifest["timings"]) == {"parse", "derive", "solve", "write"}
     assert manifest["environment"]["fft_workers"] == manifest["environment"]["threads"] == 1
-    assert {"python", "numpy", "fft", "cpu_count"} <= set(manifest["environment"])
+    assert {"python", "numpy", "fft"} <= set(manifest["environment"])
     assert manifest["environment"]["fft"] == "numpy.fft"
+    assert manifest["environment"]["cpu_count"] == cpus  # the count that caps --threads
     snapshot = fields.load_field_bin(out / "fields.bin")
     assert snapshot.grid.n == 16
     # the snapshot is R = (A + R) - A of the same solve
@@ -504,11 +508,26 @@ def test_run_cgo_outputs(tmp_path):
                              grid=run.grid)
     amp = cgo.amplitude_a(geom, geo.polarization)
     sol = cgo.solve_cgo(dm, geom.zeta1, amp, **asdict(run.solver))
-    remainder = sol.total.values - amp.data.reshape(8, 1, 1, 1)
+    remainder = sol.total.values - amp.reshape(8, 1, 1, 1)
     assert np.array_equal(bits(snapshot.values), bits(remainder))
     diagnostics = manifest["diagnostics"]
     assert len(diagnostics["deltas"]) == len(diagnostics["residuals"]) == diagnostics["iterations"]
     assert diagnostics["residuals"][-1] == diagnostics["residual"]
+
+
+@pytest.mark.parametrize("name", ["results.csv", "fields.bin", "manifest.json"])
+def test_an_unwritable_output_file_exits_2_naming_it(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    cfg = small_config("cgo", output={"directory": str(out), "save_fields": True})
+    assert main(["run-cgo", "--config", write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and repr(str(out / name)) in err
+    assert "Traceback" not in err
+    if name != "manifest.json":  # the manifest is written, and records the failed write
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["error"] == err.strip().removeprefix("config error: ")
+        assert manifest["acceptance"] == {"converged": False}
 
 
 def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgolab import algebra, cgo, fields, media
-from cgolab.algebra import GradedForm
+import cgolab
+from cgolab import algebra, cgo, fields
 from cgolab.fields import (
     ClampedSymbol,
     FormField,
@@ -29,7 +29,7 @@ from cgolab.fields import (
     sym_coderiv,
     sym_product_field,
 )
-from conftest import bits
+from conftest import bits, blade, derive_background
 
 GRID = Grid(16, 2.0 * np.pi)
 
@@ -58,7 +58,7 @@ def test_fft_round_trip_and_constant():
     g = fft_inverse(fft_forward(f))
     assert rel_err(g.values, f.values) < 1e-12
 
-    c = FormField.constant(GRID, GradedForm.scalar(3.0 - 2.0j))
+    c = FormField.constant(GRID, blade((), 3.0 - 2.0j))
     C = fft_forward(c)
     assert C.values[0, 0, 0, 0] == pytest.approx(3.0 - 2.0j)
     offzero = np.abs(C.values).sum() - abs(C.values[0, 0, 0, 0])
@@ -153,7 +153,7 @@ def test_conjugated_laplacian_examples():
     assert rel_err(conj_laplacian(f).values, hodge_helmholtz.values) < 1e-11
 
     zeta = admissible_zeta(2.0, 1.5)
-    c = FormField.constant(GRID, GradedForm.covector([1.0, 2.0, 0.5]))
+    c = FormField.constant(GRID, algebra.one_form([1.0, 2.0, 0.5]))
     expected = -np.dot(zeta, zeta) * c.values
     assert rel_err(conj_laplacian(c, zeta).values, expected) < 1e-12
 
@@ -237,7 +237,7 @@ def test_resolvent_clamps_zero_mode():
     k = 1.0
     zeta = admissible_zeta(2.0, k)
     sym = ClampedSymbol(GRID, zeta)
-    out = resolve(sym, FormField.constant(GRID, GradedForm.scalar(1.0)))
+    out = resolve(sym, FormField.constant(GRID, blade((), 1.0)))
     assert sym.report().clamped >= 1
     assert out.max_abs() < 1e-14
 
@@ -255,9 +255,9 @@ def test_resolvent_operator_norm_is_one(monkeypatch):
 
 
 def test_resolvent_requires_admissible_zeta():
-    dm0 = media.derive_background(GRID, omega=1.0)  # k = 1, and <zeta, zeta> = 1
+    dm0 = derive_background(GRID, omega=1.0)  # k = 1, and <zeta, zeta> = 1
     with pytest.raises(ValueError, match=r"is not -k\^2"):
-        cgo.solve_cgo(dm0, np.array([1.0, 0.0, 0.0]), GradedForm.scalar(1.0))
+        cgo.solve_cgo(dm0, np.array([1.0, 0.0, 0.0]), blade((), 1.0))
 
 
 def _pre_change_symbol(grid, zeta):
@@ -296,7 +296,7 @@ def test_clamped_symbol_is_bit_equal_to_the_pre_change_expressions():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_resolvent_reports_against_the_solver_threshold(n):
     grid = Grid(n, 2.0 * np.pi)
-    dm0 = media.derive_background(grid, omega=1.0)
+    dm0 = derive_background(grid, omega=1.0)
     rho = np.array([1.0, 0.0, 0.0])
     g = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, 0.7), 8.0, dm0.k, grid=grid)
     sol = cgo.solve_cgo(dm0, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
@@ -367,7 +367,7 @@ def test_bourgain_norm_single_mode_against_direct_sum():
 
 
 def test_sobolev_norms_constant_and_plane_wave():
-    c = FormField.constant(GRID, GradedForm.scalar(2.0 + 1.0j))
+    c = FormField.constant(GRID, blade((), 2.0 + 1.0j))
     l2, hm1 = sobolev_norms(c)
     expected = abs(2.0 + 1.0j) * GRID.length ** 1.5
     assert l2 == pytest.approx(expected, rel=1e-12)
@@ -399,7 +399,7 @@ def test_mollify_limits():
     g = mollify(f, 1e-6)
     assert rel_err(g.values, f.values) < 1e-10
 
-    c = FormField.constant(GRID, GradedForm.scalar(1.0 - 1.0j))
+    c = FormField.constant(GRID, blade((), 1.0 - 1.0j))
     for h in (1.0, 0.1, 3.0):
         assert rel_err(mollify(c, h).values, c.values) < 1e-13
 
@@ -585,6 +585,10 @@ def test_importing_the_library_loads_no_scipy():
         [sys.executable, "-c", code], text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert out.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    assert [name for name in cgolab.__all__ if not hasattr(cgolab, name)] == []
 
 
 # ---------------------------------------------------------------------------
