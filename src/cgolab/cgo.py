@@ -350,7 +350,7 @@ def grade03_ratio(dm: DerivedMedium, sol: CgoSolution) -> float:
     """Relative size of the grade-{0,3} part of the derived first-order
     image, computed in conjugated variables."""
     v = first_order_t(sol.total, dm, zeta=sol.zeta)
-    part = l2_norm(v.select((0, 3)))
+    part = l2_norm(FormField(v.grid, grade_select(v.values, (0, 3))))
     whole = l2_norm(v)
     return part / whole
 
@@ -531,8 +531,8 @@ def q_norm_estimate(dm: DerivedMedium, zeta, seed: int = 0) -> QNormEstimate:
         grad = FormField.zero(grid)
         grad.values[1:4] = grad3
         mol = mollify(grad, h)
-        smooth += coderiv(mol).max_abs()
-        rough += (grad - mol).max_abs()
+        smooth += float(np.max(form_abs(coderiv(mol).values)))
+        rough += float(np.max(form_abs(grad.values - mol.values)))
     return QNormEstimate(
         estimate=best, h=h, smooth_term=smooth / max(mag, 1.0), rough_term=rough
     )

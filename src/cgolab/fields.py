@@ -16,8 +16,9 @@ Conventions used throughout:
 * Weighted norms built from the conjugated Helmholtz symbol
   ``p(xi) = |xi|^2 - 2i <zeta, xi>`` exclude every mode where |p| is
   under a floor: the weights are zero there, and the resolvent annihilates
-  those modes and reports them clamped.  They always include xi = 0, where
-  the homogeneous weight is singular and a periodic surrogate has none.
+  those modes and reports them clamped.  The clamped modes always include
+  xi = 0, where the homogeneous weight is singular and a periodic
+  surrogate has none.
 """
 
 from __future__ import annotations
@@ -127,7 +128,10 @@ class Grid:
 
 
 class FormField:
-    """Graded forms on a grid, or their Fourier coefficients: complex, shape (8, n, n, n)."""
+    """Graded forms on a grid, or their Fourier coefficients: complex, shape (8, n, n, n).
+
+    A checked record of a grid and its values; blade operations are the
+    :mod:`algebra` kernels applied to ``values``."""
 
     __slots__ = ("grid", "values")
 
@@ -144,41 +148,10 @@ class FormField:
         return cls(grid, np.zeros((8, grid.n, grid.n, grid.n), dtype=complex))
 
     @classmethod
-    def constant(cls, grid: Grid, form) -> "FormField":
-        """The field that holds the form (8,) at every point."""
-        values = np.empty((8, grid.n, grid.n, grid.n), dtype=complex)
-        values[...] = np.reshape(form, (8, 1, 1, 1))
-        return cls(grid, values)
-
-    @classmethod
     def from_scalar(cls, grid: Grid, samples: np.ndarray) -> "FormField":
         values = np.zeros((8, grid.n, grid.n, grid.n), dtype=complex)
         values[0] = samples
         return cls(grid, values)
-
-    def select(self, grades) -> "FormField":
-        return FormField(self.grid, algebra.grade_select(self.values, grades))
-
-    def alternate(self, offset: int = 0) -> "FormField":
-        return FormField(self.grid, algebra.alternate(self.values, offset))
-
-    def vee(self, other: "FormField") -> "FormField":
-        return FormField(self.grid, algebra.vee(self.values, other.values))
-
-    def hodge(self) -> "FormField":
-        return FormField(self.grid, algebra.hodge(self.values))
-
-    def inner(self, other: "FormField") -> np.ndarray:
-        return algebra.inner(self.values, other.values)
-
-    def max_abs(self) -> float:
-        return float(np.max(algebra.form_abs(self.values)))
-
-    def __add__(self, other):
-        return FormField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return FormField(self.grid, self.values - other.values)
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -420,7 +393,7 @@ def assert_admissible(zeta, k: float) -> None:
 
 def quadrature_pairing(f: FormField, g: FormField) -> complex:
     """Bilinear integral (L/n)^3 sum_x <f, g>; no conjugation."""
-    return complex(f.grid.cell_volume * np.sum(f.inner(g)))
+    return complex(f.grid.cell_volume * np.sum(algebra.inner(f.values, g.values)))
 
 
 def hermitian_pairing(f: FormField, g: FormField) -> complex:
@@ -459,11 +432,6 @@ def mollify(f: FormField, h: float) -> FormField:
 # ---------------------------------------------------------------------------
 # symmetric tensor fields
 # ---------------------------------------------------------------------------
-
-def sym_product_field(u: FormField, v: FormField) -> np.ndarray:
-    """Pointwise symmetric product of the grade-1 parts, shape (6, n, n, n)."""
-    return algebra.sym_product_components(u.values[1:4], v.values[1:4])
-
 
 def sym_coderiv(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """Formal adjoint symmetric derivative of a symmetric 2-tensor field.

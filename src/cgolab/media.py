@@ -33,7 +33,6 @@ from .fields import (
     ext_deriv,
     quadrature_pairing,
     sym_coderiv,
-    sym_product_field,
 )
 
 
@@ -273,7 +272,7 @@ def derive(medium: Medium) -> DerivedMedium:
 def _first_order(v: FormField, dm: DerivedMedium, zeta, transpose: bool) -> FormField:
     """The first-order operator, or with ``transpose`` its formal transpose."""
     dx3, dy3 = (dm.db3, dm.da3) if transpose else (dm.da3, dm.db3)
-    out = d_plus_delta(v.alternate(int(transpose)), zeta).values
+    out = d_plus_delta(FormField(v.grid, algebra.alternate(v.values, int(transpose))), zeta).values
     w = v.values
     out += algebra.wedge_cov(dx3, w, grades=1)
     out += algebra.vee_cov(dx3, w, grades=(1, 3))
@@ -477,10 +476,11 @@ def _weak_pairing(w: FormField, phi: FormField, dm: DerivedMedium, transpose: bo
 
     for d3, s in ((dx3, ip[2] - ip[0]), (dy3, ip[1] - ip[3])):
         total += by_parts(d3, _gradient(grid, s))
-    total += by_parts(dy3, sym_coderiv(grid, sym_product_field(w, phi)))
+    total += by_parts(dy3, sym_coderiv(grid, algebra.sym_product_components(wv[1:4], pv[1:4])))
     # the Hodge star carries grade 2 onto blades 1..3, where the symmetric
     # product reads its factors
-    total += by_parts(dx3, sym_coderiv(grid, sym_product_field(w.hodge(), phi.hodge())))
+    total += by_parts(dx3, sym_coderiv(grid, algebra.sym_product_components(
+        algebra.hodge(wv)[1:4], algebra.hodge(pv)[1:4])))
 
     return complex(grid.cell_volume * total)
 
@@ -522,8 +522,8 @@ def maxwell_residual(u: FormField, dm: DerivedMedium, zeta=None) -> FormField:
     With ``zeta`` the derivatives are conjugated, so the residual of a
     two-sided solution can be evaluated on its periodic part.
     """
-    u1 = u.select(1)
-    u2 = u.select(2)
+    u1 = FormField(u.grid, algebra.grade_select(u.values, 1))
+    u2 = FormField(u.grid, algebra.grade_select(u.values, 2))
     res = coderiv(u2, zeta).values - ext_deriv(u1, zeta).values
     res += 1j * dm.omega * dm.gamma * u1.values
     res += 1j * dm.omega * dm.mu * u2.values

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import inner
 from .cgo import (
     CgoGeometry,
     Polarization,
@@ -116,7 +117,7 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
         dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part, scratch)
     del w, first, part, scratch
     wave = plane_wave_scalar(mp.grid, geom.rho)
-    value = complex(mp.grid.cell_volume * np.sum(wave * dq.inner(v)))
+    value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq.values, v.values)))
     return PairingResult(value=value, clamps=clamps)
 
 
@@ -326,16 +327,16 @@ def ucp_contraction_check(
     """Estimate the weighted operator norm of resolvent o multiplication
     and certify the contraction; M is the multiplier of ucp_coefficients.
 
-    The norm of T restricted to the coupled grade-{0,3} components is
-    estimated by power iteration on the adjoint composition T*T (the
-    adjoint taken in the +1/2-weighted inner product), maximized over
-    seeded random starts.  The fixed-point side then iterates
-    w <- -T w from random starts and reports whether every start decays
-    below the tolerance.  Estimates inside [0.9, 1.1] are reported as
-    inconclusive.  Each phase draws its starts here, in order, cuts each
-    to the support box at once, runs them on min(starts, usable CPUs)
-    threads and reduces them with max and all: the report's bits do not
-    depend on the thread count.  No command calls the certificate, so
+    The norm of T on its states, the two square-root contrasts on the
+    support box of M, is estimated by power iteration on the adjoint
+    composition T*T (the adjoint taken in the +1/2-weighted inner
+    product), maximized over seeded random starts.  The fixed-point side
+    then iterates w <- -T w from random starts and reports whether every
+    start decays below the tolerance.  Estimates inside [0.9, 1.1] are
+    reported as inconclusive.  Each phase draws its starts here, in order,
+    cuts each to the support box at once, runs them on min(starts, usable
+    CPUs) threads and reduces them with max and all: the report's bits do
+    not depend on the thread count.  No command calls the certificate, so
     ``--threads`` sizes only the sample pools.
     """
     if trials < 1:

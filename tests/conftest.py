@@ -6,7 +6,7 @@ import pytest
 
 from cgolab import presets
 from cgolab.algebra import BLADE_INDEX
-from cgolab.fields import Grid
+from cgolab.fields import FormField, Grid
 from cgolab.media import Medium, derive
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -40,6 +40,13 @@ def blade(indices, c=1.0) -> np.ndarray:
     out = np.zeros(8, dtype=complex)
     out[BLADE_INDEX[tuple(indices)]] = c
     return out
+
+
+def constant(grid, form) -> FormField:
+    """The field that holds the graded form (8,) at every point of the grid."""
+    values = np.empty((8, grid.n, grid.n, grid.n), dtype=complex)
+    values[...] = np.reshape(form, (8, 1, 1, 1))
+    return FormField(grid, values)
 
 
 def derive_background(grid, omega, eps0=1.0, mu0=1.0):

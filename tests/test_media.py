@@ -16,7 +16,7 @@ from cgolab.fields import (
     quadrature_pairing,
     random_band_limited,
 )
-from conftest import LAZY_FIELDS, bits, derive_background, form_lazy_fields
+from conftest import LAZY_FIELDS, bits, constant, derive_background, form_lazy_fields
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -293,11 +293,11 @@ def test_medium_rejects_overflowing_products(grid16, name, omega, peak):
 
 def test_first_order_on_constant_background(grid16):
     dm = derive_background(grid16, omega=1.5, eps0=2.0, mu0=0.5)
-    v = FormField.constant(grid16, np.arange(1.0, 9.0) + 0.5j)
+    v = constant(grid16, np.arange(1.0, 9.0) + 0.5j)
     expected = 1.5j * np.sqrt(2.0 * 0.5) * v.values
     assert rel_err(md.first_order(v, dm).values, expected) < 1e-12
     assert rel_err(md.first_order_t(v, dm).values, expected) < 1e-12
-    assert md.first_order(FormField.zero(grid16), dm).max_abs() == 0.0
+    assert np.max(algebra.form_abs(md.first_order(FormField.zero(grid16), dm).values)) == 0.0
 
 
 def test_first_order_pair_drops_derivatives_for_constant_media(grid16, dm16):
@@ -305,9 +305,9 @@ def test_first_order_pair_drops_derivatives_for_constant_media(grid16, dm16):
     dm0 = derive_background(grid16, omega=1.0)
     rng = np.random.default_rng(3)
     v = random_band_limited(grid16, rng, band=4)
-    combo = md.first_order(v, dm0) + md.first_order_t(v, dm0)
+    combo = md.first_order(v, dm0).values + md.first_order_t(v, dm0).values
     expected = 2.0 * dm0.iwc * v.values
-    assert rel_err(combo.values, expected) < 1e-12
+    assert rel_err(combo, expected) < 1e-12
 
 
 def test_first_order_transpose_pairing(grid16, dm16):
@@ -328,8 +328,8 @@ def test_potential_vanishes_on_background(grid16):
     dm0 = derive_background(grid16, omega=1.0)
     rng = np.random.default_rng(5)
     w = random_band_limited(grid16, rng, band=5)
-    assert md.potential(w, dm0).max_abs() == 0.0
-    assert md.potential_t(w, dm0).max_abs() == 0.0
+    assert np.max(algebra.form_abs(md.potential(w, dm0).values)) == 0.0
+    assert np.max(algebra.form_abs(md.potential_t(w, dm0).values)) == 0.0
 
 
 def test_potential_on_constant_contrast(grid16):
@@ -428,7 +428,7 @@ def test_transposed_potential_decouples(grid16, dm16):
 def test_grade03_potential_matches_multipliers_and_weak_form(grid16, dm16):
     rng = np.random.default_rng(10)
     w03 = random_band_limited(grid16, rng, band=5, grades=(0, 3))
-    q03 = md.potential_t(w03, dm16).select((0, 3))
+    q03 = FormField(grid16, algebra.grade_select(md.potential_t(w03, dm16).values, (0, 3)))
     m0, m3 = dm16.grade_multipliers[1], dm16.grade_multipliers[2]
     oracle = np.zeros_like(q03.values)
     oracle[0] = m0 * w03.values[0]
@@ -459,7 +459,7 @@ def test_potential_maps_each_closed_grade_block_into_itself(grid16, dm16, grades
     assert np.array_equal(md.potential(w, dm16, grades=grades).values, full.values)
     # the blades outside the block are not read
     other = tuple(sorted({0, 1, 2, 3} - set(grades)))
-    noisy = w + random_band_limited(grid16, rng, band=6, grades=other)
+    noisy = FormField(grid16, w.values + random_band_limited(grid16, rng, band=6, grades=other).values)
     assert np.array_equal(md.potential(noisy, dm16, grades=grades).values, full.values)
 
 
@@ -557,7 +557,7 @@ def test_potentials_are_pointwise_symmetric(grid16, dm16, op):
     for i in range(8):
         e = np.zeros(8, dtype=complex)
         e[i] = 1.0
-        columns.append(op(FormField.constant(grid16, e), dm16).values)
+        columns.append(op(constant(grid16, e), dm16).values)
     matrix = np.stack(columns, axis=1)  # (row j, column i, n, n, n)
     asym = np.max(np.abs(matrix - matrix.transpose(1, 0, 2, 3, 4)))
     assert asym < 1e-13 * np.max(np.abs(matrix))
@@ -578,14 +578,14 @@ def test_background_plane_wave_solves_maxwell(grid16):
     u = FormField.zero(grid16)
     u.values[2] = wave  # dx2 polarized electric part
     u.values[4] = np.linalg.norm(kappa) / (omega * mu0) * wave  # dx1^dx2 magnetic part
-    assert md.maxwell_residual(u, dm).max_abs() < 1e-10
+    assert np.max(algebra.form_abs(md.maxwell_residual(u, dm).values)) < 1e-10
 
 
 def test_maxwell_residual_trivial_cases(grid16, dm16):
-    assert md.maxwell_residual(FormField.zero(grid16), dm16).max_abs() == 0.0
+    assert np.max(algebra.form_abs(md.maxwell_residual(FormField.zero(grid16), dm16).values)) == 0.0
     rng = np.random.default_rng(13)
     v03 = random_band_limited(grid16, rng, band=4, grades=(0, 3))
-    assert md.to_maxwell(v03, dm16).max_abs() == 0.0
+    assert np.max(algebra.form_abs(md.to_maxwell(v03, dm16).values)) == 0.0
 
 
 def test_to_maxwell_rescales_grades(grid16, dm16):

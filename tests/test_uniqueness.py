@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cgolab import cgo, fields, presets
+from cgolab import algebra, cgo, fields, presets
 from cgolab import media as md
 from cgolab import uniqueness as uq
 from cgolab.fields import default_floor, plane_wave_scalar
@@ -158,8 +158,8 @@ def test_pairing_is_linear_in_first_amplitude(grid16, pair16):
 
     def assemble(scale):
         w = cgo.solve_cgo(pair16.dm1, g.zeta1, scale * amp_a).total
-        dq = md.potential(w, pair16.dm2) - md.potential(w, pair16.dm1)
-        return complex(grid16.cell_volume * np.sum(wave * dq.inner(v)))
+        dq = md.potential(w, pair16.dm2).values - md.potential(w, pair16.dm1).values
+        return complex(grid16.cell_volume * np.sum(wave * algebra.inner(dq, v.values)))
 
     v1 = assemble(1.0)
     v3 = assemble(3.0)
@@ -175,8 +175,9 @@ def test_pairing_is_bit_equal_to_the_pre_change_expression(grid16, pair16, pol):
     sol1 = cgo.solve_cgo(pair16.dm1, g.zeta1, a_amp)
     sol2 = cgo.solve_cgo(pair16.dm2, g.zeta2, b_amp)
     w, v = sol1.total, sol2.total
-    dq = md.potential(w, pair16.dm2) - md.potential(w, pair16.dm1)
-    expected = complex(grid16.cell_volume * np.sum(plane_wave_scalar(grid16, RHO) * dq.inner(v)))
+    dq = md.potential(w, pair16.dm2).values - md.potential(w, pair16.dm1).values
+    wave = plane_wave_scalar(grid16, RHO)
+    expected = complex(grid16.cell_volume * np.sum(wave * algebra.inner(dq, v.values)))
     res = uq.pairing(pair16, g, pol)
     assert res.value == expected
     assert res.clamps == (sol1.clamp, sol2.clamp)
