@@ -129,7 +129,7 @@ def vee(u, v):
     return np.einsum("abc,a...,b...->c...", VEE, u, v)
 
 
-def _cov_product(table, c, u, grades=None, out=None, term=None):
+def _cov_product(table, c, u, grades=None, out=None):
     """Sum of sign * c[j] * u[b] into out[k] over the nonzero (j, b, k) of a
     grade-1 sign table, whose entries are +-1.
 
@@ -138,11 +138,10 @@ def _cov_product(table, c, u, grades=None, out=None, term=None):
     only the blades of u of those grades enter, as if u had been passed
     through :func:`grade_select` first.
 
-    ``out`` (8 blades: an array with leading axis 8, or a list of 8 blade
-    arrays) and ``term`` (the shape of one blade), given together, form the
-    product in place of new arrays.  Then only the blades of out that the
-    product reaches are written, each summed from +0.0 as in a new array,
-    and the others may be None; ``term`` holds each c[j] * u[b].
+    With ``out`` (8 blades: an array with leading axis 8, or a list of 8
+    blade arrays) the product is formed there in place of a new array.
+    Then only the blades of out that the product reaches are written, each
+    summed from +0.0 as in a new array, and the others may be None.
     """
     c = np.asarray(c)
     u = np.asarray(u)
@@ -150,10 +149,10 @@ def _cov_product(table, c, u, grades=None, out=None, term=None):
         grades = (grades,)
     entries = [(j, b, k) for j, b, k in zip(*np.nonzero(table))
                if grades is None or GRADES[b] in grades]
+    shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
+    term = np.empty(shape, dtype=np.result_type(table, c, u))  # each c[j] * u[b]
     if out is None:
-        shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
-        out = np.zeros((8,) + shape, dtype=np.result_type(table, c, u))
-        term = np.empty(shape, dtype=out.dtype)
+        out = np.zeros((8,) + shape, dtype=term.dtype)
     else:
         for k in {k for _, _, k in entries}:
             out[k][...] = 0.0
@@ -166,18 +165,18 @@ def _cov_product(table, c, u, grades=None, out=None, term=None):
     return out
 
 
-def wedge_cov(c, u, grades=None, out=None, term=None):
+def wedge_cov(c, u, grades=None, out=None):
     """Wedge with a covector given by its 3 components (leading axis 3),
     optionally restricted to the blades of u of the given grades; ``out``
-    and ``term`` as in :func:`_cov_product`."""
-    return _cov_product(WEDGE_COV, c, u, grades, out, term)
-
-
-def vee_cov(c, u, grades=None, out=None, term=None):
-    """Contraction by a covector given by its 3 components, optionally
-    restricted to the blades of u of the given grades; ``out`` and ``term``
     as in :func:`_cov_product`."""
-    return _cov_product(VEE_COV, c, u, grades, out, term)
+    return _cov_product(WEDGE_COV, c, u, grades, out)
+
+
+def vee_cov(c, u, grades=None, out=None):
+    """Contraction by a covector given by its 3 components, optionally
+    restricted to the blades of u of the given grades; ``out`` as in
+    :func:`_cov_product`."""
+    return _cov_product(VEE_COV, c, u, grades, out)
 
 
 def hodge(u):

@@ -245,11 +245,10 @@ def solve_cgo(
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
     the resolvent acts blade by blade, so the iteration runs on the
     blades of the block that holds the amplitude (both blocks when the
-    amplitude has parts in each).  Its buffers are allocated once, before
-    the first iteration, which allocates no array of the grid's size; the
-    returned A + R is the one into which each step's R was transformed.  A
-    forcing norm, step norm or residual that is not finite raises
-    DivergenceError at once.
+    amplitude has parts in each).  It allocates its three block buffers
+    and A + R, into which each step's R is transformed and which it
+    returns, before the first iteration.  A forcing norm, step norm or
+    residual that is not finite raises DivergenceError at once.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -262,19 +261,17 @@ def solve_cgo(
     shape = (grid.n,) * 3
     fhat, rhat, dead = (np.empty((blk.stop - blk.start,) + shape, complex) for _ in range(3))
     total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
-    norm_work = (np.empty(shape), np.empty(shape))  # a weighted norm's scratch
-    scratch = np.empty((3,) + shape, complex)  # media.potential's scratch
     amp_blk = amplitude[blk].reshape(-1, 1, 1, 1)
     total.values[blk] += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
-        return _forward(potential(total, dm, grades, out, scratch), out)
+        return _forward(potential(total, dm, grades, out), out)
 
     contraction = None  # fewer than two steps have no step ratio
     iterations = 0
 
     def norm(coeffs, b, name):  # a weighted norm of coeffs, which must be finite
-        value = sym.norm(coeffs, b, norm_work)
+        value = sym.norm(coeffs, b)
         if not np.isfinite(value):
             raise DivergenceError(f"the {name} is not finite after {iterations} iterations",
                                   diagnostics={"contraction": contraction, "iterations": iterations})
@@ -332,7 +329,7 @@ def solve_cgo(
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=sym.norm(rhat, 0.5, norm_work),
+        remainder_norm=sym.norm(rhat, 0.5),
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,

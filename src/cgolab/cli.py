@@ -100,8 +100,8 @@ class Run:
         self.solver = asdict(cfg.solver)  # keyword arguments of every solve
         if needs is None:
             return None
-        geo = cfg.need_geometry()
-        if getattr(geo, needs) is None:
+        geo = cfg.geometry
+        if geo is None or getattr(geo, needs) is None:
             raise ConfigError(f"geometry.{needs} is required for {self.args.command}")
         self.rho = geo.rho(self.grid)
         self.eta1, self.eta2 = orthonormal_frame(self.rho, geo.frame_angle())

@@ -331,10 +331,9 @@ class ClampedSymbol:
             raise ValueError(f"b must be +1/2 or -1/2, got {b}")
         return self._weights[b]
 
-    def norm(self, coeffs: np.ndarray, b: float, scratch=None) -> float:
-        """Weighted-l2 norm of spectral coefficients, all components;
-        ``scratch`` as in :func:`_weighted_sq_sum`."""
-        return float(np.sqrt(self.grid.volume * _weighted_sq_sum(self.weight(b), coeffs, scratch)))
+    def norm(self, coeffs: np.ndarray, b: float) -> float:
+        """Weighted-l2 norm of spectral coefficients, all components."""
+        return float(np.sqrt(self.grid.volume * _weighted_sq_sum(self.weight(b), coeffs)))
 
     def inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
         """coeffs / p over the trailing frequency axes, 0 on the clamped modes,
@@ -354,17 +353,11 @@ def bourgain_weight(grid: Grid, zeta, b: float) -> np.ndarray:
     return ClampedSymbol(grid, zeta).weight(b)
 
 
-def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray, scratch=None) -> float:
-    """sum over modes of w |c|^2, with |c|^2 summed over the leading
-    (component) axis of coeffs: the square of every weighted norm.
-
-    The components are added one by one in order, as ``np.sum(..., axis=0)``
-    adds them.  ``scratch``, two real arrays of one component's shape, holds
-    |c|^2 of a component and the mode sums; new ones when None.
-    """
-    sq, modes = (np.empty(w.shape), np.empty(w.shape)) if scratch is None else scratch
-    np.square(np.abs(coeffs[0], out=modes), out=modes)
-    for c in coeffs[1:]:
+def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
+    """sum over modes of w |c|^2, with |c|^2 summed over the leading axis of
+    coeffs in order, as ``np.sum(..., axis=0)`` adds it: every weighted norm squared."""
+    sq, modes = np.empty(w.shape), np.zeros(w.shape)
+    for c in coeffs:
         modes += np.square(np.abs(c, out=sq), out=sq)
     return np.sum(np.multiply(w, modes, out=modes))
 

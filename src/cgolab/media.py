@@ -328,6 +328,11 @@ _BLADES_OF = [range(g.start, g.stop) for g in _GRADE_BLADES]
 _SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
 
 
+def _star2(v: np.ndarray) -> np.ndarray:
+    """Blades 1..3 of star v from its grade-2 blades, as algebra.hodge(v)[1:4]."""
+    return v[4 + _STAR2_SRC] * _STAR2_SIGN.reshape(3, 1, 1, 1)  # array first, as in hodge
+
+
 def _hess_row(hess: np.ndarray, comp, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
     """h = sum_j H[j, k] comp(j, term), summed in the order j = 0, 1, 2, with H
     packed as in :func:`_hessian`; comp(j, out) writes component j into out."""
@@ -351,7 +356,7 @@ def grade_block(grades) -> slice:
     return _CLOSED_BLOCKS[key]
 
 
-def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=None, scratch=None):
+def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=None):
     """The potential or, with ``transpose``, its transpose, on the blades of
     the block of ``grades``: the grade multipliers; the Hessian terms 2 H_b w^1
     and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2 for the
@@ -359,7 +364,7 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     wedged with w^l into grade l + 1, for the even grade l of the block, or
     for l = 1 with the contraction negated in the transpose.
 
-    ``out`` and ``scratch`` are those of :func:`potential`.
+    ``out`` is that of :func:`potential`.
     """
     blk = grade_block(grades)
     wv = w.values
@@ -370,9 +375,6 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
         out = field[blk]
     elif out.shape != (blk.stop - blk.start,) + shape:
         raise ValueError(f"out must have shape {(blk.stop - blk.start,) + shape}, got {out.shape}")
-    if scratch is None:
-        scratch = np.empty((3,) + shape, dtype=complex)
-    h, p, term = scratch
     res = [None] * 8  # res[b]: blade b of the result
     res[blk] = out
     block = [l for l, blades in enumerate(_GRADE_BLADES) if blk.start <= blades.start < blk.stop]
@@ -381,8 +383,8 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     # +0.0; vee lowers each grade and wedge raises it, so their blades do not
     # meet.  The rest of each blade is then formed in p and added as p + it.
     lows = [1] if transpose else [l for l in (0, 2) if l in block]
-    algebra.vee_cov(dm.contraction_covector, wv, grades=[l + 1 for l in lows], out=res, term=term)
-    algebra.wedge_cov(dm.contraction_covector, wv, grades=lows, out=res, term=term)
+    algebra.vee_cov(dm.contraction_covector, wv, grades=[l + 1 for l in lows], out=res)
+    algebra.wedge_cov(dm.contraction_covector, wv, grades=lows, out=res)
     add = {}  # blade -> how its contraction enters
     for l in lows:
         add.update(dict.fromkeys(_BLADES_OF[l], np.subtract if transpose else np.add))
@@ -400,6 +402,7 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
         return np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
 
     mult = dm.grade_multipliers
+    h, p, term = np.empty((3,) + shape, dtype=complex)  # a Hessian row, a blade, a product
     for l in block:
         for k, b in enumerate(_BLADES_OF[l]):
             np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=p)
@@ -414,7 +417,7 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     return out if field is None else FormField(w.grid, field)
 
 
-def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, scratch=None):
+def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None):
     """Zeroth-order potential as a pointwise multiplication.
 
     The potential maps grades (0, 1) and grades (2, 3) each into
@@ -424,10 +427,9 @@ def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, sc
 
     With ``out``, an array of the block's blades (shape (blades, n, n, n);
     any other shape raises ValueError), the block is written there and
-    ``out`` is returned instead of a field.  ``scratch``, complex of shape
-    (3, n, n, n), holds the products and sums on the way; new when None.
+    ``out`` is returned instead of a field.
     """
-    return _potential(w, dm, False, grades, out, scratch)
+    return _potential(w, dm, False, grades, out)
 
 
 def potential_t(w: FormField, dm: DerivedMedium) -> FormField:
@@ -479,8 +481,7 @@ def _weak_pairing(w: FormField, phi: FormField, dm: DerivedMedium, transpose: bo
     total += by_parts(dy3, sym_coderiv(grid, algebra.sym_product_components(wv[1:4], pv[1:4])))
     # the Hodge star carries grade 2 onto blades 1..3, where the symmetric
     # product reads its factors
-    total += by_parts(dx3, sym_coderiv(grid, algebra.sym_product_components(
-        algebra.hodge(wv)[1:4], algebra.hodge(pv)[1:4])))
+    total += by_parts(dx3, sym_coderiv(grid, algebra.sym_product_components(_star2(wv), _star2(pv))))
 
     return complex(grid.cell_volume * total)
 

@@ -160,11 +160,6 @@ class RunConfig:
             raise ConfigError("config needs a 'media' list with two entries for pair experiments")
         return self.media[index]
 
-    def need_geometry(self) -> GeometryConfig:
-        if self.geometry is None:
-            raise ConfigError("geometry section is required for this command")
-        return self.geometry
-
 
 def _parse_bumps(specs, path: str, length: float) -> list:
     if not isinstance(specs, list):

@@ -112,10 +112,10 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     v, w, clamps = paired.total, first.total, (first.clamp, paired.clamp)
     # Q2 w - Q1 w in one 8-blade field: Q1 w is formed one closed block at a time
     dq = potential(w, mp.dm2)
-    part, scratch = np.empty_like(dq.values[:4]), np.empty_like(dq.values[:3])
+    part = np.empty_like(dq.values[:4])  # one block of Q1 w
     for grades in ((0, 1), (2, 3)):
-        dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part, scratch)
-    del w, first, part, scratch
+        dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part)
+    del w, first, part
     wave = plane_wave_scalar(mp.grid, geom.rho)
     value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq.values, v.values)))
     return PairingResult(value=value, clamps=clamps)

@@ -282,14 +282,13 @@ def test_covector_kernels_into_given_buffers_are_bit_equal(kernel):
         expected = kernel(c3, u, grades=grades)
         reached = [k for k in range(8) if np.any(expected[k] != 0)]
         out = np.full(u.shape, np.nan, dtype=complex)
-        term = np.empty(u.shape[1:], dtype=complex)
-        assert kernel(c3, u, grades=grades, out=out, term=term) is out
+        assert kernel(c3, u, grades=grades, out=out) is out
         assert out[reached].tobytes() == expected[reached].tobytes()
         # the blades the product does not reach are left as they were
         assert np.all(np.isnan(np.delete(out, reached, axis=0)))
         # a list of blade arrays serves as out, None where nothing lands
         blades = [b if k in reached else None for k, b in enumerate(np.empty_like(u))]
-        kernel(c3, u, grades=grades, out=blades, term=term)
+        kernel(c3, u, grades=grades, out=blades)
         assert np.array([blades[k] for k in reached]).tobytes() == expected[reached].tobytes()
 
 

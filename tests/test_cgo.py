@@ -67,6 +67,23 @@ def test_geometry_rejections(grid16):
     assert np.isfinite(cgo.make_geometry(RHO, ok1, ok2, 6.7e153, 1.0).zeta1_mag)
     with pytest.raises(ValueError):
         cgo.make_geometry(np.array([0.5, 0.0, 0.0]), ok1, ok2, 8.0, 1.0, grid=grid16)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        cgo.make_geometry(RHO, ok1, ok2, 8.0, -1.0)
+    with pytest.raises(ValueError, match="eta1 and eta2 must be orthogonal"):
+        cgo.make_geometry(RHO, ok1, ok1, 8.0, 1.0)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.7, np.pi / 2, 2.5, -1.2])
+def test_frame_of_a_zero_rho_turns_in_the_xy_plane(grid16, angle):
+    eta1, eta2 = cgo.orthonormal_frame(np.zeros(3), angle)
+    frame = np.array([eta1, eta2])
+    assert np.max(np.abs(frame @ frame.T - np.eye(2))) < 1e-15
+    assert eta1[2] == 0.0 and eta2[2] == 0.0
+    c, s = np.cos(angle), np.sin(angle)
+    assert np.max(np.abs(eta1 - [c, s, 0.0])) < 1e-15
+    assert np.max(np.abs(eta2 - [-s, c, 0.0])) < 1e-15
+    g = cgo.make_geometry(np.zeros(3), eta1, eta2, 4.0, 1.0, grid=grid16)
+    assert np.max(np.abs(g.zeta1 + g.zeta2)) <= 1e-12 * g.s  # i rho = 0
 
 
 # ---------------------------------------------------------------------------

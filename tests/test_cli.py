@@ -756,5 +756,22 @@ def test_estimate_qnorm_trend_failure_exit(tmp_path):
     assert manifest["acceptance"]["estimate_decreasing"] is False
 
 
+@pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))
+def test_a_missing_geometry_or_medium_exits_2_naming_what_is_missing(tmp_path, capsys, kind):
+    command = RUN_COMMANDS[kind]
+    needs = {"cgo": "s", "decay": "lambda_list", "uniqueness": "s_list", "qnorm": "s_list"}[kind]
+    no_section, no_field, no_medium = (small_config(kind) for _ in range(3))
+    del no_section["geometry"], no_field["geometry"][needs]
+    for key in ("medium", "media"):
+        no_medium.pop(key, None)
+    missing = f"geometry.{needs} is required for {command}"
+    for cfg, message in ((no_section, missing), (no_field, missing),
+                         (no_medium, "config.medium (or config.media) is required")):
+        assert main([command, "--config", write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{message}\n" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_flag():
     assert main(["run-decay"]) == 2

@@ -51,6 +51,9 @@ def test_grid_validation():
         Grid(4, 1.0)
     with pytest.raises(ValueError):
         Grid(16, -1.0)
+    for shape in [(6, 16, 16, 16), (8, 16, 16, 8), (8,)]:
+        with pytest.raises(ValueError, match=f"field values must have shape .* got {re.escape(str(shape))}"):
+            FormField(GRID, np.zeros(shape, dtype=complex))
 
 
 def test_fft_round_trip_and_constant():
@@ -403,6 +406,9 @@ def test_mollify_limits():
     c = constant(GRID, blade((), 1.0 - 1.0j))
     for h in (1.0, 0.1, 3.0):
         assert rel_err(mollify(c, h).values, c.values) < 1e-13
+    for h in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="mollification scale must be positive"):
+            mollify(f, h)
 
 
 def fd_gradient_sup(f):
@@ -443,6 +449,9 @@ def test_sym_coderiv_constant_and_sine():
     expected = np.zeros_like(out)
     expected[0] = -2.0 * kappa * np.cos(kappa * GRID.x[0])
     assert rel_err(out, expected) < 1e-12
+    for shape in [(3,) + t.shape[1:], (6, 8, 8, 8), t.shape[1:]]:
+        with pytest.raises(ValueError, match=re.escape("tensor field must have shape (6, n, n, n)")):
+            sym_coderiv(GRID, np.zeros(shape, dtype=complex))
 
 
 def test_symmetric_tensor_identity():

@@ -247,6 +247,8 @@ def test_medium_validation(grid16):
         md.Medium.from_bumps(grid16, 1.0, eps_bumps=[md.Bump(0.2, 2.5)])
     with pytest.raises(ValueError):
         md.Medium(grid16, -1.0, 1.0, 1.0, ones, ones, 0.0 * ones)
+    with pytest.raises(ValueError, match="eps, mu and sigma must be sampled on the grid"):
+        md.Medium(grid16, 1.0, 1.0, 1.0, np.ones((n // 2,) * 3), ones, 0.0 * ones)
 
 
 def test_a_bump_whose_radius_squared_is_subnormal_keeps_its_centre(grid16):
@@ -360,6 +362,16 @@ def test_weak_form_matches_strong_potential(grid16, dm16):
         assert abs(strong_t - weak_t) / abs(weak_t) < 1e-12
 
 
+def test_weak_pairing_star_of_grade_2_is_bit_equal_to_the_hodge_image(grid16):
+    rng = np.random.default_rng(82)
+    shape = (8,) + (grid16.n,) * 3
+    for _ in range(20):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v[rng.random(shape) < 0.2] *= 0.0  # signed zeros, in either part
+        v.imag[rng.random(shape) < 0.2] = -0.0
+        assert bit_equal(md._star2(v), algebra.hodge(v)[1:4])
+
+
 def test_factorization_identities(grid16, dm16):
     # aliasing-level agreement; the spectral tail of the 16^3 medium sets
     # the floor (the 32^3 acceptance run pins the 1e-6 contract); band 3
@@ -468,10 +480,9 @@ def test_potential_into_a_block_buffer_is_bit_equal(grid16, dm16, grades):
     w = random_band_limited(grid16, np.random.default_rng(16), band=6)
     blk = md.grade_block(grades)
     nb = blk.stop - blk.start
-    # stale contents of the buffers must not reach the result
+    # stale contents of the buffer must not reach the result
     out = np.full((nb,) + (grid16.n,) * 3, np.nan, dtype=complex)
-    scratch = np.full((3,) + (grid16.n,) * 3, np.nan, dtype=complex)
-    assert md.potential(w, dm16, grades, out=out, scratch=scratch) is out
+    assert md.potential(w, dm16, grades, out=out) is out
     assert out.tobytes() == md.potential(w, dm16, grades).values[blk].tobytes()
     assert md.potential(w, dm16, grades, out=np.empty_like(out)).tobytes() == out.tobytes()
     for shape in [(nb + 1,) + out.shape[1:], (8, 8, 8, 8), out.shape[1:]]:
