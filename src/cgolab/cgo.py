@@ -23,6 +23,8 @@ from .fields import (
     _forward,
     _inverse,
     _parallel_map,
+    _split,
+    _weighted_sq,
     assert_admissible,
     coderiv,
     fft_forward,
@@ -248,7 +250,8 @@ def solve_cgo(
     amplitude has parts in each).  It allocates its three block buffers
     and A + R, into which each step's R is transformed and which it
     returns, before the first iteration.  A forcing norm, step norm or
-    residual that is not finite raises DivergenceError at once.
+    residual that is not finite raises DivergenceError at once.  On grids
+    that ``fields._split`` splits, every stage runs on the usable CPUs.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -258,29 +261,38 @@ def solve_cgo(
     low, high = np.any(amplitude[:4] != 0), np.any(amplitude[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
-    shape = (grid.n,) * 3
-    fhat, rhat, dead = (np.empty((blk.stop - blk.start,) + shape, complex) for _ in range(3))
+    blades, shape = blk.stop - blk.start, (grid.n,) * 3
+    fhat, rhat, dead = (np.zeros((blades,) + shape, complex) for _ in range(3))  # R = 0 in rhat
     total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
-    amp_blk = amplitude[blk].reshape(-1, 1, 1, 1)
-    total.values[blk] += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
+    total_blk, amp_blk = total.values[blk], amplitude[blk].reshape(-1, 1, 1, 1)
+    total_blk += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
+    workers, slabs = _split(grid.n)  # split: pointwise stages on slabs, transforms on blades
+    groups = [slice(b, b + 1) for b in range(blades)] if workers > 1 else [slice(None)]
+    [getattr(dm, h) for l, h in ((1, "hess_b"), (2, "hess_a")) if l in grades and workers > 1]  # formed before tasks
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
-        return _forward(potential(total, dm, grades, out), out)
+        _parallel_map(lambda rows: potential(total, dm, grades, out[:, rows], rows), slabs, workers)
+        _parallel_map(lambda g: _forward(out[g], out[g]), groups, workers)
+        return out
 
-    contraction = None  # fewer than two steps have no step ratio
-    iterations = 0
+    contraction, iterations = None, 0  # fewer than two steps have no step ratio
 
-    def norm(coeffs, b, name):  # a weighted norm of coeffs, which must be finite
-        value = sym.norm(coeffs, b)
+    def norm(coeffs, b, name):  # the weighted norm of coeffs(rows) over all slabs, which must be finite
+        modes = np.empty(shape)  # w |c|^2, summed in one np.sum as in sym.norm
+        _parallel_map(lambda rows: _weighted_sq(sym.weight(b)[rows], coeffs(rows), modes[rows]), slabs, workers)
+        value = float(np.sqrt(grid.volume * np.sum(modes)))
         if not np.isfinite(value):
             raise DivergenceError(f"the {name} is not finite after {iterations} iterations",
                                   diagnostics={"contraction": contraction, "iterations": iterations})
         return value
 
-    fhat = forward_potential(fhat)
-    forcing_norm = norm(fhat, -0.5, "forcing norm")
+    def step(rows):  # R's coefficients into rhat, then their change into dead, which held the old ones
+        new = sym.inverse(np.negative(fhat[:, rows], out=rhat[:, rows]), out=rhat[:, rows], rows=rows)
+        return np.subtract(new, dead[:, rows], out=dead[:, rows])
 
-    rhat[...] = 0.0
+    fhat = forward_potential(fhat)
+    forcing_norm = norm(lambda rows: fhat[:, rows], -0.5, "forcing norm")
+
     residual = forcing_norm  # residual of R = 0
     deltas: list[float] = []
     residuals: list[float] = []
@@ -289,10 +301,9 @@ def solve_cgo(
 
     while not converged and iterations < max_iter:
         iterations += 1
-        rhat, dead = sym.inverse(np.negative(fhat, out=dead), out=dead), rhat
         # each difference overwrites its older operand, which nothing reads after it
-        delta = norm(np.subtract(rhat, dead, out=dead), 0.5, "step norm")
-        deltas.append(delta)
+        rhat, dead = dead, rhat
+        deltas.append(norm(step, 0.5, "step norm"))
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
             contraction = max(ratios[-min(3, len(ratios)):])
@@ -306,9 +317,9 @@ def solve_cgo(
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
         # R goes straight into A + R; R + A has the bits of A + R
-        np.add(_inverse(rhat, total.values[blk]), amp_blk, out=total.values[blk])
+        _parallel_map(lambda g: np.add(_inverse(rhat[g], total_blk[g]), amp_blk[g], out=total_blk[g]), groups, workers)
         fhat, dead = forward_potential(dead), fhat
-        residual = norm(np.subtract(fhat, dead, out=dead), -0.5, "residual")
+        residual = norm(lambda r: np.subtract(fhat[:, r], dead[:, r], out=dead[:, r]), -0.5, "residual")
         residuals.append(residual)
         converged = residual < tol * (forcing_norm + 1.0)
 

@@ -40,7 +40,7 @@ from .cgo import (
     strictly_decreasing,
 )
 from .errors import ConfigError, DivergenceError, ResonantGridError, StudyError
-from .fields import _parallel_map, _usable_cpus
+from .fields import _parallel_map, _split, _usable_cpus
 from .media import DerivedMedium, derive
 from .runconfig import parse_config
 from .uniqueness import convergence_experiment, make_pair
@@ -144,7 +144,7 @@ class Run:
                 "numpy": np.__version__,
                 "fft": "numpy.fft",
                 "cpu_count": _usable_cpus(),  # the CPUs this process may run on
-                "fft_workers": 1,
+                "fft_workers": 1 if self.args.threads > 1 else _split(self.grid.n)[0],
                 "threads": self.args.threads,
             },
             "resources": {

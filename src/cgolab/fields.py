@@ -23,11 +23,13 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import contextvars
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -36,10 +38,11 @@ from .errors import ResonantGridError
 
 _BIN_MAGIC = b"CGOF"
 _BIN_VERSION = 1
+SLAB_POINTS = 2**15  # the fewest grid points in a slab of the first axis when a solve splits
 
 
 def set_fft_workers(n: int) -> int:
-    """Kept only for ``perfbench/run.py``, which still calls it: the FFT is serial."""
+    """Kept only for ``perfbench/run.py``: one FFT call is serial, though a solve may split its blades."""
     return 1
 
 
@@ -154,18 +157,31 @@ class FormField:
         return cls(grid, values)
 
 
+_in_pool = threading.local()  # .marked is set on every thread of the persistent pools, one of each size
+_pool = cache(lambda workers: ThreadPoolExecutor(workers, initializer=setattr, initargs=(_in_pool, "marked", True)))
+
+
 def _parallel_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], on a pool of ``workers`` threads when
-    there is more than one; results keep the order of ``items``."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    """[fn(item) for item in items], on the pool of ``workers`` threads unless it is 1 or the caller is a pool
+    thread, each task in a copy of the caller's context; all finish before the first failure in item order raises."""
+    if workers < 2 or getattr(_in_pool, "marked", False):
+        return [fn(item) for item in items]
+    tasks = [_pool(workers).submit(contextvars.copy_context().run, fn, item) for item in items]
+    wait(tasks)
+    return [task.result() for task in tasks]
 
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, where the OS keeps one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(n: int) -> tuple[int, list[slice]]:
+    """(threads, slabs of the first axis) a solve on an n^3 grid splits over: the usable CPUs and slabs
+    of SLAB_POINTS points when two fit and the caller is no pool thread, else (1, [the whole axis])."""
+    rows = -(-SLAB_POINTS // n**2)
+    workers = 1 if n < 2 * rows or getattr(_in_pool, "marked", False) else _usable_cpus()
+    return workers, [slice(i, i + rows) for i in range(0, n, rows)] if workers > 1 else [slice(None)]
 
 
 def _lines(a: np.ndarray, axis: int, inverse: bool, out: np.ndarray | None = None) -> np.ndarray:
@@ -333,13 +349,14 @@ class ClampedSymbol:
 
     def norm(self, coeffs: np.ndarray, b: float) -> float:
         """Weighted-l2 norm of spectral coefficients, all components."""
-        return float(np.sqrt(self.grid.volume * _weighted_sq_sum(self.weight(b), coeffs)))
+        sq = _weighted_sq(self.weight(b), coeffs, np.empty(self.mask.shape))
+        return float(np.sqrt(self.grid.volume * np.sum(sq)))
 
-    def inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
+    def inverse(self, coeffs: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
         """coeffs / p over the trailing frequency axes, 0 on the clamped modes,
-        into ``out`` when given (which may be coeffs)."""
-        out = np.divide(coeffs, self.divisor, out=out)
-        out[..., self.mask] = 0.0
+        into ``out`` when given (which may be coeffs), on ``rows`` of the first frequency axis."""
+        out = np.divide(coeffs, self.divisor[rows], out=out)
+        out[..., self.mask[rows]] = 0.0
         return out
 
     def report(self) -> ClampReport:
@@ -353,13 +370,13 @@ def bourgain_weight(grid: Grid, zeta, b: float) -> np.ndarray:
     return ClampedSymbol(grid, zeta).weight(b)
 
 
-def _weighted_sq_sum(w: np.ndarray, coeffs: np.ndarray) -> float:
-    """sum over modes of w |c|^2, with |c|^2 summed over the leading axis of
-    coeffs in order, as ``np.sum(..., axis=0)`` adds it: every weighted norm squared."""
-    sq, modes = np.empty(w.shape), np.zeros(w.shape)
+def _weighted_sq(w: np.ndarray, coeffs: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """w |c|^2 per mode into modes, with |c|^2 summed over the leading axis of coeffs
+    in order, as ``np.sum(..., axis=0)`` adds it: its sum is every weighted norm squared."""
+    sq, modes[...] = np.empty(w.shape), 0.0
     for c in coeffs:
         modes += np.square(np.abs(c, out=sq), out=sq)
-    return np.sum(np.multiply(w, modes, out=modes))
+    return np.multiply(w, modes, out=modes)
 
 
 def resolvent_operator_norm(grid: Grid, zeta) -> float:

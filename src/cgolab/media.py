@@ -143,9 +143,10 @@ class DerivedMedium:
     def __post_init__(self):
         a = 0.5 * np.log(self.gamma)  # principal branch
         b = 0.5 * np.log(self.mu)
-        da3, db3, dc3 = (_gradient(self.grid, s) for s in (a, b, np.exp(a) * np.exp(b)))
-        del a, b
-        delta_da, delta_db = _codifferential(self.grid, da3), _codifferential(self.grid, db3)
+        ixi = fields._spectral_covector(self.grid, None)  # formed once for the five derivatives
+        da3, db3, dc3 = (_gradient(self.grid, s, ixi) for s in (a, b, np.exp(a) * np.exp(b)))
+        delta_da, delta_db = _codifferential(ixi, da3), _codifferential(ixi, db3)
+        del a, b, ixi
         base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
         dada = algebra.inner(da3, da3)
         dbdb = algebra.inner(db3, db3)
@@ -222,17 +223,16 @@ class DerivedMedium:
 # The derivatives below follow ext_deriv and coderiv of FormField.from_scalar
 # bit for bit on the blades those routes fill: each sum starts at +0.0.
 
-def _gradient(grid: Grid, s: np.ndarray) -> np.ndarray:
-    """The 3 components of the gradient of the scalar field s."""
+def _gradient(grid: Grid, s: np.ndarray, ixi=None) -> np.ndarray:
+    """The 3 components of the gradient of the scalar field s; ixi is the grid's i xi_op, if formed."""
     shat = fields._forward(s)
-    ghat = fields._spectral_covector(grid, None) * shat  # i xi_op shat
+    ghat = (fields._spectral_covector(grid, None) if ixi is None else ixi) * shat
     ghat += 0.0
     return fields._inverse(ghat, ghat)
 
 
-def _codifferential(grid: Grid, grad: np.ndarray) -> np.ndarray:
-    """delta of the gradient whose 3 components are grad."""
-    ixi = fields._spectral_covector(grid, None)
+def _codifferential(ixi: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """delta of the gradient whose 3 components are grad, ixi being the grid's i xi_op."""
     ghat = fields._forward(grad)
     ghat *= -1.0  # the grade-1 sign of algebra.alternate
     delta, term = np.zeros(grad.shape[1:], dtype=complex), np.empty(grad.shape[1:], dtype=complex)
@@ -356,7 +356,7 @@ def grade_block(grades) -> slice:
     return _CLOSED_BLOCKS[key]
 
 
-def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=None):
+def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=None, rows=slice(None)):
     """The potential or, with ``transpose``, its transpose, on the blades of
     the block of ``grades``: the grade multipliers; the Hessian terms 2 H_b w^1
     and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2 for the
@@ -364,10 +364,10 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     wedged with w^l into grade l + 1, for the even grade l of the block, or
     for l = 1 with the contraction negated in the transpose.
 
-    ``out`` is that of :func:`potential`.
+    ``out`` and ``rows`` are those of :func:`potential`.
     """
     blk = grade_block(grades)
-    wv = w.values
+    wv = w.values[:, rows]
     shape = wv.shape[1:]
     field = None
     if out is None:
@@ -383,8 +383,8 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     # +0.0; vee lowers each grade and wedge raises it, so their blades do not
     # meet.  The rest of each blade is then formed in p and added as p + it.
     lows = [1] if transpose else [l for l in (0, 2) if l in block]
-    algebra.vee_cov(dm.contraction_covector, wv, grades=[l + 1 for l in lows], out=res)
-    algebra.wedge_cov(dm.contraction_covector, wv, grades=lows, out=res)
+    algebra.vee_cov(dm.contraction_covector[:, rows], wv, grades=[l + 1 for l in lows], out=res)
+    algebra.wedge_cov(dm.contraction_covector[:, rows], wv, grades=lows, out=res)
     add = {}  # blade -> how its contraction enters
     for l in lows:
         add.update(dict.fromkeys(_BLADES_OF[l], np.subtract if transpose else np.add))
@@ -401,15 +401,16 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     def star_w2(j, into):
         return np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
 
-    mult = dm.grade_multipliers
+    mult = dm.grade_multipliers[:, rows]
     h, p, term = np.empty((3,) + shape, dtype=complex)  # a Hessian row, a blade, a product
     for l in block:
         for k, b in enumerate(_BLADES_OF[l]):
             np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=p)
             if l == 1:
-                p += _hess_row(getattr(dm, hess1), w1, k, h, term)
+                p += _hess_row(getattr(dm, hess1)[:, rows], w1, k, h, term)
             elif l == 2:  # the star of the Hessian image, back on blades 4..6
-                p += np.multiply(_STAR1_SIGN[k], _hess_row(getattr(dm, hess2), star_w2, _STAR1_SRC[k], h, term), out=h)
+                row = _hess_row(getattr(dm, hess2)[:, rows], star_w2, _STAR1_SRC[k], h, term)
+                p += np.multiply(_STAR1_SIGN[k], row, out=h)
             if b in add:
                 add[b](p, res[b], out=res[b])
             else:
@@ -417,7 +418,7 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     return out if field is None else FormField(w.grid, field)
 
 
-def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None):
+def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, rows=slice(None)):
     """Zeroth-order potential as a pointwise multiplication.
 
     The potential maps grades (0, 1) and grades (2, 3) each into
@@ -427,9 +428,10 @@ def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None):
 
     With ``out``, an array of the block's blades (shape (blades, n, n, n);
     any other shape raises ValueError), the block is written there and
-    ``out`` is returned instead of a field.
+    ``out`` is returned instead of a field.  With ``rows``, a slice of the first
+    grid axis, only those rows are read, and ``out`` holds those of the block.
     """
-    return _potential(w, dm, False, grades, out)
+    return _potential(w, dm, False, grades, out, rows)
 
 
 def potential_t(w: FormField, dm: DerivedMedium) -> FormField:

@@ -31,7 +31,7 @@ from .fields import (
     _inverse,
     _parallel_map,
     _usable_cpus,
-    _weighted_sq_sum,
+    _weighted_sq,
     assert_admissible,
     plane_wave_scalar,
     seeded_rng,
@@ -293,7 +293,7 @@ class _UcpOperator:
         return self._mult(b, self.m) * self.inv_p
 
     def norm_sq(self, u):
-        return float(_weighted_sq_sum(self.weight, u))
+        return float(np.sum(_weighted_sq(self.weight, u, np.empty(self.weight.shape))))
 
     def power_start(self, b):
         """||T u|| at the unit u that POWER_ITERATIONS steps of T*T reach from

@@ -1,6 +1,8 @@
 import itertools
 import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +300,103 @@ def test_a_non_finite_amplitude_stops_at_the_forcing_norm(grid16, dm16, bad):
     amp[2] = bad
     with pytest.raises(DivergenceError, match="forcing norm is not finite after 0 iterations"):
         cgo.solve_cgo(dm16, g.zeta1, amp)
+
+
+# ---------------------------------------------------------------------------
+# the split solve: slabs of the first axis and single blades on a pool
+# ---------------------------------------------------------------------------
+
+def force_split(monkeypatch):
+    """Split every 16^3 solve over 2 threads, in 8 slabs of 2 rows, on any host."""
+    monkeypatch.setattr(fields, "SLAB_POINTS", 2**9)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    assert fields._split(16) == (2, [slice(r, r + 2) for r in range(0, 16, 2)])
+
+
+@pytest.fixture
+def split(monkeypatch):
+    force_split(monkeypatch)
+
+
+def test_a_split_solve_is_bit_equal_to_the_pre_change_iteration_and_the_whole_one(grid16, dm16, monkeypatch):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    cases = [(amp, zeta) for pol in cgo.Polarization
+             for amp, zeta in ((cgo.amplitude_a(g, pol), g.zeta1), (cgo.amplitude_b(g, pol), g.zeta2))]
+    whole = [cgo.solve_cgo(dm16, zeta, amp, tol=1e-9) for amp, zeta in cases]
+    force_split(monkeypatch)
+    for (amp, zeta), one in zip(cases, whole):
+        expected = pre_change_solve(grid16, dm16, zeta, amp, tol=1e-9)
+        sol = cgo.solve_cgo(dm16, zeta, amp, tol=1e-9)
+        total = constant(grid16, amp).values + expected.pop("remainder")
+        assert np.array_equal(bits(sol.total.values), bits(total))
+        assert np.array_equal(bits(sol.total.values), bits(one.total.values))
+        assert {key: getattr(sol, key) for key in expected} == expected
+        assert (sol.deltas, sol.residuals, sol.remainder_norm) == (one.deltas, one.residuals, one.remainder_norm)
+
+
+def test_a_split_solve_on_more_threads_than_cores_switching_often_keeps_its_bits(grid16, dm16, monkeypatch):
+    # the tasks of a stage write disjoint slabs or blades of the solve's buffers
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    amp = cgo.amplitude_b(g, cgo.Polarization.E)  # all 8 blades
+    whole = cgo.solve_cgo(dm16, g.zeta2, amp)
+    force_split(monkeypatch)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sol = cgo.solve_cgo(dm16, g.zeta2, amp)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(bits(sol.total.values), bits(whole.total.values))
+    assert (sol.deltas, sol.residuals) == (whole.deltas, whole.residuals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_split_solve_stops_a_non_finite_amplitude_at_the_forcing_norm(grid16, dm16, split, bad):
+    # each pool task runs under the solve's error state, so no stage warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_a_non_finite_amplitude_stops_at_the_forcing_norm(grid16, dm16, bad)
+
+
+def test_split_iterations_allocate_nothing(grid16, dm16, split):
+    test_iterations_allocate_nothing(grid16, dm16)
+
+
+def test_a_fresh_split_solve_peaks_under_eight_blocks(grid16, dm16, split):
+    test_a_fresh_solve_peaks_under_eight_blocks(grid16, dm16)
+
+
+def test_a_solve_on_a_pool_thread_submits_nothing(grid16, dm16, split, monkeypatch):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    amp = cgo.amplitude_a(g, cgo.Polarization.E)
+    pool, submitters = fields._pool, []
+
+    class Recorded:  # the pool, recording the thread of every submit
+        def __init__(self, workers):
+            self.pool = pool(workers)
+
+        def submit(self, *args):
+            submitters.append(threading.get_ident())
+            return self.pool.submit(*args)
+
+    monkeypatch.setattr(fields, "_pool", Recorded)
+    serial = cgo.solve_cgo(dm16, g.zeta1, amp)  # split on this thread
+    assert submitters and set(submitters) == {threading.get_ident()}
+    submitters.clear()
+    nested = fields._parallel_map(lambda _: cgo.solve_cgo(dm16, g.zeta1, amp), range(2), 2)
+    assert submitters == [threading.get_ident()] * 2  # the two solves, and nothing from them
+    assert all(np.array_equal(bits(sol.total.values), bits(serial.total.values)) for sol in nested)
+
+
+def test_split_solves_start_no_new_thread(grid16, dm16, split):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    amp = cgo.amplitude_a(g, cgo.Polarization.E)
+    cgo.solve_cgo(dm16, g.zeta1, amp)  # starts the pool's threads, if no solve has yet
+    threads = threading.active_count()
+    for _ in range(2):
+        cgo.solve_cgo(dm16, g.zeta1, amp)
+        assert threading.active_count() == threads
 
 
 def test_solver_divergence_and_resonance(grid16, monkeypatch):

@@ -702,6 +702,23 @@ def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
     assert all(m["environment"]["fft_workers"] == 1 for m in manifests)
 
 
+def test_a_split_run_cgo_reports_its_threads_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    # 8 slabs of 2 rows split each 16^3 solve of --threads 1; --threads 2 solves on pool threads
+    cfg = small_config("cgo")
+    cfg["output"] = {"directory": str(tmp_path / "whole"), "save_fields": True}
+    path = write(tmp_path, cfg)
+    assert main(["run-cgo", "--config", path]) == 0
+    monkeypatch.setattr(fields, "SLAB_POINTS", 2**9)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for threads, workers in (("1", 2), ("2", 1)):
+        out = tmp_path / threads
+        assert main(["run-cgo", "--config", path, "--out", str(out), "--threads", threads]) == 0
+        assert json.loads((out / "manifest.json").read_text())["environment"]["fft_workers"] == workers
+        for name in ("results.csv", "fields.bin"):
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
 def test_seed_and_threads_out_of_range_exit_2_naming_the_flag(tmp_path, capsys):
     path = write(tmp_path, small_config("decay"))
     for command in (["check-algebra"], ["run-decay", "--config", path, "--out", str(tmp_path / "o")]):

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -707,3 +709,45 @@ def test_usable_cpus_counts_the_affinity_set_not_the_host(monkeypatch):
     assert fields._usable_cpus() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert fields._usable_cpus() == 1
+
+
+def test_a_map_returns_only_once_every_task_has_finished_and_raises_the_first_failure():
+    finished = []
+
+    def task(i):
+        if i in (1, 3):  # the second task fails first; the fourth fails too, later in item order
+            raise ValueError(f"task {i}")
+        time.sleep(0.05)
+        finished.append(i)
+
+    with pytest.raises(ValueError, match="task 1"):
+        fields._parallel_map(task, range(6), 2)
+    assert sorted(finished) == [0, 2, 4, 5]
+
+
+def test_a_map_on_a_pool_thread_runs_inline():
+    def outer(_):  # a nested map, here on a pool of another size, starts no thread
+        return fields._parallel_map(lambda _: threading.get_ident(), range(4), 3), threading.get_ident()
+
+    for idents, ident in fields._parallel_map(outer, range(2), 2):
+        assert ident != threading.get_ident() and idents == [ident] * 4
+
+
+def test_a_map_runs_each_task_in_the_callers_context():
+    # numpy's error state is part of the context: a pool task raises as the caller would
+    def divide(_):
+        return np.float64(1.0) / np.float64(0.0)
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        fields._parallel_map(divide, range(2), 2)
+    with np.errstate(divide="ignore"):
+        assert fields._parallel_map(divide, range(2), 2) == [np.inf, np.inf]
+
+
+def test_a_solve_splits_from_two_slabs_up_and_never_on_a_pool_thread(monkeypatch):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    assert fields._split(32) == (1, [slice(None)])  # one slab of 2^15 points
+    assert fields._split(64) == (2, [slice(r, r + 8) for r in range(0, 64, 8)])
+    assert fields._parallel_map(lambda n: fields._split(n), [64, 128], 2) == [(1, [slice(None)])] * 2
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
+    assert fields._split(64) == (1, [slice(None)])
