@@ -29,6 +29,8 @@ ALT_SIGN = np.where(GRADES % 2 == 0, 1.0, -1.0)
 
 #: symmetric 2-tensor component order, 0-based coordinate pairs j <= k
 SYM_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+#: position of the entry (j, k), or (k, j), in the SYM_PAIRS order
+SYM_INDEX = [[SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
 
 
 def _merge_sign(indices):
@@ -138,8 +140,8 @@ def _cov_product(table, c, u, grades=None, out=None):
     only the blades of u of those grades enter, as if u had been passed
     through :func:`grade_select` first.
 
-    With ``out`` (8 blades: an array with leading axis 8, or a list of 8
-    blade arrays) the product is formed there in place of a new array.
+    With ``out`` (8 blades: an array with leading axis 8, a list of 8 blade
+    arrays, or a dict of them) the product is formed there in place of a new array.
     Then only the blades of out that the product reaches are written, each
     summed from +0.0 as in a new array, and the others may be None.
     """

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .algebra import (
-    BLADES, alternate, form_abs, grade_select, hodge, inner, one_form, sym_product_components, vee, wedge,
+    BLADES, form_abs, grade_select, hodge, inner, one_form, sym_product_components, vee, wedge,
 )
 from .fields import (
     FormField,
@@ -186,7 +186,7 @@ def calculus_checks(grid: Grid, seed: int = 0):
     for _ in range(5):
         phi = random_band_limited(grid, rng, band=grid.n // 2 - 1)
         l2, hm1 = sobolev_norms(phi)
-        _, hm1_d = sobolev_norms(d_plus_delta(FormField(grid, alternate(phi.values))))
+        _, hm1_d = sobolev_norms(d_plus_delta(phi, offset=0))
         err = max(err, abs(l2**2 - hm1**2 - hm1_d**2) / l2**2)
     results.append(CheckResult("local regularity norm identity", err, CALCULUS_TOL))
 
@@ -227,7 +227,7 @@ def factorization_checks(dm: DerivedMedium, seed: int = 0, n_pairs: int = 20):
     The identity residual floor is the spectral tail of the medium, so
     its tolerance is the 32^3 contract (1e-6) only from that resolution
     up; coarser grids get a correspondingly looser bound.  At its peak it holds
-    w, phi, one first-order image and the map forming the next (7.5 fields).
+    w, phi, one first-order image and the map forming the next (5.9 fields).
     """
     grid = dm.grid
     identity_tol = 1e-6 if grid.n >= 32 else 1e-4

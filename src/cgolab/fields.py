@@ -254,13 +254,21 @@ def coderiv(f: FormField, zeta=None) -> FormField:
     return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F, out=F)))
 
 
-def d_plus_delta(f: FormField, zeta=None) -> FormField:
-    """(d + delta) in one transform pair; conjugated when zeta is given."""
+def d_plus_delta(f: FormField, zeta=None, offset=None) -> FormField:
+    """(d + delta) in one transform pair; conjugated when zeta is given.  With ``offset``,
+    of f with each grade-l block scaled by (-1)^(l+offset), as by :func:`algebra.alternate`."""
     c = _spectral_covector(f.grid, zeta)
 
     def symbol(F):
+        if offset is not None:  # the scaled f's spectrum, but for signs of zeros, which the kernels' sums drop
+            algebra.alternate(F, offset, out=F)
         d = algebra.wedge_cov(c, F)  # formed before F is alternated in place
-        d += algebra.vee_cov(c, algebra.alternate(F, out=F))
+        algebra.alternate(F, out=F)
+        low = np.empty((3,) + F.shape[1:], F.dtype)  # the vee image of one grade, on the blades a grade lower
+        for g in (1, 2, 3):
+            image = algebra.vee_cov(c, F, g, dict(zip(np.flatnonzero(algebra.GRADES == g - 1), low)))
+            for k, blade in image.items():
+                d[k] += blade
         return d
     return _spectral_map(f, symbol)
 
@@ -450,11 +458,12 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> np.ndarray:
     """
     if tensor.shape != (6, grid.n, grid.n, grid.n):
         raise ValueError("tensor field must have shape (6, n, n, n)")
-    that = _forward(tensor)
-    full = np.empty((3, 3) + tensor.shape[1:], dtype=complex)
-    for idx, (j, k) in enumerate(algebra.SYM_PAIRS):
-        full[j, k] = full[k, j] = that[idx]
-    out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
+    that, ixi = _forward(tensor), _spectral_covector(grid, None)
+    out_hat = np.zeros((3,) + tensor.shape[1:], dtype=complex)
+    for k in range(3):  # sum_j i xi_j t_jk, in the order j = 0, 1, 2
+        for j in range(3):
+            out_hat[k] += ixi[j] * that[algebra.SYM_INDEX[j][k]]
+    out_hat *= -2.0
     return _inverse(out_hat, out_hat)
 
 

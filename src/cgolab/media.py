@@ -272,13 +272,14 @@ def derive(medium: Medium) -> DerivedMedium:
 def _first_order(v: FormField, dm: DerivedMedium, zeta, transpose: bool) -> FormField:
     """The first-order operator, or with ``transpose`` its formal transpose."""
     dx3, dy3 = (dm.db3, dm.da3) if transpose else (dm.da3, dm.db3)
-    out = d_plus_delta(FormField(v.grid, algebra.alternate(v.values, int(transpose))), zeta).values
+    out = d_plus_delta(v, zeta, offset=int(transpose)).values
     w = v.values
     out += algebra.wedge_cov(dx3, w, grades=1)
     out += algebra.vee_cov(dx3, w, grades=(1, 3))
     out += algebra.wedge_cov(dy3, w, grades=(0, 2))
     out -= algebra.vee_cov(dy3, w, grades=2)
-    out += dm.iwc * w
+    for b in range(8):  # i omega (gamma mu)^(1/2) w, one blade at a time
+        out[b] += dm.iwc * w[b]
     return FormField(v.grid, out)
 
 
@@ -324,8 +325,6 @@ _STAR2_SRC, _STAR2_SIGN = _star_map(4)
 _STAR1_SRC, _STAR1_SIGN = _star_map(1)
 _GRADE_BLADES = (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 8))
 _BLADES_OF = [range(g.start, g.stop) for g in _GRADE_BLADES]
-#: position of the Hessian entry (j, k) in the packed SYM_PAIRS order
-_SYM_INDEX = [[algebra.SYM_PAIRS.index((min(j, k), max(j, k))) for k in range(3)] for j in range(3)]
 
 
 def _star2(v: np.ndarray) -> np.ndarray:
@@ -336,9 +335,9 @@ def _star2(v: np.ndarray) -> np.ndarray:
 def _hess_row(hess: np.ndarray, comp, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
     """h = sum_j H[j, k] comp(j, term), summed in the order j = 0, 1, 2, with H
     packed as in :func:`_hessian`; comp(j, out) writes component j into out."""
-    np.multiply(hess[_SYM_INDEX[0][k]], comp(0, h), out=h)
+    np.multiply(hess[algebra.SYM_INDEX[0][k]], comp(0, h), out=h)
     for j in (1, 2):
-        np.multiply(hess[_SYM_INDEX[j][k]], comp(j, term), out=term)
+        np.multiply(hess[algebra.SYM_INDEX[j][k]], comp(j, term), out=term)
         h += term
     return h
 
@@ -467,7 +466,7 @@ def _weak_pairing(w: FormField, phi: FormField, dm: DerivedMedium, transpose: bo
     # which bounds the peak memory of the oracle
     vee_in, wedge_in = ((2,), (1,)) if transpose else ((1, 3), (0, 2))
     mid = algebra.wedge_cov(dm.dc3, wv, grades=wedge_in)
-    mid += sign * algebra.vee_cov(dm.dc3, wv, grades=vee_in)
+    (np.subtract if transpose else np.add)(mid, algebra.vee_cov(dm.dc3, wv, grades=vee_in), out=mid)
     total += 2j * dm.omega * np.sum(algebra.inner(mid, pv))
     del mid
 

@@ -178,6 +178,10 @@ PRE_CHANGE_SPECTRA = {
     "ext_deriv": lambda c, F: algebra.wedge_cov(c, F),
     "coderiv": lambda c, F: algebra.vee_cov(c, algebra.alternate(F)),
     "d_plus_delta": lambda c, F: algebra.wedge_cov(c, F) + algebra.vee_cov(c, algebra.alternate(F)),
+    # d + delta of an alternated copy of the field, as first_order and the calculus check formed it:
+    # the copy transformed, then the map's own spectrum
+    "d_plus_delta of the alternated copy": lambda c, f, offset: PRE_CHANGE_SPECTRA["d_plus_delta"](
+        c, fft_forward(FormField(f.grid, algebra.alternate(f.values, offset))).values),
 }
 
 
@@ -200,6 +204,42 @@ def test_spectral_maps_are_bit_equal_to_the_pre_change_expressions(op, zeta):
         want = fft_inverse(FormField(GRID, PRE_CHANGE_SPECTRA[op.__name__](c, F)))
         assert np.array_equal(bits(op(f, zeta).values), bits(want.values))
         assert np.array_equal(bits(f.values), bits(before))  # only the spectrum is overwritten
+
+
+@pytest.mark.parametrize("zeta", [None, admissible_zeta(2.5, 1.0)], ids=["plain", "zeta"])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_d_plus_delta_of_an_alternation_is_bit_equal_to_the_alternated_copy_route(offset, zeta):
+    c = fields._spectral_covector(GRID, zeta)
+    for f in signed_zero_fields(38):
+        before = f.values.copy()
+        spectrum = PRE_CHANGE_SPECTRA["d_plus_delta of the alternated copy"](c, f, offset)
+        want = fft_inverse(FormField(GRID, spectrum))
+        assert np.array_equal(bits(d_plus_delta(f, zeta, offset).values), bits(want.values))
+        assert np.array_equal(bits(f.values), bits(before))
+
+
+def pre_change_sym_coderiv(grid, tensor):
+    """sym_coderiv as first written: the full (3, 3) tensor spectrum and one einsum."""
+    that = fields._forward(tensor)
+    full = np.empty((3, 3) + tensor.shape[1:], dtype=complex)
+    for idx, (j, k) in enumerate(algebra.SYM_PAIRS):
+        full[j, k] = full[k, j] = that[idx]
+    out_hat = -2.0 * np.einsum("j...,jk...->k...", 1j * grid.xi_op, full)
+    return fields._inverse(out_hat, out_hat)
+
+
+def test_sym_coderiv_is_bit_equal_to_the_pre_change_expression():
+    rng = np.random.default_rng(39)
+    shape = (6,) + (GRID.n,) * 3
+    for _ in range(4):
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t[rng.random(shape) < 0.2] *= 0.0  # signed zeros, in either part
+        t.imag[rng.random(shape) < 0.2] = -0.0
+        t[rng.integers(6)] = complex(-0.0, -0.0)  # and one whole component
+        assert np.array_equal(bits(sym_coderiv(GRID, t)), bits(pre_change_sym_coderiv(GRID, t)))
+    for zero in (complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0)):  # zero tensors keep their signs
+        t = np.full(shape, zero)
+        assert np.array_equal(bits(sym_coderiv(GRID, t)), bits(pre_change_sym_coderiv(GRID, t)))
 
 
 def test_multiplier_maps_are_bit_equal_to_the_pre_change_expressions():

@@ -312,6 +312,58 @@ def test_first_order_pair_drops_derivatives_for_constant_media(grid16, dm16):
     assert rel_err(combo, expected) < 1e-12
 
 
+def pre_change_first_order(v, dm, zeta, transpose):
+    """_first_order as first written: d + delta of an alternated copy of v, each
+    lower-order term added as a full 8-blade image."""
+    dx3, dy3 = (dm.db3, dm.da3) if transpose else (dm.da3, dm.db3)
+    c = fields._spectral_covector(v.grid, zeta)
+    F = fft_forward(FormField(v.grid, algebra.alternate(v.values, int(transpose)))).values
+    d = algebra.wedge_cov(c, F)
+    d += algebra.vee_cov(c, algebra.alternate(F, out=F))
+    out = fields.fft_inverse(FormField(v.grid, d)).values
+    w = v.values
+    out += algebra.wedge_cov(dx3, w, grades=1)
+    out += algebra.vee_cov(dx3, w, grades=(1, 3))
+    out += algebra.wedge_cov(dy3, w, grades=(0, 2))
+    out -= algebra.vee_cov(dy3, w, grades=2)
+    out += dm.iwc * w
+    return out
+
+
+def signed_zero_field(grid, rng):
+    """A random field with signed zeros in either part and in one whole blade."""
+    v = random_band_limited(grid, rng, band=grid.n // 2 - 1).values
+    v[rng.random(v.shape) < 0.2] *= 0.0
+    v.imag[rng.random(v.shape) < 0.2] = -0.0
+    v[rng.integers(8)] = complex(-0.0, -0.0)
+    return FormField(grid, v)
+
+
+@pytest.mark.parametrize("zeta", [None, np.array([2.5, 1j * np.sqrt(2.5**2 + 1.0), 0.0])], ids=["plain", "zeta"])
+@pytest.mark.parametrize("transpose", [False, True], ids=["first_order", "first_order_t"])
+def test_first_order_is_bit_equal_to_the_alternated_copy_route(grid16, dm16, transpose, zeta):
+    op = md.first_order_t if transpose else md.first_order
+    rng = np.random.default_rng(83)
+    for v in (random_band_limited(grid16, rng, band=5), signed_zero_field(grid16, rng)):
+        assert bit_equal(op(v, dm16, zeta).values, pre_change_first_order(v, dm16, zeta, transpose))
+
+
+@pytest.mark.parametrize("op", [md.first_order, md.first_order_t])
+def test_a_first_order_image_forms_within_three_fields_above_its_input(dm16, op):
+    v = random_band_limited(dm16.grid, np.random.default_rng(84), band=5)
+    op(v, dm16)  # fills the medium's and the grid's caches
+    tracemalloc.start()
+    try:
+        op(v, dm16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the forward spectrum, the wedge image, i xi and one grade's vee image:
+    # 2.875 8-blade fields; with an alternated copy and full-size images, 4.5
+    field_bytes = 8 * dm16.grid.n**3 * np.dtype(complex).itemsize
+    assert peak < 3 * field_bytes
+
+
 def test_first_order_transpose_pairing(grid16, dm16):
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -360,6 +412,40 @@ def test_weak_form_matches_strong_potential(grid16, dm16):
         strong_t = quadrature_pairing(md.potential_t(w, dm16), phi)
         weak_t = md.weak_potential_t_pairing(w, phi, dm16)
         assert abs(strong_t - weak_t) / abs(weak_t) < 1e-12
+
+
+def pre_change_weak_pairing(w, phi, dm, transpose):
+    """_weak_pairing as first written: the dc contraction enters as sign * its image."""
+    grid = w.grid
+    wv, pv = w.values, phi.values
+    ip = [np.sum(wv[b] * pv[b], axis=0) for b in md._GRADE_BLADES]
+    dx3, dy3, sign = (dm.db3, dm.da3, -1.0) if transpose else (dm.da3, dm.db3, 1.0)
+    total = -dm.omega**2 * np.sum((dm.gamma_mu - dm.eps0 * dm.mu0) * sum(ip))
+    vee_in, wedge_in = ((2,), (1,)) if transpose else ((1, 3), (0, 2))
+    mid = algebra.wedge_cov(dm.dc3, wv, grades=wedge_in)
+    mid += sign * algebra.vee_cov(dm.dc3, wv, grades=vee_in)
+    total += 2j * dm.omega * np.sum(algebra.inner(mid, pv))
+    dxdx = algebra.inner(dx3, dx3)
+    dydy = algebra.inner(dy3, dy3)
+    total += np.sum(dxdx * (ip[0] + ip[2]) + dydy * (ip[1] + ip[3]))
+
+    def by_parts(d3, g3):
+        return sign * np.sum(algebra.inner(d3, g3))
+
+    for d3, s in ((dx3, ip[2] - ip[0]), (dy3, ip[1] - ip[3])):
+        total += by_parts(d3, md._gradient(grid, s))
+    total += by_parts(dy3, fields.sym_coderiv(grid, algebra.sym_product_components(wv[1:4], pv[1:4])))
+    total += by_parts(dx3, fields.sym_coderiv(grid, algebra.sym_product_components(md._star2(wv), md._star2(pv))))
+    return complex(grid.cell_volume * total)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["weak", "weak_t"])
+def test_weak_pairings_are_bit_equal_to_the_signed_image_form(grid16, dm16, transpose):
+    op = md.weak_potential_t_pairing if transpose else md.weak_potential_pairing
+    rng = np.random.default_rng(85)
+    for w in (random_band_limited(grid16, rng, band=5), signed_zero_field(grid16, rng)):
+        phi = random_band_limited(grid16, rng, band=5)
+        assert bit_equal(op(w, phi, dm16), pre_change_weak_pairing(w, phi, dm16, transpose))
 
 
 def test_weak_pairing_star_of_grade_2_is_bit_equal_to_the_hodge_image(grid16):
@@ -423,10 +509,11 @@ def test_factorization_checks_pair_each_first_order_image_and_drop_it(dm16):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # w, phi, one held image and the map forming the next one: about 7.5
-    # 8-blade fields; holding all four images while forming the last peaks at 10.5
+    # w, phi, one held image and the map forming the next one: about 5.9
+    # 8-blade fields (7.5 while each first-order image took 4.5 fields to form);
+    # holding all four images while forming the last peaks at 10.5
     field_bytes = 8 * dm16.grid.n**3 * np.dtype(complex).itemsize
-    assert peak < 8 * field_bytes
+    assert peak < 6 * field_bytes
 
 
 def test_transposed_potential_decouples(grid16, dm16):
