@@ -247,9 +247,11 @@ def solve_cgo(
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
     the resolvent acts blade by blade, so the iteration runs on the
     blades of the block that holds the amplitude (both blocks when the
-    amplitude has parts in each).  It allocates its three block buffers
-    and A + R, into which each step's R is transformed and which it
-    returns, before the first iteration.  A forcing norm, step norm or
+    amplitude has parts in each).  It allocates two block buffers, the
+    newest forcing and the one before it, and A + R, into which each
+    step's R is transformed and which it returns, before the first
+    iteration: a remainder is the forcing before it over -p, formed
+    again where it is read.  A forcing norm, step norm or
     residual that is not finite raises DivergenceError at once.  On grids
     that ``fields._split`` splits, every stage runs on the usable CPUs.
     """
@@ -262,7 +264,7 @@ def solve_cgo(
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
     blades, shape = blk.stop - blk.start, (grid.n,) * 3
-    fhat, rhat, dead = (np.zeros((blades,) + shape, complex) for _ in range(3))  # R = 0 in rhat
+    fhat, older = (np.zeros((blades,) + shape, complex) for _ in range(2))  # R = 0 is -older / p
     total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
     total_blk, amp_blk = total.values[blk], amplitude[blk].reshape(-1, 1, 1, 1)
     total_blk += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
@@ -286,9 +288,10 @@ def solve_cgo(
                                   diagnostics={"contraction": contraction, "iterations": iterations})
         return value
 
-    def step(rows):  # R's coefficients into rhat, then their change into dead, which held the old ones
-        new = sym.inverse(np.negative(fhat[:, rows], out=rhat[:, rows]), out=rhat[:, rows], rows=rows)
-        return np.subtract(new, dead[:, rows], out=dead[:, rows])
+    def step(rows):  # per blade: R_k = -fhat / p over older, and R_k - R_{k-1} as R_k + older / p
+        for f, o in zip(fhat[:, rows], older[:, rows]):
+            change = sym.inverse(o, rows=rows)
+            yield np.add(sym.inverse(np.negative(f, out=o), out=o, rows=rows), change, out=change)
 
     fhat = forward_potential(fhat)
     forcing_norm = norm(lambda rows: fhat[:, rows], -0.5, "forcing norm")
@@ -301,8 +304,6 @@ def solve_cgo(
 
     while not converged and iterations < max_iter:
         iterations += 1
-        # each difference overwrites its older operand, which nothing reads after it
-        rhat, dead = dead, rhat
         deltas.append(norm(step, 0.5, "step norm"))
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
@@ -317,9 +318,9 @@ def solve_cgo(
                     diagnostics={"contraction": contraction, "iterations": iterations},
                 )
         # R goes straight into A + R; R + A has the bits of A + R
-        _parallel_map(lambda g: np.add(_inverse(rhat[g], total_blk[g]), amp_blk[g], out=total_blk[g]), groups, workers)
-        fhat, dead = forward_potential(dead), fhat
-        residual = norm(lambda r: np.subtract(fhat[:, r], dead[:, r], out=dead[:, r]), -0.5, "residual")
+        _parallel_map(lambda g: np.add(_inverse(older[g], total_blk[g]), amp_blk[g], out=total_blk[g]), groups, workers)
+        fhat, older = forward_potential(older), fhat
+        residual = norm(lambda r: map(np.subtract, fhat[:, r], older[:, r]), -0.5, "residual")
         residuals.append(residual)
         converged = residual < tol * (forcing_norm + 1.0)
 
@@ -340,7 +341,7 @@ def solve_cgo(
         zeta=zeta,
         iterations=iterations,
         residual=residual,
-        remainder_norm=sym.norm(rhat, 0.5),
+        remainder_norm=sym.norm(sym.inverse(np.negative(older, out=older), out=older), 0.5),
         forcing_norm=forcing_norm,
         contraction=contraction,
         clamp=clamp,

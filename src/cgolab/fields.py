@@ -226,8 +226,10 @@ def fft_inverse(F: FormField) -> FormField:
 
 def _spectral_map(f: FormField, fn) -> FormField:
     """Apply ``fn`` to the Fourier coefficients of f.  ``fn`` may overwrite
-    them; no reference to them outlives ``fn`` but the array it returns."""
-    return fft_inverse(FormField(f.grid, fn(fft_forward(f).values)))
+    them; no reference to them outlives ``fn`` but the array it returns,
+    which is transformed back in place."""
+    F = fn(_forward(f.values))
+    return FormField(f.grid, _inverse(F, F))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +344,7 @@ class ClampedSymbol:
         self.grid = grid
         self.floor = default_floor(grid)
         self.mask = np.abs(p) < self.floor
+        self._clamped = np.nonzero(self.mask)  # their indices, so that inverse zeros them without a scan of the mask
         self.divisor = np.where(self.mask, 1.0, p)
         # |divisor| is |p| >= floor off the mask and 1 on it, which is zeroed
         absp = np.abs(self.divisor)
@@ -364,7 +367,9 @@ class ClampedSymbol:
         """coeffs / p over the trailing frequency axes, 0 on the clamped modes,
         into ``out`` when given (which may be coeffs), on ``rows`` of the first frequency axis."""
         out = np.divide(coeffs, self.divisor[rows], out=out)
-        out[..., self.mask[rows]] = 0.0
+        (start, stop, _), (i, j, k) = rows.indices(self.grid.n), self._clamped
+        on = (start <= i) & (i < stop)
+        out[..., i[on] - start, j[on], k[on]] = 0.0
         return out
 
     def report(self) -> ClampReport:

@@ -299,14 +299,16 @@ class _UcpOperator:
         """||T u|| at the unit u that POWER_ITERATIONS steps of T*T reach from
         the unit start b.  On the live modes T*'s conj(1/p) |p| times T's 1/p
         is 1/|p| = Wi, so a step is Wi F(M* B(Wi F(M b))), F = from_box and
-        B = to_box; as |p| Wi^2 = Wi, ||T u|| is the weighted norm of Wi F(M b)."""
-        for _ in range(POWER_ITERATIONS):
-            h = self.inv_weight * self._mult(b, self.m)
+        B = to_box; as |p| Wi^2 = Wi, ||T u|| is the weighted norm of Wi F(M b).
+        The last step stops at its h, which is all the estimate reads."""
+        h = self.inv_weight * self._mult(b, self.m)
+        for _ in range(POWER_ITERATIONS - 1):
             g = self.inv_weight * self._mult(self.to_box(h), self.mh)
             ng = np.sqrt(self.norm_sq(g))
             if ng == 0:
                 break
             b = self.to_box(g) / ng
+            h = self.inv_weight * self._mult(b, self.m)
         return float(np.sqrt(self.norm_sq(h)))
 
     def fixed_point_start(self, b):

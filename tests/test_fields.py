@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from cgolab.fields import (
 from conftest import bits, blade, constant, derive_background
 
 GRID = Grid(16, 2.0 * np.pi)
+GRID32 = Grid(32, 2.0 * np.pi)
 
 
 def admissible_zeta(s, k, grid=GRID):
@@ -254,6 +256,21 @@ def test_multiplier_maps_are_bit_equal_to_the_pre_change_expressions():
         ]:
             want = fft_inverse(FormField(GRID, F * m))
             assert np.array_equal(bits(got.values), bits(want.values))
+
+
+@pytest.mark.parametrize("op", [conj_laplacian, lambda f: conj_laplacian(f, admissible_zeta(2.5, 1.0)),
+                                lambda f: mollify(f, 0.3)], ids=["conj_laplacian", "conj_laplacian zeta", "mollify"])
+def test_multiplier_maps_hold_one_spectrum(op):
+    # the spectrum is transformed back in place: with the multiplier, about 1.1 fields above the input
+    f = random_band_limited(GRID32, np.random.default_rng(40), band=10)
+    op(f)  # forms the grid's cached symbols
+    tracemalloc.start()
+    try:
+        op(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * f.values.nbytes
 
 
 def resolve(sym, f):

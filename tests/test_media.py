@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cgolab import algebra, cgo, checks, fields, presets
+from cgolab import uniqueness as uq
 from cgolab import media as md
 from cgolab.errors import CoefficientError
 from cgolab.fields import (
@@ -222,6 +223,37 @@ def test_a_one_block_solve_forms_only_its_hessian(grid16, pol, formed):
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm.k, grid=grid16)
     cgo.solve_cgo(dm, g.zeta1, cgo.amplitude_a(g, pol))
     assert set(LAZY_FIELDS) & set(vars(dm)) == formed
+
+
+def counted_hessians(monkeypatch):
+    """The list that records one entry per call of media._hessian from now on."""
+    calls, hessian = [], md._hessian
+    monkeypatch.setattr(md, "_hessian", lambda grid, s: calls.append(1) or hessian(grid, s))
+    return calls
+
+
+def formed_hessians(*dms) -> int:
+    return sum(name in vars(dm) for dm in dms for name in ("hess_a", "hess_b"))
+
+
+# The samples of a pool read one shared medium: whichever thread reads a
+# Hessian first, it is formed once, and the peak holds one copy of it.
+
+def test_a_decay_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch):
+    calls = counted_hessians(monkeypatch)
+    dm = md.derive(presets.reference_medium(grid16))
+    cgo.decay_study(dm, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=7, workers=2)
+    formed = formed_hessians(dm)
+    assert len(calls) == formed == 1
+
+
+def test_a_pairing_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch):
+    calls = counted_hessians(monkeypatch)
+    mp = uq.make_pair(presets.reference_medium(grid16), presets.perturbed_medium(grid16))
+    uq.convergence_experiment(mp, RHO, cgo.Polarization.H, [4.0, 8.0, 16.0],
+                              *cgo.orthonormal_frame(RHO, 0.7), workers=2)
+    formed = formed_hessians(mp.dm1, mp.dm2)
+    assert len(calls) == formed == 4
 
 
 def test_replaced_coefficients_give_their_own_half_power_fields(grid16):

@@ -325,8 +325,35 @@ def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monke
     M = uq.ucp_coefficients(pair16)
     rep = uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=3, seed=3)
     assert not rep.contraction_certified  # so no fixed-point start weighs a norm
-    # per start: the start's norm, one per step for the next start, one estimate
-    assert len(calls) == 3 * (uq.POWER_ITERATIONS + 2) == 3 * 32
+    # per start: the start's norm, one per step but the last for the next start, one estimate
+    assert len(calls) == 3 * (uq.POWER_ITERATIONS + 1) == 3 * 31
+
+
+def pre_change_power_start(op, b):
+    """_UcpOperator.power_start as it read when its last step also formed
+    g, its norm and the next b, which the estimate does not read."""
+    for _ in range(uq.POWER_ITERATIONS):
+        h = op.inv_weight * op._mult(b, op.m)
+        g = op.inv_weight * op._mult(op.to_box(h), op.mh)
+        ng = np.sqrt(op.norm_sq(g))
+        if ng == 0:
+            break
+        b = op.to_box(g) / ng
+    return float(np.sqrt(op.norm_sq(h)))
+
+
+def test_ucp_reports_are_bit_equal_to_the_pre_change_power_loop_on_criterion_10(grid32, pair32, monkeypatch):
+    M = uq.ucp_coefficients(pair32)
+
+    def reports():
+        return [uq.ucp_contraction_check(grid32, M, uq.null_covector(mag), trials=3, seed=3)
+                for mag in (8.0, 16.0, 32.0)]
+
+    new = reports()
+    monkeypatch.setattr(uq._UcpOperator, "power_start", pre_change_power_start)
+    old = reports()
+    assert new == old
+    assert [r.norm_estimate.hex() for r in new] == [r.norm_estimate.hex() for r in old]
 
 
 def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
