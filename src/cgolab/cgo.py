@@ -24,7 +24,6 @@ from .fields import (
     _inverse,
     _parallel_map,
     _split,
-    _weighted_sq,
     assert_admissible,
     coderiv,
     fft_forward,
@@ -263,29 +262,28 @@ def solve_cgo(
     low, high = np.any(amplitude[:4] != 0), np.any(amplitude[4:] != 0)
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
-    blades, shape = blk.stop - blk.start, (grid.n,) * 3
-    fhat, older = (np.zeros((blades,) + shape, complex) for _ in range(2))  # R = 0 is -older / p
+    blades, shape = range(blk.stop - blk.start), (grid.n,) * 3  # the indices of the block's blades
+    fhat, older = (np.zeros((len(blades),) + shape, complex) for _ in range(2))  # R = 0 is -older / p
     total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
     total_blk, amp_blk = total.values[blk], amplitude[blk].reshape(-1, 1, 1, 1)
     total_blk += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
     workers, slabs = _split(grid.n)  # split: pointwise stages on slabs, transforms on blades
-    groups = [slice(b, b + 1) for b in range(blades)] if workers > 1 else [slice(None)]
-    [getattr(dm, h) for l, h in ((1, "hess_b"), (2, "hess_a")) if l in grades and workers > 1]  # formed before tasks
+    # a split solve forms its Hessian here, before its tasks: formed in one, 64^3 peak memory rose 4.6% (ROADMAP item 9)
+    [getattr(dm, h) for l, h in ((1, "hess_b"), (2, "hess_a")) if l in grades and workers > 1]
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
         _parallel_map(lambda rows: potential(total, dm, grades, out[:, rows], rows), slabs, workers)
-        _parallel_map(lambda g: _forward(out[g], out[g]), groups, workers)
+        _parallel_map(lambda b: _forward(out[b], out[b]), blades, workers)
         return out
 
     contraction, iterations = None, 0  # fewer than two steps have no step ratio
 
-    def norm(coeffs, b, name):  # the weighted norm of coeffs(rows) over all slabs, which must be finite
-        modes = np.empty(shape)  # w |c|^2, summed in one np.sum as in sym.norm
-        _parallel_map(lambda rows: _weighted_sq(sym.weight(b)[rows], coeffs(rows), modes[rows]), slabs, workers)
-        value = float(np.sqrt(grid.volume * np.sum(modes)))
-        if not np.isfinite(value):
-            raise DivergenceError(f"the {name} is not finite after {iterations} iterations",
-                                  diagnostics={"contraction": contraction, "iterations": iterations})
+    def diverged(message):  # the error that stops the iteration here
+        return DivergenceError(message, diagnostics={"contraction": contraction, "iterations": iterations})
+
+    def norm(coeffs, b, name):  # sym.norm, which must be finite
+        if not np.isfinite(value := sym.norm(coeffs, b)):
+            raise diverged(f"the {name} is not finite after {iterations} iterations")
         return value
 
     def step(rows):  # per blade: R_k = -fhat / p over older, and R_k - R_{k-1} as R_k + older / p
@@ -294,15 +292,14 @@ def solve_cgo(
             yield np.add(sym.inverse(np.negative(f, out=o), out=o, rows=rows), change, out=change)
 
     fhat = forward_potential(fhat)
-    forcing_norm = norm(lambda rows: fhat[:, rows], -0.5, "forcing norm")
+    forcing_norm = norm(fhat, -0.5, "forcing norm")
 
     residual = forcing_norm  # residual of R = 0
     deltas: list[float] = []
     residuals: list[float] = []
     ratios: list[float] = []
-    converged = residual < tol * (forcing_norm + 1.0)
 
-    while not converged and iterations < max_iter:
+    while not (converged := residual < tol * (forcing_norm + 1.0)) and iterations < max_iter:
         iterations += 1
         deltas.append(norm(step, 0.5, "step norm"))
         if len(deltas) >= 2 and deltas[-2] > 0:
@@ -311,26 +308,18 @@ def solve_cgo(
             if len(ratios) >= DIVERGENCE_PATIENCE and all(
                 r >= DIVERGENCE_LIMIT for r in ratios[-DIVERGENCE_PATIENCE:]
             ):
-                raise DivergenceError(
-                    f"Neumann iteration is not contracting (ratio {contraction:.3f} "
-                    f"over the last {DIVERGENCE_PATIENCE} iterations); "
-                    "the conjugation parameter is too small for this medium",
-                    diagnostics={"contraction": contraction, "iterations": iterations},
-                )
+                raise diverged(f"Neumann iteration is not contracting (ratio {contraction:.3f} over the last "
+                               f"{DIVERGENCE_PATIENCE} iterations); the conjugation parameter is too small "
+                               "for this medium")
         # R goes straight into A + R; R + A has the bits of A + R
-        _parallel_map(lambda g: np.add(_inverse(older[g], total_blk[g]), amp_blk[g], out=total_blk[g]), groups, workers)
+        _parallel_map(lambda b: np.add(_inverse(older[b], total_blk[b]), amp_blk[b], out=total_blk[b]), blades, workers)
         fhat, older = forward_potential(older), fhat
         residual = norm(lambda r: map(np.subtract, fhat[:, r], older[:, r]), -0.5, "residual")
         residuals.append(residual)
-        converged = residual < tol * (forcing_norm + 1.0)
 
     if not converged:
         ratio = "not measured" if contraction is None else f"{contraction:.3f}"
-        raise DivergenceError(
-            f"no convergence within {max_iter} iterations "
-            f"(residual {residual:.3e}, contraction {ratio})",
-            diagnostics={"contraction": contraction, "iterations": iterations},
-        )
+        raise diverged(f"no convergence within {max_iter} iterations (residual {residual:.3e}, contraction {ratio})")
     # the clamped modes of all 8 blades, laid out as fhat[:, mask] of a full
     # 8-blade fhat is (blade axis fastest), so the sum adds in the same order
     clamped = np.zeros((int(np.sum(sym.mask)), 8), dtype=complex).T

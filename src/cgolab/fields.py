@@ -358,10 +358,14 @@ class ClampedSymbol:
             raise ValueError(f"b must be +1/2 or -1/2, got {b}")
         return self._weights[b]
 
-    def norm(self, coeffs: np.ndarray, b: float) -> float:
-        """Weighted-l2 norm of spectral coefficients, all components."""
-        sq = _weighted_sq(self.weight(b), coeffs, np.empty(self.mask.shape))
-        return float(np.sqrt(self.grid.volume * np.sum(sq)))
+    def norm(self, coeffs, b: float) -> float:
+        """Weighted-l2 norm of spectral coefficients, all components: of an array, or of the components
+        that coeffs(rows) yields for each slab of the first frequency axis that :func:`_split` makes."""
+        w, modes = self.weight(b), np.empty(self.mask.shape)  # w |c|^2 of all slabs, summed in one np.sum
+        slab = coeffs if callable(coeffs) else lambda rows: coeffs[:, rows]
+        workers, slabs = _split(self.grid.n)
+        _parallel_map(lambda rows: _weighted_sq(w[rows], slab(rows), modes[rows]), slabs, workers)
+        return float(np.sqrt(self.grid.volume * np.sum(modes)))
 
     def inverse(self, coeffs: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
         """coeffs / p over the trailing frequency axes, 0 on the clamped modes,

@@ -356,6 +356,25 @@ def test_clamped_symbol_is_bit_equal_to_the_pre_change_expressions():
         assert np.array_equal(fields.bourgain_weight(GRID, zeta, b), w)
 
 
+@pytest.mark.parametrize("n, slab_points, slabs",
+                         [(16, fields.SLAB_POINTS, 1), (16, 2**9, 8), (64, fields.SLAB_POINTS, 8)],
+                         ids=["16-whole", "16-split", "64"])
+def test_the_weighted_norm_of_an_array_or_of_its_slabs_keeps_the_bits_of_one_sum(monkeypatch, n, slab_points, slabs):
+    # the split solve's norm, of the components that a function yields slab by slab, is ClampedSymbol.norm
+    monkeypatch.setattr(fields, "SLAB_POINTS", slab_points)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    assert len(fields._split(n)[1]) == slabs
+    grid, rng = Grid(n, 2.0 * np.pi), np.random.default_rng(38)
+    coeffs = rng.standard_normal((4, n, n, n)) + 1j * rng.standard_normal((4, n, n, n))  # one grade block
+    sym = ClampedSymbol(grid, admissible_zeta(2.9, 1.0))
+    for b in (0.5, -0.5):
+        whole = fields._weighted_sq(sym.weight(b), coeffs, np.empty((n,) * 3))
+        want = float(np.sqrt(grid.volume * np.sum(whole))).hex()
+        assert sym.norm(coeffs, b).hex() == want
+        assert sym.norm(lambda rows: coeffs[:, rows], b).hex() == want
+        assert sym.norm(lambda rows: (c for c in coeffs[:, rows]), b).hex() == want  # as a step yields them
+
+
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_resolvent_reports_against_the_solver_threshold(n):
     grid = Grid(n, 2.0 * np.pi)
