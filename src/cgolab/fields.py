@@ -159,6 +159,7 @@ class FormField:
 
 _in_pool = threading.local()  # .marked is set on every thread of the persistent pools, one of each size
 _pool = cache(lambda workers: ThreadPoolExecutor(workers, initializer=setattr, initargs=(_in_pool, "marked", True)))
+_forming = threading.RLock()  # held while a _formed_once value is formed
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -169,6 +170,14 @@ def _parallel_map(fn, items, workers: int) -> list:
     tasks = [_pool(workers).submit(contextvars.copy_context().run, fn, item) for item in items]
     wait(tasks)
     return [task.result() for task in tasks]
+
+
+class _formed_once(cached_property):
+    """A cached_property formed and stored under _forming on every Python (3.12 dropped cached_property's lock), so
+    threads form it once and then read it with no lock.  Forming one may not call _parallel_map: its tasks may wait."""
+    def __get__(self, instance, owner=None):
+        with _forming:
+            return super().__get__(instance, owner)
 
 
 def _usable_cpus() -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -162,37 +161,37 @@ class DerivedMedium:
     # The gradients of a and b, their 3 components, and their Hessians, shape
     # (6, n, n, n) in algebra.SYM_PAIRS order, are formed on first read: a
     # solve of one grade block reads one Hessian and no gradient.
-    @cached_property
+    @fields._formed_once
     def da3(self) -> np.ndarray:
         return _gradient(self.grid, 0.5 * np.log(self.gamma))
 
-    @cached_property
+    @fields._formed_once
     def db3(self) -> np.ndarray:
         return _gradient(self.grid, 0.5 * np.log(self.mu))
 
-    @cached_property
+    @fields._formed_once
     def hess_a(self) -> np.ndarray:
         return _hessian(self.grid, 0.5 * np.log(self.gamma))
 
-    @cached_property
+    @fields._formed_once
     def hess_b(self) -> np.ndarray:
         return _hessian(self.grid, 0.5 * np.log(self.mu))
 
     # The half powers, iwc and dc are formed on first use: the solver reads none.
-    @cached_property
+    @fields._formed_once
     def sqrt_gamma(self) -> np.ndarray:
         return np.exp(0.5 * np.log(self.gamma))
 
-    @cached_property
+    @fields._formed_once
     def sqrt_mu(self) -> np.ndarray:
         return np.exp(0.5 * np.log(self.mu))
 
-    @cached_property
+    @fields._formed_once
     def iwc(self) -> np.ndarray:
         """i omega gamma^(1/2) mu^(1/2)."""
         return 1j * self.omega * (self.sqrt_gamma * self.sqrt_mu)
 
-    @cached_property
+    @fields._formed_once
     def dc3(self) -> np.ndarray:
         """d of gamma^(1/2) mu^(1/2), its 3 components; the weak pairings read it."""
         return _gradient(self.grid, np.exp(0.5 * np.log(self.gamma)) * np.exp(0.5 * np.log(self.mu)))

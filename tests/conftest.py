@@ -1,13 +1,16 @@
+import contextlib
 import json
+import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cgolab import presets
+from cgolab import media, presets
 from cgolab.algebra import BLADE_INDEX
 from cgolab.fields import FormField, Grid
-from cgolab.media import Medium, derive
+from cgolab.media import DerivedMedium, Medium, derive
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,6 +31,18 @@ def form_lazy_fields(*dms) -> None:
     for dm in dms:
         for name in LAZY_FIELDS:
             getattr(dm, name)
+
+
+@pytest.fixture
+def lockless_lazy_fields(monkeypatch):
+    """The interpreters from Python 3.12 on: no cached_property of DerivedMedium takes a lock of its
+    own while it forms its value.  media._hessian is slowed by 50 ms, so that two threads that read
+    one Hessian both start to form it before either stores it."""
+    for attr in vars(DerivedMedium).values():
+        if isinstance(attr, cached_property):
+            monkeypatch.setattr(attr, "lock", contextlib.nullcontext(), raising=False)
+    hessian = media._hessian
+    monkeypatch.setattr(media, "_hessian", lambda grid, s: time.sleep(0.05) or hessian(grid, s))
 
 
 def bits(a) -> np.ndarray:

@@ -256,6 +256,16 @@ def test_a_pairing_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch):
     assert len(calls) == formed == 4
 
 
+def test_a_decay_pool_forms_each_hessian_once_where_cached_property_takes_no_lock(
+        grid16, monkeypatch, lockless_lazy_fields):
+    test_a_decay_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch)
+
+
+def test_a_pairing_pool_forms_each_hessian_once_where_cached_property_takes_no_lock(
+        grid16, monkeypatch, lockless_lazy_fields):
+    test_a_pairing_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch)
+
+
 def test_replaced_coefficients_give_their_own_half_power_fields(grid16):
     dm = derive_background(grid16, omega=1.5)
     assert dm.iwc[0, 0, 0] == 1.5j  # formed and kept for the background
