@@ -432,8 +432,8 @@ def decay_study(
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per lambda")
     lambdas = list(lambdas)
-    if not strictly_decreasing(reversed(lambdas)):
-        raise ValueError("lambda values must be increasing")
+    if not lambdas or not strictly_decreasing(reversed(lambdas)):
+        raise ValueError("lambda values must be a nonempty increasing list")
     if lambdas[0] < 1.0:
         raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
     rho = np.asarray(rho, dtype=float)

@@ -170,8 +170,8 @@ def convergence_experiment(
     keyword arguments of every solve.
     """
     s_list = list(s_list)
-    if not strictly_decreasing(reversed(s_list)):
-        raise ValueError("s values must be increasing")
+    if not s_list or not strictly_decreasing(reversed(s_list)):
+        raise ValueError("s values must be a nonempty increasing list")
     rho = np.asarray(rho, dtype=float)
     target = scattering_target(mp, rho, pol)
 

@@ -501,6 +501,8 @@ def test_decay_study_validations(grid16, dm16):
         cgo.decay_study(dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=4, seed=1)
     with pytest.raises(ValueError):
         cgo.decay_study(dm16, RHO, cgo.Polarization.E, [4.0, 2.0], n_samples=8, seed=1)
+    with pytest.raises(ValueError, match="nonempty increasing"):
+        cgo.decay_study(dm16, RHO, cgo.Polarization.E, [], n_samples=8, seed=1)
     with pytest.raises(ValueError, match=">= 1"):
         cgo.decay_study(dm16, RHO, cgo.Polarization.E, [0.5, 2.0], n_samples=8, seed=1)
 

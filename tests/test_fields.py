@@ -39,7 +39,7 @@ GRID = Grid(16, 2.0 * np.pi)
 GRID32 = Grid(32, 2.0 * np.pi)
 
 
-def admissible_zeta(s, k, grid=GRID):
+def admissible_zeta(s, k):
     """<zeta, zeta> = -k^2 with real part s e1 and imaginary part along e2."""
     return np.array([s, 1j * np.sqrt(s**2 + k**2), 0.0], dtype=complex)
 
@@ -423,7 +423,7 @@ def test_bourgain_duality_equality_for_aligned_mode():
 def test_bourgain_norm_single_mode_against_direct_sum():
     # direct summation oracle on an 8^3 grid
     grid = Grid(8, 2.0 * np.pi)
-    zeta = admissible_zeta(2.0, 1.0, grid)
+    zeta = admissible_zeta(2.0, 1.0)
     idx = (3, 2, 1)
     coeffs = np.zeros((8, 8, 8, 8), dtype=complex)
     coeffs[1][idx] = 2.0 + 1.0j

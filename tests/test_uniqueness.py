@@ -212,6 +212,8 @@ def test_convergence_experiment_structure(grid16, pair16):
         uq.convergence_experiment(
             pair16, RHO, cgo.Polarization.H, [8.0, 4.0], *cgo.orthonormal_frame(RHO, 0.7)
         )
+    with pytest.raises(ValueError, match="nonempty increasing"):
+        uq.convergence_experiment(pair16, RHO, cgo.Polarization.H, [], *cgo.orthonormal_frame(RHO, 0.7))
 
 
 # ---------------------------------------------------------------------------
