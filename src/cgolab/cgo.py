@@ -268,7 +268,7 @@ def solve_cgo(
     total_blk, amp_blk = total.values[blk], amplitude[blk].reshape(-1, 1, 1, 1)
     total_blk += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
     workers, slabs = _split(grid.n)  # split: pointwise stages on slabs, transforms on blades
-    # a split solve forms its Hessian here, before its tasks: formed in one, 64^3 peak memory rose 4.6% (ROADMAP item 9)
+    # a split solve forms its Hessian here, before its tasks: formed in one, 64^3 peak memory rose ~5% (ROADMAP item 9)
     [getattr(dm, h) for l, h in ((1, "hess_b"), (2, "hess_a")) if l in grades and workers > 1]
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
@@ -278,7 +278,7 @@ def solve_cgo(
 
     contraction, iterations = None, 0  # fewer than two steps have no step ratio
 
-    def diverged(message):  # the error that stops the iteration here
+    def diverged(message):  # a DivergenceError with the contraction and iteration count so far
         return DivergenceError(message, diagnostics={"contraction": contraction, "iterations": iterations})
 
     def norm(coeffs, b, name):  # sym.norm, which must be finite

@@ -38,7 +38,7 @@ from .errors import ResonantGridError
 
 _BIN_MAGIC = b"CGOF"
 _BIN_VERSION = 1
-SLAB_POINTS = 2**15  # the fewest grid points in a slab of the first axis when a solve splits
+SLAB_POINTS = 2**15  # the fewest grid points in a slab of the first axis when a solve or norm splits
 
 
 def set_fft_workers(n: int) -> int:
@@ -186,7 +186,7 @@ def _usable_cpus() -> int:
 
 
 def _split(n: int) -> tuple[int, list[slice]]:
-    """(threads, slabs of the first axis) a solve on an n^3 grid splits over: the usable CPUs and slabs
+    """(threads, slabs of the first axis) a solve or norm on an n^3 grid splits over: the usable CPUs and slabs
     of SLAB_POINTS points when two fit and the caller is no pool thread, else (1, [the whole axis])."""
     rows = -(-SLAB_POINTS // n**2)
     workers = 1 if n < 2 * rows or getattr(_in_pool, "marked", False) else _usable_cpus()
