@@ -31,7 +31,6 @@ from .fields import (
     _inverse,
     _parallel_map,
     _usable_cpus,
-    _weighted_sq,
     assert_admissible,
     plane_wave_scalar,
     seeded_rng,
@@ -268,12 +267,9 @@ class _UcpOperator:
     transforms, and every call builds its own arrays."""
 
     def __init__(self, grid: Grid, M: np.ndarray, zeta):
-        sym = ClampedSymbol(grid, zeta)
-        self.grid = grid
-        self.mask = sym.mask
-        self.inv_p = sym.inverse(np.ones(sym.mask.shape, complex))
-        self.weight = sym.weight(0.5)
-        self.inv_weight = sym.weight(-0.5)
+        self.sym = ClampedSymbol(grid, zeta)
+        self.inv_p = self.sym.inverse(np.ones(self.sym.mask.shape, complex))  # a multiply, where inverse divides
+        self.inv_weight = self.sym.weight(-0.5)
         self.box = _support_box(np.any(M != 0, axis=(0, 1)))
         self.m = M[(slice(None), slice(None)) + self.box].copy()
         self.mh = np.conj(self.m.swapaxes(0, 1))
@@ -282,7 +278,7 @@ class _UcpOperator:
         return _inverse(u, box=self.box)
 
     def from_box(self, z):
-        return _forward_box(z, self.box, self.grid.n)
+        return _forward_box(z, self.box, self.sym.grid.n)
 
     def _mult(self, b, m):
         """m (M or its conjugate transpose) times the box values b, spectral out."""
@@ -291,9 +287,6 @@ class _UcpOperator:
     def apply(self, b):
         """T u = resolvent(M u) for the u with box values b, spectral out."""
         return self._mult(b, self.m) * self.inv_p
-
-    def norm_sq(self, u):
-        return float(np.sum(_weighted_sq(self.weight, u, np.empty(self.weight.shape))))
 
     def power_start(self, b):
         """||T u|| at the unit u that POWER_ITERATIONS steps of T*T reach from
@@ -304,12 +297,12 @@ class _UcpOperator:
         h = self.inv_weight * self._mult(b, self.m)
         for _ in range(POWER_ITERATIONS - 1):
             g = self.inv_weight * self._mult(self.to_box(h), self.mh)
-            ng = np.sqrt(self.norm_sq(g))
+            ng = self.sym.norm(g, 0.5)
             if ng == 0:
                 break
             b = self.to_box(g) / ng
             h = self.inv_weight * self._mult(b, self.m)
-        return float(np.sqrt(self.norm_sq(h)))
+        return self.sym.norm(h, 0.5)
 
     def fixed_point_start(self, b):
         """(steps, weighted norm) of w <- -T w from the unit start b, run as
@@ -317,7 +310,7 @@ class _UcpOperator:
         it, norm = 0, 1.0
         while norm > FIXED_POINT_TOL and it < FIXED_POINT_MAX_ITER:
             w = self.apply(b)
-            norm = np.sqrt(self.norm_sq(w))
+            norm = self.sym.norm(w, 0.5)
             b = self.to_box(w)
             it += 1
         return it, norm
@@ -362,8 +355,8 @@ def ucp_contraction_check(
         starts = []
         for _ in range(count):  # Gaussian, off the clamped modes, of unit weighted norm
             u = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
-            u[:, op.mask] = 0.0
-            starts.append(op.to_box(u / np.sqrt(op.norm_sq(u))))
+            u[:, op.sym.mask] = 0.0
+            starts.append(op.to_box(u / op.sym.norm(u, 0.5)))
         return _parallel_map(run, starts, min(count, _usable_cpus()))
 
     best = max(run_starts(op.power_start, trials))
@@ -374,5 +367,5 @@ def ucp_contraction_check(
         contraction_certified=best < 1.0,
         fixed_point_converged=bool(ends) and all(norm <= FIXED_POINT_TOL for _, norm in ends),
         fixed_point_iterations=max((it for it, _ in ends), default=0),
-        clamped_modes=int(np.sum(op.mask)),
+        clamped_modes=op.sym.report().clamped,
     )

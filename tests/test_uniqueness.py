@@ -321,14 +321,15 @@ def test_ucp_rejects_bad_inputs(grid16, pair16):
 
 
 def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monkeypatch):
-    calls = []
-    norm_sq = uq._UcpOperator.norm_sq
-    monkeypatch.setattr(uq._UcpOperator, "norm_sq", lambda op, u: calls.append(1) or norm_sq(op, u))
+    # every weighted norm of the certificate is one ClampedSymbol.norm call
     M = uq.ucp_coefficients(pair16)
+    calls = []
+    norm = fields.ClampedSymbol.norm
+    monkeypatch.setattr(fields.ClampedSymbol, "norm", lambda sym, c, b: calls.append(b) or norm(sym, c, b))
     rep = uq.ucp_contraction_check(grid16, M, uq.null_covector(8.0), trials=3, seed=3)
     assert not rep.contraction_certified  # so no fixed-point start weighs a norm
     # per start: the start's norm, one per step but the last for the next start, one estimate
-    assert len(calls) == 3 * (uq.POWER_ITERATIONS + 1) == 3 * 31
+    assert calls == [0.5] * 3 * (uq.POWER_ITERATIONS + 1) and len(calls) == 3 * 31
 
 
 def pre_change_power_start(op, b):
@@ -337,11 +338,11 @@ def pre_change_power_start(op, b):
     for _ in range(uq.POWER_ITERATIONS):
         h = op.inv_weight * op._mult(b, op.m)
         g = op.inv_weight * op._mult(op.to_box(h), op.mh)
-        ng = np.sqrt(op.norm_sq(g))
+        ng = op.sym.norm(g, 0.5)
         if ng == 0:
             break
         b = op.to_box(g) / ng
-    return float(np.sqrt(op.norm_sq(h)))
+    return op.sym.norm(h, 0.5)
 
 
 def test_ucp_reports_are_bit_equal_to_the_pre_change_power_loop_on_criterion_10(grid32, pair32, monkeypatch):
@@ -366,27 +367,34 @@ def test_ucp_norm_estimate_is_lower_bounded_by_samples(grid16, pair16):
     op = uq._UcpOperator(grid16, M, zeta)
     rng = np.random.default_rng(0)
     u = rng.standard_normal((2,) + (grid16.n,) * 3) + 1j * rng.standard_normal((2,) + (grid16.n,) * 3)
-    u[:, op.mask] = 0.0
-    u /= np.sqrt(op.norm_sq(u))
-    assert np.sqrt(op.norm_sq(op.apply(op.to_box(u)))) <= rep.norm_estimate * (1 + 1e-6)
+    u[:, op.sym.mask] = 0.0
+    u /= op.sym.norm(u, 0.5)
+    assert op.sym.norm(op.apply(op.to_box(u)), 0.5) <= rep.norm_estimate * (1 + 1e-6)
 
 
-def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16):
-    zeta = uq.null_covector(16.0)
-    floor = default_floor(grid16)
-    p = fields.helmholtz_symbol(grid16, zeta)
+def _pre_change_symbol(grid, zeta):
+    """(clamp mask, 1/p, |p|, 1/|p|) as the certificate formed them before it
+    read a ClampedSymbol: straight from the symbol p and the clamp floor."""
+    floor = default_floor(grid)
+    p = fields.helmholtz_symbol(grid, zeta)
     absp = np.abs(p)
     mask = absp < floor
     weight = np.maximum(absp, floor) ** 1.0
     weight[mask] = 0.0
     inv_p = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, p))
     inv_weight = np.where(~mask, 1.0 / np.where(~mask, weight, 1.0), 0.0)
+    return mask, inv_p, weight, inv_weight
 
+
+def test_ucp_operator_is_bit_equal_to_the_pre_change_expressions(grid16, pair16):
+    zeta = uq.null_covector(16.0)
+    mask, inv_p, weight, inv_weight = _pre_change_symbol(grid16, zeta)
     op = uq._UcpOperator(grid16, uq.ucp_coefficients(pair16), zeta)
-    assert np.array_equal(op.mask, mask)
+    assert np.array_equal(op.sym.mask, mask)
     assert np.array_equal(op.inv_p, inv_p)
-    assert np.array_equal(op.weight, weight)
+    assert np.array_equal(op.sym.weight(0.5), weight)
     assert np.array_equal(op.inv_weight, inv_weight)
+    assert not any(hasattr(op, name) for name in ("mask", "weight", "norm_sq"))  # the symbol holds them
 
 
 class _FullTransformOperator(uq._UcpOperator):
@@ -400,7 +408,7 @@ class _FullTransformOperator(uq._UcpOperator):
         self.full = M
 
     def _embed(self, z):
-        full = np.zeros(z.shape[:1] + (self.grid.n,) * 3, complex)
+        full = np.zeros(z.shape[:1] + (self.sym.grid.n,) * 3, complex)
         full[(slice(None),) + self.box] = z
         return full
 
@@ -430,48 +438,59 @@ def _apply(op, u):
 
 def _apply_adjoint(op, u):
     """Adjoint of T in the +1/2-weighted inner product, spectral in and out."""
-    adjoint_in = np.conj(op.inv_p) * op.weight
+    adjoint_in = np.conj(op.inv_p) * op.sym.weight(0.5)
     return op.inv_weight * op._mult(op.to_box(adjoint_in * u), op.mh)
 
 
 def _serial_spectral_check(grid, M, zeta, trials, seed):
     """Oracle: the certificate as one serial loop over whole 2 x n^3 spectra,
-    with T*T as T followed by its weighted adjoint, and w <- -T w, on the
-    full-transform operator."""
+    with T*T as T followed by its weighted adjoint, and w <- -T w.  Only
+    the transforms and the multiply by M are the full-transform operator's;
+    the clamp mask, 1/p, the weights and the volume-free weighted norm are
+    formed here from the symbol p, not read from a ClampedSymbol."""
     op = _FullTransformOperator(grid, M, zeta)
+    mask, inv_p, weight, inv_weight = _pre_change_symbol(grid, zeta)
     rng = fields.seeded_rng(seed)
 
+    def norm(u):
+        return float(np.sqrt(np.sum(weight * np.sum(np.abs(u) ** 2, axis=0))))
+
+    def apply(u):  # T u
+        return inv_p * op._mult(op.to_box(u), op.m)
+
+    def apply_adjoint(u):  # T* u, the adjoint in the +1/2-weighted inner product
+        return inv_weight * op._mult(op.to_box(np.conj(inv_p) * weight * u), op.mh)
+
     def random_start():
-        shape = (2,) + op.mask.shape
+        shape = (2,) + mask.shape
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u[:, op.mask] = 0.0
-        u /= np.sqrt(op.norm_sq(u))
-        return u
+        u[:, mask] = 0.0
+        return u / norm(u)
 
     best = 0.0
     for _ in range(trials):
         u = random_start()
         for _ in range(uq.POWER_ITERATIONS):
-            tu = _apply(op, u)
-            g = _apply_adjoint(op, tu)
-            ng = np.sqrt(op.norm_sq(g))
+            tu = apply(u)
+            g = apply_adjoint(tu)
+            ng = norm(g)
             if ng == 0:
                 break
             u = g / ng
-        best = max(best, float(np.sqrt(op.norm_sq(tu))))  # ||T u|| for the last step's unit u
+        best = max(best, norm(tu))  # ||T u|| for the last step's unit u
     converged_all = best < 1.0
     worst_iters = 0
     if converged_all:
         for _ in range(uq.FIXED_POINT_STARTS):
             w = random_start()
             it = 0
-            norm = 1.0
-            while norm > uq.FIXED_POINT_TOL and it < uq.FIXED_POINT_MAX_ITER:
-                w = -_apply(op, w)
-                norm = np.sqrt(op.norm_sq(w))
+            size = 1.0
+            while size > uq.FIXED_POINT_TOL and it < uq.FIXED_POINT_MAX_ITER:
+                w = -apply(w)
+                size = norm(w)
                 it += 1
             worst_iters = max(worst_iters, it)
-            if norm > uq.FIXED_POINT_TOL:
+            if size > uq.FIXED_POINT_TOL:
                 converged_all = False
     return uq.UcpReport(
         norm_estimate=best,
@@ -479,7 +498,7 @@ def _serial_spectral_check(grid, M, zeta, trials, seed):
         contraction_certified=best < 1.0,
         fixed_point_converged=converged_all,
         fixed_point_iterations=worst_iters,
-        clamped_modes=int(np.sum(op.mask)),
+        clamped_modes=int(np.sum(mask)),
     )
 
 
