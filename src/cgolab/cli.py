@@ -132,6 +132,7 @@ class Run:
         if self.out is None:  # the check commands write no directory
             return
         usage = resource.getrusage(resource.RUSAGE_SELF)  # the process so far; maxrss in KiB
+        threads = getattr(self.args, "threads", 1)  # run-cgo has no pool, so no --threads
         doc = {
             "command": self.args.command,
             "version": __version__,
@@ -144,8 +145,8 @@ class Run:
                 "numpy": np.__version__,
                 "fft": "numpy.fft",
                 "cpu_count": _usable_cpus(),  # the CPUs this process may run on
-                "fft_workers": 1 if self.args.threads > 1 else _split(self.grid.n)[0],
-                "threads": self.args.threads,
+                "fft_workers": 1 if threads > 1 else _split(self.grid.n)[0],
+                "threads": threads,
             },
             "resources": {
                 "peak_rss_mb": usage.ru_maxrss / 1024, "minor_faults": usage.ru_minflt,
@@ -365,10 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=_integer(0), default=None, help="seed override")
-        p.add_argument(
-            "--threads", type=_integer(1, _usable_cpus()), default=1,
-            help="sample-pool threads, at most the usable CPUs (run-decay, run-uniqueness, estimate-qnorm)",
-        )
+        if name in ("run-decay", "run-uniqueness", "estimate-qnorm"):  # the commands with a sample pool
+            p.add_argument("--threads", type=_integer(1, _usable_cpus()), default=1,
+                           help="sample-pool threads, at most the usable CPUs")
     return parser
 
 

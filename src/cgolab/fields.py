@@ -62,8 +62,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid.n must be a power of two >= 8, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"grid.length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:  # NaN fails both
+            raise ValueError(f"grid.length must be positive and finite, got {self.length}")
 
     @property
     def cell_volume(self) -> float:

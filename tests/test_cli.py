@@ -467,6 +467,22 @@ def test_check_commands_reject_out(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-algebra"],
+    ["check-calculus", "--config", "configs/reference_check.json"],
+    ["check-factorization", "--config", "configs/reference_check.json"],
+    ["run-cgo", "--config", "configs/reference_cgo.json"],
+])
+def test_commands_without_a_sample_pool_reject_threads(tmp_path, capsys, argv):
+    # --threads sizes a sample pool, and these commands have none
+    out = ["--out", str(tmp_path / "x")] if argv[0] == "run-cgo" else []  # the check commands reject --out too
+    with pytest.raises(SystemExit) as exc:
+        main(argv + out + ["--threads", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_commands_reject_json(tmp_path, capsys):
     # only the check commands print a report, so only they take --json
     with pytest.raises(SystemExit) as exc:
@@ -682,8 +698,11 @@ def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))
 def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
-    # two pool threads pass the --threads cap on a one-CPU host too
+    # two pool threads pass the --threads cap on a one-CPU host too; run-cgo, which has
+    # no pool, splits its 16^3 solve into 8 slabs of 2 rows over 1 or 2 usable CPUs instead
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    if kind == "cgo":
+        monkeypatch.setattr(fields, "SLAB_POINTS", 2**9)
     cfg = small_config(kind)
     if kind == "decay":
         cfg["geometry"]["lambda_list"] = [2.0, 4.0]
@@ -692,37 +711,45 @@ def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
     codes, manifests = [], []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        codes.append(main([RUN_COMMANDS[kind], "--config", path, "--out", str(out), "--threads", threads]))
+        flags = ["--threads", threads]
+        if kind == "cgo":
+            monkeypatch.setattr(fields, "_usable_cpus", lambda: int(threads))
+            flags = []
+        codes.append(main([RUN_COMMANDS[kind], "--config", path, "--out", str(out)] + flags))
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert codes[0] == codes[1]
     assert (tmp_path / "1/results.csv").read_bytes() == (tmp_path / "2/results.csv").read_bytes()
     for key in ("acceptance", "diagnostics"):  # as JSON text, so that NaN equals NaN
         assert json.dumps(manifests[0][key]) == json.dumps(manifests[1][key]), key
-    assert [m["environment"]["threads"] for m in manifests] == [1, 2]
-    assert all(m["environment"]["fft_workers"] == 1 for m in manifests)
+    counts = {name: [m["environment"][name] for m in manifests] for name in ("threads", "fft_workers")}
+    assert counts == ({"threads": [1, 1], "fft_workers": [1, 2]} if kind == "cgo"
+                      else {"threads": [1, 2], "fft_workers": [1, 1]})
 
 
 def test_a_split_run_cgo_reports_its_threads_and_writes_the_same_bytes(tmp_path, monkeypatch):
-    # 8 slabs of 2 rows split each 16^3 solve of --threads 1; --threads 2 solves on pool threads
+    # 8 slabs of 2 rows split the 16^3 solve over the usable CPUs, which the manifest's fft_workers names
     cfg = small_config("cgo")
     cfg["output"] = {"directory": str(tmp_path / "whole"), "save_fields": True}
     path = write(tmp_path, cfg)
     assert main(["run-cgo", "--config", path]) == 0
     monkeypatch.setattr(fields, "SLAB_POINTS", 2**9)
-    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    for threads, workers in (("1", 2), ("2", 1)):
-        out = tmp_path / threads
-        assert main(["run-cgo", "--config", path, "--out", str(out), "--threads", threads]) == 0
-        assert json.loads((out / "manifest.json").read_text())["environment"]["fft_workers"] == workers
+    parallel_map, workers = cgo._parallel_map, set()  # the thread counts the solve's maps ran on
+    monkeypatch.setattr(cgo, "_parallel_map", lambda fn, items, n: workers.add(n) or parallel_map(fn, items, n))
+    for cpus in (1, 2):
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+        out, workers = tmp_path / str(cpus), set()
+        assert main(["run-cgo", "--config", path, "--out", str(out)]) == 0
+        assert workers == {json.loads((out / "manifest.json").read_text())["environment"]["fft_workers"]} == {cpus}
         for name in ("results.csv", "fields.bin"):
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
 def test_seed_and_threads_out_of_range_exit_2_naming_the_flag(tmp_path, capsys):
     path = write(tmp_path, small_config("decay"))
-    for command in (["check-algebra"], ["run-decay", "--config", path, "--out", str(tmp_path / "o")]):
-        for flag, value in (("--seed", "-1"), ("--threads", "0"), ("--threads", "-2"), ("--threads", "x")):
+    seed, threads = [("--seed", "-1")], [("--threads", "0"), ("--threads", "-2"), ("--threads", "x")]
+    for command, flags in ((["check-algebra"], seed),
+                           (["run-decay", "--config", path, "--out", str(tmp_path / "o")], seed + threads)):
+        for flag, value in flags:
             with pytest.raises(SystemExit) as exc:
                 main(command + [flag, value])
             assert exc.value.code == 2

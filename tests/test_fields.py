@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -53,8 +54,9 @@ def test_grid_validation():
         Grid(12, 1.0)
     with pytest.raises(ValueError):
         Grid(4, 1.0)
-    with pytest.raises(ValueError):
-        Grid(16, -1.0)
+    for length in (-1.0, 0.0, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"grid.length must be positive and finite, got {length}"):
+            Grid(16, length)
     for shape in [(6, 16, 16, 16), (8, 16, 16, 8), (8,)]:
         with pytest.raises(ValueError, match=f"field values must have shape .* got {re.escape(str(shape))}"):
             FormField(GRID, np.zeros(shape, dtype=complex))
@@ -583,9 +585,12 @@ def test_snapshot_magic_and_version_are_checked(tmp_path):
     fields.save_field_bin(FormField.zero(GRID), binpath)
     data = binpath.read_bytes()
     version = (2).to_bytes(4, "little")  # the header's version word follows the magic
+    lengths = [data[:12] + struct.pack("<d", length) + data[20:]  # L, after the version and n words
+               for length in (float("inf"), float("nan"), 0.0)]
     for payload, message in ((b"XXXX" + data[4:], "bad magic b'XXXX'"),
                              (data[:4] + version + data[8:], r"unsupported snapshot layout \(version 2"),
-                             (data[:10], "snapshot is 10 bytes, shorter than its 24-byte header")):
+                             (data[:10], "snapshot is 10 bytes, shorter than its 24-byte header"),
+                             *((payload, "grid.length must be positive and finite") for payload in lengths)):
         binpath.write_bytes(payload)
         with pytest.raises(ValueError, match=message):
             fields.load_field_bin(binpath)
