@@ -138,7 +138,7 @@ def _cov_product(table, c, u, grades=None, out=None):
     The entries are read from the live table on every call (a dozen of
     its 192), so a corrupted sign reaches the product.  With ``grades``
     only the blades of u of those grades enter, as if u had been passed
-    through :func:`grade_select` first.
+    through :func:`grade_select` first.  u may be a dict of the blades that enter.
 
     With ``out`` (8 blades: an array with leading axis 8, a list of 8 blade
     arrays, or a dict of them) the product is formed there in place of a new array.
@@ -146,13 +146,13 @@ def _cov_product(table, c, u, grades=None, out=None):
     summed from +0.0 as in a new array, and the others may be None.
     """
     c = np.asarray(c)
-    u = np.asarray(u)
+    u = u if isinstance(u, dict) else dict(enumerate(np.asarray(u)))  # blade index -> blade
     if grades is not None and np.isscalar(grades):
         grades = (grades,)
     entries = [(j, b, k) for j, b, k in zip(*np.nonzero(table))
                if grades is None or GRADES[b] in grades]
-    shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
-    term = np.empty(shape, dtype=np.result_type(table, c, u))  # each c[j] * u[b]
+    shape = np.broadcast_shapes(c.shape[1:], *map(np.shape, u.values()))
+    term = np.empty(shape, dtype=np.result_type(table, c, *u.values()))  # each c[j] * u[b]
     if out is None:
         out = np.zeros((8,) + shape, dtype=term.dtype)
     else:

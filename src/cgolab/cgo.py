@@ -20,6 +20,7 @@ from .fields import (
     ClampedSymbol,
     ClampReport,
     FormField,
+    Grid,
     _forward,
     _inverse,
     _parallel_map,
@@ -214,7 +215,9 @@ def incidence_residual(zeta, k: float, amp: np.ndarray) -> float:
 class CgoSolution:
     """Converged A + R, the periodic factor of the CGO field, plus solver diagnostics."""
 
-    total: FormField  # A + R, 8 blades; +0.0 on the blades of the block that was not solved
+    grid: Grid
+    grades: tuple[int, ...]  # the solved block: (0, 1), (2, 3) or both
+    values: np.ndarray  # A + R on the blades of grade_block(grades) alone
     zeta: np.ndarray
     iterations: int
     residual: float
@@ -225,6 +228,15 @@ class CgoSolution:
     clamped_defect: float
     deltas: list[float]  # per iteration: +1/2-norm of the remainder update
     residuals: list[float]  # per iteration: -1/2-norm of the forcing update
+
+    @property
+    def total(self) -> FormField:
+        """A + R on 8 blades, formed on each read: +0.0 on the blades of the block not solved."""
+        if len(self.values) == 8:  # both blocks: values itself, not a copy
+            return FormField(self.grid, self.values)
+        values = np.zeros((8,) + self.values.shape[1:], dtype=complex)
+        values[grade_block(self.grades)] = self.values
+        return FormField(self.grid, values)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a norm, checked below
@@ -243,16 +255,16 @@ def solve_cgo(
     over the unclamped frequencies; only the stopping test, residual <
     tol (||Q A||_{-1/2} + 1), is relative.
 
-    Q maps the grade blocks (0, 1) and (2, 3) each into themselves and
-    the resolvent acts blade by blade, so the iteration runs on the
-    blades of the block that holds the amplitude (both blocks when the
-    amplitude has parts in each).  It allocates two block buffers, the
-    newest forcing and the one before it, and A + R, into which each
-    step's R is transformed and which it returns, before the first
-    iteration: a remainder is the forcing before it over -p, formed
-    again where it is read.  A forcing norm, step norm or
-    residual that is not finite raises DivergenceError at once.  On grids
-    that ``fields._split`` splits, every stage runs on the usable CPUs.
+    Q maps the grade blocks (0, 1) and (2, 3) each into themselves and the
+    resolvent acts blade by blade, so the iteration runs on the blades of the
+    block that holds the amplitude (both blocks when the amplitude has parts
+    in each).  It allocates three arrays of the block's blades before the
+    first iteration: the newest forcing, the one before it, and A + R, into
+    which each step's R is transformed and which the solution holds (``total``
+    forms 8 blades where read).  A remainder is the forcing before it over -p,
+    formed again where it is read.  A forcing norm, step norm or residual that
+    is not finite raises DivergenceError at once.  On grids that
+    ``fields._split`` splits, every stage runs on the usable CPUs.
     """
     grid = dm.grid
     zeta = np.asarray(zeta, dtype=complex)
@@ -263,16 +275,16 @@ def solve_cgo(
     grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
     blk = grade_block(grades)
     blades, shape = range(blk.stop - blk.start), (grid.n,) * 3  # the indices of the block's blades
-    fhat, older = (np.zeros((len(blades),) + shape, complex) for _ in range(2))  # R = 0 is -older / p
-    total = FormField(grid, np.zeros((8,) + shape, complex))  # A + R, on the block
-    total_blk, amp_blk = total.values[blk], amplitude[blk].reshape(-1, 1, 1, 1)
-    total_blk += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
+    # the newest forcing, the one before it (R = 0 is -older / p) and A + R, on the block
+    fhat, older, values = (np.zeros((len(blades),) + shape, complex) for _ in range(3))
+    amp_blk = amplitude[blk].reshape(-1, 1, 1, 1)
+    values += amp_blk  # the A + R of R = 0: +0.0 where A holds -0.0, as 0 + A has it
     workers, slabs = _split(grid.n)  # split: pointwise stages on slabs, transforms on blades
     # a split solve forms its Hessian here, before its tasks: formed in one, 64^3 peak memory rose ~5% (ROADMAP item 9)
     [getattr(dm, h) for l, h in ((1, "hess_b"), (2, "hess_a")) if l in grades and workers > 1]
 
     def forward_potential(out):  # the transform of Q (A + R) on the block, into out
-        _parallel_map(lambda rows: potential(total, dm, grades, out[:, rows], rows), slabs, workers)
+        _parallel_map(lambda rows: potential(values, dm, grades, out[:, rows], rows), slabs, workers)
         _parallel_map(lambda b: _forward(out[b], out[b]), blades, workers)
         return out
 
@@ -287,9 +299,13 @@ def solve_cgo(
         return value
 
     def step(rows):  # per blade: R_k = -fhat / p over older, and R_k - R_{k-1} as R_k + older / p
+        change = np.empty_like(older[0, rows])  # one blade of the slab, read before the next is formed
         for f, o in zip(fhat[:, rows], older[:, rows]):
-            change = sym.inverse(o, rows=rows)
+            sym.inverse(o, out=change, rows=rows)
             yield np.add(sym.inverse(np.negative(f, out=o), out=o, rows=rows), change, out=change)
+
+    def update(rows):  # per blade: F_k - F_{k-1}, into one blade of the slab (np.subtract's third argument is out)
+        return map(np.subtract, fhat[:, rows], older[:, rows], [np.empty_like(fhat[0, rows])] * len(fhat))
 
     fhat = forward_potential(fhat)
     forcing_norm = norm(fhat, -0.5, "forcing norm")
@@ -312,9 +328,9 @@ def solve_cgo(
                                f"{DIVERGENCE_PATIENCE} iterations); the conjugation parameter is too small "
                                "for this medium")
         # R goes straight into A + R; R + A has the bits of A + R
-        _parallel_map(lambda b: np.add(_inverse(older[b], total_blk[b]), amp_blk[b], out=total_blk[b]), blades, workers)
+        _parallel_map(lambda b: np.add(_inverse(older[b], values[b]), amp_blk[b], out=values[b]), blades, workers)
         fhat, older = forward_potential(older), fhat
-        residual = norm(lambda r: map(np.subtract, fhat[:, r], older[:, r]), -0.5, "residual")
+        residual = norm(update, -0.5, "residual")
         residuals.append(residual)
 
     if not converged:
@@ -326,17 +342,10 @@ def solve_cgo(
     clamped[blk] = fhat[:, sym.mask]
     zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(clamped) ** 2)))
     return CgoSolution(
-        total=total,
-        zeta=zeta,
-        iterations=iterations,
-        residual=residual,
+        grid=grid, grades=grades, values=values, zeta=zeta, iterations=iterations, residual=residual,
         remainder_norm=sym.norm(sym.inverse(np.negative(older, out=older), out=older), 0.5),
-        forcing_norm=forcing_norm,
-        contraction=contraction,
-        clamp=clamp,
-        clamped_defect=zero_mode,
-        deltas=deltas,
-        residuals=residuals,
+        forcing_norm=forcing_norm, contraction=contraction, clamp=clamp, clamped_defect=zero_mode,
+        deltas=deltas, residuals=residuals,
     )
 
 

@@ -64,6 +64,9 @@ class Grid:
             raise ValueError(f"grid.n must be a power of two >= 8, got {self.n}")
         if not 0 < self.length < np.inf:  # NaN fails both
             raise ValueError(f"grid.length must be positive and finite, got {self.length}")
+        with np.errstate(over="ignore"):  # a float64 cube past the float range is inf, where Python's ** raises
+            if not all(0 < np.float64(x) ** 3 < np.inf for x in (self.length, self.length / self.n)):
+                raise ValueError(f"grid.length {self.length} puts the volume or cell volume outside the float range")
 
     @property
     def cell_volume(self) -> float:

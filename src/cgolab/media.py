@@ -354,7 +354,7 @@ def grade_block(grades) -> slice:
     return _CLOSED_BLOCKS[key]
 
 
-def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=None, rows=slice(None)):
+def _potential(w, dm: DerivedMedium, transpose: bool, grades, out=None, rows=slice(None)):
     """The potential or, with ``transpose``, its transpose, on the blades of
     the block of ``grades``: the grade multipliers; the Hessian terms 2 H_b w^1
     and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2 for the
@@ -362,14 +362,14 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
     wedged with w^l into grade l + 1, for the even grade l of the block, or
     for l = 1 with the contraction negated in the transpose.
 
-    ``out`` and ``rows`` are those of :func:`potential`.
+    ``w``, ``out`` and ``rows`` are those of :func:`potential`.
     """
     blk = grade_block(grades)
-    wv = w.values[:, rows]
-    shape = wv.shape[1:]
+    wv = w.values[:, rows] if isinstance(w, FormField) else dict(enumerate(w[:, rows], blk.start))
+    shape = wv[blk.start].shape
     field = None
     if out is None:
-        field = np.zeros_like(wv)
+        field = np.zeros((8,) + shape, dtype=complex)
         out = field[blk]
     elif out.shape != (blk.stop - blk.start,) + shape:
         raise ValueError(f"out must have shape {(blk.stop - blk.start,) + shape}, got {out.shape}")
@@ -400,29 +400,31 @@ def _potential(w: FormField, dm: DerivedMedium, transpose: bool, grades, out=Non
         return np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
 
     mult = dm.grade_multipliers[:, rows]
-    h, p, term = np.empty((3,) + shape, dtype=complex)  # a Hessian row, a blade, a product
+    h, term = np.empty((2,) + shape, dtype=complex)  # a Hessian row, then the blade; a product
     for l in block:
         for k, b in enumerate(_BLADES_OF[l]):
-            np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=p)
             if l == 1:
-                p += _hess_row(getattr(dm, hess1)[:, rows], w1, k, h, term)
+                _hess_row(getattr(dm, hess1)[:, rows], w1, k, h, term)
             elif l == 2:  # the star of the Hessian image, back on blades 4..6
                 row = _hess_row(getattr(dm, hess2)[:, rows], star_w2, _STAR1_SRC[k], h, term)
-                p += np.multiply(_STAR1_SIGN[k], row, out=h)
+                np.multiply(_STAR1_SIGN[k], row, out=h)
+            np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=term)
+            if l in (1, 2):
+                term += h
             if b in add:
-                add[b](p, res[b], out=res[b])
+                add[b](term, res[b], out=res[b])
             else:
-                np.copyto(res[b], p)
-    return out if field is None else FormField(w.grid, field)
+                np.copyto(res[b], term)
+    return out if field is None else FormField(dm.grid, field)
 
 
-def potential(w: FormField, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, rows=slice(None)):
+def potential(w, dm: DerivedMedium, grades=(0, 1, 2, 3), out=None, rows=slice(None)):
     """Zeroth-order potential as a pointwise multiplication.
 
     The potential maps grades (0, 1) and grades (2, 3) each into
     themselves.  With ``grades`` a union of these blocks (see
     :func:`grade_block`) only their blades are read and written, and the
-    other blades of the result are zero.
+    other blades of the result are zero; ``w`` may be the block's blades alone.
 
     With ``out``, an array of the block's blades (shape (blades, n, n, n);
     any other shape raises ValueError), the block is written there and

@@ -109,12 +109,13 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     paired = solve_cgo(mp.dm2, geom.zeta2, amplitude_b(geom, pol), **solver)
     first = solve_cgo(mp.dm1, geom.zeta1, amplitude_a(geom, pol), **solver)
     v, w, clamps = paired.total, first.total, (first.clamp, paired.clamp)
+    del first  # w, its total, is formed once: the first solve's block goes before the contrast
     # Q2 w - Q1 w in one 8-blade field: Q1 w is formed one closed block at a time
     dq = potential(w, mp.dm2)
     part = np.empty_like(dq.values[:4])  # one block of Q1 w
     for grades in ((0, 1), (2, 3)):
         dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part)
-    del w, first, part
+    del w, part
     wave = plane_wave_scalar(mp.grid, geom.rho)
     value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq.values, v.values)))
     return PairingResult(value=value, clamps=clamps)

@@ -57,6 +57,11 @@ def test_grid_validation():
     for length in (-1.0, 0.0, float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match=f"grid.length must be positive and finite, got {length}"):
             Grid(16, length)
+    # the volume L^3 or the cell volume (L/n)^3 would leave the float range
+    for length in (1e300, 1e-300, 6e102):
+        with pytest.raises(ValueError, match=re.escape(f"grid.length {length} puts the volume or cell volume")):
+            Grid(8, length)
+    assert Grid(8, 5e102).volume == 5e102**3 and Grid(8, 1e-100).cell_volume == (1e-100 / 8) ** 3
     for shape in [(6, 16, 16, 16), (8, 16, 16, 8), (8,)]:
         with pytest.raises(ValueError, match=f"field values must have shape .* got {re.escape(str(shape))}"):
             FormField(GRID, np.zeros(shape, dtype=complex))
@@ -585,12 +590,17 @@ def test_snapshot_magic_and_version_are_checked(tmp_path):
     fields.save_field_bin(FormField.zero(GRID), binpath)
     data = binpath.read_bytes()
     version = (2).to_bytes(4, "little")  # the header's version word follows the magic
-    lengths = [data[:12] + struct.pack("<d", length) + data[20:]  # L, after the version and n words
-               for length in (float("inf"), float("nan"), 0.0)]
+
+    def with_length(length):  # L, after the version and n words
+        return data[:12] + struct.pack("<d", length) + data[20:]
+
     for payload, message in ((b"XXXX" + data[4:], "bad magic b'XXXX'"),
                              (data[:4] + version + data[8:], r"unsupported snapshot layout \(version 2"),
                              (data[:10], "snapshot is 10 bytes, shorter than its 24-byte header"),
-                             *((payload, "grid.length must be positive and finite") for payload in lengths)):
+                             *((with_length(length), "grid.length must be positive and finite")
+                               for length in (float("inf"), float("nan"), 0.0)),
+                             *((with_length(length), re.escape(f"grid.length {length} puts the volume"))
+                               for length in (1e300, 1e-300))):
         binpath.write_bytes(payload)
         with pytest.raises(ValueError, match=message):
             fields.load_field_bin(binpath)
