@@ -400,7 +400,7 @@ def _potential(w, dm: DerivedMedium, transpose: bool, grades, out=None, rows=sli
         return np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
 
     mult = dm.grade_multipliers[:, rows]
-    h, term = np.empty((2,) + shape, dtype=complex)  # a Hessian row, then the blade; a product
+    h, term = np.empty((2,) + shape, dtype=complex)  # a Hessian row; a product, then the blade
     for l in block:
         for k, b in enumerate(_BLADES_OF[l]):
             if l == 1:
