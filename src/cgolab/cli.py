@@ -91,6 +91,7 @@ class Run:
         self.timings: dict[str, float] = {}
         self.diagnostics: dict = {}
         self.acceptance: dict = {}  # a command sets its flags False before computing them
+        self.threads = 1  # the sample pool's size; run-cgo has no pool
 
     def load(self, needs: str | None = None):
         with self.stage("parse"):
@@ -109,6 +110,11 @@ class Run:
         _write(out, lambda path: path.mkdir(parents=True, exist_ok=True))
         self.out = out
         return geo
+
+    def pool(self) -> int:
+        """Size the command's sample pool: every usable CPU, or 1 where a solve on the grid splits over them."""
+        self.threads = 1 if _split(self.grid.n)[0] > 1 else _usable_cpus()
+        return self.threads
 
     @contextlib.contextmanager
     def stage(self, name: str):
@@ -132,7 +138,6 @@ class Run:
         if self.out is None:  # the check commands write no directory
             return
         usage = resource.getrusage(resource.RUSAGE_SELF)  # the process so far; maxrss in KiB
-        threads = getattr(self.args, "threads", 1)  # run-cgo has no pool, so no --threads
         doc = {
             "command": self.args.command,
             "version": __version__,
@@ -145,8 +150,8 @@ class Run:
                 "numpy": np.__version__,
                 "fft": "numpy.fft",
                 "cpu_count": _usable_cpus(),  # the CPUs this process may run on
-                "fft_workers": 1 if threads > 1 else _split(self.grid.n)[0],
-                "threads": threads,
+                "fft_workers": 1 if self.threads > 1 else _split(self.grid.n)[0],
+                "threads": self.threads,
             },
             "resources": {
                 "peak_rss_mb": usage.ru_maxrss / 1024, "minor_faults": usage.ru_minflt,
@@ -221,7 +226,8 @@ def cmd_run_cgo(run: Run) -> int:
     ]])
     if run.cfg.output.save_fields:
         with run.stage("write"):
-            remainder = fields.FormField(run.grid, sol.total.values - amp.reshape(8, 1, 1, 1))  # R = (A + R) - A
+            remainder = sol.total  # a fresh array, as the amplitude fills one block: R = (A + R) - A in place
+            remainder.values -= amp.reshape(8, 1, 1, 1)
             _write(run.out / "fields.bin", lambda path: fields.save_field_bin(remainder, path))
     run.diagnostics = {
         "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
@@ -248,7 +254,7 @@ def cmd_run_decay(run: Run) -> int:
     with run.stage("solve"):
         study = decay_study(
             dm, run.rho, geo.polarization, geo.lambda_list, n_samples=n_samples,
-            seed=run.seed, workers=run.args.threads, **run.solver,
+            seed=run.seed, workers=run.pool(), **run.solver,
         )
     header = ["lambda", "s", "eta_angle", "iterations", "residual",
               "remainder_norm", "forcing_norm", "clamped_fraction"]
@@ -278,7 +284,7 @@ def cmd_run_uniqueness(run: Run) -> int:
     with run.stage("solve"):
         result = convergence_experiment(
             mp, run.rho, geo.polarization, geo.s_list, run.eta1, run.eta2,
-            workers=run.args.threads, **run.solver,
+            workers=run.pool(), **run.solver,
         )
     run.write_csv(
         ["s", "pairing_re", "pairing_im", "target_re", "target_im", "abs_error"],
@@ -310,7 +316,7 @@ def cmd_estimate_qnorm(run: Run) -> int:
         return [s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term]
 
     with run.stage("solve"):
-        rows = _parallel_map(row, geo.s_list, run.args.threads)
+        rows = _parallel_map(row, geo.s_list, run.pool())
     estimates = [r[2] for r in rows]
     run.write_csv(["s", "zeta_mag", "estimate", "h", "smooth_term", "rough_term"], rows)
     decreasing = strictly_decreasing(estimates)
@@ -334,16 +340,12 @@ COMMANDS = {
 }
 
 
-def _integer(minimum: int, maximum: int | None = None):
-    """argparse type of an integer flag; a bad value exits 2 naming the flag."""
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
-    return integer
+def seed(text: str) -> int:
+    """argparse type of --seed, an integer of at least 0; a bad value exits 2 naming the flag."""
+    value = int(text)  # argparse reports a ValueError as "invalid seed value"
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,10 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true", help="machine-readable report")
         else:
             p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=_integer(0), default=None, help="seed override")
-        if name in ("run-decay", "run-uniqueness", "estimate-qnorm"):  # the commands with a sample pool
-            p.add_argument("--threads", type=_integer(1, _usable_cpus()), default=1,
-                           help="sample-pool threads, at most the usable CPUs")
+        p.add_argument("--seed", type=seed, default=None, help="seed override")
     return parser
 
 

@@ -356,12 +356,11 @@ class ClampedSymbol:
         self.grid = grid
         self.floor = default_floor(grid)
         self.mask = np.abs(p) < self.floor
-        self._clamped = np.nonzero(self.mask)  # their indices, so that inverse zeros them without a scan of the mask
-        self.divisor = np.where(self.mask, 1.0, p)
-        # |divisor| is |p| >= floor off the mask and 1 on it, which is zeroed
+        self.divisor = np.where(self.mask, np.inf, p)  # a finite c / (inf + 0j) is 0, with no floating-point flag
+        # |divisor| is |p| >= floor off the mask and inf on it, so the -1/2 weight is 0 there already
         absp = np.abs(self.divisor)
         inv = np.reciprocal(absp)
-        absp[self.mask] = inv[self.mask] = 0.0
+        absp[self.mask] = 0.0
         self._weights = {0.5: absp, -0.5: inv}
 
     def weight(self, b: float) -> np.ndarray:
@@ -382,11 +381,7 @@ class ClampedSymbol:
     def inverse(self, coeffs: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
         """coeffs / p over the trailing frequency axes, 0 on the clamped modes,
         into ``out`` when given (which may be coeffs), on ``rows`` of the first frequency axis."""
-        out = np.divide(coeffs, self.divisor[rows], out=out)
-        (start, stop, _), (i, j, k) = rows.indices(self.grid.n), self._clamped
-        on = (start <= i) & (i < stop)
-        out[..., i[on] - start, j[on], k[on]] = 0.0
-        return out
+        return np.divide(coeffs, self.divisor[rows], out=out)
 
     def report(self) -> ClampReport:
         """Clamp count against :func:`default_clamp_threshold`."""
@@ -527,7 +522,7 @@ def save_field_bin(f: FormField, path) -> None:
     header = _BIN_MAGIC + struct.pack("<IIdI", _BIN_VERSION, f.grid.n, f.grid.length, 8)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<c16").data)  # the array's own buffer, not a copy
 
 
 def load_field_bin(path) -> FormField:

@@ -332,8 +332,7 @@ def ucp_contraction_check(
     reported as inconclusive.  Each phase draws its starts here, in order,
     cuts each to the support box at once, runs them on min(starts, usable
     CPUs) threads and reduces them with max and all: the report's bits do
-    not depend on the thread count.  No command calls the certificate, so
-    ``--threads`` sizes only the sample pools.
+    not depend on the thread count.  No command calls the certificate.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -181,11 +181,23 @@ def test_library_and_config_solver_defaults_agree():
     assert asdict(parse_config(doc).solver) == defaults
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_config_sketch_parses():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     sketch = readme.split("### Config sketch", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     cfg = parse_config(json.loads(sketch))
     assert cfg.geometry.s == 32.0 and len(cfg.media) == 1
+
+
+def test_readme_command_lines_parse():
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("cgolab ")]
+    assert sorted(words[0] for words in lines) == sorted(cli.COMMANDS)
+    for words in lines:  # an optional flag is shown in brackets
+        build_parser().parse_args([word.strip("[]") for word in words])  # a SystemExit fails the test
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -472,10 +484,13 @@ def test_check_commands_reject_out(tmp_path, capsys, argv):
     ["check-calculus", "--config", "configs/reference_check.json"],
     ["check-factorization", "--config", "configs/reference_check.json"],
     ["run-cgo", "--config", "configs/reference_cgo.json"],
+    ["run-decay", "--config", "configs/reference_decay.json"],
+    ["run-uniqueness", "--config", "configs/reference_uniqueness.json"],
+    ["estimate-qnorm", "--config", "configs/reference_qnorm.json"],
 ])
-def test_commands_without_a_sample_pool_reject_threads(tmp_path, capsys, argv):
-    # --threads sizes a sample pool, and these commands have none
-    out = ["--out", str(tmp_path / "x")] if argv[0] == "run-cgo" else []  # the check commands reject --out too
+def test_every_command_rejects_threads(tmp_path, capsys, argv):
+    # the grid sizes a command's sample pool (Run.pool), so no command takes a thread count
+    out = [] if argv[0].startswith("check-") else ["--out", str(tmp_path / "x")]  # the check commands reject --out too
     with pytest.raises(SystemExit) as exc:
         main(argv + out + ["--threads", "1"])
     assert exc.value.code == 2
@@ -514,7 +529,7 @@ def test_run_cgo_outputs(tmp_path, monkeypatch):
     assert manifest["environment"]["fft_workers"] == manifest["environment"]["threads"] == 1
     assert {"python", "numpy", "fft"} <= set(manifest["environment"])
     assert manifest["environment"]["fft"] == "numpy.fft"
-    assert manifest["environment"]["cpu_count"] == cpus  # the count that caps --threads
+    assert manifest["environment"]["cpu_count"] == cpus  # the usable CPUs, which size the sample pools and the split
     snapshot = fields.load_field_bin(out / "fields.bin")
     assert snapshot.grid.n == 16
     # the snapshot is R = (A + R) - A of the same solve
@@ -648,16 +663,16 @@ def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
     cfg["sampling"] = {"n_samples": 8, "seed": 77}
     path = write(tmp_path, cfg)
     assert main(["run-decay", "--config", path, "--out", str(tmp_path / "ok")]) == 0
-    solve = cgo.solve_cgo
-    calls = []
+    # the plan's second sample fails, picked by its s, since the pool runs samples in no fixed order
+    second = cgo.sample_plan(cfg["geometry"]["lambda_list"], 8, 77)[1][1]
+    make_geometry = cgo.make_geometry
 
-    def second_solve_diverges(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
+    def second_sample_diverges(rho, eta1, eta2, s, *args, **kwargs):
+        if s == second:
             raise DivergenceError("forced divergence", diagnostics={"contraction": 1.5})
-        return solve(*args, **kwargs)
+        return make_geometry(rho, eta1, eta2, s, *args, **kwargs)
 
-    monkeypatch.setattr(cgo, "solve_cgo", second_solve_diverges)
+    monkeypatch.setattr(cgo, "make_geometry", second_sample_diverges)
     assert main(["run-decay", "--config", path, "--out", str(tmp_path / "one")]) == 0
     manifest = json.loads((tmp_path / "one/manifest.json").read_text())
     rows = (tmp_path / "one/results.csv").read_text().splitlines()
@@ -673,20 +688,18 @@ def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
 
 
 def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):
-    # 8 of 40 samples fail, within the failure fraction, but all at lambda = 1
+    # 8 of 40 samples fail, within the failure fraction, but all at lambda = 1: the ones with s in [1, 2)
     cfg = small_config("decay")
     cfg["geometry"]["lambda_list"] = [1.0, 2.0, 4.0, 8.0, 16.0]
     cfg["sampling"] = {"n_samples": 8, "seed": 3}
-    solve = cgo.solve_cgo
-    calls = []
+    make_geometry = cgo.make_geometry
 
-    def first_calls_diverge(*args, **kwargs):
-        calls.append(None)
-        if len(calls) <= 8:
+    def lambda_1_diverges(rho, eta1, eta2, s, *args, **kwargs):
+        if s < 2.0:
             raise DivergenceError("forced divergence")
-        return solve(*args, **kwargs)
+        return make_geometry(rho, eta1, eta2, s, *args, **kwargs)
 
-    monkeypatch.setattr(cgo, "solve_cgo", first_calls_diverge)
+    monkeypatch.setattr(cgo, "make_geometry", lambda_1_diverges)
     out = tmp_path / "o"
     assert main(["run-decay", "--config", write(tmp_path, cfg), "--out", str(out)]) == EXIT_DIVERGENCE
     manifest = json.loads((out / "manifest.json").read_text())
@@ -696,11 +709,30 @@ def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):
     assert not (out / "results.csv").exists()
 
 
+def test_run_cgo_writes_fields_bin_holding_one_field(tmp_path, monkeypatch):
+    # R = (A + R) - A is formed in the total that the write stage reads, and written from its own buffer
+    solve = cli.solve_cgo
+
+    def solve_then_trace(*args, **kwargs):  # traced from the end of the solve to the end of the command
+        sol = solve(*args, **kwargs)
+        tracemalloc.start()
+        return sol
+
+    monkeypatch.setattr(cli, "solve_cgo", solve_then_trace)
+    cfg = reference_config("cgo")  # at 32^3, where the ufunc buffer of the subtraction is small beside a field
+    cfg["output"] = {"directory": str(tmp_path / "o"), "save_fields": True}
+    try:
+        assert main(["run-cgo", "--config", write(tmp_path, cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 32**3 * np.dtype(complex).itemsize) < 1.1
+
+
 @pytest.mark.parametrize("kind", sorted(RUN_COMMANDS))
 def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
-    # two pool threads pass the --threads cap on a one-CPU host too; run-cgo, which has
-    # no pool, splits its 16^3 solve into 8 slabs of 2 rows over 1 or 2 usable CPUs instead
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    # 1 or 2 usable CPUs, on any host: the pooled commands' 16^3 solves do not split, so their pool takes
+    # every CPU; run-cgo, which has no pool, splits its 16^3 solve into 8 slabs of 2 rows over them instead
     if kind == "cgo":
         monkeypatch.setattr(fields, "SLAB_POINTS", 2**9)
     cfg = small_config(kind)
@@ -709,13 +741,11 @@ def test_thread_count_changes_no_result(tmp_path, kind, monkeypatch):
         cfg["sampling"] = {"n_samples": 8, "seed": 77}
     path = write(tmp_path, cfg)
     codes, manifests = [], []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        flags = ["--threads", threads]
-        if kind == "cgo":
-            monkeypatch.setattr(fields, "_usable_cpus", lambda: int(threads))
-            flags = []
-        codes.append(main([RUN_COMMANDS[kind], "--config", path, "--out", str(out)] + flags))
+    for cpus in (1, 2):
+        out = tmp_path / str(cpus)
+        for module in (cli, fields):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
+        codes.append(main([RUN_COMMANDS[kind], "--config", path, "--out", str(out)]))
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert codes[0] == codes[1]
     assert (tmp_path / "1/results.csv").read_bytes() == (tmp_path / "2/results.csv").read_bytes()
@@ -744,32 +774,36 @@ def test_a_split_run_cgo_reports_its_threads_and_writes_the_same_bytes(tmp_path,
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
-def test_seed_and_threads_out_of_range_exit_2_naming_the_flag(tmp_path, capsys):
+def test_a_run_decay_whose_solves_split_runs_no_pool_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    # 8 slabs of 2 rows split each 16^3 solve over the usable CPUs, so the samples run one at a time
+    for module in (cli, fields):
+        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+    cfg = small_config("decay")
+    cfg["geometry"]["lambda_list"] = [2.0, 4.0]
+    cfg["sampling"] = {"n_samples": 8, "seed": 77}
+    path = write(tmp_path, cfg)
+    codes, environments, csvs = [], [], []
+    for slab_points in (fields.SLAB_POINTS, 2**9):
+        monkeypatch.setattr(fields, "SLAB_POINTS", slab_points)
+        out = tmp_path / str(slab_points)
+        codes.append(main(["run-decay", "--config", path, "--out", str(out)]))
+        environments.append(json.loads((out / "manifest.json").read_text())["environment"])
+        csvs.append((out / "results.csv").read_bytes())
+    assert codes[0] == codes[1] and csvs[0] == csvs[1]
+    assert [(env["threads"], env["fft_workers"]) for env in environments] == [(2, 1), (1, 2)]
+
+
+def test_seed_out_of_range_exits_2_naming_the_flag(tmp_path, capsys):
     path = write(tmp_path, small_config("decay"))
-    seed, threads = [("--seed", "-1")], [("--threads", "0"), ("--threads", "-2"), ("--threads", "x")]
-    for command, flags in ((["check-algebra"], seed),
-                           (["run-decay", "--config", path, "--out", str(tmp_path / "o")], seed + threads)):
-        for flag, value in flags:
+    for command in (["check-algebra"], ["run-decay", "--config", path, "--out", str(tmp_path / "o")]):
+        for value in ("-1", "x"):
             with pytest.raises(SystemExit) as exc:
-                main(command + [flag, value])
+                main(command + ["--seed", value])
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert f"argument {flag}:" in err and value in err
+            assert "argument --seed:" in err and value in err
             assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
-
-
-def test_threads_above_the_cpu_count_exit_2_naming_the_flag(capsys):
-    # parsed only: the pool that a command would size is never started
-    cpus = fields._usable_cpus()
-    parser = build_parser()
-    assert parser.parse_args(["run-decay", "--threads", str(cpus)]).threads == cpus
-    for value in (str(cpus + 1), "100000"):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["run-decay", "--threads", value])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --threads:" in err and f"must be <= {cpus}" in err and value in err
 
 
 def test_run_uniqueness_identical_media(tmp_path):
