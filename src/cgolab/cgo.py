@@ -226,7 +226,7 @@ class CgoSolution:
     contraction: float | None  # max of the last 3 step ratios; None if none was measured
     clamp: ClampReport
     clamped_defect: float
-    deltas: list[float]  # per iteration: +1/2-norm of the remainder update
+    deltas: list[float]  # per iteration: +1/2-norm of the remainder update, the -1/2-norm residual before it
     residuals: list[float]  # per iteration: -1/2-norm of the forcing update
 
     @property
@@ -262,8 +262,11 @@ def solve_cgo(
     first iteration: the newest forcing, the one before it, and A + R, into
     which each step's R is transformed and which the solution holds (``total``
     forms 8 blades where read).  A remainder is the forcing before it over -p,
-    formed again where it is read.  A forcing norm, step norm or residual that
-    is not finite raises DivergenceError at once.  On grids that
+    formed over that forcing blade by blade where it is read.  p^-1 is an
+    isometry from the -1/2 to the +1/2 norm and R_k - R_{k-1} = -p^-1 (F_{k-1}
+    - F_{k-2}), so each step norm in ``deltas`` is the residual before it (the
+    forcing norm first), which the loop already holds.  A forcing norm or residual
+    that is not finite raises DivergenceError at once.  On grids that
     ``fields._split`` splits, every stage runs on the usable CPUs.
     """
     grid = dm.grid
@@ -298,12 +301,6 @@ def solve_cgo(
             raise diverged(f"the {name} is not finite after {iterations} iterations")
         return value
 
-    def step(rows):  # per blade: R_k = -fhat / p over older, and R_k - R_{k-1} as R_k + older / p
-        change = np.empty_like(older[0, rows])  # one blade of the slab, read before the next is formed
-        for f, o in zip(fhat[:, rows], older[:, rows]):
-            sym.inverse(o, out=change, rows=rows)
-            yield np.add(sym.inverse(np.negative(f, out=o), out=o, rows=rows), change, out=change)
-
     def update(rows):  # per blade: F_k - F_{k-1}, into one blade of the slab (np.subtract's third argument is out)
         return map(np.subtract, fhat[:, rows], older[:, rows], [np.empty_like(fhat[0, rows])] * len(fhat))
 
@@ -317,7 +314,7 @@ def solve_cgo(
 
     while not (converged := residual < tol * (forcing_norm + 1.0)) and iterations < max_iter:
         iterations += 1
-        deltas.append(norm(step, 0.5, "step norm"))
+        deltas.append(residual)  # ||R_k - R_{k-1}||_{+1/2} = ||p^-1 (F_{k-1} - F_{k-2})||_{+1/2}, p^-1 an isometry
         if len(deltas) >= 2 and deltas[-2] > 0:
             ratios.append(deltas[-1] / deltas[-2])
             contraction = max(ratios[-min(3, len(ratios)):])
@@ -327,8 +324,9 @@ def solve_cgo(
                 raise diverged(f"Neumann iteration is not contracting (ratio {contraction:.3f} over the last "
                                f"{DIVERGENCE_PATIENCE} iterations); the conjugation parameter is too small "
                                "for this medium")
-        # R goes straight into A + R; R + A has the bits of A + R
-        _parallel_map(lambda b: np.add(_inverse(older[b], values[b]), amp_blk[b], out=values[b]), blades, workers)
+        # R_k = -fhat / p over older, then straight into A + R; R + A has the bits of A + R
+        _parallel_map(lambda b: np.add(_inverse(sym.inverse(np.negative(fhat[b], out=older[b]), out=older[b]),
+                                                values[b]), amp_blk[b], out=values[b]), blades, workers)
         fhat, older = forward_potential(older), fhat
         residual = norm(update, -0.5, "residual")
         residuals.append(residual)

@@ -237,7 +237,14 @@ def test_solve_is_bit_equal_to_the_pre_change_iteration(grid16, dm16):
             assert expected["iterations"] > 1
             total = constant(grid16, amp).values + expected.pop("remainder")
             assert np.array_equal(bits(sol.total.values), bits(total))
+            assert_step_norms(sol.deltas, expected.pop("deltas"))
             assert {key: getattr(sol, key) for key in expected} == expected
+
+
+def assert_step_norms(deltas, expected):
+    """A solve's deltas, each the residual before it, against the oracle's own step norms: equal to round-off."""
+    assert len(deltas) == len(expected)
+    np.testing.assert_allclose(deltas, expected, rtol=1e-9, atol=0.0)
 
 
 def test_iterations_allocate_nothing(grid16, dm16):
@@ -356,13 +363,15 @@ def test_a_split_solve_is_bit_equal_to_the_pre_change_iteration_and_the_whole_on
         total = constant(grid16, amp).values + expected.pop("remainder")
         assert np.array_equal(bits(sol.total.values), bits(total))
         assert np.array_equal(bits(sol.total.values), bits(one.total.values))
+        assert_step_norms(sol.deltas, expected.pop("deltas"))
+        assert [x.hex() for x in sol.deltas] == [x.hex() for x in one.deltas]
         assert {key: getattr(sol, key) for key in expected} == expected
         assert float_bits(vars(sol)) == float_bits(expected) == float_bits(vars(one))
 
 
 def float_bits(sol: dict) -> list[str]:
-    """The deltas, residuals and remainder norm of a solve's fields as exact hex strings."""
-    return [x.hex() for x in sol["deltas"] + sol["residuals"] + [sol["remainder_norm"]]]
+    """The residuals and remainder norm of a solve's fields as exact hex strings."""
+    return [x.hex() for x in sol["residuals"] + [sol["remainder_norm"]]]
 
 
 @pytest.mark.parametrize("whole", [True, False], ids=["whole", "split"])
@@ -381,7 +390,21 @@ def test_a_solve_of_an_amplitude_with_signed_zeros_is_bit_equal_to_the_pre_chang
         sol = cgo.solve_cgo(dm16, g.zeta1, amp, tol=1e-9)
         total = constant(grid16, amp).values + expected.pop("remainder")
         assert np.array_equal(bits(sol.total.values[blk]), bits(total[blk]))
+        assert_step_norms(sol.deltas, expected["deltas"])
         assert float_bits(vars(sol)) == float_bits(expected)
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "split"])
+def test_each_step_norm_is_the_residual_before_it(grid16, dm16, monkeypatch, whole):
+    # p^-1 is an isometry from the -1/2 to the +1/2 norm, so the solve records the residual it holds
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 16.0, dm16.k, grid=grid16)
+    if not whole:
+        force_split(monkeypatch)
+    for pol in cgo.Polarization:
+        for amp, zeta in ((cgo.amplitude_a(g, pol), g.zeta1), (cgo.amplitude_b(g, pol), g.zeta2)):
+            sol = cgo.solve_cgo(dm16, zeta, amp, tol=1e-9)
+            assert sol.iterations > 1
+            assert [x.hex() for x in sol.deltas] == [x.hex() for x in [sol.forcing_norm] + sol.residuals[:-1]]
 
 
 def test_a_split_solve_on_more_threads_than_cores_switching_often_keeps_its_bits(grid16, dm16, monkeypatch):
@@ -460,6 +483,7 @@ def test_solver_divergence_and_resonance(grid16, monkeypatch):
     with pytest.raises(DivergenceError) as err:
         cgo.solve_cgo(dm, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E))
     assert err.value.diagnostics["contraction"] >= 0.95
+    assert err.value.diagnostics["iterations"] == 4  # the first step with 3 ratios: none of them contracts
 
     monkeypatch.setattr(fields, "default_clamp_threshold", lambda grid: 1e-9)
     with pytest.raises(ResonantGridError):
