@@ -91,9 +91,8 @@ def zeta_sq(s: float, k: float, rho) -> float:
     return 2.0 * s * s + k * k + sum(float(r) * float(r) for r in rho) / 2.0
 
 
-def make_geometry(rho, eta1, eta2, s, k, grid=None) -> CgoGeometry:
-    """Validated geometry; rejects non-orthonormal frames and, when a grid
-    is supplied, rho off the frequency lattice."""
+def make_geometry(rho, eta1, eta2, s, k, grid) -> CgoGeometry:
+    """Validated geometry; rejects non-orthonormal frames and rho off the frequency lattice of ``grid``."""
     rho = np.asarray(rho, dtype=float)
     eta1 = np.asarray(eta1, dtype=float)
     eta2 = np.asarray(eta2, dtype=float)
@@ -110,7 +109,7 @@ def make_geometry(rho, eta1, eta2, s, k, grid=None) -> CgoGeometry:
             raise ValueError(f"{name} must be orthogonal to rho")
     if abs(np.dot(eta1, eta2)) > 1e-12:
         raise ValueError("eta1 and eta2 must be orthogonal")
-    if grid is not None and not grid.on_lattice(rho):
+    if not grid.on_lattice(rho):
         raise ValueError("rho must lie on the grid frequency lattice")
     return CgoGeometry(rho=rho, eta1=eta1, eta2=eta2, s=float(s), k=float(k))
 

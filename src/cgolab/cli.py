@@ -104,8 +104,7 @@ class Run:
         geo = cfg.geometry
         if geo is None or getattr(geo, needs) is None:
             raise ConfigError(f"geometry.{needs} is required for {self.args.command}")
-        self.rho = geo.rho(self.grid)
-        self.eta1, self.eta2 = orthonormal_frame(self.rho, geo.frame_angle())
+        self.eta1, self.eta2 = orthonormal_frame(geo.rho, geo.frame_angle)
         out = Path(self.args.out or cfg.output.directory)
         _write(out, lambda path: path.mkdir(parents=True, exist_ok=True))
         self.out = out
@@ -214,14 +213,14 @@ def cmd_run_cgo(run: Run) -> int:
     geo = run.load("s")
     run.acceptance["converged"] = False
     dm = run.derived()
-    geom = make_geometry(run.rho, run.eta1, run.eta2, geo.s, dm.k, grid=run.grid)
+    geom = make_geometry(geo.rho, run.eta1, run.eta2, geo.s, dm.k, grid=run.grid)
     amp = amplitude_a(geom, geo.polarization)
     with run.stage("solve"):
         sol = solve_cgo(dm, geom.zeta1, amp, **run.solver)
     header = ["s", "eta_angle", "iterations", "residual", "remainder_norm",
               "forcing_norm", "contraction", "clamped_fraction"]
     run.write_csv(header, [[
-        geo.s, geo.frame_angle(), sol.iterations, sol.residual, sol.remainder_norm,
+        geo.s, geo.frame_angle, sol.iterations, sol.residual, sol.remainder_norm,
         sol.forcing_norm, sol.contraction, sol.clamp.fraction,
     ]])
     if run.cfg.output.save_fields:
@@ -253,7 +252,7 @@ def cmd_run_decay(run: Run) -> int:
     dm = run.derived()
     with run.stage("solve"):
         study = decay_study(
-            dm, run.rho, geo.polarization, geo.lambda_list, n_samples=n_samples,
+            dm, geo.rho, geo.polarization, geo.lambda_list, n_samples=n_samples,
             seed=run.seed, workers=run.pool(), **run.solver,
         )
     header = ["lambda", "s", "eta_angle", "iterations", "residual",
@@ -283,7 +282,7 @@ def cmd_run_uniqueness(run: Run) -> int:
     run.acceptance[verdict] = False
     with run.stage("solve"):
         result = convergence_experiment(
-            mp, run.rho, geo.polarization, geo.s_list, run.eta1, run.eta2,
+            mp, geo.rho, geo.polarization, geo.s_list, run.eta1, run.eta2,
             workers=run.pool(), **run.solver,
         )
     run.write_csv(
@@ -311,7 +310,7 @@ def cmd_estimate_qnorm(run: Run) -> int:
     dm = run.derived()
 
     def row(s):
-        geom = make_geometry(run.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
+        geom = make_geometry(geo.rho, run.eta1, run.eta2, s, dm.k, grid=run.grid)
         est = q_norm_estimate(dm, geom.zeta1, seed=run.seed)
         return [s, geom.zeta1_mag, est.estimate, est.h, est.smooth_term, est.rough_term]
 

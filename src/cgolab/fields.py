@@ -378,10 +378,10 @@ class ClampedSymbol:
         _parallel_map(lambda rows: _weighted_sq(w[rows], slab(rows), modes[rows]), slabs, workers)
         return float(np.sqrt(self.grid.volume * np.sum(modes)))
 
-    def inverse(self, coeffs: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
+    def inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
         """coeffs / p over the trailing frequency axes, 0 on the clamped modes,
-        into ``out`` when given (which may be coeffs), on ``rows`` of the first frequency axis."""
-        return np.divide(coeffs, self.divisor[rows], out=out)
+        into ``out`` when given (which may be coeffs)."""
+        return np.divide(coeffs, self.divisor, out=out)
 
     def report(self) -> ClampReport:
         """Clamp count against :func:`default_clamp_threshold`."""

@@ -40,12 +40,13 @@ class Bump:
     """Smooth compactly supported radial bump, C-infinity in the box.
 
     Profile amplitude * exp(sharpness * (1 - 1/(1 - (r/radius)^2)))
-    inside radius, identically zero outside.
+    inside radius, identically zero outside; r is the distance from
+    ``center``, a point in box coordinates (runconfig adds the box centre).
     """
 
     amplitude: float
     radius: float
-    center: tuple | None = None
+    center: tuple
     sharpness: float = 1.0
 
 
@@ -55,8 +56,7 @@ def sample_bumps(grid: Grid, bumps) -> np.ndarray:
     x = grid.x if bumps else None  # formed once for all the bumps, and only for bumps
     total = np.zeros((grid.n,) * 3)
     for i, bump in enumerate(bumps):
-        center = np.asarray(bump.center if bump.center is not None else [grid.length / 2] * 3)
-        d2 = np.sum((x - center.reshape(3, 1, 1, 1)) ** 2, axis=0)
+        d2 = np.sum((x - np.reshape(bump.center, (3, 1, 1, 1))) ** 2, axis=0)
         inside = d2 < bump.radius**2  # d2 / radius**2 < 1, tested without dividing outside
         if not inside.any():
             raise ValueError(f"bump {i} holds no grid point within its radius {bump.radius!r}")

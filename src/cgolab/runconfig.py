@@ -108,19 +108,12 @@ class MediumConfig:
 
 @dataclass
 class GeometryConfig:
-    rho_index: tuple
-    frame_seed: int
+    rho: np.ndarray  # geometry.rho_index on the frequency lattice of the grid of the parse
+    frame_angle: float  # drawn once from geometry.frame_seed
     polarization: Polarization
     s: float | None = None
     s_list: list | None = None
     lambda_list: list | None = None
-
-    def rho(self, grid: Grid) -> np.ndarray:
-        return (2.0 * np.pi / grid.length) * np.asarray(self.rho_index, dtype=float)
-
-    def frame_angle(self) -> float:
-        rng = seeded_rng(self.frame_seed)
-        return float(rng.uniform(0.0, 2.0 * np.pi))
 
 
 # The defaults of the next three sections live in parse_config alone.
@@ -213,12 +206,13 @@ def _parse_geometry(doc, grid: Grid, medium: MediumConfig) -> GeometryConfig:
     if pol == Polarization.H and not any(rho_index):
         raise ConfigError(f"{path}.rho_index must be nonzero for H polarization")
 
+    frame_seed = _integer(doc.get("frame_seed", 0), f"{path}.frame_seed", minimum=0)
     cfg = GeometryConfig(
-        rho_index=rho_index,
-        frame_seed=_integer(doc.get("frame_seed", 0), f"{path}.frame_seed", minimum=0),
+        rho=(2.0 * np.pi / grid.length) * np.asarray(rho_index, dtype=float),
+        frame_angle=float(seeded_rng(frame_seed).uniform(0.0, 2.0 * np.pi)),
         polarization=pol,
     )
-    k, rho = medium.omega * math.sqrt(medium.eps0 * medium.mu0), cfg.rho(grid)
+    k, rho = medium.omega * math.sqrt(medium.eps0 * medium.mu0), cfg.rho
     if "s" in doc:
         cfg.s = _number(doc["s"], f"{path}.s", positive=True)
         if cfg.s < 1.0:

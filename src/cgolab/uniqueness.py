@@ -105,17 +105,15 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     equation); all factors are periodic.  ``solver`` holds the keyword
     arguments of both solves.  The paired solve, whose amplitude fills all
     8 blades, runs first, alone: when both would fail, its error is raised.
+    Q1 keeps each grade block and w lies on the first solve's, so Q1 w is formed there alone.
     """
     paired = solve_cgo(mp.dm2, geom.zeta2, amplitude_b(geom, pol), **solver)
     first = solve_cgo(mp.dm1, geom.zeta1, amplitude_a(geom, pol), **solver)
-    v, w, clamps = paired.total, first.total, (first.clamp, paired.clamp)
+    v, w, grades, clamps = paired.total, first.total, first.grades, (first.clamp, paired.clamp)
     del first  # w, its total, is formed once: the first solve's block goes before the contrast
-    # Q2 w - Q1 w in one 8-blade field: Q1 w is formed one closed block at a time
-    dq = potential(w, mp.dm2)
-    part = np.empty_like(dq.values[:4])  # one block of Q1 w
-    for grades in ((0, 1), (2, 3)):
-        dq.values[grade_block(grades)] -= potential(w, mp.dm1, grades, part)
-    del w, part
+    dq, blk = potential(w, mp.dm2), grade_block(grades)
+    dq.values[blk] -= potential(w, mp.dm1, grades, np.empty_like(dq.values[blk]))
+    del w
     wave = plane_wave_scalar(mp.grid, geom.rho)
     value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq.values, v.values)))
     return PairingResult(value=value, clamps=clamps)
@@ -174,6 +172,8 @@ def convergence_experiment(
         raise ValueError("s values must be a nonempty increasing list")
     rho = np.asarray(rho, dtype=float)
     target = scattering_target(mp, rho, pol)
+    # the Hessians the pairings read, formed here: formed in a pool task, one raised peak RSS ~10% (README)
+    [mp.dm2.hess_b, mp.dm2.hess_a, getattr(mp.dm1, "hess_b" if pol == Polarization.E else "hess_a")]
 
     def run(s):
         geom = make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid)

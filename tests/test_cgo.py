@@ -61,18 +61,18 @@ def test_geometry_rejections(grid16):
         cgo.make_geometry(RHO, e1, e2, 8.0, 1.0, grid=grid16)  # eta1 not orthogonal to rho
     ok1, ok2 = cgo.orthonormal_frame(RHO, 0.3)
     with pytest.raises(ValueError):
-        cgo.make_geometry(RHO, 1.1 * ok1, ok2, 8.0, 1.0)  # not unit
+        cgo.make_geometry(RHO, 1.1 * ok1, ok2, 8.0, 1.0, grid=grid16)  # not unit
     with pytest.raises(ValueError):
-        cgo.make_geometry(RHO, ok1, ok2, 0.5, 1.0)  # s below 1
+        cgo.make_geometry(RHO, ok1, ok2, 0.5, 1.0, grid=grid16)  # s below 1
     with pytest.raises(ValueError, match="float range"):
-        cgo.make_geometry(RHO, ok1, ok2, 1e160, 1.0)  # |zeta|^2 beyond the float range
-    assert np.isfinite(cgo.make_geometry(RHO, ok1, ok2, 6.7e153, 1.0).zeta1_mag)
+        cgo.make_geometry(RHO, ok1, ok2, 1e160, 1.0, grid=grid16)  # |zeta|^2 beyond the float range
+    assert np.isfinite(cgo.make_geometry(RHO, ok1, ok2, 6.7e153, 1.0, grid=grid16).zeta1_mag)
     with pytest.raises(ValueError):
         cgo.make_geometry(np.array([0.5, 0.0, 0.0]), ok1, ok2, 8.0, 1.0, grid=grid16)
     with pytest.raises(ValueError, match="k must be nonnegative"):
-        cgo.make_geometry(RHO, ok1, ok2, 8.0, -1.0)
+        cgo.make_geometry(RHO, ok1, ok2, 8.0, -1.0, grid=grid16)
     with pytest.raises(ValueError, match="eta1 and eta2 must be orthogonal"):
-        cgo.make_geometry(RHO, ok1, ok1, 8.0, 1.0)
+        cgo.make_geometry(RHO, ok1, ok1, 8.0, 1.0, grid=grid16)
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.7, np.pi / 2, 2.5, -1.2])
@@ -98,26 +98,26 @@ def test_amplitude_grades_and_incidence(grid16):
     for _ in range(100):
         rho = random_lattice_rho(rng, grid16)
         eta1, eta2 = cgo.orthonormal_frame(rho, rng.uniform(0, 2 * np.pi))
-        g = cgo.make_geometry(rho, eta1, eta2, float(rng.uniform(1, 50)), k)
+        g = cgo.make_geometry(rho, eta1, eta2, float(rng.uniform(1, 50)), k, grid=grid16)
         for pol in (cgo.Polarization.E, cgo.Polarization.H):
             amp = cgo.amplitude_a(g, pol)
             assert cgo.incidence_residual(g.zeta1, k, amp) <= 1e-12
     # E amplitude lives in grades {0, 1}
-    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.2), 4.0, k)
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.2), 4.0, k, grid=grid16)
     amp = cgo.amplitude_a(g, cgo.Polarization.E)
     assert np.max(np.abs(algebra.grade_select(amp, (2, 3)))) < 1e-15
 
 
-def test_incidence_fails_for_scalar_amplitude():
-    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.2), 8.0, 1.0)
+def test_incidence_fails_for_scalar_amplitude(grid16):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.2), 8.0, 1.0, grid=grid16)
     assert cgo.incidence_residual(g.zeta1, 1.0, blade(())) > 0.5
 
 
-def test_amplitude_limits():
+def test_amplitude_limits(grid16):
     eta1, eta2 = cgo.orthonormal_frame(RHO, 0.4)
     prev_gap = None
     for s in (1e2, 1e3, 1e4):
-        g = cgo.make_geometry(RHO, eta1, eta2, s, 1.0)
+        g = cgo.make_geometry(RHO, eta1, eta2, s, 1.0, grid=grid16)
         for pol in (cgo.Polarization.E, cgo.Polarization.H):
             amp = cgo.amplitude_a(g, pol)
             lim = cgo.limit_amplitude_a(g, pol)
@@ -127,7 +127,7 @@ def test_amplitude_limits():
             assert gap < prev_gap
         prev_gap = gap
     # E mode: A tends to -1 (unit magnitude), B to -1 + i eta2^eta1
-    g = cgo.make_geometry(RHO, eta1, eta2, 1e4, 1.0)
+    g = cgo.make_geometry(RHO, eta1, eta2, 1e4, 1.0, grid=grid16)
     lim_a = cgo.limit_amplitude_a(g, cgo.Polarization.E)
     assert lim_a[0] == pytest.approx(-1.0, abs=1e-12)
     assert algebra.form_abs(lim_a) == pytest.approx(1.0, abs=1e-12)
@@ -136,9 +136,9 @@ def test_amplitude_limits():
     assert np.max(np.abs(lim_b - expected)) < 1e-12
 
 
-def test_h_mode_limit_grades():
+def test_h_mode_limit_grades(grid16):
     eta1, eta2 = cgo.orthonormal_frame(RHO, 1.1)
-    g = cgo.make_geometry(RHO, eta1, eta2, 10.0, 1.0)
+    g = cgo.make_geometry(RHO, eta1, eta2, 10.0, 1.0, grid=grid16)
     lim_a = cgo.limit_amplitude_a(g, cgo.Polarization.H)
     # A limit for H is the volume-form combination -eta1 ^ eta2 ^ rho/|rho|
     e1, e2, unit = (algebra.one_form(c) for c in (eta1, eta2, RHO / np.linalg.norm(RHO)))
@@ -475,8 +475,8 @@ def test_split_solves_start_no_new_thread(grid16, dm16, split):
 def test_solver_divergence_and_resonance(grid16, monkeypatch):
     steep = md.Medium.from_bumps(
         grid16, omega=1.0,
-        eps_bumps=[md.Bump(6.0, 1.4, sharpness=2.0)],
-        mu_bumps=[md.Bump(5.0, 1.3, sharpness=2.0)],
+        eps_bumps=[md.Bump(6.0, 1.4, (grid16.length / 2,) * 3, sharpness=2.0)],
+        mu_bumps=[md.Bump(5.0, 1.3, (grid16.length / 2,) * 3, sharpness=2.0)],
     )
     dm = md.derive(steep)
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 1.0, dm.k, grid=grid16)

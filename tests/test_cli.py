@@ -534,8 +534,8 @@ def test_run_cgo_outputs(tmp_path, monkeypatch):
     assert snapshot.grid.n == 16
     # the snapshot is R = (A + R) - A of the same solve
     run = parse_config(cfg)
-    dm, geo, rho = derive(run.medium(0).build(run.grid)), run.geometry, run.geometry.rho(run.grid)
-    geom = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, geo.frame_angle()), geo.s, dm.k,
+    dm, geo, rho = derive(run.medium(0).build(run.grid)), run.geometry, run.geometry.rho
+    geom = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, geo.frame_angle), geo.s, dm.k,
                              grid=run.grid)
     amp = cgo.amplitude_a(geom, geo.polarization)
     sol = cgo.solve_cgo(dm, geom.zeta1, amp, **asdict(run.solver))

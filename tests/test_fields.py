@@ -736,6 +736,54 @@ def test_every_public_library_name_has_a_reader():
     assert sorted(set(UNREFERENCED_BY_DESIGN) - set(public)) == []  # no stale entries
 
 
+#: parameters of public library functions that no call in src/ or perfbench/
+#: passes, each kept for a reason outside those callers
+UNPASSED_BY_DESIGN = {
+    "first_order(zeta)": "the conjugated operator, which ROADMAP item 3's stage B and items 19 and 21 apply",
+    "main(argv)": "the tests drive the CLI in process",
+}
+
+
+def test_every_parameter_has_a_caller():
+    # a parameter of a public function of src/, or of a public method of a
+    # public class, is passed by keyword or position by at least one of the
+    # calls to it in src/ or perfbench/, if there are any; calls match by
+    # name, methods by attribute name alone, and a call with *args or
+    # **kwargs passes every parameter
+    src = sorted(Path(fields.__file__).parent.glob("*.py"))
+    bench = sorted((Path(fields.__file__).parents[2] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in src + bench}
+    calls = {}  # called name -> its ast.Call nodes
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)), []).append(node)
+
+    def passes(call, positional, name):
+        keywords = {k.arg for k in call.keywords}
+        if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+            return True  # **kwargs or *args
+        return name in keywords or (name in positional and positional.index(name) < len(call.args))
+
+    unpassed = []
+    for path in src:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            members = [m for m in node.body if isinstance(m, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if fn.name.startswith("_") or not calls.get(fn.name):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+                if fn is not node and not static:
+                    positional = positional[1:]  # self or cls
+                qualname = fn.name if fn is node else f"{node.name}.{fn.name}"
+                unpassed += [f"{qualname}({name})" for name in positional + [a.arg for a in fn.args.kwonlyargs]
+                             if not any(passes(call, positional, name) for call in calls[fn.name])]
+    assert sorted(unpassed) == sorted(UNPASSED_BY_DESIGN)  # nothing unpassed outside the list, and no stale entries
+
+
 def test_importing_the_library_loads_no_scipy():
     code = (
         "import sys; import cgolab, cgolab.cli; "

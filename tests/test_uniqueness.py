@@ -64,6 +64,22 @@ def test_identical_media_pairing_vanishes(grid16, pair16):
     assert abs(res.value) < 1e-12
 
 
+@pytest.mark.parametrize("pol", list(cgo.Polarization))
+@pytest.mark.parametrize("index", [(1, 0, 0), (2, 0, 0)])
+@pytest.mark.parametrize("s", [8.0, 32.0])
+def test_the_pairing_keeps_the_bits_of_the_direct_expression(grid16, pair16, pol, index, s):
+    # the quadrature of e_(i rho) <Q2 w - Q1 w, v> with both potentials formed
+    # on all 8 blades of w, the first solve's total, and v the paired one's
+    rho = (2.0 * np.pi / grid16.length) * np.asarray(index, dtype=float)
+    g = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, 0.7), s, pair16.k, grid=grid16)
+    got = uq.pairing(pair16, g, pol).value
+    v = cgo.solve_cgo(pair16.dm2, g.zeta2, cgo.amplitude_b(g, pol)).total
+    w = cgo.solve_cgo(pair16.dm1, g.zeta1, cgo.amplitude_a(g, pol)).total
+    dq = md.potential(w, pair16.dm2).values - md.potential(w, pair16.dm1).values
+    want = complex(grid16.cell_volume * np.sum(plane_wave_scalar(grid16, rho) * algebra.inner(dq, v.values)))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_targets_vanish_for_identical_media(pair16):
     same = uq.MediumPair(pair16.dm1, pair16.dm1)
     assert abs(uq.scattering_target(same, RHO, cgo.Polarization.E)) == 0.0
@@ -88,7 +104,7 @@ def test_target_b_closed_form_for_mu_only_contrast(grid16):
     # gamma identical, mu differs by one bump: the target reduces to the
     # Fourier coefficient of -omega^2 gamma (mu2 - mu1) at the probe
     m1 = md.Medium.from_bumps(grid16, omega=1.0)
-    bump = md.Bump(0.2, 1.2, sharpness=2.0)
+    bump = md.Bump(0.2, 1.2, (grid16.length / 2,) * 3, sharpness=2.0)
     m2 = md.Medium.from_bumps(grid16, omega=1.0, mu_bumps=[bump])
     mp = uq.make_pair(m1, m2)
     # the a-contrast is zero, so only the product term remains
