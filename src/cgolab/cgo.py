@@ -230,12 +230,16 @@ class CgoSolution:
 
     @property
     def total(self) -> FormField:
-        """A + R on 8 blades, formed on each read: +0.0 on the blades of the block not solved."""
-        if len(self.values) == 8:  # both blocks: values itself, not a copy
-            return FormField(self.grid, self.values)
+        """A + R on 8 blades, a new array on each read: +0.0 on the blades of a block not solved."""
         values = np.zeros((8,) + self.values.shape[1:], dtype=complex)
         values[grade_block(self.grades)] = self.values
         return FormField(self.grid, values)
+
+
+def amplitude_grades(amplitude: np.ndarray) -> tuple[int, ...]:
+    """The grades a solve of ``amplitude`` runs on: the block that holds it, (0, 1) or (2, 3), or both."""
+    low, high = np.any(amplitude[:4] != 0), np.any(amplitude[4:] != 0)
+    return (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches a norm, checked below
@@ -255,9 +259,8 @@ def solve_cgo(
     tol (||Q A||_{-1/2} + 1), is relative.
 
     Q maps the grade blocks (0, 1) and (2, 3) each into themselves and the
-    resolvent acts blade by blade, so the iteration runs on the blades of the
-    block that holds the amplitude (both blocks when the amplitude has parts
-    in each).  It allocates three arrays of the block's blades before the
+    resolvent acts blade by blade, so the iteration runs on the blades of
+    :func:`amplitude_grades`.  It allocates three arrays of the block's blades before the
     first iteration: the newest forcing, the one before it, and A + R, into
     which each step's R is transformed and which the solution holds (``total``
     forms 8 blades where read).  A remainder is the forcing before it over -p,
@@ -273,9 +276,7 @@ def solve_cgo(
     assert_admissible(zeta, dm.k)
     sym = ClampedSymbol(grid, zeta)
     clamp = sym.report().raise_if_exceeded()
-    low, high = np.any(amplitude[:4] != 0), np.any(amplitude[4:] != 0)
-    grades = (0, 1, 2, 3) if low and high else (2, 3) if high else (0, 1)
-    blk = grade_block(grades)
+    blk = grade_block(grades := amplitude_grades(amplitude))
     blades, shape = range(blk.stop - blk.start), (grid.n,) * 3  # the indices of the block's blades
     # the newest forcing, the one before it (R = 0 is -older / p) and A + R, on the block
     fhat, older, values = (np.zeros((len(blades),) + shape, complex) for _ in range(3))
@@ -442,8 +443,8 @@ def decay_study(
         raise ValueError("lambda values must be a nonempty increasing list")
     if lambdas[0] < 1.0:
         raise ValueError("lambda values must be >= 1, since s ranges over [lam, 2 lam]")
-    rho = np.asarray(rho, dtype=float)
     jobs = sample_plan(lambdas, n_samples, seed)
+    getattr(dm, "hess_b" if pol == Polarization.E else "hess_a")  # its solves' Hessian, formed before the pool (README)
 
     def run(job):
         lam, s, angle = job

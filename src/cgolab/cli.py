@@ -225,7 +225,7 @@ def cmd_run_cgo(run: Run) -> int:
     ]])
     if run.cfg.output.save_fields:
         with run.stage("write"):
-            remainder = sol.total  # a fresh array, as the amplitude fills one block: R = (A + R) - A in place
+            remainder = sol.total  # a fresh array: R = (A + R) - A in place
             remainder.values -= amp.reshape(8, 1, 1, 1)
             _write(run.out / "fields.bin", lambda path: fields.save_field_bin(remainder, path))
     run.diagnostics = {
@@ -297,7 +297,7 @@ def cmd_run_uniqueness(run: Run) -> int:
         "target_im": result.target.imag,
         "identical_media": mp.identical,
         "k": mp.k,
-        "pairing_clamps": [{"s": r.s, "clamped": [c.clamped for c in r.clamps],
+        "pairing_clamps": [{"s": r.s, "clamped": [c.clamped for c in r.clamps], "defect_ratio": list(r.defects),
                             "fraction": [c.fraction for c in r.clamps]} for r in result.rows],
     }
     run.acceptance[verdict] = ok

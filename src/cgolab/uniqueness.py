@@ -18,6 +18,7 @@ from .cgo import (
     Polarization,
     amplitude_a,
     amplitude_b,
+    amplitude_grades,
     make_geometry,
     solve_cgo,
     strictly_decreasing,
@@ -95,6 +96,7 @@ def make_pair(m1: Medium, m2: Medium) -> MediumPair:
 class PairingResult:
     value: complex
     clamps: tuple[ClampReport, ClampReport]  # of the first solve, then of the paired one
+    defects: tuple[float, float]  # clamped_defect / forcing_norm of each, in that order (0 for no forcing)
 
 
 def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> PairingResult:
@@ -103,20 +105,22 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     R solves against the first medium with the primary amplitude A, S
     against the second with the paired amplitude B (same potential-form
     equation); all factors are periodic.  ``solver`` holds the keyword
-    arguments of both solves.  The paired solve, whose amplitude fills all
-    8 blades, runs first, alone: when both would fail, its error is raised.
-    Q1 keeps each grade block and w lies on the first solve's, so Q1 w is formed there alone.
+    arguments of both solves.  Q keeps each grade block and p^-1 and the quadrature act
+    blade by blade, so B is zeroed off A's block, which alone is solved and paired.
+    The paired solve runs first, alone: when both would fail, its error is raised.
     """
-    paired = solve_cgo(mp.dm2, geom.zeta2, amplitude_b(geom, pol), **solver)
-    first = solve_cgo(mp.dm1, geom.zeta1, amplitude_a(geom, pol), **solver)
-    v, w, grades, clamps = paired.total, first.total, first.grades, (first.clamp, paired.clamp)
-    del first  # w, its total, is formed once: the first solve's block goes before the contrast
-    dq, blk = potential(w, mp.dm2), grade_block(grades)
-    dq.values[blk] -= potential(w, mp.dm1, grades, np.empty_like(dq.values[blk]))
-    del w
-    wave = plane_wave_scalar(mp.grid, geom.rho)
-    value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq.values, v.values)))
-    return PairingResult(value=value, clamps=clamps)
+    amp = amplitude_a(geom, pol)
+    blk = grade_block(grades := amplitude_grades(amp))
+    b = np.zeros(8, dtype=complex)
+    b[blk] = amplitude_b(geom, pol)[blk]
+    paired = solve_cgo(mp.dm2, geom.zeta2, b, **solver)
+    first = solve_cgo(mp.dm1, geom.zeta1, amp, **solver)
+    dq = potential(first.values, mp.dm2, grades, np.empty_like(first.values))
+    dq -= potential(first.values, mp.dm1, grades, np.empty_like(dq))
+    wave = plane_wave_scalar(mp.grid, geom.rho)  # named: numpy forms the product in the temporary of inner
+    value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq, paired.values)))
+    defects = tuple(s.clamped_defect / s.forcing_norm if s.forcing_norm else 0.0 for s in (first, paired))
+    return PairingResult(value=value, clamps=(first.clamp, paired.clamp), defects=defects)
 
 
 def scattering_target(mp: MediumPair, rho, pol: Polarization) -> complex:
@@ -142,6 +146,7 @@ class ScatteringOutput:
     pairing: complex
     target: complex
     clamps: tuple[ClampReport, ClampReport]  # those of the row's PairingResult
+    defects: tuple[float, float]  # and its defects
 
     @property
     def abs_error(self) -> float:
@@ -170,15 +175,13 @@ def convergence_experiment(
     s_list = list(s_list)
     if not s_list or not strictly_decreasing(reversed(s_list)):
         raise ValueError("s values must be a nonempty increasing list")
-    rho = np.asarray(rho, dtype=float)
     target = scattering_target(mp, rho, pol)
-    # the Hessians the pairings read, formed here: formed in a pool task, one raised peak RSS ~10% (README)
-    [mp.dm2.hess_b, mp.dm2.hess_a, getattr(mp.dm1, "hess_b" if pol == Polarization.E else "hess_a")]
+    # the Hessian each medium's block reads, formed here: formed in a pool task, one raised peak RSS ~10% (README)
+    [getattr(dm, "hess_b" if pol == Polarization.E else "hess_a") for dm in (mp.dm1, mp.dm2)]
 
     def run(s):
-        geom = make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid)
-        res = pairing(mp, geom, pol, **solver)
-        return ScatteringOutput(s=float(s), pairing=res.value, target=target, clamps=res.clamps)
+        res = pairing(mp, make_geometry(rho, eta1, eta2, s, mp.k, grid=mp.grid), pol, **solver)
+        return ScatteringOutput(s=float(s), pairing=res.value, target=target, clamps=res.clamps, defects=res.defects)
 
     return ConvergenceResult(rows=_parallel_map(run, s_list, workers), target=target)
 

@@ -303,9 +303,11 @@ def test_a_one_block_solve_holds_its_block_and_forms_total_where_read(grid16, dm
     assert np.array_equal(bits(first.values[blk]), bits(sol.values))
     dead = np.delete(first.values, blk, axis=0).view(float)
     assert np.all(dead == 0.0) and not np.any(np.signbit(dead))  # +0.0 on the blades not solved
-    # the paired amplitude fills both blocks, and total wraps its values without a copy
+    # the paired amplitude fills both blocks, and total is a new array there too
     paired = cgo.solve_cgo(dm16, g.zeta2, cgo.amplitude_b(g, pol))
-    assert paired.grades == (0, 1, 2, 3) and paired.total.values is paired.values
+    whole = paired.total.values
+    assert paired.grades == (0, 1, 2, 3) and whole is not paired.values
+    assert np.array_equal(bits(whole), bits(paired.values))
 
 
 def test_remainder_scales_linearly_with_amplitude(grid16, dm16):

@@ -15,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgolab import cgo, cli, fields, presets
+from cgolab import uniqueness as uq
 from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, build_parser, main
 from cgolab.errors import ConfigError, DivergenceError
 from cgolab.media import derive
 from cgolab.runconfig import SolverConfig, parse_config
-from conftest import bits, reference_config
+from conftest import CONFIGS, bits, reference_config
+
+REFERENCE_OUTPUTS = Path(__file__).resolve().parent / "reference_outputs"
 
 
 def small_config(kind="cgo", **overrides):
@@ -657,6 +660,21 @@ def test_run_decay_deterministic(tmp_path):
     assert all(value >= 0 for value in resources.values())
 
 
+def test_reference_outputs_keep_their_bytes(tmp_path):
+    # tests/reference_outputs holds the results.csv of each run command on its
+    # reference config, as written with the numpy version recorded beside them
+    recorded = (REFERENCE_OUTPUTS / "numpy_version").read_text().strip()
+    if np.__version__ != recorded:
+        pytest.skip(f"the reference outputs were written with numpy {recorded}, this is numpy {np.__version__}")
+    moved = []
+    for kind, command in RUN_COMMANDS.items():
+        out = tmp_path / kind
+        assert main([command, "--config", str(CONFIGS / f"reference_{kind}.json"), "--out", str(out)]) == 0
+        if (out / "results.csv").read_bytes() != (REFERENCE_OUTPUTS / f"{command}.csv").read_bytes():
+            moved.append(command)
+    assert moved == []
+
+
 def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
     cfg = small_config("decay")
     cfg["geometry"]["lambda_list"] = [2.0, 4.0]
@@ -821,6 +839,27 @@ def test_run_uniqueness_identical_media(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "s,pairing_re,pairing_im,target_re,target_im,abs_error"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("pol", ["E", "H"])
+def test_run_uniqueness_reports_each_solve_s_clamped_defect_ratio(tmp_path, pol):
+    cfg = small_config("uniqueness")
+    cfg["geometry"].update(polarization=pol, s_list=[4.0, 8.0])
+    out = tmp_path / "uq"
+    assert main(["run-uniqueness", "--config", write(tmp_path, cfg), "--out", str(out)]) == 0
+    clamps = json.loads((out / "manifest.json").read_text())["diagnostics"]["pairing_clamps"]
+    run = parse_config(cfg)
+    geo, mp = run.geometry, uq.make_pair(*(run.medium(i).build(run.grid) for i in (0, 1)))
+    for c in clamps:
+        g = cgo.make_geometry(geo.rho, *cgo.orthonormal_frame(geo.rho, geo.frame_angle), c["s"], mp.k, grid=run.grid)
+        blk = slice(0, 4) if pol == "E" else slice(4, 8)  # the paired solve runs on A's block alone
+        b_amp = np.zeros(8, dtype=complex)
+        b_amp[blk] = cgo.amplitude_b(g, geo.polarization)[blk]
+        first = cgo.solve_cgo(mp.dm1, g.zeta1, cgo.amplitude_a(g, geo.polarization))
+        paired = cgo.solve_cgo(mp.dm2, g.zeta2, b_amp)
+        assert first.grades == paired.grades == ((0, 1) if pol == "E" else (2, 3))
+        assert c["defect_ratio"] == [sol.clamped_defect / sol.forcing_norm for sol in (first, paired)]
+        assert all(ratio > 0 for ratio in c["defect_ratio"])
 
 
 def test_estimate_qnorm_trend_failure_exit(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -226,9 +227,9 @@ def test_a_one_block_solve_forms_only_its_hessian(grid16, pol, formed):
 
 
 def counted_hessians(monkeypatch):
-    """The list that records one entry per call of media._hessian from now on."""
+    """The list that records, per call of media._hessian from now on, the thread that made it."""
     calls, hessian = [], md._hessian
-    monkeypatch.setattr(md, "_hessian", lambda grid, s: calls.append(1) or hessian(grid, s))
+    monkeypatch.setattr(md, "_hessian", lambda grid, s: calls.append(threading.get_ident()) or hessian(grid, s))
     return calls
 
 
@@ -240,23 +241,26 @@ def formed_hessians(*dms) -> int:
 # Hessian first, it is formed once, and the peak holds one copy of it.
 
 def test_a_decay_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch):
+    # and forms it on the calling thread, before the pool's tasks
     calls = counted_hessians(monkeypatch)
     dm = md.derive(presets.reference_medium(grid16))
     cgo.decay_study(dm, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=7, workers=2)
     formed = formed_hessians(dm)
     assert len(calls) == formed == 1
+    assert calls == [threading.get_ident()]
 
 
 def test_a_pairing_pool_forms_each_hessian_it_reads_once(grid16, monkeypatch):
-    # Q2 w reads both Hessians of the second medium; Q1 w is formed on the
-    # first solve's block alone, which reads H_b for E and H_a for H
+    # both solves and Q2 w - Q1 w run on the first amplitude's block alone,
+    # which reads H_b of each medium for E and H_a for H
     calls = counted_hessians(monkeypatch)
     for pol in cgo.Polarization:
         calls.clear()
         mp = uq.make_pair(presets.reference_medium(grid16), presets.perturbed_medium(grid16))
         uq.convergence_experiment(mp, RHO, pol, [4.0, 8.0, 16.0], *cgo.orthonormal_frame(RHO, 0.7), workers=2)
         formed = formed_hessians(mp.dm1, mp.dm2)
-        assert len(calls) == formed == 3, pol
+        assert len(calls) == formed == 2, pol
+        assert set(calls) == {threading.get_ident()}, pol
 
 
 def test_a_decay_pool_forms_each_hessian_once_where_cached_property_takes_no_lock(

@@ -199,6 +199,61 @@ def test_pairing_is_bit_equal_to_the_pre_change_expression(grid16, pair16, pol):
     assert res.clamps == (sol1.clamp, sol2.clamp)
 
 
+def b_on_a_block(g, pol) -> np.ndarray:
+    """B on the blades of A's block, blades 0..3 for E and 4..7 for H, and +0.0 off them."""
+    blk = slice(0, 4) if pol == cgo.Polarization.E else slice(4, 8)
+    b_amp = np.zeros(8, dtype=complex)
+    b_amp[blk] = cgo.amplitude_b(g, pol)[blk]
+    return b_amp
+
+
+def block_paired_expression(pair, g, pol) -> complex:
+    """The pairing with B zeroed off A's block, both potentials and the quadrature formed on 8 blades."""
+    v = cgo.solve_cgo(pair.dm2, g.zeta2, b_on_a_block(g, pol)).total
+    w = cgo.solve_cgo(pair.dm1, g.zeta1, cgo.amplitude_a(g, pol)).total
+    dq = md.potential(w, pair.dm2).values - md.potential(w, pair.dm1).values
+    wave = plane_wave_scalar(pair.grid, g.rho)  # named, as in the pairing: the product's operand order is kept
+    return complex(pair.grid.cell_volume * np.sum(wave * algebra.inner(dq, v.values)))
+
+
+@pytest.mark.parametrize("pol", list(cgo.Polarization))
+@pytest.mark.parametrize("n", [16, 32])
+def test_the_pairing_keeps_the_bits_of_the_expression_with_b_on_a_block(grid16, pair16, grid32, pair32, pol, n):
+    grid, pair = (grid16, pair16) if n == 16 else (grid32, pair32)
+    rho = np.array([2.0, 1.0, 0.0]) * (2.0 * np.pi / grid.length)
+    g = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, 2.1), 8.0, pair.k, grid=grid)
+    got, want = uq.pairing(pair, g, pol).value, block_paired_expression(pair, g, pol)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_the_block_solve_stops_a_step_early_and_keeps_the_pairing_to_1e_10(grid16, pair16):
+    # here the 8-blade paired solve takes 5 steps and the block solve 4: the
+    # block's residual meets tol one step before that of all 8 blades
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 2.1), 16.0, pair16.k, grid=grid16)
+    pol = cgo.Polarization.E
+    full = cgo.solve_cgo(pair16.dm2, g.zeta2, cgo.amplitude_b(g, pol))
+    block = cgo.solve_cgo(pair16.dm2, g.zeta2, b_on_a_block(g, pol))
+    assert (full.iterations, block.iterations) == (5, 4)
+    w = cgo.solve_cgo(pair16.dm1, g.zeta1, cgo.amplitude_a(g, pol)).total
+    dq = md.potential(w, pair16.dm2).values - md.potential(w, pair16.dm1).values
+    want = complex(grid16.cell_volume * np.sum(plane_wave_scalar(grid16, RHO) * algebra.inner(dq, full.total.values)))
+    got = uq.pairing(pair16, g, pol).value
+    assert got != want
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_each_pairing_solve_reports_its_clamped_defect_over_its_forcing(grid16, pair16):
+    g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, pair16.k, grid=grid16)
+    sols = (cgo.solve_cgo(pair16.dm1, g.zeta1, cgo.amplitude_a(g, cgo.Polarization.E)),
+            cgo.solve_cgo(pair16.dm2, g.zeta2, b_on_a_block(g, cgo.Polarization.E)))
+    res = uq.pairing(pair16, g, cgo.Polarization.E)
+    assert res.defects == tuple(sol.clamped_defect / sol.forcing_norm for sol in sols)
+    # a homogeneous first medium has Q1 = 0: no forcing, and a ratio of 0
+    flat = uq.make_pair(md.Medium.from_bumps(grid16, pair16.dm1.omega), presets.perturbed_medium(grid16))
+    res = uq.pairing(flat, g, cgo.Polarization.E)
+    assert res.defects[0] == 0.0 and res.defects[1] > 0.0
+
+
 def test_pairing_holds_only_what_it_reads(grid32):
     pair = uq.make_pair(presets.reference_medium(grid32), presets.perturbed_medium(grid32))
     g = cgo.make_geometry(RHO, *cgo.orthonormal_frame(RHO, 0.7), 8.0, pair.k, grid=grid32)
@@ -212,9 +267,10 @@ def test_pairing_holds_only_what_it_reads(grid32):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the paired solve runs while nothing else is held; S + B, R + A,
-        # Q2 w - Q1 w and one block of Q1 w come to less than its working set
-        assert peak <= 5 * field_bytes + 65536, pol
+        # every array of the pairing holds the 4 blades of A's block: B + S,
+        # R + A, Q2 w - Q1 w and Q1 w come to 2 fields, the first solve's
+        # working set beside B + S to less than 3
+        assert peak <= 3 * field_bytes + 65536, pol
 
 
 def test_convergence_experiment_structure(grid16, pair16):
