@@ -225,8 +225,7 @@ class CgoSolution:
     contraction: float | None  # max of the last 3 step ratios; None if none was measured
     clamp: ClampReport
     clamped_defect: float
-    deltas: list[float]  # per iteration: +1/2-norm of the remainder update, the -1/2-norm residual before it
-    residuals: list[float]  # per iteration: -1/2-norm of the forcing update
+    residuals: list[float]  # per iteration: -1/2-norm of the forcing update; step k's +1/2-norm is the one before it
 
     @property
     def total(self) -> FormField:
@@ -264,11 +263,11 @@ def solve_cgo(
     first iteration: the newest forcing, the one before it, and A + R, into
     which each step's R is transformed and which the solution holds (``total``
     forms 8 blades where read).  A remainder is the forcing before it over -p,
-    formed over that forcing blade by blade where it is read.  p^-1 is an
-    isometry from the -1/2 to the +1/2 norm and R_k - R_{k-1} = -p^-1 (F_{k-1}
-    - F_{k-2}), so each step norm in ``deltas`` is the residual before it (the
-    forcing norm first), which the loop already holds.  A forcing norm or residual
-    that is not finite raises DivergenceError at once.  On grids that
+    formed over that forcing blade by blade where it is read.  The loop keeps one
+    list of norms, the forcing norm and each step's residual: p^-1 is an isometry
+    from the -1/2 to the +1/2 norm and R_k - R_{k-1} = -p^-1 (F_{k-1} - F_{k-2}),
+    so step k's norm, read for the step ratios, is the residual before it.  A forcing
+    norm or residual that is not finite raises DivergenceError at once.  On grids that
     ``fields._split`` splits, every stage runs on the usable CPUs.
     """
     grid = dm.grid
@@ -305,22 +304,14 @@ def solve_cgo(
         return map(np.subtract, fhat[:, rows], older[:, rows], [np.empty_like(fhat[0, rows])] * len(fhat))
 
     fhat = forward_potential(fhat)
-    forcing_norm = norm(fhat, -0.5, "forcing norm")
+    norms = [norm(fhat, -0.5, "forcing norm")]  # the forcing norm, then the residual after each step
 
-    residual = forcing_norm  # residual of R = 0
-    deltas: list[float] = []
-    residuals: list[float] = []
-    ratios: list[float] = []
-
-    while not (converged := residual < tol * (forcing_norm + 1.0)) and iterations < max_iter:
+    while not (converged := norms[-1] < tol * (norms[0] + 1.0)) and iterations < max_iter:
         iterations += 1
-        deltas.append(residual)  # ||R_k - R_{k-1}||_{+1/2} = ||p^-1 (F_{k-1} - F_{k-2})||_{+1/2}, p^-1 an isometry
-        if len(deltas) >= 2 and deltas[-2] > 0:
-            ratios.append(deltas[-1] / deltas[-2])
-            contraction = max(ratios[-min(3, len(ratios)):])
-            if len(ratios) >= DIVERGENCE_PATIENCE and all(
-                r >= DIVERGENCE_LIMIT for r in ratios[-DIVERGENCE_PATIENCE:]
-            ):
+        # step k's norm ||R_k - R_{k-1}||_{+1/2} = ||p^-1 (F_{k-1} - F_{k-2})||_{+1/2} is norms[k - 1], p^-1 an isometry
+        if ratios := [b / a for a, b in zip(norms, norms[1:]) if a > 0]:
+            contraction = max(ratios[-3:])
+            if len(ratios) >= DIVERGENCE_PATIENCE and min(ratios[-DIVERGENCE_PATIENCE:]) >= DIVERGENCE_LIMIT:
                 raise diverged(f"Neumann iteration is not contracting (ratio {contraction:.3f} over the last "
                                f"{DIVERGENCE_PATIENCE} iterations); the conjugation parameter is too small "
                                "for this medium")
@@ -328,22 +319,20 @@ def solve_cgo(
         _parallel_map(lambda b: np.add(_inverse(sym.inverse(np.negative(fhat[b], out=older[b]), out=older[b]),
                                                 values[b]), amp_blk[b], out=values[b]), blades, workers)
         fhat, older = forward_potential(older), fhat
-        residual = norm(update, -0.5, "residual")
-        residuals.append(residual)
+        norms.append(norm(update, -0.5, "residual"))
 
     if not converged:
         ratio = "not measured" if contraction is None else f"{contraction:.3f}"
-        raise diverged(f"no convergence within {max_iter} iterations (residual {residual:.3e}, contraction {ratio})")
+        raise diverged(f"no convergence within {max_iter} iterations (residual {norms[-1]:.3e}, contraction {ratio})")
     # the clamped modes of all 8 blades, laid out as fhat[:, mask] of a full
     # 8-blade fhat is (blade axis fastest), so the sum adds in the same order
     clamped = np.zeros((int(np.sum(sym.mask)), 8), dtype=complex).T
     clamped[blk] = fhat[:, sym.mask]
     zero_mode = float(np.sqrt(grid.volume * np.sum(np.abs(clamped) ** 2)))
     return CgoSolution(
-        grid=grid, grades=grades, values=values, zeta=zeta, iterations=iterations, residual=residual,
+        grid=grid, grades=grades, values=values, zeta=zeta, iterations=iterations, residual=norms[-1],
         remainder_norm=sym.norm(sym.inverse(np.negative(older, out=older), out=older), 0.5),
-        forcing_norm=forcing_norm, contraction=contraction, clamp=clamp, clamped_defect=zero_mode,
-        deltas=deltas, residuals=residuals,
+        forcing_norm=norms[0], contraction=contraction, clamp=clamp, clamped_defect=zero_mode, residuals=norms[1:],
     )
 
 

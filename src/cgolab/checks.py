@@ -71,7 +71,7 @@ def _inner(u, v) -> complex:
     return complex(inner(u, v))  # the report's errors are formed in Python complex arithmetic
 
 
-def algebra_checks(seed: int = 0):
+def algebra_checks(seed: int):
     """The full identity battery of the pointwise algebra, on every basis
     blade and on seeded random forms."""
     rng = seeded_rng(seed)
@@ -159,7 +159,7 @@ def algebra_checks(seed: int = 0):
     return results
 
 
-def calculus_checks(grid: Grid, seed: int = 0):
+def calculus_checks(grid: Grid, seed: int):
     """Spectral-calculus identities on band-limited random fields."""
     rng = seeded_rng(seed)
     band = max(2, grid.n // 8)
@@ -186,7 +186,7 @@ def calculus_checks(grid: Grid, seed: int = 0):
     for _ in range(5):
         phi = random_band_limited(grid, rng, band=grid.n // 2 - 1)
         l2, hm1 = sobolev_norms(phi)
-        _, hm1_d = sobolev_norms(d_plus_delta(phi, offset=0))
+        _, hm1_d = sobolev_norms(d_plus_delta(phi, None, offset=0))
         err = max(err, abs(l2**2 - hm1**2 - hm1_d**2) / l2**2)
     results.append(CheckResult("local regularity norm identity", err, CALCULUS_TOL))
 

@@ -231,7 +231,7 @@ def cmd_run_cgo(run: Run) -> int:
     run.diagnostics = {
         "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
         "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect,
-        "deltas": sol.deltas, "residuals": sol.residuals, "k": dm.k, "omega": dm.omega,
+        "forcing_norm": sol.forcing_norm, "residuals": sol.residuals, "k": dm.k, "omega": dm.omega,
     }
     run.acceptance = {
         "converged": True,  # solve_cgo raises DivergenceError on every other outcome

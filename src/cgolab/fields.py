@@ -268,14 +268,13 @@ def coderiv(f: FormField, zeta=None) -> FormField:
     return _spectral_map(f, lambda F: algebra.vee_cov(c, algebra.alternate(F, out=F)))
 
 
-def d_plus_delta(f: FormField, zeta=None, offset=None) -> FormField:
-    """(d + delta) in one transform pair; conjugated when zeta is given.  With ``offset``,
-    of f with each grade-l block scaled by (-1)^(l+offset), as by :func:`algebra.alternate`."""
+def d_plus_delta(f: FormField, zeta, offset: int) -> FormField:
+    """(d + delta) in one transform pair, conjugated when zeta is not None, of f with each
+    grade-l block scaled by (-1)^(l+offset), as by :func:`algebra.alternate`."""
     c = _spectral_covector(f.grid, zeta)
 
     def symbol(F):
-        if offset is not None:  # the scaled f's spectrum, but for signs of zeros, which the kernels' sums drop
-            algebra.alternate(F, offset, out=F)
+        algebra.alternate(F, offset, out=F)  # the scaled f's spectrum, but for signs of zeros, which sums drop
         d = algebra.wedge_cov(c, F)  # formed before F is alternated in place
         algebra.alternate(F, out=F)
         low = np.empty((3,) + F.shape[1:], F.dtype)  # the vee image of one grade, on the blades a grade lower

@@ -39,9 +39,9 @@ def reference_grid(n: int = REFERENCE_N) -> Grid:
     return Grid(n, REFERENCE_LENGTH)
 
 
-def medium_spec(medium: str = "reference") -> dict:
-    """JSON-ready medium description for the run configs: the one
-    description of each reference medium, a new document on every call."""
+def medium_spec(medium: str) -> dict:
+    """JSON-ready description of the named medium ("reference", "perturbed" or "background")
+    for the run configs: the one description of each, a new document on every call."""
     spec = {"omega": REFERENCE_OMEGA, "eps0": 1.0, "mu0": 1.0}
     for name, bumps in _BUMPS[medium].items():
         spec[f"{name}_bumps"] = [
@@ -56,16 +56,15 @@ def medium_spec(medium: str = "reference") -> dict:
     return spec
 
 
-def _medium(name: str, grid: Grid | None) -> Medium:
-    grid = grid or reference_grid()
+def _medium(name: str, grid: Grid) -> Medium:
     return parse_medium(medium_spec(name), name, grid.length).build(grid)
 
 
-def reference_medium(grid: Grid | None = None) -> Medium:
-    """Two-bump medium (plus a conductivity bump) used across the suite."""
+def reference_medium(grid: Grid) -> Medium:
+    """Two-bump medium (plus a conductivity bump) used across the suite, sampled on ``grid``."""
     return _medium("reference", grid)
 
 
-def perturbed_medium(grid: Grid | None = None) -> Medium:
-    """Companion medium for pair experiments; same background, different bumps."""
+def perturbed_medium(grid: Grid) -> Medium:
+    """Companion medium for pair experiments, sampled on ``grid``; same background, different bumps."""
     return _medium("perturbed", grid)

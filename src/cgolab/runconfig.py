@@ -148,7 +148,7 @@ class RunConfig:
     output: OutputConfig
     raw: dict = field(repr=False, default_factory=dict)
 
-    def medium(self, index: int = 0) -> MediumConfig:
+    def medium(self, index: int) -> MediumConfig:
         if index >= len(self.media):
             raise ConfigError("config needs a 'media' list with two entries for pair experiments")
         return self.media[index]

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -545,8 +546,9 @@ def test_run_cgo_outputs(tmp_path, monkeypatch):
     remainder = sol.total.values - amp.reshape(8, 1, 1, 1)
     assert np.array_equal(bits(snapshot.values), bits(remainder))
     diagnostics = manifest["diagnostics"]
-    assert len(diagnostics["deltas"]) == len(diagnostics["residuals"]) == diagnostics["iterations"]
+    assert len(diagnostics["residuals"]) == diagnostics["iterations"]
     assert diagnostics["residuals"][-1] == diagnostics["residual"]
+    assert diagnostics["forcing_norm"] == sol.forcing_norm  # with the residuals, every step norm
 
 
 @pytest.mark.parametrize("name", ["results.csv", "fields.bin", "manifest.json"])
@@ -660,17 +662,30 @@ def test_run_decay_deterministic(tmp_path):
     assert all(value >= 0 for value in resources.values())
 
 
-def test_reference_outputs_keep_their_bytes(tmp_path):
-    # tests/reference_outputs holds the results.csv of each run command on its
-    # reference config, as written with the numpy version recorded beside them
+def test_reference_outputs_keep_their_bytes(tmp_path, capsys):
+    # tests/reference_outputs holds, as written with the numpy version recorded beside them: the
+    # results.csv of each run command on its reference config and of run-cgo on reference_check,
+    # the SHA-256 of run-cgo's fields.bin on both, and the --json report of each check command
     recorded = (REFERENCE_OUTPUTS / "numpy_version").read_text().strip()
     if np.__version__ != recorded:
         pytest.skip(f"the reference outputs were written with numpy {recorded}, this is numpy {np.__version__}")
+    hashes = json.loads((REFERENCE_OUTPUTS / "fields.bin.sha256.json").read_text())
     moved = []
-    for kind, command in RUN_COMMANDS.items():
-        out = tmp_path / kind
-        assert main([command, "--config", str(CONFIGS / f"reference_{kind}.json"), "--out", str(out)]) == 0
-        if (out / "results.csv").read_bytes() != (REFERENCE_OUTPUTS / f"{command}.csv").read_bytes():
+    for kind, command, name in [(k, c, f"{c}.csv") for k, c in RUN_COMMANDS.items()] + [
+            ("check", "run-cgo", "run-cgo-check.csv")]:
+        cfg, out = reference_config(kind), tmp_path / name
+        cfg["output"]["save_fields"] = command == "run-cgo"
+        assert main([command, "--config", write(tmp_path, cfg, f"{kind}.json"), "--out", str(out)]) == 0
+        if (out / "results.csv").read_bytes() != (REFERENCE_OUTPUTS / name).read_bytes():
+            moved.append(name)
+        if command == "run-cgo" and hashlib.sha256((out / "fields.bin").read_bytes()).hexdigest() != hashes[kind]:
+            moved.append(f"fields.bin of reference_{kind}")
+    check_config = ["--config", str(CONFIGS / "reference_check.json")]
+    for command, config in (("check-algebra", []), ("check-calculus", check_config),
+                            ("check-factorization", check_config)):
+        capsys.readouterr()
+        assert main([command, "--json", *config]) == 0
+        if capsys.readouterr().out != (REFERENCE_OUTPUTS / f"{command}.json").read_text():
             moved.append(command)
     assert moved == []
 
