@@ -202,14 +202,14 @@ def _lines(a: np.ndarray, axis: int, inverse: bool, out: np.ndarray | None = Non
     return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axis, norm="forward", out=out)
 
 
-def _transform(a: np.ndarray, out=None, inverse=False, box=(slice(None),) * 3) -> np.ndarray:
+def _transform(a: np.ndarray, out=None, inverse=False, box=None) -> np.ndarray:
     """The pair over the last three axes, in the order -3, -2, -1: forward,
     ``fftn(a) / n^3`` (each axis's 1/n is exact, n being a power of two),
-    or the unscaled inverse; out may be a.  With ``box`` each axis is cut to
-    the box, so later axes transform only the lines that reach it."""
-    for axis, keep in zip((-3, -2, -1), box):
+    or the unscaled inverse; out may be a.  With ``box`` each axis is cut to the box, so later axes transform
+    only the lines that reach it, and a new array of the box's shape is returned: no view pins the n^3 pass."""
+    for axis, keep in zip((-3, -2, -1), box or (slice(None),) * 3):
         a = out = _lines(a, axis, inverse, out)[(..., keep) + (slice(None),) * (-1 - axis)]
-    return out
+    return out if box is None else out.copy()
 
 
 _forward = partial(_transform, inverse=False)

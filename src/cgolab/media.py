@@ -158,16 +158,20 @@ class DerivedMedium:
         object.__setattr__(self, "k", float(self.omega * np.sqrt(self.eps0 * self.mu0)))
         object.__setattr__(self, "coefficients", coefficients)
 
+    def half_log_gradient(self, field: np.ndarray) -> np.ndarray:
+        """The 3 components of d(log(field) / 2), a new array on each call: da of gamma, db of mu."""
+        return _gradient(self.grid, 0.5 * np.log(field))
+
     # The gradients of a and b, their 3 components, and their Hessians, shape
     # (6, n, n, n) in algebra.SYM_PAIRS order, are formed on first read: a
     # solve of one grade block reads one Hessian and no gradient.
     @fields._formed_once
     def da3(self) -> np.ndarray:
-        return _gradient(self.grid, 0.5 * np.log(self.gamma))
+        return self.half_log_gradient(self.gamma)
 
     @fields._formed_once
     def db3(self) -> np.ndarray:
-        return _gradient(self.grid, 0.5 * np.log(self.mu))
+        return self.half_log_gradient(self.mu)
 
     @fields._formed_once
     def hess_a(self) -> np.ndarray:

@@ -128,9 +128,10 @@ def scattering_target(mp: MediumPair, rho, pol: Polarization) -> complex:
     half-log contrast for E, the magnetic one for H.  In the pairing-limit
     orientation it reads int <d(s1-s2), d e> + int <d(s1+s2), d(s2-s1)> e
     + omega^2 int (g1 m1 - g2 m2) e, with e = e_(i rho) and s1, s2 the
-    half-log fields a (E) or b (H) of the two media."""
+    half-log fields a (E) or b (H) of the two media.  Their gradients are
+    formed here and dropped: the media do not cache them."""
     dm1, dm2, grid = mp.dm1, mp.dm2, mp.grid
-    ds1, ds2 = (dm1.da3, dm2.da3) if pol == Polarization.E else (dm1.db3, dm2.db3)
+    ds1, ds2 = (dm.half_log_gradient(dm.gamma if pol == Polarization.E else dm.mu) for dm in (dm1, dm2))
     rho = np.asarray(rho, dtype=float)
     wave = plane_wave_scalar(grid, rho)
     diff3 = ds1 - ds2
@@ -264,11 +265,10 @@ def _support_box(nonzero: np.ndarray) -> tuple[slice, slice, slice]:
 
 
 class _UcpOperator:
-    """resolvent o multiplication, T, on the two coupled scalar components,
-    in support-box coordinates: a state is b = to_box(u), the components of
-    the spectral u on the support box of M, and ``from_box`` transforms a
-    field that is zero off that box.  Both keep the bits of the full-grid
-    transforms, and every call builds its own arrays."""
+    """resolvent o multiplication, T, on the two coupled scalar components, in support-box coordinates: a
+    state is b = to_box(u), the components of the spectral u on the support box of M, and ``from_box``
+    transforms a field that is zero off that box.  Both keep the bits of the full-grid transforms, and every
+    call builds its own arrays: a state owns its data and pins no n^3 buffer of the transform."""
 
     def __init__(self, grid: Grid, M: np.ndarray, zeta):
         self.sym = ClampedSymbol(grid, zeta)
@@ -304,20 +304,19 @@ class _UcpOperator:
             ng = self.sym.norm(g, 0.5)
             if ng == 0:
                 break
-            b = self.to_box(g) / ng
+            b = self.to_box(g)
+            b /= ng
             h = self.inv_weight * self._mult(b, self.m)
         return self.sym.norm(h, 0.5)
 
     def fixed_point_start(self, b):
-        """(steps, weighted norm) of w <- -T w from the unit start b, run as
-        w <- T w: negation commutes exactly with each step, so the norms agree."""
-        it, norm = 0, 1.0
-        while norm > FIXED_POINT_TOL and it < FIXED_POINT_MAX_ITER:
-            w = self.apply(b)
-            norm = self.sym.norm(w, 0.5)
+        """(steps, weighted norm) of w <- -T w from the unit start b, run as w <- T w: negation commutes
+        exactly with each step, so the norms agree.  The w whose norm ends the loop is not cut to the box."""
+        for it in range(1, FIXED_POINT_MAX_ITER + 1):
+            norm = self.sym.norm(w := self.apply(b), 0.5)
+            if not norm > FIXED_POINT_TOL or it == FIXED_POINT_MAX_ITER:
+                return it, norm
             b = self.to_box(w)
-            it += 1
-        return it, norm
 
 
 def ucp_contraction_check(
@@ -332,10 +331,10 @@ def ucp_contraction_check(
     product), maximized over seeded random starts.  The fixed-point side
     then iterates w <- -T w from random starts and reports whether every
     start decays below the tolerance.  Estimates inside [0.9, 1.1] are
-    reported as inconclusive.  Each phase draws its starts here, in order,
-    cuts each to the support box at once, runs them on min(starts, usable
-    CPUs) threads and reduces them with max and all: the report's bits do
-    not depend on the thread count.  No command calls the certificate.
+    reported as inconclusive.  Each phase draws its starts here, in order, normalizes each in place
+    and cuts it to the support box at once (a state that owns its data), runs them on min(starts, usable
+    CPUs) threads and reduces them with max and all: the report's bits do not depend on the thread
+    count.  No command calls the certificate.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -359,7 +358,8 @@ def ucp_contraction_check(
         for _ in range(count):  # Gaussian, off the clamped modes, of unit weighted norm
             u = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
             u[:, op.sym.mask] = 0.0
-            starts.append(op.to_box(u / op.sym.norm(u, 0.5)))
+            u /= op.sym.norm(u, 0.5)
+            starts.append(op.to_box(u))
         return _parallel_map(run, starts, min(count, _usable_cpus()))
 
     best = max(run_starts(op.power_start, trials))

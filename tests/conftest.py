@@ -1,6 +1,7 @@
 import contextlib
 import json
 import time
+import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
@@ -43,6 +44,16 @@ def lockless_lazy_fields(monkeypatch):
             monkeypatch.setattr(attr, "lock", contextlib.nullcontext(), raising=False)
     hessian = media._hessian
     monkeypatch.setattr(media, "_hessian", lambda grid, s: time.sleep(0.05) or hessian(grid, s))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory traced while it ran); tracing stops even when fn raises."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bits(a) -> np.ndarray:

@@ -1,7 +1,6 @@
 import itertools
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +17,7 @@ from cgolab.fields import (
     helmholtz_symbol,
     l2_norm,
 )
-from conftest import bits, blade, constant, derive_background, form_lazy_fields
+from conftest import bits, blade, constant, derive_background, form_lazy_fields, traced_peak
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -259,13 +258,11 @@ def test_iterations_allocate_nothing(grid16, dm16):
     cgo.solve_cgo(dm16, g.zeta1, amp)  # fills the medium's and the grid's caches
 
     def peak(iterations):
-        tracemalloc.start()
-        try:
+        def diverge():
             with pytest.raises(DivergenceError, match=f"within {iterations} iterations"):
                 cgo.solve_cgo(dm16, g.zeta1, amp, tol=0.0, max_iter=iterations)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        return traced_peak(diverge)[1]
 
     block_bytes = 4 * grid16.n**3 * np.dtype(complex).itemsize
     assert peak(6) - peak(2) < block_bytes
@@ -275,12 +272,7 @@ def fresh_solve_peak(dm, zeta, amp):
     """The traced peak of a solve, in blocks of 4 blades, once a first solve has filled the caches."""
     form_lazy_fields(dm)
     cgo.solve_cgo(dm, zeta, amp)  # fills the medium's and the grid's caches
-    tracemalloc.start()
-    try:
-        cgo.solve_cgo(dm, zeta, amp)
-        return tracemalloc.get_traced_memory()[1] / (4 * dm.grid.n**3 * np.dtype(complex).itemsize)
-    finally:
-        tracemalloc.stop()
+    return traced_peak(cgo.solve_cgo, dm, zeta, amp)[1] / (4 * dm.grid.n**3 * np.dtype(complex).itemsize)
 
 
 def test_a_fresh_solve_peaks_under_4_5_blocks(grid16, dm16):
@@ -594,14 +586,9 @@ def test_a_failed_sample_frees_its_solve(dm16, monkeypatch, workers):
     form_lazy_fields(dm16)
 
     def traced_study():
-        tracemalloc.start()
-        try:
-            study = cgo.decay_study(
-                dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=1, workers=workers
-            )
-            return study, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(
+            lambda: cgo.decay_study(dm16, RHO, cgo.Polarization.E, [2.0, 4.0], n_samples=8, seed=1, workers=workers)
+        )
 
     traced_study()  # fills the medium's and the grid's caches
     _, clean_peak = traced_study()

@@ -21,7 +21,7 @@ from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, build_parser, main
 from cgolab.errors import ConfigError, DivergenceError
 from cgolab.media import derive
 from cgolab.runconfig import SolverConfig, parse_config
-from conftest import CONFIGS, bits, reference_config
+from conftest import CONFIGS, bits, reference_config, traced_peak
 
 REFERENCE_OUTPUTS = Path(__file__).resolve().parent / "reference_outputs"
 
@@ -386,12 +386,7 @@ def test_an_oversized_grid_exits_2_before_allocating(tmp_path, capsys, n):
     cfg = reference_config("cgo")
     cfg["grid"]["n"] = n
     path = write(tmp_path, cfg)
-    tracemalloc.start()
-    try:
-        code = main(["run-cgo", "--config", path, "--out", str(tmp_path / "o")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["run-cgo", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert "grid.n is too large" in err and "Traceback" not in err

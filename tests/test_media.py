@@ -18,7 +18,7 @@ from cgolab.fields import (
     quadrature_pairing,
     random_band_limited,
 )
-from conftest import LAZY_FIELDS, bits, constant, derive_background, form_lazy_fields
+from conftest import LAZY_FIELDS, bits, constant, derive_background, form_lazy_fields, traced_peak
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -182,12 +182,7 @@ def test_replace_derives_afresh(grid16):
 
 def test_sample_bumps_without_bumps_forms_only_the_zero_field():
     grid = presets.reference_grid()
-    tracemalloc.start()
-    try:
-        total = md.sample_bumps(grid, [])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    total, peak = traced_peak(md.sample_bumps, grid, [])
     # the three coordinate arrays of grid.x would add 3 more scalar fields, and
     # forming them 2 more still
     scalar_bytes = grid.n**3 * np.dtype(float).itemsize
@@ -401,12 +396,7 @@ def test_first_order_is_bit_equal_to_the_alternated_copy_route(grid16, dm16, tra
 def test_a_first_order_image_forms_within_three_fields_above_its_input(dm16, op):
     v = random_band_limited(dm16.grid, np.random.default_rng(84), band=5)
     op(v, dm16)  # fills the medium's and the grid's caches
-    tracemalloc.start()
-    try:
-        op(v, dm16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(op, v, dm16)
     # the forward spectrum, the wedge image, i xi and one grade's vee image:
     # 2.875 8-blade fields; with an alternated copy and full-size images, 4.5
     field_bytes = 8 * dm16.grid.n**3 * np.dtype(complex).itemsize
@@ -552,12 +542,7 @@ def test_factorization_checks_evaluate_each_oracle_once_per_pair(dm16, monkeypat
 def test_factorization_checks_pair_each_first_order_image_and_drop_it(dm16):
     form_lazy_fields(dm16)
     checks.factorization_checks(dm16, n_pairs=1)  # fills the medium's and the grid's caches
-    tracemalloc.start()
-    try:
-        checks.factorization_checks(dm16, n_pairs=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: checks.factorization_checks(dm16, n_pairs=1))
     # w, phi, one held image and the map forming the next one: about 5.9
     # 8-blade fields (7.5 while each first-order image took 4.5 fields to form);
     # holding all four images while forming the last peaks at 10.5

@@ -3,7 +3,6 @@ import itertools
 import json
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from cgolab import algebra, cgo, fields, presets
 from cgolab import media as md
 from cgolab import uniqueness as uq
 from cgolab.fields import default_floor, plane_wave_scalar
-from conftest import bits, form_lazy_fields
+from conftest import bits, form_lazy_fields, traced_peak
 
 RHO = np.array([1.0, 0.0, 0.0])
 
@@ -279,16 +278,21 @@ def test_pairing_holds_only_what_it_reads(grid32):
     form_lazy_fields(pair.dm1, pair.dm2)
     for pol in cgo.Polarization:
         uq.pairing(pair, g, pol)  # fills the media's and the grid's caches
-        tracemalloc.start()
-        try:
-            uq.pairing(pair, g, pol)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(uq.pairing, pair, g, pol)
         # every array of the pairing holds the 4 blades of A's block: B + S,
         # R + A, Q2 w - Q1 w and Q1 w come to 2 fields, the first solve's
         # working set beside B + S to less than 3
         assert peak <= 3 * field_bytes + 65536, pol
+
+
+def test_the_pairing_experiment_caches_no_gradient(grid16):
+    # the targets form the half-log gradients they read and drop them; the pairings read Hessians only
+    pair = uq.make_pair(presets.reference_medium(grid16), presets.perturbed_medium(grid16))
+    for pol in cgo.Polarization:
+        uq.convergence_experiment(pair, RHO, pol, [8.0], *cgo.orthonormal_frame(RHO, 0.7))
+    for dm in (pair.dm1, pair.dm2):
+        assert {"da3", "db3"}.isdisjoint(vars(dm))
+        assert {"hess_a", "hess_b"} <= set(vars(dm))  # what each polarization's solves read stays cached
 
 
 def test_convergence_experiment_structure(grid16, pair16):
@@ -420,6 +424,48 @@ def test_ucp_power_iteration_weighs_one_estimate_per_start(grid16, pair16, monke
     assert not rep.contraction_certified  # so no fixed-point start weighs a norm
     # per start: the start's norm, one per step but the last for the next start, one estimate
     assert calls == [0.5] * 3 * (uq.POWER_ITERATIONS + 1) and len(calls) == 3 * 31
+
+
+def test_each_fixed_point_start_stops_at_its_last_step(grid16, pair16, monkeypatch):
+    # the w whose norm ends a start's loop is not cut back to the box: a start of k steps cuts k - 1
+    cuts, ends = [], []
+    to_box, fixed_point_start = uq._UcpOperator.to_box, uq._UcpOperator.fixed_point_start
+
+    def recorded_start(op, b):
+        ends.append(end := fixed_point_start(op, b))
+        return end
+
+    monkeypatch.setattr(uq._UcpOperator, "to_box", lambda op, u: cuts.append(None) or to_box(op, u))
+    monkeypatch.setattr(uq._UcpOperator, "fixed_point_start", recorded_start)
+    rep = uq.ucp_contraction_check(grid16, uq.ucp_coefficients(pair16), uq.null_covector(32.0), trials=3, seed=3)
+    assert rep.contraction_certified and len(ends) == uq.FIXED_POINT_STARTS
+    assert rep.fixed_point_iterations == max(it for it, _ in ends) > 1
+    starts = 3 + uq.FIXED_POINT_STARTS  # each cut to the box once
+    power_steps = 3 * 2 * (uq.POWER_ITERATIONS - 1)  # each step cuts h and the next b
+    assert len(cuts) == starts + power_steps + sum(it - 1 for it, _ in ends)
+
+
+def certified_call_peak(grid, M):
+    """The traced peak of criterion 10's certified call (|zeta| = 32, 3 trials, seed 3), once a first call has
+    filled the grid's caches, in two-component grid arrays."""
+    def check():
+        return uq.ucp_contraction_check(grid, M, uq.null_covector(32.0), trials=3, seed=3)
+
+    check()
+    rep, peak = traced_peak(check)
+    assert rep.contraction_certified and rep.fixed_point_iterations > 0  # so the fixed-point phase ran
+    return peak / (2 * grid.n**3 * np.dtype(complex).itemsize)
+
+
+def test_the_certified_call_peaks_under_15_grid_arrays_at_16(grid16, pair16):
+    # the box states own their data: while each was a view of its n^3 first pass, the 10 fixed-point
+    # starts held 10 more grid arrays, and the call peaked at 21.6-23.1
+    assert certified_call_peak(grid16, uq.ucp_coefficients(pair16)) < 15
+
+
+def test_the_certified_call_peaks_under_14_grid_arrays_at_32(grid32, pair32):
+    # 21.0 while the box states were views of their first pass, 11.7 since
+    assert certified_call_peak(grid32, uq.ucp_coefficients(pair32)) < 14
 
 
 def pre_change_power_start(op, b):
