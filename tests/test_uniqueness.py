@@ -458,13 +458,13 @@ def certified_call_peak(grid, M):
 
 
 def test_the_certified_call_peaks_under_15_grid_arrays_at_16(grid16, pair16):
-    # the box states own their data: while each was a view of its n^3 first pass, the 10 fixed-point
-    # starts held 10 more grid arrays, and the call peaked at 21.6-23.1
+    # the box states own their data: a state that viewed its n^3 first pass would pin one grid array
+    # per held start, and with the 10 fixed-point starts held at once the call peaks at 21.6-23.1
     assert certified_call_peak(grid16, uq.ucp_coefficients(pair16)) < 15
 
 
 def test_the_certified_call_peaks_under_14_grid_arrays_at_32(grid32, pair32):
-    # 21.0 while the box states were views of their first pass, 11.7 since
+    # 11.7 with box states that own their data, 21.0 with views of their first pass
     assert certified_call_peak(grid32, uq.ucp_coefficients(pair32)) < 14
 
 
