@@ -431,13 +431,13 @@ def quadrature_pairing(f: FormField, g: FormField) -> complex:
 
 def hermitian_pairing(f: FormField, g: FormField) -> complex:
     """Sesquilinear L^2 pairing (conjugates the second argument)."""
-    return complex(f.grid.cell_volume * np.sum(f.values * np.conj(g.values)))
+    return complex(f.grid.cell_volume * np.sum(np.conj(g.values) * f.values))
 
 
 def spectral_pairing(f: FormField, g: FormField) -> complex:
     """Frequency-side sesquilinear pairing L^3 sum_xi <f_hat, conj g_hat>."""
     F, G = fft_forward(f).values, fft_forward(g).values
-    return complex(f.grid.volume * np.sum(F * np.conj(G)))
+    return complex(f.grid.volume * np.sum(np.conj(G) * F))
 
 
 def l2_norm(f: FormField) -> float:

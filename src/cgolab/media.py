@@ -477,7 +477,7 @@ def _weak_pairing(w: FormField, phi: FormField, dm: DerivedMedium, transpose: bo
 
     dxdx = algebra.inner(dx3, dx3)
     dydy = algebra.inner(dy3, dy3)
-    total += np.sum(dxdx * (ip[0] + ip[2]) + dydy * (ip[1] + ip[3]))
+    total += np.sum((ip[0] + ip[2]) * dxdx + (ip[1] + ip[3]) * dydy)
 
     def by_parts(d3, g3) -> complex:  # sign * int <d3, g3>, g3 a covector field
         return sign * np.sum(algebra.inner(d3, g3))

@@ -102,12 +102,12 @@ class PairingResult:
 def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> PairingResult:
     """Quadrature of e_(i rho) <(Q2 - Q1)(A + R), B + S>.
 
-    R solves against the first medium with the primary amplitude A, S
-    against the second with the paired amplitude B (same potential-form
-    equation); all factors are periodic.  ``solver`` holds the keyword
-    arguments of both solves.  Q keeps each grade block and p^-1 and the quadrature act
-    blade by blade, so B is zeroed off A's block, which alone is solved and paired.
+    R solves against the first medium with the primary amplitude A, S against the second with
+    the paired amplitude B (same potential-form equation); all factors are periodic.  ``solver``
+    holds the keyword arguments of both solves.  Q keeps each grade block and p^-1 and the quadrature
+    act blade by blade, so B is zeroed off A's block, which alone is solved and paired.
     The paired solve runs first, alone: when both would fail, its error is raised.
+    The inner product, a temporary, is the wave's left factor: one operand order at every grid size.
     """
     amp = amplitude_a(geom, pol)
     blk = grade_block(grades := amplitude_grades(amp))
@@ -117,8 +117,7 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     first = solve_cgo(mp.dm1, geom.zeta1, amp, **solver)
     dq = potential(first.values, mp.dm2, grades, np.empty_like(first.values))
     dq -= potential(first.values, mp.dm1, grades, np.empty_like(dq))
-    wave = plane_wave_scalar(mp.grid, geom.rho)  # named: numpy forms the product in the temporary of inner
-    value = complex(mp.grid.cell_volume * np.sum(wave * inner(dq, paired.values)))
+    value = complex(mp.grid.cell_volume * np.sum(inner(dq, paired.values) * plane_wave_scalar(mp.grid, geom.rho)))
     defects = tuple(s.clamped_defect / s.forcing_norm if s.forcing_norm else 0.0 for s in (first, paired))
     return PairingResult(value=value, clamps=(first.clamp, paired.clamp), defects=defects)
 

@@ -88,6 +88,22 @@ def test_discrete_parseval():
     assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_both_sides_of_parseval_keep_one_operand_order_at_every_size(n):
+    # an 8-blade field is 64 KiB at 8^3 and 512 KiB at 16^3, on either side of
+    # the 256 KiB from which numpy forms a product in its temporary operand;
+    # np.multiply reuses no temporary, so its operand order is the written one
+    grid = Grid(n, 2.0 * np.pi)
+    rng = np.random.default_rng(3)
+    u, v = (random_band_limited(grid, rng, band=n // 2 - 1) for _ in range(2))
+    U, V = fft_forward(u).values, fft_forward(v).values
+    want = (
+        complex(grid.cell_volume * np.sum(np.multiply(np.conj(v.values), u.values))),
+        complex(grid.volume * np.sum(np.multiply(np.conj(V), U))),
+    )
+    assert np.array_equal(bits([hermitian_pairing(u, v), spectral_pairing(u, v)]), bits(want))
+
+
 def test_ext_deriv_sine_mode():
     x1 = GRID.x[0]
     kappa = 2.0 * np.pi / GRID.length

@@ -454,7 +454,8 @@ def test_weak_form_matches_strong_potential(grid16, dm16):
 
 
 def pre_change_weak_pairing(w, phi, dm, transpose):
-    """_weak_pairing as first written: the dc contraction enters as sign * its image."""
+    """_weak_pairing as first written: the dc contraction enters as sign * its image.
+    Its grid products are formed by np.multiply in the written order, temporary first."""
     grid = w.grid
     wv, pv = w.values, phi.values
     ip = [np.sum(wv[b] * pv[b], axis=0) for b in md._GRADE_BLADES]
@@ -466,7 +467,7 @@ def pre_change_weak_pairing(w, phi, dm, transpose):
     total += 2j * dm.omega * np.sum(algebra.inner(mid, pv))
     dxdx = algebra.inner(dx3, dx3)
     dydy = algebra.inner(dy3, dy3)
-    total += np.sum(dxdx * (ip[0] + ip[2]) + dydy * (ip[1] + ip[3]))
+    total += np.sum(np.multiply(ip[0] + ip[2], dxdx) + np.multiply(ip[1] + ip[3], dydy))
 
     def by_parts(d3, g3):
         return sign * np.sum(algebra.inner(d3, g3))
