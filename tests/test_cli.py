@@ -1,7 +1,11 @@
 import copy
+import csv
 import dataclasses
 import hashlib
+import importlib
 import inspect
+import io
+import itertools
 import json
 import os
 import re
@@ -171,6 +175,17 @@ def test_reference_configs_parse_and_match_presets():
             assert doc["media"] == [presets.medium_spec("reference"), presets.medium_spec("perturbed")]
         else:
             assert doc["medium"] == presets.medium_spec("reference")
+
+
+def test_the_benchmark_restates_the_geometry_of_the_reference_configs(monkeypatch):
+    # perfbench/workloads.py draws its frame and scales its rho itself: the uniqueness
+    # workload pairs at rho_index (2, 0, 0), the others solve at (1, 0, 0)
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for kind, index in (("uniqueness", (2, 0, 0)), ("cgo", (1, 0, 0))):
+        cfg = parse_config(reference_config(kind))
+        assert np.array_equal(bits(workloads._rho(cfg.grid, index)), bits(cfg.geometry.rho))
+        assert workloads.frame_angle().hex() == cfg.geometry.frame_angle.hex()
 
 
 def test_library_and_config_solver_defaults_agree():
@@ -657,6 +672,40 @@ def test_run_decay_deterministic(tmp_path):
     assert all(value >= 0 for value in resources.values())
 
 
+def moved_cells(name: str, old_text: str, new_text: str) -> list[str]:
+    """Each cell of a CSV file that moved, by line, column, old and new value;
+    the file alone when its bytes moved but no cell did."""
+    old, new = (list(csv.reader(io.StringIO(text))) for text in (old_text, new_text))
+    header = old[0] if old else []
+    moves = [f"{name} line {line}, column {header[col] if col < len(header) else col}: {a!r} -> {b!r}"
+             for line, (row_a, row_b) in enumerate(itertools.zip_longest(old, new, fillvalue=[]), start=1)
+             for col, (a, b) in enumerate(itertools.zip_longest(row_a, row_b)) if a != b]
+    return moves or [name]
+
+
+def moved_checks(command: str, old_text: str, new_text: str) -> list[str]:
+    """Each field of a --json check report that moved, by check name, field, old
+    and new value; the report alone when its bytes moved but no field did."""
+    old, new = ({c["name"]: c for c in json.loads(text)} for text in (old_text, new_text))
+    moves = [f"{command} check {name!r}, field {key}: {a!r} -> {b!r}"
+             for name in dict.fromkeys([*old, *new])
+             for key in dict.fromkeys([*old.get(name, {}), *new.get(name, {})])
+             if repr(a := old.get(name, {}).get(key)) != repr(b := new.get(name, {}).get(key))]
+    return moves or [command]
+
+
+def test_a_golden_failure_names_each_moved_cell():
+    old_csv = "s,pairing_re,abs_error\n8.0,0.5,0.1\n16.0,0.25,0.2\n"
+    new_csv = old_csv.replace("0.25", "0.75")
+    assert moved_cells("run.csv", old_csv, new_csv) == ["run.csv line 3, column pairing_re: '0.25' -> '0.75'"]
+    assert moved_cells("run.csv", old_csv, old_csv.replace("\n", "\r\n")) == ["run.csv"]
+    old_report = json.dumps([{"name": "d o d = 0", "error": 1e-14, "passed": True}])
+    new_report = json.dumps([{"name": "d o d = 0", "error": 2e-14, "passed": True}])
+    assert moved_checks("check-calculus", old_report, new_report) == [
+        "check-calculus check 'd o d = 0', field error: 1e-14 -> 2e-14"]
+    assert moved_checks("check-calculus", old_report, old_report + "\n") == ["check-calculus"]
+
+
 def test_reference_outputs_keep_their_bytes(tmp_path, capsys):
     # tests/reference_outputs holds, as written with the numpy version recorded beside them: the
     # results.csv of each run command on its reference config and of run-cgo on reference_check,
@@ -671,8 +720,9 @@ def test_reference_outputs_keep_their_bytes(tmp_path, capsys):
         cfg, out = reference_config(kind), tmp_path / name
         cfg["output"]["save_fields"] = command == "run-cgo"
         assert main([command, "--config", write(tmp_path, cfg, f"{kind}.json"), "--out", str(out)]) == 0
-        if (out / "results.csv").read_bytes() != (REFERENCE_OUTPUTS / name).read_bytes():
-            moved.append(name)
+        got, want = (out / "results.csv").read_bytes(), (REFERENCE_OUTPUTS / name).read_bytes()
+        if got != want:
+            moved += moved_cells(name, want.decode(), got.decode())
         if command == "run-cgo" and hashlib.sha256((out / "fields.bin").read_bytes()).hexdigest() != hashes[kind]:
             moved.append(f"fields.bin of reference_{kind}")
     check_config = ["--config", str(CONFIGS / "reference_check.json")]
@@ -680,9 +730,10 @@ def test_reference_outputs_keep_their_bytes(tmp_path, capsys):
                             ("check-factorization", check_config)):
         capsys.readouterr()
         assert main([command, "--json", *config]) == 0
-        if capsys.readouterr().out != (REFERENCE_OUTPUTS / f"{command}.json").read_text():
-            moved.append(command)
-    assert moved == []
+        got, want = capsys.readouterr().out, (REFERENCE_OUTPUTS / f"{command}.json").read_text()
+        if got != want:
+            moved += moved_checks(command, want, got)
+    assert moved == [], "\n".join(moved)
 
 
 def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
