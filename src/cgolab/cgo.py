@@ -234,6 +234,11 @@ class CgoSolution:
         values[grade_block(self.grades)] = self.values
         return FormField(self.grid, values)
 
+    @property
+    def defect_ratio(self) -> float:
+        """clamped_defect / forcing_norm: the dropped equations against the forcing; 0.0 for no forcing."""
+        return self.clamped_defect / self.forcing_norm if self.forcing_norm else 0.0
+
 
 def amplitude_grades(amplitude: np.ndarray) -> tuple[int, ...]:
     """The grades a solve of ``amplitude`` runs on: the block that holds it, (0, 1) or (2, 3), or both."""

@@ -22,7 +22,6 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +73,9 @@ def _write(path: Path, write) -> None:
 
 
 class Run:
-    """One command invocation: its parsed config, grid, seed and solver
-    settings, the stage timings, and the one writer of results.csv and
-    manifest.json.
+    """One command invocation: its parsed config, grid and seed, the stage
+    timings, and the one writer of results.csv and manifest.json.  Every
+    solve runs at cgo.solve_cgo's tol and max_iter.
 
     A command calls :meth:`load` first.  Commands that write results name
     the geometry field they need; :meth:`load` then also fixes the frame
@@ -98,7 +97,6 @@ class Run:
             self.cfg = cfg = _load_config(self.args)
         self.grid = cfg.grid
         self.seed = self.args.seed if self.args.seed is not None else cfg.sampling.seed
-        self.solver = asdict(cfg.solver)  # keyword arguments of every solve
         if needs is None:
             return None
         geo = cfg.geometry
@@ -216,7 +214,7 @@ def cmd_run_cgo(run: Run) -> int:
     geom = make_geometry(geo.rho, run.eta1, run.eta2, geo.s, dm.k, grid=run.grid)
     amp = amplitude_a(geom, geo.polarization)
     with run.stage("solve"):
-        sol = solve_cgo(dm, geom.zeta1, amp, **run.solver)
+        sol = solve_cgo(dm, geom.zeta1, amp)
     header = ["s", "eta_angle", "iterations", "residual", "remainder_norm",
               "forcing_norm", "contraction", "clamped_fraction"]
     run.write_csv(header, [[
@@ -230,7 +228,7 @@ def cmd_run_cgo(run: Run) -> int:
             _write(run.out / "fields.bin", lambda path: fields.save_field_bin(remainder, path))
     run.diagnostics = {
         "iterations": sol.iterations, "residual": sol.residual, "contraction": sol.contraction,
-        "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect,
+        "clamped_modes": sol.clamp.clamped, "clamped_defect": sol.clamped_defect, "defect_ratio": sol.defect_ratio,
         "forcing_norm": sol.forcing_norm, "residuals": sol.residuals, "k": dm.k, "omega": dm.omega,
     }
     run.acceptance = {
@@ -253,7 +251,7 @@ def cmd_run_decay(run: Run) -> int:
     with run.stage("solve"):
         study = decay_study(
             dm, geo.rho, geo.polarization, geo.lambda_list, n_samples=n_samples,
-            seed=run.seed, workers=run.pool(), **run.solver,
+            seed=run.seed, workers=run.pool(),
         )
     header = ["lambda", "s", "eta_angle", "iterations", "residual",
               "remainder_norm", "forcing_norm", "clamped_fraction"]
@@ -282,8 +280,7 @@ def cmd_run_uniqueness(run: Run) -> int:
     run.acceptance[verdict] = False
     with run.stage("solve"):
         result = convergence_experiment(
-            mp, geo.rho, geo.polarization, geo.s_list, run.eta1, run.eta2,
-            workers=run.pool(), **run.solver,
+            mp, geo.rho, geo.polarization, geo.s_list, run.eta1, run.eta2, workers=run.pool(),
         )
     run.write_csv(
         ["s", "pairing_re", "pairing_im", "target_re", "target_im", "abs_error"],

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,15 +116,7 @@ class GeometryConfig:
     lambda_list: list | None = None
 
 
-# The defaults of the next three sections live in parse_config alone.
-
-@dataclass
-class SolverConfig:
-    """The solver settings, named as cgo.solve_cgo's keywords and a config's solver keys."""
-
-    tol: float
-    max_iter: int
-
+# The defaults of the next two sections live in parse_config alone.
 
 @dataclass
 class SamplingConfig:
@@ -143,7 +135,6 @@ class RunConfig:
     grid: Grid
     media: list
     geometry: GeometryConfig | None
-    solver: SolverConfig
     sampling: SamplingConfig
     output: OutputConfig
     raw: dict = field(repr=False, default_factory=dict)
@@ -230,7 +221,7 @@ def _parse_geometry(doc, grid: Grid, medium: MediumConfig) -> GeometryConfig:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _object(doc, "config", ("grid", "medium", "media", "geometry", "solver", "sampling", "output"))
+    _object(doc, "config", ("grid", "medium", "media", "geometry", "sampling", "output"))
 
     grid_doc = _object(_require(doc, "grid", "config"), "grid", ("n", "length"))
     n = _integer(_require(grid_doc, "n", "grid"), "grid.n", minimum=8)
@@ -238,7 +229,10 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("grid.n must be a power of two")
     if 128 * n**3 > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # 8 complex blades
         raise ConfigError(f"grid.n is too large: an 8-blade field of n = {n} exceeds physical memory")
-    grid = Grid(n, _number(_require(grid_doc, "length", "grid"), "grid.length", positive=True, power=3))
+    try:
+        grid = Grid(n, _number(_require(grid_doc, "length", "grid"), "grid.length", positive=True, power=3))
+    except ValueError as exc:  # the cell volume (length / n)**3 underflows; Grid's message names grid.length
+        raise ConfigError(str(exc)) from None
 
     media = []
     if "media" in doc:
@@ -254,13 +248,6 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config.medium (or config.media) is required")
 
     geometry = _parse_geometry(doc["geometry"], grid, media[0]) if "geometry" in doc else None
-
-    solver_keys = [f.name for f in fields(SolverConfig)]
-    solver_doc = _object(doc.get("solver", {}), "solver", solver_keys)
-    solver = SolverConfig(
-        tol=_number(solver_doc.get("tol", 1e-9), "solver.tol", positive=True),
-        max_iter=_integer(solver_doc.get("max_iter", 80), "solver.max_iter", minimum=1),
-    )
 
     sampling_doc = _object(doc.get("sampling", {}), "sampling", ("n_samples", "seed"))
     sampling = SamplingConfig(
@@ -281,7 +268,6 @@ def parse_config(doc: dict) -> RunConfig:
         grid=grid,
         media=media,
         geometry=geometry,
-        solver=solver,
         sampling=sampling,
         output=output,
         raw=doc,

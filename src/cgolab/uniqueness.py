@@ -96,7 +96,7 @@ def make_pair(m1: Medium, m2: Medium) -> MediumPair:
 class PairingResult:
     value: complex
     clamps: tuple[ClampReport, ClampReport]  # of the first solve, then of the paired one
-    defects: tuple[float, float]  # clamped_defect / forcing_norm of each, in that order (0 for no forcing)
+    defects: tuple[float, float]  # the defect_ratio of each, in that order
 
 
 def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> PairingResult:
@@ -118,7 +118,7 @@ def pairing(mp: MediumPair, geom: CgoGeometry, pol: Polarization, **solver) -> P
     dq = potential(first.values, mp.dm2, grades, np.empty_like(first.values))
     dq -= potential(first.values, mp.dm1, grades, np.empty_like(dq))
     value = complex(mp.grid.cell_volume * np.sum(inner(dq, paired.values) * plane_wave_scalar(mp.grid, geom.rho)))
-    defects = tuple(s.clamped_defect / s.forcing_norm if s.forcing_norm else 0.0 for s in (first, paired))
+    defects = (first.defect_ratio, paired.defect_ratio)
     return PairingResult(value=value, clamps=(first.clamp, paired.clamp), defects=defects)
 
 

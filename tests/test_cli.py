@@ -1,17 +1,11 @@
 import copy
-import csv
-import dataclasses
-import hashlib
+import functools
 import importlib
-import inspect
-import io
-import itertools
 import json
 import os
 import re
 import tempfile
 import tracemalloc
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +18,9 @@ from cgolab import uniqueness as uq
 from cgolab.cli import EXIT_DIVERGENCE, EXIT_RESONANT, build_parser, main
 from cgolab.errors import ConfigError, DivergenceError
 from cgolab.media import derive
-from cgolab.runconfig import SolverConfig, parse_config
+from cgolab.runconfig import parse_config
 from conftest import CONFIGS, bits, reference_config, traced_peak
+from reference_outputs import record
 
 REFERENCE_OUTPUTS = Path(__file__).resolve().parent / "reference_outputs"
 
@@ -95,10 +90,6 @@ def test_config_errors_name_the_field():
         parse_config({"grid": {"n": 12, "length": 1.0}, "medium": {"omega": 1.0}})
     with pytest.raises(ConfigError, match="medium.omega"):
         parse_config({"grid": {"n": 16, "length": 1.0}, "medium": {"omega": -1.0}})
-    with pytest.raises(ConfigError, match="solver.tol"):
-        parse_config(
-            {"grid": {"n": 16, "length": 1.0}, "medium": {"omega": 1.0}, "solver": {"tol": 0.0}}
-        )
     with pytest.raises(ConfigError, match=r"geometry.rho_index"):
         parse_config(
             {
@@ -130,8 +121,13 @@ def test_config_errors_name_the_field():
                 "medium": {"omega": 1.0, "eps_bumps": [{"amplitude": float("nan"), "radius": 0.1}]},
             }
         )
-    with pytest.raises(ConfigError, match="solver.tol must be a finite"):  # beyond the float range
-        parse_config({"grid": {"n": 16, "length": 1.0}, "medium": {"omega": 1.0}, "solver": {"tol": 10**400}})
+    # length**3 is finite, but the cell volume (length / n)**3 underflows
+    for n in (8, 64):
+        with pytest.raises(ConfigError, match="grid.length 1e-107 puts the volume or cell volume outside"):
+            parse_config({"grid": {"n": n, "length": 1e-107}, "medium": {"omega": 1.0}})
+    # the solver settings are solve_cgo's: a config that still holds the section names it
+    with pytest.raises(ConfigError, match=r"config\.solver is not a known field"):
+        parse_config(reference_config("cgo") | {"solver": {"tol": 1e-9, "max_iter": 80}})
     with pytest.raises(ConfigError, match=r"lambda_list values must be >= 1"):
         parse_config(
             {
@@ -152,10 +148,7 @@ def test_config_errors_name_the_field():
         ("cgo", (), "config.medum"), ("cgo", ("grid",), "grid.N"),
         ("cgo", ("medium",), "medium.sigma0"),
         ("cgo", ("medium", "eps_bumps", 0), "medium.eps_bumps[0].amplitud"),
-        ("cgo", ("geometry",), "geometry.S"), ("cgo", ("solver",), "solver.tolerance"),
-        ("cgo", ("solver",), "solver.max_iters"), ("cgo", ("solver",), "solver.clamp_floor"),
-        ("cgo", ("solver",), "solver.clamp_threshold"),
-        ("cgo", ("sampling",), "sampling.samples"), ("cgo", ("output",), "output.dir"),
+        ("cgo", ("geometry",), "geometry.S"), ("cgo", ("sampling",), "sampling.samples"), ("cgo", ("output",), "output.dir"),
         ("uniqueness", ("media", 1), "media[1].omega0"),
         ("uniqueness", ("media", 0, "sigma_bumps", 0), "media[0].sigma_bumps[0].center"),
     ):
@@ -188,18 +181,6 @@ def test_the_benchmark_restates_the_geometry_of_the_reference_configs(monkeypatc
         assert workloads.frame_angle().hex() == cfg.geometry.frame_angle.hex()
 
 
-def test_library_and_config_solver_defaults_agree():
-    doc = reference_config("cgo")
-    del doc["solver"]
-    params = inspect.signature(cgo.solve_cgo).parameters.values()
-    defaults = {p.name: p.default for p in params if p.default is not inspect.Parameter.empty}
-    assert asdict(parse_config(doc).solver) == defaults
-    # the solver keys of a config are the keyword parameters of solve_cgo, and no others
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == list(defaults)
-    doc["solver"] = dict(defaults)
-    assert asdict(parse_config(doc).solver) == defaults
-
-
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -220,9 +201,6 @@ def test_readme_command_lines_parse():
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
-    cfg = small_config()
-    cfg["solver"] = {"tol": -1.0}
-    assert main(["run-cgo", "--config", write(tmp_path, cfg)]) == 2
     assert main(["run-cgo", "--config", str(tmp_path / "missing.json")]) == 2
     nan_amplitude = small_config()
     nan_amplitude["medium"]["eps_bumps"][0]["amplitude"] = float("nan")
@@ -268,8 +246,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
     far_rho["geometry"].update(rho_index=[10**300, 0, 0], s=32.0)
     aliased_rho = small_config("cgo")
     aliased_rho["geometry"]["rho_index"] = [9, 0, 0]
-    clamp_floor = small_config("cgo", solver={"tol": 1e-9, "clamp_floor": 1e-3})
-    clamp_threshold = small_config("cgo", solver={"tol": 1e-9, "clamp_threshold": 1e-9})
+    old_solver = small_config("cgo", solver={"tol": 1e-9, "max_iter": 80})  # a retired section
+    # length**3 = 1e-321 is finite, but the cell volume (length / 64)**3 underflows to 0
+    tiny_cell = {"grid": {"n": 64, "length": 1e-107}, "medium": {"omega": 1.0},
+                 "geometry": {"rho_index": [0, 0, 0], "s": 8.0}}
     small_pair_s = small_config("uniqueness")
     small_pair_s["geometry"]["s_list"] = [0.5, 8.0]
     small_qnorm_s = small_config("qnorm")
@@ -293,7 +273,6 @@ def test_bad_config_exit_code(tmp_path, capsys):
     (tmp_path / "deep.json").write_text("[" * 200000)  # deeper than the recursion limit
     cases = [
         ("run-cgo", write(tmp_path, nan_amplitude, "nan.json"), "o", r"medium.eps_bumps\[0\].amplitude"),
-        ("run-cgo", write(tmp_path, small_config(solver={"tol": float("inf")}), "inf.json"), "o", "solver.tol"),
         # an output directory that names an existing file
         ("run-cgo", write(tmp_path, small_config(), "ok.json"), "nan.json",
          re.escape(str(tmp_path / "nan.json"))),
@@ -317,10 +296,9 @@ def test_bad_config_exit_code(tmp_path, capsys):
          "geometry.s_list is too large"),
         ("run-decay", write(tmp_path, huge_lambda, "huge_lambda.json"), "o",
          "geometry.lambda_list is too large"),
-        ("run-cgo", write(tmp_path, clamp_floor, "floor.json"), "o",
-         "solver.clamp_floor is not a known field"),
-        ("run-cgo", write(tmp_path, clamp_threshold, "threshold.json"), "o",
-         "solver.clamp_threshold is not a known field"),
+        ("run-cgo", write(tmp_path, old_solver, "old_solver.json"), "o", r"config\.solver is not a known field"),
+        ("run-cgo", write(tmp_path, tiny_cell, "tiny_cell.json"), "o",
+         "grid.length 1e-107 puts the volume or cell volume outside the float range"),
         ("run-uniqueness", write(tmp_path, small_pair_s, "small_pair_s.json"), "o",
          "geometry.s_list values must be >= 1"),
         ("estimate-qnorm", write(tmp_path, small_qnorm_s, "small_qnorm_s.json"), "o",
@@ -552,13 +530,14 @@ def test_run_cgo_outputs(tmp_path, monkeypatch):
     geom = cgo.make_geometry(rho, *cgo.orthonormal_frame(rho, geo.frame_angle), geo.s, dm.k,
                              grid=run.grid)
     amp = cgo.amplitude_a(geom, geo.polarization)
-    sol = cgo.solve_cgo(dm, geom.zeta1, amp, **asdict(run.solver))
+    sol = cgo.solve_cgo(dm, geom.zeta1, amp)  # at its own tol and max_iter, as every command solves
     remainder = sol.total.values - amp.reshape(8, 1, 1, 1)
     assert np.array_equal(bits(snapshot.values), bits(remainder))
     diagnostics = manifest["diagnostics"]
     assert len(diagnostics["residuals"]) == diagnostics["iterations"]
     assert diagnostics["residuals"][-1] == diagnostics["residual"]
     assert diagnostics["forcing_norm"] == sol.forcing_norm  # with the residuals, every step norm
+    assert diagnostics["defect_ratio"] == sol.clamped_defect / sol.forcing_norm > 0
 
 
 @pytest.mark.parametrize("name", ["results.csv", "fields.bin", "manifest.json"])
@@ -576,7 +555,7 @@ def test_an_unwritable_output_file_exits_2_naming_it(tmp_path, capsys, name):
         assert manifest["acceptance"] == {"converged": False}
 
 
-def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):
+def test_run_cgo_reports_an_unmeasured_contraction(tmp_path, monkeypatch):
     # without bumps the medium is the background: the solve takes 0 iterations
     cfg = small_config("cgo")
     cfg["medium"].update(eps_bumps=[], mu_bumps=[], sigma_bumps=[])
@@ -587,7 +566,8 @@ def test_run_cgo_reports_an_unmeasured_contraction(tmp_path):
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["diagnostics"]["contraction"] is None
     # one iteration measures no step ratio either
-    cfg = small_config("cgo", solver={"tol": 1e-9, "max_iter": 1})
+    monkeypatch.setattr(cli, "solve_cgo", functools.partial(cgo.solve_cgo, max_iter=1))
+    cfg = small_config("cgo")
     cfg["geometry"]["s"] = 8.0
     cfg["output"] = {"directory": str(tmp_path / "d")}
     assert main(["run-cgo", "--config", write(tmp_path, cfg, "d.json")]) == EXIT_DIVERGENCE
@@ -672,67 +652,41 @@ def test_run_decay_deterministic(tmp_path):
     assert all(value >= 0 for value in resources.values())
 
 
-def moved_cells(name: str, old_text: str, new_text: str) -> list[str]:
-    """Each cell of a CSV file that moved, by line, column, old and new value;
-    the file alone when its bytes moved but no cell did."""
-    old, new = (list(csv.reader(io.StringIO(text))) for text in (old_text, new_text))
-    header = old[0] if old else []
-    moves = [f"{name} line {line}, column {header[col] if col < len(header) else col}: {a!r} -> {b!r}"
-             for line, (row_a, row_b) in enumerate(itertools.zip_longest(old, new, fillvalue=[]), start=1)
-             for col, (a, b) in enumerate(itertools.zip_longest(row_a, row_b)) if a != b]
-    return moves or [name]
-
-
-def moved_checks(command: str, old_text: str, new_text: str) -> list[str]:
-    """Each field of a --json check report that moved, by check name, field, old
-    and new value; the report alone when its bytes moved but no field did."""
-    old, new = ({c["name"]: c for c in json.loads(text)} for text in (old_text, new_text))
-    moves = [f"{command} check {name!r}, field {key}: {a!r} -> {b!r}"
-             for name in dict.fromkeys([*old, *new])
-             for key in dict.fromkeys([*old.get(name, {}), *new.get(name, {})])
-             if repr(a := old.get(name, {}).get(key)) != repr(b := new.get(name, {}).get(key))]
-    return moves or [command]
-
-
 def test_a_golden_failure_names_each_moved_cell():
     old_csv = "s,pairing_re,abs_error\n8.0,0.5,0.1\n16.0,0.25,0.2\n"
     new_csv = old_csv.replace("0.25", "0.75")
-    assert moved_cells("run.csv", old_csv, new_csv) == ["run.csv line 3, column pairing_re: '0.25' -> '0.75'"]
-    assert moved_cells("run.csv", old_csv, old_csv.replace("\n", "\r\n")) == ["run.csv"]
+    assert record.moved("run.csv", old_csv, new_csv) == ["run.csv line 3, column pairing_re: '0.25' -> '0.75'"]
+    assert record.moved("run.csv", old_csv, old_csv.replace("\n", "\r\n")) == ["run.csv"]
     old_report = json.dumps([{"name": "d o d = 0", "error": 1e-14, "passed": True}])
     new_report = json.dumps([{"name": "d o d = 0", "error": 2e-14, "passed": True}])
-    assert moved_checks("check-calculus", old_report, new_report) == [
-        "check-calculus check 'd o d = 0', field error: 1e-14 -> 2e-14"]
-    assert moved_checks("check-calculus", old_report, old_report + "\n") == ["check-calculus"]
+    assert record.moved("check-calculus.json", old_report, new_report) == [
+        "check-calculus.json check 'd o d = 0', field error: 1e-14 -> 2e-14"]
+    assert record.moved("check-calculus.json", old_report, old_report + "\n") == ["check-calculus.json"]
+    old_hashes = json.dumps({"cgo": "a", "check": "b"})
+    assert record.moved(record.HASHES, old_hashes, json.dumps({"cgo": "a", "check": "c"})) == [
+        "fields.bin.sha256.json fields.bin of reference_check: 'b' -> 'c'"]
+    assert record.relative_change("0.25", "0.75") == "+2.000e+00"
+    assert record.relative_change(True, False) == record.relative_change("x", "y") == ""
 
 
-def test_reference_outputs_keep_their_bytes(tmp_path, capsys):
+def test_the_recorder_writes_every_reference_output():
+    # tests/reference_outputs/record.py re-records the directory; tier-1 runs only this cheap check of its list
+    on_disk = {path.name for path in REFERENCE_OUTPUTS.iterdir() if path.is_file() and path.suffix != ".py"}
+    assert sorted(record.FILES) == sorted(on_disk)
+
+
+def test_reference_outputs_keep_their_bytes(tmp_path):
     # tests/reference_outputs holds, as written with the numpy version recorded beside them: the
     # results.csv of each run command on its reference config and of run-cgo on reference_check,
-    # the SHA-256 of run-cgo's fields.bin on both, and the --json report of each check command
+    # the SHA-256 of run-cgo's fields.bin on both, and the --json report of each check command;
+    # record.reference_outputs runs those commands, as the recorder does
     recorded = (REFERENCE_OUTPUTS / "numpy_version").read_text().strip()
     if np.__version__ != recorded:
         pytest.skip(f"the reference outputs were written with numpy {recorded}, this is numpy {np.__version__}")
-    hashes = json.loads((REFERENCE_OUTPUTS / "fields.bin.sha256.json").read_text())
-    moved = []
-    for kind, command, name in [(k, c, f"{c}.csv") for k, c in RUN_COMMANDS.items()] + [
-            ("check", "run-cgo", "run-cgo-check.csv")]:
-        cfg, out = reference_config(kind), tmp_path / name
-        cfg["output"]["save_fields"] = command == "run-cgo"
-        assert main([command, "--config", write(tmp_path, cfg, f"{kind}.json"), "--out", str(out)]) == 0
-        got, want = (out / "results.csv").read_bytes(), (REFERENCE_OUTPUTS / name).read_bytes()
-        if got != want:
-            moved += moved_cells(name, want.decode(), got.decode())
-        if command == "run-cgo" and hashlib.sha256((out / "fields.bin").read_bytes()).hexdigest() != hashes[kind]:
-            moved.append(f"fields.bin of reference_{kind}")
-    check_config = ["--config", str(CONFIGS / "reference_check.json")]
-    for command, config in (("check-algebra", []), ("check-calculus", check_config),
-                            ("check-factorization", check_config)):
-        capsys.readouterr()
-        assert main([command, "--json", *config]) == 0
-        got, want = capsys.readouterr().out, (REFERENCE_OUTPUTS / f"{command}.json").read_text()
-        if got != want:
-            moved += moved_checks(command, want, got)
+    texts = record.reference_outputs(tmp_path)
+    assert sorted([*texts, "numpy_version"]) == sorted(record.FILES)
+    moved = [line for name, text in texts.items()
+             for line in record.moved(name, (REFERENCE_OUTPUTS / name).read_bytes().decode(), text)]
     assert moved == [], "\n".join(moved)
 
 
