@@ -148,7 +148,8 @@ def test_config_errors_name_the_field():
         ("cgo", (), "config.medum"), ("cgo", ("grid",), "grid.N"),
         ("cgo", ("medium",), "medium.sigma0"),
         ("cgo", ("medium", "eps_bumps", 0), "medium.eps_bumps[0].amplitud"),
-        ("cgo", ("geometry",), "geometry.S"), ("cgo", ("sampling",), "sampling.samples"), ("cgo", ("output",), "output.dir"),
+        ("cgo", ("geometry",), "geometry.S"), ("cgo", ("sampling",), "sampling.samples"),
+        ("cgo", ("output",), "output.dir"),
         ("uniqueness", ("media", 1), "media[1].omega0"),
         ("uniqueness", ("media", 0, "sigma_bumps", 0), "media[0].sigma_bumps[0].center"),
     ):
