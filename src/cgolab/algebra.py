@@ -138,21 +138,20 @@ def _cov_product(table, c, u, grades=None, out=None):
     The entries are read from the live table on every call (a dozen of
     its 192), so a corrupted sign reaches the product.  With ``grades``
     only the blades of u of those grades enter, as if u had been passed
-    through :func:`grade_select` first.  u may be a dict of the blades that enter.
+    through :func:`grade_select` first.
 
     With ``out`` (8 blades: an array with leading axis 8, a list of 8 blade
     arrays, or a dict of them) the product is formed there in place of a new array.
     Then only the blades of out that the product reaches are written, each
     summed from +0.0 as in a new array, and the others may be None.
     """
-    c = np.asarray(c)
-    u = u if isinstance(u, dict) else dict(enumerate(np.asarray(u)))  # blade index -> blade
+    c, u = np.asarray(c), np.asarray(u)
     if grades is not None and np.isscalar(grades):
         grades = (grades,)
     entries = [(j, b, k) for j, b, k in zip(*np.nonzero(table))
                if grades is None or GRADES[b] in grades]
-    shape = np.broadcast_shapes(c.shape[1:], *map(np.shape, u.values()))
-    term = np.empty(shape, dtype=np.result_type(table, c, *u.values()))  # each c[j] * u[b]
+    shape = np.broadcast_shapes(c.shape[1:], u.shape[1:])
+    term = np.empty(shape, dtype=np.result_type(table, c, u))  # each c[j] * u[b]
     if out is None:
         out = np.zeros((8,) + shape, dtype=term.dtype)
     else:
@@ -167,11 +166,10 @@ def _cov_product(table, c, u, grades=None, out=None):
     return out
 
 
-def wedge_cov(c, u, grades=None, out=None):
+def wedge_cov(c, u, grades=None):
     """Wedge with a covector given by its 3 components (leading axis 3),
-    optionally restricted to the blades of u of the given grades; ``out``
-    as in :func:`_cov_product`."""
-    return _cov_product(WEDGE_COV, c, u, grades, out)
+    optionally restricted to the blades of u of the given grades."""
+    return _cov_product(WEDGE_COV, c, u, grades)
 
 
 def vee_cov(c, u, grades=None, out=None):

@@ -368,6 +368,7 @@ class DecaySample:
     remainder_norm: float
     forcing_norm: float
     clamp_fraction: float
+    defect_ratio: float | None = None  # CgoSolution.defect_ratio; None for a failed sample
     error: str = ""  # class name of the toolkit error that failed the sample
     message: str = ""  # and its message
 
@@ -449,7 +450,7 @@ def decay_study(
             return DecaySample(lam, s, angle, 0, np.nan, np.nan, np.nan, np.nan,
                                error=type(exc).__name__, message=str(exc))
         return DecaySample(lam, s, angle, sol.iterations, sol.residual, sol.remainder_norm,
-                           sol.forcing_norm, sol.clamp.fraction)
+                           sol.forcing_norm, sol.clamp.fraction, sol.defect_ratio)
 
     samples = _parallel_map(run, jobs, workers)
     errors = Counter(s.error for s in samples if s.error)

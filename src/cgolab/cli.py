@@ -267,6 +267,7 @@ def cmd_run_decay(run: Run) -> int:
             for s in study.summaries
         ],
         "failures": sample_failures(study.samples),
+        "defect_ratio": [r.defect_ratio for r in study.samples],  # in row order, null for a failed sample
     }
     run.acceptance["remainder_decreasing"] = study.remainder_decreasing
     return EXIT_OK if study.remainder_decreasing else EXIT_TREND

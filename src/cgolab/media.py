@@ -327,22 +327,11 @@ def _star_map(first: int):
 _STAR2_SRC, _STAR2_SIGN = _star_map(4)
 _STAR1_SRC, _STAR1_SIGN = _star_map(1)
 _GRADE_BLADES = (slice(0, 1), slice(1, 4), slice(4, 7), slice(7, 8))
-_BLADES_OF = [range(g.start, g.stop) for g in _GRADE_BLADES]
 
 
 def _star2(v: np.ndarray) -> np.ndarray:
     """Blades 1..3 of star v from its grade-2 blades, as algebra.hodge(v)[1:4]."""
     return v[4 + _STAR2_SRC] * _STAR2_SIGN.reshape(3, 1, 1, 1)  # array first, as in hodge
-
-
-def _hess_row(hess: np.ndarray, comp, k: int, h: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """h = sum_j H[j, k] comp(j, term), summed in the order j = 0, 1, 2, with H
-    packed as in :func:`_hessian`; comp(j, out) writes component j into out."""
-    np.multiply(hess[algebra.SYM_INDEX[0][k]], comp(0, h), out=h)
-    for j in (1, 2):
-        np.multiply(hess[algebra.SYM_INDEX[j][k]], comp(j, term), out=term)
-        h += term
-    return h
 
 
 #: blades of the closed grade blocks of the potential and of their union
@@ -360,11 +349,12 @@ def grade_block(grades) -> slice:
 
 def _potential(w, dm: DerivedMedium, transpose: bool, grades, out=None, rows=slice(None)):
     """The potential or, with ``transpose``, its transpose, on the blades of
-    the block of ``grades``: the grade multipliers; the Hessian terms 2 H_b w^1
-    and star 2 H_a star w^2, or -2 H_a w^1 and star -2 H_b star w^2 for the
-    transpose; and 2 i omega dc contracted with w^(l+1) into grade l and
-    wedged with w^l into grade l + 1, for the even grade l of the block, or
-    for l = 1 with the contraction negated in the transpose.
+    the block of ``grades``, formed one blade b at a time: 2 i omega dc contracted
+    with w^(l+1) into grade l and wedged with w^l into grade l + 1, for the even
+    grade l of the block (for l = 1, the contraction negated, in the transpose),
+    summed from +0.0 in the order of the live sign tables; then the Hessian row
+    h of 2 H_b w^1 or star 2 H_a star w^2 (-2 H_a w^1 or star -2 H_b star w^2 in
+    the transpose); then b's grade multiplier times w_b, plus h, plus the contraction.
 
     ``w``, ``out`` and ``rows`` are those of :func:`potential`.
     """
@@ -377,48 +367,41 @@ def _potential(w, dm: DerivedMedium, transpose: bool, grades, out=None, rows=sli
         out = field[blk]
     elif out.shape != (blk.stop - blk.start,) + shape:
         raise ValueError(f"out must have shape {(blk.stop - blk.start,) + shape}, got {out.shape}")
-    res = [None] * 8  # res[b]: blade b of the result
-    res[blk] = out
-    block = [l for l, blades in enumerate(_GRADE_BLADES) if blk.start <= blades.start < blk.stop]
-
-    # The contraction goes straight into the result, each blade summed from
-    # +0.0; vee lowers each grade and wedge raises it, so their blades do not
-    # meet.  The rest of each blade is then formed in p and added as p + it.
-    lows = [1] if transpose else [l for l in (0, 2) if l in block]
-    algebra.vee_cov(dm.contraction_covector[:, rows], wv, grades=[l + 1 for l in lows], out=res)
-    algebra.wedge_cov(dm.contraction_covector[:, rows], wv, grades=lows, out=res)
-    add = {}  # blade -> how its contraction enters
-    for l in lows:
-        add.update(dict.fromkeys(_BLADES_OF[l], np.subtract if transpose else np.add))
-        add.update(dict.fromkeys(_BLADES_OF[l + 1], np.add))
-
+    # vee lowers grade l + 1 into each low grade l, and wedge raises l into l + 1
+    lows = [1] if transpose else [l for l in (0, 2) if l in algebra.GRADES[blk]]
+    c, mult = dm.contraction_covector[:, rows], dm.grade_multipliers[:, rows]
     # each Hessian is read only in the grade it enters: a one-block solve forms only its own
     hess1, hess2, scale = ("hess_a", "hess_b", -2.0) if transpose else ("hess_b", "hess_a", 2.0)
-
-    # the Hessians' arguments, one component at a time: scale w^1, and
-    # scale star w^2 on blades 1..3
-    def w1(j, into):
-        return np.multiply(scale, wv[1 + j], out=into)
-
-    def star_w2(j, into):
-        return np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
-
-    mult = dm.grade_multipliers[:, rows]
     h, term = np.empty((2,) + shape, dtype=complex)  # a Hessian row; a product, then the blade
-    for l in block:
-        for k, b in enumerate(_BLADES_OF[l]):
-            if l == 1:
-                _hess_row(getattr(dm, hess1)[:, rows], w1, k, h, term)
-            elif l == 2:  # the star of the Hessian image, back on blades 4..6
-                row = _hess_row(getattr(dm, hess2)[:, rows], star_w2, _STAR1_SRC[k], h, term)
-                np.multiply(_STAR1_SIGN[k], row, out=h)
-            np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=term)
-            if l in (1, 2):
-                term += h
-            if b in add:
-                add[b](term, res[b], out=res[b])
+    for b in range(blk.start, blk.stop):
+        l, r = algebra.GRADES[b], out[b - blk.start]
+        table = algebra.VEE_COV if l in lows else algebra.WEDGE_COV if l - 1 in lows else None
+        for i, (j, src) in enumerate(zip(*np.nonzero(table[:, :, b])) if table is not None else ()):
+            add = np.add if table[j, src, b] > 0 else np.subtract
+            if i == 0:  # the first term, from +0.0
+                add(0.0, np.multiply(c[j], wv[src], out=r), out=r)
             else:
-                np.copyto(res[b], term)
+                add(r, np.multiply(c[j], wv[src], out=term), out=r)
+        if l in (1, 2):  # row k of H scale w^1, or of H scale star w^2 on blades 1..3
+            hess = getattr(dm, hess1 if l == 1 else hess2)[:, rows]
+            k = b - _GRADE_BLADES[l].start
+            for j, into in enumerate((h, term, term)):
+                if l == 1:
+                    np.multiply(scale, wv[1 + j], out=into)
+                else:
+                    np.multiply(scale * _STAR2_SIGN[j], wv[4 + _STAR2_SRC[j]], out=into)
+                np.multiply(hess[algebra.SYM_INDEX[j][k if l == 1 else _STAR1_SRC[k]]], into, out=into)
+                if j:
+                    h += term
+            if l == 2:  # the star of the Hessian image, back on blades 4..6
+                np.multiply(_STAR1_SIGN[k], h, out=h)
+        np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=term)
+        if l in (1, 2):
+            term += h
+        if table is None:
+            np.copyto(r, term)
+        else:
+            (np.subtract if transpose and l == 1 else np.add)(term, r, out=r)
     return out if field is None else FormField(dm.grid, field)
 
 

@@ -647,6 +647,10 @@ def test_run_decay_deterministic(tmp_path):
     manifest = json.loads((tmp_path / "a/manifest.json").read_text())
     assert manifest["acceptance"]["remainder_decreasing"] is True
     assert manifest["diagnostics"]["failures"] == []
+    # each sample's clamped defect over its forcing norm, one per results.csv row
+    ratios = manifest["diagnostics"]["defect_ratio"]
+    assert len(ratios) == 2 * 8 == len((tmp_path / "a/results.csv").read_text().splitlines()) - 1
+    assert all(isinstance(r, float) and 0.0 <= r < 1.0 for r in ratios)
     assert set(manifest["timings"]) == {"parse", "derive", "solve", "write"}
     resources = manifest["resources"]
     assert set(resources) == {"peak_rss_mb", "minor_faults", "user_cpu_s", "system_cpu_s"}
@@ -719,6 +723,10 @@ def test_run_decay_records_each_failed_sample(tmp_path, monkeypatch):
     # every other row is the one of the run without a failure
     ok_rows = (tmp_path / "ok/results.csv").read_text().splitlines()
     assert rows[:2] + rows[3:] == ok_rows[:2] + ok_rows[3:]
+    # the failed sample's defect ratio is null, so the manifest stays strict JSON
+    ok_ratios = json.loads((tmp_path / "ok/manifest.json").read_text())["diagnostics"]["defect_ratio"]
+    assert manifest["diagnostics"]["defect_ratio"] == ok_ratios[:1] + [None] + ok_ratios[2:]
+    json.loads((tmp_path / "one/manifest.json").read_text(), parse_constant=pytest.fail)
 
 
 def test_run_decay_exits_3_when_a_lambda_keeps_no_sample(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import threading
 import tracemalloc
@@ -694,6 +695,136 @@ def test_potentials_are_pointwise_symmetric(grid16, dm16, op):
     matrix = np.stack(columns, axis=1)  # (row j, column i, n, n, n)
     asym = np.max(np.abs(matrix - matrix.transpose(1, 0, 2, 3, 4)))
     assert asym < 1e-13 * np.max(np.abs(matrix))
+
+
+# The potential as it read before it became one loop over its output blades:
+# the contraction formed first by two covector-product passes into a list of
+# the result's blades, a Hessian-row helper driven by callbacks, and a table
+# of how the pieces meet.  Kept as the oracle of the potential's bits.
+
+def _pre_change_cov_product(table, c, u, grades, out):
+    """algebra._cov_product as it read u, a dict of blades, into out, a list of blades."""
+    entries = [(j, b, k) for j, b, k in zip(*np.nonzero(table)) if algebra.GRADES[b] in grades]
+    term = np.empty(np.broadcast_shapes(c.shape[1:], *map(np.shape, u.values())), dtype=complex)
+    for k in {k for _, _, k in entries}:
+        out[k][...] = 0.0
+    for j, b, k in entries:
+        np.multiply(c[j], u[b], out=term)
+        if table[j, b, k] > 0:
+            out[k] += term
+        else:
+            out[k] -= term
+
+
+def _pre_change_hess_row(hess, comp, k, h, term):
+    np.multiply(hess[algebra.SYM_INDEX[0][k]], comp(0, h), out=h)
+    for j in (1, 2):
+        np.multiply(hess[algebra.SYM_INDEX[j][k]], comp(j, term), out=term)
+        h += term
+    return h
+
+
+def pre_change_potential(w, dm, transpose, grades, out=None, rows=slice(None)):
+    """md._potential as it read with _hess_row, the contraction pre-pass and the add table."""
+    blk = md.grade_block(grades)
+    wv = dict(enumerate(w.values[:, rows] if isinstance(w, FormField) else w[:, rows],
+                        0 if isinstance(w, FormField) else blk.start))
+    shape = wv[blk.start].shape
+    field = None
+    if out is None:
+        field = np.zeros((8,) + shape, dtype=complex)
+        out = field[blk]
+    res = [None] * 8
+    res[blk] = out
+    blades_of = [range(g.start, g.stop) for g in md._GRADE_BLADES]
+    block = [l for l, blades in enumerate(md._GRADE_BLADES) if blk.start <= blades.start < blk.stop]
+    lows = [1] if transpose else [l for l in (0, 2) if l in block]
+    c = dm.contraction_covector[:, rows]
+    _pre_change_cov_product(algebra.VEE_COV, c, wv, [l + 1 for l in lows], res)
+    _pre_change_cov_product(algebra.WEDGE_COV, c, wv, lows, res)
+    add = {}
+    for l in lows:
+        add.update(dict.fromkeys(blades_of[l], np.subtract if transpose else np.add))
+        add.update(dict.fromkeys(blades_of[l + 1], np.add))
+    hess1, hess2, scale = ("hess_a", "hess_b", -2.0) if transpose else ("hess_b", "hess_a", 2.0)
+
+    def w1(j, into):
+        return np.multiply(scale, wv[1 + j], out=into)
+
+    def star_w2(j, into):
+        return np.multiply(scale * md._STAR2_SIGN[j], wv[4 + md._STAR2_SRC[j]], out=into)
+
+    mult = dm.grade_multipliers[:, rows]
+    h, term = np.empty((2,) + shape, dtype=complex)
+    for l in block:
+        for k, b in enumerate(blades_of[l]):
+            if l == 1:
+                _pre_change_hess_row(getattr(dm, hess1)[:, rows], w1, k, h, term)
+            elif l == 2:
+                row = _pre_change_hess_row(getattr(dm, hess2)[:, rows], star_w2, md._STAR1_SRC[k], h, term)
+                np.multiply(md._STAR1_SIGN[k], row, out=h)
+            np.multiply(mult[l ^ 1 if transpose else l], wv[b], out=term)
+            if l in (1, 2):
+                term += h
+            if b in add:
+                add[b](term, res[b], out=res[b])
+            else:
+                np.copyto(res[b], term)
+    return out if field is None else FormField(dm.grid, field)
+
+
+def signed_zero_medium(dm):
+    """dm with signed zeros in its contraction covector and in one grade multiplier."""
+    coefficients = dm.coefficients.copy()
+    coefficients[5, ::2] = complex(-0.0, 0.0)  # the covector's second component
+    coefficients[1, 1::2] = complex(0.0, -0.0)
+    zeroed = copy.copy(dm)  # shares dm's formed fields
+    object.__setattr__(zeroed, "coefficients", coefficients)
+    return zeroed
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_potential_is_bit_equal_to_the_pre_change_potential(n, request):
+    grid, dm = (request.getfixturevalue(f"{name}{n}") for name in ("grid", "dm"))
+    rng = np.random.default_rng(50)
+    fields_ = [random_band_limited(grid, rng, band=6), signed_zero_field(grid, rng)]
+    fields_[0].values[2] = complex(-0.0, -0.0)  # signed zeros in a blade and in parts of one
+    fields_[0].values[5, 1::2] = complex(0.0, -0.0)
+    cases = [(False, grades) for grades in ((0, 1), (2, 3), (0, 1, 2, 3))] + [(True, (0, 1, 2, 3))]
+    for medium in (dm, signed_zero_medium(dm)):
+        for w in fields_:
+            for transpose, grades in cases:
+                want = pre_change_potential(w, medium, transpose, grades)
+                assert bit_equal(md._potential(w, medium, transpose, grades).values, want.values)
+                blk = md.grade_block(grades)
+                for rows in (slice(None), slice(n // 4, n // 2)):  # the whole grid and a row slab
+                    # into a stale buffer, from the field or from the block's blades alone as a solve passes them
+                    for given in (w, w.values[blk]):
+                        out, old = (np.full_like(want.values[blk][:, rows], np.nan) for _ in range(2))
+                        md._potential(given, medium, transpose, grades, out, rows)
+                        assert bit_equal(out, pre_change_potential(given, medium, transpose, grades, old, rows))
+
+
+def test_the_sign_fault_reaches_the_transposed_potential(grid16, dm16):
+    # the faulted wedge sign, dx1 ^ dx2, enters the transpose's grade-1 wedge
+    w = random_band_limited(grid16, np.random.default_rng(51), band=6)
+    clean = md.potential_t(w, dm16).values
+    with algebra.sign_fault_injected():
+        faulty = md.potential_t(w, dm16).values
+        assert bit_equal(faulty, pre_change_potential(w, dm16, True, (0, 1, 2, 3)).values)
+    assert np.max(np.abs(faulty - clean)) > 1e-3 * np.max(np.abs(clean))
+    assert bit_equal(md.potential_t(w, dm16).values, clean)
+
+
+@pytest.mark.parametrize("grades", [(0, 1), (2, 3)])
+def test_the_potential_into_its_block_holds_two_scratch_blades(grid32, dm32, grades):
+    w = random_band_limited(grid32, np.random.default_rng(52), band=6)
+    blk = md.grade_block(grades)
+    values, out = w.values[blk].copy(), np.empty((blk.stop - blk.start,) + w.values.shape[1:], complex)
+    form_lazy_fields(dm32)
+    md.potential(values, dm32, grades, out=out)  # fills any other cache the potential reads
+    _, peak = traced_peak(lambda: md.potential(values, dm32, grades, out=out))
+    assert peak <= 2.05 * out[0].nbytes
 
 
 # ---------------------------------------------------------------------------
