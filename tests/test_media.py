@@ -703,7 +703,8 @@ def test_potentials_are_pointwise_symmetric(grid16, dm16, op):
 # of how the pieces meet.  Kept as the oracle of the potential's bits.
 
 def _pre_change_cov_product(table, c, u, grades, out):
-    """algebra._cov_product as it read u, a dict of blades, into out, a list of blades."""
+    """algebra._cov_product as it read u, an array or a dict of blades, into out, a list of blades."""
+    u = u if isinstance(u, dict) else dict(enumerate(np.asarray(u)))
     entries = [(j, b, k) for j, b, k in zip(*np.nonzero(table)) if algebra.GRADES[b] in grades]
     term = np.empty(np.broadcast_shapes(c.shape[1:], *map(np.shape, u.values())), dtype=complex)
     for k in {k for _, _, k in entries}:
@@ -727,8 +728,7 @@ def _pre_change_hess_row(hess, comp, k, h, term):
 def pre_change_potential(w, dm, transpose, grades, out=None, rows=slice(None)):
     """md._potential as it read with _hess_row, the contraction pre-pass and the add table."""
     blk = md.grade_block(grades)
-    wv = dict(enumerate(w.values[:, rows] if isinstance(w, FormField) else w[:, rows],
-                        0 if isinstance(w, FormField) else blk.start))
+    wv = w.values[:, rows] if isinstance(w, FormField) else dict(enumerate(w[:, rows], blk.start))
     shape = wv[blk.start].shape
     field = None
     if out is None:
@@ -787,12 +787,12 @@ def signed_zero_medium(dm):
 def test_potential_is_bit_equal_to_the_pre_change_potential(n, request):
     grid, dm = (request.getfixturevalue(f"{name}{n}") for name in ("grid", "dm"))
     rng = np.random.default_rng(50)
-    fields_ = [random_band_limited(grid, rng, band=6), signed_zero_field(grid, rng)]
-    fields_[0].values[2] = complex(-0.0, -0.0)  # signed zeros in a blade and in parts of one
-    fields_[0].values[5, 1::2] = complex(0.0, -0.0)
+    inputs = [random_band_limited(grid, rng, band=6), signed_zero_field(grid, rng)]
+    inputs[0].values[2] = complex(-0.0, -0.0)  # signed zeros in a blade and in parts of one
+    inputs[0].values[5, 1::2] = complex(0.0, -0.0)
     cases = [(False, grades) for grades in ((0, 1), (2, 3), (0, 1, 2, 3))] + [(True, (0, 1, 2, 3))]
     for medium in (dm, signed_zero_medium(dm)):
-        for w in fields_:
+        for w in inputs:
             for transpose, grades in cases:
                 want = pre_change_potential(w, medium, transpose, grades)
                 assert bit_equal(md._potential(w, medium, transpose, grades).values, want.values)
