@@ -50,6 +50,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_RESONANT = 4
 EXIT_TREND = 5
+DECAY_SAMPLE_BYTES = 2304  # run-decay's traced peak per sample in its pool: plan row, pool task and DecaySample
 
 #: toolkit error -> (exit code, stderr label); any other exception is a bug
 FAILURES = {
@@ -244,8 +245,8 @@ def cmd_run_decay(run: Run) -> int:
     n_samples = run.cfg.sampling.n_samples
     if n_samples < MIN_SAMPLES:
         raise ConfigError(f"sampling.n_samples must be >= {MIN_SAMPLES} for run-decay")
-    rows = len(geo.lambda_list) * n_samples  # a plan row and its DecaySample take about 0.3 KiB
-    if 320 * rows > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    rows = len(geo.lambda_list) * n_samples
+    if DECAY_SAMPLE_BYTES * rows > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigError(f"sampling.n_samples is too large: {rows} samples exceed physical memory")
     dm = run.derived()
     with run.stage("solve"):

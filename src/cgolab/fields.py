@@ -29,7 +29,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -50,6 +50,22 @@ def seeded_rng(*key) -> np.random.Generator:
     """Counter-based generator keyed by integers; safe to derive
     independent deterministic streams for parallel work."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+
+
+def _frequency_index(n: int) -> np.ndarray:
+    """The integer frequency indices of one axis, in FFT order."""
+    return np.rint(np.fft.fftfreq(n) * n).astype(int)
+
+
+def _broadcast_axes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vector v along each grid axis, read-only views shaped (n, 1, 1), (1, n, 1) and (1, 1, n)."""
+    v.flags.writeable = False
+    return v.reshape(-1, 1, 1), v.reshape(1, -1, 1), v.reshape(1, 1, -1)
+
+
+def _dot(u, v) -> np.ndarray:
+    """u0 v0 + u1 v1 + u2 v2 of 3-vectors of scalars or broadcast axes, in the order np.sum(axis=0) adds rows."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
 
 
 @dataclass(frozen=True)
@@ -76,23 +92,20 @@ class Grid:
     def volume(self) -> float:
         return self.length**3
 
-    # x and freq_index, read only in set-up, are formed where they are read
     @property
-    def freq_index(self) -> np.ndarray:
-        """Integer frequency indices in FFT order, shape (3, n, n, n)."""
-        k = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
-        kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
-        return np.stack([kx, ky, kz])
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Physical coordinates along each axis, shaped (n, 1, 1), (1, n, 1) and (1, 1, n) to broadcast."""
+        return _broadcast_axes(np.arange(self.n) * (self.length / self.n))
 
-    @cached_property
+    @property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 of the frequency covectors (2 pi / L) * integer lattice."""
-        xi = (2.0 * np.pi / self.length) * self.freq_index.astype(float)
-        return np.sum(xi**2, axis=0)
+        xi = _broadcast_axes((2.0 * np.pi / self.length) * _frequency_index(self.n).astype(float))
+        return _dot(xi, xi)
 
     @cached_property
-    def xi_op(self) -> np.ndarray:
-        """Derivative-symbol covectors: xi with the Nyquist rows zeroed.
+    def xi_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Derivative-symbol covector along each axis, shaped as :attr:`axes`: xi with the Nyquist entry zeroed.
 
         The index -n/2 has no +n/2 partner on the lattice, so keeping it
         in an odd-order symbol breaks the exact skew-adjointness of the
@@ -101,26 +114,24 @@ class Grid:
         norms use this covector so the operator identities hold exactly
         on arbitrary grid functions.
         """
-        index = self.freq_index
-        out = (2.0 * np.pi / self.length) * index.astype(float)  # xi, not kept
-        out[index == -(self.n // 2)] = 0.0
-        return out
+        index = _frequency_index(self.n)
+        xi = (2.0 * np.pi / self.length) * index.astype(float)
+        xi[index == -(self.n // 2)] = 0.0
+        return _broadcast_axes(xi)
 
     @cached_property
-    def xi_op_sq(self) -> np.ndarray:
-        return np.sum(self.xi_op**2, axis=0)
+    def xi_op(self) -> np.ndarray:
+        """:attr:`xi_axes` on every mode, shape (3, n, n, n); only the oracle routes' covectors read it."""
+        return np.stack(np.broadcast_arrays(*self.xi_axes))
 
     @property
-    def x(self) -> np.ndarray:
-        """Physical coordinates, shape (3, n, n, n)."""
-        t = np.arange(self.n) * (self.length / self.n)
-        X, Y, Z = np.meshgrid(t, t, t, indexing="ij")
-        return np.stack([X, Y, Z])
+    def xi_op_sq(self) -> np.ndarray:
+        return _dot(self.xi_axes, self.xi_axes)
 
     @property
     def subbox_distance(self) -> np.ndarray:
         """Max-norm distance of each point from the center, shape (n, n, n)."""
-        return np.max(np.abs(self.x - self.length / 2), axis=0)
+        return reduce(np.maximum, (np.abs(t - self.length / 2) for t in self.axes))
 
     @cached_property
     def outside_subbox(self) -> np.ndarray:
@@ -298,9 +309,7 @@ def conj_laplacian(f: FormField, zeta=None) -> FormField:
 
 def helmholtz_symbol(grid: Grid, zeta) -> np.ndarray:
     """p(xi) = |xi|^2 - 2i <zeta, xi> on the frequency lattice."""
-    z = np.asarray(zeta, dtype=complex)
-    zdot = np.einsum("j,j...->...", z, grid.xi_op)
-    return grid.xi_op_sq - 2j * zdot
+    return grid.xi_op_sq - 2j * _dot(np.asarray(zeta, dtype=complex), grid.xi_axes)
 
 
 def default_floor(grid: Grid) -> float:
@@ -488,8 +497,7 @@ def sym_coderiv(grid: Grid, tensor: np.ndarray) -> np.ndarray:
 
 def plane_wave_scalar(grid: Grid, kvec) -> np.ndarray:
     """exp(i k.x) sampled on the grid, shape (n, n, n)."""
-    phase = np.einsum("j,j...->...", np.asarray(kvec, dtype=float), grid.x)
-    return np.exp(1j * phase)
+    return np.exp(1j * _dot(np.asarray(kvec, dtype=float), grid.axes))
 
 
 def random_band_limited(
@@ -502,7 +510,7 @@ def random_band_limited(
     """Random field with spectrum confined to max_i |k_i| <= band."""
     n = grid.n
     coeffs = np.zeros((8, n, n, n), dtype=complex)
-    mask = np.all(np.abs(grid.freq_index) <= band, axis=0)
+    mask = reduce(np.logical_and, _broadcast_axes(np.abs(_frequency_index(n)) <= band))
     nsel = int(np.sum(mask))
     for blade in np.nonzero(np.isin(algebra.GRADES, grades))[0]:
         coeffs[blade][mask] = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)

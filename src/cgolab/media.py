@@ -53,10 +53,10 @@ class Bump:
 def sample_bumps(grid: Grid, bumps) -> np.ndarray:
     """Sum of the bumps sampled on the grid.  A bump whose ball holds no
     grid point would vanish from the samples: it raises ValueError."""
-    x = grid.x if bumps else None  # formed once for all the bumps, and only for bumps
-    total = np.zeros((grid.n,) * 3)
+    axes, total = grid.axes, np.zeros((grid.n,) * 3)
     for i, bump in enumerate(bumps):
-        d2 = np.sum((x - np.reshape(bump.center, (3, 1, 1, 1))) ** 2, axis=0)
+        d = [t - c for t, c in zip(axes, bump.center, strict=True)]
+        d2 = fields._dot(d, d)
         inside = d2 < bump.radius**2  # d2 / radius**2 < 1, tested without dividing outside
         if not inside.any():
             raise ValueError(f"bump {i} holds no grid point within its radius {bump.radius!r}")
@@ -142,10 +142,9 @@ class DerivedMedium:
     def __post_init__(self):
         a = 0.5 * np.log(self.gamma)  # principal branch
         b = 0.5 * np.log(self.mu)
-        ixi = fields._spectral_covector(self.grid, None)  # formed once for the five derivatives
-        da3, db3, dc3 = (_gradient(self.grid, s, ixi) for s in (a, b, np.exp(a) * np.exp(b)))
-        delta_da, delta_db = _codifferential(ixi, da3), _codifferential(ixi, db3)
-        del a, b, ixi
+        da3, db3, dc3 = (_gradient(self.grid, s) for s in (a, b, np.exp(a) * np.exp(b)))
+        delta_da, delta_db = _codifferential(self.grid, da3), _codifferential(self.grid, db3)
+        del a, b
         base = -self.omega**2 * (self.gamma_mu - self.eps0 * self.mu0)
         dada = algebra.inner(da3, da3)
         dbdb = algebra.inner(db3, db3)
@@ -226,21 +225,23 @@ class DerivedMedium:
 # The derivatives below follow ext_deriv and coderiv of FormField.from_scalar
 # bit for bit on the blades those routes fill: each sum starts at +0.0.
 
-def _gradient(grid: Grid, s: np.ndarray, ixi=None) -> np.ndarray:
-    """The 3 components of the gradient of the scalar field s; ixi is the grid's i xi_op, if formed."""
+def _gradient(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """The 3 components of the gradient of the scalar field s."""
     shat = fields._forward(s)
-    ghat = (fields._spectral_covector(grid, None) if ixi is None else ixi) * shat
+    ghat = np.empty((3,) + s.shape, dtype=complex)
+    for xi, g in zip(grid.xi_axes, ghat):
+        np.multiply(1j * xi, shat, out=g)
     ghat += 0.0
     return fields._inverse(ghat, ghat)
 
 
-def _codifferential(ixi: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """delta of the gradient whose 3 components are grad, ixi being the grid's i xi_op."""
+def _codifferential(grid: Grid, grad: np.ndarray) -> np.ndarray:
+    """delta of the gradient whose 3 components are grad."""
     ghat = fields._forward(grad)
     ghat *= -1.0  # the grade-1 sign of algebra.alternate
     delta, term = np.zeros(grad.shape[1:], dtype=complex), np.empty(grad.shape[1:], dtype=complex)
-    for j in range(3):
-        delta += np.multiply(ixi[j], ghat[j], out=term)
+    for xi, g in zip(grid.xi_axes, ghat):
+        delta += np.multiply(1j * xi, g, out=term)
     return fields._inverse(delta, delta)
 
 
@@ -248,7 +249,7 @@ def _hessian(grid: Grid, s: np.ndarray) -> np.ndarray:
     """The Hessian of the scalar field s: entries j <= k in ``algebra.SYM_PAIRS``
     order, shape (6, n, n, n)."""
     shat = fields._forward(s)
-    xi = grid.xi_op
+    xi = grid.xi_axes
     hess = np.empty((len(algebra.SYM_PAIRS),) + s.shape, dtype=complex)
     for i, (j, k) in enumerate(algebra.SYM_PAIRS):
         fields._inverse(np.multiply(-xi[j] * xi[k], shat, out=hess[i]), hess[i])
@@ -258,10 +259,10 @@ def _hessian(grid: Grid, s: np.ndarray) -> np.ndarray:
 def derive(medium: Medium) -> DerivedMedium:
     """Compute the derived coefficient fields.
 
-    The raw samples are used directly: they keep the support and
-    positivity bounds exact, and the potentials are realized as
-    pointwise multiplications so no aliasing enters the operator
-    algebra.
+    The raw samples are used directly, which keeps their positivity bounds
+    exact.  Their spectral derivatives ring across the torus, so the potential
+    vanishes outside the sub-box only in the continuum: for the reference medium,
+    3.2% of the coefficients' L^2 norm lies outside it at 32^3, 0.54% at 64^3.
     """
     m = medium
     return DerivedMedium(m.grid, m.omega, m.eps0, m.mu0, gamma=m.eps + 1j * m.sigma / m.omega,

@@ -56,6 +56,12 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def coordinates(grid) -> np.ndarray:
+    """The physical coordinates of every grid point as one (3, n, n, n) stack, formed apart from ``Grid.axes``."""
+    t = np.arange(grid.n) * (grid.length / grid.n)
+    return np.stack(np.meshgrid(t, t, t, indexing="ij"))
+
+
 def bits(a) -> np.ndarray:
     """The uint64 bit patterns of a complex array, so that equality counts signed zeros."""
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)

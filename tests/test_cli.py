@@ -388,6 +388,33 @@ def test_an_oversized_grid_exits_2_before_allocating(tmp_path, capsys, n):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_decay_refuses_exactly_the_plans_that_exceed_physical_memory(tmp_path, capsys, monkeypatch):
+    # on 64 MiB of physical memory the largest plan within it reaches the medium,
+    # where the test stops it before any study runs, and one more sample a lambda exits 2
+    class GuardPassed(Exception):
+        pass
+
+    def stop(run):
+        raise GuardPassed
+
+    memory, sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}, os.sysconf
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    monkeypatch.setattr(cli.Run, "derived", stop)
+    cfg = small_config("decay")
+    largest = 2**26 // (cli.DECAY_SAMPLE_BYTES * len(cfg["geometry"]["lambda_list"]))
+    assert largest >= cgo.MIN_SAMPLES
+    for n_samples in (largest, largest + 1):
+        cfg["sampling"]["n_samples"] = n_samples
+        argv = ["run-decay", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        if n_samples == largest:
+            with pytest.raises(GuardPassed):
+                main(argv)
+        else:
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert "sampling.n_samples is too large" in capsys.readouterr().err
+
+
 RUN_COMMANDS = {
     "cgo": "run-cgo", "decay": "run-decay", "uniqueness": "run-uniqueness", "qnorm": "estimate-qnorm",
 }

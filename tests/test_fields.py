@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cgolab
-from cgolab import algebra, cgo, fields
+from cgolab import algebra, cgo, fields, media
 from cgolab.fields import (
     ClampedSymbol,
     FormField,
@@ -33,7 +33,7 @@ from cgolab.fields import (
     spectral_pairing,
     sym_coderiv,
 )
-from conftest import bits, blade, constant, derive_background, traced_peak
+from conftest import bits, blade, constant, coordinates, derive_background, traced_peak
 
 GRID = Grid(16, 2.0 * np.pi)
 GRID32 = Grid(32, 2.0 * np.pi)
@@ -105,7 +105,7 @@ def test_both_sides_of_parseval_keep_one_operand_order_at_every_size(n):
 
 
 def test_ext_deriv_sine_mode():
-    x1 = GRID.x[0]
+    x1 = coordinates(GRID)[0]
     kappa = 2.0 * np.pi / GRID.length
     f = FormField.from_scalar(GRID, np.sin(kappa * x1))
     df = ext_deriv(f)
@@ -547,10 +547,10 @@ def test_sym_coderiv_constant_and_sine():
     assert np.max(np.abs(out)) < 1e-14
 
     kappa = 2.0 * np.pi / GRID.length
-    t[0] = np.sin(kappa * GRID.x[0])
+    t[0] = np.sin(kappa * coordinates(GRID)[0])
     out = sym_coderiv(GRID, t)
     expected = np.zeros_like(out)
-    expected[0] = -2.0 * kappa * np.cos(kappa * GRID.x[0])
+    expected[0] = -2.0 * kappa * np.cos(kappa * coordinates(GRID)[0])
     assert rel_err(out, expected) < 1e-12
     for shape in [(3,) + t.shape[1:], (6, 8, 8, 8), t.shape[1:]]:
         with pytest.raises(ValueError, match=re.escape("tensor field must have shape (6, n, n, n)")):
@@ -578,8 +578,92 @@ def test_symmetric_tensor_identity():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_outside_subbox_is_the_inline_mask(n):
     grid = Grid(n, 2.0 * np.pi)
-    inline = np.any(np.abs(grid.x - grid.length / 2) > grid.length / 4, axis=0)
+    inline = np.any(np.abs(coordinates(grid) - grid.length / 2) > grid.length / 4, axis=0)
     assert np.array_equal(grid.outside_subbox, inline)
+
+
+def former_stacks(grid):
+    """The grid's (3, n, n, n) stacks as the library first formed them, by np.meshgrid: the
+    coordinates, the integer frequency indices, xi, and xi_op (xi with the Nyquist entries zeroed)."""
+    k = np.rint(np.fft.fftfreq(grid.n) * grid.n).astype(int)
+    index = np.stack(np.meshgrid(k, k, k, indexing="ij"))
+    xi = (2.0 * np.pi / grid.length) * index.astype(float)
+    xi_op = xi.copy()
+    xi_op[index == -(grid.n // 2)] = 0.0
+    return coordinates(grid), index, xi, xi_op
+
+
+def former_sample_bumps(grid, x, bumps):
+    total = np.zeros((grid.n,) * 3)
+    for bump in bumps:
+        d2 = np.sum((x - np.reshape(bump.center, (3, 1, 1, 1))) ** 2, axis=0)
+        inside = d2 < bump.radius**2
+        r2 = d2[inside] / bump.radius**2
+        total[inside] += bump.amplitude * np.exp(bump.sharpness * (1.0 - 1.0 / (1.0 - r2)))
+    return total
+
+
+def former_random_band_limited(grid, rng, band, index):
+    coeffs = np.zeros((8,) + index.shape[1:], dtype=complex)
+    mask = np.all(np.abs(index) <= band, axis=0)
+    nsel = int(np.sum(mask))
+    for b in range(8):
+        coeffs[b][mask] = rng.standard_normal(nsel) + 1j * rng.standard_normal(nsel)
+    return fft_inverse(FormField(grid, coeffs)).values
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_broadcast_axes_give_the_bits_of_the_n3_stacks(n):
+    # every reader of the per-axis coordinates and frequencies adds and multiplies
+    # in the order of the n^3 expressions it replaced, so no output bit moves,
+    # and no sign of a zero
+    def bit_equal(a, b):
+        return a.dtype == b.dtype and np.array_equal(bits(a), bits(b))
+
+    grid = Grid(n, 2.0 * np.pi)
+    x, index, xi, xi_op = former_stacks(grid)
+    xi_op_sq = np.sum(xi_op**2, axis=0)
+    assert bit_equal(grid.xi_op, xi_op)
+    assert bit_equal(grid.xi_op_sq, xi_op_sq)
+    assert bit_equal(grid.xi_sq, np.sum(xi**2, axis=0))
+    assert bit_equal(grid.subbox_distance, np.max(np.abs(x - grid.length / 2), axis=0))
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        scale = 10.0 ** rng.uniform(-1.0, 2.0)
+        zeta = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        zdot = np.einsum("j,j...->...", zeta, xi_op)
+        assert bit_equal(fields.helmholtz_symbol(grid, zeta), xi_op_sq - 2j * zdot)
+        kvec = scale * rng.standard_normal(3)
+        phase = np.einsum("j,j...->...", kvec, x)
+        assert bit_equal(fields.plane_wave_scalar(grid, kvec), np.exp(1j * phase))
+        band, seed = int(rng.integers(0, n // 2 + 1)), int(rng.integers(2**32))
+        assert bit_equal(random_band_limited(grid, np.random.default_rng(seed), band).values,
+                              former_random_band_limited(grid, np.random.default_rng(seed), band, index))
+        bumps = [media.Bump(rng.uniform(0.1, 1.0), rng.uniform(0.7, 1.5), tuple(np.pi + rng.uniform(-1.0, 1.0, 3)),
+                      rng.uniform(0.5, 2.0)) for _ in range(2)]
+        assert bit_equal(media.sample_bumps(grid, bumps), former_sample_bumps(grid, x, bumps))
+
+
+def test_the_subbox_mask_holds_under_two_scalar_fields():
+    # the three (3, n, n, n) arrays of the coordinate stack and its distances
+    # took this to 6 scalar fields
+    grid = GRID32
+    fresh = Grid(grid.n, grid.length)  # outside_subbox is cached per grid
+    mask, peak = traced_peak(getattr, fresh, "outside_subbox")
+    assert peak <= 2 * grid.n**3 * np.dtype(float).itemsize
+    assert np.array_equal(mask, grid.outside_subbox)
+
+
+def test_no_library_module_forms_a_meshgrid():
+    # the grid's coordinates and frequencies are its broadcast axes (Grid.axes,
+    # Grid.xi_axes): one realization, with no (3, n, n, n) stack of np.meshgrid
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(fields.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and "meshgrid" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert calls == []
 
 
 def test_serialization_round_trips(tmp_path):

@@ -19,7 +19,7 @@ from cgolab.fields import (
     quadrature_pairing,
     random_band_limited,
 )
-from conftest import LAZY_FIELDS, bits, constant, derive_background, form_lazy_fields, traced_peak
+from conftest import LAZY_FIELDS, bits, constant, coordinates, derive_background, form_lazy_fields, traced_peak
 
 
 RHO = np.array([1.0, 0.0, 0.0])
@@ -184,17 +184,27 @@ def test_replace_derives_afresh(grid16):
 def test_sample_bumps_without_bumps_forms_only_the_zero_field():
     grid = presets.reference_grid()
     total, peak = traced_peak(md.sample_bumps, grid, [])
-    # the three coordinate arrays of grid.x would add 3 more scalar fields, and
-    # forming them 2 more still
+    # a (3, n, n, n) coordinate stack would add 3 more scalar fields, and
+    # forming it by np.meshgrid 2 more still
     scalar_bytes = grid.n**3 * np.dtype(float).itemsize
     assert peak <= scalar_bytes + 65536
     assert bit_equal(total, np.zeros((grid.n,) * 3))
 
 
+def test_sample_bumps_holds_under_three_scalar_fields_per_bump():
+    # the output, the squared distances and the mask; a (3, n, n, n) coordinate
+    # stack and its differences from the centre took this to 8 scalar fields
+    grid = presets.reference_grid()
+    bump = md.Bump(0.4, 1.45, (grid.length / 2 - 0.1, grid.length / 2, grid.length / 2), 2.0)
+    total, peak = traced_peak(md.sample_bumps, grid, [bump])
+    assert peak <= 3 * grid.n**3 * np.dtype(float).itemsize + 65536
+    assert total.max() > 0.0
+
+
 def test_derive_holds_only_what_it_keeps():
     grid = presets.reference_grid()
     medium = presets.reference_medium(grid)
-    grid.xi_op  # the grid's own symbol cache, shared by every derivation
+    grid.xi_axes  # the grid's own symbol cache, shared by every derivation
     tracemalloc.start()
     try:
         dm = md.derive(medium)
@@ -207,8 +217,8 @@ def test_derive_holds_only_what_it_keeps():
     field_bytes = grid.n**3 * np.dtype(complex).itemsize
     assert sum(a.nbytes for a in (dm.gamma, dm.mu, dm.coefficients)) == 9 * field_bytes
     assert held <= 9 * field_bytes + 65536
-    # the coordinate and frequency index stacks are formed where they are read
-    assert not {"x", "freq_index"} & set(vars(grid))
+    # the derivatives broadcast the symbol's axes: no (3, n, n, n) symbol stack is formed
+    assert "xi_op" not in vars(grid)
 
 
 @pytest.mark.parametrize("pol, formed", [(cgo.Polarization.E, {"hess_b"}),
@@ -299,14 +309,14 @@ def test_medium_validation(grid16):
 def test_a_bump_whose_radius_squared_is_subnormal_keeps_its_centre(grid16):
     # radius**2 = 1e-310: d2 / radius**2 overflows at every point but the centre,
     # which is the only one inside
-    centre = tuple(grid16.x[:, 8, 8, 8])
+    centre = tuple(coordinates(grid16)[:, 8, 8, 8])
     total = md.sample_bumps(grid16, [md.Bump(0.4, 1e-155, centre)])
     assert total[8, 8, 8] == 0.4 and np.count_nonzero(total) == 1
 
 
 def test_a_bump_whose_ball_holds_no_grid_point_is_rejected(grid16):
     # the same radius 0.1 off the grid point: no sample would see the bump
-    centre = tuple(grid16.x[:, 8, 8, 8] + np.array([-0.1, 0.0, 0.0]))
+    centre = tuple(coordinates(grid16)[:, 8, 8, 8] + np.array([-0.1, 0.0, 0.0]))
     wide = md.Bump(0.3, 1.2, (grid16.length / 2,) * 3)
     with pytest.raises(CoefficientError, match=r"^bump 1 holds no grid point") as err:
         md.Medium.from_bumps(grid16, 1.0, mu_bumps=[wide, md.Bump(0.4, 1e-155, centre)])
@@ -579,7 +589,7 @@ def test_grade03_potential_matches_multipliers_and_weak_form(grid16, dm16):
 def test_potential_is_multiplication_operator(grid16, dm16):
     rng = np.random.default_rng(12)
     w = random_band_limited(grid16, rng, band=4)
-    f = np.exp(1j * grid16.x[0]) + 0.3
+    f = np.exp(1j * coordinates(grid16)[0]) + 0.3
     lhs = md.potential(FormField(grid16, w.values * f), dm16)
     rhs = md.potential(w, dm16).values * f
     assert rel_err(lhs.values, rhs) < 1e-12

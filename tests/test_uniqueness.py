@@ -11,7 +11,7 @@ from cgolab import algebra, cgo, fields, presets
 from cgolab import media as md
 from cgolab import uniqueness as uq
 from cgolab.fields import default_floor, plane_wave_scalar
-from conftest import bits, form_lazy_fields, traced_peak
+from conftest import bits, coordinates, form_lazy_fields, traced_peak
 
 RHO = np.array([1.0, 0.0, 0.0])
 
@@ -314,7 +314,7 @@ def test_convergence_experiment_structure(grid16, pair16):
 def test_ucp_coefficients_supported_in_subbox(grid16, pair16):
     M = uq.ucp_coefficients(pair16)
     assert M.shape == (2, 2) + (grid16.n,) * 3 and M.dtype == complex
-    outside = np.any(np.abs(grid16.x - grid16.length / 2) > grid16.length / 4, axis=0)
+    outside = np.any(np.abs(coordinates(grid16) - grid16.length / 2) > grid16.length / 4, axis=0)
     for f in M.reshape((4,) + M.shape[2:]):
         assert np.max(np.abs(f[outside])) <= 1e-8 * np.max(np.abs(f))
 
@@ -342,7 +342,7 @@ def test_ucp_coefficients_are_bit_equal_to_the_pre_change_expressions(grid32):
     # 32^3, where the window has points strictly between 0 and 1
     pair = uq.make_pair(presets.reference_medium(grid32), presets.perturbed_medium(grid32))
     half = grid32.length / 4.0
-    r = np.max(np.abs(grid32.x - grid32.length / 2.0), axis=0) / half
+    r = np.max(np.abs(coordinates(grid32) - grid32.length / 2.0), axis=0) / half
     window = uq._smooth_step((r - uq.WINDOW_START) / (uq.WINDOW_STOP - uq.WINDOW_START))
     assert np.array_equal(bits(uq.subbox_window(grid32)), bits(window))
     dm1, dm2 = pair.dm1, pair.dm2
